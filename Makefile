@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: all check build vet fmt-check lint lint-stats test bench bench-smoke bench-collectives bench-wire bench-world bench-live fabric-smoke faultline-smoke fuzz-smoke world-smoke live-smoke route-smoke race cover experiments examples clean
+.PHONY: all check build vet fmt-check lint lint-stats test bench bench-smoke bench-canonical-smoke bench-collectives bench-wire bench-world bench-live fabric-smoke faultline-smoke fuzz-smoke world-smoke live-smoke route-smoke race cover experiments examples clean
 
 all: build vet lint test
 
-check: build vet fmt-check lint test race bench-smoke bench-collectives bench-wire bench-live fabric-smoke faultline-smoke fuzz-smoke world-smoke live-smoke route-smoke
+check: build vet fmt-check lint test race bench-smoke bench-canonical-smoke bench-collectives bench-wire bench-live fabric-smoke faultline-smoke fuzz-smoke world-smoke live-smoke route-smoke
 
 build:
 	$(GO) build ./...
@@ -34,16 +34,26 @@ test:
 race:
 	$(GO) test -race ./internal/...
 
+# The canonical benchmark (BENCHMARK.json, cmd/bench/README.md): four
+# paper-shaped workloads, eight end-to-end metrics, a per-layer ledger.
 bench:
-	$(GO) test -bench=. -benchmem .
+	$(GO) run ./cmd/bench
+
+# The four canonical workloads at smoke length. Each checks its output bit
+# for bit against the serial reference, so this is a cross-stack test of the
+# session under staging, live and world — not a timing.
+bench-canonical-smoke:
+	for w in insitu-stats insitu-render-tcp intransit-delta live-fanout; do \
+		$(GO) run ./cmd/bench -quick -workload $$w || exit 1; \
+	done
 
 # A single-iteration pass over the hot-path benchmarks: catches bit-rot in
 # the benchmark harness without paying for stable timings.
 bench-smoke:
 	$(GO) test -run XXX -bench 'Fig3OscillatorKernel|RasterizeMesh|Tab2PNGEncode1080p|AblationCompositing|HistogramBinning' -benchtime=1x -benchmem .
 
-# One iteration of the collective engine vs the legacy shapes it replaced
-# (BENCH_4.json is the stable-timing sweep of the same benchmarks).
+# One iteration of the collective engine sweep (BENCH_4.json is the
+# stable-timing sweep, next to the legacy shapes the engine replaced).
 bench-collectives:
 	$(GO) test -run XXX -bench 'BenchmarkCollectives|BenchmarkFusedMinMax' -benchtime=1x -benchmem ./internal/mpi/
 
@@ -61,11 +71,11 @@ bench-wire:
 bench-world:
 	$(GO) test -run XXX -bench 'BenchmarkWorld' -benchtime=1x ./internal/world/
 
-# One iteration of the live fan-out benchmarks: the rebuilt hub vs the
-# embedded seed hub at 1..1000 in-process subscribers (BENCH_9.json pins the
-# stable-timing sweep plus the cmd/live-load wire curves).
+# One iteration of the live fan-out benchmarks at 1..1000 in-process
+# subscribers (BENCH_9.json pins the stable-timing sweep against the seed
+# hub, plus the cmd/live-load wire curves).
 bench-live:
-	$(GO) test -run XXX -bench 'BenchmarkPublish|BenchmarkLegacyPublish|BenchmarkFanout|BenchmarkLegacyFanout' -benchtime=1x -benchmem ./internal/live/
+	$(GO) test -run XXX -bench 'BenchmarkPublish|BenchmarkFanout' -benchtime=1x -benchmem ./internal/live/
 
 # The fan-out scale contract end to end over real connections: 200 wire
 # viewers (10% read-delayed) against a paced publish sequence; enforces flat
@@ -109,6 +119,7 @@ route-smoke:
 # corpora under testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzFrameDecode -fuzztime 10s ./internal/fabric/
+	$(GO) test -run XXX -fuzz FuzzCodecDecode -fuzztime 10s ./internal/fabric/
 	$(GO) test -run XXX -fuzz FuzzDecode -fuzztime 10s ./internal/adios/
 	$(GO) test -run XXX -fuzz FuzzFramePayloadDecode -fuzztime 10s ./internal/live/
 

@@ -132,13 +132,9 @@ func ListenFabric(network, addr string, nWriters, nReaders, depth int, opts ...F
 		return nil, err
 	}
 	stats := &fabric.Stats{}
-	readTimeout := time.Duration(0)
-	if network != "loopback" {
-		readTimeout = 15 * time.Second
-	}
 	hub := fabric.NewHub(lis, fabric.HubOptions{
 		Writers: nWriters, Readers: nReaders, Depth: depth,
-		ReadTimeout: readTimeout, Stats: stats,
+		Stats:  stats,
 		Codecs: cfg.codecs, Extract: cfg.extract,
 	})
 	return &Fabric{
@@ -204,23 +200,17 @@ func (f *Fabric) WritersOf(reader int) []int {
 }
 
 // client returns (dialing lazily) the in-process wire client for a writer
-// rank. Heartbeats are disabled on loopback — an in-process pipe cannot
-// silently die, and determinism matters to the tests riding on it.
+// rank.
 func (f *Fabric) client(writer int) *fabric.Client {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	c := f.clients[writer]
 	if c == nil {
-		hb := time.Duration(0)
-		if f.network == "loopback" {
-			hb = -1
-		}
 		c = fabric.DialWriter(fabric.ClientOptions{
 			Network: f.network, Addr: f.addr,
 			Rank: writer, Writers: f.nWriters, Readers: f.nReaders, Depth: f.depth,
-			HeartbeatInterval: hb,
-			ExtractCapable:    true,
-			WrapConn:          f.wrapConn,
+			ExtractCapable: true,
+			WrapConn:       f.wrapConn,
 		})
 		f.clients[writer] = c
 	}

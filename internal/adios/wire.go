@@ -76,19 +76,14 @@ func (t *WireTransport) client(rank int) *fabric.Client {
 	defer t.mu.Unlock()
 	c := t.clients[rank]
 	if c == nil {
-		hb := time.Duration(0)
-		if t.o.Network == "loopback" {
-			hb = -1
-		}
 		c = fabric.DialWriter(fabric.ClientOptions{
 			Network: t.o.Network, Addr: t.o.Addr,
 			Rank: rank, Writers: t.o.Writers, Readers: t.o.Readers, Depth: t.o.Depth,
-			HeartbeatInterval: hb,
-			RetryWindow:       t.o.RetryWindow,
-			Codecs:            t.o.Codecs,
-			ExtractCapable:    true,
-			Stats:             t.stats,
-			WrapConn:          t.o.WrapConn,
+			RetryWindow:    t.o.RetryWindow,
+			Codecs:         t.o.Codecs,
+			ExtractCapable: true,
+			Stats:          t.stats,
+			WrapConn:       t.o.WrapConn,
 		})
 		t.clients[rank] = c
 	}

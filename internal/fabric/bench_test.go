@@ -31,8 +31,8 @@ func benchWire(b *testing.B, network string, depth, payload int) (*Client, *Hub,
 	c := DialWriter(ClientOptions{
 		Network: network, Addr: addr,
 		Rank: 0, Writers: 1, Readers: 1, Depth: depth,
-		HeartbeatInterval: -1,
-		RetryWindow:       30 * time.Second,
+		RetryWindow: 30 * time.Second,
+		heartbeat:   -1, // off over tcp too: the benchmark times the wire, not keepalives
 	})
 	_ = payload
 	return c, hub, func() {
@@ -131,8 +131,7 @@ func BenchmarkReconnectRecovery(b *testing.B) {
 	c := DialWriter(ClientOptions{
 		Network: "loopback", Addr: addr,
 		Rank: 0, Writers: 1, Readers: 1, Depth: 2,
-		HeartbeatInterval: -1,
-		RetryWindow:       30 * time.Second,
+		RetryWindow: 30 * time.Second,
 	})
 	defer func() { _ = c.Close() }()
 	b.ResetTimer()

@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -19,20 +18,10 @@ type ClientOptions struct {
 	// Rank is this writer's rank; Writers/Readers/Depth are the group
 	// geometry the endpoint must agree with.
 	Rank, Writers, Readers, Depth int
-	// HeartbeatInterval paces keepalive probes; 0 selects 500ms, negative
-	// disables heartbeats (the loopback default — an in-process pipe cannot
-	// silently die).
-	HeartbeatInterval time.Duration
-	// ReadTimeout bounds silence from the endpoint before the connection is
-	// declared dead; 0 derives 8x the heartbeat interval (or no timeout when
-	// heartbeats are disabled).
-	ReadTimeout time.Duration
 	// RetryWindow bounds how long a disconnected writer keeps redialing
 	// before giving up — the ride-out budget for an endpoint restart.
 	// 0 selects 15s.
 	RetryWindow time.Duration
-	// Backoff schedules redial delays; nil seeds a default from Rank.
-	Backoff *Backoff
 	// Stats receives the connection's counters; nil allocates a private set.
 	Stats *Stats
 	// Codecs is the bitmask of codec IDs (1 << id) advertised in the Hello;
@@ -47,6 +36,14 @@ type ClientOptions struct {
 	// conns here to kill, truncate, or stall traffic deterministically).
 	// Nil leaves connections untouched.
 	WrapConn func(rank int, conn Conn) Conn
+
+	// What the rest is derived from, settable only by this package's tests:
+	// heartbeat paces keepalive probes (0: 500ms on a network whose
+	// connections can die silently, off on loopback) and the endpoint is
+	// declared dead after 8 silent intervals; backoff schedules redial
+	// delays (nil: the default schedule seeded from Rank).
+	heartbeat time.Duration
+	backoff   *Backoff
 }
 
 // pendingFrame is one credit-consuming message awaiting release; it is the
@@ -77,9 +74,13 @@ type Client struct {
 	backoff     *Backoff
 	stats       *Stats
 
+	// mu guards the protocol state below and is never held across a session
+	// write: the recv pump needs it to process a Release, and on a
+	// synchronous transport (net.Pipe) a writer holding it while blocked
+	// deadlocks against an endpoint blocked writing that Release.
 	mu         sync.Mutex
 	cond       *sync.Cond
-	conn       Conn
+	sess       *Session // the current connection epoch; nil while redialing
 	pending    []pendingFrame
 	nextSeq    uint32
 	credits    int
@@ -91,25 +92,6 @@ type Client struct {
 	broken     chan struct{} // kicks the run loop when the conn dies
 	codec      uint8         // negotiated codec for the current connection
 	extract    ExtractSpec   // negotiated extract (Kind == ExtractNone: none)
-	epoch      uint64        // bumped per successful (re)connect
-
-	// wmu serializes conn writes and guards wscratch. It is never acquired
-	// while c.mu is held and c.mu is never held across a blocking
-	// conn.Write: the recv pump must always be able to take c.mu to process
-	// a Release, or a synchronous transport (net.Pipe) deadlocks — the
-	// endpoint blocks writing the Release we are not reading while we block
-	// writing the data it is not reading.
-	wmu      sync.Mutex
-	wscratch []byte
-	// enc is the per-connection-epoch codec state, touched only under wmu:
-	// the write lock's acquisition order IS the wire order, so encoding
-	// under it pins the delta chain to frame order. Pending messages store
-	// PLAIN payloads and are re-encoded at (re)transmit time — after a
-	// reconnect the fresh encoder keyframes first, which is exactly the
-	// delta-chain reset a restarted endpoint needs.
-	enc      *codecEncoder
-	encEpoch uint64
-	cscratch []byte // coded-payload staging, under wmu
 }
 
 // DialWriter creates a client. Connection is lazy: the first Send/Advance
@@ -118,18 +100,17 @@ type Client struct {
 func DialWriter(o ClientOptions) *Client {
 	c := &Client{
 		o:           o,
-		hbInterval:  o.HeartbeatInterval,
-		readTimeout: o.ReadTimeout,
+		hbInterval:  o.heartbeat,
 		retryWindow: o.RetryWindow,
-		backoff:     o.Backoff,
+		backoff:     o.backoff,
 		stats:       o.Stats,
 		broken:      make(chan struct{}, 1),
 	}
 	c.cond = sync.NewCond(&c.mu)
-	if c.hbInterval == 0 {
+	if c.hbInterval == 0 && diesSilently(o.Network) {
 		c.hbInterval = 500 * time.Millisecond
 	}
-	if c.readTimeout == 0 && c.hbInterval > 0 {
+	if c.hbInterval > 0 {
 		c.readTimeout = 8 * c.hbInterval
 	}
 	if c.retryWindow == 0 {
@@ -189,26 +170,44 @@ func (c *Client) SendEOS() error {
 
 func (c *Client) sendMsg(typ FrameType, payload []byte) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	for (c.credits == 0 || c.installing) && c.fatal == nil && !c.closed {
 		c.cond.Wait()
 	}
-	if c.fatal != nil {
-		return c.fatal
-	}
-	if c.closed {
-		return ErrClientClosed
+	if err := c.deadLocked(); err != nil {
+		c.mu.Unlock()
+		return err
 	}
 	c.credits--
 	c.nextSeq++
-	seq := c.nextSeq
-	c.pending = append(c.pending, pendingFrame{typ: typ, seq: seq, payload: payload})
-	if c.conn != nil {
+	p := pendingFrame{typ: typ, seq: c.nextSeq, payload: payload}
+	c.pending = append(c.pending, p)
+	sess := c.sess
+	c.mu.Unlock()
+	if sess != nil {
 		// A write failure is not a Send failure: the message is pending and
 		// will be retransmitted after the reconnect.
-		_ = c.writeFrameLocked(typ, seq, payload)
+		_ = transmit(sess, p)
 	}
 	return nil
+}
+
+// deadLocked reports why the client can take no more messages, nil while it
+// can; c.mu must be held.
+func (c *Client) deadLocked() error {
+	if c.fatal == nil && c.closed {
+		return ErrClientClosed
+	}
+	return c.fatal
+}
+
+// transmit writes one credit-consuming message. Sequential callers — the
+// staging writer protocol — see their frames reach the wire in program
+// order.
+func transmit(sess *Session, p pendingFrame) error {
+	if p.typ == FrameData {
+		return sess.SendData(p.seq, p.payload)
+	}
+	return sess.Send(p.typ, p.seq, p.payload)
 }
 
 // Advance publishes step metadata and waits for the endpoint's
@@ -219,21 +218,17 @@ func (c *Client) Advance(step int) error {
 	for (c.adv != nil || c.installing) && c.fatal == nil && !c.closed {
 		c.cond.Wait()
 	}
-	if c.fatal != nil {
-		err := c.fatal
+	if err := c.deadLocked(); err != nil {
 		c.mu.Unlock()
 		return err
 	}
-	if c.closed {
-		c.mu.Unlock()
-		return ErrClientClosed
-	}
 	done := make(chan struct{})
 	c.adv = &advanceWait{step: uint32(step), done: done}
-	if c.conn != nil {
-		_ = c.writeFrameLocked(FrameAdvance, uint32(step), nil)
-	}
+	sess := c.sess
 	c.mu.Unlock()
+	if sess != nil {
+		_ = sess.Send(FrameAdvance, uint32(step), nil) // lost with the conn: install re-sends it
+	}
 
 	timeout := c.retryWindow + c.readTimeout + 5*time.Second
 	timer := time.NewTimer(timeout)
@@ -294,32 +289,17 @@ func (c *Client) Pending() int {
 // call Drain first for a clean shutdown.
 func (c *Client) Close() error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
-		c.mu.Unlock()
 		return nil
 	}
 	c.closed = true
-	if c.conn != nil {
-		_ = c.conn.Close()
-		c.conn = nil
-	}
+	c.breakLocked(c.sess)
 	if c.adv != nil {
 		close(c.adv.done)
 		c.adv = nil
 	}
 	c.cond.Broadcast()
-	c.mu.Unlock()
-	select {
-	case c.broken <- struct{}{}:
-	default:
-	}
-	// Return the codec buffers to the pool; wmu guarantees no write is
-	// mid-encode. A racing write that re-keys the state afterwards leaks a
-	// buffer set to the GC, which is harmless.
-	c.wmu.Lock()
-	c.enc.close()
-	c.enc = nil
-	c.wmu.Unlock()
 	return nil
 }
 
@@ -333,7 +313,7 @@ func (c *Client) run() {
 			c.mu.Unlock()
 			return
 		}
-		needConn := c.conn == nil
+		needConn := c.sess == nil
 		c.mu.Unlock()
 		if needConn {
 			if err := c.connect(); err != nil {
@@ -355,62 +335,59 @@ func (c *Client) run() {
 }
 
 // connect dials and handshakes inside the retry window, then installs the
-// connection: prune messages the endpoint already released, restore
-// credits, retransmit the rest, and start the recv pump.
+// session.
 func (c *Client) connect() error {
 	start := time.Now()
-	var lastErr error
+	hello := Hello{
+		Role:    RoleWriter,
+		Rank:    uint32(c.o.Rank),
+		Writers: uint32(c.o.Writers),
+		Readers: uint32(c.o.Readers),
+		Depth:   uint32(c.o.Depth),
+		Codecs:  c.o.Codecs,
+	}
+	if hello.Codecs == 0 {
+		hello.Codecs = AllCodecs
+	}
+	if c.o.ExtractCapable {
+		hello.Flags |= HelloExtractCapable
+	}
 	for attempt := 0; ; attempt++ {
 		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
+		closed := c.closed
+		c.mu.Unlock()
+		if closed {
 			return ErrClientClosed
 		}
-		c.mu.Unlock()
 		conn, err := Dial(c.o.Network, c.o.Addr)
 		if err == nil {
 			if c.o.WrapConn != nil {
 				conn = c.o.WrapConn(c.o.Rank, conn)
 			}
+			var sess *Session
 			var w Welcome
-			var fr *FrameReader
-			codecs := c.o.Codecs
-			if codecs == 0 {
-				codecs = AllCodecs
-			}
-			var flags uint32
-			if c.o.ExtractCapable {
-				flags |= HelloExtractCapable
-			}
-			w, fr, err = DialHello(conn, Hello{
-				Role:    RoleWriter,
-				Rank:    uint32(c.o.Rank),
-				Writers: uint32(c.o.Writers),
-				Readers: uint32(c.o.Readers),
-				Depth:   uint32(c.o.Depth),
-				Codecs:  codecs,
-				Flags:   flags,
-			})
-			if err == nil {
-				c.install(conn, fr, w)
+			if sess, w, err = DialHello(conn, hello, c.stats); err == nil {
+				c.install(sess, w)
 				return nil
 			}
-			_ = conn.Close()
 		}
-		lastErr = err
 		if time.Since(start) >= c.retryWindow {
 			return fmt.Errorf("fabric: writer %d could not reach %s %s within %v: %w",
-				c.o.Rank, c.o.Network, c.o.Addr, c.retryWindow, lastErr)
+				c.o.Rank, c.o.Network, c.o.Addr, c.retryWindow, err)
 		}
 		time.Sleep(c.backoff.Delay(attempt))
 	}
 }
 
-func (c *Client) install(conn Conn, fr *FrameReader, w Welcome) {
+// install makes sess the current connection: prune messages the endpoint
+// already released, restore credits, start the recv pump, and retransmit
+// the rest. A fresh session keyframes its first data frame — the
+// delta-chain reset a restarted endpoint needs.
+func (c *Client) install(sess *Session, w Welcome) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
-		_ = conn.Close()
+		c.mu.Unlock()
+		_ = sess.Close()
 		return
 	}
 	// Prune everything the endpoint consumed before the connection dropped
@@ -418,137 +395,59 @@ func (c *Client) install(conn Conn, fr *FrameReader, w Welcome) {
 	for len(c.pending) > 0 && c.pending[0].seq <= w.Released {
 		c.pending = c.pending[1:]
 	}
-	c.credits = int(w.Credits) - len(c.pending)
-	if c.credits < 0 {
-		c.credits = 0
-	}
-	c.conn = conn
+	c.credits = max(int(w.Credits)-len(c.pending), 0)
+	c.sess = sess
 	c.codec = w.Codec
 	c.extract = w.Extract
-	c.epoch++ // writeFrameLocked rebuilds the codec state for the new epoch
 	reconnect := c.connected
 	c.connected = true
 	if reconnect {
 		c.stats.Reconnects.Inc()
 	}
-	// writeFrameLocked drops c.mu around each blocking write, so with the
-	// conn and credits published a concurrent Send could otherwise race a
-	// newer sequence onto the wire between retransmits — and the hub's
-	// cumulative dedup would then swallow the late older retransmits
-	// without delivering them. installing holds Send/Advance in their wait
-	// loops until every retransmit is out.
+	// With the session and credits published a concurrent Send could
+	// otherwise race a newer sequence onto the wire between retransmits —
+	// and the hub's cumulative dedup would then swallow the late older
+	// retransmits without delivering them. installing holds Send/Advance in
+	// their wait loops until every retransmit is out, so the snapshot below
+	// cannot grow; Releases during the loop only reslice c.pending, and the
+	// credits they free stay gated too. A re-sent already-released frame is
+	// re-acked, not re-delivered.
 	c.installing = true
+	retransmits, adv := c.pending, c.adv
+	c.mu.Unlock()
+
 	// The recv pump must be reading BEFORE the retransmits go out: the
 	// endpoint can start releasing as soon as the first retransmit is
 	// consumed, and on a synchronous transport an unread Release write
 	// stalls the endpoint's serve loop — which then stops reading our
 	// remaining retransmits, a distributed deadlock until the write
-	// deadline. Releases during the loop only reslice c.pending (the range
-	// snapshot below stays valid) and freed credits stay gated behind
-	// installing; a re-sent already-released frame is re-acked, not
-	// re-delivered.
-	go c.recvPump(conn, fr)
-	retransmits := c.pending
+	// deadline.
+	go c.recvPump(sess)
 	for _, p := range retransmits {
-		if err := c.writeFrameLocked(p.typ, p.seq, p.payload); err != nil {
+		if transmit(sess, p) != nil {
 			break
 		}
 		if reconnect {
 			c.stats.Retransmits.Inc()
 		}
 	}
-	if c.adv != nil && c.conn != nil {
-		_ = c.writeFrameLocked(FrameAdvance, c.adv.step, nil)
+	if adv != nil {
+		_ = sess.Send(FrameAdvance, adv.step, nil)
 	}
+	c.mu.Lock()
 	c.installing = false
 	c.cond.Broadcast()
-}
-
-// writeFrameLocked encodes and writes one frame. c.mu must be held on
-// entry and is held again on return, but it is RELEASED around the
-// blocking write itself (see the wmu comment on Client): callers must not
-// assume state is unchanged across the call. Sequential callers (the
-// staging writer protocol) still see frames hit the wire in program
-// order. On a write failure the connection is declared broken (the run
-// loop redials).
-func (c *Client) writeFrameLocked(typ FrameType, seq uint32, payload []byte) error {
-	conn := c.conn
-	if conn == nil {
-		return fmt.Errorf("fabric: not connected")
-	}
-	codec := c.codec
-	epoch := c.epoch
-	deadline := 10 * time.Second
-	if c.readTimeout > deadline {
-		deadline = c.readTimeout
-	}
 	c.mu.Unlock()
-	c.wmu.Lock()
-	logical, wire := 0, 0
-	var encErr error
-	if typ == FrameData && codec != CodecRaw {
-		// Re-key the codec state when the connection epoch moved: the old
-		// delta chain died with the old connection, and the restarted
-		// endpoint holds no reference — the first frame of the new state is
-		// a keyframe. A write racing a concurrent reconnect may rebuild the
-		// state for a conn that is already dead; that only costs an extra
-		// keyframe on the next live write, never a broken chain, because
-		// every rebuild starts with a self-contained frame.
-		if c.enc == nil || c.encEpoch != epoch || c.enc.id != codec {
-			c.enc.close()
-			c.enc = newCodecEncoder(codec)
-			c.encEpoch = epoch
-		}
-		step, container, serr := SplitStepPayload(payload)
-		if serr == nil {
-			var body []byte
-			var key bool
-			body, key, encErr = c.enc.encode(container)
-			if encErr == nil {
-				c.cscratch = AppendCodedStepPayload(c.cscratch[:0], step, codec, key, body)
-				c.wscratch = AppendFrame(c.wscratch[:0], typ, seq, c.cscratch)
-				logical, wire = len(payload), len(c.cscratch)
-			}
-		} else {
-			encErr = serr
-		}
-	}
-	if (typ != FrameData || codec == CodecRaw) && encErr == nil {
-		c.wscratch = AppendFrame(c.wscratch[:0], typ, seq, payload)
-		if typ == FrameData {
-			logical, wire = len(payload), len(payload)
-		}
-	}
-	n := len(c.wscratch)
-	err := encErr
-	if err == nil {
-		err = conn.SetWriteDeadline(time.Now().Add(deadline))
-	}
-	if err == nil {
-		//lint:ignore lock-blocking c.wmu is the dedicated write-serialization lock, held here with c.mu RELEASED; the write is deadline-bounded and the recv pump never takes wmu, so a stalled peer cannot reproduce the PR 3 deadlock (DESIGN.md §4.7)
-		_, err = conn.Write(c.wscratch)
-	}
-	c.wmu.Unlock()
-	c.mu.Lock()
-	if err != nil {
-		c.breakConnLocked(conn)
-		return err
-	}
-	c.stats.CountOut(n)
-	if typ == FrameData {
-		c.stats.CountData(logical, wire)
-	}
-	return nil
 }
 
-// breakConnLocked retires a dead connection and kicks the run loop;
-// c.mu must be held.
-func (c *Client) breakConnLocked(conn Conn) {
-	if conn != nil {
-		_ = conn.Close()
+// breakLocked retires a dead session and kicks the run loop; c.mu must be
+// held.
+func (c *Client) breakLocked(sess *Session) {
+	if sess != nil {
+		_ = sess.Close()
 	}
-	if c.conn == conn {
-		c.conn = nil
+	if c.sess == sess {
+		c.sess = nil
 	}
 	select {
 	case c.broken <- struct{}{}:
@@ -556,34 +455,20 @@ func (c *Client) breakConnLocked(conn Conn) {
 	}
 }
 
-// recvPump reads releases, advance acks, and heartbeat acks until the
-// connection dies.
-func (c *Client) recvPump(conn Conn, fr *FrameReader) {
-	for {
-		if c.readTimeout > 0 {
-			if err := conn.SetReadDeadline(time.Now().Add(c.readTimeout)); err != nil {
-				break
-			}
-		}
-		typ, seq, payload, err := fr.Next()
-		if err != nil {
-			break
-		}
-		c.stats.CountIn(len(payload))
+// recvPump turns releases and advance acks into protocol state until the
+// connection dies — by itself or because a failed write closed the session.
+func (c *Client) recvPump(sess *Session) {
+	_ = sess.Run(c.readTimeout, func(typ FrameType, seq uint32, _ []byte) error {
 		switch typ {
 		case FrameRelease:
 			c.handleRelease(seq)
 		case FrameAdvanceAck:
 			c.handleAdvanceAck(seq)
-		case FrameHeartbeatAck:
-			if len(payload) == 8 {
-				sent := int64(binary.LittleEndian.Uint64(payload))
-				c.stats.countHeartbeat(time.Duration(time.Now().UnixNano() - sent))
-			}
 		}
-	}
+		return nil
+	})
 	c.mu.Lock()
-	c.breakConnLocked(conn)
+	c.breakLocked(sess)
 	c.mu.Unlock()
 }
 
@@ -613,23 +498,20 @@ func (c *Client) handleAdvanceAck(step uint32) {
 	}
 }
 
-// heartbeatLoop probes the endpoint at the configured interval. The ack
-// carries the probe's timestamp back, yielding an RTT sample; sustained
-// silence trips the read deadline and forces a reconnect.
+// heartbeatLoop probes the endpoint at the configured interval; sustained
+// silence trips the pump's read deadline and forces a reconnect.
 func (c *Client) heartbeatLoop() {
 	t := time.NewTicker(c.hbInterval)
 	defer t.Stop()
 	for range t.C {
 		c.mu.Lock()
-		if c.closed || c.fatal != nil {
-			c.mu.Unlock()
+		sess, stop := c.sess, c.closed || c.fatal != nil
+		c.mu.Unlock()
+		if stop {
 			return
 		}
-		if c.conn != nil {
-			var p [8]byte
-			binary.LittleEndian.PutUint64(p[:], uint64(time.Now().UnixNano()))
-			_ = c.writeFrameLocked(FrameHeartbeat, 0, p[:])
+		if sess != nil {
+			_ = sess.Ping() // a failed probe closed the session; the pump reports it
 		}
-		c.mu.Unlock()
 	}
 }

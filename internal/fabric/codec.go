@@ -16,7 +16,7 @@ import (
 // set) and applies to FrameData payloads only; control frames are tiny and
 // stay raw.
 //
-//   - CodecRaw: identity — the protocol-version-1 wire format.
+//   - CodecRaw: identity.
 //   - CodecFlate: stdlib DEFLATE over the payload. Stateless per frame.
 //   - CodecDelta: XOR against the previous step's payload (bit-level deltas
 //     of float64 fields evolve slowly for smooth data), then a byte-shuffle
@@ -71,8 +71,7 @@ func ParseCodec(name string) (uint8, error) {
 }
 
 // chooseCodec picks the first endpoint preference the writer's advertised
-// mask supports; raw is the universal fallback (a version-1 peer advertises
-// nothing and negotiates raw).
+// mask supports; raw is the universal fallback.
 func chooseCodec(pref []uint8, offered uint32) uint8 {
 	for _, id := range pref {
 		if id <= codecMax && offered&(1<<id) != 0 {
@@ -130,8 +129,8 @@ func (w *appendWriter) Write(p []byte) (int, error) {
 }
 
 // codecEncoder is the writer-side per-connection codec state. Not safe for
-// concurrent use; the client serializes encodes under its write lock, which
-// also pins chain order to wire order.
+// concurrent use; the Session encodes under its write lock, which also pins
+// chain order to wire order.
 type codecEncoder struct {
 	id      uint8
 	prev    []byte // previous step's plain payload (CodecDelta)

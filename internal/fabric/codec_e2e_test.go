@@ -191,91 +191,3 @@ func TestExtractNegotiation(t *testing.T) {
 		t.Fatalf("incapable writer got extract %+v", ext)
 	}
 }
-
-// TestHandshakeV1Interop pins the tolerant decode of version-1 payload
-// lengths: an old peer's short Hello/Welcome must parse to raw-only
-// semantics, and a current acceptor answers a v1 dialer with the short
-// Welcome it can parse.
-func TestHandshakeV1Interop(t *testing.T) {
-	// Hand-craft the 21-byte v1 hello.
-	v1 := make([]byte, helloV1Len)
-	le := binary.LittleEndian
-	le.PutUint32(v1[0:4], 1)
-	v1[4] = byte(RoleWriter)
-	le.PutUint32(v1[5:9], 3)   // rank
-	le.PutUint32(v1[9:13], 4)  // writers
-	le.PutUint32(v1[13:17], 2) // readers
-	le.PutUint32(v1[17:21], 5) // depth
-	h, err := decodeHello(v1)
-	if err != nil {
-		t.Fatalf("decode v1 hello: %v", err)
-	}
-	if h.Version != 1 || h.Rank != 3 || h.Writers != 4 || h.Readers != 2 || h.Depth != 5 {
-		t.Fatalf("v1 hello decoded to %+v", h)
-	}
-	if h.Codecs != 1<<CodecRaw || h.Flags != 0 {
-		t.Fatalf("v1 hello implies codecs %b flags %b, want raw-only", h.Codecs, h.Flags)
-	}
-	if got := chooseCodec([]uint8{CodecDelta, CodecFlate}, h.Codecs); got != CodecRaw {
-		t.Fatalf("negotiation with v1 peer picked %s, want raw", CodecName(got))
-	}
-
-	// Hand-craft the 12-byte v1 welcome.
-	w1 := make([]byte, welcomeV1Len)
-	le.PutUint32(w1[0:4], 1)
-	le.PutUint32(w1[4:8], 7)
-	le.PutUint32(w1[8:12], 9)
-	w, err := decodeWelcome(w1)
-	if err != nil {
-		t.Fatalf("decode v1 welcome: %v", err)
-	}
-	if w.Credits != 7 || w.Released != 9 || w.Codec != CodecRaw || w.Extract.Kind != ExtractNone {
-		t.Fatalf("v1 welcome decoded to %+v", w)
-	}
-
-	// A current acceptor answering a v1 dialer emits the short payload.
-	lis, err := Listen("loopback", t.Name())
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer func() { _ = lis.Close() }()
-	go func() {
-		server, aerr := lis.Accept()
-		if aerr != nil {
-			return
-		}
-		_ = SendWelcome(server, Welcome{Credits: 2, Codec: CodecDelta}, 1)
-		_ = server.Close()
-	}()
-	client, err := Dial("loopback", t.Name())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer func() { _ = client.Close() }()
-	fr := NewFrameReader(client, MaxPayload)
-	typ, _, payload, err := fr.Next()
-	if err != nil || typ != FrameWelcome {
-		t.Fatalf("read welcome: %v (%s)", err, typ)
-	}
-	if len(payload) != welcomeV1Len {
-		t.Fatalf("welcome to v1 peer is %d bytes, want %d", len(payload), welcomeV1Len)
-	}
-	w, err = decodeWelcome(payload)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if w.Version != 1 || w.Codec != CodecRaw {
-		t.Fatalf("v1 peer would see %+v", w)
-	}
-
-	// Current round trip preserves the extract spec.
-	full := Welcome{Version: ProtocolVersion, Credits: 1, Released: 2, Codec: CodecDelta,
-		Extract: ExtractSpec{Kind: ExtractSlice, Assoc: 1, Bins: 0, Axis: 2, Coord: 0.5, Array: "velocity"}}
-	w, err = decodeWelcome(appendWelcome(nil, full))
-	if err != nil {
-		t.Fatalf("decode v2 welcome: %v", err)
-	}
-	if w != full {
-		t.Fatalf("v2 welcome round trip: %+v != %+v", w, full)
-	}
-}

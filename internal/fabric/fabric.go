@@ -94,6 +94,12 @@ func Dial(network, addr string) (Conn, error) {
 	}
 }
 
+// diesSilently reports whether a connection on network can stop carrying
+// bytes without either end being told — true of real sockets, not of the
+// in-process loopback pipe. It is what arms heartbeats and silence
+// deadlines: on loopback they could only add nondeterminism.
+func diesSilently(network string) bool { return network != "loopback" }
+
 // tcpListener adapts net.Listener to the fabric Listener interface.
 type tcpListener struct {
 	l net.Listener

@@ -124,34 +124,6 @@ func TestSteerPayloadRoundTrip(t *testing.T) {
 	}
 }
 
-// --- handshake ---
-
-func TestHandshakeVersionMismatch(t *testing.T) {
-	lis, err := Listen("loopback", t.Name())
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer func() { _ = lis.Close() }()
-	go func() {
-		conn, aerr := lis.Accept()
-		if aerr != nil {
-			return
-		}
-		// Hand-roll a hello with a bogus version.
-		h := appendHello(nil, Hello{Version: 99, Role: RoleWriter})
-		_, _ = conn.Write(AppendFrame(nil, FrameHello, 0, h))
-		_ = conn.Close()
-	}()
-	conn, err := Dial("loopback", t.Name())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer func() { _ = conn.Close() }()
-	if _, _, err := AcceptHello(conn); err == nil {
-		t.Fatalf("version 99 hello accepted")
-	}
-}
-
 // --- loopback registry ---
 
 func TestLoopbackDuplicateAndUnknown(t *testing.T) {
@@ -198,14 +170,13 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 
 // --- client <-> hub ---
 
-// loopbackClient returns options for a deterministic in-process client:
-// heartbeats off, generous retry window.
+// loopbackClient returns options for a deterministic in-process client
+// (loopback arms no heartbeats) with a generous retry window.
 func loopbackClient(addr string, rank, writers, readers, depth int) ClientOptions {
 	return ClientOptions{
 		Network: "loopback", Addr: addr,
 		Rank: rank, Writers: writers, Readers: readers, Depth: depth,
-		HeartbeatInterval: -1,
-		RetryWindow:       10 * time.Second,
+		RetryWindow: 10 * time.Second,
 	}
 }
 
@@ -432,9 +403,8 @@ func TestClientRetryWindowExhausted(t *testing.T) {
 	c := DialWriter(ClientOptions{
 		Network: "loopback", Addr: "never-listening",
 		Rank: 0, Writers: 1, Readers: 1, Depth: 1,
-		HeartbeatInterval: -1,
-		RetryWindow:       100 * time.Millisecond,
-		Backoff:           &Backoff{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond},
+		RetryWindow: 100 * time.Millisecond,
+		backoff:     &Backoff{Base: 5 * time.Millisecond, Max: 20 * time.Millisecond},
 	})
 	defer func() { _ = c.Close() }()
 	done := make(chan error, 1)
@@ -460,8 +430,8 @@ func TestHeartbeatRTTOverTCP(t *testing.T) {
 	c := DialWriter(ClientOptions{
 		Network: "tcp", Addr: lis.Addr().String(),
 		Rank: 0, Writers: 1, Readers: 1, Depth: 1,
-		HeartbeatInterval: 5 * time.Millisecond,
-		RetryWindow:       5 * time.Second,
+		RetryWindow: 5 * time.Second,
+		heartbeat:   5 * time.Millisecond,
 	})
 	defer func() { _ = c.Close() }()
 	if err := c.Send(0, []byte("tcp step")); err != nil {

@@ -224,7 +224,7 @@ func SplitStepPayload(p []byte) (step int, container []byte, err error) {
 }
 
 // Coded data payloads. When the handshake negotiates a codec other than
-// raw, every FrameData payload switches from the legacy step+container
+// raw, every FrameData payload switches from the plain step+container
 // layout to step(8) + codec ID(1) + flags(1) + coded body, so a decoder can
 // verify it is applying the negotiated transform and knows whether the
 // frame is a keyframe (self-contained) or a delta against the previous

@@ -8,29 +8,19 @@ import (
 )
 
 // ProtocolVersion is bumped on any incompatible wire change; both halves of
-// the handshake carry it — the FlexPath property that a recompiled endpoint
-// can rejoin a run only if it still speaks the writer's protocol.
+// the handshake lead with it — the FlexPath property that a recompiled
+// endpoint can rejoin a run only if it still speaks the writer's protocol.
+// Every peer is built from this module, so there is exactly one version: a
+// Hello or Welcome announcing any other is refused with a version-mismatch
+// error and the connection is closed.
 //
-// Version 2 (PR 6) extends the exchange with bandwidth-reduction
-// negotiation: the Hello advertises the writer's codec set and extract
-// capability, the Welcome answers with the codec the endpoint chose and an
-// optional extract specification. Version-1 peers are still accepted —
-// their shorter payloads decode to "raw, no extract" — but the fallback is
-// acceptor-driven: a current dialer talking to a genuinely old acceptor is
-// refused (the old acceptor rejects the longer Hello), while a current
-// acceptor welcomes an old dialer at version-1 semantics.
-//
-// Version 3 (PR 8) extends the exchange with cross-process MPI world
-// membership: the Hello carries the world identity a RoleRank peer is
-// joining (world id, epoch, size) plus the peer's own listener address for
-// the mesh, and the Welcome echoes the world identity with the rank the
-// registry assigned. Older peers keep working under the same acceptor-driven
-// rule: a v1/v2 dialer's shorter Hello decodes to "no world" and is answered
-// with the payload shape (and echoed version) it can parse.
+// The exchange negotiates bandwidth reduction (the Hello advertises the
+// writer's codec set and extract capability, the Welcome answers with the
+// codec the endpoint chose and an optional extract specification) and, for
+// RoleRank peers, cross-process MPI world membership (the Hello names the
+// world being joined and the peer's own listener address for the mesh, the
+// Welcome echoes the world identity with the rank confirmed).
 const ProtocolVersion = 3
-
-// minProtocolVersion is the oldest peer version still accepted.
-const minProtocolVersion = 1
 
 // Role identifies what a dialing peer is.
 type Role uint8
@@ -85,12 +75,11 @@ type Hello struct {
 	Writers uint32
 	Readers uint32
 	Depth   uint32
-	// Codecs is the bitmask of codec IDs the dialer can encode (1 << id);
-	// a version-1 peer implicitly offers only CodecRaw.
+	// Codecs is the bitmask of codec IDs the dialer can encode (1 << id).
 	Codecs uint32
 	// Flags carries Hello* capability bits.
 	Flags uint32
-	// The version-3 world-membership fields, meaningful for RoleRank peers
+	// The world-membership fields, meaningful for RoleRank peers
 	// (zero otherwise): the identity of the world being joined — id, epoch
 	// (incremented per relaunch so stragglers from a previous incarnation
 	// are refused), and expected size — plus the dialer's own listener
@@ -113,7 +102,7 @@ type Welcome struct {
 	Released uint32
 	Codec    uint8
 	Extract  ExtractSpec
-	// The version-3 world-membership answer for RoleRank peers: the world
+	// The world-membership answer for RoleRank peers: the world
 	// identity echoed back and the rank the registry confirmed. Zero for
 	// staging/viewer handshakes.
 	WorldID    uint64
@@ -122,20 +111,18 @@ type Welcome struct {
 }
 
 const (
-	helloV1Len = 4 + 1 + 4 + 4 + 4 + 4
-	helloV2Len = helloV1Len + 4 + 4
-	// helloV3Len is the fixed prefix; the peer listener address follows.
-	helloV3Len   = helloV2Len + 8 + 4 + 4 + 2
-	welcomeV1Len = 4 + 4 + 4
-	// welcomeV2Len is the fixed prefix; the extract array name follows.
-	welcomeV2Len = welcomeV1Len + 1 + 1 + 1 + 4 + 4 + 8 + 2
-	// welcomeV3Tail is the world-membership suffix after the array name.
-	welcomeV3Tail = 8 + 4 + 4
+	// helloLen is the Hello's fixed prefix; the peer listener address
+	// follows.
+	helloLen = 4 + 1 + 4 + 4 + 4 + 4 + 4 + 4 + 8 + 4 + 4 + 2
+	// welcomeLen is the Welcome's fixed prefix; the extract array name and
+	// then the welcomeTail world-membership suffix follow.
+	welcomeLen  = 4 + 4 + 4 + 1 + 1 + 1 + 4 + 4 + 8 + 2
+	welcomeTail = 8 + 4 + 4
 )
 
-// appendHello encodes a Hello payload (current version).
+// appendHello encodes a Hello payload.
 func appendHello(dst []byte, h Hello) []byte {
-	var b [helloV3Len]byte
+	var b [helloLen]byte
 	le := binary.LittleEndian
 	le.PutUint32(b[0:4], h.Version)
 	b[4] = byte(h.Role)
@@ -153,43 +140,50 @@ func appendHello(dst []byte, h Hello) []byte {
 	return append(dst, h.PeerAddr...)
 }
 
-// decodeHello reverses appendHello, tolerating the version-1 and version-2
-// lengths (whose missing fields decode to raw-only / no world membership).
-func decodeHello(p []byte) (Hello, error) {
-	if len(p) != helloV1Len && len(p) != helloV2Len && len(p) < helloV3Len {
-		return Hello{}, fmt.Errorf("fabric: hello payload %d bytes, want %d, %d, or >= %d", len(p), helloV1Len, helloV2Len, helloV3Len)
+// checkVersion reads the version both handshake payloads lead with and
+// refuses any but ours, before the layout that version implies is trusted.
+func checkVersion(p []byte) error {
+	if len(p) < 4 {
+		return fmt.Errorf("fabric: handshake payload too short (%d bytes)", len(p))
 	}
-	le := binary.LittleEndian
-	h := Hello{
-		Version: le.Uint32(p[0:4]),
-		Role:    Role(p[4]),
-		Rank:    le.Uint32(p[5:9]),
-		Writers: le.Uint32(p[9:13]),
-		Readers: le.Uint32(p[13:17]),
-		Depth:   le.Uint32(p[17:21]),
-		Codecs:  1 << CodecRaw,
+	if v := binary.LittleEndian.Uint32(p); v != ProtocolVersion {
+		return fmt.Errorf("fabric: protocol version mismatch: peer %d, ours %d", v, ProtocolVersion)
 	}
-	if len(p) >= helloV2Len {
-		h.Codecs = le.Uint32(p[21:25])
-		h.Flags = le.Uint32(p[25:29])
-	}
-	if len(p) >= helloV3Len {
-		h.WorldID = le.Uint64(p[29:37])
-		h.WorldEpoch = le.Uint32(p[37:41])
-		h.WorldSize = le.Uint32(p[41:45])
-		addrLen := int(le.Uint16(p[45:47]))
-		if len(p) != helloV3Len+addrLen {
-			return Hello{}, fmt.Errorf("fabric: hello payload %d bytes, want %d for %d-byte peer address", len(p), helloV3Len+addrLen, addrLen)
-		}
-		h.PeerAddr = string(p[helloV3Len : helloV3Len+addrLen])
-	}
-	return h, nil
+	return nil
 }
 
-// appendWelcomeV2 encodes the version-2 Welcome shape: fixed prefix plus
-// extract array name, no world membership.
-func appendWelcomeV2(dst []byte, w Welcome) []byte {
-	var b [welcomeV2Len]byte
+// decodeHello reverses appendHello.
+func decodeHello(p []byte) (Hello, error) {
+	if err := checkVersion(p); err != nil {
+		return Hello{}, err
+	}
+	if len(p) < helloLen {
+		return Hello{}, fmt.Errorf("fabric: hello payload %d bytes, want >= %d", len(p), helloLen)
+	}
+	le := binary.LittleEndian
+	addrLen := int(le.Uint16(p[45:47]))
+	if len(p) != helloLen+addrLen {
+		return Hello{}, fmt.Errorf("fabric: hello payload %d bytes, want %d for %d-byte peer address", len(p), helloLen+addrLen, addrLen)
+	}
+	return Hello{
+		Version:    le.Uint32(p[0:4]),
+		Role:       Role(p[4]),
+		Rank:       le.Uint32(p[5:9]),
+		Writers:    le.Uint32(p[9:13]),
+		Readers:    le.Uint32(p[13:17]),
+		Depth:      le.Uint32(p[17:21]),
+		Codecs:     le.Uint32(p[21:25]),
+		Flags:      le.Uint32(p[25:29]),
+		WorldID:    le.Uint64(p[29:37]),
+		WorldEpoch: le.Uint32(p[37:41]),
+		WorldSize:  le.Uint32(p[41:45]),
+		PeerAddr:   string(p[helloLen:]),
+	}, nil
+}
+
+// appendWelcome encodes a Welcome payload.
+func appendWelcome(dst []byte, w Welcome) []byte {
+	var b [welcomeLen]byte
 	le := binary.LittleEndian
 	le.PutUint32(b[0:4], w.Version)
 	le.PutUint32(b[4:8], w.Credits)
@@ -202,42 +196,29 @@ func appendWelcomeV2(dst []byte, w Welcome) []byte {
 	le.PutUint64(b[23:31], math.Float64bits(w.Extract.Coord))
 	le.PutUint16(b[31:33], uint16(len(w.Extract.Array)))
 	dst = append(dst, b[:]...)
-	return append(dst, w.Extract.Array...)
+	dst = append(dst, w.Extract.Array...)
+	var t [welcomeTail]byte
+	le.PutUint64(t[0:8], w.WorldID)
+	le.PutUint32(t[8:12], w.WorldEpoch)
+	le.PutUint32(t[12:16], w.PeerRank)
+	return append(dst, t[:]...)
 }
 
-// appendWelcome encodes a Welcome payload (current version): the v2 shape
-// with the world-membership tail.
-func appendWelcome(dst []byte, w Welcome) []byte {
-	dst = appendWelcomeV2(dst, w)
-	var b [welcomeV3Tail]byte
-	le := binary.LittleEndian
-	le.PutUint64(b[0:8], w.WorldID)
-	le.PutUint32(b[8:12], w.WorldEpoch)
-	le.PutUint32(b[12:16], w.PeerRank)
-	return append(dst, b[:]...)
-}
-
-// decodeWelcome reverses appendWelcome, tolerating the version-1 length
-// (which decodes to raw, no extract) and the version-2 length (no world
-// membership).
+// decodeWelcome reverses appendWelcome.
 func decodeWelcome(p []byte) (Welcome, error) {
+	if err := checkVersion(p); err != nil {
+		return Welcome{}, err
+	}
+	if len(p) < welcomeLen+welcomeTail {
+		return Welcome{}, fmt.Errorf("fabric: welcome payload %d bytes, want >= %d", len(p), welcomeLen+welcomeTail)
+	}
 	le := binary.LittleEndian
-	if len(p) == welcomeV1Len {
-		return Welcome{
-			Version:  le.Uint32(p[0:4]),
-			Credits:  le.Uint32(p[4:8]),
-			Released: le.Uint32(p[8:12]),
-			Codec:    CodecRaw,
-		}, nil
-	}
-	if len(p) < welcomeV2Len {
-		return Welcome{}, fmt.Errorf("fabric: welcome payload %d bytes, want %d or >= %d", len(p), welcomeV1Len, welcomeV2Len)
-	}
 	nameLen := int(le.Uint16(p[31:33]))
-	if len(p) != welcomeV2Len+nameLen && len(p) != welcomeV2Len+nameLen+welcomeV3Tail {
-		return Welcome{}, fmt.Errorf("fabric: welcome payload %d bytes, want %d or %d for %d-byte extract array", len(p), welcomeV2Len+nameLen, welcomeV2Len+nameLen+welcomeV3Tail, nameLen)
+	if len(p) != welcomeLen+nameLen+welcomeTail {
+		return Welcome{}, fmt.Errorf("fabric: welcome payload %d bytes, want %d for %d-byte extract array", len(p), welcomeLen+nameLen+welcomeTail, nameLen)
 	}
-	w := Welcome{
+	tail := p[welcomeLen+nameLen:]
+	return Welcome{
 		Version:  le.Uint32(p[0:4]),
 		Credits:  le.Uint32(p[4:8]),
 		Released: le.Uint32(p[8:12]),
@@ -248,121 +229,106 @@ func decodeWelcome(p []byte) (Welcome, error) {
 			Bins:  le.Uint32(p[15:19]),
 			Axis:  le.Uint32(p[19:23]),
 			Coord: math.Float64frombits(le.Uint64(p[23:31])),
-			Array: string(p[33 : 33+nameLen]),
+			Array: string(p[welcomeLen : welcomeLen+nameLen]),
 		},
-	}
-	if len(p) == welcomeV2Len+nameLen+welcomeV3Tail {
-		tail := p[welcomeV2Len+nameLen:]
-		w.WorldID = le.Uint64(tail[0:8])
-		w.WorldEpoch = le.Uint32(tail[8:12])
-		w.PeerRank = le.Uint32(tail[12:16])
-	}
-	return w, nil
-}
-
-// versionAccepted reports whether a peer's protocol version is one this
-// build interoperates with.
-func versionAccepted(v uint32) bool {
-	return v >= minProtocolVersion && v <= ProtocolVersion
+		WorldID:    le.Uint64(tail[0:8]),
+		WorldEpoch: le.Uint32(tail[8:12]),
+		PeerRank:   le.Uint32(tail[12:16]),
+	}, nil
 }
 
 // handshakeTimeout bounds each half of the exchange.
 const handshakeTimeout = 5 * time.Second
 
 // DialHello sends Hello and waits for Welcome on a fresh connection — the
-// dialer's half of the handshake. The Version field is filled in. The
-// returned FrameReader must be reused for subsequent reads on c (it may
-// have buffered past the handshake).
-func DialHello(c Conn, h Hello) (Welcome, *FrameReader, error) {
+// dialer's half of the handshake — and returns the Session that owns the
+// connection from then on, with the Welcome's codec installed. The Version
+// field is filled in. On error the connection is closed.
+func DialHello(c Conn, h Hello, stats *Stats) (*Session, Welcome, error) {
+	s := newSession(c, stats)
+	w, err := s.dial(h)
+	if err != nil {
+		_ = c.Close()
+		return nil, Welcome{}, err
+	}
+	s.codec = w.Codec
+	return s, w, nil
+}
+
+func (s *Session) dial(h Hello) (Welcome, error) {
 	h.Version = ProtocolVersion
-	if err := c.SetDeadline(time.Now().Add(handshakeTimeout)); err != nil {
-		return Welcome{}, nil, fmt.Errorf("fabric: handshake deadline: %w", err)
+	if err := s.conn.SetDeadline(time.Now().Add(handshakeTimeout)); err != nil {
+		return Welcome{}, fmt.Errorf("fabric: handshake deadline: %w", err)
 	}
 	frame := AppendFrame(nil, FrameHello, 0, appendHello(nil, h))
-	if _, err := c.Write(frame); err != nil {
-		return Welcome{}, nil, fmt.Errorf("fabric: send hello: %w", err)
+	if _, err := s.conn.Write(frame); err != nil {
+		return Welcome{}, fmt.Errorf("fabric: send hello: %w", err)
 	}
-	fr := NewFrameReader(c, MaxPayload)
-	typ, _, payload, err := fr.Next()
+	typ, _, payload, err := s.fr.Next()
 	if err != nil {
-		return Welcome{}, nil, fmt.Errorf("fabric: await welcome: %w", err)
+		return Welcome{}, fmt.Errorf("fabric: await welcome: %w", err)
 	}
 	if typ != FrameWelcome {
-		return Welcome{}, nil, fmt.Errorf("fabric: expected welcome, got %s", typ)
+		return Welcome{}, fmt.Errorf("fabric: expected welcome, got %s", typ)
 	}
 	w, err := decodeWelcome(payload)
 	if err != nil {
-		return Welcome{}, nil, err
-	}
-	if !versionAccepted(w.Version) {
-		return Welcome{}, nil, fmt.Errorf("fabric: protocol version mismatch: peer %d, ours %d", w.Version, ProtocolVersion)
+		return Welcome{}, err
 	}
 	if w.Codec != CodecRaw && h.Codecs&(1<<w.Codec) == 0 {
-		return Welcome{}, nil, fmt.Errorf("fabric: endpoint chose unoffered codec %s", CodecName(w.Codec))
+		return Welcome{}, fmt.Errorf("fabric: endpoint chose unoffered codec %s", CodecName(w.Codec))
 	}
-	if err := c.SetDeadline(time.Time{}); err != nil {
-		return Welcome{}, nil, fmt.Errorf("fabric: clear deadline: %w", err)
+	if err := s.conn.SetDeadline(time.Time{}); err != nil {
+		return Welcome{}, fmt.Errorf("fabric: clear deadline: %w", err)
 	}
-	return w, fr, nil
+	return w, nil
 }
 
-// AcceptHello reads the Hello from a freshly accepted connection. The
-// caller validates it and answers with SendWelcome (or closes). The
-// returned FrameReader must be reused for subsequent reads on c (it may
-// have buffered past the handshake).
-func AcceptHello(c Conn) (Hello, *FrameReader, error) {
-	if err := c.SetDeadline(time.Now().Add(handshakeTimeout)); err != nil {
-		return Hello{}, nil, fmt.Errorf("fabric: handshake deadline: %w", err)
-	}
-	fr := NewFrameReader(c, MaxPayload)
-	typ, _, payload, err := fr.Next()
+// AcceptHello reads the Hello from a freshly accepted connection and
+// returns the Session that owns the connection from then on. The caller
+// validates the Hello and answers with SendWelcome (or closes the session).
+// On error — including a peer of another protocol version — the connection
+// is closed.
+func AcceptHello(c Conn, stats *Stats) (*Session, Hello, error) {
+	s := newSession(c, stats)
+	h, err := s.accept()
 	if err != nil {
-		return Hello{}, nil, fmt.Errorf("fabric: await hello: %w", err)
+		_ = c.Close()
+		return nil, Hello{}, err
+	}
+	return s, h, nil
+}
+
+func (s *Session) accept() (Hello, error) {
+	if err := s.conn.SetDeadline(time.Now().Add(handshakeTimeout)); err != nil {
+		return Hello{}, fmt.Errorf("fabric: handshake deadline: %w", err)
+	}
+	typ, _, payload, err := s.fr.Next()
+	if err != nil {
+		return Hello{}, fmt.Errorf("fabric: await hello: %w", err)
 	}
 	if typ != FrameHello {
-		return Hello{}, nil, fmt.Errorf("fabric: expected hello, got %s", typ)
+		return Hello{}, fmt.Errorf("fabric: expected hello, got %s", typ)
 	}
-	h, err := decodeHello(payload)
-	if err != nil {
-		return Hello{}, nil, err
-	}
-	if !versionAccepted(h.Version) {
-		return Hello{}, nil, fmt.Errorf("fabric: protocol version mismatch: peer %d, ours %d", h.Version, ProtocolVersion)
-	}
-	return h, fr, nil
+	return decodeHello(payload)
 }
 
-// SendWelcome completes the server half of the handshake and clears the
-// handshake deadline. The Version field is filled in; peerVersion is the
-// dialer's Hello version, so an older dialer receives the payload shape —
-// and the echoed version — it can parse: version 1 gets the short
-// credits-only payload (necessarily raw / no extract), version 2 the
-// codec/extract payload without the world tail (necessarily no world
-// membership — joining a world requires both halves at version 3).
-func SendWelcome(c Conn, w Welcome, peerVersion uint32) error {
+// SendWelcome completes the acceptor's half of the handshake, installs the
+// codec it names, and clears the handshake deadline. The Version field is
+// filled in. The Welcome is the first frame the dialer sees because nobody
+// else can write yet: an owner shares the session with other goroutines only
+// after SendWelcome returns. On error the session is closed.
+func (s *Session) SendWelcome(w Welcome) error {
 	w.Version = ProtocolVersion
-	var payload []byte
-	switch {
-	case peerVersion < 2:
-		w.Version = peerVersion // a v1 dialer rejects any other version
-		var b [welcomeV1Len]byte
-		le := binary.LittleEndian
-		le.PutUint32(b[0:4], w.Version)
-		le.PutUint32(b[4:8], w.Credits)
-		le.PutUint32(b[8:12], w.Released)
-		payload = b[:]
-	case peerVersion < 3:
-		w.Version = peerVersion // a v2 dialer rejects version 3
-		payload = appendWelcomeV2(nil, w)
-	default:
-		payload = appendWelcome(nil, w)
+	frame := AppendFrame(nil, FrameWelcome, 0, appendWelcome(nil, w))
+	_, err := s.conn.Write(frame)
+	if err == nil {
+		err = s.conn.SetDeadline(time.Time{})
 	}
-	frame := AppendFrame(nil, FrameWelcome, 0, payload)
-	if _, err := c.Write(frame); err != nil {
+	if err != nil {
+		_ = s.Close()
 		return fmt.Errorf("fabric: send welcome: %w", err)
 	}
-	if err := c.SetDeadline(time.Time{}); err != nil {
-		return fmt.Errorf("fabric: clear deadline: %w", err)
-	}
+	s.codec = w.Codec
 	return nil
 }

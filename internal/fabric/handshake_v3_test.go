@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
+	"io"
 	"os"
 	"strings"
 	"testing"
+	"time"
 )
 
 // goldenPayloads reads testdata/handshake.golden into label -> bytes.
@@ -35,195 +38,108 @@ func goldenPayloads(t *testing.T) map[string][]byte {
 	return out
 }
 
-// helloV2Bytes hand-rolls the version-2 Hello encoding — what a pre-world
-// peer puts on the wire. Kept in test code (the production encoder only
-// emits v3) so the acceptor's tolerance is tested against the real old
-// layout, not against whatever the current encoder happens to produce.
-func helloV2Bytes(h Hello) []byte {
-	b := make([]byte, helloV2Len)
-	le := binary.LittleEndian
-	le.PutUint32(b[0:4], h.Version)
-	b[4] = byte(h.Role)
-	le.PutUint32(b[5:9], h.Rank)
-	le.PutUint32(b[9:13], h.Writers)
-	le.PutUint32(b[13:17], h.Readers)
-	le.PutUint32(b[17:21], h.Depth)
-	le.PutUint32(b[21:25], h.Codecs)
-	le.PutUint32(b[25:29], h.Flags)
-	return b
-}
-
-// TestHandshakeGolden pins the wire bytes of every handshake generation:
-// the current encoders must reproduce the v3 (and answered-down v1/v2)
-// fixtures exactly, and the decoder must accept all six and recover the
+// TestHandshakeGolden pins the wire bytes of the handshake: the encoders
+// must reproduce the fixtures exactly and the decoders must recover the
 // encoded fields. A mismatch is a silent wire-format break.
 func TestHandshakeGolden(t *testing.T) {
 	golden := goldenPayloads(t)
 
-	v3Hello := Hello{
+	hello := Hello{
 		Version: 3, Role: RoleRank, Rank: 2, Codecs: 1,
 		WorldID: 77001, WorldEpoch: 2, WorldSize: 4, PeerAddr: "127.0.0.1:4001",
 	}
-	if got := appendHello(nil, v3Hello); !bytes.Equal(got, golden["hello-v3"]) {
+	if got := appendHello(nil, hello); !bytes.Equal(got, golden["hello-v3"]) {
 		t.Errorf("hello-v3 encoding drifted:\n got %x\nwant %x", got, golden["hello-v3"])
 	}
-	v2Hello := Hello{Version: 2, Role: RoleWriter, Rank: 3, Writers: 8, Readers: 2, Depth: 4, Codecs: 7, Flags: 1}
-	if got := helloV2Bytes(v2Hello); !bytes.Equal(got, golden["hello-v2"]) {
-		t.Errorf("hello-v2 fixture encoder drifted:\n got %x\nwant %x", got, golden["hello-v2"])
+	if got, err := decodeHello(golden["hello-v3"]); err != nil {
+		t.Errorf("hello-v3: %v", err)
+	} else if got != hello {
+		t.Errorf("hello-v3 decoded %+v, want %+v", got, hello)
 	}
 
-	v3Welcome := Welcome{Version: 3, WorldID: 77001, WorldEpoch: 2, PeerRank: 2}
-	if got := appendWelcome(nil, v3Welcome); !bytes.Equal(got, golden["welcome-v3"]) {
+	welcome := Welcome{Version: 3, WorldID: 77001, WorldEpoch: 2, PeerRank: 2}
+	if got := appendWelcome(nil, welcome); !bytes.Equal(got, golden["welcome-v3"]) {
 		t.Errorf("welcome-v3 encoding drifted:\n got %x\nwant %x", got, golden["welcome-v3"])
 	}
-	v2Welcome := Welcome{
-		Version: 2, Credits: 4, Released: 7, Codec: 2,
-		Extract: ExtractSpec{Kind: 1, Assoc: 1, Bins: 32, Coord: 0.5, Array: "data"},
-	}
-	if got := appendWelcomeV2(nil, v2Welcome); !bytes.Equal(got, golden["welcome-v2"]) {
-		t.Errorf("welcome-v2 encoding drifted:\n got %x\nwant %x", got, golden["welcome-v2"])
+	if got, err := decodeWelcome(golden["welcome-v3"]); err != nil {
+		t.Errorf("welcome-v3: %v", err)
+	} else if got != welcome {
+		t.Errorf("welcome-v3 decoded %+v, want %+v", got, welcome)
 	}
 
-	// Decode side: every generation must come back with its fields intact.
-	for label, want := range map[string]Hello{
-		"hello-v1": {Version: 1, Role: RoleWriter, Rank: 3, Writers: 8, Readers: 2, Depth: 4, Codecs: 1 << CodecRaw},
-		"hello-v2": v2Hello,
-		"hello-v3": v3Hello,
+	// The staging half of a Welcome, which the world fixture leaves zero.
+	full := Welcome{Version: ProtocolVersion, Credits: 1, Released: 2, Codec: CodecDelta,
+		Extract: ExtractSpec{Kind: ExtractSlice, Assoc: 1, Axis: 2, Coord: 0.5, Array: "velocity"}}
+	if got, err := decodeWelcome(appendWelcome(nil, full)); err != nil || got != full {
+		t.Errorf("welcome round trip: %+v (%v), want %+v", got, err, full)
+	}
+}
+
+// oldHello hand-rolls what a version-1 (21 bytes) or version-2 (29 bytes)
+// peer put on the wire; the same layouts stay checked in as fuzz seeds.
+func oldHello(version uint32) []byte {
+	b := make([]byte, 29)
+	le := binary.LittleEndian
+	le.PutUint32(b[0:4], version)
+	b[4] = byte(RoleWriter)
+	le.PutUint32(b[9:13], 1)  // writers
+	le.PutUint32(b[13:17], 1) // readers
+	le.PutUint32(b[17:21], 2) // depth
+	le.PutUint32(b[21:25], 1) // codecs: raw
+	if version == 1 {
+		return b[:21]
+	}
+	return b
+}
+
+// TestHandshakeVersionMismatch: every peer is built from this module, so a
+// Hello of any other version — the retired v1 and v2 shapes, or a future
+// one — is refused by name and the connection is closed well inside the
+// handshake deadline, not answered down.
+func TestHandshakeVersionMismatch(t *testing.T) {
+	for _, tc := range []struct {
+		version uint32
+		hello   []byte
+	}{
+		{1, oldHello(1)},
+		{2, oldHello(2)},
+		{4, appendHello(nil, Hello{Version: 4, Role: RoleWriter, Writers: 1, Readers: 1, Depth: 2})},
 	} {
-		got, err := decodeHello(golden[label])
-		if err != nil {
-			t.Errorf("%s: %v", label, err)
-		} else if got != want {
-			t.Errorf("%s decoded %+v, want %+v", label, got, want)
-		}
-	}
-	for label, want := range map[string]Welcome{
-		"welcome-v1": {Version: 1, Credits: 4, Codec: CodecRaw},
-		"welcome-v2": v2Welcome,
-		"welcome-v3": v3Welcome,
-	} {
-		got, err := decodeWelcome(golden[label])
-		if err != nil {
-			t.Errorf("%s: %v", label, err)
-		} else if got != want {
-			t.Errorf("%s decoded %+v, want %+v", label, got, want)
-		}
-	}
-}
+		t.Run(fmt.Sprintf("v%d", tc.version), func(t *testing.T) {
+			lis, err := Listen("loopback", t.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = lis.Close() }()
+			acceptErr := make(chan error, 1)
+			go func() {
+				conn, err := lis.Accept()
+				if err == nil {
+					_, _, err = AcceptHello(conn, nil)
+				}
+				acceptErr <- err
+			}()
 
-// dialRaw connects to name and returns the conn plus a frame reader.
-func dialRaw(t *testing.T, name string) (Conn, *FrameReader) {
-	t.Helper()
-	conn, err := Dial("loopback", name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = conn.Close() })
-	return conn, NewFrameReader(conn, 0)
-}
-
-// TestHandshakeV2DialerFallback is the downgrade contract: a version-2
-// dialer (pre-world wire format) hitting a version-3 acceptor must receive
-// a Welcome in the exact v2 shape — v2 version number, no world tail — so
-// its strict pre-world decoder keeps working.
-func TestHandshakeV2DialerFallback(t *testing.T) {
-	lis, err := Listen("loopback", t.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = lis.Close() }()
-
-	acceptErr := make(chan error, 1)
-	go func() {
-		conn, err := lis.Accept()
-		if err != nil {
-			acceptErr <- err
-			return
-		}
-		defer func() { _ = conn.Close() }()
-		h, _, err := AcceptHello(conn)
-		if err != nil {
-			acceptErr <- err
-			return
-		}
-		// The acceptor answers a welcome carrying v3-only state; the
-		// version-aware encoder must strip it for the v2 peer.
-		acceptErr <- SendWelcome(conn, Welcome{
-			Credits: 4, Codec: CodecRaw,
-			WorldID: 99, WorldEpoch: 9, PeerRank: 1,
-		}, h.Version)
-	}()
-
-	conn, fr := dialRaw(t, t.Name())
-	hello := helloV2Bytes(Hello{Version: 2, Role: RoleWriter, Writers: 1, Readers: 1, Depth: 2, Codecs: 1})
-	if _, err := conn.Write(AppendFrame(nil, FrameHello, 0, hello)); err != nil {
-		t.Fatal(err)
-	}
-	typ, _, payload, err := fr.Next()
-	if err != nil || typ != FrameWelcome {
-		t.Fatalf("welcome read: typ=%v err=%v", typ, err)
-	}
-	if err := <-acceptErr; err != nil {
-		t.Fatalf("acceptor: %v", err)
-	}
-	// Exact v2 shape: fixed prefix + empty array name, no 16-byte tail.
-	if len(payload) != welcomeV2Len {
-		t.Fatalf("welcome payload %d bytes, want the v2 length %d (no world tail)", len(payload), welcomeV2Len)
-	}
-	w, err := decodeWelcome(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Version != 2 {
-		t.Errorf("welcome version %d, want echoed-down 2", w.Version)
-	}
-	if w.WorldID != 0 || w.WorldEpoch != 0 || w.PeerRank != 0 {
-		t.Errorf("world membership leaked into a v2 welcome: %+v", w)
-	}
-	if w.Credits != 4 {
-		t.Errorf("credits %d, want 4", w.Credits)
-	}
-}
-
-// TestHandshakeV1DialerFallback: same contract one generation further back —
-// a version-1 dialer gets the 12-byte v1 welcome.
-func TestHandshakeV1DialerFallback(t *testing.T) {
-	lis, err := Listen("loopback", t.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = lis.Close() }()
-
-	acceptErr := make(chan error, 1)
-	go func() {
-		conn, err := lis.Accept()
-		if err != nil {
-			acceptErr <- err
-			return
-		}
-		defer func() { _ = conn.Close() }()
-		h, _, err := AcceptHello(conn)
-		if err != nil {
-			acceptErr <- err
-			return
-		}
-		acceptErr <- SendWelcome(conn, Welcome{Credits: 2}, h.Version)
-	}()
-
-	conn, fr := dialRaw(t, t.Name())
-	hello := helloV2Bytes(Hello{Version: 1, Role: RoleWriter, Writers: 1, Readers: 1, Depth: 2})[:helloV1Len]
-	if _, err := conn.Write(AppendFrame(nil, FrameHello, 0, hello)); err != nil {
-		t.Fatal(err)
-	}
-	typ, _, payload, err := fr.Next()
-	if err != nil || typ != FrameWelcome {
-		t.Fatalf("welcome read: typ=%v err=%v", typ, err)
-	}
-	if err := <-acceptErr; err != nil {
-		t.Fatalf("acceptor: %v", err)
-	}
-	if len(payload) != welcomeV1Len {
-		t.Fatalf("welcome payload %d bytes, want the v1 length %d", len(payload), welcomeV1Len)
+			conn, err := Dial("loopback", t.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = conn.Close() }()
+			if err := conn.SetDeadline(time.Now().Add(handshakeTimeout / 2)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Write(AppendFrame(nil, FrameHello, 0, tc.hello)); err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("protocol version mismatch: peer %d, ours 3", tc.version)
+			if err := <-acceptErr; err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("acceptor error %v, want %q", err, want)
+			}
+			// No Welcome of any shape: the acceptor hung up.
+			if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+				t.Fatalf("read after refusal: %v, want EOF from a closed conn", err)
+			}
+		})
 	}
 }
 
@@ -249,12 +165,12 @@ func TestHandshakeWorldFieldsRoundTrip(t *testing.T) {
 			return
 		}
 		defer func() { _ = conn.Close() }()
-		h, _, err := AcceptHello(conn)
+		sess, h, err := AcceptHello(conn, nil)
 		if err != nil {
 			got <- acceptResult{err: err}
 			return
 		}
-		err = SendWelcome(conn, Welcome{WorldID: h.WorldID, WorldEpoch: h.WorldEpoch, PeerRank: h.Rank}, h.Version)
+		err = sess.SendWelcome(Welcome{WorldID: h.WorldID, WorldEpoch: h.WorldEpoch, PeerRank: h.Rank})
 		got <- acceptResult{h: h, err: err}
 	}()
 
@@ -263,10 +179,10 @@ func TestHandshakeWorldFieldsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = conn.Close() }()
-	w, _, err := DialHello(conn, Hello{
+	_, w, err := DialHello(conn, Hello{
 		Role: RoleRank, Rank: 3, WorldID: 555, WorldEpoch: 6, WorldSize: 8,
 		PeerAddr: "world-555-e6-rank-3",
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

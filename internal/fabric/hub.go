@@ -41,15 +41,11 @@ type HubOptions struct {
 	// Writers/Readers/Depth are the group geometry; a dialing writer whose
 	// Hello disagrees is refused.
 	Writers, Readers, Depth int
-	// ReadTimeout bounds silence from a writer before its connection is
-	// retired (the writer's heartbeats keep a healthy connection under it).
-	// 0 disables, the loopback default.
-	ReadTimeout time.Duration
 	// Stats receives the hub's counters; nil allocates a private set.
 	Stats *Stats
 	// Codecs is the endpoint's codec preference, most preferred first; the
 	// first entry a writer's Hello mask supports wins. Nil or no match
-	// negotiates raw (which is also what a version-1 writer gets).
+	// negotiates raw.
 	Codecs []uint8
 	// Extract, when non-nil, asks extract-capable writers to ship this
 	// reduced product instead of full containers. Writers that did not
@@ -66,8 +62,8 @@ type hubWriter struct {
 	rank int
 
 	mu            sync.Mutex
-	conn          Conn
-	scratch       []byte
+	sess          *Session      // published only after its Welcome is on the wire
+	served        chan struct{} // closed when the serve loop that published sess last has returned
 	lastDelivered uint32
 	lastReleased  uint32
 }
@@ -78,10 +74,11 @@ type hubWriter struct {
 // backpressure point is the writer's exhausted credits, exactly the
 // FlexPath queue-depth semantics.
 type Hub struct {
-	o      HubOptions
-	stats  *Stats
-	lis    Listener
-	queues []chan Delivery
+	o       HubOptions
+	stats   *Stats
+	lis     Listener
+	queues  []chan Delivery
+	silence time.Duration // a writer quiet this long is retired; 0 on loopback
 
 	mu       sync.Mutex
 	writers  map[int]*hubWriter
@@ -106,6 +103,10 @@ func NewHub(lis Listener, o HubOptions) *Hub {
 		lis:     lis,
 		queues:  make([]chan Delivery, o.Readers),
 		writers: make(map[int]*hubWriter),
+	}
+	if diesSilently(lis.Addr().Network()) {
+		// The writers' heartbeats keep a healthy connection well under it.
+		h.silence = 15 * time.Second
 	}
 	for r := range h.queues {
 		n := 0
@@ -152,11 +153,12 @@ func (h *Hub) Close() error {
 	err := h.lis.Close()
 	for _, st := range writers {
 		st.mu.Lock()
-		if st.conn != nil {
-			_ = st.conn.Close()
-			st.conn = nil
-		}
+		sess := st.sess
+		st.sess = nil
 		st.mu.Unlock()
+		if sess != nil {
+			_ = sess.Close()
+		}
 	}
 	return err
 }
@@ -187,9 +189,8 @@ func (h *Hub) writer(rank int) *hubWriter {
 // credits, then pump frames until the connection dies. A second connection
 // for the same rank (the reconnect case) displaces the old one.
 func (h *Hub) serve(conn Conn) {
-	hello, fr, err := AcceptHello(conn)
+	sess, hello, err := AcceptHello(conn, h.stats)
 	if err != nil {
-		_ = conn.Close()
 		return
 	}
 	if hello.Role != RoleWriter ||
@@ -197,7 +198,7 @@ func (h *Hub) serve(conn Conn) {
 		int(hello.Readers) != h.o.Readers ||
 		int(hello.Depth) != h.o.Depth ||
 		int(hello.Rank) >= h.o.Writers {
-		_ = conn.Close()
+		_ = sess.Close()
 		return
 	}
 	rank := int(hello.Rank)
@@ -205,61 +206,53 @@ func (h *Hub) serve(conn Conn) {
 	// Negotiate the bandwidth reduction for this connection: codec from the
 	// endpoint's preference intersected with the writer's advertised mask,
 	// extract only if the writer declared it can compute one.
-	codec := chooseCodec(h.o.Codecs, hello.Codecs)
-	welcome := Welcome{Credits: uint32(h.o.Depth), Codec: codec}
+	welcome := Welcome{Credits: uint32(h.o.Depth), Codec: chooseCodec(h.o.Codecs, hello.Codecs)}
 	if h.o.Extract != nil && hello.Flags&HelloExtractCapable != 0 {
 		welcome.Extract = *h.o.Extract
 	}
-	// The Welcome must be the first frame the dialer sees, and every write
-	// on a connection must be serialized under st.mu — so send it while
-	// holding st.mu and only then publish st.conn. Otherwise a concurrent
-	// releaseUpTo for an old delivery could put a Release on the new
-	// connection before (or interleaved with) the Welcome, failing the
-	// reconnecting writer's handshake. The write is bounded by the
-	// handshake deadline AcceptHello installed.
 	st.mu.Lock()
-	old := st.conn
 	welcome.Released = st.lastReleased
-	//lint:ignore lock-blocking Welcome-before-publish: the Welcome must hit the wire under st.mu or a concurrent releaseUpTo could interleave a Release before it on the fresh connection; bounded by the AcceptHello handshake deadline (DESIGN.md §4.7)
-	if err := SendWelcome(conn, welcome, hello.Version); err != nil {
-		st.mu.Unlock()
-		_ = conn.Close()
+	st.mu.Unlock()
+	// The Welcome must be the first frame the dialer sees, so the session
+	// is published to releaseUpTo only once it is written: a release that
+	// lands in between goes to the old connection (or nowhere), and the
+	// writer, told a stale watermark, retransmits a frame that the dedup
+	// below re-acks.
+	if sess.SendWelcome(welcome) != nil {
 		return
 	}
-	st.conn = conn
+	served := make(chan struct{})
+	defer close(served)
+	st.mu.Lock()
+	old, oldServed := st.sess, st.served
+	st.sess, st.served = sess, served
 	st.mu.Unlock()
 	if old != nil {
 		_ = old.Close()
 	}
+	if oldServed != nil {
+		// One writer's deliveries must reach the queue in sequence order, and
+		// the dedup below decides under st.mu but enqueues outside it: the
+		// displaced loop may have claimed a sequence it has not queued yet.
+		// Let it finish (it is closed, so that is prompt) before this
+		// connection's retransmits can queue anything newer.
+		<-oldServed
+	}
 	reader := ReaderOf(rank, h.o.Writers, h.o.Readers)
-	// Per-connection decoder state: the delta chain is scoped to one
-	// connection, so a reconnect starts fresh (and the writer's first frame
-	// on the new connection is a keyframe).
-	dec := newCodecDecoder(codec, MaxPayload)
-	defer dec.close()
 
-	for {
-		if h.o.ReadTimeout > 0 {
-			if err := conn.SetReadDeadline(time.Now().Add(h.o.ReadTimeout)); err != nil {
-				break
-			}
-		}
-		typ, seq, payload, err := fr.Next()
-		if err != nil {
-			break
-		}
-		h.stats.CountIn(len(payload))
+	// The returned error is why the connection ended: a read failure, or a
+	// data frame that passed the CRC but fails the codec — a protocol breach
+	// or lost chain state. Either way the connection is dropped; the writer
+	// redials and the fresh session keyframes.
+	_ = sess.Run(h.silence, func(typ FrameType, seq uint32, payload []byte) error {
 		switch typ {
-		case FrameHeartbeat:
-			// Echo the probe's timestamp back so the writer measures RTT.
-			st.writeFrame(h.stats, FrameHeartbeatAck, seq, payload)
 		case FrameAdvance:
 			h.mu.Lock()
 			if int(seq) > h.advanced {
 				h.advanced = int(seq)
 			}
 			h.mu.Unlock()
-			st.writeFrame(h.stats, FrameAdvanceAck, seq, nil)
+			_ = sess.Send(FrameAdvanceAck, seq, nil)
 		case FrameData, FrameEOS:
 			// Decode BEFORE the dedup branches: on a reconnect the frames in
 			// the (lastReleased, lastDelivered] window are retransmitted but
@@ -268,34 +261,9 @@ func (h *Hub) serve(conn Conn) {
 			var step int
 			var container []byte
 			if typ == FrameData {
-				var perr error
-				if dec != nil {
-					var cid uint8
-					var key bool
-					var body []byte
-					step, cid, key, body, perr = SplitCodedStepPayload(payload)
-					if perr == nil && cid != codec {
-						perr = fmt.Errorf("fabric: frame codec %s, negotiated %s", CodecName(cid), CodecName(codec))
-					}
-					if perr == nil {
-						container, perr = dec.decode(body, key)
-					}
-					if perr == nil {
-						h.stats.CountData(8+len(container), len(payload))
-					}
-				} else {
-					step, container, perr = SplitStepPayload(payload)
-					if perr == nil {
-						h.stats.CountData(len(payload), len(payload))
-					}
-				}
-				if perr != nil {
-					// A frame that passed the CRC but fails the codec is a
-					// protocol breach or lost chain state; drop the
-					// connection — the writer redials and the fresh epoch
-					// keyframes.
-					h.retire(st, conn)
-					return
+				var err error
+				if step, container, err = sess.DecodeData(payload); err != nil {
+					return err
 				}
 			}
 			st.mu.Lock()
@@ -304,14 +272,14 @@ func (h *Hub) serve(conn Conn) {
 				// (the release was lost with the old connection): re-ack.
 				rel := st.lastReleased
 				st.mu.Unlock()
-				st.writeFrame(h.stats, FrameRelease, rel, nil)
-				continue
+				_ = sess.Send(FrameRelease, rel, nil)
+				return nil
 			}
 			if seq <= st.lastDelivered {
 				// Duplicate still queued for the analysis; it will be
 				// released when that copy is consumed.
 				st.mu.Unlock()
-				continue
+				return nil
 			}
 			st.lastDelivered = seq
 			st.mu.Unlock()
@@ -320,22 +288,17 @@ func (h *Hub) serve(conn Conn) {
 				d.Step = step
 				d.Payload = append([]byte(nil), container...)
 			}
-			relSeq := seq
-			d.release = func() { st.releaseUpTo(h.stats, relSeq) }
+			d.release = func() { st.releaseUpTo(seq) }
 			// Queue capacity equals the credit bound, so this never blocks
 			// for a well-behaved writer.
 			h.queues[reader] <- d
 		}
-	}
-	h.retire(st, conn)
-}
-
-// retire closes conn and clears it from the writer state if still current.
-func (h *Hub) retire(st *hubWriter, conn Conn) {
-	_ = conn.Close()
+		return nil
+	})
+	_ = sess.Close()
 	st.mu.Lock()
-	if st.conn == conn {
-		st.conn = nil
+	if st.sess == sess {
+		st.sess = nil
 	}
 	st.mu.Unlock()
 }
@@ -343,36 +306,14 @@ func (h *Hub) retire(st *hubWriter, conn Conn) {
 // releaseUpTo advances the cumulative release watermark and tells the
 // writer, returning its credit. Safe if the connection is gone — the
 // watermark rides back in the next handshake's Welcome.
-func (st *hubWriter) releaseUpTo(stats *Stats, seq uint32) {
+func (st *hubWriter) releaseUpTo(seq uint32) {
 	st.mu.Lock()
 	if seq > st.lastReleased {
 		st.lastReleased = seq
 	}
-	rel := st.lastReleased
+	rel, sess := st.lastReleased, st.sess
 	st.mu.Unlock()
-	st.writeFrame(stats, FrameRelease, rel, nil)
-}
-
-// writeFrame encodes and writes one control frame on the current
-// connection, if any; a write failure retires the connection (the writer
-// will redial and recover state from the Welcome).
-func (st *hubWriter) writeFrame(stats *Stats, typ FrameType, seq uint32, payload []byte) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.conn == nil {
-		return
+	if sess != nil {
+		_ = sess.Send(FrameRelease, rel, nil) // a failed write closes the session; its serve loop retires it
 	}
-	st.scratch = AppendFrame(st.scratch[:0], typ, seq, payload)
-	if err := st.conn.SetWriteDeadline(time.Now().Add(10 * time.Second)); err != nil {
-		_ = st.conn.Close()
-		st.conn = nil
-		return
-	}
-	//lint:ignore lock-blocking st.mu serializes all writes on this hub-side connection (the Welcome-first invariant depends on that); the write is deadline-bounded (10s) and failure retires the conn rather than blocking (DESIGN.md §4.7)
-	if _, err := st.conn.Write(st.scratch); err != nil {
-		_ = st.conn.Close()
-		st.conn = nil
-		return
-	}
-	stats.CountOut(len(st.scratch))
 }

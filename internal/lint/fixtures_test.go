@@ -24,10 +24,6 @@ func fixtureConfig(path string) *Config {
 	cfg.DeterministicPkgs = []string{path}
 	cfg.IOWriterPkgs = []string{path}
 	cfg.ClockAllowedFiles = []string{"nondet/timing.go"}
-	// The lockblock fixture declares a writeFrameLocked-style helper that
-	// releases the caller's lock internally; allowlist it the way the real
-	// module config allowlists fabric's.
-	cfg.LockAllowedFuncs = append(cfg.LockAllowedFuncs, path+".unlocksCallerLock")
 	return cfg
 }
 

@@ -61,13 +61,6 @@ type Config struct {
 	RenderPkg   string
 	ParallelPkg string
 	FabricPkg   string
-	// LockAllowedFuncs is the per-package allowlist of the lock-blocking
-	// rule: fully-qualified functions (types.Func.FullName form, e.g.
-	// "(*gosensei/internal/fabric.Client).writeFrameLocked") documented to
-	// RELEASE the caller's lock internally before blocking. Calls to them
-	// while holding a lock are not findings; their own bodies are still
-	// analyzed lexically.
-	LockAllowedFuncs []string
 	// BlockingFuncs are extra may-block seeds (types.Func.FullName form,
 	// e.g. "(gosensei/internal/mpi.Transport).Send"): calls to them are
 	// treated as blocking by the interprocedural summary even when they
@@ -116,12 +109,6 @@ func DefaultConfig() *Config {
 		RenderPkg:   m + "/internal/render",
 		ParallelPkg: m + "/internal/parallel",
 		FabricPkg:   m + "/internal/fabric",
-		// writeFrameLocked's contract (documented at its declaration) is to
-		// drop c.mu around the blocking conn write and retake it; callers
-		// holding c.mu are the intended use, not the PR 3 deadlock shape.
-		LockAllowedFuncs: []string{
-			"(*" + m + "/internal/fabric.Client).writeFrameLocked",
-		},
 		// Transport.Send is an interface contract: the in-process mailbox
 		// delivery is cheap, but the cross-process implementation writes
 		// framed envelopes to a fabric conn, so every call site must be

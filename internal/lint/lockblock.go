@@ -19,12 +19,10 @@ import (
 // transport two such sections deadlock each other permanently.
 //
 // sync.Cond.Wait is exempt (Wait releases its lock — that is the sanctioned
-// way to block under a mutex), and functions listed in
-// Config.LockAllowedFuncs (documented to release the caller's lock
-// internally, like fabric's writeFrameLocked) may be called under a lock.
-// Intentional blocking-under-lock sites — deadline-bounded writes under a
-// dedicated write-serialization mutex — carry reasoned //lint:ignore
-// suppressions, cataloged in DESIGN.md §4.7.
+// way to block under a mutex). The one intentional blocking-under-lock site
+// — fabric.Session's deadline-bounded write under its write-serialization
+// mutex — carries a reasoned //lint:ignore suppression, cataloged in
+// DESIGN.md §4.7.
 const RuleLockBlocking = "lock-blocking"
 
 // LockBlockingAnalyzer builds the lock-blocking rule.
@@ -44,10 +42,6 @@ var lockStateMethods = map[string]bool{
 }
 
 func runLockBlocking(p *Pass) {
-	allowed := map[string]bool{}
-	for _, name := range p.Cfg.LockAllowedFuncs {
-		allowed[name] = true
-	}
 	for _, f := range p.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			var body *ast.BlockStmt
@@ -59,7 +53,7 @@ func runLockBlocking(p *Pass) {
 			}
 			if body != nil {
 				w := &lockWalker{
-					pass: p, allowed: allowed,
+					pass:     p,
 					held:     map[string]int{},
 					reported: map[token.Pos]bool{},
 				}
@@ -80,7 +74,6 @@ func runLockBlocking(p *Pass) {
 // dedupes the second pass.
 type lockWalker struct {
 	pass     *Pass
-	allowed  map[string]bool
 	held     map[string]int
 	reported map[token.Pos]bool
 }
@@ -258,9 +251,7 @@ func (w *lockWalker) expr(e ast.Expr) {
 				return true // state handled at statement level; never blocks
 			}
 			if why, blocks := callMayBlock(w.pass.Pkg.Info, w.pass.Facts, n); blocks {
-				if fn := staticCallee(w.pass.Pkg.Info, n); fn == nil || !w.allowed[fn.FullName()] {
-					w.blockingOp(n.Pos(), "a call to "+why)
-				}
+				w.blockingOp(n.Pos(), "a call to "+why)
 			}
 		}
 		return true

@@ -147,23 +147,6 @@ func (n *Node) SpawnUnderLock() {
 	n.mu.Unlock()
 }
 
-// unlocksCallerLock is documented to release n.mu around its blocking
-// receive and retake it before returning — the writeFrameLocked pattern.
-// The fixture config allowlists it, so calling it under mu is sanctioned.
-func unlocksCallerLock(n *Node) int {
-	n.mu.Unlock()
-	v := <-n.ch
-	n.mu.Lock()
-	return v
-}
-
-// AllowlistedCallUnderLock exercises Config.LockAllowedFuncs.
-func (n *Node) AllowlistedCallUnderLock() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return unlocksCallerLock(n)
-}
-
 // SuppressedBoundedWrite pins the //lint:ignore path: a deadline-bounded
 // write under a dedicated write lock, suppressed with a reason.
 func (n *Node) SuppressedBoundedWrite(frame []byte) error {

@@ -2,63 +2,8 @@ package live
 
 import (
 	"fmt"
-	"sync"
 	"testing"
-
-	"gosensei/internal/fabric"
 )
-
-// legacyHub is the seed implementation of the live hub, embedded verbatim
-// (minus steering) as the benchmark baseline: one global mutex, a cap-1
-// channel per subscriber, a full PNG copy on every publish. The numbers in
-// BENCH_9.json compare the rebuilt fan-out against exactly this.
-type legacyHub struct {
-	mu      sync.Mutex
-	latest  *Frame
-	nextSub int
-	subs    map[int]chan Frame
-}
-
-func newLegacyHub() *legacyHub { return &legacyHub{subs: map[int]chan Frame{}} }
-
-func (h *legacyHub) Publish(f Frame) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	cp := f
-	cp.PNG = append([]byte(nil), f.PNG...)
-	h.latest = &cp
-	for _, ch := range h.subs {
-		select {
-		case ch <- cp:
-		default: // viewer lagging: drop
-		}
-	}
-}
-
-func (h *legacyHub) Subscribe() (<-chan Frame, func()) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	id := h.nextSub
-	h.nextSub++
-	ch := make(chan Frame, 1)
-	h.subs[id] = ch
-	cancel := func() {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		if _, ok := h.subs[id]; ok {
-			delete(h.subs, id)
-			close(ch)
-		}
-	}
-	return ch, cancel
-}
-
-// legacyEncodeForViewer reproduces the seed server's per-connection work:
-// every viewer write re-encoded the frame payload and the fabric frame from
-// scratch. The rebuilt path seals the wire bytes once per publish instead.
-func legacyEncodeForViewer(f Frame, seq uint32) []byte {
-	return fabric.AppendFrame(nil, fabric.FrameData, seq, appendFramePayload(nil, f))
-}
 
 const benchPNGBytes = 16 << 10 // a plausible 64×64 rendered-slice PNG
 
@@ -66,7 +11,8 @@ var viewerCounts = []int{1, 10, 100, 1000}
 
 // BenchmarkPublish measures the publish path alone with N attached viewers
 // that never drain — the simulation-side cost of having an audience. The
-// acceptance criterion is flatness: within 2× from 1 to 1000 subscribers.
+// acceptance criterion is flatness: within 2× from 1 to 1000 subscribers
+// (BENCH_9.json records the seed hub's 9.4× degradation).
 func BenchmarkPublish(b *testing.B) {
 	png := pseudoPNG(1, benchPNGBytes)
 	for _, n := range viewerCounts {
@@ -86,30 +32,10 @@ func BenchmarkPublish(b *testing.B) {
 	}
 }
 
-// BenchmarkLegacyPublish is the same measurement against the seed hub.
-func BenchmarkLegacyPublish(b *testing.B) {
-	png := pseudoPNG(1, benchPNGBytes)
-	for _, n := range viewerCounts {
-		b.Run(fmt.Sprintf("viewers-%d", n), func(b *testing.B) {
-			h := newLegacyHub()
-			for i := 0; i < n; i++ {
-				_, cancel := h.Subscribe()
-				defer cancel()
-			}
-			b.SetBytes(benchPNGBytes)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.Publish(Frame{Step: i, Width: 64, Height: 64, PNG: png})
-			}
-		})
-	}
-}
-
 // BenchmarkFanout measures aggregate frame delivery: one publish fully
 // drained by N viewers, each producing the wire bytes its connection would
-// write. The rebuilt path hands every viewer the same sealed buffer; the
-// ratio against BenchmarkLegacyFanout at 1000 viewers is the ≥5× headline.
+// write. Every viewer is handed the same sealed buffer; BENCH_9.json
+// records the 179× over the seed hub's per-viewer re-encode at 1000 viewers.
 func BenchmarkFanout(b *testing.B) {
 	png := pseudoPNG(1, benchPNGBytes)
 	for _, n := range viewerCounts {
@@ -131,38 +57,6 @@ func BenchmarkFanout(b *testing.B) {
 					ref := sub.Next()
 					sink += len(ref.Wire())
 					ref.Release()
-				}
-			}
-			b.StopTimer()
-			if sink == 0 {
-				b.Fatal("no bytes delivered")
-			}
-		})
-	}
-}
-
-// BenchmarkLegacyFanout drains the seed hub the way the seed server did:
-// every viewer re-encodes payload and fabric frame before writing.
-func BenchmarkLegacyFanout(b *testing.B) {
-	png := pseudoPNG(1, benchPNGBytes)
-	for _, n := range viewerCounts {
-		b.Run(fmt.Sprintf("viewers-%d", n), func(b *testing.B) {
-			h := newLegacyHub()
-			chans := make([]<-chan Frame, n)
-			for i := range chans {
-				ch, cancel := h.Subscribe()
-				defer cancel()
-				chans[i] = ch
-			}
-			var sink int
-			b.SetBytes(int64(n) * benchPNGBytes)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.Publish(Frame{Step: i, Width: 64, Height: 64, PNG: png})
-				for _, ch := range chans {
-					f := <-ch
-					sink += len(legacyEncodeForViewer(f, uint32(i)))
 				}
 			}
 			b.StopTimer()

@@ -102,7 +102,7 @@ func (r *FrameRef) PNG() []byte { return r.buf[fabric.FrameOverhead+framePayload
 func (r *FrameRef) Wire() []byte { return r.buf }
 
 // Frame returns an owned deep copy for callers that outlive their
-// reference (the compatibility Subscribe channel).
+// reference (Hub.Latest).
 func (r *FrameRef) Frame() Frame {
 	return Frame{Step: r.step, Width: r.w, Height: r.h,
 		PNG: append([]byte(nil), r.PNG()...)}

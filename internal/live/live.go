@@ -351,36 +351,6 @@ func (s *Subscription) Cancel() {
 	})
 }
 
-// Subscribe attaches a viewer behind the classic buffered-channel API: it
-// receives published frames as owned copies (newest-wins on lag). The
-// returned cancel function detaches and closes the channel. New code
-// wanting the zero-copy path uses SubscribeRef.
-func (h *Hub) Subscribe() (<-chan Frame, func()) {
-	sub := h.SubscribeRef()
-	out := make(chan Frame, 1)
-	go func() {
-		defer close(out)
-		for {
-			select {
-			case <-sub.done:
-				return
-			case <-sub.rdy:
-			}
-			ref := sub.Take()
-			if ref == nil {
-				continue
-			}
-			f := ref.Frame()
-			ref.Release()
-			select {
-			case out <- f:
-			default: // viewer lagging: drop (it still holds an older frame)
-			}
-		}
-	}()
-	return out, sub.Cancel
-}
-
 // SendCommand queues a steering request, coalescing last-writer-wins per
 // command name: only the newest value of each name survives to the next
 // DrainCommands, under a bounded table size — a steer flood (or a long gap

@@ -21,15 +21,16 @@ func TestHubLatestAndSubscribe(t *testing.T) {
 	if _, ok := h.Latest(); ok {
 		t.Fatal("empty hub has a frame")
 	}
-	ch, cancel := h.Subscribe()
+	sub := h.SubscribeRef()
 	if h.Viewers() != 1 {
 		t.Fatalf("viewers=%d", h.Viewers())
 	}
 	h.Publish(Frame{Step: 1, PNG: []byte{1, 2}})
-	f := <-ch
-	if f.Step != 1 || len(f.PNG) != 2 {
-		t.Fatalf("frame=%+v", f)
+	ref := sub.Next()
+	if ref.Step() != 1 || len(ref.PNG()) != 2 {
+		t.Fatalf("frame step=%d png=%v", ref.Step(), ref.PNG())
 	}
+	ref.Release()
 	// Published frames are copies: mutating the source must not matter.
 	src := []byte{9}
 	h.Publish(Frame{Step: 2, PNG: src})
@@ -38,8 +39,8 @@ func TestHubLatestAndSubscribe(t *testing.T) {
 	if !ok || got.PNG[0] != 9 {
 		t.Fatal("frame not copied")
 	}
-	cancel()
-	cancel() // idempotent
+	sub.Cancel()
+	sub.Cancel() // idempotent
 	if h.Viewers() != 0 {
 		t.Fatalf("viewers=%d after cancel", h.Viewers())
 	}
@@ -173,8 +174,8 @@ func TestCommandTableBounded(t *testing.T) {
 
 func TestLiveFramesFromCatalyst(t *testing.T) {
 	hub := NewHub()
-	ch, cancel := hub.Subscribe()
-	defer cancel()
+	sub := hub.SubscribeRef()
+	defer sub.Cancel()
 	cfg := oscillator.Config{
 		GlobalCells: [3]int{8, 8, 8}, DT: 0.1, Steps: 2,
 		Oscillators: oscillator.DefaultDeck(8),
@@ -209,8 +210,9 @@ func TestLiveFramesFromCatalyst(t *testing.T) {
 	if hub.Frames() != 2 {
 		t.Fatalf("frames=%d", hub.Frames())
 	}
-	f := <-ch
-	img, err := png.Decode(bytes.NewReader(f.PNG))
+	ref := sub.Next()
+	defer ref.Release()
+	img, err := png.Decode(bytes.NewReader(ref.PNG()))
 	if err != nil {
 		t.Fatalf("live frame is not a PNG: %v", err)
 	}

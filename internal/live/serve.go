@@ -1,7 +1,6 @@
 package live
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,9 +12,12 @@ import (
 // onto a fabric listener so viewers in other OS processes attach over TCP
 // (or loopback in tests), receive rendered frames, and push steering
 // commands back — the ParaView-Live/VisIt pattern with a real socket
-// underneath. Viewers handshake with RoleViewer; frames ride FrameData,
-// steering rides FrameSteer, heartbeats keep half-dead viewers from
-// lingering, and FrameRelease carries the per-viewer credit flow:
+// underneath. Each side holds its connection as a fabric.Session. Viewers
+// handshake with RoleViewer; frames ride FrameData, steering rides
+// FrameSteer, and FrameRelease carries the per-viewer credit flow. No
+// viewer sends heartbeats and the server arms no read deadline, so a viewer
+// whose process is gone but whose socket never said so lingers — parked at
+// zero credits, which is why that is affordable:
 //
 //   - The Welcome grants each viewer a credit budget (ServeOptions.Credits).
 //     Every frame the server sends consumes one; the viewer's receive pump
@@ -24,15 +26,11 @@ import (
 //   - A viewer whose connection stops draining exhausts its credits and is
 //     simply skipped: its subscription slot keeps tracking the newest
 //     frame, and the moment credits return it resumes from there. A slow
-//     TCP viewer therefore costs the server nothing per publish — no
-//     10-second write-deadline stall per frame, no queue growth.
+//     or stalled viewer therefore costs the server nothing per publish — no
+//     write-deadline stall per frame, no queue growth.
 //   - The frame bytes a viewer receives are the hub's sealed wire buffer
 //     (FrameRef.Wire()), encoded once per publish and written verbatim to
 //     every connection: the fan-out path copies nothing per viewer.
-
-// writeDeadline bounds every wire write as a backstop; credit exhaustion,
-// not this deadline, is what handles slow viewers.
-const writeDeadline = 10 * time.Second
 
 // ServeOptions tunes the wire side of a hub; the zero value selects the
 // defaults.
@@ -114,13 +112,15 @@ func (s *Server) acceptLoop() {
 // serve drives one viewer connection: frames out under credit flow,
 // steering and releases in.
 func (s *Server) serve(conn fabric.Conn) {
-	hello, fr, err := fabric.AcceptHello(conn)
-	if err != nil || hello.Role != fabric.RoleViewer {
-		_ = conn.Close()
+	sess, hello, err := fabric.AcceptHello(conn, s.stats)
+	if err != nil {
 		return
 	}
-	if err := fabric.SendWelcome(conn, fabric.Welcome{Credits: uint32(s.credits)}, hello.Version); err != nil {
-		_ = conn.Close()
+	if hello.Role != fabric.RoleViewer {
+		_ = sess.Close()
+		return
+	}
+	if sess.SendWelcome(fabric.Welcome{Credits: uint32(s.credits)}) != nil {
 		return
 	}
 	// Attach on the zero-copy path: the subscription is seeded from the
@@ -128,29 +128,6 @@ func (s *Server) serve(conn fabric.Conn) {
 	// a late joiner sees an image immediately, not at the next publish.
 	sub := s.hub.SubscribeRef()
 	defer sub.Cancel()
-
-	// Writes come from two places — the frame pusher and heartbeat acks —
-	// so they share a lock; control frames share a scratch buffer, data
-	// frames are the hub's sealed buffers written verbatim.
-	var wmu sync.Mutex
-	var scratch []byte
-	writeWire := func(frame []byte) error {
-		if err := conn.SetWriteDeadline(time.Now().Add(writeDeadline)); err != nil {
-			return err
-		}
-		if _, err := conn.Write(frame); err != nil {
-			return err
-		}
-		s.stats.CountOut(len(frame))
-		return nil
-	}
-	writeCtl := func(typ fabric.FrameType, seq uint32, payload []byte) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		scratch = fabric.AppendFrame(scratch[:0], typ, seq, payload)
-		//lint:ignore lock-blocking wmu exists only to serialize this deadline-bounded write between the frame pusher and heartbeat acks; no state lives under it, so a slow viewer stalls at most the other writer for 10s (DESIGN.md §4.7)
-		return writeWire(scratch)
-	}
 
 	// The credit ledger: sent is pusher-local, released is the cumulative
 	// count the viewer's FrameRelease frames carry back. The pusher sends
@@ -176,33 +153,22 @@ func (s *Server) serve(conn fabric.Conn) {
 				if ref == nil {
 					break
 				}
-				wmu.Lock()
-				//lint:ignore lock-blocking wmu exists only to serialize this deadline-bounded write between the frame pusher and heartbeat acks; no state lives under it, so a slow viewer stalls at most the other writer for 10s (DESIGN.md §4.7)
-				werr := writeWire(ref.Wire())
-				wmu.Unlock()
+				werr := sess.SendSealed(ref.Wire())
 				ref.Release()
 				if werr != nil {
-					_ = conn.Close()
-					return
+					return // the session closed itself; the pump below sees it
 				}
 				sent++
 			}
 		}
 	}()
 
-	for {
-		typ, seq, payload, rerr := fr.Next()
-		if rerr != nil {
-			break
-		}
-		s.stats.CountIn(len(payload))
+	_ = sess.Run(0, func(typ fabric.FrameType, seq uint32, payload []byte) error {
 		switch typ {
 		case fabric.FrameSteer:
-			name, value, derr := fabric.DecodeSteerPayload(payload)
-			if derr != nil {
-				continue
+			if name, value, err := fabric.DecodeSteerPayload(payload); err == nil {
+				s.hub.SendCommand(name, value)
 			}
-			s.hub.SendCommand(name, value)
 		case fabric.FrameRelease:
 			// Cumulative, monotonic: stale or reordered releases are no-ops.
 			if seq > released.Load() {
@@ -212,13 +178,10 @@ func (s *Server) serve(conn fabric.Conn) {
 				default:
 				}
 			}
-		case fabric.FrameHeartbeat:
-			if writeCtl(fabric.FrameHeartbeatAck, seq, payload) != nil {
-				_ = conn.Close()
-			}
 		}
-	}
-	_ = conn.Close()
+		return nil
+	})
+	_ = sess.Close() // fails a push in flight, so the pusher reaches stop
 	close(stop)
 	<-done
 }
@@ -232,34 +195,21 @@ type ViewerOptions struct {
 }
 
 // Viewer is the remote end of a live connection: frames arrive on the
-// newest-wins Next/Frames APIs, steering goes back with Steer — from a
-// different OS process than the simulation when dialed over TCP.
+// newest-wins Next API, steering goes back with Steer — from a different OS
+// process than the simulation when dialed over TCP.
 type Viewer struct {
-	conn fabric.Conn
-
-	// mu guards closed only. Steer must NOT write the conn under mu: a
-	// stalled peer would then hold the state lock for the whole (deadline-
-	// bounded) write, blocking Close — the PR 3 deadlock shape the
-	// lock-blocking lint rule pins. Writes serialize on the dedicated wmu
-	// instead, which nothing else waits on.
-	mu     sync.Mutex
-	closed bool
-
-	wmu     sync.Mutex
-	scratch []byte
+	sess *fabric.Session
 
 	// The client-side newest-wins slot: the receive pump never blocks on a
 	// slow consumer — it replaces the undelivered frame and keeps
 	// draining the wire, so the connection (and its credit flow) stays
-	// live no matter what the application does with Frames.
+	// live no matter what the application does with Next.
 	slot atomic.Pointer[Frame]
 	rdy  chan struct{} // cap 1: set when the slot is filled
 	done chan struct{} // closed when the receive pump exits
 
-	recvd    atomic.Uint64
-	granted  uint32
-	onceChan sync.Once
-	frames   chan Frame
+	recvd   atomic.Uint64
+	granted uint32
 }
 
 // DialViewer attaches to a live server.
@@ -276,18 +226,17 @@ func DialViewerWith(network, addr string, o ViewerOptions) (*Viewer, error) {
 	if o.WrapConn != nil {
 		conn = o.WrapConn(conn)
 	}
-	w, fr, err := fabric.DialHello(conn, fabric.Hello{Role: fabric.RoleViewer})
+	sess, w, err := fabric.DialHello(conn, fabric.Hello{Role: fabric.RoleViewer}, nil)
 	if err != nil {
-		_ = conn.Close()
 		return nil, err
 	}
 	v := &Viewer{
-		conn:    conn,
+		sess:    sess,
 		rdy:     make(chan struct{}, 1),
 		done:    make(chan struct{}),
 		granted: w.Credits,
 	}
-	go v.recvPump(fr)
+	go v.recvPump()
 	return v, nil
 }
 
@@ -329,103 +278,29 @@ func (v *Viewer) Next(timeout time.Duration) (Frame, bool) {
 	}
 }
 
-// Frames returns the stream of rendered frames as a channel (newest-wins:
-// a lagging consumer observes the most recent frames, not a backlog). The
-// channel closes when the connection drops or Close is called.
-func (v *Viewer) Frames() <-chan Frame {
-	v.onceChan.Do(func() {
-		v.frames = make(chan Frame, 1)
-		go func() {
-			defer close(v.frames)
-			for {
-				f, ok := v.Next(0)
-				if !ok {
-					return
-				}
-				select {
-				case v.frames <- f:
-				default:
-					// Consumer lagging: replace the stale buffered frame
-					// with this newer one.
-					select {
-					case <-v.frames:
-					default:
-					}
-					select {
-					case v.frames <- f:
-					default:
-					}
-				}
-			}
-		}()
-	})
-	return v.frames
-}
-
 // Steer sends one steering command to the simulation.
 func (v *Viewer) Steer(name string, value float64) error {
-	v.mu.Lock()
-	if v.closed {
-		v.mu.Unlock()
-		return fmt.Errorf("live: viewer closed")
-	}
-	v.mu.Unlock()
-	v.wmu.Lock()
-	defer v.wmu.Unlock()
-	v.scratch = fabric.AppendFrame(v.scratch[:0], fabric.FrameSteer, 0,
-		fabric.AppendSteerPayload(nil, name, value))
-	if err := v.conn.SetWriteDeadline(time.Now().Add(writeDeadline)); err != nil {
-		return err
-	}
-	// A concurrent Close between the check above and here just makes this
-	// write fail with ErrClosed, which is the correct answer for the caller.
-	//lint:ignore lock-blocking v.wmu is the dedicated write-serialization lock; the write is deadline-bounded (10s) and Close never takes wmu, so a stalled peer cannot wedge the viewer (DESIGN.md §4.7)
-	_, err := v.conn.Write(v.scratch)
-	return err
+	return v.sess.SendFunc(fabric.FrameSteer, 0, func(dst []byte) []byte {
+		return fabric.AppendSteerPayload(dst, name, value)
+	})
 }
 
-// sendRelease returns credits to the server: recvd is the cumulative count
-// of frames the pump has taken off the wire.
-func (v *Viewer) sendRelease(recvd uint32) error {
-	v.wmu.Lock()
-	defer v.wmu.Unlock()
-	v.scratch = fabric.AppendFrame(v.scratch[:0], fabric.FrameRelease, recvd, nil)
-	if err := v.conn.SetWriteDeadline(time.Now().Add(writeDeadline)); err != nil {
-		return err
-	}
-	//lint:ignore lock-blocking v.wmu is the dedicated write-serialization lock; the write is deadline-bounded (10s) and Close never takes wmu, so a stalled peer cannot wedge the viewer (DESIGN.md §4.7)
-	_, err := v.conn.Write(v.scratch)
-	return err
-}
-
-// Close detaches from the server.
-func (v *Viewer) Close() error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.closed {
-		return nil
-	}
-	v.closed = true
-	return v.conn.Close()
-}
+// Close detaches from the server. Idempotent.
+func (v *Viewer) Close() error { return v.sess.Close() }
 
 // recvPump drains the wire. It never blocks on the consumer: each decoded
 // frame replaces the slot (newest-wins) and its credit is returned
 // immediately, so a viewer whose application stops reading still keeps its
 // connection — and every other viewer's — healthy.
-func (v *Viewer) recvPump(fr *fabric.FrameReader) {
+func (v *Viewer) recvPump() {
 	defer close(v.done)
-	for {
-		typ, _, payload, err := fr.Next()
-		if err != nil {
-			return
-		}
+	_ = v.sess.Run(0, func(typ fabric.FrameType, _ uint32, payload []byte) error {
 		if typ != fabric.FrameData {
-			continue
+			return nil
 		}
 		f, err := decodeFramePayload(payload)
 		if err != nil {
-			return
+			return err
 		}
 		n := v.recvd.Add(1)
 		v.slot.Store(&f)
@@ -433,8 +308,10 @@ func (v *Viewer) recvPump(fr *fabric.FrameReader) {
 		case v.rdy <- struct{}{}:
 		default:
 		}
-		// The frame crossed the wire: return its credit. A failed write
-		// means the connection is dying; the read above will surface it.
-		_ = v.sendRelease(uint32(n))
-	}
+		// The frame crossed the wire: return its credit, as the cumulative
+		// count of frames taken off it. A failed write closed the session;
+		// the next read surfaces it.
+		_ = v.sess.Send(fabric.FrameRelease, uint32(n), nil)
+		return nil
+	})
 }

@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -49,13 +50,12 @@ func TestServeViewerOverWire(t *testing.T) {
 	}
 	want := Frame{Step: 3, Width: 8, Height: 4, PNG: []byte("frame bytes")}
 	hub.Publish(want)
-	select {
-	case got := <-v.Frames():
-		if got.Step != want.Step || !bytes.Equal(got.PNG, want.PNG) {
-			t.Fatalf("got frame %+v", got)
-		}
-	case <-time.After(5 * time.Second):
+	got, ok := v.Next(5 * time.Second)
+	if !ok {
 		t.Fatalf("no frame arrived")
+	}
+	if got.Step != want.Step || !bytes.Equal(got.PNG, want.PNG) {
+		t.Fatalf("got frame %+v", got)
 	}
 
 	if err := v.Steer("jet-amplitude", 1.5); err != nil {
@@ -184,11 +184,11 @@ func TestSlowViewerCreditSkipToNewest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	defer func() { _ = conn.Close() }()
-	w, fr, err := fabric.DialHello(conn, fabric.Hello{Role: fabric.RoleViewer})
+	sess, w, err := fabric.DialHello(conn, fabric.Hello{Role: fabric.RoleViewer}, nil)
 	if err != nil {
 		t.Fatalf("handshake: %v", err)
 	}
+	defer func() { _ = sess.Close() }()
 	if w.Credits != credits {
 		t.Fatalf("granted credits=%d, want %d", w.Credits, credits)
 	}
@@ -204,18 +204,12 @@ func TestSlowViewerCreditSkipToNewest(t *testing.T) {
 		t.Fatalf("publish burst stalled behind a credit-starved viewer: %s", elapsed)
 	}
 
-	// The server sends at most `credits` frames before the first release.
+	// The server sends at most `credits` frames before the first release:
+	// pump until the wire has been silent for half a second.
 	got := 0
-	for {
-		if err := conn.SetReadDeadline(time.Now().Add(500 * time.Millisecond)); err != nil {
-			t.Fatalf("deadline: %v", err)
-		}
-		typ, _, payload, err := fr.Next()
-		if err != nil {
-			break // deadline: no more frames — credits exhausted
-		}
+	_ = sess.Run(500*time.Millisecond, func(typ fabric.FrameType, _ uint32, payload []byte) error {
 		if typ != fabric.FrameData {
-			continue
+			return nil
 		}
 		f, err := decodeFramePayload(payload)
 		if err != nil {
@@ -225,7 +219,8 @@ func TestSlowViewerCreditSkipToNewest(t *testing.T) {
 		if got > credits {
 			t.Fatalf("stalled viewer got frame %d beyond its %d credits (step %d)", got, credits, f.Step)
 		}
-	}
+		return nil
+	})
 	if got == 0 {
 		t.Fatal("stalled viewer got no frames at all")
 	}
@@ -233,26 +228,16 @@ func TestSlowViewerCreditSkipToNewest(t *testing.T) {
 	// Returning the credits resumes delivery at the newest frame: after the
 	// release (and a fresh publish) the viewer sees only the newest frames —
 	// never the steps it skipped while stalled.
-	if err := conn.SetReadDeadline(time.Time{}); err != nil {
-		t.Fatalf("clear deadline: %v", err)
-	}
 	released := got
-	rel := fabric.AppendFrame(nil, fabric.FrameRelease, uint32(released), nil)
-	if _, err := conn.Write(rel); err != nil {
+	if err := sess.Send(fabric.FrameRelease, uint32(released), nil); err != nil {
 		t.Fatalf("release: %v", err)
 	}
 	const finalStep = 1 << 20
 	hub.Publish(Frame{Step: finalStep, PNG: []byte("final")})
-	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		t.Fatalf("deadline: %v", err)
-	}
-	for {
-		typ, _, payload, err := fr.Next()
-		if err != nil {
-			t.Fatalf("no frame after credit release: %v", err)
-		}
+	errFinal := errors.New("saw the final frame")
+	err = sess.Run(5*time.Second, func(typ fabric.FrameType, _ uint32, payload []byte) error {
 		if typ != fabric.FrameData {
-			continue
+			return nil
 		}
 		f, err := decodeFramePayload(payload)
 		if err != nil {
@@ -262,12 +247,15 @@ func TestSlowViewerCreditSkipToNewest(t *testing.T) {
 			t.Fatalf("resumed at skipped step %d, want %d or %d (skip-to-newest)", f.Step, steps-1, finalStep)
 		}
 		released++
-		rel = fabric.AppendFrame(nil, fabric.FrameRelease, uint32(released), nil)
-		if _, err := conn.Write(rel); err != nil {
+		if err := sess.Send(fabric.FrameRelease, uint32(released), nil); err != nil {
 			t.Fatalf("release: %v", err)
 		}
 		if f.Step == finalStep {
-			return
+			return errFinal
 		}
+		return nil
+	})
+	if err != errFinal {
+		t.Fatalf("no frame after credit release: %v", err)
 	}
 }

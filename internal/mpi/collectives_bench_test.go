@@ -1,134 +1,13 @@
 // BenchmarkCollectives sweeps the collective engine across communicator
-// sizes P in {4, 16, 64} and payload sizes {8B, 4KiB, 256KiB, 4MiB},
-// comparing the scale-aware algorithms against the naive shapes this PR
-// replaced (reduce+bcast Allreduce, gather+double-bcast Allgather), which
-// are preserved below as legacy* functions at both the algorithm and the
-// allocation level (fresh buffer + copying Send per tree hop). Results are
-// recorded in BENCH_4.json.
+// sizes P in {4, 16, 64} and payload sizes {8B, 4KiB, 256KiB, 4MiB}.
+// BENCH_4.json records the sweep, next to the naive shapes the engine
+// replaced (reduce+bcast Allreduce, gather+double-bcast Allgather).
 package mpi
 
 import (
 	"fmt"
 	"testing"
 )
-
-// legacyApply is the old unchunked elementwise apply.
-func legacyApply[T Number](op Op, dst, src []T) {
-	applyRange(op, dst, src, 0, -1)
-}
-
-// legacyBcast is the pre-PR broadcast: unsegmented binomial tree with a
-// copying Send (one fresh allocation per child per hop).
-func legacyBcast[T any](c *Comm, buf []T, root int) error {
-	if c.size == 1 {
-		return nil
-	}
-	vrank := (c.rank - root + c.size) % c.size
-	if vrank != 0 {
-		mask := 1
-		for mask <= vrank {
-			mask <<= 1
-		}
-		mask >>= 1
-		parent := ((vrank - mask) + root) % c.size
-		data, _, err := Recv[T](c, parent, tagBcast)
-		if err != nil {
-			return err
-		}
-		copy(buf, data)
-	}
-	mask := 1
-	for mask <= vrank {
-		mask <<= 1
-	}
-	for ; mask < c.size; mask <<= 1 {
-		child := vrank + mask
-		if child < c.size {
-			Send(c, (child+root)%c.size, tagBcast, buf)
-		}
-	}
-	return nil
-}
-
-// legacyReduce is the pre-PR reduce: binomial tree, fresh accumulator, and
-// a copying Send on the hop to the parent.
-func legacyReduce[T Number](c *Comm, send []T, recv []T, op Op, root int) error {
-	acc := make([]T, len(send))
-	copy(acc, send)
-	vrank := (c.rank - root + c.size) % c.size
-	mask := 1
-	for mask < c.size {
-		if vrank&mask != 0 {
-			parent := ((vrank &^ mask) + root) % c.size
-			Send(c, parent, tagReduce, acc)
-			break
-		}
-		vchild := vrank | mask
-		if vchild < c.size {
-			data, _, err := Recv[T](c, (vchild+root)%c.size, tagReduce)
-			if err != nil {
-				return err
-			}
-			legacyApply(op, acc, data)
-		}
-		mask <<= 1
-	}
-	if c.rank == root {
-		copy(recv, acc)
-	}
-	return nil
-}
-
-// legacyAllreduce is the pre-PR allreduce: reduce to rank 0, then broadcast.
-func legacyAllreduce[T Number](c *Comm, send []T, recv []T, op Op) error {
-	if err := legacyReduce(c, send, recv, op, 0); err != nil {
-		return err
-	}
-	return legacyBcast(c, recv, 0)
-}
-
-// legacyAllgather is the pre-PR allgather: linear gather onto rank 0, then
-// two whole-payload broadcasts (lengths, then the flat concatenation).
-func legacyAllgather[T any](c *Comm, send []T) ([]T, error) {
-	var parts [][]T
-	if c.rank != 0 {
-		Send(c, 0, tagGather, send)
-	} else {
-		parts = make([][]T, c.size)
-		cp := make([]T, len(send))
-		copy(cp, send)
-		parts[0] = cp
-		for i := 1; i < c.size; i++ {
-			data, _, err := Recv[T](c, i, tagGather)
-			if err != nil {
-				return nil, err
-			}
-			parts[i] = data
-		}
-	}
-	var flat []T
-	lens := make([]int64, c.size)
-	if c.rank == 0 {
-		for i, p := range parts {
-			lens[i] = int64(len(p))
-			flat = append(flat, p...)
-		}
-	}
-	if err := legacyBcast(c, lens, 0); err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, l := range lens {
-		total += int(l)
-	}
-	if c.rank != 0 {
-		flat = make([]T, total)
-	}
-	if err := legacyBcast(c, flat, 0); err != nil {
-		return nil, err
-	}
-	return flat, nil
-}
 
 var benchSizes = []struct {
 	name  string
@@ -175,19 +54,9 @@ func BenchmarkCollectives(b *testing.B) {
 					return Allreduce(c, send, recv, OpSum)
 				}, n)
 			})
-			b.Run("allreduce-legacy/"+tag, func(b *testing.B) {
-				benchWorld(b, p, func(c *Comm, send, recv []float64) error {
-					return legacyAllreduce(c, send, recv, OpSum)
-				}, n)
-			})
 			b.Run("bcast/"+tag, func(b *testing.B) {
 				benchWorld(b, p, func(c *Comm, send, recv []float64) error {
 					return Bcast(c, send, 0)
-				}, n)
-			})
-			b.Run("bcast-legacy/"+tag, func(b *testing.B) {
-				benchWorld(b, p, func(c *Comm, send, recv []float64) error {
-					return legacyBcast(c, send, 0)
 				}, n)
 			})
 			// Allgather payloads are per-rank blocks: divide so the result,
@@ -199,12 +68,6 @@ func BenchmarkCollectives(b *testing.B) {
 			b.Run("allgather/"+tag, func(b *testing.B) {
 				benchWorld(b, p, func(c *Comm, send, recv []float64) error {
 					_, err := Allgather(c, send[:an])
-					return err
-				}, n)
-			})
-			b.Run("allgather-legacy/"+tag, func(b *testing.B) {
-				benchWorld(b, p, func(c *Comm, send, recv []float64) error {
-					_, err := legacyAllgather(c, send[:an])
 					return err
 				}, n)
 			})

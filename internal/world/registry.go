@@ -51,11 +51,11 @@ func (r *Registry) Serve() ([]string, error) {
 	defer func() { _ = r.ls.Close() }() // single-use rendezvous
 
 	addrs := make([]string, r.size)
-	conns := make([]fabric.Conn, r.size)
+	sessions := make([]*fabric.Session, r.size)
 	defer func() {
-		for _, c := range conns {
-			if c != nil {
-				_ = c.Close() // best-effort teardown of a completed rendezvous
+		for _, s := range sessions {
+			if s != nil {
+				_ = s.Close() // best-effort teardown of a completed rendezvous
 			}
 		}
 	}()
@@ -65,37 +65,30 @@ func (r *Registry) Serve() ([]string, error) {
 		if err != nil {
 			return nil, fmt.Errorf("world: registry accept: %w", err)
 		}
-		h, _, err := fabric.AcceptHello(conn)
+		sess, h, err := fabric.AcceptHello(conn, nil)
 		if err != nil {
-			_ = conn.Close()
 			continue // a garbage or version-incompatible dialer is not fatal
 		}
 		rank := int(h.Rank)
 		if h.Role != fabric.RoleRank || h.WorldID != r.id || h.WorldEpoch != r.epoch ||
-			h.WorldSize != uint32(r.size) || rank < 0 || rank >= r.size ||
-			conns[rank] != nil || h.PeerAddr == "" {
-			_ = conn.Close()
+			h.WorldSize != uint32(r.size) || rank >= r.size ||
+			sessions[rank] != nil || h.PeerAddr == "" {
+			_ = sess.Close()
 			continue
 		}
 		// Welcome immediately — the dialer's handshake deadline must not wait
 		// for the rest of the world to arrive.
-		if err := fabric.SendWelcome(conn, fabric.Welcome{
-			WorldID:    r.id,
-			WorldEpoch: r.epoch,
-			PeerRank:   uint32(rank),
-		}, h.Version); err != nil {
-			_ = conn.Close()
+		if sess.SendWelcome(fabric.Welcome{WorldID: r.id, WorldEpoch: r.epoch, PeerRank: uint32(rank)}) != nil {
 			continue
 		}
 		addrs[rank] = h.PeerAddr
-		conns[rank] = conn
+		sessions[rank] = sess
 		have++
 	}
 
-	payload := appendWorldInfo(nil, r.id, r.epoch, addrs)
-	frame := fabric.AppendFrame(nil, fabric.FrameWorldInfo, 0, payload)
-	for rank, c := range conns {
-		if _, err := c.Write(frame); err != nil {
+	book := appendWorldInfo(nil, r.id, r.epoch, addrs)
+	for rank, s := range sessions {
+		if err := s.Send(fabric.FrameWorldInfo, 0, book); err != nil {
 			return nil, fmt.Errorf("world: registry address book to rank %d: %w", rank, err)
 		}
 	}
@@ -133,6 +126,11 @@ func decodeWorldInfo(p []byte) (id uint64, epoch uint32, addrs []string, err err
 	epoch = le.Uint32(p[8:12])
 	n := int(le.Uint32(p[12:16]))
 	p = p[16:]
+	// Every entry costs at least its 2-byte length, so a count the payload
+	// cannot hold is refused before it sizes an allocation.
+	if n > len(p)/2 {
+		return 0, 0, nil, fmt.Errorf("world: world-info claims %d entries in %d bytes", n, len(p))
+	}
 	addrs = make([]string, 0, n)
 	for i := 0; i < n; i++ {
 		if len(p) < 2 {

@@ -6,17 +6,17 @@
 // TCP.
 //
 // Topology: a tiny registry (usually hosted by the launcher, cmd/gosensei-
-// run) accepts one registration per rank — a version-3 fabric Hello carrying
+// run) accepts one registration per rank — a fabric Hello carrying
 // the world identity (id, epoch, size), the claimed rank, and the rank's own
 // listener address — answers each immediately with a Welcome confirming the
 // placement, and, once all N ranks are present, broadcasts the complete
 // rank -> address table (FrameWorldInfo). The ranks then mesh directly:
 // rank i dials every rank j < i and accepts from every j > i, so each pair
 // shares exactly one connection, authenticated by the same Hello/Welcome
-// exchange. Point-to-point sends travel as FrameEnvelope frames; a clean
-// shutdown exchanges FrameEOS with every peer, so a raw EOF is always a
-// peer death and poisons the local mailbox (mpi.World.Fail) instead of
-// waiting out the deadlock timeout.
+// exchange, held on each side as a fabric.Session. Point-to-point sends
+// travel as FrameEnvelope frames; a clean shutdown exchanges FrameEOS with
+// every peer, so a raw EOF is always a peer death and poisons the local
+// mailbox (mpi.World.Fail) instead of waiting out the deadlock timeout.
 //
 // The same code runs over real sockets ("tcp") and the in-process loopback
 // pipes ("loopback"), which is how the contract tests assert that a
@@ -24,6 +24,7 @@
 package world
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -93,56 +94,15 @@ type World struct {
 	failed   atomic.Bool
 }
 
-// peer is one mesh connection. The mutex serializes whole-frame writes; the
-// scratch buffers keep the steady-state encode path allocation-free.
+// peer is one mesh connection; seq numbers its frames.
 type peer struct {
 	rank int
-	mu   sync.Mutex
-	conn fabric.Conn
-	env  []byte
-	buf  []byte
-	seq  uint32
+	sess *fabric.Session
+	seq  atomic.Uint32
 }
 
-// send encodes env and writes it as one frame.
-func (p *peer) send(env *mpi.Envelope) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.conn == nil {
-		return fmt.Errorf("world: connection to rank %d is closed", p.rank)
-	}
-	p.env = mpi.AppendEnvelope(p.env[:0], env)
-	p.buf = fabric.AppendFrame(p.buf[:0], fabric.FrameEnvelope, p.seq, p.env)
-	p.seq++
-	//lint:ignore lock-blocking the per-peer mutex exists to serialize whole-frame writes; nothing else is ever taken under it and the read pump never takes it, so the PR 3 lock-cycle shape cannot form (DESIGN.md 4.11)
-	_, err := p.conn.Write(p.buf)
-	return err
-}
-
-// sendEOS writes the clean-shutdown frame.
-func (p *peer) sendEOS() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.conn == nil {
-		return fmt.Errorf("world: connection to rank %d is closed", p.rank)
-	}
-	p.buf = fabric.AppendFrame(p.buf[:0], fabric.FrameEOS, p.seq, nil)
-	p.seq++
-	//lint:ignore lock-blocking same single-purpose write mutex as peer.send (DESIGN.md 4.11)
-	_, err := p.conn.Write(p.buf)
-	return err
-}
-
-// close tears the connection down; safe to call repeatedly.
-func (p *peer) close() {
-	p.mu.Lock()
-	c := p.conn
-	p.conn = nil
-	p.mu.Unlock()
-	if c != nil {
-		_ = c.Close() // already failing or done; nothing is reading the result
-	}
-}
+// errDone is how a handler tells its session's pump to stop cleanly.
+var errDone = errors.New("world: done")
 
 // Join assembles this rank's membership: listen for peers, register with the
 // registry, receive the address book, and mesh with every peer. It returns
@@ -209,41 +169,42 @@ func (w *World) register(selfAddr string) ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("world: rank %d dial registry: %w", cfg.Rank, err)
 	}
-	defer func() { _ = conn.Close() }() // the registry conn dies after the address book
-	welcome, fr, err := fabric.DialHello(conn, fabric.Hello{
+	sess, welcome, err := fabric.DialHello(conn, fabric.Hello{
 		Role:       fabric.RoleRank,
 		Rank:       uint32(cfg.Rank),
 		WorldID:    cfg.ID,
 		WorldEpoch: cfg.Epoch,
 		WorldSize:  uint32(cfg.Size),
 		PeerAddr:   selfAddr,
-	})
+	}, nil)
 	if err != nil {
 		return nil, fmt.Errorf("world: rank %d register: %w", cfg.Rank, err)
 	}
+	defer func() { _ = sess.Close() }() // the registry conn dies after the address book
 	if welcome.WorldID != cfg.ID || welcome.WorldEpoch != cfg.Epoch || int(welcome.PeerRank) != cfg.Rank {
 		return nil, fmt.Errorf("world: registry confirmed world %d epoch %d rank %d, want %d/%d/%d",
 			welcome.WorldID, welcome.WorldEpoch, welcome.PeerRank, cfg.ID, cfg.Epoch, cfg.Rank)
 	}
 	// The address book arrives once the last rank registers; give the whole
 	// world the join window to show up.
-	if err := conn.SetReadDeadline(time.Now().Add(cfg.JoinTimeout)); err != nil {
-		return nil, fmt.Errorf("world: rank %d arm join deadline: %w", cfg.Rank, err)
-	}
-	typ, _, payload, err := fr.Next()
-	if err != nil {
+	var addrs []string
+	err = sess.Run(cfg.JoinTimeout, func(typ fabric.FrameType, _ uint32, payload []byte) error {
+		if typ != fabric.FrameWorldInfo {
+			return fmt.Errorf("expected world-info, got %s", typ)
+		}
+		id, epoch, book, err := decodeWorldInfo(payload)
+		if err != nil {
+			return err
+		}
+		if id != cfg.ID || epoch != cfg.Epoch || len(book) != cfg.Size {
+			return fmt.Errorf("address book names world %d epoch %d size %d, want %d/%d/%d",
+				id, epoch, len(book), cfg.ID, cfg.Epoch, cfg.Size)
+		}
+		addrs = book
+		return errDone
+	})
+	if err != errDone {
 		return nil, fmt.Errorf("world: rank %d await address book: %w", cfg.Rank, err)
-	}
-	if typ != fabric.FrameWorldInfo {
-		return nil, fmt.Errorf("world: rank %d expected world-info, got %s", cfg.Rank, typ)
-	}
-	id, epoch, addrs, err := decodeWorldInfo(payload)
-	if err != nil {
-		return nil, err
-	}
-	if id != cfg.ID || epoch != cfg.Epoch || len(addrs) != cfg.Size {
-		return nil, fmt.Errorf("world: address book names world %d epoch %d size %d, want %d/%d/%d",
-			id, epoch, len(addrs), cfg.ID, cfg.Epoch, cfg.Size)
 	}
 	return addrs, nil
 }
@@ -257,9 +218,8 @@ func (w *World) acceptPeers(ls fabric.Listener) error {
 		if err != nil {
 			return fmt.Errorf("world: rank %d accept peer: %w", cfg.Rank, err)
 		}
-		h, fr, err := fabric.AcceptHello(conn)
+		sess, h, err := fabric.AcceptHello(conn, nil)
 		if err != nil {
-			_ = conn.Close()
 			return fmt.Errorf("world: rank %d peer handshake: %w", cfg.Rank, err)
 		}
 		from := int(h.Rank)
@@ -267,15 +227,14 @@ func (w *World) acceptPeers(ls fabric.Listener) error {
 			from <= cfg.Rank || from >= cfg.Size || seen[from] {
 			// A straggler from another incarnation (or a confused dialer):
 			// refuse it without failing the world.
-			_ = conn.Close()
+			_ = sess.Close()
 			continue
 		}
-		if err := fabric.SendWelcome(conn, fabric.Welcome{WorldID: cfg.ID, WorldEpoch: cfg.Epoch, PeerRank: uint32(from)}, h.Version); err != nil {
-			_ = conn.Close()
+		if err := sess.SendWelcome(fabric.Welcome{WorldID: cfg.ID, WorldEpoch: cfg.Epoch, PeerRank: uint32(from)}); err != nil {
 			return fmt.Errorf("world: rank %d welcome peer %d: %w", cfg.Rank, from, err)
 		}
 		seen[from] = true
-		w.addPeer(from, conn, fr)
+		w.addPeer(from, sess)
 		have++
 	}
 	return nil
@@ -289,72 +248,65 @@ func (w *World) dialPeers(addrs []string) error {
 		if err != nil {
 			return fmt.Errorf("world: rank %d dial rank %d: %w", cfg.Rank, j, err)
 		}
-		welcome, fr, err := fabric.DialHello(conn, fabric.Hello{
+		sess, welcome, err := fabric.DialHello(conn, fabric.Hello{
 			Role:       fabric.RoleRank,
 			Rank:       uint32(cfg.Rank),
 			WorldID:    cfg.ID,
 			WorldEpoch: cfg.Epoch,
 			WorldSize:  uint32(cfg.Size),
-		})
+		}, nil)
 		if err != nil {
-			_ = conn.Close()
 			return fmt.Errorf("world: rank %d handshake with rank %d: %w", cfg.Rank, j, err)
 		}
 		if welcome.WorldID != cfg.ID || welcome.WorldEpoch != cfg.Epoch || int(welcome.PeerRank) != cfg.Rank {
-			_ = conn.Close()
+			_ = sess.Close()
 			return fmt.Errorf("world: rank %d confirmed as world %d epoch %d rank %d by rank %d, want %d/%d/%d",
 				cfg.Rank, welcome.WorldID, welcome.WorldEpoch, welcome.PeerRank, j, cfg.ID, cfg.Epoch, cfg.Rank)
 		}
-		w.addPeer(j, conn, fr)
+		w.addPeer(j, sess)
 	}
 	return nil
 }
 
-// addPeer installs a meshed connection and starts its read pump.
-func (w *World) addPeer(rank int, conn fabric.Conn, fr *fabric.FrameReader) {
+// addPeer installs a meshed session and starts its read pump.
+func (w *World) addPeer(rank int, sess *fabric.Session) {
 	if w.cfg.WrapConn != nil {
-		// NOTE: fr has already buffered from the raw conn during the
-		// handshake; wrapping only affects writes and future reads the
-		// wrapper chooses to intercept.
-		conn = w.cfg.WrapConn(rank, conn)
+		sess.WrapConn(func(c fabric.Conn) fabric.Conn { return w.cfg.WrapConn(rank, c) })
 	}
 	w.peersMu.Lock()
-	w.peers[rank] = &peer{rank: rank, conn: conn}
+	w.peers[rank] = &peer{rank: rank, sess: sess}
 	w.peersMu.Unlock()
 	w.pumps.Add(1)
-	go w.pump(rank, fr)
+	go w.pump(rank, sess)
 }
 
 // pump decodes one peer's incoming frames into the local mailbox. It exits
 // on the peer's EOS (clean) or any error (peer death -> fail the world,
 // unless we are shutting down ourselves).
-func (w *World) pump(rank int, fr *fabric.FrameReader) {
+func (w *World) pump(rank int, sess *fabric.Session) {
 	defer w.pumps.Done()
-	for {
-		typ, _, payload, err := fr.Next()
-		if err != nil {
-			if !w.shutdown.Load() {
-				w.fail(fmt.Errorf("world: rank %d died (connection from rank %d: %v)", rank, w.cfg.Rank, err))
-			}
-			return
-		}
+	err := sess.Run(0, func(typ fabric.FrameType, _ uint32, payload []byte) error {
 		switch typ {
 		case fabric.FrameEnvelope:
-			env, derr := mpi.DecodeEnvelope(payload)
-			if derr != nil {
-				w.fail(fmt.Errorf("world: envelope from rank %d: %w", rank, derr))
-				return
+			env, err := mpi.DecodeEnvelope(payload)
+			if err != nil {
+				err = fmt.Errorf("world: envelope from rank %d: %w", rank, err)
+			} else {
+				err = w.mw.Deliver(&env)
 			}
-			if derr := w.mw.Deliver(&env); derr != nil {
-				w.fail(derr)
-				return
+			if err != nil {
+				w.fail(err)
+				return errDone
 			}
 		case fabric.FrameEOS:
-			return
-		default:
-			// Unknown control traffic is ignored, the same forward-
-			// compatibility stance the staging endpoint takes.
+			return errDone
 		}
+		// Unknown control traffic is ignored, the same forward-
+		// compatibility stance the staging endpoint takes.
+		return nil
+	})
+	if err != errDone && !w.shutdown.Load() {
+		w.fail(fmt.Errorf("world: rank %d died (connection from rank %d: %v)", rank, w.cfg.Rank, err))
 	}
 }
 
@@ -375,7 +327,7 @@ func (w *World) closePeers() {
 	w.peersMu.Unlock()
 	for _, p := range peers {
 		if p != nil {
-			p.close()
+			_ = p.sess.Close() // already failing or done; nothing reads the result
 		}
 	}
 }
@@ -409,7 +361,10 @@ func (w *World) Send(env *mpi.Envelope) error {
 	if env.WDst < 0 || env.WDst >= len(w.peers) || w.peers[env.WDst] == nil {
 		return fmt.Errorf("world: no connection to rank %d", env.WDst)
 	}
-	return w.peers[env.WDst].send(env)
+	p := w.peers[env.WDst]
+	return p.sess.SendFunc(fabric.FrameEnvelope, p.seq.Add(1)-1, func(dst []byte) []byte {
+		return mpi.AppendEnvelope(dst, env)
+	})
 }
 
 // Close implements mpi.Transport: exchange EOS with every peer, bounded by
@@ -422,7 +377,7 @@ func (w *World) Close() error {
 		if p == nil {
 			continue
 		}
-		if err := p.sendEOS(); err != nil && firstErr == nil && !w.failed.Load() {
+		if err := p.sess.Send(fabric.FrameEOS, p.seq.Add(1)-1, nil); err != nil && firstErr == nil && !w.failed.Load() {
 			firstErr = fmt.Errorf("world: rank %d goodbye to rank %d: %w", w.cfg.Rank, p.rank, err)
 		}
 	}

@@ -1,8 +1,10 @@
 package world
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -410,6 +412,21 @@ func TestWorldInfoCodec(t *testing.T) {
 	}
 	if _, _, _, err := decodeWorldInfo(append(p, 0)); err == nil {
 		t.Error("trailing byte not detected")
+	}
+
+	// A CRC-valid but hostile count must be refused before it sizes the
+	// slice: 0xFFFFFFFF entries would ask for 64 GiB of string headers.
+	hostile := appendWorldInfo(nil, 42, 7, []string{""})
+	binary.LittleEndian.PutUint32(hostile[12:16], 0xFFFFFFFF)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err = decodeWorldInfo(hostile)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("entry count larger than the payload not detected")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("hostile entry count allocated %d bytes before being refused", grew)
 	}
 }
 
