@@ -115,12 +115,14 @@ faultline-smoke:
 route-smoke:
 	GOSENSEI_NO_CALIBRATE=1 $(GO) run ./cmd/experiments -route auto -shift -check -calibrate=false
 
-# A short fuzz pass over the wire-facing decoders, seeded from the checked-in
-# corpora under testdata/fuzz/.
+# A short fuzz pass over the wire- and file-facing decoders, seeded from the
+# checked-in corpora under testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzFrameDecode -fuzztime 10s ./internal/fabric/
 	$(GO) test -run XXX -fuzz FuzzCodecDecode -fuzztime 10s ./internal/fabric/
 	$(GO) test -run XXX -fuzz FuzzDecode -fuzztime 10s ./internal/adios/
+	$(GO) test -run XXX -fuzz FuzzStagedPayloadSniff -fuzztime 10s ./internal/adios/
+	$(GO) test -run XXX -fuzz FuzzExtractSniff -fuzztime 10s ./internal/extracts/
 	$(GO) test -run XXX -fuzz FuzzFramePayloadDecode -fuzztime 10s ./internal/live/
 
 cover:

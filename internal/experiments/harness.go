@@ -140,6 +140,10 @@ type MiniappTimings struct {
 	MemHighWater int64
 	// ImagesWritten counts rendered outputs (slice configurations).
 	ImagesWritten int
+	// SimSteps and AnalysisSteps count rank 0's executions of the
+	// simulation kernel and of the analysis entry point — what two
+	// configurations can be compared on exactly, unlike the seconds above.
+	SimSteps, AnalysisSteps int
 }
 
 // RunMiniapp executes one configuration for real and aggregates its
@@ -307,6 +311,8 @@ func RunMiniapp(cfg Configuration, opt Options) (*MiniappTimings, error) {
 			out.Total = tot.Max
 			out.MemStartup = startup[0]
 			out.MemHighWater = hw
+			out.SimSteps = reg.Timer("sim::step").Count()
+			out.AnalysisSteps = reg.Timer("analysis::step").Count()
 			if catalystA != nil {
 				images = catalystA.ImagesWritten()
 			}

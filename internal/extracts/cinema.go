@@ -230,11 +230,11 @@ func (cn *Cinema) Execute(d core.DataAdaptor) (bool, error) {
 		}
 		for _, phi := range cn.Spec.Phi {
 			for _, theta := range cn.Spec.Theta {
-				fb := render.NewFramebuffer(cn.Spec.Width, cn.Spec.Height)
 				cam, err := orbitCamera(center, diag, phi, theta)
 				if err != nil {
 					return false, err
 				}
+				fb := render.AcquireFramebuffer(cn.Spec.Width, cn.Spec.Height)
 				cm := cn.Spec.Map
 				render.RenderMesh(fb, cam, tris, func(s float64) color.RGBA {
 					return cm.Pseudocolor(s, lo, hi)
@@ -243,13 +243,17 @@ func (cn *Cinema) Execute(d core.DataAdaptor) (bool, error) {
 				cn.reg().Time("cinema::composite", step, func() {
 					final, err = compositing.Composite(cn.Comm, fb, 0, compositing.BinarySwap)
 				})
+				if err == nil && final != nil { // rank 0
+					err = cn.store(final, step, d.Time(), isoN, phi, theta)
+				}
+				// The compositor may hand rank 0 back its own buffer (p == 1);
+				// release each underlying framebuffer exactly once, whatever
+				// happened above.
+				if final != nil && final != fb {
+					final.Release()
+				}
+				fb.Release()
 				if err != nil {
-					return false, err
-				}
-				if final == nil {
-					continue // not rank 0
-				}
-				if err := cn.store(final, step, d.Time(), isoN, phi, theta); err != nil {
 					return false, err
 				}
 			}

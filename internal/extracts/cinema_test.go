@@ -1,9 +1,11 @@
 package extracts
 
 import (
+	"bytes"
 	"image/png"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"gosensei/internal/core"
@@ -170,5 +172,83 @@ func TestFactoryRegistered(t *testing.T) {
 func TestLoadIndexMissing(t *testing.T) {
 	if _, err := LoadIndex(t.TempDir()); err == nil {
 		t.Fatal("missing index accepted")
+	}
+}
+
+// TestCinemaReusesFramebuffers: every view takes its framebuffer from the
+// render pool and puts it back, so a second Execute finds them there instead
+// of allocating W×H×8 bytes per view (and draining the pool catalyst and
+// libsim refill). Re-rendering the same step from a recycled buffer must
+// produce the same bytes as the fresh one did.
+func TestCinemaReusesFramebuffers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop entries at random")
+	}
+	spec := baseSpec(t.TempDir())
+	spec.IsoValues = []float64{0.5}
+	// Large enough that image/png's ~1 MiB of deflate state per encode is
+	// small next to a framebuffer (12 MiB).
+	spec.Width, spec.Height = 1536, 1024
+	views := len(spec.IsoValues) * len(spec.Phi) * len(spec.Theta)
+	if views != 2 {
+		t.Fatalf("spec has %d views, want 2", views)
+	}
+	cfg := oscillator.Config{
+		GlobalCells: [3]int{12, 12, 12},
+		DT:          0.1,
+		Steps:       1,
+		Oscillators: oscillator.DefaultDeck(12),
+	}
+	readFrames := func(cn *Cinema) [][]byte {
+		var out [][]byte
+		for _, e := range cn.index.Entries[len(cn.index.Entries)-views:] {
+			data, err := os.ReadFile(filepath.Join(spec.OutputDir, e.File))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, data)
+		}
+		return out
+	}
+	err := mpi.Run(1, func(c *mpi.Comm) error {
+		s, err := oscillator.NewSim(c, cfg, nil)
+		if err != nil {
+			return err
+		}
+		if err := s.Step(); err != nil {
+			return err
+		}
+		d := oscillator.NewDataAdaptor(s)
+		d.Update()
+		cn := New(c, spec)
+		if _, err := cn.Execute(d); err != nil {
+			return err
+		}
+		first := readFrames(cn)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := cn.Execute(d); err != nil {
+			return err
+		}
+		runtime.ReadMemStats(&after)
+		fresh := uint64(views * spec.Width * spec.Height * 8)
+		// The serial PNG path copies the colour plane (W×H×4 per view, half
+		// of fresh) whatever this package does; one framebuffer allocated
+		// on top of that is another half.
+		if got := after.TotalAlloc - before.TotalAlloc; got > fresh*3/4 {
+			t.Errorf("second Execute allocated %d bytes; %d views of fresh framebuffers are %d", got, views, fresh)
+		}
+		if len(cn.index.Entries) != 2*views {
+			t.Errorf("index has %d entries after two executes, want %d", len(cn.index.Entries), 2*views)
+		}
+		for i, data := range readFrames(cn) {
+			if !bytes.Equal(data, first[i]) {
+				t.Errorf("view %d: PNG bytes from a recycled framebuffer differ from the fresh render", i)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -90,6 +90,7 @@ type Client struct {
 	closed     bool
 	fatal      error
 	broken     chan struct{} // kicks the run loop when the conn dies
+	done       chan struct{} // closed by Close and by the fatal path: stops the heartbeat at once
 	codec      uint8         // negotiated codec for the current connection
 	extract    ExtractSpec   // negotiated extract (Kind == ExtractNone: none)
 }
@@ -105,6 +106,7 @@ func DialWriter(o ClientOptions) *Client {
 		backoff:     o.backoff,
 		stats:       o.Stats,
 		broken:      make(chan struct{}, 1),
+		done:        make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	if c.hbInterval == 0 && diesSilently(o.Network) {
@@ -294,6 +296,7 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
+	c.stopLocked()
 	c.breakLocked(c.sess)
 	if c.adv != nil {
 		close(c.adv.done)
@@ -321,6 +324,7 @@ func (c *Client) run() {
 				if c.fatal == nil {
 					c.fatal = err
 				}
+				c.stopLocked()
 				if c.adv != nil {
 					close(c.adv.done)
 					c.adv = nil
@@ -498,18 +502,32 @@ func (c *Client) handleAdvanceAck(step uint32) {
 	}
 }
 
+// stopLocked closes done once; a client can fail and then be closed, or be
+// closed while its last connect is failing. Callers hold c.mu.
+func (c *Client) stopLocked() {
+	select {
+	case <-c.done:
+	default:
+		close(c.done)
+	}
+}
+
 // heartbeatLoop probes the endpoint at the configured interval; sustained
-// silence trips the pump's read deadline and forces a reconnect.
+// silence trips the pump's read deadline and forces a reconnect. It ends the
+// moment the client does — Close does not wait for it, and it must not
+// outlive Close by an interval either.
 func (c *Client) heartbeatLoop() {
 	t := time.NewTicker(c.hbInterval)
 	defer t.Stop()
-	for range t.C {
-		c.mu.Lock()
-		sess, stop := c.sess, c.closed || c.fatal != nil
-		c.mu.Unlock()
-		if stop {
+	for {
+		select {
+		case <-c.done:
 			return
+		case <-t.C:
 		}
+		c.mu.Lock()
+		sess := c.sess
+		c.mu.Unlock()
 		if sess != nil {
 			_ = sess.Ping() // a failed probe closed the session; the pump reports it
 		}

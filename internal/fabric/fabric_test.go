@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -451,5 +453,59 @@ func TestHeartbeatRTTOverTCP(t *testing.T) {
 	}
 	if c.Stats().MeanHeartbeatRTT() <= 0 {
 		t.Fatalf("mean heartbeat RTT = %v", c.Stats().MeanHeartbeatRTT())
+	}
+}
+
+// clientGoroutines counts the goroutines running a Client method — the
+// lifecycle loop, the recv pump, the heartbeat.
+func clientGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "fabric.(*Client).") {
+			n++
+		}
+	}
+	return n
+}
+
+// Close ends the client's goroutines at once, the heartbeat included: it
+// used to notice only at its next tick, up to the default 500 ms later, which
+// is a goroutine (and its ticker) per closed writer for that long.
+func TestCloseStopsHeartbeatPromptly(t *testing.T) {
+	lis, err := Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	hub := NewHub(lis, HubOptions{Writers: 1, Readers: 1, Depth: 1})
+	defer func() { _ = hub.Close() }()
+	baseline := clientGoroutines()
+	c := DialWriter(ClientOptions{
+		Network: "tcp", Addr: lis.Addr().String(),
+		Rank: 0, Writers: 1, Readers: 1, Depth: 1,
+		RetryWindow: 5 * time.Second,
+	})
+	if c.hbInterval != 500*time.Millisecond {
+		t.Fatalf("default tcp heartbeat = %v, want 500ms", c.hbInterval)
+	}
+	if err := c.Send(0, []byte("step")); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	d := <-hub.Deliveries(0)
+	d.Release()
+	if got := clientGoroutines(); got < baseline+3 {
+		t.Fatalf("%d client goroutines while connected, want at least %d (run, pump, heartbeat)", got, baseline+3)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	deadline := time.Now().Add(50 * time.Millisecond)
+	for clientGoroutines() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d client goroutines 50ms after Close, baseline %d\n%s", clientGoroutines(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		runtime.Gosched()
 	}
 }

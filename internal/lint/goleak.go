@@ -35,70 +35,80 @@ func GoroutineLeakAnalyzer() *Analyzer {
 }
 
 func runGoroutineLeak(p *Pass) {
-	// Pass 1: collect spawn targets — function literals directly under `go`,
-	// and declared functions the summary can map back to a body.
-	spawnedLits := map[*ast.FuncLit]bool{}
+	// Pass 1, flat: declared functions some go statement spawns (the summary
+	// maps the callee back to a body), and time.Tick wherever it is written.
 	spawnedDecls := map[*ast.FuncDecl]bool{}
 	for _, f := range p.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			gs, ok := n.(*ast.GoStmt)
-			if !ok {
-				return true
-			}
-			if lit, ok := gs.Call.Fun.(*ast.FuncLit); ok {
-				spawnedLits[lit] = true
-				return true
-			}
-			if fn := staticCallee(p.Pkg.Info, gs.Call); fn != nil {
-				if decl := p.Facts.Decl(fn); decl != nil {
-					spawnedDecls[decl] = true
-				}
-			}
-			return true
-		})
-	}
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					if spawnedDecls[n] {
-						checkGoroutineLoops(p, n.Body)
+			case *ast.GoStmt:
+				if fn := staticCallee(p.Pkg.Info, n.Call); fn != nil {
+					if decl := p.Facts.Decl(fn); decl != nil {
+						spawnedDecls[decl] = true
 					}
-					checkTimerHygiene(p, n.Body)
 				}
-			case *ast.FuncLit:
-				if spawnedLits[n] {
-					checkGoroutineLoops(p, n.Body)
+			case *ast.CallExpr:
+				if name, ok := calleeFromPkg(p.Pkg.Info, n, "time"); ok && name == "Tick" {
+					p.Reportf(n.Pos(), "time.Tick leaks its ticker (no Stop handle); use time.NewTicker with defer t.Stop()")
 				}
 			}
 			return true
 		})
 	}
-	checkTimerCalls(p)
+	// Pass 2, one shared walk per body: exit-less loops in spawned bodies and
+	// time.After under a loop. A literal written inside a loop is in that
+	// loop for time.After's purposes; funcBodies yields the enclosing body
+	// first, so loopLits is filled before the literal's own walk reads it.
+	loopLits := map[*ast.FuncLit]bool{}
+	funcBodies(p.Pkg.Files, func(fn funcScope) {
+		decl, _ := fn.node.(*ast.FuncDecl)
+		lit, _ := fn.node.(*ast.FuncLit)
+		if decl != nil {
+			checkTimerHygiene(p, fn.body)
+		}
+		spawned, inLoop := fn.spawned || spawnedDecls[decl], loopLits[lit]
+		var w flowWalker
+		scan := func(n ast.Node, c flowCtx) {
+			inLoop := inLoop || c.loopDepth > 0
+			ast.Inspect(n, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncLit:
+					if inLoop {
+						loopLits[n] = true
+					}
+					return false
+				case *ast.CallExpr:
+					if name, ok := calleeFromPkg(p.Pkg.Info, n, "time"); ok && name == "After" && inLoop && w.first(n.Pos()) {
+						p.Reportf(n.Pos(), "time.After in a loop allocates an unstoppable timer per iteration; hoist a time.NewTimer outside the loop and Reset it")
+					}
+				}
+				return true
+			})
+		}
+		w.leaf = func(s ast.Stmt, c flowCtx) { scan(s, c) }
+		w.expr = func(e ast.Expr, c flowCtx) { scan(e, c) }
+		if spawned {
+			w.enter = func(s ast.Stmt, _ flowCtx) { checkGoroutineLoop(p, &w, s) }
+		}
+		w.walk(fn.body)
+	})
 }
 
-// checkGoroutineLoops reports infinite loops with no exit path in a spawned
-// body. Nested function literals are skipped — if they are themselves
-// spawned they are checked on their own, and otherwise their control flow
-// belongs to whoever calls them.
-func checkGoroutineLoops(p *Pass, body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
+// checkGoroutineLoop reports s when it is an infinite loop with no exit
+// path in a spawned body. Nested function literals are not part of the walk
+// — if they are themselves spawned they are checked on their own, and
+// otherwise their control flow belongs to whoever calls them.
+func checkGoroutineLoop(p *Pass, w *flowWalker, s ast.Stmt) {
+	switch loop := s.(type) {
+	case *ast.ForStmt:
+		if loop.Cond == nil && !loopExits(loop.Body) && w.first(loop.Pos()) {
+			p.Reportf(loop.Pos(), "goroutine loop has no exit path (no return, break, or terminal call); add a done/closed-channel case or the goroutine leaks for the process lifetime")
 		}
-		switch loop := n.(type) {
-		case *ast.ForStmt:
-			if loop.Cond == nil && !loopExits(loop.Body) {
-				p.Reportf(loop.Pos(), "goroutine loop has no exit path (no return, break, or terminal call); add a done/closed-channel case or the goroutine leaks for the process lifetime")
-			}
-		case *ast.RangeStmt:
-			if isChanType(p.Pkg.Info, loop.X) && !loopExits(loop.Body) && !isCloseOwnedChan(p, loop.X) {
-				p.Reportf(loop.Pos(), "goroutine ranges over a channel with no exit path and no visible close of %s; if the channel is never closed the goroutine leaks", exprText(loop.X))
-			}
+	case *ast.RangeStmt:
+		if isChanType(p.Pkg.Info, loop.X) && !loopExits(loop.Body) && !isCloseOwnedChan(p, loop.X) && w.first(loop.Pos()) {
+			p.Reportf(loop.Pos(), "goroutine ranges over a channel with no exit path and no visible close of %s; if the channel is never closed the goroutine leaks", exprText(loop.X))
 		}
-		return true
-	})
+	}
 }
 
 // isCloseOwnedChan reports whether some non-test file in the package closes
@@ -146,168 +156,22 @@ func isCloseOwnedChan(p *Pass, ch ast.Expr) bool {
 // loopExits reports whether a loop body contains a statement that leaves the
 // loop: a return, a break or goto binding to the loop (breaks captured by
 // nested for/switch/select bind tighter and do not count, labeled breaks
-// conservatively do), a panic, or a terminal call like os.Exit.
+// conservatively do), or a terminal call. Spawned and deferred work and
+// nested literals cannot exit the loop; the walk never enters them.
 func loopExits(body *ast.BlockStmt) bool {
 	exits := false
-	var walk func(n ast.Node, breakable bool) // breakable: an unlabeled break here binds to an inner construct
-	walkStmts := func(list []ast.Stmt, breakable bool) {
-		for _, s := range list {
-			walk(s, breakable)
-		}
-	}
-	walk = func(n ast.Node, breakable bool) {
-		if exits || n == nil {
-			return
-		}
-		switch n := n.(type) {
+	w := flowWalker{leaf: func(s ast.Stmt, c flowCtx) {
+		switch s := s.(type) {
 		case *ast.ReturnStmt:
 			exits = true
 		case *ast.BranchStmt:
-			switch n.Tok {
-			case token.BREAK:
-				if !breakable || n.Label != nil {
-					exits = true
-				}
-			case token.GOTO:
-				exits = true
-			}
+			exits = exits || s.Tok == token.GOTO || s.Tok == token.BREAK && (!c.innerBreak || s.Label != nil)
 		case *ast.ExprStmt:
-			if isTerminalCall(n.X) {
-				exits = true
-			}
-		case *ast.ForStmt:
-			walk(n.Init, breakable)
-			walk(n.Post, breakable)
-			walkStmts(n.Body.List, true)
-		case *ast.RangeStmt:
-			walkStmts(n.Body.List, true)
-		case *ast.SwitchStmt:
-			walk(n.Init, breakable)
-			for _, c := range n.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					walkStmts(cc.Body, true)
-				}
-			}
-		case *ast.TypeSwitchStmt:
-			walk(n.Init, breakable)
-			for _, c := range n.Body.List {
-				if cc, ok := c.(*ast.CaseClause); ok {
-					walkStmts(cc.Body, true)
-				}
-			}
-		case *ast.SelectStmt:
-			for _, c := range n.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok {
-					walkStmts(cc.Body, true)
-				}
-			}
-		case *ast.IfStmt:
-			walk(n.Init, breakable)
-			walkStmts(n.Body.List, breakable)
-			walk(n.Else, breakable)
-		case *ast.BlockStmt:
-			walkStmts(n.List, breakable)
-		case *ast.LabeledStmt:
-			walk(n.Stmt, breakable)
-		case *ast.FuncLit:
-			// A nested literal's return exits the literal, not the loop.
-		case *ast.GoStmt, *ast.DeferStmt:
-			// Spawned/deferred work cannot exit the loop.
+			exits = exits || isTerminalCall(s.X)
 		}
-	}
-	walkStmts(body.List, false)
+	}}
+	w.walk(body)
 	return exits
-}
-
-// isTerminalCall matches panic(...) and the process-terminating calls that
-// count as loop exits.
-func isTerminalCall(e ast.Expr) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return fun.Name == "panic"
-	case *ast.SelectorExpr:
-		if id, ok := fun.X.(*ast.Ident); ok {
-			switch id.Name {
-			case "os":
-				return fun.Sel.Name == "Exit"
-			case "runtime":
-				return fun.Sel.Name == "Goexit"
-			case "log":
-				return fun.Sel.Name == "Fatal" || fun.Sel.Name == "Fatalf" || fun.Sel.Name == "Fatalln"
-			}
-		}
-	}
-	return false
-}
-
-// checkTimerCalls flags time.After inside loops and time.Tick anywhere.
-func checkTimerCalls(p *Pass) {
-	for _, f := range p.Pkg.Files {
-		var walk func(n ast.Node, inLoop bool)
-		walkList := func(list []ast.Stmt, inLoop bool) {
-			for _, s := range list {
-				walk(s, inLoop)
-			}
-		}
-		walk = func(n ast.Node, inLoop bool) {
-			if n == nil {
-				return
-			}
-			if call, ok := n.(*ast.CallExpr); ok {
-				if name, ok := calleeFromPkg(p.Pkg.Info, call, "time"); ok {
-					switch {
-					case name == "Tick":
-						p.Reportf(call.Pos(), "time.Tick leaks its ticker (no Stop handle); use time.NewTicker with defer t.Stop()")
-					case name == "After" && inLoop:
-						p.Reportf(call.Pos(), "time.After in a loop allocates an unstoppable timer per iteration; hoist a time.NewTimer outside the loop and Reset it")
-					}
-				}
-			}
-			switch s := n.(type) {
-			case *ast.ForStmt:
-				walk(s.Init, inLoop)
-				walk(s.Cond, inLoop)
-				walk(s.Post, inLoop)
-				walkList(s.Body.List, true)
-			case *ast.RangeStmt:
-				walk(s.X, inLoop)
-				walkList(s.Body.List, true)
-			default:
-				// Generic descent preserving inLoop, one level at a time.
-				children := childNodes(n)
-				for _, c := range children {
-					walk(c, inLoop)
-				}
-			}
-		}
-		walk(f, false)
-	}
-}
-
-// childNodes returns the direct AST children of n, so checkTimerCalls can
-// descend one level while keeping explicit control of loop entries.
-func childNodes(n ast.Node) []ast.Node {
-	var out []ast.Node
-	depth := 0
-	ast.Inspect(n, func(m ast.Node) bool {
-		if m == nil {
-			depth--
-			return true
-		}
-		depth++
-		if depth == 1 {
-			return true // n itself
-		}
-		out = append(out, m)
-		// Skipping children suppresses the pop callback; rebalance here.
-		depth--
-		return false
-	})
-	return out
 }
 
 // checkTimerHygiene flags NewTimer/NewTicker results that are neither
@@ -348,6 +212,7 @@ func checkTimerHygiene(p *Pass, body *ast.BlockStmt) {
 	if len(timers) == 0 {
 		return
 	}
+	parent := parentIndex(body)
 	for _, t := range timers {
 		stopped, escaped := false, false
 		ast.Inspect(body, func(n ast.Node) bool {
@@ -358,14 +223,13 @@ func checkTimerHygiene(p *Pass, body *ast.BlockStmt) {
 			if !ok || (p.Pkg.Info.Uses[id] != t.obj) {
 				return true
 			}
-			parent := identParent(body, id)
-			if sel, ok := parent.(*ast.SelectorExpr); ok && sel.X == id {
-				if sel.Sel.Name == "Stop" {
-					stopped = true
+			switch par := parent[id].(type) {
+			case *ast.SelectorExpr:
+				if par.X == id {
+					stopped = par.Sel.Name == "Stop"
+					return true // t.C, t.Reset: plain uses
 				}
-				return true // t.C, t.Reset: plain uses
-			}
-			if _, ok := parent.(*ast.AssignStmt); ok {
+			case *ast.AssignStmt:
 				return true // reassignment of the variable itself
 			}
 			// Any other appearance — call argument, return value, composite
@@ -378,22 +242,4 @@ func checkTimerHygiene(p *Pass, body *ast.BlockStmt) {
 			p.Reportf(t.pos, "%s result is never stopped and never leaves the function; the timer leaks — add defer t.Stop()", t.kind)
 		}
 	}
-}
-
-// identParent finds the immediate parent node of id within root.
-func identParent(root ast.Node, id *ast.Ident) ast.Node {
-	var parent ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if parent != nil || n == nil {
-			return false
-		}
-		for _, c := range childNodes(n) {
-			if c == ast.Node(id) {
-				parent = n
-				return false
-			}
-		}
-		return true
-	})
-	return parent
 }

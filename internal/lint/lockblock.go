@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -42,64 +43,49 @@ var lockStateMethods = map[string]bool{
 }
 
 func runLockBlocking(p *Pass) {
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			}
-			if body != nil {
-				w := &lockWalker{
-					pass:     p,
-					held:     map[string]int{},
-					reported: map[token.Pos]bool{},
-				}
-				w.stmts(body.List)
-			}
-			return true
-		})
-	}
+	funcBodies(p.Pkg.Files, func(fn funcScope) {
+		w := &lockWalker{pass: p, held: map[string]int{}}
+		w.flow = flowWalker{leaf: w.leaf, enter: w.enter, expr: func(e ast.Expr, _ flowCtx) { w.expr(e) }, save: w.save}
+		w.flow.walk(fn.body)
+	})
 }
 
-// lockWalker performs a lexical walk of one function body tracking which
-// mutexes are held, with the same terminating-branch restore the ownership
-// rule uses (an `if closed { mu.Unlock(); return }` arm must not clear the
-// lock for the code after it). Locks are keyed by the textual receiver of
-// the Lock call ("c.mu", "wmu"); the value is the acquiring line. Loop
-// bodies are walked twice so a lock still held at the bottom of an
-// iteration covers blocking operations at the top of the next; `reported`
-// dedupes the second pass.
+// lockWalker is the lock-blocking rule's side of the shared flowWalker: it
+// tracks which mutexes are held and reports blocking operations under them.
+// Locks are keyed by the textual receiver of the Lock call ("c.mu", "wmu");
+// the value is the acquiring line.
 type lockWalker struct {
-	pass     *Pass
-	held     map[string]int
-	reported map[token.Pos]bool
+	pass *Pass
+	flow flowWalker
+	held map[string]int
 }
 
-func (w *lockWalker) stmts(list []ast.Stmt) {
-	for _, s := range list {
-		w.stmt(s)
+// save snapshots the held locks for a terminating arm.
+func (w *lockWalker) save() func() {
+	saved := maps.Clone(w.held)
+	return func() { w.held = saved }
+}
+
+// enter classifies the two control statements that block by themselves.
+func (w *lockWalker) enter(s ast.Stmt, _ flowCtx) {
+	switch s := s.(type) {
+	case *ast.RangeStmt:
+		if isChanType(w.pass.Pkg.Info, s.X) {
+			w.blockingOp(s.Pos(), "a range over a channel")
+		}
+	case *ast.SelectStmt:
+		if !selectHasDefault(s) {
+			w.blockingOp(s.Pos(), "a select without default")
+		}
 	}
 }
 
-// branch walks a conditional block, restoring lock state afterwards when the
-// block always transfers control away.
-func (w *lockWalker) branch(list []ast.Stmt) {
-	if !terminates(list) {
-		w.stmts(list)
+func (w *lockWalker) leaf(s ast.Stmt, c flowCtx) {
+	if c.comm {
+		// Covered by the select classification in enter; clause bodies run
+		// after the select fires, lock state intact.
 		return
 	}
-	saved := make(map[string]int, len(w.held))
-	for k, v := range w.held {
-		saved[k] = v
-	}
-	w.stmts(list)
-	w.held = saved
-}
-
-func (w *lockWalker) stmt(s ast.Stmt) {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
 		if call, ok := s.X.(*ast.CallExpr); ok {
@@ -113,106 +99,9 @@ func (w *lockWalker) stmt(s ast.Stmt) {
 			}
 		}
 		w.expr(s.X)
-	case *ast.AssignStmt:
-		for _, rhs := range s.Rhs {
-			w.expr(rhs)
-		}
-		for _, lhs := range s.Lhs {
-			w.expr(lhs)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.expr(v)
-					}
-				}
-			}
-		}
-	case *ast.IncDecStmt:
-		w.expr(s.X)
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			w.expr(r)
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.stmt(s.Init)
-		}
-		w.expr(s.Cond)
-		w.branch(s.Body.List)
-		if s.Else != nil {
-			if blk, ok := s.Else.(*ast.BlockStmt); ok {
-				w.branch(blk.List)
-			} else {
-				w.stmt(s.Else)
-			}
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.stmt(s.Init)
-		}
-		if s.Cond != nil {
-			w.expr(s.Cond)
-		}
-		w.stmts(s.Body.List)
-		if s.Post != nil {
-			w.stmt(s.Post)
-		}
-		w.stmts(s.Body.List)
-	case *ast.RangeStmt:
-		if isChanType(w.pass.Pkg.Info, s.X) {
-			w.blockingOp(s.Pos(), "a range over a channel")
-		}
-		w.expr(s.X)
-		w.stmts(s.Body.List)
-		w.stmts(s.Body.List)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init)
-		}
-		if s.Tag != nil {
-			w.expr(s.Tag)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, e := range cc.List {
-					w.expr(e)
-				}
-				w.branch(cc.Body)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init)
-		}
-		w.stmt(s.Assign)
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.branch(cc.Body)
-			}
-		}
-	case *ast.SelectStmt:
-		if !selectHasDefault(s) {
-			w.blockingOp(s.Pos(), "a select without default")
-		}
-		// The comm operations are covered by the select classification
-		// above; clause bodies run after the select fires, lock state
-		// intact.
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				w.branch(cc.Body)
-			}
-		}
 	case *ast.SendStmt:
 		w.blockingOp(s.Arrow, "a channel send")
-		w.expr(s.Chan)
-		w.expr(s.Value)
-	case *ast.BlockStmt:
-		w.stmts(s.List)
-	case *ast.LabeledStmt:
-		w.stmt(s.Stmt)
+		w.expr(s)
 	case *ast.GoStmt:
 		// Spawning never blocks; only the operands are evaluated here.
 		for _, a := range s.Call.Args {
@@ -226,21 +115,22 @@ func (w *lockWalker) stmt(s ast.Stmt) {
 		for _, a := range s.Call.Args {
 			w.expr(a)
 		}
+	default:
+		// No statement nests in a leaf, so scanning it whole scans exactly
+		// its operands.
+		w.expr(s)
 	}
 }
 
-// expr scans an expression for blocking operations and lock-state method
-// calls nested in sub-expressions.
-func (w *lockWalker) expr(e ast.Expr) {
-	if e == nil {
-		return
-	}
+// expr scans an expression (or a whole leaf statement) for blocking
+// operations nested anywhere in it.
+func (w *lockWalker) expr(e ast.Node) {
 	var walk func(n ast.Node) bool
 	walk = func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			// A literal's body runs when called, not here; it is analyzed as
-			// its own scope by runLockBlocking.
+			// its own scope (funcBodies).
 			return false
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
@@ -284,10 +174,9 @@ func (w *lockWalker) lockStateCall(call *ast.CallExpr) (key string, acquire, ok 
 
 // blockingOp reports pos as a blocking operation when any lock is held.
 func (w *lockWalker) blockingOp(pos token.Pos, what string) {
-	if len(w.held) == 0 || w.reported[pos] {
+	if len(w.held) == 0 || !w.flow.first(pos) {
 		return
 	}
-	w.reported[pos] = true
 	keys := make([]string, 0, len(w.held))
 	for k := range w.held {
 		keys = append(keys, k)

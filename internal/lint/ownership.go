@@ -2,8 +2,8 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
+	"maps"
 )
 
 // RuleOwnership flags uses of a buffer after its ownership left the
@@ -30,91 +30,36 @@ type giveInfo struct {
 	line int
 }
 
-// ownWalker performs a lexical walk of one function body: statements are
-// processed in source order, a give taints the variable's object, an
-// assignment to the bare variable kills the taint, and any read or
-// element-write of a tainted variable is a finding. Loop bodies are walked
-// twice so a give at the bottom of an iteration catches the use at the top
-// of the next one; `reported` dedupes the second pass.
+// ownWalker is the ownership rule's side of the shared flowWalker: a give
+// taints the variable's object, an assignment to the bare variable kills the
+// taint, and any read or element-write of a tainted variable is a finding.
 type ownWalker struct {
-	pass     *Pass
-	given    map[types.Object]giveInfo
-	reported map[token.Pos]bool
+	pass  *Pass
+	flow  flowWalker
+	given map[types.Object]giveInfo
 }
 
 func runOwnership(p *Pass) {
 	if p.Pkg.Path == p.Cfg.MPIPkg {
 		return // the runtime itself implements the transfer
 	}
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			}
-			if body != nil {
-				w := &ownWalker{pass: p, given: map[types.Object]giveInfo{}, reported: map[token.Pos]bool{}}
-				w.stmts(body.List)
-			}
-			return true
-		})
-	}
+	funcBodies(p.Pkg.Files, func(fn funcScope) {
+		w := &ownWalker{pass: p, given: map[types.Object]giveInfo{}}
+		w.flow = flowWalker{leaf: w.leaf, expr: func(e ast.Expr, _ flowCtx) { w.expr(e) }, save: w.save}
+		w.flow.walk(fn.body)
+	})
 }
 
-func (w *ownWalker) stmts(list []ast.Stmt) {
-	for _, s := range list {
-		w.stmt(s)
-	}
+// save snapshots the taints for a terminating arm.
+func (w *ownWalker) save() func() {
+	saved := maps.Clone(w.given)
+	return func() { w.given = saved }
 }
 
-// branch walks a conditional block. When the block terminates (return,
-// panic, break/continue/goto), the execution that performed its gives and
-// kills never reaches the code after the conditional, so the walker's taint
-// state is restored — this is what keeps the ubiquitous
-// `if err != nil { fb.Release(); return }` pattern clean.
-func (w *ownWalker) branch(list []ast.Stmt) {
-	if !terminates(list) {
-		w.stmts(list)
-		return
-	}
-	saved := make(map[types.Object]giveInfo, len(w.given))
-	for k, v := range w.given {
-		saved[k] = v
-	}
-	w.stmts(list)
-	w.given = saved
-}
-
-// terminates reports whether a statement list always transfers control away
-// from the code that follows it.
-func terminates(list []ast.Stmt) bool {
-	if len(list) == 0 {
-		return false
-	}
-	switch s := list[len(list)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	case *ast.BlockStmt:
-		return terminates(s.List)
-	case *ast.LabeledStmt:
-		return terminates([]ast.Stmt{s.Stmt})
-	}
-	return false
-}
-
-func (w *ownWalker) stmt(s ast.Stmt) {
+func (w *ownWalker) leaf(s ast.Stmt, _ flowCtx) {
 	switch s := s.(type) {
-	case *ast.ExprStmt:
-		w.expr(s.X)
+	case *ast.ExprStmt, *ast.GoStmt, *ast.DeferStmt:
+		w.expr(s) // each wraps one expression
 	case *ast.AssignStmt:
 		for _, rhs := range s.Rhs {
 			w.expr(rhs)
@@ -154,79 +99,6 @@ func (w *ownWalker) stmt(s ast.Stmt) {
 		for _, r := range s.Results {
 			w.expr(r)
 		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.stmt(s.Init)
-		}
-		w.expr(s.Cond)
-		w.branch(s.Body.List)
-		if s.Else != nil {
-			if blk, ok := s.Else.(*ast.BlockStmt); ok {
-				w.branch(blk.List)
-			} else {
-				w.stmt(s.Else)
-			}
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.stmt(s.Init)
-		}
-		if s.Cond != nil {
-			w.expr(s.Cond)
-		}
-		// Two passes: catch wrap-around uses of a buffer given late in the
-		// previous iteration (unless the loop top rebinds it first).
-		w.stmts(s.Body.List)
-		if s.Post != nil {
-			w.stmt(s.Post)
-		}
-		w.stmts(s.Body.List)
-	case *ast.RangeStmt:
-		w.expr(s.X)
-		w.stmts(s.Body.List)
-		w.stmts(s.Body.List)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init)
-		}
-		if s.Tag != nil {
-			w.expr(s.Tag)
-		}
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				for _, e := range cc.List {
-					w.expr(e)
-				}
-				w.branch(cc.Body)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init)
-		}
-		w.stmt(s.Assign)
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				w.branch(cc.Body)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				if cc.Comm != nil {
-					w.stmt(cc.Comm)
-				}
-				w.stmts(cc.Body)
-			}
-		}
-	case *ast.BlockStmt:
-		w.stmts(s.List)
-	case *ast.LabeledStmt:
-		w.stmt(s.Stmt)
-	case *ast.GoStmt:
-		w.expr(s.Call)
-	case *ast.DeferStmt:
-		w.expr(s.Call)
 	case *ast.SendStmt:
 		w.expr(s.Chan)
 		w.expr(s.Value)
@@ -236,14 +108,14 @@ func (w *ownWalker) stmt(s ast.Stmt) {
 // expr checks every identifier in e against the current taints, then applies
 // any gives e performs. Scanning before tainting keeps a give's own
 // arguments clean while a second give of the same variable still trips.
-func (w *ownWalker) expr(e ast.Expr) {
+func (w *ownWalker) expr(e ast.Node) {
 	if e == nil {
 		return
 	}
 	ast.Inspect(e, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			// The closure's free variables are uses at creation time; its
-			// own gives are analyzed when runOwnership visits the literal.
+			// own gives are analyzed when funcBodies hands out the literal.
 			w.scanUses(n)
 			return false
 		}
@@ -295,10 +167,9 @@ func (w *ownWalker) checkIdent(id *ast.Ident) {
 		return
 	}
 	info, tainted := w.given[obj]
-	if !tainted || w.reported[id.Pos()] {
+	if !tainted || !w.flow.first(id.Pos()) {
 		return
 	}
-	w.reported[id.Pos()] = true
 	w.pass.Reportf(id.Pos(), "%s used after %s gave its buffer away (line %d); the owner may already be overwriting it", id.Name, info.what, info.line)
 }
 

@@ -6,7 +6,11 @@
 // the package itself closes, and timers that escape the function.
 package goleak
 
-import "time"
+import (
+	"os"
+	"runtime"
+	"time"
+)
 
 // LeakyForever spawns a receive loop with no way out: the goroutine pins
 // its stack and the channel for the process lifetime.
@@ -69,6 +73,29 @@ func CleanWithBreak(ch chan int) {
 	}()
 }
 
+// CleanWithGoexit: runtime.Goexit ends the goroutine, so the loop has an
+// exit the walker's terminal-call set knows.
+func CleanWithGoexit(ch chan int) {
+	go func() {
+		for {
+			if v := <-ch; v < 0 {
+				runtime.Goexit()
+			}
+		}
+	}()
+}
+
+// CleanWithExit: so does ending the process.
+func CleanWithExit(ch chan int) {
+	go func() {
+		for {
+			if v := <-ch; v < 0 {
+				os.Exit(1)
+			}
+		}
+	}()
+}
+
 // LeakyRange ranges a parameter channel no one in this package closes.
 func LeakyRange(ch chan int) {
 	go func() {
@@ -118,6 +145,19 @@ func AfterInLoop(ch chan int, quit chan struct{}) {
 			}
 		}
 	}()
+}
+
+// AfterInLoopClosure: a literal written inside a loop is called once per
+// iteration, so its time.After is armed once per iteration too.
+func AfterInLoopClosure(ch chan int, n int) {
+	for i := 0; i < n; i++ {
+		func() {
+			select {
+			case <-ch:
+			case <-time.After(time.Second): // want goroutine-leak
+			}
+		}()
+	}
 }
 
 // TickLeaks: time.Tick hands back a channel with no Stop handle at all.

@@ -7,7 +7,9 @@
 package lockblock
 
 import (
+	"log"
 	"net"
+	"os"
 	"sync"
 	"time"
 )
@@ -177,4 +179,27 @@ func (n *Node) ClosureOwnScope() func(int) {
 		n.ch <- v // want lock-blocking
 		n.mu.Unlock()
 	}
+}
+
+// ExitArmKeepsLock: os.Exit never returns, so the unlock on the exiting arm
+// is that arm's own; the fall-through path still holds mu at the send.
+func (n *Node) ExitArmKeepsLock(bad bool, v int) {
+	n.mu.Lock()
+	if bad {
+		n.mu.Unlock()
+		os.Exit(1)
+	}
+	n.ch <- v // want lock-blocking
+	n.mu.Unlock()
+}
+
+// FatalArmKeepsLock: the same shape behind log.Fatalf.
+func (n *Node) FatalArmKeepsLock(err error, v int) {
+	n.mu.Lock()
+	if err != nil {
+		n.mu.Unlock()
+		log.Fatalf("node: %v", err)
+	}
+	n.ch <- v // want lock-blocking
+	n.mu.Unlock()
 }

@@ -4,6 +4,8 @@
 package ownership
 
 import (
+	"log"
+
 	"gosensei/internal/fabric"
 	"gosensei/internal/mpi"
 	"gosensei/internal/render"
@@ -101,4 +103,24 @@ func PoolPutTerminatingBranchIsClean(p *fabric.BufPool, buf []byte, dead bool) i
 		return 0
 	}
 	return len(buf)
+}
+
+// FatalArmReleaseIsClean: log.Fatal never returns, so the release on the
+// fatal arm happens only on an execution that never reaches the later use.
+func FatalArmReleaseIsClean(fb *render.Framebuffer, err error) int {
+	if err != nil {
+		fb.Release()
+		log.Fatal(err)
+	}
+	return fb.W
+}
+
+// FatalArmSendOwnedIsClean: the same for a buffer given to the receiver on
+// the fatal arm.
+func FatalArmSendOwnedIsClean(c *mpi.Comm, buf []float32, err error) float32 {
+	if err != nil {
+		mpi.SendOwned(c, 1, tagA, buf)
+		log.Fatal(err)
+	}
+	return buf[0]
 }

@@ -40,24 +40,14 @@ func WaitgroupHygieneAnalyzer() *Analyzer {
 }
 
 func runWaitgroupHygiene(p *Pass) {
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				checkByValueSync(p, n.Type)
-				if n.Body != nil {
-					checkAddDoneArity(p, n.Body)
-				}
-			case *ast.FuncLit:
-				checkByValueSync(p, n.Type)
-			case *ast.GoStmt:
-				if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-					checkAddInsideGoroutine(p, lit)
-				}
-			}
-			return true
-		})
-	}
+	funcBodies(p.Pkg.Files, func(fn funcScope) {
+		checkByValueSync(p, fn.typ)
+		if lit, ok := fn.node.(*ast.FuncLit); !ok {
+			checkAddDoneArity(p, fn.body)
+		} else if fn.spawned {
+			checkAddInsideGoroutine(p, lit)
+		}
+	})
 }
 
 // checkByValueSync reports bare sync types in a signature's parameters or
@@ -217,8 +207,7 @@ func checkAddDoneArity(p *Pass, body *ast.BlockStmt) {
 			if ptr, isPtr := t.(*types.Pointer); isPtr {
 				t = ptr.Elem()
 			}
-			if named, isNamed := t.(*types.Named); isNamed && named.Obj().Pkg() != nil &&
-				named.Obj().Pkg().Path() == "sync" && named.Obj().Name() == "WaitGroup" {
+			if name, _ := bareSyncType(t); name == "WaitGroup" {
 				get(exprText(e)).skip = true
 			}
 		}

@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -29,7 +30,7 @@ func pseudoPNG(s, size int) []byte {
 // Run under -race this is the registry's integrity check: no deadlock, no
 // over-release panic, no lost cancel.
 func TestSubscribeChurnHammer(t *testing.T) {
-	h := NewHubWith(Options{Shards: 4})
+	h := newHub(4, maxPendingCommands)
 	defer h.Close()
 
 	stop := make(chan struct{})
@@ -201,6 +202,30 @@ func TestManyViewersPublishUnstalled(t *testing.T) {
 				t.Fatalf("viewer %d never converged on the newest frame", i)
 			}
 			time.Sleep(100 * time.Microsecond)
+		}
+	}
+}
+
+func TestCommandTableBounded(t *testing.T) {
+	h := newHub(hubShards, 8)
+	defer h.Close()
+	// A flood of distinct names between drains must not grow memory
+	// without bound: the table caps at its maxPending, evicting the
+	// stalest entries.
+	for i := 0; i < 10000; i++ {
+		h.SendCommand(fmt.Sprintf("cmd-%d", i), float64(i))
+	}
+	if n := h.PendingCommands(); n != 8 {
+		t.Fatalf("pending=%d, want cap 8", n)
+	}
+	cmds := h.DrainCommands()
+	if len(cmds) != 8 {
+		t.Fatalf("drained %d, want 8", len(cmds))
+	}
+	// The survivors are the newest 8, in update order.
+	for i, c := range cmds {
+		if want := fmt.Sprintf("cmd-%d", 9992+i); c.Name != want {
+			t.Fatalf("cmds[%d]=%+v, want name %s", i, c, want)
 		}
 	}
 }

@@ -56,22 +56,16 @@ type Command struct {
 	Epoch uint64
 }
 
-// Options tunes a hub; the zero value selects the defaults.
-type Options struct {
-	// Shards is the number of subscriber shards (and pusher goroutines)
-	// fanning frames out. Default 8.
-	Shards int
-	// MaxPendingCommands caps the coalesced steering table: at most this
+const (
+	// hubShards is the number of subscriber shards (and pusher goroutines)
+	// fanning frames out.
+	hubShards = 8
+	// maxPendingCommands caps the coalesced steering table: at most this
 	// many distinct command names are held between DrainCommands calls,
 	// evicting the stalest (lowest-epoch) entry when a new name arrives
-	// full. Default 64 — steering vocabularies are small, and the cap is
-	// what keeps a steer flood from growing memory without bound.
-	MaxPendingCommands int
-}
-
-const (
-	defaultShards             = 8
-	defaultMaxPendingCommands = 64
+	// full. Steering vocabularies are small, and the cap is what keeps a
+	// steer flood from growing memory without bound.
+	maxPendingCommands = 64
 )
 
 // Hub connects one running pipeline to its viewers. All methods are safe
@@ -111,22 +105,17 @@ type shard struct {
 	wakeup chan struct{} // cap 1: a set latch, not a queue
 }
 
-// NewHub returns an empty hub with default options.
-func NewHub() *Hub { return NewHubWith(Options{}) }
+// NewHub returns an empty hub.
+func NewHub() *Hub { return newHub(hubShards, maxPendingCommands) }
 
-// NewHubWith returns an empty hub tuned by o.
-func NewHubWith(o Options) *Hub {
-	if o.Shards <= 0 {
-		o.Shards = defaultShards
-	}
-	if o.MaxPendingCommands <= 0 {
-		o.MaxPendingCommands = defaultMaxPendingCommands
-	}
+// newHub is NewHub with the two sizes open, for the tests that need a
+// small table or an uneven shard count.
+func newHub(shards, maxPending int) *Hub {
 	h := &Hub{
-		shards:     make([]*shard, o.Shards),
+		shards:     make([]*shard, shards),
 		done:       make(chan struct{}),
 		steer:      make(map[string]Command),
-		maxPending: o.MaxPendingCommands,
+		maxPending: maxPending,
 	}
 	for i := range h.shards {
 		sh := &shard{hub: h, subs: make(map[int64]*Subscription), wakeup: make(chan struct{}, 1)}

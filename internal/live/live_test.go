@@ -2,7 +2,6 @@ package live_test
 
 import (
 	"bytes"
-	"fmt"
 	"image/png"
 	"testing"
 	"time"
@@ -145,30 +144,6 @@ func TestCommandsCoalesceLastWriterWins(t *testing.T) {
 	}
 	if cmds[0].Epoch >= cmds[1].Epoch {
 		t.Fatalf("epochs not ascending: %d then %d", cmds[0].Epoch, cmds[1].Epoch)
-	}
-}
-
-func TestCommandTableBounded(t *testing.T) {
-	h := NewHubWith(Options{MaxPendingCommands: 8})
-	defer h.Close()
-	// A flood of distinct names between drains must not grow memory
-	// without bound: the table caps at MaxPendingCommands, evicting the
-	// stalest entries.
-	for i := 0; i < 10000; i++ {
-		h.SendCommand(fmt.Sprintf("cmd-%d", i), float64(i))
-	}
-	if n := h.PendingCommands(); n != 8 {
-		t.Fatalf("pending=%d, want cap 8", n)
-	}
-	cmds := h.DrainCommands()
-	if len(cmds) != 8 {
-		t.Fatalf("drained %d, want 8", len(cmds))
-	}
-	// The survivors are the newest 8, in update order.
-	for i, c := range cmds {
-		if want := fmt.Sprintf("cmd-%d", 9992+i); c.Name != want {
-			t.Fatalf("cmds[%d]=%+v, want name %s", i, c, want)
-		}
 	}
 }
 
