@@ -4,7 +4,7 @@ GO ?= go
 
 all: build vet lint test
 
-check: build vet fmt-check lint test race bench-smoke bench-canonical-smoke bench-collectives bench-wire bench-live fabric-smoke faultline-smoke fuzz-smoke world-smoke live-smoke route-smoke
+check: build vet fmt-check lint test race examples bench-smoke bench-canonical-smoke bench-collectives bench-wire bench-live fabric-smoke faultline-smoke fuzz-smoke world-smoke live-smoke route-smoke
 
 build:
 	$(GO) build ./...
@@ -131,10 +131,20 @@ cover:
 experiments:
 	$(GO) run ./cmd/experiments -run all
 
+# Every example end to end, from a scratch directory so that nothing lands in
+# the tree: each must exit 0, and together they must write the 45 PNGs they
+# write today (Catalyst structured and unstructured, Libsim TML, Nyx, and the
+# live hub's frames all go through the shared image tail).
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/oscillator-insitu
-	$(GO) run ./examples/adios-staging
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for d in examples/*/; do \
+		e=$$(basename $$d); \
+		$(GO) build -o "$$tmp/bin/$$e" ./$$d; \
+		(cd "$$tmp" && ./bin/$$e > $$e.log 2>&1) || { cat "$$tmp/$$e.log"; echo "examples: $$e failed"; exit 1; }; \
+	done; \
+	n=$$(find "$$tmp" -name '*.png' | wc -l); \
+	if [ "$$n" -lt 45 ]; then echo "examples: $$n PNGs written, want at least 45"; exit 1; fi; \
+	echo "examples: $$(ls examples | wc -l) ran, $$n PNGs"
 
 clean:
 	rm -rf frames bp-out cinema-store oscillator-frames phasta-frames leslie-frames nyx-frames live-frames

@@ -386,22 +386,21 @@ func runHistogram(c *mpi.Comm, p params, out io.Writer) error {
 // image-order rendering workload without the full catalyst stack.
 func runBinswap(c *mpi.Comm, p params, out io.Writer) error {
 	const w, h = 64, 64
+	tail := compositing.Tail{Comm: c, Algorithm: compositing.BinarySwap}
 	for step := 0; step < p.steps; step++ {
-		fb := render.AcquireFramebuffer(w, h)
-		paint(fb, c.Rank(), step)
-		final, err := compositing.Composite(c, fb, 0, compositing.BinarySwap)
+		err := tail.Image(step, w, h,
+			func(fb *render.Framebuffer) error {
+				paint(fb, c.Rank(), step)
+				return nil
+			},
+			func(final *render.Framebuffer) error {
+				sum := sha256.Sum256(final.Color)
+				_, err := fmt.Fprintf(out, "step=%d image=%x\n", step, sum[:8])
+				return err
+			})
 		if err != nil {
 			return err
 		}
-		if c.Rank() == 0 && final != nil {
-			sum := sha256.Sum256(final.Color)
-			fmt.Fprintf(out, "step=%d image=%x\n", step, sum[:8])
-		}
-		// At P=1 the composite is fb itself; release each buffer exactly once.
-		if final != nil && final != fb {
-			final.Release()
-		}
-		fb.Release()
 	}
 	return nil
 }

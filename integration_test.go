@@ -3,6 +3,7 @@ package gosensei
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	_ "gosensei/internal/adios"
@@ -102,4 +103,91 @@ func TestEverythingAtOnce(t *testing.T) {
 	}
 	// vtk-writer stride 2 -> 2 steps x ranks block files.
 	checkCount(filepath.Join(work, "blocks", "*.blk"), 2*ranks)
+}
+
+// configure builds a bridge from one config document on every rank of a
+// small world (glean splits communicators while it is built) and returns
+// rank 0's error.
+func configure(t *testing.T, doc string) error {
+	t.Helper()
+	var cfgErr error
+	err := mpi.Run(2, func(c *mpi.Comm) error {
+		err := core.ConfigureFromXML(core.NewBridge(c, nil, nil), []byte(doc))
+		if c.Rank() == 0 {
+			cfgErr = err
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", doc, err) // a panic in a factory lands here
+	}
+	return cfgErr
+}
+
+// TestBadConfigsAreErrors: whatever a config file can get wrong about an
+// attribute — a value that does not parse, a size no constructor accepts, a
+// word that is not one of the choices, a misspelt name — every registered
+// analysis type answers with a one-line error naming the element and the
+// attribute: never a panic out of a constructor, never a default applied in
+// silence.
+func TestBadConfigsAreErrors(t *testing.T) {
+	type row struct{ attrs, names string } // the attributes of one element; what the error must name
+	bad := map[string][]row{
+		"histogram": {{`bins="0"`, "bins"}, {`bins="ten"`, "bins"}, {`association="node"`, "association"}, {`bnis="4"`, "bnis"}},
+		"index":     {{`bins="0"`, "bins"}, {`bins="-3"`, "bins"}, {`association="vertex"`, "association"}, {`arrray="data"`, "arrray"}},
+		"autocorrelation": {{`window="0"`, "window"}, {`k-max="0"`, "k-max"}, {`window="1e1"`, "window"},
+			{`association="edge"`, "association"}, {`kmax="2"`, "kmax"}},
+		"compress": {{`bits="0"`, "bits"}, {`bits="33"`, "bits"}, {`bits="a few"`, "bits"},
+			{`association="face"`, "association"}, {`bit="4"`, `"bit"`}},
+		"catalyst": {{`image-width="0"`, "image-width"}, {`image-height="-1"`, "image-height"}, {`image-widht="64"`, "image-widht"},
+			{`threads="many"`, "threads"}, {`threads="-1"`, "threads"}, {`stride="two"`, "stride"}, {`stride="0"`, "stride"},
+			{`slice-axis="w"`, "slice-axis"}, {`slice-coord="middle"`, "slice-coord"}, {`association="node"`, "association"},
+			{`skip-png-compression="maybe"`, "skip-png-compression"}, {`parallel-png="2"`, "parallel-png"}},
+		"libsim": {{`image-width="wide"`, "image-width"}, {`image-width="0"`, "image-width"}, {`image-height="0"`, "image-height"},
+			{`threads="x"`, "threads"}, {`stride="0"`, "stride"}, {`stride="five"`, "stride"},
+			{`parallel-png="si"`, "parallel-png"}, {`sesion="viz.session"`, "sesion"}},
+		"cinema": {{`image-width="0"`, "image-width"}, {`image-height="x"`, "image-height"}, {`phi-count="0"`, "phi-count"},
+			{`theta-count="-1"`, "theta-count"}, {`iso="half"`, "iso"}, {`phi="4"`, `"phi"`}},
+		"glean": {{`mode="fast"`, "mode"}, {`ranks-per-node="0"`, "ranks-per-node"}, {`ranks-per-node="all"`, "ranks-per-node"},
+			{`bins="0"`, "bins"}, {`output="x"`, `"output"`}},
+		"adios": {{`transport="pigeon"`, "transport"}, {`dri="bp-out"`, "dri"}},
+		"vtk-writer": {{`dir="out" stride="0"`, "stride"}, {`dir="out" stride="x"`, "stride"},
+			{`dir="out" strid="2"`, "strid"}, {`stride="2"`, "dir"}},
+	}
+	for _, typ := range core.FactoryTypes() {
+		if len(bad[typ]) == 0 {
+			t.Errorf("no bad-attribute rows for registered analysis type %q", typ)
+		}
+	}
+	for typ, rows := range bad {
+		for _, r := range rows {
+			err := configure(t, `<sensei><analysis type="histogram"/><analysis type="`+typ+`" `+r.attrs+`/></sensei>`)
+			if err == nil {
+				t.Errorf("%s %s: accepted", typ, r.attrs)
+				continue
+			}
+			msg := err.Error()
+			if !strings.Contains(msg, "element 1 ("+typ+")") || !strings.Contains(msg, r.names) || strings.Contains(msg, "\n") {
+				t.Errorf("%s %s: error %q should be one line naming element 1, its type and %s", typ, r.attrs, msg, r.names)
+			}
+		}
+	}
+}
+
+// TestShippedConfigsLoad: strict attribute reading must not reject anything
+// the repository itself ships.
+func TestShippedConfigsLoad(t *testing.T) {
+	files, err := filepath.Glob("configs/*.xml")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no configs found: %v", err)
+	}
+	for _, f := range files {
+		doc, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := configure(t, string(doc)); err != nil {
+			t.Errorf("%s: %v", f, err)
+		}
+	}
 }

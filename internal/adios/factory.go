@@ -7,7 +7,7 @@ import (
 )
 
 func init() {
-	core.RegisterFactory("adios", func(attrs core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
+	core.RegisterFactory("adios", func(attrs *core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
 		switch tr := attrs.String("transport", "bp-file"); tr {
 		case "bp-file":
 			w := NewWriter(env.Comm, &BPFileTransport{Dir: attrs.String("dir", "adios-out")})

@@ -375,44 +375,18 @@ func NewWriter(c *mpi.Comm, t Transport) *Writer {
 	return &Writer{Comm: c, Transport: t}
 }
 
-func (w *Writer) reg() *metrics.Registry {
-	if w.Registry == nil {
-		rank := 0
-		if w.Comm != nil {
-			rank = w.Comm.Rank()
-		}
-		w.Registry = metrics.NewRegistry(rank)
-	}
-	return w.Registry
-}
-
 // Execute implements core.AnalysisAdaptor.
 func (w *Writer) Execute(d core.DataAdaptor) (bool, error) {
-	mesh, err := d.Mesh(false)
+	mesh, err := core.FetchAll(d)
 	if err != nil {
 		return false, err
-	}
-	// Attach every available array so the stream is self-describing.
-	for _, assoc := range []grid.Association{grid.PointData, grid.CellData} {
-		names, err := d.ArrayNames(assoc)
-		if err != nil {
-			return false, err
-		}
-		for _, n := range names {
-			if err := d.AddArray(mesh, assoc, n); err != nil {
-				return false, err
-			}
-		}
 	}
 	img, ok := mesh.(*grid.ImageData)
 	if !ok {
 		return false, fmt.Errorf("adios: staging supports structured data, got %v", mesh.Kind())
 	}
-	step := d.TimeStep()
-	rank := 0
-	if w.Comm != nil {
-		rank = w.Comm.Rank()
-	}
+	step, rank := d.TimeStep(), w.Comm.Rank()
+	w.Registry = metrics.OrNew(w.Registry, rank)
 	// One-time extract negotiation: the endpoint's Welcome may ask for a
 	// reduced product; the answer is stable for a fixed endpoint, so it is
 	// cached for the run.
@@ -432,7 +406,7 @@ func (w *Writer) Execute(d core.DataAdaptor) (bool, error) {
 	// adios::analysis: serialize (the non-zero-copy buffer) and ship,
 	// including any blocking while the reader catches up.
 	var sendErr error
-	w.reg().Time("adios::analysis", step, func() {
+	w.Registry.Time("adios::analysis", step, func() {
 		var payload []byte
 		payload, sendErr = w.encodeForWire(img, step, d.Time())
 		if sendErr != nil {
@@ -480,20 +454,14 @@ func (w *Writer) encodeForWire(img *grid.ImageData, step int, time float64) ([]b
 
 func (w *Writer) timeAdvance(step int) error {
 	var err error
-	w.reg().Time("adios::advance", step, func() {
+	w.Registry.Time("adios::advance", step, func() {
 		err = w.Transport.Advance(w.Comm, step)
 	})
 	return err
 }
 
 // Finalize implements core.AnalysisAdaptor: signals end of stream.
-func (w *Writer) Finalize() error {
-	rank := 0
-	if w.Comm != nil {
-		rank = w.Comm.Rank()
-	}
-	return w.Transport.Close(rank)
-}
+func (w *Writer) Finalize() error { return w.Transport.Close(w.Comm.Rank()) }
 
 // StagedDataAdaptor serves a re-hydrated step to endpoint analyses. With a
 // 1:1 fabric Data is the single staged block; with N:M fan-in it is a

@@ -11,20 +11,9 @@ import (
 )
 
 func init() {
-	core.RegisterFactory("autocorrelation", func(attrs core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
-		window, err := attrs.Int("window", 10)
-		if err != nil {
-			return nil, err
-		}
-		k, err := attrs.Int("k-max", 3)
-		if err != nil {
-			return nil, err
-		}
-		assoc := grid.CellData
-		if attrs.String("association", "cell") == "point" {
-			assoc = grid.PointData
-		}
-		a := NewAutocorrelation(env.Comm, attrs.String("array", "data"), assoc, window, k)
+	core.RegisterFactory("autocorrelation", func(attrs *core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
+		a := NewAutocorrelation(env.Comm, attrs.String("array", "data"), attrs.Association(),
+			attrs.Int("window", 10, 1), attrs.Int("k-max", 3, 1))
 		a.Memory = env.Memory
 		return a, nil
 	})

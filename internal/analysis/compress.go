@@ -15,16 +15,12 @@ import (
 )
 
 func init() {
-	core.RegisterFactory("compress", func(attrs core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
-		bits, err := attrs.Int("bits", 12)
-		if err != nil {
-			return nil, err
+	core.RegisterFactory("compress", func(attrs *core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
+		bits := attrs.Int("bits", 12, 1)
+		if bits > 32 {
+			return nil, fmt.Errorf("attribute %q: %d is above the maximum of 32", "bits", bits)
 		}
-		assoc := grid.CellData
-		if attrs.String("association", "cell") == "point" {
-			assoc = grid.PointData
-		}
-		c := NewCompression(env.Comm, attrs.String("array", "data"), assoc, bits)
+		c := NewCompression(env.Comm, attrs.String("array", "data"), attrs.Association(), bits)
 		c.Memory = env.Memory
 		return c, nil
 	})

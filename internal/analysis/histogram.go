@@ -20,16 +20,8 @@ import (
 )
 
 func init() {
-	core.RegisterFactory("histogram", func(attrs core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
-		bins, err := attrs.Int("bins", 10)
-		if err != nil {
-			return nil, err
-		}
-		assoc := grid.CellData
-		if attrs.String("association", "cell") == "point" {
-			assoc = grid.PointData
-		}
-		h := NewHistogram(env.Comm, attrs.String("array", "data"), assoc, bins)
+	core.RegisterFactory("histogram", func(attrs *core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
+		h := NewHistogram(env.Comm, attrs.String("array", "data"), attrs.Association(), attrs.Int("bins", 10, 1))
 		h.Memory = env.Memory
 		return h, nil
 	})

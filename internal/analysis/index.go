@@ -11,16 +11,8 @@ import (
 )
 
 func init() {
-	core.RegisterFactory("index", func(attrs core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
-		bins, err := attrs.Int("bins", 32)
-		if err != nil {
-			return nil, err
-		}
-		assoc := grid.CellData
-		if attrs.String("association", "cell") == "point" {
-			assoc = grid.PointData
-		}
-		ix := NewBinnedIndex(env.Comm, attrs.String("array", "data"), assoc, bins)
+	core.RegisterFactory("index", func(attrs *core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
+		ix := NewBinnedIndex(env.Comm, attrs.String("array", "data"), attrs.Association(), attrs.Int("bins", 32, 1))
 		ix.Memory = env.Memory
 		return ix, nil
 	})

@@ -12,13 +12,9 @@
 package catalyst
 
 import (
-	"bytes"
 	"fmt"
 	"image/color"
 	"image/png"
-	"io"
-	"os"
-	"path/filepath"
 
 	"gosensei/internal/colormap"
 	"gosensei/internal/compositing"
@@ -32,49 +28,27 @@ import (
 )
 
 func init() {
-	core.RegisterFactory("catalyst", func(attrs core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
-		w, err := attrs.Int("image-width", 1920)
-		if err != nil {
-			return nil, err
-		}
-		h, err := attrs.Int("image-height", 1080)
-		if err != nil {
-			return nil, err
-		}
-		axis := map[string]int{"x": 0, "y": 1, "z": 2}[attrs.String("slice-axis", "z")]
-		coord, err := attrs.Float("slice-coord", 0)
-		if err != nil {
-			return nil, err
-		}
+	core.RegisterFactory("catalyst", func(attrs *core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
 		cm, err := colormap.ByName(attrs.String("colormap", ""))
 		if err != nil {
 			return nil, err
 		}
-		assoc := grid.CellData
-		if attrs.String("association", "cell") == "point" {
-			assoc = grid.PointData
-		}
 		a := NewSliceAdaptor(env.Comm, Options{
 			ArrayName:       attrs.String("array", "data"),
-			Assoc:           assoc,
-			Width:           w,
-			Height:          h,
-			SliceAxis:       axis,
-			SliceCoord:      coord,
+			Assoc:           attrs.Association(),
+			Width:           attrs.Int("image-width", 1920, 1),
+			Height:          attrs.Int("image-height", 1080, 1),
+			SliceAxis:       attrs.Choice("slice-axis", "z", "x", "y", "z"),
+			SliceCoord:      attrs.Float("slice-coord", 0),
 			Map:             cm,
 			OutputDir:       attrs.String("output-dir", ""),
 			SkipCompression: attrs.Bool("skip-png-compression", false),
 			ParallelPNG:     attrs.Bool("parallel-png", false),
-			Stride:          1,
+			Stride:          attrs.Int("stride", 1, 1),
+			Workers:         attrs.Int("threads", 0, 0),
 		})
-		if t, err := attrs.Int("threads", 0); err == nil && t > 0 {
-			a.Opts.Workers = t
-		}
 		a.Registry = env.Registry
 		a.Memory = env.Memory
-		if s, err := attrs.Int("stride", 1); err == nil && s > 0 {
-			a.Opts.Stride = s
-		}
 		return a, nil
 	})
 }
@@ -145,13 +119,7 @@ func (a *SliceAdaptor) ImagesWritten() int { return a.imagesOut }
 
 // workers resolves the intra-rank worker count against the process thread
 // budget, so goroutine-ranks times workers stays bounded under mpi.Run.
-func (a *SliceAdaptor) workers() int {
-	ranks := 1
-	if a.Comm != nil {
-		ranks = a.Comm.Size()
-	}
-	return parallel.Workers(a.Opts.Workers, ranks)
-}
+func (a *SliceAdaptor) workers() int { return parallel.Workers(a.Opts.Workers, a.Comm.Size()) }
 
 // Initialize builds the pipeline: validates the Edition covers the needed
 // features and accounts for the framebuffer memory.
@@ -170,20 +138,14 @@ func (a *SliceAdaptor) Initialize() error {
 	return nil
 }
 
-func (a *SliceAdaptor) reg() *metrics.Registry {
-	if a.Registry == nil {
-		a.Registry = metrics.NewRegistry(0)
-	}
-	return a.Registry
-}
-
 // Execute implements core.AnalysisAdaptor: extract, render, composite, and
 // (on rank 0) serialize the slice image.
 func (a *SliceAdaptor) Execute(d core.DataAdaptor) (bool, error) {
 	step := d.TimeStep()
+	a.Registry = metrics.OrNew(a.Registry, a.Comm.Rank())
 	if !a.initialized {
 		var err error
-		a.reg().Time("catalyst::initialize", step, func() { err = a.Initialize() })
+		a.Registry.Time("catalyst::initialize", step, func() { err = a.Initialize() })
 		if err != nil {
 			return false, err
 		}
@@ -195,35 +157,43 @@ func (a *SliceAdaptor) Execute(d core.DataAdaptor) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	// Agree on the global scalar range and domain bounds.
 	spec, err := a.buildSpec(mesh)
 	if err != nil {
 		return false, err
 	}
-	fb := render.AcquireFramebuffer(a.Opts.Width, a.Opts.Height)
-	a.reg().Time("catalyst::render", step, func() { err = a.renderLocal(fb, mesh, spec) })
-	if err != nil {
-		fb.Release()
-		return false, err
+	t := a.tail()
+	err = t.Image(step, a.Opts.Width, a.Opts.Height,
+		func(fb *render.Framebuffer) error { return a.renderLocal(fb, mesh, spec) },
+		func(final *render.Framebuffer) error {
+			err := t.Deliver(final, step, func() string { return fmt.Sprintf("slice_%05d.png", step) })
+			if err == nil {
+				a.imagesOut++
+			}
+			return err
+		})
+	return err == nil, err
+}
+
+// tail is what this infrastructure brings to the shared image tail: binary
+// swap, its timer names and background, the PNG options and where the bytes
+// go. The PNG encode (the serial bottleneck) is logged as "catalyst::png".
+func (a *SliceAdaptor) tail() compositing.Tail {
+	t := compositing.Tail{
+		Comm: a.Comm, Registry: a.Registry, Algorithm: compositing.BinarySwap,
+		RenderTimer: "catalyst::render", CompositeTimer: "catalyst::composite", PNGTimer: "catalyst::png",
+		Prefix: "catalyst", Background: color.RGBA{R: 18, G: 18, B: 24, A: 255},
+		PNG: render.PNGOptions{Parallel: a.Opts.ParallelPNG, Workers: a.workers()},
+		Dir: a.Opts.OutputDir,
 	}
-	var final *render.Framebuffer
-	a.reg().Time("catalyst::composite", step, func() {
-		final, err = compositing.Composite(a.Comm, fb, 0, compositing.BinarySwap)
-	})
-	if err != nil {
-		fb.Release()
-		return false, err
+	if a.Opts.SkipCompression {
+		t.PNG.Compression = png.NoCompression
 	}
-	if final != nil { // rank 0
-		err = a.writeImage(final, step)
+	if hub := a.Opts.Hub; hub != nil {
+		t.Publish = func(step, w, h int, png []byte) {
+			hub.Publish(live.Frame{Step: step, Width: w, Height: h, PNG: png})
+		}
 	}
-	// The compositor may hand rank 0 back its own buffer (p == 1); release
-	// each underlying framebuffer exactly once.
-	if final != nil && final != fb {
-		final.Release()
-	}
-	fb.Release()
-	return true, err
+	return t
 }
 
 // buildSpec computes the shared slice specification: global bounds and
@@ -237,23 +207,16 @@ func (a *SliceAdaptor) buildSpec(mesh grid.Dataset) (*render.SliceSpec, error) {
 	if arr.Components() > 1 {
 		comp = -1 // pseudocolor by magnitude (velocity magnitude)
 	}
-	lo, hi := arr.Range(comp)
-	lb := mesh.Bounds()
-	recvLo := []float64{lo, lb[0], lb[2], lb[4]}
-	recvHi := []float64{hi, lb[1], lb[3], lb[5]}
-	if a.Comm != nil {
-		// One fused min/max round for the scalar range and the bounds.
-		if err := mpi.AllreduceMinMax(a.Comm, recvLo, recvHi); err != nil {
-			return nil, err
-		}
+	lo, hi, bounds, err := compositing.AgreeRange(a.Comm, arr, comp, mesh.Bounds())
+	if err != nil {
+		return nil, err
 	}
-	bounds := [6]float64{recvLo[1], recvHi[1], recvLo[2], recvHi[2], recvLo[3], recvHi[3]}
 	return &render.SliceSpec{
 		Plane:        render.AxisPlane(a.Opts.SliceAxis, a.Opts.SliceCoord),
 		ArrayName:    a.Opts.ArrayName,
 		Assoc:        a.Opts.Assoc,
-		Lo:           recvLo[0],
-		Hi:           recvHi[0],
+		Lo:           lo,
+		Hi:           hi,
 		Map:          a.Opts.Map,
 		DomainBounds: bounds,
 		Workers:      a.workers(),
@@ -272,19 +235,7 @@ func (a *SliceAdaptor) renderLocal(fb *render.Framebuffer, mesh grid.Dataset, sp
 		}
 		// Orthographic camera looking down the plane normal, framed on the
 		// global domain.
-		center := render.Vec3{
-			(spec.DomainBounds[0] + spec.DomainBounds[1]) / 2,
-			(spec.DomainBounds[2] + spec.DomainBounds[3]) / 2,
-			(spec.DomainBounds[4] + spec.DomainBounds[5]) / 2,
-		}
-		diag := render.Vec3{
-			spec.DomainBounds[1] - spec.DomainBounds[0],
-			spec.DomainBounds[3] - spec.DomainBounds[2],
-			spec.DomainBounds[5] - spec.DomainBounds[4],
-		}.Norm()
-		if diag == 0 {
-			diag = 1
-		}
+		center, diag := render.BoxFrame(spec.DomainBounds)
 		n := spec.Plane.Normal.Normalized()
 		up := render.Vec3{0, 1, 0}
 		if n[1] > 0.9 || n[1] < -0.9 {
@@ -303,68 +254,6 @@ func (a *SliceAdaptor) renderLocal(fb *render.Framebuffer, mesh grid.Dataset, sp
 		return fmt.Errorf("catalyst: unsupported dataset kind %v", mesh.Kind())
 	}
 }
-
-// writeImage serializes the final image on rank 0, logging the PNG encode
-// (the serial bottleneck) under "catalyst::png", then delivers it to the
-// output directory and/or any attached live viewers.
-func (a *SliceAdaptor) writeImage(final *render.Framebuffer, step int) error {
-	final.FillBackground(background)
-	var w io.Writer = io.Discard
-	var buf *bytes.Buffer
-	var file *os.File
-	if a.Opts.Hub != nil {
-		buf = &bytes.Buffer{}
-		w = buf
-	} else if a.Opts.OutputDir != "" {
-		if err := os.MkdirAll(a.Opts.OutputDir, 0o755); err != nil {
-			return fmt.Errorf("catalyst: %w", err)
-		}
-		f, err := os.Create(filepath.Join(a.Opts.OutputDir, fmt.Sprintf("slice_%05d.png", step)))
-		if err != nil {
-			return fmt.Errorf("catalyst: %w", err)
-		}
-		file = f
-		w = f
-	}
-	opts := render.PNGOptions{Parallel: a.Opts.ParallelPNG, Workers: a.workers()}
-	if a.Opts.SkipCompression {
-		opts.Compression = png.NoCompression
-	}
-	var err error
-	a.reg().Time("catalyst::png", step, func() {
-		_, err = render.WritePNG(w, final, opts)
-	})
-	if err != nil {
-		if file != nil {
-			_ = file.Close() // the encode error wins
-		}
-		return err
-	}
-	// Close is where a buffered write failure finally surfaces; dropping it
-	// would let the I/O-cost experiments count bytes that never landed.
-	if file != nil {
-		if err := file.Close(); err != nil {
-			return fmt.Errorf("catalyst: %w", err)
-		}
-	}
-	if buf != nil {
-		a.Opts.Hub.Publish(live.Frame{Step: step, Width: final.W, Height: final.H, PNG: buf.Bytes()})
-		if a.Opts.OutputDir != "" {
-			if err := os.MkdirAll(a.Opts.OutputDir, 0o755); err != nil {
-				return fmt.Errorf("catalyst: %w", err)
-			}
-			path := filepath.Join(a.Opts.OutputDir, fmt.Sprintf("slice_%05d.png", step))
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-				return fmt.Errorf("catalyst: %w", err)
-			}
-		}
-	}
-	a.imagesOut++
-	return nil
-}
-
-// background is the fill color behind the slice.
-var background = color.RGBA{R: 18, G: 18, B: 24, A: 255}
 
 // Finalize implements core.AnalysisAdaptor.
 func (a *SliceAdaptor) Finalize() error {

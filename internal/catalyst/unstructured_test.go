@@ -1,6 +1,11 @@
 package catalyst
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"syscall"
 	"testing"
 
 	"gosensei/internal/array"
@@ -124,6 +129,38 @@ func TestSliceAdaptorMissingArrayErrors(t *testing.T) {
 		d := newTetAdaptor()
 		if _, err := a.Execute(d); err == nil {
 			t.Error("missing array accepted")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A frame whose bytes never landed is an error and is not counted: the
+// step's file name is a link to /dev/full, which fails every write.
+func TestSliceAdaptorWriteFailureIsNotCounted(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	dir := t.TempDir()
+	if err := os.Symlink("/dev/full", filepath.Join(dir, "slice_00001.png")); err != nil {
+		t.Fatal(err)
+	}
+	err := mpi.Run(1, func(c *mpi.Comm) error {
+		a := NewSliceAdaptor(c, Options{
+			ArrayName: "velocity", Assoc: grid.PointData,
+			Width: 64, Height: 64, SliceAxis: 2, SliceCoord: 0.5,
+			OutputDir: dir,
+		})
+		d := newTetAdaptor()
+		d.SetStep(1, 0.1)
+		cont, err := a.Execute(d)
+		if cont || !errors.Is(err, syscall.ENOSPC) || !strings.HasPrefix(err.Error(), "catalyst: ") {
+			t.Errorf("Execute = %v, %v; want false and catalyst's ENOSPC", cont, err)
+		}
+		if a.ImagesWritten() != 0 {
+			t.Errorf("%d images counted, none landed", a.ImagesWritten())
 		}
 		return nil
 	})

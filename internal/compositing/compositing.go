@@ -17,6 +17,10 @@
 // Both move image-sized buffers through O(log P) rounds — the communication
 // pattern whose cost the paper's per-timestep charts (Fig. 6) expose as the
 // dominant analysis term at 45K cores.
+//
+// That "same task" is also written once here: tail.go holds what every
+// image-producing adaptor does around its own draw — agree on range and
+// bounds, composite, encode and deliver, release the framebuffers.
 package compositing
 
 import (
@@ -171,6 +175,7 @@ func binarySwap(c *mpi.Comm, fb *render.Framebuffer, root int) (*render.Framebuf
 				}
 				buf, _, err := mpi.Recv[float32](c, other, tagGather)
 				if err != nil {
+					final.Release()
 					return nil, fmt.Errorf("compositing: gather: %w", err)
 				}
 				oLo, oHi := stripeOf(other, pow, total)

@@ -97,17 +97,10 @@ type Bridge struct {
 // NewBridge creates a bridge for one rank. registry and memory may be nil,
 // in which case fresh instances are created.
 func NewBridge(comm *mpi.Comm, registry *metrics.Registry, memory *metrics.Tracker) *Bridge {
-	if registry == nil {
-		rank := 0
-		if comm != nil {
-			rank = comm.Rank()
-		}
-		registry = metrics.NewRegistry(rank)
-	}
 	if memory == nil {
 		memory = metrics.NewTracker()
 	}
-	return &Bridge{Comm: comm, Registry: registry, Memory: memory}
+	return &Bridge{Comm: comm, Registry: metrics.OrNew(registry, comm.Rank()), Memory: memory}
 }
 
 // AddAnalysis registers an analysis adaptor under a timing label.
@@ -181,6 +174,28 @@ func FetchArray(d DataAdaptor, assoc grid.Association, name string) (grid.Datase
 	}
 	if err := d.AddArray(mesh, assoc, name); err != nil {
 		return nil, fmt.Errorf("fetch array %q: %w", name, err)
+	}
+	return mesh, nil
+}
+
+// FetchAll obtains the mesh with every array the simulation offers attached,
+// point data then cell data: what a writer fetches so that its output is
+// self-describing.
+func FetchAll(d DataAdaptor) (grid.Dataset, error) {
+	mesh, err := d.Mesh(false)
+	if err != nil {
+		return nil, fmt.Errorf("fetch mesh: %w", err)
+	}
+	for _, assoc := range []grid.Association{grid.PointData, grid.CellData} {
+		names, err := d.ArrayNames(assoc)
+		if err != nil {
+			return nil, fmt.Errorf("list %s arrays: %w", assoc, err)
+		}
+		for _, n := range names {
+			if err := d.AddArray(mesh, assoc, n); err != nil {
+				return nil, fmt.Errorf("fetch %s array %q: %w", assoc, n, err)
+			}
+		}
 	}
 	return mesh, nil
 }

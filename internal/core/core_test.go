@@ -17,6 +17,8 @@ type fakeAdaptor struct {
 	data     []float64
 	released int
 	meshErr  error
+	names    []string // offered by ArrayNames; nil means just "data"
+	namesErr error
 }
 
 func newFakeAdaptor() *fakeAdaptor {
@@ -39,6 +41,9 @@ func (f *fakeAdaptor) AddArray(mesh grid.Dataset, assoc grid.Association, name s
 }
 
 func (f *fakeAdaptor) ArrayNames(assoc grid.Association) ([]string, error) {
+	if f.names != nil || f.namesErr != nil {
+		return f.names, f.namesErr
+	}
 	return []string{"data"}, nil
 }
 
@@ -173,25 +178,50 @@ func TestFetchArray(t *testing.T) {
 	}
 }
 
+func TestFetchAll(t *testing.T) {
+	d := newFakeAdaptor()
+	mesh, err := FetchAll(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, assoc := range []grid.Association{grid.PointData, grid.CellData} {
+		if a := mesh.Attributes(assoc).Get("data"); a == nil || a.Tuples() != 8 {
+			t.Fatalf("%s array not attached", assoc)
+		}
+	}
+	d.meshErr = errors.New("no mesh")
+	if _, err := FetchAll(d); !errors.Is(err, d.meshErr) {
+		t.Fatalf("mesh error lost: %v", err)
+	}
+	// The adaptor offers "data" and "ghost" but can only attach "data": the
+	// error names the array and its association.
+	d = newFakeAdaptor()
+	d.names = []string{"data", "ghost"}
+	if _, err := FetchAll(d); err == nil || !strings.Contains(err.Error(), `point array "ghost"`) {
+		t.Fatalf("AddArray error does not name the array: %v", err)
+	}
+	d.namesErr = errors.New("catalog offline")
+	if _, err := FetchAll(d); !errors.Is(err, d.namesErr) || !strings.Contains(err.Error(), "point arrays") {
+		t.Fatalf("ArrayNames error lost or unnamed: %v", err)
+	}
+}
+
 func TestAttrsParsing(t *testing.T) {
-	a := Attrs{"bins": "32", "width": "2.5", "enabled": "0", "name": "x"}
+	a := &Attrs{vals: map[string]string{"bins": "32", "width": "2.5", "enabled": "0", "name": "x", "mode": "analysis"}}
 	if v := a.String("name", "d"); v != "x" {
 		t.Fatalf("string=%q", v)
 	}
 	if v := a.String("absent", "d"); v != "d" {
 		t.Fatalf("default=%q", v)
 	}
-	if n, err := a.Int("bins", 1); err != nil || n != 32 {
-		t.Fatalf("int=%d err=%v", n, err)
+	if n := a.Int("bins", 1, 1); n != 32 {
+		t.Fatalf("int=%d", n)
 	}
-	if n, err := a.Int("absent", 7); err != nil || n != 7 {
-		t.Fatalf("int default=%d err=%v", n, err)
+	if n := a.Int("absent", 0, 1); n != 0 {
+		t.Fatalf("int default=%d: an absent attribute is not held to the minimum", n)
 	}
-	if _, err := a.Int("name", 0); err == nil {
-		t.Fatal("expected int parse error")
-	}
-	if f, err := a.Float("width", 0); err != nil || f != 2.5 {
-		t.Fatalf("float=%v err=%v", f, err)
+	if f := a.Float("width", 0); f != 2.5 {
+		t.Fatalf("float=%v", f)
 	}
 	if a.Bool("enabled", true) {
 		t.Fatal("enabled=0 parsed as true")
@@ -199,10 +229,90 @@ func TestAttrsParsing(t *testing.T) {
 	if !a.Bool("absent", true) {
 		t.Fatal("bool default wrong")
 	}
+	if i := a.Choice("mode", "io", "io", "analysis"); i != 1 {
+		t.Fatalf("choice=%d", i)
+	}
+	if i := a.Choice("absent", "z", "x", "y", "z"); i != 2 {
+		t.Fatalf("choice default=%d", i)
+	}
+	if a.Association() != grid.CellData {
+		t.Fatal("association default is cell")
+	}
+	if err := a.verdict(nil); err != nil {
+		t.Fatalf("everything was read and valid: %v", err)
+	}
+}
+
+// TestAttrsStrict: every way a value can be wrong is reported with the
+// attribute's name, the reader still returns its (valid) default, the first
+// failure sticks, and an attribute nobody read is a failure of its own.
+func TestAttrsStrict(t *testing.T) {
+	for _, tc := range []struct {
+		name, val string
+		read      func(a *Attrs) any
+		def       any
+	}{
+		{"bins", "many", func(a *Attrs) any { return a.Int("bins", 10, 1) }, 10},
+		{"bins", "0", func(a *Attrs) any { return a.Int("bins", 10, 1) }, 10},
+		{"bins", "1.5", func(a *Attrs) any { return a.Int("bins", 10, 1) }, 10},
+		{"coord", "left", func(a *Attrs) any { return a.Float("coord", 0.5) }, 0.5},
+		{"on", "maybe", func(a *Attrs) any { return a.Bool("on", true) }, true},
+		{"axis", "w", func(a *Attrs) any { return a.Choice("axis", "z", "x", "y", "z") }, 2},
+		{"association", "node", func(a *Attrs) any { return a.Association() }, grid.CellData},
+	} {
+		a := &Attrs{vals: map[string]string{tc.name: tc.val}}
+		if got := tc.read(a); got != tc.def {
+			t.Errorf("%s=%q: reader returned %v, want the default %v", tc.name, tc.val, got, tc.def)
+		}
+		err := a.verdict(nil)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.name)) {
+			t.Errorf("%s=%q: err=%v, want one naming the attribute", tc.name, tc.val, err)
+		}
+	}
+	a := &Attrs{vals: map[string]string{"bins": "x", "window": "y", "image-widht": "64"}}
+	a.Int("bins", 10, 1)
+	a.Int("window", 10, 1)
+	if err := a.verdict(errors.New("factory")); err == nil || !strings.Contains(err.Error(), `"bins"`) {
+		t.Errorf("the first rejected value must win over later ones and the factory: %v", err)
+	}
+	a = &Attrs{vals: map[string]string{"bins": "8", "image-widht": "64"}}
+	a.Int("bins", 10, 1)
+	if err := a.verdict(nil); err == nil || !strings.Contains(err.Error(), `"image-widht"`) {
+		t.Errorf("unread attribute not reported: %v", err)
+	}
+	sentinel := errors.New("factory gave up early")
+	if err := a.verdict(sentinel); err != sentinel {
+		t.Errorf("a factory that gave up early may not have read everything: %v", err)
+	}
+}
+
+// TestConfigureFromXMLReportsAttributes: a bad or unknown attribute is an
+// error naming the element, its type and the attribute; type, name and
+// enabled belong to the dispatcher and count as read.
+func TestConfigureFromXMLReportsAttributes(t *testing.T) {
+	RegisterFactory("test-strict", func(attrs *Attrs, env *Env) (AnalysisAdaptor, error) {
+		attrs.Int("bins", 10, 1)
+		return &recordingAnalysis{}, nil
+	})
+	for doc, want := range map[string]string{
+		`<analysis type="test-strict" name="n" enabled="1" bins="4"/>`:                   "",
+		`<analysis type="test-strict" bins="4"/><analysis type="test-strict" bins="0"/>`: `element 1 (test-strict): attribute "bins"`,
+		`<analysis type="test-strict" bnis="4"/>`:                                        `element 0 (test-strict): attribute "bnis"`,
+		`<analysis type="test-strict" enabled="perhaps"/>`:                               `element 0 (test-strict): attribute "enabled"`,
+		`<analysis type="test-strict" enabled="0" bins="0" whatever="x"/>`:               "",
+	} {
+		err := ConfigureFromXML(NewBridge(nil, nil, nil), []byte("<sensei>"+doc+"</sensei>"))
+		switch {
+		case want == "" && err != nil:
+			t.Errorf("%s: %v", doc, err)
+		case want != "" && (err == nil || !strings.Contains(err.Error(), want)):
+			t.Errorf("%s: err=%v, want %q", doc, err, want)
+		}
+	}
 }
 
 func TestConfigureFromXML(t *testing.T) {
-	RegisterFactory("test-recording", func(attrs Attrs, env *Env) (AnalysisAdaptor, error) {
+	RegisterFactory("test-recording", func(attrs *Attrs, env *Env) (AnalysisAdaptor, error) {
 		if attrs.String("array", "") != "data" {
 			return nil, fmt.Errorf("bad attrs")
 		}
@@ -244,18 +354,18 @@ func TestConfigureFromXMLBadDocument(t *testing.T) {
 }
 
 func TestRegisterFactoryDuplicatePanics(t *testing.T) {
-	RegisterFactory("test-dup", func(Attrs, *Env) (AnalysisAdaptor, error) { return nil, nil })
+	RegisterFactory("test-dup", func(*Attrs, *Env) (AnalysisAdaptor, error) { return nil, nil })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	RegisterFactory("test-dup", func(Attrs, *Env) (AnalysisAdaptor, error) { return nil, nil })
+	RegisterFactory("test-dup", func(*Attrs, *Env) (AnalysisAdaptor, error) { return nil, nil })
 }
 
 func TestFactoryTypesSorted(t *testing.T) {
-	RegisterFactory("test-zzz", func(Attrs, *Env) (AnalysisAdaptor, error) { return nil, nil })
-	RegisterFactory("test-aaa", func(Attrs, *Env) (AnalysisAdaptor, error) { return nil, nil })
+	RegisterFactory("test-zzz", func(*Attrs, *Env) (AnalysisAdaptor, error) { return nil, nil })
+	RegisterFactory("test-aaa", func(*Attrs, *Env) (AnalysisAdaptor, error) { return nil, nil })
 	types := FactoryTypes()
 	for i := 1; i < len(types); i++ {
 		if types[i-1] >= types[i] {

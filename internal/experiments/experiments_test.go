@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -272,18 +273,27 @@ func TestLESLIESpikesEveryFifthStep(t *testing.T) {
 
 func TestNyxAnalysisNegligibleReal(t *testing.T) {
 	// Fig. 17's claim on real executions: the PM solver step costs far more
-	// than a histogram of the density field.
+	// than a histogram of the density field. Two single millisecond-scale
+	// runs cannot be compared while anything else wants the core, so each
+	// side is the fastest of a few alternating runs: load only ever adds
+	// time, and a burst has to hit all five runs of one side to mislead.
 	opt := testOptions()
 	opt.RealCells = 16
 	opt.RealSteps = 3
-	solver, _, err := RunNyxReal(opt, "baseline")
-	if err != nil {
-		t.Fatal(err)
+	const runs = 5
+	solver, hist := math.Inf(1), math.Inf(1)
+	for i := 0; i < runs; i++ {
+		s, _, err := RunNyxReal(opt, "baseline")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, h, err := RunNyxReal(opt, "histogram")
+		if err != nil {
+			t.Fatal(err)
+		}
+		solver, hist = min(solver, s), min(hist, h)
 	}
-	_, hist, err := RunNyxReal(opt, "histogram")
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Logf("fastest of %d: PM step %.5fs, histogram %.5fs, ratio %.3f", runs, solver, hist, hist/solver)
 	if hist > solver {
 		t.Fatalf("histogram (%.5fs) should be cheaper than a PM step (%.5fs)", hist, solver)
 	}

@@ -166,31 +166,28 @@ func RunPosthoc(dir string, writeRanks, readRanks int, w ADIOSWorkload, opt Opti
 					da.SetStep(step, 0)
 					_, rerr = ac.Execute(da)
 				case ADIOSCatalystSlice:
-					fb := render.NewFramebuffer(opt.ImageW, opt.ImageH)
-					for _, b := range blocks {
-						spec := &render.SliceSpec{
-							Plane:     render.AxisPlane(2, float64(opt.RealCells)/2),
-							ArrayName: "data",
-							Assoc:     grid.CellData,
-							Lo:        -3, Hi: 3,
-							Map:          colormap.CoolWarm(),
-							DomainBounds: [6]float64{0, float64(opt.RealCells), 0, float64(opt.RealCells), 0, float64(opt.RealCells)},
-						}
-						if e := render.ResampleImageSlice(fb, b, spec); e != nil {
-							rerr = e
-							return
-						}
+					spec := &render.SliceSpec{
+						Plane:     render.AxisPlane(2, float64(opt.RealCells)/2),
+						ArrayName: "data",
+						Assoc:     grid.CellData,
+						Lo:        -3, Hi: 3,
+						Map:          colormap.CoolWarm(),
+						DomainBounds: [6]float64{0, float64(opt.RealCells), 0, float64(opt.RealCells), 0, float64(opt.RealCells)},
 					}
-					final, e := compositing.Composite(c, fb, 0, compositing.BinarySwap)
-					if e != nil {
-						rerr = e
-						return
+					tail := compositing.Tail{
+						Comm: c, Registry: reg, Algorithm: compositing.BinarySwap,
+						PNGTimer: "write", Prefix: "experiments",
 					}
-					if final != nil {
-						reg.Time("write", step, func() {
-							_, rerr = render.WritePNG(discard{}, final, render.PNGOptions{})
-						})
-					}
+					rerr = tail.Image(step, opt.ImageW, opt.ImageH,
+						func(fb *render.Framebuffer) error {
+							for _, b := range blocks {
+								if err := render.ResampleImageSlice(fb, b, spec); err != nil {
+									return err
+								}
+							}
+							return nil
+						},
+						func(final *render.Framebuffer) error { return tail.Deliver(final, step, nil) })
 				}
 			})
 			if rerr != nil {
@@ -224,11 +221,6 @@ func RunPosthoc(dir string, writeRanks, readRanks int, w ADIOSWorkload, opt Opti
 	}
 	return out, nil
 }
-
-// discard is an io.Writer sink for benchmark-mode image writes.
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 // stagedMesh adapts an in-memory mesh for analyses that take DataAdaptors.
 type stagedMesh struct {

@@ -29,42 +29,21 @@ import (
 )
 
 func init() {
-	core.RegisterFactory("cinema", func(attrs core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
-		w, err := attrs.Int("image-width", 256)
-		if err != nil {
-			return nil, err
-		}
-		h, err := attrs.Int("image-height", 256)
-		if err != nil {
-			return nil, err
-		}
-		nPhi, err := attrs.Int("phi-count", 4)
-		if err != nil {
-			return nil, err
-		}
-		nTheta, err := attrs.Int("theta-count", 2)
-		if err != nil {
-			return nil, err
-		}
-		iso, err := attrs.Float("iso", 0.5)
-		if err != nil {
-			return nil, err
-		}
+	core.RegisterFactory("cinema", func(attrs *core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
 		cm, err := colormap.ByName(attrs.String("colormap", "viridis"))
 		if err != nil {
 			return nil, err
 		}
-		spec := Spec{
+		a := New(env.Comm, Spec{
 			ArrayName: attrs.String("array", "data"),
-			IsoValues: []float64{iso},
-			Phi:       orbit(nPhi, 0, 360),
-			Theta:     orbit(nTheta, 15, 75),
-			Width:     w,
-			Height:    h,
+			IsoValues: []float64{attrs.Float("iso", 0.5)},
+			Phi:       orbit(attrs.Int("phi-count", 4, 1), 0, 360),
+			Theta:     orbit(attrs.Int("theta-count", 2, 1), 15, 75),
+			Width:     attrs.Int("image-width", 256, 1),
+			Height:    attrs.Int("image-height", 256, 1),
 			OutputDir: attrs.String("output-dir", "cinema-store"),
 			Map:       cm,
-		}
-		a := New(env.Comm, spec)
+		})
 		a.Registry = env.Registry
 		return a, nil
 	})
@@ -179,13 +158,6 @@ func New(c *mpi.Comm, spec Spec) *Cinema {
 // ImageCount reports the database size so far (rank 0).
 func (cn *Cinema) ImageCount() int { return len(cn.index.Entries) }
 
-func (cn *Cinema) reg() *metrics.Registry {
-	if cn.Registry == nil {
-		cn.Registry = metrics.NewRegistry(0)
-	}
-	return cn.Registry
-}
-
 // Execute implements core.AnalysisAdaptor: for every (iso, phi, theta)
 // combination, extract the isosurface, render from the orbit camera,
 // composite, and store the image from rank 0.
@@ -207,21 +179,26 @@ func (cn *Cinema) Execute(d core.DataAdaptor) (bool, error) {
 	if !ok {
 		return false, fmt.Errorf("extracts: cinema supports structured data, got %v", mesh.Kind())
 	}
-	// Shared scalar range and bounds.
-	lo, hi, bounds, err := cn.globalRange(img)
+	arr := img.Attributes(grid.CellData).Get(cn.Spec.ArrayName)
+	if arr == nil {
+		return false, fmt.Errorf("extracts: mesh lacks cell array %q", cn.Spec.ArrayName)
+	}
+	lo, hi, bounds, err := compositing.AgreeRange(cn.Comm, arr, 0, img.Bounds())
 	if err != nil {
 		return false, err
 	}
 	if err := render.CellToPointScalars(img, cn.Spec.ArrayName); err != nil {
 		return false, err
 	}
-	center := render.Vec3{
-		(bounds[0] + bounds[1]) / 2, (bounds[2] + bounds[3]) / 2, (bounds[4] + bounds[5]) / 2,
+	cn.Registry = metrics.OrNew(cn.Registry, cn.Comm.Rank())
+	t := compositing.Tail{
+		Comm: cn.Comm, Registry: cn.Registry, Algorithm: compositing.BinarySwap,
+		CompositeTimer: "cinema::composite", PNGTimer: "cinema::png",
+		Prefix: "extracts", Background: color.RGBA{R: 10, G: 10, B: 14, A: 255},
+		Dir: cn.Spec.OutputDir,
 	}
-	diag := render.Vec3{bounds[1] - bounds[0], bounds[3] - bounds[2], bounds[5] - bounds[4]}.Norm()
-	if diag == 0 {
-		diag = 1
-	}
+	center, diag := render.BoxFrame(bounds)
+	cm := cn.Spec.Map
 	for _, isoN := range cn.Spec.IsoValues {
 		iso := lo + isoN*(hi-lo)
 		tris, err := render.Isosurface(img, cn.Spec.ArrayName, iso, "")
@@ -234,25 +211,24 @@ func (cn *Cinema) Execute(d core.DataAdaptor) (bool, error) {
 				if err != nil {
 					return false, err
 				}
-				fb := render.AcquireFramebuffer(cn.Spec.Width, cn.Spec.Height)
-				cm := cn.Spec.Map
-				render.RenderMesh(fb, cam, tris, func(s float64) color.RGBA {
-					return cm.Pseudocolor(s, lo, hi)
-				})
-				var final *render.Framebuffer
-				cn.reg().Time("cinema::composite", step, func() {
-					final, err = compositing.Composite(cn.Comm, fb, 0, compositing.BinarySwap)
-				})
-				if err == nil && final != nil { // rank 0
-					err = cn.store(final, step, d.Time(), isoN, phi, theta)
-				}
-				// The compositor may hand rank 0 back its own buffer (p == 1);
-				// release each underlying framebuffer exactly once, whatever
-				// happened above.
-				if final != nil && final != fb {
-					final.Release()
-				}
-				fb.Release()
+				err = t.Image(step, cn.Spec.Width, cn.Spec.Height,
+					func(fb *render.Framebuffer) error {
+						render.RenderMesh(fb, cam, tris, func(s float64) color.RGBA {
+							return cm.Pseudocolor(s, lo, hi)
+						})
+						return nil
+					},
+					func(final *render.Framebuffer) error {
+						// The index records a view only once its bytes landed.
+						name := fmt.Sprintf("s%05d_i%.3f_p%06.1f_t%05.1f.png", step, isoN, phi, theta)
+						if err := t.Deliver(final, step, func() string { return name }); err != nil {
+							return err
+						}
+						cn.index.Entries = append(cn.index.Entries, Entry{
+							File: name, Step: step, Time: d.Time(), Iso: isoN, Phi: phi, Theta: theta,
+						})
+						return nil
+					})
 				if err != nil {
 					return false, err
 				}
@@ -277,55 +253,6 @@ func orbitCamera(center render.Vec3, diag, phiDeg, thetaDeg float64) (*render.Ca
 		up = render.Vec3{1, 0, 0}
 	}
 	return render.NewCamera(eye, center, up, diag*1.2)
-}
-
-func (cn *Cinema) globalRange(img *grid.ImageData) (lo, hi float64, bounds [6]float64, err error) {
-	arr := img.Attributes(grid.CellData).Get(cn.Spec.ArrayName)
-	if arr == nil {
-		return 0, 0, bounds, fmt.Errorf("extracts: mesh lacks cell array %q", cn.Spec.ArrayName)
-	}
-	l, h := arr.Range(0)
-	lb := img.Bounds()
-	recvLo := []float64{l, lb[0], lb[2], lb[4]}
-	recvHi := []float64{h, lb[1], lb[3], lb[5]}
-	if cn.Comm != nil {
-		// One fused min/max round for the scalar range and the bounds.
-		if err := mpi.AllreduceMinMax(cn.Comm, recvLo, recvHi); err != nil {
-			return 0, 0, bounds, err
-		}
-	}
-	bounds = [6]float64{recvLo[1], recvHi[1], recvLo[2], recvHi[2], recvLo[3], recvHi[3]}
-	return recvLo[0], recvHi[0], bounds, nil
-}
-
-// store writes one image and records its index entry (rank 0 only).
-func (cn *Cinema) store(final *render.Framebuffer, step int, time, iso, phi, theta float64) error {
-	final.FillBackground(color.RGBA{R: 10, G: 10, B: 14, A: 255})
-	if err := os.MkdirAll(cn.Spec.OutputDir, 0o755); err != nil {
-		return fmt.Errorf("extracts: %w", err)
-	}
-	name := fmt.Sprintf("s%05d_i%.3f_p%06.1f_t%05.1f.png", step, iso, phi, theta)
-	f, err := os.Create(filepath.Join(cn.Spec.OutputDir, name))
-	if err != nil {
-		return fmt.Errorf("extracts: %w", err)
-	}
-	var werr error
-	cn.reg().Time("cinema::png", step, func() {
-		_, werr = render.WritePNG(f, final, render.PNGOptions{})
-	})
-	if werr != nil {
-		_ = f.Close() // the encode error wins
-		return werr
-	}
-	// Close surfaces buffered write failures; the cinema index must not
-	// record a frame whose bytes never landed.
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("extracts: %w", err)
-	}
-	cn.index.Entries = append(cn.index.Entries, Entry{
-		File: name, Step: step, Time: time, Iso: iso, Phi: phi, Theta: theta,
-	})
-	return nil
 }
 
 // Finalize implements core.AnalysisAdaptor: rank 0 writes index.json.

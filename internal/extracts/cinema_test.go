@@ -2,15 +2,19 @@ package extracts
 
 import (
 	"bytes"
+	"errors"
 	"image/png"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
+	"syscall"
 	"testing"
 
 	"gosensei/internal/core"
 	"gosensei/internal/mpi"
 	"gosensei/internal/oscillator"
+	"gosensei/internal/render"
 )
 
 func runCinema(t *testing.T, nRanks, steps int, spec Spec) *Index {
@@ -245,6 +249,51 @@ func TestCinemaReusesFramebuffers(t *testing.T) {
 			if !bytes.Equal(data, first[i]) {
 				t.Errorf("view %d: PNG bytes from a recycled framebuffer differ from the fresh render", i)
 			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A view whose bytes never landed is an error and gets no index entry: the
+// first view's file name is a link to /dev/full, which fails every write.
+func TestCinemaWriteFailureIsNotIndexed(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	spec := baseSpec(t.TempDir())
+	if err := os.Symlink("/dev/full", filepath.Join(spec.OutputDir, "s00001_i0.400_p0000.0_t030.0.png")); err != nil {
+		t.Fatal(err)
+	}
+	cfg := oscillator.Config{
+		GlobalCells: [3]int{12, 12, 12},
+		DT:          0.1,
+		Steps:       1,
+		Oscillators: oscillator.DefaultDeck(12),
+	}
+	err := mpi.Run(1, func(c *mpi.Comm) error {
+		s, err := oscillator.NewSim(c, cfg, nil)
+		if err != nil {
+			return err
+		}
+		if err := s.Step(); err != nil {
+			return err
+		}
+		d := oscillator.NewDataAdaptor(s)
+		d.Update()
+		cn := New(c, spec)
+		inUse := render.FramebuffersInUse()
+		_, err = cn.Execute(d)
+		if !errors.Is(err, syscall.ENOSPC) || !strings.HasPrefix(err.Error(), "extracts: ") {
+			t.Errorf("Execute: %v, want this package's ENOSPC", err)
+		}
+		if cn.ImageCount() != 0 {
+			t.Errorf("index has %d entries, no view landed", cn.ImageCount())
+		}
+		if got := render.FramebuffersInUse(); got != inUse {
+			t.Errorf("framebuffers in use: %d before, %d after the failed view", inUse, got)
 		}
 		return nil
 	})

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -456,14 +457,17 @@ func TestHeartbeatRTTOverTCP(t *testing.T) {
 	}
 }
 
-// clientGoroutines counts the goroutines running a Client method — the
-// lifecycle loop, the recv pump, the heartbeat.
-func clientGoroutines() int {
+// clientGoroutines counts the goroutines running a method of c — the
+// lifecycle loop, the recv pump, the heartbeat. A traceback prints the
+// receiver as the method's first argument, so goroutines of other tests'
+// clients, which Close does not wait for, are not counted.
+func clientGoroutines(c *Client) int {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
+	recv := regexp.MustCompile(fmt.Sprintf(`fabric\.\(\*Client\)\.\w+\(%p\b`, c))
 	n := 0
 	for _, g := range strings.Split(string(buf), "\n\n") {
-		if strings.Contains(g, "fabric.(*Client).") {
+		if recv.MatchString(g) {
 			n++
 		}
 	}
@@ -480,7 +484,6 @@ func TestCloseStopsHeartbeatPromptly(t *testing.T) {
 	}
 	hub := NewHub(lis, HubOptions{Writers: 1, Readers: 1, Depth: 1})
 	defer func() { _ = hub.Close() }()
-	baseline := clientGoroutines()
 	c := DialWriter(ClientOptions{
 		Network: "tcp", Addr: lis.Addr().String(),
 		Rank: 0, Writers: 1, Readers: 1, Depth: 1,
@@ -494,17 +497,17 @@ func TestCloseStopsHeartbeatPromptly(t *testing.T) {
 	}
 	d := <-hub.Deliveries(0)
 	d.Release()
-	if got := clientGoroutines(); got < baseline+3 {
-		t.Fatalf("%d client goroutines while connected, want at least %d (run, pump, heartbeat)", got, baseline+3)
+	if got := clientGoroutines(c); got < 3 {
+		t.Fatalf("%d client goroutines while connected, want at least 3 (run, pump, heartbeat)", got)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 	deadline := time.Now().Add(50 * time.Millisecond)
-	for clientGoroutines() > baseline {
+	for clientGoroutines(c) > 0 {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)
-			t.Fatalf("%d client goroutines 50ms after Close, baseline %d\n%s", clientGoroutines(), baseline, buf[:runtime.Stack(buf, true)])
+			t.Fatalf("%d client goroutines 50ms after Close\n%s", clientGoroutines(c), buf[:runtime.Stack(buf, true)])
 		}
 		runtime.Gosched()
 	}

@@ -158,13 +158,21 @@ func TestHandshakeWorldFieldsRoundTrip(t *testing.T) {
 		err error
 	}
 	got := make(chan acceptResult, 1)
+	// The dialer clears its handshake deadline after reading the Welcome; on
+	// a pipe that fails once the far end is closed, so the acceptor keeps its
+	// end open until DialHello has returned.
+	dialed := make(chan struct{})
+	defer close(dialed)
 	go func() {
 		conn, err := lis.Accept()
 		if err != nil {
 			got <- acceptResult{err: err}
 			return
 		}
-		defer func() { _ = conn.Close() }()
+		defer func() {
+			<-dialed
+			_ = conn.Close()
+		}()
 		sess, h, err := AcceptHello(conn, nil)
 		if err != nil {
 			got <- acceptResult{err: err}

@@ -23,25 +23,17 @@ import (
 )
 
 func init() {
-	core.RegisterFactory("glean", func(attrs core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
-		rpn, err := attrs.Int("ranks-per-node", 4)
-		if err != nil {
-			return nil, err
-		}
+	core.RegisterFactory("glean", func(attrs *core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
 		mode := IOAcceleration
-		if attrs.String("mode", "io") == "analysis" {
+		if attrs.Choice("mode", "io", "io", "analysis") == 1 {
 			mode = NodeAnalysis
 		}
-		bins, err := attrs.Int("bins", 10)
-		if err != nil {
-			return nil, err
-		}
 		a, err := New(env.Comm, Options{
-			RanksPerNode: rpn,
+			RanksPerNode: attrs.Int("ranks-per-node", 4, 1),
 			Mode:         mode,
 			OutputDir:    attrs.String("output-dir", ""),
 			ArrayName:    attrs.String("array", "data"),
-			Bins:         bins,
+			Bins:         attrs.Int("bins", 10, 1),
 		})
 		if err != nil {
 			return nil, err
@@ -133,36 +125,19 @@ func New(c *mpi.Comm, opts Options) (*Staging, error) {
 // IsAggregator reports whether this rank aggregates its node.
 func (s *Staging) IsAggregator() bool { return s.isAggregator }
 
-func (s *Staging) reg() *metrics.Registry {
-	if s.Registry == nil {
-		s.Registry = metrics.NewRegistry(s.Comm.Rank())
-	}
-	return s.Registry
-}
-
 // Execute implements core.AnalysisAdaptor: serialize the local block, gather
 // node-local blocks onto the aggregator, and act per the configured mode.
 func (s *Staging) Execute(d core.DataAdaptor) (bool, error) {
-	mesh, err := d.Mesh(false)
+	mesh, err := core.FetchAll(d)
 	if err != nil {
 		return false, err
-	}
-	for _, assoc := range []grid.Association{grid.PointData, grid.CellData} {
-		names, err := d.ArrayNames(assoc)
-		if err != nil {
-			return false, err
-		}
-		for _, n := range names {
-			if err := d.AddArray(mesh, assoc, n); err != nil {
-				return false, err
-			}
-		}
 	}
 	img, ok := mesh.(*grid.ImageData)
 	if !ok {
 		return false, fmt.Errorf("glean: staging supports structured data, got %v", mesh.Kind())
 	}
 	step := d.TimeStep()
+	s.Registry = metrics.OrNew(s.Registry, s.Comm.Rank())
 	payload := adios.EncodeStep(img, step, d.Time())
 	if s.Memory != nil {
 		s.Memory.Alloc("glean/stage-buffer", int64(len(payload)))
@@ -170,7 +145,7 @@ func (s *Staging) Execute(d core.DataAdaptor) (bool, error) {
 	}
 	var parts [][]byte
 	var gatherErr error
-	s.reg().Time("glean::aggregate", step, func() {
+	s.Registry.Time("glean::aggregate", step, func() {
 		parts, gatherErr = mpi.Gatherv(s.nodeComm, payload, 0)
 	})
 	if gatherErr != nil {
@@ -199,7 +174,7 @@ func (s *Staging) Execute(d core.DataAdaptor) (bool, error) {
 // writeNode writes the node's blocks as one aggregated BP file.
 func (s *Staging) writeNode(parts [][]byte, step int) error {
 	var err error
-	s.reg().Time("glean::write", step, func() {
+	s.Registry.Time("glean::write", step, func() {
 		if s.Opts.OutputDir == "" {
 			return // benchmark: staging cost only
 		}
@@ -221,7 +196,7 @@ func (s *Staging) writeNode(parts [][]byte, step int) error {
 // the aggregator communicator.
 func (s *Staging) analyzeNode(parts [][]byte, step int) error {
 	var err error
-	s.reg().Time("glean::analysis", step, func() {
+	s.Registry.Time("glean::analysis", step, func() {
 		mb := &grid.MultiBlock{}
 		for _, p := range parts {
 			img, _, _, derr := adios.DecodeStep(p)

@@ -10,17 +10,13 @@ import (
 )
 
 func init() {
-	core.RegisterFactory("vtk-writer", func(attrs core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
+	core.RegisterFactory("vtk-writer", func(attrs *core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
 		dir := attrs.String("dir", "")
 		if dir == "" {
 			return nil, fmt.Errorf("iosim: vtk-writer needs a dir attribute")
 		}
-		stride, err := attrs.Int("stride", 1)
-		if err != nil {
-			return nil, err
-		}
 		w := NewBlockWriter(env.Comm, dir)
-		w.Stride = stride
+		w.Stride = attrs.Int("stride", 1, 1)
 		w.Registry = env.Registry
 		return w, nil
 	})
@@ -47,17 +43,6 @@ func NewBlockWriter(c *mpi.Comm, dir string) *BlockWriter {
 	return &BlockWriter{Comm: c, Dir: dir, Stride: 1}
 }
 
-func (w *BlockWriter) reg() *metrics.Registry {
-	if w.Registry == nil {
-		rank := 0
-		if w.Comm != nil {
-			rank = w.Comm.Rank()
-		}
-		w.Registry = metrics.NewRegistry(rank)
-	}
-	return w.Registry
-}
-
 // Execute implements core.AnalysisAdaptor: attach every available array and
 // write the block file.
 func (w *BlockWriter) Execute(d core.DataAdaptor) (bool, error) {
@@ -66,31 +51,18 @@ func (w *BlockWriter) Execute(d core.DataAdaptor) (bool, error) {
 	if w.Stride > 1 && idx%w.Stride != 0 {
 		return true, nil
 	}
-	mesh, err := d.Mesh(false)
+	mesh, err := core.FetchAll(d)
 	if err != nil {
 		return false, err
-	}
-	for _, assoc := range []grid.Association{grid.PointData, grid.CellData} {
-		names, err := d.ArrayNames(assoc)
-		if err != nil {
-			return false, err
-		}
-		for _, n := range names {
-			if err := d.AddArray(mesh, assoc, n); err != nil {
-				return false, err
-			}
-		}
 	}
 	img, ok := mesh.(*grid.ImageData)
 	if !ok {
 		return false, fmt.Errorf("iosim: vtk-writer supports structured data, got %v", mesh.Kind())
 	}
-	rank := 0
-	if w.Comm != nil {
-		rank = w.Comm.Rank()
-	}
+	rank := w.Comm.Rank()
+	w.Registry = metrics.OrNew(w.Registry, rank)
 	var n int64
-	w.reg().Time("vtkio::write", d.TimeStep(), func() {
+	w.Registry.Time("vtkio::write", d.TimeStep(), func() {
 		n, err = WriteBlockFile(w.Dir, rank, img, d.TimeStep(), d.Time())
 	})
 	if err != nil {

@@ -9,13 +9,10 @@
 package libsim
 
 import (
-	"bytes"
 	"encoding/xml"
 	"fmt"
 	"image/color"
-	"io"
 	"os"
-	"path/filepath"
 
 	"gosensei/internal/colormap"
 	"gosensei/internal/compositing"
@@ -29,40 +26,25 @@ import (
 )
 
 func init() {
-	core.RegisterFactory("libsim", func(attrs core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
+	core.RegisterFactory("libsim", func(attrs *core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
 		path := attrs.String("session", "")
-		var (
-			session *Session
-			err     error
-		)
+		// Without a session file: one z slice of the named array.
+		session := DefaultSliceSession(attrs.String("array", "data"), 0)
 		if path != "" {
-			session, err = LoadSession(path)
-			if err != nil {
+			var err error
+			if session, err = LoadSession(path); err != nil {
 				return nil, err
 			}
-		} else {
-			// A minimal default session: one z slice of "data".
-			session = DefaultSliceSession(attrs.String("array", "data"), 0)
 		}
-		if w, werr := attrs.Int("image-width", 0); werr == nil && w > 0 {
-			session.Image.Width = w
-		}
-		if h, herr := attrs.Int("image-height", 0); herr == nil && h > 0 {
-			session.Image.Height = h
-		}
-		stride, err := attrs.Int("stride", 1)
-		if err != nil {
-			return nil, err
-		}
+		session.Image.Width = attrs.Int("image-width", session.Image.Width, 1)
+		session.Image.Height = attrs.Int("image-height", session.Image.Height, 1)
 		a := NewAdaptor(env.Comm, session, Options{
 			OutputDir:   attrs.String("output-dir", ""),
-			Stride:      stride,
+			Stride:      attrs.Int("stride", 1, 1),
 			SessionPath: path,
 			ParallelPNG: attrs.Bool("parallel-png", false),
+			Workers:     attrs.Int("threads", 0, 0),
 		})
-		if t, terr := attrs.Int("threads", 0); terr == nil && t > 0 {
-			a.Opts.Workers = t
-		}
 		a.Registry = env.Registry
 		a.Memory = env.Memory
 		return a, nil
@@ -223,20 +205,7 @@ func (a *Adaptor) ImagesWritten() int { return a.imagesOut }
 
 // workers resolves the intra-rank worker count against the process thread
 // budget, so goroutine-ranks times workers stays bounded under mpi.Run.
-func (a *Adaptor) workers() int {
-	ranks := 1
-	if a.Comm != nil {
-		ranks = a.Comm.Size()
-	}
-	return parallel.Workers(a.Opts.Workers, ranks)
-}
-
-func (a *Adaptor) reg() *metrics.Registry {
-	if a.Registry == nil {
-		a.Registry = metrics.NewRegistry(0)
-	}
-	return a.Registry
-}
+func (a *Adaptor) workers() int { return parallel.Workers(a.Opts.Workers, a.Comm.Size()) }
 
 // Initialize performs the per-rank startup work: the configuration-file
 // check (a real stat per rank) and framebuffer accounting.
@@ -259,9 +228,10 @@ func (a *Adaptor) Initialize() error {
 // Execute implements core.AnalysisAdaptor.
 func (a *Adaptor) Execute(d core.DataAdaptor) (bool, error) {
 	step := d.TimeStep()
+	a.Registry = metrics.OrNew(a.Registry, a.Comm.Rank())
 	if !a.initialized {
 		var err error
-		a.reg().Time("libsim::initialize", step, func() { err = a.Initialize() })
+		a.Registry.Time("libsim::initialize", step, func() { err = a.Initialize() })
 		if err != nil {
 			return false, err
 		}
@@ -271,59 +241,69 @@ func (a *Adaptor) Execute(d core.DataAdaptor) (bool, error) {
 	if idx%a.Opts.Stride != 0 {
 		// Off-stride steps still pass through SENSEI (cheap), like
 		// AVF-LESLIE's 4-out-of-5 low-cost invocations.
-		a.reg().Log("libsim::skip", step, 0)
+		a.Registry.Log("libsim::skip", step, 0)
 		return true, nil
 	}
-	if len(a.Session.Plots) == 1 && a.Session.Plots[0].Type == "volume" {
-		return a.executeVolume(d, step)
-	}
-	fb := render.AcquireFramebuffer(a.Session.Image.Width, a.Session.Image.Height)
+	t := a.tail()
 	var err error
-	a.reg().Time("libsim::render", step, func() { err = a.renderPlots(d, fb) })
-	if err != nil {
-		fb.Release()
-		return false, err
+	if len(a.Session.Plots) == 1 && a.Session.Plots[0].Type == "volume" {
+		err = a.executeVolume(&t, d, step)
+	} else {
+		err = t.Image(step, a.Session.Image.Width, a.Session.Image.Height,
+			func(fb *render.Framebuffer) error { return a.renderPlots(d, fb) },
+			func(final *render.Framebuffer) error { return a.writeImage(&t, final, step) })
 	}
-	var final *render.Framebuffer
-	a.reg().Time("libsim::composite", step, func() {
-		final, err = compositing.Composite(a.Comm, fb, 0, compositing.DirectSend)
-	})
-	if err != nil {
-		fb.Release()
-		return false, err
+	return err == nil, err
+}
+
+// tail is what this infrastructure brings to the shared image tail: the
+// direct-send tree, its timer names and background, and where the bytes go.
+func (a *Adaptor) tail() compositing.Tail {
+	t := compositing.Tail{
+		Comm: a.Comm, Registry: a.Registry, Algorithm: compositing.DirectSend,
+		RenderTimer: "libsim::render", CompositeTimer: "libsim::composite", PNGTimer: "libsim::png",
+		Prefix: "libsim", Background: color.RGBA{R: 12, G: 12, B: 16, A: 255},
+		PNG: render.PNGOptions{Parallel: a.Opts.ParallelPNG, Workers: a.workers()},
+		Dir: a.Opts.OutputDir,
 	}
-	if final != nil {
-		err = a.writeImage(final, step)
+	if hub := a.Opts.Hub; hub != nil {
+		t.Publish = func(step, w, h int, png []byte) {
+			hub.Publish(live.Frame{Step: step, Width: w, Height: h, PNG: png})
+		}
 	}
-	// DirectSend returns rank 0's own buffer as the final image; release each
-	// underlying framebuffer exactly once.
-	if final != nil && final != fb {
-		final.Release()
+	return t
+}
+
+// writeImage delivers the composited image from rank 0 as visit_NNNNN.png.
+func (a *Adaptor) writeImage(t *compositing.Tail, final *render.Framebuffer, step int) error {
+	err := t.Deliver(final, step, func() string { return fmt.Sprintf("visit_%05d.png", step) })
+	if err == nil {
+		a.imagesOut++
 	}
-	fb.Release()
-	return true, err
+	return err
 }
 
 // executeVolume runs the direct-volume-rendering path: axis-aligned ray
 // marching per rank, then strict front-to-back over-compositing across the
-// rank order along the view axis.
-func (a *Adaptor) executeVolume(d core.DataAdaptor, step int) (bool, error) {
+// rank order along the view axis. Alpha images are not framebuffers, so only
+// the delivery is the shared tail's.
+func (a *Adaptor) executeVolume(t *compositing.Tail, d core.DataAdaptor, step int) error {
 	p := a.Session.Plots[0]
 	mesh, err := core.FetchArray(d, grid.CellData, p.Array)
 	if err != nil {
-		return false, err
+		return err
 	}
 	img, ok := mesh.(*grid.ImageData)
 	if !ok {
-		return false, fmt.Errorf("libsim: volume rendering needs structured data, got %v", mesh.Kind())
+		return fmt.Errorf("libsim: volume rendering needs structured data, got %v", mesh.Kind())
 	}
 	cm, err := colormap.ByName(p.Colormap)
 	if err != nil {
-		return false, err
+		return err
 	}
 	lo, hi, bounds, err := a.globalRange(img, grid.CellData, p.Array)
 	if err != nil {
-		return false, err
+		return err
 	}
 	axis := map[string]int{"x": 0, "y": 1, "z": 2}[p.Axis]
 	opacity := p.Opacity
@@ -339,24 +319,23 @@ func (a *Adaptor) executeVolume(d core.DataAdaptor, step int) (bool, error) {
 		local    *render.AlphaImage
 		orderKey int
 	)
-	a.reg().Time("libsim::render", step, func() {
+	a.Registry.Time("libsim::render", step, func() {
 		local, orderKey, err = render.RayMarchLocalSized(img, spec, a.Session.Image.Width, a.Session.Image.Height)
 	})
 	if err != nil {
-		return false, err
+		return err
 	}
 	var final *render.AlphaImage
-	a.reg().Time("libsim::composite", step, func() {
+	a.Registry.Time("libsim::composite", step, func() {
 		final, err = compositing.OverComposite(a.Comm, local, orderKey, 0)
 	})
-	if err != nil {
-		return false, err
+	if err != nil || final == nil {
+		return err
 	}
-	if final != nil {
-		fb := final.ToFramebuffer(0.05, 0.05, 0.08)
-		return true, a.writeImage(fb, step)
-	}
-	return true, nil
+	fb := final.ToFramebuffer(0.05, 0.05, 0.08)
+	err = a.writeImage(t, fb, step)
+	fb.Release()
+	return err
 }
 
 // renderPlots draws every plot of the session into the local framebuffer.
@@ -421,11 +400,7 @@ func (a *Adaptor) renderSlice3D(fb *render.Framebuffer, img *grid.ImageData, spe
 	// Sample the slice on a coarse grid of quads in the plane, each
 	// pseudocolored by the local data where this rank owns the sample.
 	const n = 96
-	u, v := spec.Plane.Basis()
-	// Project domain corners into the plane to get the window (reusing the
-	// spec's own logic via a tiny local recomputation).
-	b := spec.DomainBounds
-	umin, umax, vmin, vmax := planeWindow(spec.Plane, u, v, b)
+	u, v, umin, umax, vmin, vmax := spec.PlaneWindow()
 	du := (umax - umin) / n
 	dv := (vmax - vmin) / n
 	lb := img.Bounds()
@@ -460,29 +435,6 @@ func (a *Adaptor) renderSlice3D(fb *render.Framebuffer, img *grid.ImageData, spe
 	return nil
 }
 
-func planeWindow(pl render.Plane, u, v render.Vec3, b [6]float64) (umin, umax, vmin, vmax float64) {
-	umin, vmin = 1e300, 1e300
-	umax, vmax = -1e300, -1e300
-	for ci := 0; ci < 8; ci++ {
-		p := render.Vec3{b[ci&1], b[2+(ci>>1)&1], b[4+(ci>>2)&1]}
-		rel := p.Sub(pl.Origin)
-		pu, pv := rel.Dot(u), rel.Dot(v)
-		if pu < umin {
-			umin = pu
-		}
-		if pu > umax {
-			umax = pu
-		}
-		if pv < vmin {
-			vmin = pv
-		}
-		if pv > vmax {
-			vmax = pv
-		}
-	}
-	return
-}
-
 // sampleAt fetches the scalar at a world point from the local block.
 func sampleAt(img *grid.ImageData, spec *render.SliceSpec, w render.Vec3) (float64, bool) {
 	arr := img.Attributes(spec.Assoc).Get(spec.ArrayName)
@@ -515,75 +467,7 @@ func (a *Adaptor) globalRange(img *grid.ImageData, assoc grid.Association, name 
 	if arr == nil {
 		return 0, 0, bounds, fmt.Errorf("libsim: mesh lacks %s array %q", assoc, name)
 	}
-	l, h := arr.Range(0)
-	lb := img.Bounds()
-	recvLo := []float64{l, lb[0], lb[2], lb[4]}
-	recvHi := []float64{h, lb[1], lb[3], lb[5]}
-	if a.Comm != nil {
-		// One fused min/max round for the scalar range and the bounds.
-		if err := mpi.AllreduceMinMax(a.Comm, recvLo, recvHi); err != nil {
-			return 0, 0, bounds, err
-		}
-	}
-	bounds = [6]float64{recvLo[1], recvHi[1], recvLo[2], recvHi[2], recvLo[3], recvHi[3]}
-	return recvLo[0], recvHi[0], bounds, nil
-}
-
-// writeImage serializes the composited image on rank 0 and delivers it to
-// the output directory and/or attached live viewers.
-func (a *Adaptor) writeImage(final *render.Framebuffer, step int) error {
-	final.FillBackground(color.RGBA{R: 12, G: 12, B: 16, A: 255})
-	var w io.Writer = io.Discard
-	var buf *bytes.Buffer
-	var file *os.File
-	if a.Opts.Hub != nil {
-		buf = &bytes.Buffer{}
-		w = buf
-	} else if a.Opts.OutputDir != "" {
-		if err := os.MkdirAll(a.Opts.OutputDir, 0o755); err != nil {
-			return fmt.Errorf("libsim: %w", err)
-		}
-		f, err := os.Create(filepath.Join(a.Opts.OutputDir, fmt.Sprintf("visit_%05d.png", step)))
-		if err != nil {
-			return fmt.Errorf("libsim: %w", err)
-		}
-		file = f
-		w = f
-	}
-	var err error
-	a.reg().Time("libsim::png", step, func() {
-		_, err = render.WritePNG(w, final, render.PNGOptions{
-			Parallel: a.Opts.ParallelPNG,
-			Workers:  a.workers(),
-		})
-	})
-	if err != nil {
-		if file != nil {
-			_ = file.Close() // the encode error wins
-		}
-		return err
-	}
-	// Close is where a buffered write failure finally surfaces; dropping it
-	// would let the I/O-cost experiments count bytes that never landed.
-	if file != nil {
-		if err := file.Close(); err != nil {
-			return fmt.Errorf("libsim: %w", err)
-		}
-	}
-	if buf != nil {
-		a.Opts.Hub.Publish(live.Frame{Step: step, Width: final.W, Height: final.H, PNG: buf.Bytes()})
-		if a.Opts.OutputDir != "" {
-			if err := os.MkdirAll(a.Opts.OutputDir, 0o755); err != nil {
-				return fmt.Errorf("libsim: %w", err)
-			}
-			path := filepath.Join(a.Opts.OutputDir, fmt.Sprintf("visit_%05d.png", step))
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-				return fmt.Errorf("libsim: %w", err)
-			}
-		}
-	}
-	a.imagesOut++
-	return nil
+	return compositing.AgreeRange(a.Comm, arr, 0, img.Bounds())
 }
 
 // Finalize implements core.AnalysisAdaptor.

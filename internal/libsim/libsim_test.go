@@ -84,7 +84,9 @@ func TestTMLSessionShape(t *testing.T) {
 	}
 }
 
-func runWithLibsim(t *testing.T, nRanks, steps, stride int, dir string) []*metrics.Registry {
+// runSession drives the 12³ oscillator deck through one Libsim adaptor per
+// rank and returns the ranks' registries.
+func runSession(t *testing.T, nRanks, steps int, opts Options, session func() (*Session, error)) []*metrics.Registry {
 	t.Helper()
 	cfg := oscillator.Config{
 		GlobalCells: [3]int{12, 12, 12},
@@ -100,14 +102,11 @@ func runWithLibsim(t *testing.T, nRanks, steps, stride int, dir string) []*metri
 		if err != nil {
 			return err
 		}
-		session := &Session{
-			Plots: []Plot{
-				{Type: "slice", Array: "data", Axis: "z", Coord: 6},
-				{Type: "isosurface", Array: "data", Value: 0.3, Colormap: "viridis"},
-			},
-			Image: ImageConfig{Width: 48, Height: 48},
+		sess, err := session()
+		if err != nil {
+			return err
 		}
-		a := NewAdaptor(c, session, Options{OutputDir: dir, Stride: stride})
+		a := NewAdaptor(c, sess, opts)
 		a.Registry = reg
 		b := core.NewBridge(c, reg, nil)
 		b.AddAnalysis("libsim", a)
@@ -127,6 +126,27 @@ func runWithLibsim(t *testing.T, nRanks, steps, stride int, dir string) []*metri
 		t.Fatal(err)
 	}
 	return regs
+}
+
+func sliceAndIsoSession() (*Session, error) {
+	return &Session{
+		Plots: []Plot{
+			{Type: "slice", Array: "data", Axis: "z", Coord: 6},
+			{Type: "isosurface", Array: "data", Value: 0.3, Colormap: "viridis"},
+		},
+		Image: ImageConfig{Width: 48, Height: 48},
+	}, nil
+}
+
+func volumeSession() (*Session, error) {
+	return ParseSession([]byte(
+		`<session><image width="40" height="40"/>` +
+			`<plot type="volume" array="data" axis="z" opacity="0.15" colormap="viridis"/></session>`))
+}
+
+func runWithLibsim(t *testing.T, nRanks, steps, stride int, dir string) []*metrics.Registry {
+	t.Helper()
+	return runSession(t, nRanks, steps, Options{OutputDir: dir, Stride: stride}, sliceAndIsoSession)
 }
 
 func TestAdaptorRendersAndWrites(t *testing.T) {
@@ -212,41 +232,7 @@ func TestFactoryFromXML(t *testing.T) {
 
 func TestVolumeSession(t *testing.T) {
 	dir := t.TempDir()
-	cfg := oscillator.Config{
-		GlobalCells: [3]int{12, 12, 12},
-		DT:          0.1,
-		Steps:       2,
-		Oscillators: oscillator.DefaultDeck(12),
-	}
-	err := mpi.Run(3, func(c *mpi.Comm) error {
-		s, err := oscillator.NewSim(c, cfg, nil)
-		if err != nil {
-			return err
-		}
-		session, err := ParseSession([]byte(
-			`<session><image width="40" height="40"/>` +
-				`<plot type="volume" array="data" axis="z" opacity="0.15" colormap="viridis"/></session>`))
-		if err != nil {
-			return err
-		}
-		a := NewAdaptor(c, session, Options{OutputDir: dir})
-		b := core.NewBridge(c, nil, nil)
-		b.AddAnalysis("libsim", a)
-		d := oscillator.NewDataAdaptor(s)
-		for i := 0; i < cfg.Steps; i++ {
-			if err := s.Step(); err != nil {
-				return err
-			}
-			d.Update()
-			if _, err := b.Execute(d); err != nil {
-				return err
-			}
-		}
-		return b.Finalize()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runSession(t, 3, 2, Options{OutputDir: dir}, volumeSession)
 	files, _ := filepath.Glob(filepath.Join(dir, "visit_*.png"))
 	if len(files) != 2 {
 		t.Fatalf("volume session wrote %d images, want 2", len(files))

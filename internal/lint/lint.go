@@ -97,6 +97,7 @@ func DefaultConfig() *Config {
 			m + "/internal/catalyst",
 			m + "/internal/libsim",
 			m + "/internal/render",
+			m + "/internal/compositing",
 			m + "/internal/fabric",
 			m + "/internal/live",
 			m + "/internal/world",

@@ -154,6 +154,16 @@ func NewRegistry(rank int) *Registry {
 	return &Registry{Rank: rank, timers: map[string]*Timer{}}
 }
 
+// OrNew returns r, or a fresh registry for the given rank when the owner was
+// handed none: adaptors built outside a bridge still record their phases,
+// under the rank they run on.
+func OrNew(r *Registry, rank int) *Registry {
+	if r == nil {
+		return NewRegistry(rank)
+	}
+	return r
+}
+
 // Timer returns the named timer, creating it on first use.
 func (r *Registry) Timer(name string) *Timer {
 	t, ok := r.timers[name]

@@ -274,11 +274,23 @@ type Comm struct {
 	ctx   int   // context id isolating this communicator's traffic
 }
 
-// Rank returns the caller's rank within the communicator.
-func (c *Comm) Rank() int { return c.rank }
+// Rank returns the caller's rank within the communicator. A nil communicator
+// is a serial run — rank 0 of 1 — so code that only needs to know where it
+// is does not have to ask whether it is parallel first.
+func (c *Comm) Rank() int {
+	if c == nil {
+		return 0
+	}
+	return c.rank
+}
 
-// Size returns the number of ranks in the communicator.
-func (c *Comm) Size() int { return c.size }
+// Size returns the number of ranks in the communicator; 1 for nil.
+func (c *Comm) Size() int {
+	if c == nil {
+		return 1
+	}
+	return c.size
+}
 
 // WorldRank returns the caller's rank in the world communicator.
 func (c *Comm) WorldRank() int { return c.group[c.rank] }

@@ -114,15 +114,23 @@ func (c *Camera) ViewDir() Vec3 {
 	return c.dir
 }
 
+// BoxFrame returns what a camera needs to frame an axis-aligned bounding
+// box: its center and the length of its diagonal (1 for a degenerate box, so
+// a view width derived from it stays positive).
+func BoxFrame(bounds [6]float64) (center Vec3, diag float64) {
+	center = Vec3{(bounds[0] + bounds[1]) / 2, (bounds[2] + bounds[3]) / 2, (bounds[4] + bounds[5]) / 2}
+	diag = Vec3{bounds[1] - bounds[0], bounds[3] - bounds[2], bounds[5] - bounds[4]}.Norm()
+	if diag == 0 {
+		diag = 1
+	}
+	return center, diag
+}
+
 // DefaultCamera frames an axis-aligned bounding box from a diagonal
 // three-quarter view with ~10% margin, the conventional "show me the domain"
 // view the session files use when unset.
 func DefaultCamera(bounds [6]float64) *Camera {
-	center := Vec3{(bounds[0] + bounds[1]) / 2, (bounds[2] + bounds[3]) / 2, (bounds[4] + bounds[5]) / 2}
-	diag := Vec3{bounds[1] - bounds[0], bounds[3] - bounds[2], bounds[5] - bounds[4]}.Norm()
-	if diag == 0 {
-		diag = 1
-	}
+	center, diag := BoxFrame(bounds)
 	eye := center.Add(Vec3{1, 0.6, 0.8}.Normalized().Scale(diag * 2))
 	cam, err := NewCamera(eye, center, Vec3{0, 1, 0}, diag*1.2)
 	if err != nil {

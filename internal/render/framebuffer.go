@@ -21,6 +21,7 @@ import (
 	"image/color"
 	"math"
 	"sync"
+	"sync/atomic"
 )
 
 // Framebuffer is an RGBA image with a depth buffer. Depth follows the
@@ -47,6 +48,14 @@ func NewFramebuffer(w, h int) *Framebuffer {
 // catalyst and libsim adaptors acquire and release instead of allocating.
 var fbPool sync.Pool // *Framebuffer
 
+// fbInUse counts framebuffers acquired and not yet released.
+var fbInUse atomic.Int64
+
+// FramebuffersInUse reports how many acquired framebuffers have not been
+// released. A pipeline that releases every buffer exactly once leaves the
+// count where it found it, on error paths too; tests hold it to that.
+func FramebuffersInUse() int64 { return fbInUse.Load() }
+
 // AcquireFramebuffer returns a cleared framebuffer of the given size, reusing
 // pooled storage when a previously released buffer is large enough. It is
 // interchangeable with NewFramebuffer; pair it with Release.
@@ -54,6 +63,7 @@ func AcquireFramebuffer(w, h int) *Framebuffer {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("render: invalid framebuffer size %dx%d", w, h))
 	}
+	fbInUse.Add(1)
 	v := fbPool.Get()
 	if v == nil {
 		return NewFramebuffer(w, h)
@@ -76,6 +86,7 @@ func (fb *Framebuffer) Release() {
 	if fb == nil {
 		return
 	}
+	fbInUse.Add(-1)
 	fbPool.Put(fb)
 }
 

@@ -61,8 +61,10 @@ type SliceSpec struct {
 	Workers int
 }
 
-// planeWindow computes the in-plane bounding rectangle of the domain corners.
-func (s *SliceSpec) planeWindow() (u, v Vec3, umin, umax, vmin, vmax float64) {
+// PlaneWindow computes the plane's basis and the in-plane bounding rectangle
+// of the domain corners: the window every rank maps its pixels or sample
+// quads onto.
+func (s *SliceSpec) PlaneWindow() (u, v Vec3, umin, umax, vmin, vmax float64) {
 	u, v = s.Plane.Basis()
 	umin, vmin = math.Inf(1), math.Inf(1)
 	umax, vmax = math.Inf(-1), math.Inf(-1)
@@ -100,7 +102,7 @@ func ResampleImageSlice(fb *Framebuffer, img *grid.ImageData, spec *SliceSpec) e
 	if !planeIntersectsBox(spec.Plane, lb) {
 		return nil
 	}
-	u, v, umin, umax, vmin, vmax := spec.planeWindow()
+	u, v, umin, umax, vmin, vmax := spec.PlaneWindow()
 	du := (umax - umin) / float64(fb.W)
 	dv := (vmax - vmin) / float64(fb.H)
 

@@ -52,9 +52,10 @@ func (a *AlphaImage) Over(back *AlphaImage) error {
 }
 
 // ToFramebuffer converts the accumulation buffer to a display framebuffer
-// over the given background color (given as [0,1] RGB).
+// over the given background color (given as [0,1] RGB). The framebuffer
+// comes from the pool; the caller releases it.
 func (a *AlphaImage) ToFramebuffer(bgR, bgG, bgB float64) *Framebuffer {
-	fb := NewFramebuffer(a.W, a.H)
+	fb := AcquireFramebuffer(a.W, a.H)
 	for i := 0; i < a.W*a.H; i++ {
 		alpha := float64(a.Pix[i*4+3])
 		r := float64(a.Pix[i*4+0]) + (1-alpha)*bgR
