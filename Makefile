@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: all check build vet fmt-check lint lint-stats test bench bench-smoke bench-canonical-smoke bench-collectives bench-wire bench-world bench-live fabric-smoke faultline-smoke fuzz-smoke world-smoke live-smoke route-smoke race cover experiments examples clean
+.PHONY: all check build vet fmt-check lint lint-stats test bench bench-smoke bench-canonical-smoke bench-collectives bench-wire bench-world bench-live fabric-smoke faultline-smoke fuzz-smoke world-smoke configs-smoke live-smoke route-smoke race cover experiments examples clean
 
 all: build vet lint test
 
-check: build vet fmt-check lint test race examples bench-smoke bench-canonical-smoke bench-collectives bench-wire bench-live fabric-smoke faultline-smoke fuzz-smoke world-smoke live-smoke route-smoke
+check: build vet fmt-check lint test race examples bench-smoke bench-canonical-smoke bench-collectives bench-wire bench-live fabric-smoke faultline-smoke fuzz-smoke world-smoke configs-smoke live-smoke route-smoke
 
 build:
 	$(GO) build ./...
@@ -86,19 +86,40 @@ live-smoke:
 	$(GO) run ./cmd/live-load -viewers 200 -frames 20 -network tcp -check
 
 # The multi-process deployment end to end: gosensei-run spawns N single-rank
-# OS processes over TCP (and N goroutine ranks over loopback), runs the
-# oscillator->histogram and binary-swap pipelines, and both must produce
-# stdout bit-identical to the in-process run; the rankkill leg kills a rank
-# mid-pipeline and requires exit code 3 plus a replayable fault token.
+# OS processes over TCP (and N goroutine ranks over loopback) and runs a
+# configuration on them — a histogram + autocorrelation pair at 4 ranks, a
+# catalyst slice (binary-swap compositing) at 3 and 4 — and each must print
+# the stdout and write the files of the in-process run, byte for byte; the
+# rankkill leg kills a rank mid-run and requires exit code 3 plus a
+# replayable fault token.
 world-smoke:
 	$(GO) test -race -count=1 ./internal/world/
 	$(GO) test -count=1 -run 'TestWorldSmoke' .
 
+# Every shipped configuration that needs no second process, run by the
+# launcher from a scratch directory on goroutine ranks and on a loopback
+# world (3 ranks: the non-power-of-two shapes of every compositor and
+# aggregator): what configs/ ships must load strictly and run to exit 0.
+configs-smoke:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; root=$$(pwd); \
+	$(GO) build -o "$$tmp/gosensei-run" ./cmd/gosensei-run; \
+	for f in $$(grep -L 'transport="flexpath"' configs/*.xml); do \
+		for t in proc loopback; do \
+			mkdir -p "$$tmp/$$t"; \
+			(cd "$$tmp/$$t" && "$$tmp/gosensei-run" -np 3 -cells 12 -steps 4 -transport $$t -config "$$root/$$f" > run.log 2>&1) \
+				|| { cat "$$tmp/$$t/run.log"; echo "configs-smoke: $$f failed on $$t"; exit 1; }; \
+		done; \
+	done; \
+	echo "configs-smoke: $$(grep -L 'transport="flexpath"' configs/*.xml | wc -l) configurations ran on proc and loopback"
+
 # The wire end to end under the race detector: staging fan-in, backpressure,
-# endpoint restart, and the two-OS-process TCP deployment.
+# endpoint restart, and the two-executable TCP deployment — `endpoint -config`
+# serving `gosensei-run -config` (itself a tcp world), an endpoint killed and
+# restarted mid-run, a retry window that expires — plus the refusals both
+# binaries owe a bad command line.
 fabric-smoke:
 	$(GO) test -race -count=1 -run 'TestClientHubStagingFanIn|TestClientBackpressure|TestClientRidesOutEndpointRestart' ./internal/fabric/
-	$(GO) test -count=1 -run 'TestCmdEndpointTwoProcessTCP|TestCmdEndpointReconnect|TestCmdEndpointRetryWindowExpires' .
+	$(GO) test -count=1 -run 'TestCmdEndpointSmoke|TestCmdEndpointTwoProcessTCP|TestCmdEndpointReconnect|TestCmdEndpointRetryWindowExpires|TestCmdRefusals' .
 
 # The metamorphic fault-injection suite under the race detector: 13 seeded
 # schedules per pipeline (staging + post hoc = 26 total), each required to
@@ -147,5 +168,5 @@ examples:
 	echo "examples: $$(ls examples | wc -l) ran, $$n PNGs"
 
 clean:
-	rm -rf frames bp-out cinema-store oscillator-frames phasta-frames leslie-frames nyx-frames live-frames
+	rm -rf frames bp-out cinema-store blocks replay-blocks oscillator-frames phasta-frames leslie-frames nyx-frames live-frames
 	rm -f lint-stats.json

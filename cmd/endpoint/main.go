@@ -1,38 +1,32 @@
-// Command endpoint demonstrates the paper's §4.1.4 two-executable
-// ADIOS/FlexPath deployment: a simulation (writer) group and an analysis
-// (endpoint) group connected by the staging transport, 1:1 paired like the
-// paper's hyperthread co-scheduling on Cori.
+// Command endpoint is the analysis executable of the paper's §4.1.4
+// two-executable ADIOS/FlexPath deployment: it serves the staging fabric on
+// TCP, 1:1 paired with the simulation's ranks like the paper's hyperthread
+// co-scheduling on Cori, and runs the analyses a SENSEI XML configuration
+// names on every staged step. The simulation executable is gosensei-run with
+// a configuration holding an adios transport="flexpath" element that points
+// here:
 //
-// In the original, writer and endpoint are two separate binaries connected
-// over the interconnect; FlexPath even allows reconnecting a recompiled
-// endpoint mid-run. This command supports both deployments:
+//	endpoint -listen 127.0.0.1:9917 -ranks 4 -config configs/endpoint-histogram.xml   # terminal 1
+//	gosensei-run -np 4 -steps 10 -config configs/intransit-writer.xml                 # terminal 2
 //
-//   - Default: both groups run as two concurrent "executables" in one
-//     process, staged over the in-process loopback wire.
-//   - Two processes: start the analysis side with -listen host:port, then
-//     the simulation side with -connect host:port. The groups talk real
-//     TCP — framed, checksummed, credit flow controlled — and produce the
-//     same analysis output as the in-process run.
+// The groups talk real TCP — framed, checksummed, credit flow controlled.
+// The deployment survives an endpoint restart mid-run: writers buffer
+// unacknowledged steps (bounded by -queue-depth, which the writer's depth
+// attribute must match), redial with backoff inside their retry-window, and
+// retransmit. -kill-after simulates the failure for testing.
 //
-// The two-process deployment survives an endpoint restart mid-run: writers
-// buffer unacknowledged steps (bounded by -queue-depth), redial with
-// backoff inside -retry-window, and retransmit. -kill-after simulates the
-// failure for testing.
-//
-// Examples:
-//
-//	endpoint -ranks 8 -steps 20 -workload catalyst-slice -outdir ./frames
-//	endpoint -listen 127.0.0.1:9917 -ranks 4 -steps 10        # terminal 1
-//	endpoint -connect 127.0.0.1:9917 -ranks 4 -steps 10       # terminal 2
-//
-// The endpoint can negotiate bandwidth reduction with protocol-v2 writers:
-// -codec delta XOR-deltas each step against the previous one and DEFLATEs
-// the result, and -extract histogram:data:10 ships only per-writer histogram
+// The endpoint can negotiate bandwidth reduction with the writers: -codec
+// delta XOR-deltas each step against the previous one and DEFLATEs the
+// result, and -extract histogram:data:10 ships only per-writer histogram
 // partials instead of full containers. Either way the analysis output stays
 // bit-identical to raw staging; the "data bytes ... logical / ... wire" line
 // in the fabric summary shows what the negotiation bought.
 //
-//	endpoint -listen 127.0.0.1:9917 -codec delta -extract histogram:data:10
+//	endpoint -listen 127.0.0.1:9917 -codec delta -extract histogram:data:10 -config configs/endpoint-histogram.xml
+//
+// Stdout carries the bound address, first, and then what the analyses report
+// (the same lines gosensei-run prints for the same analyses in situ);
+// timings and the fabric summary go to stderr.
 package main
 
 import (
@@ -41,152 +35,137 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
 	"gosensei/internal/adios"
-	"gosensei/internal/analysis"
-	"gosensei/internal/catalyst"
+	_ "gosensei/internal/analysis"
+	_ "gosensei/internal/catalyst"
 	"gosensei/internal/core"
+	_ "gosensei/internal/extracts"
 	"gosensei/internal/fabric"
-	"gosensei/internal/faultline"
+	_ "gosensei/internal/glean"
 	"gosensei/internal/grid"
+	_ "gosensei/internal/iosim"
+	_ "gosensei/internal/libsim"
 	"gosensei/internal/live"
 	"gosensei/internal/metrics"
-	"gosensei/internal/mpi"
-	"gosensei/internal/oscillator"
 )
 
-// options carries the parsed flags to the mode runners.
-type options struct {
-	ranks, cells, steps, depth int
-	workload, outdir           string
-	bins, window               int
-	listen, connect            string
-	killAfter                  int
-	retryWindow                time.Duration
-	faults                     string
-	frun                       *faultline.Run
-	codec, extract             string
-	codecs                     []uint8 // endpoint preference order
-	codecMask                  uint32  // writer-side offer (-connect)
-	extractSpec                *fabric.ExtractSpec
-	live                       string
-	liveHub                    *live.Hub
-	liveSrv                    *live.Server
-}
-
 func main() {
-	var o options
-	flag.IntVar(&o.ranks, "ranks", 4, "writer (and endpoint) group size")
-	flag.IntVar(&o.cells, "cells", 32, "global cells per axis")
-	flag.IntVar(&o.steps, "steps", 10, "time steps")
-	flag.IntVar(&o.depth, "queue-depth", 1, "FlexPath staging queue depth")
-	flag.StringVar(&o.workload, "workload", "histogram", "histogram | autocorrelation | catalyst-slice")
-	flag.StringVar(&o.outdir, "outdir", "", "image output directory (catalyst-slice)")
-	flag.IntVar(&o.bins, "bins", 10, "histogram bins")
-	flag.IntVar(&o.window, "window", 10, "autocorrelation window")
-	flag.StringVar(&o.listen, "listen", "", "run only the endpoint group, serving TCP on host:port")
-	flag.StringVar(&o.connect, "connect", "", "run only the writer group, staging to a -listen endpoint")
-	flag.IntVar(&o.killAfter, "kill-after", 0, "with -listen: exit(3) after this many executed steps (failure injection)")
-	flag.DurationVar(&o.retryWindow, "retry-window", 15*time.Second, "with -connect: how long writers ride out a dead endpoint")
-	flag.StringVar(&o.faults, "faults", "", "fault-injection schedule <seed:spec> applied to the writer group (see internal/faultline)")
-	flag.StringVar(&o.codec, "codec", "", "wire codec preference, comma separated: raw | flate | delta (default raw; with -connect, the set offered to the endpoint)")
-	flag.StringVar(&o.extract, "extract", "", "ship a reduced product instead of full containers: histogram:<array>:<bins> | slice:<axis>:<coord>:<array>")
-	flag.StringVar(&o.live, "live", "", "with -workload catalyst-slice: serve rendered frames to live wire viewers on tcp host:port")
+	var (
+		listen    = flag.String("listen", "127.0.0.1:0", "serve the staging fabric on tcp host:port (port 0: the OS picks; the bound address is the first line of stdout)")
+		ranks     = flag.Int("ranks", 4, "endpoint group size, equal to the simulation's -np")
+		depth     = flag.Int("queue-depth", 1, "FlexPath staging queue depth")
+		config    = flag.String("config", "", "SENSEI analysis configuration XML run on every staged step")
+		codec     = flag.String("codec", "", "wire codec preference, comma separated: raw | flate | delta (default raw)")
+		extract   = flag.String("extract", "", "ask writers for a reduced product instead of full containers: histogram:<array>:<bins> | slice:<axis>:<coord>:<array>")
+		killAfter = flag.Int("kill-after", 0, "exit(3) after this many executed steps (failure injection)")
+		liveAddr  = flag.String("live", "", "serve the frames configured catalyst/libsim analyses render to live wire viewers on tcp host:port")
+	)
 	flag.Parse()
-
-	if o.codec != "" {
-		codecs, mask, err := parseCodecList(o.codec)
-		if err != nil {
-			fatal(err)
-		}
-		o.codecs, o.codecMask = codecs, mask
+	if flag.NArg() > 0 {
+		fatal(fmt.Errorf("unexpected argument %q (everything is a flag)", flag.Arg(0)))
 	}
-	if o.extract != "" {
-		if o.connect != "" {
-			fatal(fmt.Errorf("-extract is an endpoint preference; use it with -listen or in local mode"))
-		}
-		spec, err := parseExtractSpec(o.extract)
-		if err != nil {
-			fatal(err)
-		}
-		if spec.Kind == fabric.ExtractHistogram {
-			if o.workload != "histogram" {
-				fatal(fmt.Errorf("-extract histogram requires -workload histogram (a shipped histogram cannot feed %q)", o.workload))
+	if *config == "" {
+		fatal(fmt.Errorf("-config is required: the analyses to run on the staged steps"))
+	}
+	doc, err := os.ReadFile(*config)
+	if err != nil {
+		fatal(err)
+	}
+	cfg, err := core.ParseConfig(doc)
+	if err != nil {
+		fatal(err)
+	}
+
+	var opts []adios.FabricOption
+	if *codec != "" {
+		var ids []uint8
+		for _, name := range strings.Split(*codec, ",") {
+			id, err := fabric.ParseCodec(strings.TrimSpace(name))
+			if err != nil {
+				fatal(err)
 			}
-			if int(spec.Bins) != o.bins {
-				fatal(fmt.Errorf("-extract histogram bins (%d) must match -bins (%d): writers bin remotely with the analysis geometry", spec.Bins, o.bins))
+			ids = append(ids, id)
+		}
+		opts = append(opts, adios.WithCodecs(ids...))
+	}
+	if *extract != "" {
+		spec, err := parseExtractSpec(*extract)
+		if err != nil {
+			fatal(err)
+		}
+		opts = append(opts, adios.WithExtract(*spec))
+	}
+
+	// The live hub hangs off whatever the configuration renders — the
+	// paper's "connect the ParaView GUI to the running endpoint".
+	var hub *live.Hub
+	var srv *live.Server
+	if *liveAddr != "" {
+		lis, err := fabric.Listen("tcp", *liveAddr)
+		if err != nil {
+			fatal(err)
+		}
+		hub = live.NewHub()
+		srv = live.Serve(lis, hub)
+		fmt.Fprintf(os.Stderr, "live: serving viewers on %s\n", srv.Addr())
+	}
+
+	f, err := adios.ListenFabric("tcp", *listen, *ranks, *ranks, *depth, opts...)
+	if err != nil {
+		fatal(err)
+	}
+	// The bound address — the writer's endpoint attribute; scripts and the
+	// smoke tests parse this line.
+	fmt.Printf("fabric: listening on %s\n", f.Addr())
+	var root *core.Bridge
+	res, err := adios.RunEndpoint(f, func(b *core.Bridge) error {
+		if b.Comm.Rank() == 0 {
+			root = b
+		}
+		if hub != nil {
+			b.Publish = func(step, w, h int, png []byte) {
+				hub.Publish(live.Frame{Step: step, Width: w, Height: h, PNG: png})
 			}
 		}
-		o.extractSpec = spec
+		if err := cfg.Configure(b); err != nil {
+			return err
+		}
+		// Failure injection: die after the configured number of executed
+		// steps, before RunEndpoint releases them — the writers must
+		// retransmit to a restarted endpoint.
+		if *killAfter > 0 {
+			b.AddAnalysis("failure-injection", &killer{after: *killAfter})
+		}
+		return nil
+	})
+	if err != nil {
+		fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		fatal(err)
 	}
 
-	if o.live != "" {
-		// The live hub hangs off the analysis side's catalyst adaptor —
-		// the paper's "connect the ParaView GUI to the running endpoint".
-		if o.workload != "catalyst-slice" {
-			fatal(fmt.Errorf("-live requires -workload catalyst-slice (only the slice adaptor renders frames)"))
-		}
-		if o.connect != "" {
-			fatal(fmt.Errorf("-live is served by the analysis side; use it with -listen or in local mode"))
-		}
-		lis, err := fabric.Listen("tcp", o.live)
-		if err != nil {
+	root.Report(os.Stdout)
+	fmt.Fprintf(os.Stderr, "flexpath: %d writer/%d endpoint ranks, %d steps staged\n", *ranks, *ranks, res.Steps)
+	reg := res.Registries[0]
+	fmt.Fprintf(os.Stderr, "endpoint init: %s, decode total: %s\n",
+		metrics.FormatSeconds(reg.Timer("endpoint::initialize").Total().Seconds()),
+		metrics.FormatSeconds(reg.Timer("endpoint::decode").Total().Seconds()))
+	// The bytes-on-wire odometer: logical vs wire data bytes shows what the
+	// negotiated codec or extract bought.
+	fmt.Fprintf(os.Stderr, "fabric: %s\n", f.Stats().Summary())
+	if srv != nil {
+		fmt.Fprintf(os.Stderr, "live: %d frames published, %d viewers attached at exit\n", hub.Frames(), hub.Viewers())
+		if err := srv.Close(); err != nil {
 			fatal(err)
 		}
-		o.liveHub = live.NewHub()
-		o.liveSrv = live.Serve(lis, o.liveHub)
-		fmt.Printf("live: serving viewers on %s\n", o.liveSrv.Addr())
+		hub.Close()
 	}
-
-	if o.faults != "" {
-		if o.listen != "" {
-			fatal(fmt.Errorf("-faults applies to the writer side; use it with -connect or in local mode"))
-		}
-		sched, err := faultline.Parse(o.faults)
-		if err != nil {
-			fatal(err)
-		}
-		o.frun = sched.Start()
-	}
-
-	switch {
-	case o.listen != "" && o.connect != "":
-		fatal(fmt.Errorf("-listen and -connect are mutually exclusive"))
-	case o.listen != "":
-		runListen(o)
-	case o.connect != "":
-		runConnect(o)
-	default:
-		runLocal(o)
-	}
-	if o.liveSrv != nil {
-		if err := o.liveSrv.Close(); err != nil {
-			fatal(err)
-		}
-		o.liveHub.Close()
-	}
-}
-
-// parseCodecList turns "delta,flate" into the endpoint preference order and
-// the equivalent writer-side capability mask.
-func parseCodecList(s string) ([]uint8, uint32, error) {
-	var ids []uint8
-	var mask uint32
-	for _, name := range strings.Split(s, ",") {
-		id, err := fabric.ParseCodec(strings.TrimSpace(name))
-		if err != nil {
-			return nil, 0, err
-		}
-		ids = append(ids, id)
-		mask |= 1 << id
-	}
-	return ids, mask, nil
 }
 
 // parseExtractSpec turns the -extract flag into the negotiated wire spec.
-// Extracts are computed over cell data, matching every built-in workload.
+// Extracts are computed over cell data, what the miniapp produces.
 func parseExtractSpec(s string) (*fabric.ExtractSpec, error) {
 	parts := strings.Split(s, ":")
 	bad := func() error {
@@ -230,99 +209,8 @@ func parseExtractSpec(s string) (*fabric.ExtractSpec, error) {
 	return nil, bad()
 }
 
-// fabricOptions renders the endpoint-side codec/extract flags as fabric
-// creation options for the local and listen modes.
-func fabricOptions(o options) []adios.FabricOption {
-	var opts []adios.FabricOption
-	if len(o.codecs) > 0 {
-		opts = append(opts, adios.WithCodecs(o.codecs...))
-	}
-	if o.extractSpec != nil {
-		opts = append(opts, adios.WithExtract(*o.extractSpec))
-	}
-	return opts
-}
-
-// simConfig builds the oscillator deck shared by every mode.
-func simConfig(o options) oscillator.Config {
-	return oscillator.Config{
-		GlobalCells: [3]int{o.cells, o.cells, o.cells},
-		DT:          0.05,
-		Steps:       o.steps,
-		Oscillators: oscillator.DefaultDeck(float64(o.cells)),
-	}
-}
-
-// runWriters drives the simulation group over any staging transport.
-func runWriters(o options, t adios.Transport) error {
-	simCfg := simConfig(o)
-	var opts []mpi.Option
-	if o.frun != nil {
-		if p := o.frun.NewMPIPlan(); p != nil {
-			opts = append(opts, mpi.WithFaults(p))
-		}
-	}
-	return mpi.Run(o.ranks, func(c *mpi.Comm) error {
-		sim, err := oscillator.NewSim(c, simCfg, nil)
-		if err != nil {
-			return err
-		}
-		w := adios.NewWriter(c, t)
-		b := core.NewBridge(c, nil, nil)
-		b.AddAnalysis("adios", w)
-		d := oscillator.NewDataAdaptor(sim)
-		for i := 0; i < simCfg.Steps; i++ {
-			if err := sim.Step(); err != nil {
-				return err
-			}
-			d.Update()
-			if _, err := b.Execute(d); err != nil {
-				return err
-			}
-		}
-		return b.Finalize()
-	}, opts...)
-}
-
-// workloadConfigure returns the endpoint bridge configuration for the
-// selected analysis; hist receives rank 0's histogram for the final report.
-func workloadConfigure(o options, hist **analysis.Histogram) func(b *core.Bridge) error {
-	return func(b *core.Bridge) error {
-		switch o.workload {
-		case "histogram":
-			h := analysis.NewHistogram(b.Comm, "data", grid.CellData, o.bins)
-			if b.Comm.Rank() == 0 {
-				*hist = h
-			}
-			b.AddAnalysis("histogram", h)
-		case "autocorrelation":
-			b.AddAnalysis("autocorrelation",
-				analysis.NewAutocorrelation(b.Comm, "data", grid.CellData, o.window, 3))
-		case "catalyst-slice":
-			a := catalyst.NewSliceAdaptor(b.Comm, catalyst.Options{
-				ArrayName: "data", Assoc: grid.CellData,
-				Width: 480, Height: 270,
-				SliceAxis: 2, SliceCoord: float64(o.cells) / 2,
-				OutputDir: o.outdir,
-				Hub:       o.liveHub,
-			})
-			a.Registry = b.Registry
-			b.AddAnalysis("catalyst", a)
-		default:
-			return fmt.Errorf("unknown workload %q", o.workload)
-		}
-		// Failure injection: die after the configured number of executed
-		// steps, before RunEndpoint releases them — the writers must
-		// retransmit to a restarted endpoint.
-		if o.killAfter > 0 {
-			b.AddAnalysis("failure-injection", &killer{after: o.killAfter})
-		}
-		return nil
-	}
-}
-
-// killer is the failure-injection analysis: it rides after the real
-// workload in the bridge, so the step's analysis ran but its credits were
+// killer is the failure-injection analysis: it rides after the configured
+// analyses in the bridge, so the step's analysis ran but its credits were
 // not yet released when the process dies.
 type killer struct{ after, seen int }
 
@@ -330,7 +218,7 @@ type killer struct{ after, seen int }
 func (k *killer) Execute(core.DataAdaptor) (bool, error) {
 	k.seen++
 	if k.seen >= k.after {
-		fmt.Printf("endpoint: injected failure after %d steps\n", k.seen)
+		fmt.Fprintf(os.Stderr, "endpoint: injected failure after %d steps\n", k.seen)
 		os.Exit(3)
 	}
 	return true, nil
@@ -338,127 +226,6 @@ func (k *killer) Execute(core.DataAdaptor) (bool, error) {
 
 // Finalize implements core.AnalysisAdaptor.
 func (k *killer) Finalize() error { return nil }
-
-// report prints the endpoint-side summary shared by the local and listen
-// modes. The histogram block is printed last so byte-for-byte comparisons
-// across deployment modes can anchor on it.
-func report(o options, f *adios.Fabric, res *adios.EndpointResult, hist *analysis.Histogram) {
-	fmt.Printf("flexpath: %d writer/%d endpoint ranks, %d steps staged, workload %s\n",
-		o.ranks, o.ranks, res.Steps, o.workload)
-	reg := res.Registries[0]
-	fmt.Printf("endpoint init: %s, decode total: %s\n",
-		metrics.FormatSeconds(reg.Timer("endpoint::initialize").Total().Seconds()),
-		metrics.FormatSeconds(reg.Timer("endpoint::decode").Total().Seconds()))
-	// The bytes-on-wire odometer: logical vs wire data bytes shows what the
-	// negotiated codec or extract bought.
-	fmt.Printf("fabric: %s\n", f.Stats().Summary())
-	if o.liveHub != nil {
-		fmt.Printf("live: %d frames published, %d viewers attached at exit\n",
-			o.liveHub.Frames(), o.liveHub.Viewers())
-	}
-	if hist != nil && hist.Last != nil {
-		fmt.Printf("final histogram (step %d, range [%.3f, %.3f]):\n", hist.Last.Step, hist.Last.Min, hist.Last.Max)
-		for i, c := range hist.Last.Counts {
-			lo, hi := hist.Last.Bin(i)
-			fmt.Printf("  [%8.3f, %8.3f) %d\n", lo, hi, c)
-		}
-	}
-}
-
-// runLocal runs both groups in one process over the loopback wire — the
-// original single-binary demonstration.
-func runLocal(o options) {
-	fab := adios.NewFabric(o.ranks, o.depth, fabricOptions(o)...)
-	if o.frun != nil {
-		if fp := o.frun.FabricPlan(); fp != nil {
-			fab.SetConnWrapper(fp.WrapConn)
-		}
-	}
-
-	var wg sync.WaitGroup
-	var writerErr, endpointErr error
-	var res *adios.EndpointResult
-	var hist *analysis.Histogram
-
-	wg.Add(2)
-	go func() { // the "simulation executable"
-		defer wg.Done()
-		writerErr = runWriters(o, &adios.FlexPathTransport{Fabric: fab})
-	}()
-	go func() { // the "endpoint executable"
-		defer wg.Done()
-		res, endpointErr = adios.RunEndpoint(fab, workloadConfigure(o, &hist))
-	}()
-	wg.Wait()
-	reportFaults(o)
-	if writerErr != nil {
-		fatal(writerErr)
-	}
-	if endpointErr != nil {
-		fatal(endpointErr)
-	}
-	report(o, fab, res, hist)
-}
-
-// reportFaults prints which injected faults actually fired; it runs before
-// any error check so a fatal schedule still leaves its replay trace.
-func reportFaults(o options) {
-	if o.frun == nil {
-		return
-	}
-	fmt.Printf("faultline: schedule %s\n", o.faults)
-	for _, l := range o.frun.TraceLines() {
-		fmt.Printf("faultline: fired %s\n", l)
-	}
-}
-
-// runListen is the analysis executable of the two-process deployment: it
-// serves the staging fabric on TCP and consumes until every writer's EOS.
-func runListen(o options) {
-	f, err := adios.ListenFabric("tcp", o.listen, o.ranks, o.ranks, o.depth, fabricOptions(o)...)
-	if err != nil {
-		fatal(err)
-	}
-	// The bound address (the OS picks the port for ":0") — the writer
-	// process and the smoke tests parse this line.
-	fmt.Printf("fabric: listening on %s\n", f.Addr())
-	var hist *analysis.Histogram
-	res, err := adios.RunEndpoint(f, workloadConfigure(o, &hist))
-	if err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	report(o, f, res, hist)
-}
-
-// runConnect is the simulation executable of the two-process deployment:
-// the writer group stages every step to the -listen endpoint over TCP.
-func runConnect(o options) {
-	wo := adios.WireOptions{
-		Network: "tcp", Addr: o.connect,
-		Writers: o.ranks, Readers: o.ranks, Depth: o.depth,
-		RetryWindow: o.retryWindow,
-		Codecs:      o.codecMask,
-	}
-	if o.frun != nil {
-		if fp := o.frun.FabricPlan(); fp != nil {
-			wo.WrapConn = fp.WrapConn
-		}
-	}
-	t, err := adios.DialWire(wo)
-	if err != nil {
-		fatal(err)
-	}
-	err = runWriters(o, t)
-	reportFaults(o)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("writer: %d ranks staged %d steps to %s over tcp\n", o.ranks, o.steps, o.connect)
-	fmt.Printf("wire: %s\n", t.Stats().Summary())
-}
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "endpoint:", err)

@@ -1,50 +1,59 @@
-// Command gosensei-run is the N-process launcher: the mpiexec of this
-// repository. It assembles a cross-process MPI world (internal/world) and
-// runs one of the built-in pipelines on it, with three interchangeable
-// transports:
+// Command gosensei-run is the launcher: the paper's oscillator miniapp
+// (§3.3), instrumented once with the SENSEI bridge, on an N-rank world of the
+// chosen transport, running whatever the SENSEI XML configuration names —
 //
 //	-transport=proc      goroutine ranks in this process (mpi.Run; no wire)
 //	-transport=loopback  one process, ranks meshed over in-process pipes
 //	-transport=tcp       N worker processes meshed over real sockets,
-//	                     spawned by re-executing this binary
+//	                     spawned by re-executing this binary with the same
+//	                     arguments (each reads the same deck and config)
 //
-// Pipeline output goes to stdout from rank 0 only, so the bytes a run
-// produces are comparable across transports — `gosensei-run -np 4
-// -transport=tcp` must be bit-identical to `-transport=proc`, which is the
-// contract the world-smoke suite enforces. Diagnostics, fault traces, and
-// per-rank chatter go to stderr.
+// The configuration file is the only way a run is assembled: analyses,
+// infrastructures, the in transit writer (adios transport="flexpath") and
+// adaptive routing (type="routed") are all elements of it. Rank 0's stdout is
+// one header line and what the configured analyses report — a function of
+// (np, deck, config) alone, so a tcp run must print the same bytes as a proc
+// run, the contract the world-smoke suite enforces for any configuration.
+// Timings, -v timers and fault traces go to stderr.
 //
-// Fault injection: -faults takes a faultline schedule. A fatal fault
-// (mpi.crash, world.rankkill) makes the affected rank die and the launcher
-// exit non-zero after printing the fired fault's repro token to stderr.
+// Everything a run can be refused for is refused before a rank exists: a
+// missing deck, a config that does not parse or build, a fault schedule with
+// a domain nothing in the run can deliver. A fatal fault (mpi.crash,
+// world.rankkill) makes the launcher exit 3 after printing the fired fault's
+// repro token to stderr.
 //
-// Example:
+// Examples:
 //
-//	gosensei-run -np 4 -transport=tcp -pipeline=histogram -cells 16 -steps 5
+//	gosensei-run -np 8 -cells 32 -steps 20 -config configs/histogram.xml -deck decks/sample.osc
+//	gosensei-run -np 4 -transport tcp -config configs/all-infrastructures.xml
 package main
 
 import (
-	"crypto/sha256"
+	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"strconv"
 	"strings"
 
-	"gosensei/internal/analysis"
-	"gosensei/internal/compositing"
+	"gosensei/internal/adios"
+	_ "gosensei/internal/analysis"
+	_ "gosensei/internal/catalyst"
+	"gosensei/internal/core"
+	_ "gosensei/internal/extracts"
 	"gosensei/internal/faultline"
-	"gosensei/internal/grid"
+	_ "gosensei/internal/glean"
+	"gosensei/internal/iosim"
+	_ "gosensei/internal/libsim"
 	"gosensei/internal/metrics"
 	"gosensei/internal/mpi"
 	"gosensei/internal/oscillator"
-	"gosensei/internal/render"
+	"gosensei/internal/parallel"
 	"gosensei/internal/world"
 )
 
-// exitFault is the exit code of a rank killed by a fatal injected fault,
+// exitFault is the exit code of a run killed by a fatal injected fault,
 // distinct from ordinary failure so the launcher (and the smoke tests) can
 // tell "the schedule fired" from "something broke".
 const exitFault = 3
@@ -54,54 +63,74 @@ const exitFault = 3
 // the GOSENSEI_WORLD_* variables set by the launcher.
 const workerEnv = "GOSENSEI_WORLD_RANK"
 
-type params struct {
+// run is one launch: the flags, and what main read from the files they name.
+type run struct {
 	np        int
 	transport string
-	pipeline  string
-	cells     int
-	steps     int
-	bins      int
-	faults    string
 	verbose   bool
+	sim       oscillator.Config
+	cfg       *core.Config   // nil without -config
+	frun      *faultline.Run // nil without -faults
 }
 
 func main() {
-	var p params
-	flag.IntVar(&p.np, "np", 4, "world size (number of ranks)")
-	flag.StringVar(&p.transport, "transport", "proc", "rank transport: proc, loopback, or tcp")
-	flag.StringVar(&p.pipeline, "pipeline", "histogram", "pipeline: histogram or binswap")
-	flag.IntVar(&p.cells, "cells", 16, "global cells per axis (histogram)")
-	flag.IntVar(&p.steps, "steps", 5, "time steps")
-	flag.IntVar(&p.bins, "bins", 10, "histogram bins")
-	flag.StringVar(&p.faults, "faults", "", "fault-injection schedule <seed:spec> (see internal/faultline)")
-	flag.BoolVar(&p.verbose, "v", false, "per-rank diagnostics on stderr")
+	var r run
+	var cells, threads int
+	var deck, config, faults string
+	flag.IntVar(&r.np, "np", 4, "world size (number of ranks)")
+	flag.StringVar(&r.transport, "transport", "proc", "rank transport: proc, loopback, or tcp")
+	flag.IntVar(&cells, "cells", 32, "global cells per axis")
+	flag.IntVar(&r.sim.Steps, "steps", 20, "time steps")
+	flag.Float64Var(&r.sim.DT, "dt", 0.05, "time resolution")
+	flag.BoolVar(&r.sim.Sync, "sync", false, "barrier after every step")
+	flag.StringVar(&deck, "deck", "", "oscillator input deck (default: built-in three-source deck)")
+	flag.StringVar(&config, "config", "", "SENSEI analysis configuration XML")
+	flag.IntVar(&threads, "threads", 0, "thread budget shared across the world's ranks (0 = GOMAXPROCS)")
+	flag.StringVar(&faults, "faults", "", "fault-injection schedule <seed:spec> (see internal/faultline)")
+	flag.BoolVar(&r.verbose, "v", false, "rank 0's timers on stderr")
 	flag.Parse()
 
-	if p.np <= 0 {
-		fatal(fmt.Errorf("world size must be positive, got -np %d", p.np))
+	if flag.NArg() > 0 {
+		fatal(fmt.Errorf("unexpected argument %q (everything is a flag)", flag.Arg(0)))
 	}
-	if p.pipeline != "histogram" && p.pipeline != "binswap" {
-		fatal(fmt.Errorf("unknown pipeline %q (want histogram or binswap)", p.pipeline))
+	if r.np <= 0 {
+		fatal(fmt.Errorf("world size must be positive, got -np %d", r.np))
 	}
-	if p.faults != "" {
-		if _, err := faultline.Parse(p.faults); err != nil {
-			fatal(err)
-		}
+	if r.transport != "proc" && r.transport != "loopback" && r.transport != "tcp" {
+		fatal(fmt.Errorf("unknown transport %q (want proc, loopback, or tcp)", r.transport))
+	}
+	if err := r.load(cells, deck, config, faults); err != nil {
+		fatal(err)
+	}
+	if threads > 0 {
+		parallel.SetThreads(threads)
+	}
+	// The process-wide seams of the two fault domains that fire below the
+	// world: block files and the staging wire.
+	if p := r.frun.IOPlan(); p != nil {
+		iosim.SetFaults(p)
+	}
+	if p := r.frun.FabricPlan(); p != nil {
+		adios.SetWireFaults(p.WrapConn)
 	}
 
-	if rankStr := os.Getenv(workerEnv); rankStr != "" {
-		os.Exit(workerMain(rankStr, p))
+	if rank := os.Getenv(workerEnv); rank != "" {
+		os.Exit(r.worker(rank)) // the launcher that spawned it validated
 	}
-
-	switch p.transport {
+	if err := r.validate(); err != nil {
+		fatal(err)
+	}
+	switch r.transport {
 	case "proc":
-		os.Exit(runProc(p))
+		var opts []mpi.Option
+		if p := r.frun.NewMPIPlan(); p != nil {
+			opts = append(opts, mpi.WithFaults(p))
+		}
+		os.Exit(r.finish([]error{mpi.Run(r.np, r.rank, opts...)}))
 	case "loopback":
-		os.Exit(runLoopback(p))
+		os.Exit(r.finish(world.Launch(r.np, r.world("loopback"), r.rank)))
 	case "tcp":
-		os.Exit(runTCP(p))
-	default:
-		fatal(fmt.Errorf("unknown transport %q (want proc, loopback, or tcp)", p.transport))
+		os.Exit(r.spawn())
 	}
 }
 
@@ -110,96 +139,184 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// faultRun starts the schedule (nil for a fault-free run).
-func faultRun(p params) *faultline.Run {
-	if p.faults == "" {
+// load reads and parses the deck, the configuration and the fault schedule —
+// once per process, before any rank exists; a tcp worker does the same from
+// the same arguments.
+func (r *run) load(cells int, deck, config, faults string) error {
+	r.sim.GlobalCells = [3]int{cells, cells, cells}
+	r.sim.Oscillators = oscillator.DefaultDeck(float64(cells))
+	if deck != "" {
+		text, err := os.ReadFile(deck)
+		if err != nil {
+			return err
+		}
+		if r.sim.Oscillators, err = oscillator.ParseDeck(bytes.NewReader(text)); err != nil {
+			return err
+		}
+	}
+	if err := r.sim.Validate(); err != nil {
+		return err
+	}
+	if config != "" {
+		doc, err := os.ReadFile(config)
+		if err != nil {
+			return err
+		}
+		if r.cfg, err = core.ParseConfig(doc); err != nil {
+			return err
+		}
+	}
+	if faults != "" {
+		sched, err := faultline.Parse(faults)
+		if err != nil {
+			return err
+		}
+		r.frun = sched.Start()
+	}
+	return nil
+}
+
+// undeliverable says, per fault domain, why a run has nothing to deliver it.
+var undeliverable = map[string]string{
+	"world":  "they fire on a world's wire; use -transport loopback or tcp",
+	"fabric": `they fire on a staging wire, and the configuration has no adios transport="flexpath" analysis to dial one`,
+}
+
+// validate builds the configuration once on throwaway goroutine ranks — so
+// that an attribute a factory rejects is one line on stderr on every
+// transport, with no worker spawned — and then holds the fault schedule to
+// one rule: every domain in it was taken by something that can fire it (mpi
+// by the world and io by iosim.SetFaults, always; world by a wire transport;
+// fabric by a configured flexpath writer).
+func (r *run) validate() error {
+	if r.cfg != nil {
+		err := mpi.Run(r.np, func(c *mpi.Comm) error {
+			return r.cfg.Configure(core.NewBridge(c, nil, nil))
+		})
+		if err != nil {
+			return err
+		}
+	}
+	if r.frun == nil {
 		return nil
 	}
-	sched, err := faultline.Parse(p.faults)
+	taken := map[string]bool{"mpi": true, "io": true, "world": r.transport != "proc", "fabric": adios.WireFaultsTaken()}
+	for _, f := range r.frun.Schedule.Faults {
+		if !taken[f.Domain] {
+			return fmt.Errorf("-faults: this run cannot deliver %s faults: %s", f.Domain, undeliverable[f.Domain])
+		}
+	}
+	return nil
+}
+
+// rank is one rank of the miniapp: the simulation, the bridge, whatever the
+// configuration names. Only rank 0 writes to stdout, and only what is
+// deterministic in (np, deck, config) — transport must never show through.
+func (r *run) rank(c *mpi.Comm) error {
+	reg := metrics.NewRegistry(c.Rank())
+	mem := metrics.NewTracker()
+	sim, err := oscillator.NewSim(c, r.sim, mem)
 	if err != nil {
-		fatal(err) // unreachable: validated in main
+		return err
 	}
-	return sched.Start()
+	bridge := core.NewBridge(c, reg, mem)
+	if r.cfg != nil {
+		if err := r.cfg.Configure(bridge); err != nil {
+			return err
+		}
+	}
+	adaptor := oscillator.NewDataAdaptor(sim)
+	total := reg.Timer("total")
+	total.Start()
+	for i := 0; i < r.sim.Steps; i++ {
+		if err := sim.Step(); err != nil {
+			return err
+		}
+		adaptor.Update()
+		cont, err := bridge.Execute(adaptor)
+		if err != nil {
+			return err
+		}
+		if !cont {
+			break
+		}
+	}
+	if err := bridge.Finalize(); err != nil {
+		return err
+	}
+	total.Stop()
+
+	tot, err := metrics.Summarize(c, reg, "total")
+	if err != nil {
+		return err
+	}
+	hw, err := metrics.SumHighWater(c, mem)
+	if err != nil {
+		return err
+	}
+	if c.Rank() != 0 {
+		return nil
+	}
+	fmt.Printf("oscillator: %d ranks, %d^3 cells, %d steps, %d analyses\n",
+		c.Size(), r.sim.GlobalCells[0], r.sim.Steps, bridge.AnalysisCount())
+	bridge.Report(os.Stdout)
+	fmt.Fprintf(os.Stderr, "time to solution: %s (max over ranks)\n", metrics.FormatSeconds(tot.Max))
+	fmt.Fprintf(os.Stderr, "memory high-water (sum over ranks): %s\n", metrics.FormatBytes(hw))
+	if r.verbose {
+		for _, name := range reg.TimerNames() {
+			t := reg.Timer(name)
+			fmt.Fprintf(os.Stderr, "  %-28s total %-12s calls %d\n", name,
+				metrics.FormatSeconds(t.Total().Seconds()), t.Count())
+		}
+	}
+	return nil
 }
 
-// exitFor classifies a pipeline error: fired fatal faults exit with
-// exitFault, anything else with 1.
-func exitFor(err error) int {
-	if err == nil {
-		return 0
+// world is the placement every rank of a wire world shares; Launch and
+// worker fill in the rest. Nil plans stay nil interfaces: a fault-free world
+// takes the fault-free send path.
+func (r *run) world(network string) world.Config {
+	cfg := world.Config{Network: network, ID: uint64(os.Getpid()), Epoch: 1}
+	if p := r.frun.NewMPIPlan(); p != nil {
+		cfg.Faults = p
 	}
-	fmt.Fprintln(os.Stderr, "gosensei-run:", err)
-	if strings.Contains(err.Error(), "faultline:") {
-		return exitFault
+	if p := r.frun.NewWorldPlan(); p != nil {
+		cfg.Hook = p
 	}
-	return 1
+	return cfg
 }
 
-// runProc runs the pipeline on goroutine ranks — the zero-cost in-process
-// transport the rest of the repository uses.
-func runProc(p params) int {
-	frun := faultRun(p)
-	var opts []mpi.Option
-	if mp := frun.NewMPIPlan(); mp != nil {
-		opts = append(opts, mpi.WithFaults(mp))
+// finish ends the ranks this process hosted: the fired-fault multiset (replay
+// evidence) and every error on stderr — one per rank from a loopback world,
+// the first from goroutine ranks or a worker's own — and the exit code:
+// exitFault when a fatal fault fired, 1 for anything else that failed.
+func (r *run) finish(errs []error) int {
+	for _, l := range r.frun.TraceLines() {
+		fmt.Fprintf(os.Stderr, "faultline: fired %s\n", l)
 	}
-	err := mpi.Run(p.np, func(c *mpi.Comm) error {
-		return runPipeline(c, p, os.Stdout)
-	}, opts...)
-	printTrace(frun)
-	return exitFor(err)
-}
-
-// runLoopback runs the pipeline on a cross-process-shaped world whose ranks
-// all live in this process, meshed over in-process pipes — the full wire
-// path (envelopes, frames, registry handshake) without sockets.
-func runLoopback(p params) int {
-	frun := faultRun(p)
-	cfg := world.Config{
-		Network: "loopback",
-		ID:      uint64(os.Getpid()),
-		Epoch:   1,
-		Faults:  frun.NewMPIPlan(),
-	}
-	if wp := frun.NewWorldPlan(); wp != nil {
-		cfg.Hook = wp
-	}
-	errs := world.Launch(p.np, cfg, func(c *mpi.Comm) error {
-		return runPipeline(c, p, os.Stdout)
-	})
-	printTrace(frun)
 	code := 0
 	for rank, err := range errs {
 		if err == nil {
 			continue
 		}
-		fmt.Fprintf(os.Stderr, "gosensei-run: rank %d: %v\n", rank, err)
-		if c := exitFor0(err); code == 0 || c == exitFault {
-			code = c
+		if len(errs) > 1 {
+			err = fmt.Errorf("rank %d: %w", rank, err)
+		}
+		fmt.Fprintln(os.Stderr, "gosensei-run:", err)
+		if strings.Contains(err.Error(), "faultline:") {
+			code = exitFault
+		} else if code == 0 {
+			code = 1
 		}
 	}
 	return code
 }
 
-// exitFor0 classifies without printing (runLoopback prints per rank).
-func exitFor0(err error) int {
-	if strings.Contains(err.Error(), "faultline:") {
-		return exitFault
-	}
-	return 1
-}
-
-// printTrace writes the fired-fault multiset to stderr (replay evidence).
-func printTrace(frun *faultline.Run) {
-	for _, l := range frun.TraceLines() {
-		fmt.Fprintf(os.Stderr, "faultline: fired %s\n", l)
-	}
-}
-
-// runTCP spawns one worker process per rank, hosts the registry, forwards
-// rank 0's stdout, and propagates the first failing exit code.
-func runTCP(p params) int {
-	reg, err := world.NewRegistry("tcp", "127.0.0.1:0", uint64(os.Getpid()), 1, p.np)
+// spawn runs a tcp world: one worker process per rank, re-executing this
+// binary with the same arguments. It hosts the registry, forwards rank 0's
+// stdout, and propagates the failing exit code (exitFault first).
+func (r *run) spawn() int {
+	reg, err := world.NewRegistry("tcp", "127.0.0.1:0", uint64(os.Getpid()), 1, r.np)
 	if err != nil {
 		fatal(err)
 	}
@@ -213,38 +330,26 @@ func runTCP(p params) int {
 	if err != nil {
 		fatal(fmt.Errorf("locate own binary: %w", err))
 	}
-	args := []string{
-		"-np", strconv.Itoa(p.np),
-		"-transport", "tcp",
-		"-pipeline", p.pipeline,
-		"-cells", strconv.Itoa(p.cells),
-		"-steps", strconv.Itoa(p.steps),
-		"-bins", strconv.Itoa(p.bins),
-		"-faults", p.faults,
-	}
-	if p.verbose {
-		args = append(args, "-v")
-	}
-	cmds := make([]*exec.Cmd, p.np)
-	for rank := 0; rank < p.np; rank++ {
-		cmd := exec.Command(exe, args...)
+	cmds := make([]*exec.Cmd, r.np)
+	for rank := range cmds {
+		cmd := exec.Command(exe, os.Args[1:]...)
 		cmd.Env = append(os.Environ(),
 			workerEnv+"="+strconv.Itoa(rank),
-			"GOSENSEI_WORLD_SIZE="+strconv.Itoa(p.np),
 			"GOSENSEI_WORLD_ID="+strconv.Itoa(os.Getpid()),
-			"GOSENSEI_WORLD_EPOCH=1",
 			"GOSENSEI_WORLD_REGISTRY="+reg.Addr(),
 		)
 		// Only rank 0 owns stdout: that is what keeps a tcp run's output
 		// bit-identical to a proc run. Everything else is diagnostics.
+		cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
 		if rank == 0 {
 			cmd.Stdout = os.Stdout
-		} else {
-			cmd.Stdout = os.Stderr
 		}
-		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
 			_ = reg.Close()
+			for _, started := range cmds[:rank] {
+				_ = started.Process.Kill()
+				_ = started.Wait()
+			}
 			fatal(fmt.Errorf("spawn rank %d: %w", rank, err))
 		}
 		cmds[rank] = cmd
@@ -271,150 +376,27 @@ func runTCP(p params) int {
 	return code
 }
 
-// workerMain is one rank of a tcp world: join, run the pipeline, say
-// goodbye. A fatal injected fault surfaces as exitFault plus the repro token
-// on stderr.
-func workerMain(rankStr string, p params) int {
+// worker is one rank of a tcp world: join, run the rank, say goodbye.
+func (r *run) worker(rankStr string) int {
 	rank, err := strconv.Atoi(rankStr)
 	if err != nil {
 		fatal(fmt.Errorf("bad %s=%q: %w", workerEnv, rankStr, err))
 	}
-	size := envInt("GOSENSEI_WORLD_SIZE")
-	id := envInt("GOSENSEI_WORLD_ID")
-	epoch := envInt("GOSENSEI_WORLD_EPOCH")
-	registry := os.Getenv("GOSENSEI_WORLD_REGISTRY")
-
-	frun := faultRun(p)
-	cfg := world.Config{
-		Network:  "tcp",
-		Registry: registry,
-		ID:       uint64(id),
-		Epoch:    uint32(epoch),
-		Rank:     rank,
-		Size:     size,
-		Faults:   frun.NewMPIPlan(),
+	id, err := strconv.ParseUint(os.Getenv("GOSENSEI_WORLD_ID"), 10, 64)
+	if err != nil {
+		fatal(fmt.Errorf("bad GOSENSEI_WORLD_ID: %w", err))
 	}
-	if wp := frun.NewWorldPlan(); wp != nil {
-		cfg.Hook = wp
-	}
+	cfg := r.world("tcp")
+	cfg.ID, cfg.Rank, cfg.Size, cfg.Registry = id, rank, r.np, os.Getenv("GOSENSEI_WORLD_REGISTRY")
 	w, err := world.Join(cfg)
+	if err == nil {
+		err = w.Run(r.rank)
+		if cerr := w.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gosensei-run: rank %d: %v\n", rank, err)
-		return 1
+		err = fmt.Errorf("rank %d: %w", rank, err)
 	}
-	err = w.Run(func(c *mpi.Comm) error {
-		return runPipeline(c, p, os.Stdout)
-	})
-	if cerr := w.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	printTrace(frun)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gosensei-run: rank %d: %v\n", rank, err)
-		return exitFor0(err)
-	}
-	if p.verbose {
-		fmt.Fprintf(os.Stderr, "gosensei-run: rank %d done\n", rank)
-	}
-	return 0
-}
-
-func envInt(name string) int {
-	v, err := strconv.Atoi(os.Getenv(name))
-	if err != nil {
-		fatal(fmt.Errorf("bad %s=%q: %w", name, os.Getenv(name), err))
-	}
-	return v
-}
-
-// runPipeline dispatches to the selected pipeline. Only rank 0 writes to
-// out, and every write is deterministic in (np, pipeline parameters) alone —
-// transport must never show through.
-func runPipeline(c *mpi.Comm, p params, out io.Writer) error {
-	switch p.pipeline {
-	case "histogram":
-		return runHistogram(c, p, out)
-	case "binswap":
-		return runBinswap(c, p, out)
-	}
-	return fmt.Errorf("unknown pipeline %q", p.pipeline)
-}
-
-// runHistogram is the paper's canonical in situ pair: the oscillator miniapp
-// producing a cell field, a global histogram consuming it every step.
-func runHistogram(c *mpi.Comm, p params, out io.Writer) error {
-	cfg := oscillator.Config{
-		GlobalCells: [3]int{p.cells, p.cells, p.cells},
-		DT:          0.05,
-		Steps:       p.steps,
-		Oscillators: oscillator.DefaultDeck(float64(p.cells)),
-	}
-	sim, err := oscillator.NewSim(c, cfg, metrics.NewTracker())
-	if err != nil {
-		return err
-	}
-	ad := oscillator.NewDataAdaptor(sim)
-	h := analysis.NewHistogram(c, "data", grid.CellData, p.bins)
-	for i := 0; i < p.steps; i++ {
-		if err := sim.Step(); err != nil {
-			return err
-		}
-		ad.Update()
-		mesh, err := ad.Mesh(false)
-		if err != nil {
-			return err
-		}
-		if err := ad.AddArray(mesh, grid.CellData, "data"); err != nil {
-			return err
-		}
-		res, err := h.Compute(sim.StepIndex(), mesh)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			fmt.Fprintf(out, "step=%d min=%.17g max=%.17g counts=%v\n", res.Step, res.Min, res.Max, res.Counts)
-		}
-		if err := ad.ReleaseData(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runBinswap composites procedurally rendered per-rank framebuffers with
-// binary swap and prints a digest of the final image — the paper's
-// image-order rendering workload without the full catalyst stack.
-func runBinswap(c *mpi.Comm, p params, out io.Writer) error {
-	const w, h = 64, 64
-	tail := compositing.Tail{Comm: c, Algorithm: compositing.BinarySwap}
-	for step := 0; step < p.steps; step++ {
-		err := tail.Image(step, w, h,
-			func(fb *render.Framebuffer) error {
-				paint(fb, c.Rank(), step)
-				return nil
-			},
-			func(final *render.Framebuffer) error {
-				sum := sha256.Sum256(final.Color)
-				_, err := fmt.Fprintf(out, "step=%d image=%x\n", step, sum[:8])
-				return err
-			})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// paint fills a framebuffer with a deterministic function of (rank, step,
-// pixel): each rank owns an interleaved set of depths, so the composite
-// mixes contributions from every rank.
-func paint(fb *render.Framebuffer, rank, step int) {
-	for i := 0; i < fb.W*fb.H; i++ {
-		v := uint32(i*2654435761) ^ uint32(rank*40503) ^ uint32(step*9176)
-		fb.Color[i*4+0] = uint8(v)
-		fb.Color[i*4+1] = uint8(v >> 8)
-		fb.Color[i*4+2] = uint8(v >> 16)
-		fb.Color[i*4+3] = 255
-		fb.Depth[i] = float32((v>>24)^uint32(rank*5)) / 256
-	}
+	return r.finish([]error{err})
 }

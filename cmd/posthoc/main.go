@@ -1,6 +1,6 @@
 // Command posthoc is the traditional analysis path: it reads simulation
-// output previously written to storage (by cmd/oscillator with an adios
-// bp-file configuration, or by the Fig. 10 harness) and runs an analysis on
+// output previously written to storage (by gosensei-run with a vtk-writer
+// configuration, or by the Fig. 10 harness) and runs an analysis on
 // a reduced set of ranks, printing the read/process/write cost split that
 // the paper's Fig. 11 reports.
 //

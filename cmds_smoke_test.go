@@ -2,12 +2,15 @@ package gosensei
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -36,22 +39,36 @@ func run(t *testing.T, bin string, args ...string) string {
 	return string(out)
 }
 
+// repoFile resolves a path shipped in the repository; the binaries run from
+// scratch directories.
+func repoFile(t *testing.T, elem ...string) string {
+	t.Helper()
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return filepath.Join(append([]string{wd}, elem...)...)
+}
+
+// TestCmdOscillatorSmoke: the miniapp is gosensei-run on goroutine ranks.
 func TestCmdOscillatorSmoke(t *testing.T) {
-	bin := buildTool(t, "oscillator")
-	out := run(t, bin, "-ranks", "2", "-cells", "12", "-steps", "3")
+	bin := buildTool(t, "gosensei-run")
+	out := run(t, bin, "-transport", "proc", "-np", "2", "-cells", "12", "-steps", "3")
 	if !strings.Contains(out, "time to solution") {
 		t.Fatalf("unexpected output:\n%s", out)
 	}
 	// With a config and a deck from the repository.
-	wd, _ := os.Getwd()
-	out = run(t, bin, "-ranks", "2", "-cells", "32", "-steps", "3",
-		"-deck", filepath.Join(wd, "decks", "sample.osc"),
-		"-config", filepath.Join(wd, "configs", "histogram.xml"), "-v")
+	out = run(t, bin, "-transport", "proc", "-np", "2", "-cells", "32", "-steps", "3",
+		"-deck", repoFile(t, "decks", "sample.osc"),
+		"-config", repoFile(t, "configs", "histogram.xml"), "-v")
 	if !strings.Contains(out, "1 analyses") {
 		t.Fatalf("config not applied:\n%s", out)
 	}
 	if !strings.Contains(out, "analysis::histogram") {
 		t.Fatalf("histogram timer missing:\n%s", out)
+	}
+	if !strings.Contains(out, "histogram data: step=3 ") {
+		t.Fatalf("histogram not reported:\n%s", out)
 	}
 }
 
@@ -69,14 +86,68 @@ func TestCmdExperimentsSmoke(t *testing.T) {
 	}
 }
 
-func TestCmdEndpointSmoke(t *testing.T) {
-	bin := buildTool(t, "endpoint")
-	out := run(t, bin, "-ranks", "2", "-cells", "12", "-steps", "3", "-workload", "histogram")
-	if !strings.Contains(out, "3 steps staged") {
-		t.Fatalf("staging count wrong:\n%s", out)
+// endpointShape is the analysis half of every in transit test: two endpoint
+// ranks, queue depth 2, the shipped histogram configuration.
+func endpointShape(t *testing.T, extra ...string) []string {
+	return append([]string{"-ranks", "2", "-queue-depth", "2",
+		"-config", repoFile(t, "configs", "endpoint-histogram.xml")}, extra...)
+}
+
+// writerConfig is configs/intransit-writer.xml pointed at a listening
+// endpoint, with the tests' queue depth and the given retry window.
+func writerConfig(t *testing.T, addr string, retrySeconds string) string {
+	t.Helper()
+	doc, err := os.ReadFile(repoFile(t, "configs", "intransit-writer.xml"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(out, "final histogram") {
-		t.Fatalf("histogram missing:\n%s", out)
+	out := string(doc)
+	for old, new := range map[string]string{
+		`endpoint="127.0.0.1:9917"`: `endpoint="` + addr + `"`,
+		`depth="1"`:                 `depth="2"`,
+		`retry-window="15"`:         `retry-window="` + retrySeconds + `"`,
+	} {
+		if !strings.Contains(out, old) {
+			t.Fatalf("configs/intransit-writer.xml no longer says %s", old)
+		}
+		out = strings.Replace(out, old, new, 1)
+	}
+	path := filepath.Join(t.TempDir(), "writer.xml")
+	if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// awaitOutput waits for a started process's full output.
+func awaitOutput(t *testing.T, what string, out <-chan string) string {
+	t.Helper()
+	select {
+	case o := <-out:
+		return o
+	case <-time.After(60 * time.Second):
+		t.Fatalf("%s did not exit", what)
+		return ""
+	}
+}
+
+// TestCmdEndpointSmoke stages three steps to an endpoint process under a
+// schedule of fabric faults — which reach the configured writer through
+// adios.SetWireFaults, fire, and are ridden out.
+func TestCmdEndpointSmoke(t *testing.T) {
+	ep, sim := buildTool(t, "endpoint"), buildTool(t, "gosensei-run")
+	_, addr, out := startListener(t, ep, "127.0.0.1:0", endpointShape(t)...)
+	writer := run(t, sim, "-np", "2", "-cells", "12", "-steps", "3", "-config", writerConfig(t, addr, "15"),
+		"-faults", "7:fabric.kill(rank=0,write=3)")
+	if !strings.Contains(writer, "faultline: fired fabric.kill(rank=0,write=3) x1") || !strings.Contains(writer, "reconnects 1") {
+		t.Fatalf("the fabric fault did not reach the configured writer:\n%s", writer)
+	}
+	epOut := awaitOutput(t, "endpoint", out)
+	if !strings.Contains(epOut, "3 steps staged") {
+		t.Fatalf("staging count wrong:\n%s", epOut)
+	}
+	if !strings.Contains(epOut, "histogram data: step=3 ") {
+		t.Fatalf("histogram missing:\n%s", epOut)
 	}
 }
 
@@ -118,60 +189,65 @@ func startListener(t *testing.T, bin, addr string, extra ...string) (*exec.Cmd, 
 	return cmd, bound, out
 }
 
-// histogramBlock extracts output from "final histogram" onward — the
-// deployment-independent part of the endpoint report (timings above it
-// differ run to run).
-func histogramBlock(t *testing.T, out string) string {
+// histogramLines extracts what the histogram analysis reported — the part of
+// any output that depends on (np, cells, steps) alone, whichever executable
+// of whichever deployment computed it.
+func histogramLines(t *testing.T, out string) string {
 	t.Helper()
-	i := strings.Index(out, "final histogram")
-	if i < 0 {
-		t.Fatalf("no final histogram in output:\n%s", out)
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(out, "\n") {
+		if strings.HasPrefix(line, "histogram ") {
+			b.WriteString(line)
+		}
 	}
-	return out[i:]
+	if b.Len() == 0 {
+		t.Fatalf("no histogram reported in output:\n%s", out)
+	}
+	return b.String()
 }
 
-// TestCmdEndpointTwoProcessTCP runs the writer and endpoint groups as two
-// real OS processes over TCP and requires the analysis output to be
-// byte-identical to the in-process loopback run — the §4.1.4 deployment
+// inSituHistogram is the reference of the in transit tests: the same
+// histogram computed in situ, in one process, for the same (np, cells, steps).
+func inSituHistogram(t *testing.T, sim string, shape ...string) string {
+	t.Helper()
+	return histogramLines(t, run(t, sim, append(shape, "-config", repoFile(t, "configs", "histogram.xml"))...))
+}
+
+// TestCmdEndpointTwoProcessTCP runs the simulation and the endpoint as
+// separate OS processes over TCP — the simulation itself a tcp world, one
+// process per rank, each dialing the endpoint — and requires the endpoint to
+// report, byte for byte, what the in situ run reports: the §4.1.4 deployment
 // with the wire underneath.
 func TestCmdEndpointTwoProcessTCP(t *testing.T) {
-	bin := buildTool(t, "endpoint")
-	shape := []string{"-ranks", "2", "-cells", "12", "-steps", "3", "-workload", "histogram", "-queue-depth", "2"}
+	ep, sim := buildTool(t, "endpoint"), buildTool(t, "gosensei-run")
+	shape := []string{"-np", "2", "-cells", "12", "-steps", "3"}
+	want := inSituHistogram(t, sim, shape...)
 
-	inProc := run(t, bin, shape...)
-
-	_, addr, out := startListener(t, bin, "127.0.0.1:0", shape...)
-	writer := run(t, bin, append([]string{"-connect", addr}, shape...)...)
-	if !strings.Contains(writer, "staged 3 steps") {
+	_, addr, out := startListener(t, ep, "127.0.0.1:0", endpointShape(t)...)
+	writer := run(t, sim, append(shape, "-transport", "tcp", "-config", writerConfig(t, addr, "15"))...)
+	if !strings.Contains(writer, "adios flexpath to "+addr) || !strings.Contains(writer, "reconnects 0") {
 		t.Fatalf("writer output wrong:\n%s", writer)
 	}
-	var epOut string
-	select {
-	case epOut = <-out:
-	case <-time.After(60 * time.Second):
-		t.Fatalf("endpoint process did not exit")
-	}
-	if got, want := histogramBlock(t, epOut), histogramBlock(t, inProc); got != want {
-		t.Fatalf("two-process histogram differs from in-process:\n--- tcp ---\n%s--- loopback ---\n%s", got, want)
+	if got := histogramLines(t, awaitOutput(t, "endpoint", out)); got != want {
+		t.Fatalf("two-process histogram differs from in situ:\n--- endpoint ---\n%s--- in situ ---\n%s", got, want)
 	}
 }
 
 // TestCmdEndpointReconnect kills the endpoint process mid-run, restarts it
 // on the same port, and requires the writers to ride the outage out —
 // retransmitting unacknowledged steps — with the final histogram identical
-// to an undisturbed run.
+// to an undisturbed in situ run.
 func TestCmdEndpointReconnect(t *testing.T) {
-	bin := buildTool(t, "endpoint")
-	shape := []string{"-ranks", "2", "-cells", "12", "-steps", "4", "-workload", "histogram", "-queue-depth", "2"}
+	ep, sim := buildTool(t, "endpoint"), buildTool(t, "gosensei-run")
+	shape := []string{"-np", "2", "-cells", "12", "-steps", "4"}
+	want := inSituHistogram(t, sim, shape...)
 
-	clean := run(t, bin, shape...)
-
-	doomed, addr, doomedOut := startListener(t, bin, "127.0.0.1:0",
-		append([]string{"-kill-after", "2"}, shape...)...)
+	doomed, addr, doomedOut := startListener(t, ep, "127.0.0.1:0", endpointShape(t, "-kill-after", "2")...)
 	writerDone := make(chan string, 1)
 	writerErr := make(chan error, 1)
+	cfg := writerConfig(t, addr, "60")
 	go func() {
-		cmd := exec.Command(bin, append([]string{"-connect", addr, "-retry-window", "60s"}, shape...)...)
+		cmd := exec.Command(sim, append(shape, "-config", cfg)...)
 		cmd.Dir = t.TempDir()
 		o, err := cmd.CombinedOutput()
 		writerDone <- string(o)
@@ -189,7 +265,7 @@ func TestCmdEndpointReconnect(t *testing.T) {
 		_ = doomed.Process.Kill()
 		t.Fatalf("first endpoint never exited")
 	}
-	_, _, out2 := startListener(t, bin, addr, shape...)
+	_, _, out2 := startListener(t, ep, addr, endpointShape(t)...)
 
 	wo := <-writerDone
 	if err := <-writerErr; err != nil {
@@ -198,33 +274,27 @@ func TestCmdEndpointReconnect(t *testing.T) {
 	if !strings.Contains(wo, "reconnects 2") {
 		t.Fatalf("writer reported no reconnects:\n%s", wo)
 	}
-	var epOut string
-	select {
-	case epOut = <-out2:
-	case <-time.After(60 * time.Second):
-		t.Fatalf("restarted endpoint never exited")
-	}
-	if got, want := histogramBlock(t, epOut), histogramBlock(t, clean); got != want {
-		t.Fatalf("post-reconnect histogram differs from clean run:\n--- reconnect ---\n%s--- clean ---\n%s", got, want)
+	if got := histogramLines(t, awaitOutput(t, "restarted endpoint", out2)); got != want {
+		t.Fatalf("post-reconnect histogram differs from in situ:\n--- reconnect ---\n%s--- in situ ---\n%s", got, want)
 	}
 }
 
 // TestCmdEndpointRetryWindowExpires is the complement of the reconnect
 // test: the endpoint dies mid-run and is never restarted, so the writer's
-// -retry-window must expire and the process must fail with a diagnostic
+// retry-window must expire and the process must fail with a diagnostic
 // rather than hang.
 func TestCmdEndpointRetryWindowExpires(t *testing.T) {
-	bin := buildTool(t, "endpoint")
+	ep, sim := buildTool(t, "endpoint"), buildTool(t, "gosensei-run")
 	// One writer rank: a second rank would outlive the failure blocked in
 	// the next advance collective until the mpi recv timeout.
-	shape := []string{"-ranks", "1", "-cells", "12", "-steps", "4", "-workload", "histogram", "-queue-depth", "2"}
-
-	doomed, addr, doomedOut := startListener(t, bin, "127.0.0.1:0",
-		append([]string{"-kill-after", "2"}, shape...)...)
+	doomed, addr, doomedOut := startListener(t, ep, "127.0.0.1:0",
+		"-ranks", "1", "-queue-depth", "2", "-kill-after", "2",
+		"-config", repoFile(t, "configs", "endpoint-histogram.xml"))
 	writerDone := make(chan string, 1)
 	writerErr := make(chan error, 1)
+	cfg := writerConfig(t, addr, "2")
 	go func() {
-		cmd := exec.Command(bin, append([]string{"-connect", addr, "-retry-window", "2s"}, shape...)...)
+		cmd := exec.Command(sim, "-np", "1", "-cells", "12", "-steps", "4", "-config", cfg)
 		cmd.Dir = t.TempDir()
 		o, err := cmd.CombinedOutput()
 		writerDone <- string(o)
@@ -256,7 +326,7 @@ func TestCmdEndpointRetryWindowExpires(t *testing.T) {
 }
 
 func TestCmdPosthocSmoke(t *testing.T) {
-	osc := buildTool(t, "oscillator")
+	sim := buildTool(t, "gosensei-run")
 	ph := buildTool(t, "posthoc")
 	work := t.TempDir()
 	// Produce step files with the vtk-writer analysis.
@@ -264,7 +334,7 @@ func TestCmdPosthocSmoke(t *testing.T) {
 	if err := os.WriteFile(cfg, []byte(`<sensei><analysis type="vtk-writer" dir="`+work+`/out"/></sensei>`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(osc, "-ranks", "2", "-cells", "12", "-steps", "3", "-config", cfg)
+	cmd := exec.Command(sim, "-np", "2", "-cells", "12", "-steps", "3", "-config", cfg)
 	cmd.Dir = work
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("producer: %v\n%s", err, out)
@@ -272,5 +342,95 @@ func TestCmdPosthocSmoke(t *testing.T) {
 	out := run(t, ph, "-dir", work+"/out", "-writers", "2", "-readers", "1", "-workload", "histogram", "-cells", "12")
 	if !strings.Contains(out, "read:") || !strings.Contains(out, "process:") {
 		t.Fatalf("posthoc output wrong:\n%s", out)
+	}
+}
+
+// TestCmdRefusals pins flag validation and exit codes for the two binaries a
+// run is assembled from: whatever is wrong with the command line, the files
+// it names or the fault schedule is refused before any rank exists — exit 1,
+// one line on stderr naming the problem, nothing on stdout, promptly, no
+// goroutine dump, and no worker process left behind (each command runs in
+// its own process group, which must be empty once it has exited).
+func TestCmdRefusals(t *testing.T) {
+	bins := map[string]string{"gosensei-run": buildTool(t, "gosensei-run"), "endpoint": buildTool(t, "endpoint")}
+	work := t.TempDir()
+	file := func(name, doc string) string {
+		path := filepath.Join(work, name)
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	histogram := repoFile(t, "configs", "histogram.xml")
+	unknown := file("unknown.xml", `<sensei><analysis type="nope"/></sensei>`)
+	type refusal struct {
+		bin  string
+		args []string
+		want string // stderr must contain it
+	}
+	rows := []refusal{
+		{"gosensei-run", []string{"-np", "2", "-deck", "/nonexistent"}, "/nonexistent: no such file"},
+		{"gosensei-run", []string{"-np", "2", "-deck", file("bad.osc", "damped 1 2\n")}, "deck line 1"},
+		{"gosensei-run", []string{"-config", "/nonexistent.xml"}, "/nonexistent.xml: no such file"},
+		{"gosensei-run", []string{"-config", file("torn.xml", `<sensei><analysis`)}, "parse sensei config"},
+		{"gosensei-run", []string{"-transport", "tcp", "-config", unknown}, `unknown analysis type "nope"`},
+		{"gosensei-run", []string{"-config", file("nested.xml", `<sensei><analysis type="routed"><analysis route="insitu" type="nope"/></analysis></sensei>`)}, `unknown analysis type "nope"`},
+		{"gosensei-run", []string{"-np", "0"}, "world size must be positive"},
+		{"gosensei-run", []string{"-np", "-3", "-transport", "tcp"}, "world size must be positive"},
+		{"gosensei-run", []string{"-transport", "pigeon"}, `unknown transport "pigeon"`},
+		{"gosensei-run", []string{"-steps", "0"}, "steps must be positive"},
+		{"gosensei-run", []string{"-np", "2", "stray-arg"}, `unexpected argument "stray-arg"`},
+		{"gosensei-run", []string{"-faults", "7:mpi.delay(src=0)"}, "faultline:"},
+		{"gosensei-run", []string{"-transport", "proc", "-faults", "7:world.rankkill(rank=2,op=4)"}, "cannot deliver world faults"},
+		{"gosensei-run", []string{"-config", histogram, "-faults", "7:fabric.kill(rank=0,write=1)"}, "cannot deliver fabric faults"},
+		{"gosensei-run", []string{"-transport", "tcp", "-faults", "7:fabric.kill(rank=0,write=1)"}, "cannot deliver fabric faults"},
+		{"endpoint", []string{"stray-arg"}, `unexpected argument "stray-arg"`},
+		{"endpoint", nil, "-config is required"},
+		{"endpoint", []string{"-config", "/nonexistent.xml"}, "/nonexistent.xml: no such file"},
+		{"endpoint", []string{"-config", unknown}, `unknown analysis type "nope"`},
+		{"endpoint", []string{"-config", histogram, "-ranks", "0"}, "invalid fabric writers=0"},
+		{"endpoint", []string{"-config", histogram, "-queue-depth", "0"}, "depth=0"},
+		{"endpoint", []string{"-config", histogram, "-codec", "zip"}, `unknown codec "zip"`},
+		{"endpoint", []string{"-config", histogram, "-extract", "histogram:data"}, "bad -extract"},
+		{"endpoint", []string{"-config", histogram, "-listen", "not-an-address"}, "not-an-address"},
+	}
+	// What PR 17 pinned for a bad attribute value, now on every transport.
+	for attrs, want := range map[string]string{
+		`type="histogram" bins="0"`:        `gosensei-run: core: analysis element 0 (histogram): attribute "bins": 0 is below the minimum of 1`,
+		`type="catalyst" stride="two"`:     `gosensei-run: core: analysis element 0 (catalyst): attribute "stride": "two" is not an integer`,
+		`type="catalyst" image-widht="64"`: `gosensei-run: core: analysis element 0 (catalyst): attribute "image-widht": not an attribute of this analysis type`,
+	} {
+		doc := file(fmt.Sprintf("attr%d.xml", len(rows)), `<sensei><analysis `+attrs+`/></sensei>`)
+		for _, transport := range []string{"proc", "loopback", "tcp"} {
+			rows = append(rows, refusal{"gosensei-run", []string{"-np", "3", "-transport", transport, "-config", doc}, want + "\n"})
+		}
+	}
+	for _, r := range rows {
+		cmd := exec.Command(bins[r.bin], r.args...)
+		cmd.Dir = work
+		cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		start := time.Now()
+		err := cmd.Run()
+		what := fmt.Sprintf("%s %v", r.bin, r.args)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%s: %v, want exit status 1\n%s", what, err, stderr.String())
+			continue
+		}
+		msg := stderr.String()
+		if !strings.Contains(msg, r.want) || strings.Count(msg, "\n") != 1 || strings.Contains(msg, "goroutine ") {
+			t.Errorf("%s: stderr %q, want one line containing %q", what, msg, r.want)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%s: refused, yet wrote to stdout: %q", what, stdout.String())
+		}
+		if d := time.Since(start); d > 10*time.Second {
+			t.Errorf("%s: took %v to refuse", what, d)
+		}
+		if err := syscall.Kill(-cmd.Process.Pid, 0); err != syscall.ESRCH {
+			t.Errorf("%s: its process group is not empty after exit (kill -0: %v)", what, err)
+		}
 	}
 }

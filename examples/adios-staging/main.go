@@ -11,13 +11,14 @@
 //
 // This example stages over the in-process loopback wire. For the paper's
 // literal deployment — writer and endpoint as two OS processes speaking
-// the same staging protocol over TCP — use cmd/endpoint:
+// the same staging protocol over TCP — use cmd/endpoint and cmd/gosensei-run,
+// each with a configuration file:
 //
-//	go run ./cmd/endpoint -listen 127.0.0.1:9917 -ranks 4 -steps 10   # terminal 1
-//	go run ./cmd/endpoint -connect 127.0.0.1:9917 -ranks 4 -steps 10  # terminal 2
+//	go run ./cmd/endpoint -listen 127.0.0.1:9917 -ranks 4 -config configs/endpoint-histogram.xml   # terminal 1
+//	go run ./cmd/gosensei-run -np 4 -steps 10 -config configs/intransit-writer.xml                 # terminal 2
 //
-// The analysis output is byte-identical to the in-process run, and the
-// -listen process can be killed and restarted on the same port mid-run:
+// The endpoint reports what the same analysis reports in situ, byte for
+// byte, and it can be killed and restarted on the same port mid-run:
 // writers hold unreleased steps, redial with backoff, and retransmit.
 package main
 

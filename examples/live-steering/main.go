@@ -72,7 +72,9 @@ func main() {
 			ArrayName: "velocity", Assoc: grid.PointData,
 			Width: 200, Height: 50,
 			SliceAxis: 2, SliceCoord: solver.Cfg.Domain[2] / 2,
-			Hub:       hub,
+			Publish: func(step, w, h int, png []byte) {
+				hub.Publish(live.Frame{Step: step, Width: w, Height: h, PNG: png})
+			},
 			OutputDir: "live-frames",
 		})
 		bridge := core.NewBridge(c, nil, nil)

@@ -150,7 +150,16 @@ func TestBadConfigsAreErrors(t *testing.T) {
 			{`theta-count="-1"`, "theta-count"}, {`iso="half"`, "iso"}, {`phi="4"`, `"phi"`}},
 		"glean": {{`mode="fast"`, "mode"}, {`ranks-per-node="0"`, "ranks-per-node"}, {`ranks-per-node="all"`, "ranks-per-node"},
 			{`bins="0"`, "bins"}, {`output="x"`, `"output"`}},
-		"adios": {{`transport="pigeon"`, "transport"}, {`dri="bp-out"`, "dri"}},
+		"adios": {{`transport="pigeon"`, "transport"}, {`dri="bp-out"`, "dri"},
+			{`transport="flexpath"`, "endpoint"}, {`transport="flexpath" endpoint="127.0.0.1:9" depth="0"`, "depth"},
+			{`transport="flexpath" endpoint="127.0.0.1:9" retry-window="-1"`, "retry-window"},
+			{`transport="flexpath" endpoint="127.0.0.1:9" dir="bp-out"`, `"dir"`}},
+		"histogram-replay": {{`dir="blocks" bins="0"`, "bins"}, {`bins="4"`, "dir"}, {`dir="blocks" association="node"`, "association"},
+			{`dir="blocks" bnis="4"`, "bnis"}},
+		// A routed element's routes are nested elements (core's
+		// TestRoutedFromXML holds those to the same rule); alone it has none.
+		"routed": {{`budget-step="fast"`, "budget-step"}, {`budget-wire="-1"`, "budget-wire"}, {`budget-storage="1e6"`, "budget-storage"},
+			{``, "no nested analysis elements"}},
 		"vtk-writer": {{`dir="out" stride="0"`, "stride"}, {`dir="out" stride="x"`, "stride"},
 			{`dir="out" strid="2"`, "strid"}, {`stride="2"`, "dir"}},
 	}

@@ -2,25 +2,104 @@ package adios
 
 import (
 	"fmt"
+	"io"
+	"sync"
+	"time"
 
 	"gosensei/internal/core"
+	"gosensei/internal/fabric"
+	"gosensei/internal/mpi"
 )
 
 func init() {
 	core.RegisterFactory("adios", func(attrs *core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
-		switch tr := attrs.String("transport", "bp-file"); tr {
-		case "bp-file":
+		if attrs.Choice("transport", "bp-file", "bp-file", "flexpath") == 0 {
 			w := NewWriter(env.Comm, &BPFileTransport{Dir: attrs.String("dir", "adios-out")})
-			w.Registry = env.Registry
-			w.Memory = env.Memory
+			w.Registry, w.Memory = env.Registry, env.Memory
 			return w, nil
-		case "flexpath":
-			// A FlexPath fabric connects two executables; it cannot be built
-			// from a per-rank XML attribute set. Construct NewWriter with a
-			// FlexPathTransport programmatically instead (see cmd/endpoint).
-			return nil, fmt.Errorf("adios: flexpath transport requires programmatic setup, not XML")
-		default:
-			return nil, fmt.Errorf("adios: unknown transport %q", tr)
 		}
+		// The simulation half of the two-executable deployment. The
+		// endpoint's geometry is 1:1 with this world and every codec is on
+		// offer; the wire is dialed at the first step, so building the
+		// writer needs no listener.
+		endpoint := attrs.String("endpoint", "")
+		if endpoint == "" {
+			return nil, fmt.Errorf("attribute %q: a flexpath writer needs the endpoint's host:port", "endpoint")
+		}
+		t, err := DialWire(WireOptions{
+			Network: "tcp", Addr: endpoint,
+			Writers: env.Comm.Size(), Readers: env.Comm.Size(), Depth: attrs.Int("depth", 1, 1),
+			RetryWindow: time.Duration(attrs.Int("retry-window", 0, 0)) * time.Second,
+			WrapConn:    takeWireFaults(),
+		})
+		if err != nil {
+			return nil, err
+		}
+		w := NewWriter(env.Comm, t)
+		w.Registry, w.Memory = env.Registry, env.Memory
+		return &wireWriter{Writer: w, endpoint: endpoint, stats: t.Stats()}, nil
 	})
+}
+
+// wireWriter is the configured in transit writer: a Writer over its own wire
+// whose Finalize adds the ranks' wire counters up on rank 0, for Report.
+type wireWriter struct {
+	*Writer
+	endpoint string
+	stats    *fabric.Stats
+	totals   [4]int64 // logical, wire, retransmits, reconnects; rank 0, after Finalize
+}
+
+// Finalize implements core.AnalysisAdaptor. The sum runs whether or not this
+// rank's stream closed cleanly: the other ranks are waiting in it.
+func (w *wireWriter) Finalize() error {
+	err := w.Writer.Finalize()
+	s := w.stats
+	local := []int64{s.DataBytesLogical.Value(), s.DataBytesWire.Value(), s.Retransmits.Value(), s.Reconnects.Value()}
+	if w.Comm == nil {
+		copy(w.totals[:], local)
+	} else if rerr := mpi.Reduce(w.Comm, local, w.totals[:], mpi.OpSum, 0); err == nil {
+		err = rerr
+	}
+	return err
+}
+
+// Report implements core.Reporter: what crossed the wire, over all ranks.
+func (w *wireWriter) Report(out io.Writer) {
+	fmt.Fprintf(out, "adios flexpath to %s: data bytes %d logical / %d wire, retransmits %d, reconnects %d\n",
+		w.endpoint, w.totals[0], w.totals[1], w.totals[2], w.totals[3])
+}
+
+// wireFaultState is the process-wide connection decorator of configured
+// flexpath writers, and whether one has taken it.
+var wireFaultState struct {
+	sync.Mutex
+	wrap  func(rank int, conn fabric.Conn) fabric.Conn
+	taken bool
+}
+
+// SetWireFaults installs (or, with nil, clears) the decorator every flexpath
+// writer configured from here on dials its connections through — the wire's
+// twin of iosim.SetFaults, the seam a launcher hands a fault schedule's
+// fabric plan to.
+func SetWireFaults(wrap func(rank int, conn fabric.Conn) fabric.Conn) {
+	wireFaultState.Lock()
+	wireFaultState.wrap, wireFaultState.taken = wrap, false
+	wireFaultState.Unlock()
+}
+
+// WireFaultsTaken reports whether a writer has been configured since
+// SetWireFaults: a schedule of fabric faults in a run that dials no staging
+// wire can deliver none of them.
+func WireFaultsTaken() bool {
+	wireFaultState.Lock()
+	defer wireFaultState.Unlock()
+	return wireFaultState.taken
+}
+
+func takeWireFaults() func(rank int, conn fabric.Conn) fabric.Conn {
+	wireFaultState.Lock()
+	defer wireFaultState.Unlock()
+	wireFaultState.taken = true
+	return wireFaultState.wrap
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"io"
 	"sort"
 
 	"gosensei/internal/core"
@@ -175,6 +176,18 @@ func (ac *Autocorrelation) Finalize() error {
 		ac.Top[delay-1] = merged
 	}
 	return nil
+}
+
+// Report implements core.Reporter: per delay, the global top-K correlations
+// as value@rank/cell.
+func (ac *Autocorrelation) Report(w io.Writer) {
+	for d, top := range ac.Top {
+		fmt.Fprintf(w, "autocorrelation %s: delay=%d", ac.ArrayName, d+1)
+		for _, c := range top {
+			fmt.Fprintf(w, " %.17g@%d/%d", c.Value, c.Rank, c.Cell)
+		}
+		fmt.Fprintln(w)
+	}
 }
 
 // topK returns the k largest values of v (descending) tagged with rank/index.

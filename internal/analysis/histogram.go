@@ -10,6 +10,7 @@ package analysis
 
 import (
 	"fmt"
+	"io"
 	"math"
 
 	"gosensei/internal/array"
@@ -33,6 +34,12 @@ type HistogramResult struct {
 	Min    float64
 	Max    float64
 	Counts []int64
+}
+
+// String renders the result on one line, the range to round-trip precision:
+// two runs agree on a histogram exactly when they print the same line.
+func (r *HistogramResult) String() string {
+	return fmt.Sprintf("step=%d min=%.17g max=%.17g counts=%v", r.Step, r.Min, r.Max, r.Counts)
 }
 
 // Bin returns the inclusive value range of bin i.
@@ -72,6 +79,13 @@ func NewHistogram(c *mpi.Comm, name string, assoc grid.Association, bins int) *H
 		panic(fmt.Sprintf("analysis: histogram bins must be positive, got %d", bins))
 	}
 	return &Histogram{Comm: c, ArrayName: name, Assoc: assoc, Bins: bins}
+}
+
+// Report implements core.Reporter: the last step's histogram.
+func (h *Histogram) Report(w io.Writer) {
+	if h.Last != nil {
+		fmt.Fprintf(w, "histogram %s: %s\n", h.ArrayName, h.Last)
+	}
 }
 
 // StagedHistogramSource is implemented by data adaptors that carry a

@@ -20,7 +20,6 @@ import (
 	"gosensei/internal/compositing"
 	"gosensei/internal/core"
 	"gosensei/internal/grid"
-	"gosensei/internal/live"
 	"gosensei/internal/metrics"
 	"gosensei/internal/mpi"
 	"gosensei/internal/parallel"
@@ -46,6 +45,7 @@ func init() {
 			ParallelPNG:     attrs.Bool("parallel-png", false),
 			Stride:          attrs.Int("stride", 1, 1),
 			Workers:         attrs.Int("threads", 0, 0),
+			Publish:         env.Publish,
 		})
 		a.Registry = env.Registry
 		a.Memory = env.Memory
@@ -79,9 +79,9 @@ type Options struct {
 	ParallelPNG bool
 	// Edition selects the linked feature set; nil means RenderingEdition.
 	Edition *Edition
-	// Hub, when set, receives every composited frame for live viewers (the
-	// ParaView-GUI live connection of the paper).
-	Hub *live.Hub
+	// Publish, when set, receives every composited frame's PNG for live
+	// viewers (the ParaView-GUI live connection of the paper).
+	Publish func(step, w, h int, png []byte)
 }
 
 // SliceAdaptor is the Catalyst analysis adaptor.
@@ -183,15 +183,10 @@ func (a *SliceAdaptor) tail() compositing.Tail {
 		RenderTimer: "catalyst::render", CompositeTimer: "catalyst::composite", PNGTimer: "catalyst::png",
 		Prefix: "catalyst", Background: color.RGBA{R: 18, G: 18, B: 24, A: 255},
 		PNG: render.PNGOptions{Parallel: a.Opts.ParallelPNG, Workers: a.workers()},
-		Dir: a.Opts.OutputDir,
+		Dir: a.Opts.OutputDir, Publish: a.Opts.Publish,
 	}
 	if a.Opts.SkipCompression {
 		t.PNG.Compression = png.NoCompression
-	}
-	if hub := a.Opts.Hub; hub != nil {
-		t.Publish = func(step, w, h int, png []byte) {
-			hub.Publish(live.Frame{Step: step, Width: w, Height: h, PNG: png})
-		}
 	}
 	return t
 }

@@ -10,7 +10,6 @@ import (
 
 	"gosensei/internal/golden"
 	"gosensei/internal/grid"
-	"gosensei/internal/live"
 	"gosensei/internal/metrics"
 	"gosensei/internal/mpi"
 )
@@ -87,27 +86,25 @@ func TestGoldenImages(t *testing.T) {
 	// the same encode.
 	t.Run("hub and dir", func(t *testing.T) {
 		dir := t.TempDir()
-		hub := live.NewHub()
-		defer hub.Close()
+		var frame []byte
+		var last int
 		runMiniapp(t, 2, 4, func(c *mpi.Comm, reg *metrics.Registry, mem *metrics.Tracker) *SliceAdaptor {
 			o := sliceOpts(dir)
-			o.Hub = hub
+			o.Publish = func(step, w, h int, png []byte) {
+				frame, last = bytes.Clone(png), step
+			}
 			a := NewSliceAdaptor(c, o)
 			a.Registry = reg
 			return a
 		})
 		got, _ := golden.Dir(t, dir, "structured/")
 		golden.Compare(t, got, goldenSlices, "structured/")
-		f, ok := hub.Latest()
-		if !ok {
-			t.Fatal("no frame published")
-		}
 		file, err := os.ReadFile(filepath.Join(dir, "slice_00004.png"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.Step != 4 || !bytes.Equal(f.PNG, file) {
-			t.Errorf("published step %d, %d bytes; the file of step 4 has %d bytes and must be identical", f.Step, len(f.PNG), len(file))
+		if last != 4 || !bytes.Equal(frame, file) {
+			t.Errorf("published step %d, %d bytes; the file of step 4 has %d bytes and must be identical", last, len(frame), len(file))
 		}
 	})
 }

@@ -11,7 +11,6 @@ import (
 	"gosensei/internal/array"
 	"gosensei/internal/core"
 	"gosensei/internal/grid"
-	"gosensei/internal/live"
 	"gosensei/internal/mpi"
 )
 
@@ -60,13 +59,16 @@ func (e errString) Error() string { return string(e) }
 const errNo = errString("no such array")
 
 func TestSliceAdaptorUnstructuredMesh(t *testing.T) {
-	hub := live.NewHub()
+	var frame []byte
+	var width int
 	err := mpi.Run(1, func(c *mpi.Comm) error {
 		a := NewSliceAdaptor(c, Options{
 			ArrayName: "velocity", Assoc: grid.PointData,
 			Width: 64, Height: 64,
 			SliceAxis: 2, SliceCoord: 0.5,
-			Hub: hub,
+			Publish: func(step, w, h int, png []byte) {
+				frame, width = append([]byte(nil), png...), w
+			},
 		})
 		d := newTetAdaptor()
 		d.SetStep(1, 0.1)
@@ -80,12 +82,8 @@ func TestSliceAdaptorUnstructuredMesh(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The slice cuts both tets: a frame must have been published.
-	f, ok := hub.Latest()
-	if !ok {
-		t.Fatal("no frame published")
-	}
-	if len(f.PNG) == 0 || f.Width != 64 {
-		t.Fatalf("frame=%+v", f)
+	if len(frame) == 0 || width != 64 {
+		t.Fatalf("published %d bytes at width %d", len(frame), width)
 	}
 }
 

@@ -14,11 +14,14 @@ import (
 )
 
 // Env is the per-rank environment handed to analysis factories: the
-// communicator and the rank's instrumentation sinks.
+// communicator, the rank's instrumentation sinks and, where the process
+// serves live viewers, the sink an image-producing analysis publishes its
+// encoded frames to (nil otherwise).
 type Env struct {
 	Comm     *mpi.Comm
 	Registry *metrics.Registry
 	Memory   *metrics.Tracker
+	Publish  func(step, w, h int, png []byte)
 }
 
 // Factory builds an analysis adaptor from XML attributes. Factories are
@@ -74,6 +77,10 @@ type Attrs struct {
 	vals map[string]string
 	read map[string]bool
 	err  error
+	// nested are the analysis elements inside this one; a factory that does
+	// not take them (Nested) has been handed children it has no use for.
+	nested      []xmlAnalysis
+	nestedTaken bool
 }
 
 func (a *Attrs) lookup(key string) (string, bool) {
@@ -109,11 +116,29 @@ func (a *Attrs) verdict(built error) error {
 			unread = append(unread, k)
 		}
 	}
-	if len(unread) == 0 {
-		return nil
+	if len(unread) > 0 {
+		sort.Strings(unread)
+		return fmt.Errorf("attribute %q: not an attribute of this analysis type", unread[0])
 	}
-	sort.Strings(unread)
-	return fmt.Errorf("attribute %q: not an attribute of this analysis type", unread[0])
+	if len(a.nested) > 0 && !a.nestedTaken {
+		return fmt.Errorf("%d nested analysis elements: this analysis type takes none", len(a.nested))
+	}
+	return nil
+}
+
+// Nested builds the analysis elements nested in this one through the same
+// registry and hands each, with its attributes, to add — which reads there
+// whatever the parent keeps on its children (routed: route) before the child
+// is held to the same strictness as any element.
+func (a *Attrs) Nested(env *Env, add func(child *Attrs, built AnalysisAdaptor) error) error {
+	a.nestedTaken = true
+	return each("nested", a.nested, func(_ string, child *Attrs, f Factory) error {
+		built, err := f(child, env)
+		if err == nil {
+			err = add(child, built)
+		}
+		return child.verdict(err)
+	})
 }
 
 // String returns the attribute value or the default if absent.
@@ -204,11 +229,16 @@ func (a *Attrs) Association() grid.Association {
 	return grid.CellData
 }
 
-// xmlConfig mirrors the SENSEI configurable-analysis XML schema:
+// xmlConfig mirrors the SENSEI configurable-analysis XML schema; an analysis
+// that dispatches to others (routed) nests them:
 //
 //	<sensei>
 //	  <analysis type="histogram" array="data" association="cell" bins="10"/>
 //	  <analysis type="catalyst" image-width="1920" image-height="1080"/>
+//	  <analysis type="routed" budget-step="0.01">
+//	    <analysis route="insitu" type="histogram" bins="10"/>
+//	    <analysis route="posthoc" type="histogram-replay" bins="10" dir="blocks"/>
+//	  </analysis>
 //	</sensei>
 type xmlConfig struct {
 	XMLName  xml.Name      `xml:"sensei"`
@@ -216,45 +246,94 @@ type xmlConfig struct {
 }
 
 type xmlAnalysis struct {
-	Attrs []xml.Attr `xml:",any,attr"`
+	Attrs  []xml.Attr    `xml:",any,attr"`
+	Nested []xmlAnalysis `xml:"analysis"`
 }
 
-// ConfigureFromXML parses a SENSEI configuration document and registers the
-// described analyses on the bridge. Analyses with enabled="0" are skipped.
-// Each analysis is timed under its type name (plus an optional name
-// attribute for disambiguation). An attribute a factory rejects or does not
-// know is an error naming the element and the attribute.
-func ConfigureFromXML(b *Bridge, doc []byte) error {
-	var cfg xmlConfig
-	if err := xml.Unmarshal(doc, &cfg); err != nil {
-		return fmt.Errorf("core: parse sensei config: %w", err)
-	}
-	env := &Env{Comm: b.Comm, Registry: b.Registry, Memory: b.Memory}
-	for i, an := range cfg.Analyses {
-		attrs := &Attrs{vals: map[string]string{}}
+// each resolves the enabled elements of one nesting level — attributes, type,
+// the factory registered for it, the timing label (the type, plus ":name"
+// where a name attribute disambiguates) — and runs fn on each, naming the
+// element in whatever fn returns. Elements with enabled="0" are skipped
+// unchecked.
+func each(kind string, elems []xmlAnalysis, fn func(label string, attrs *Attrs, f Factory) error) error {
+	for i, an := range elems {
+		attrs := &Attrs{vals: map[string]string{}, nested: an.Nested}
 		for _, a := range an.Attrs {
 			attrs.vals[a.Name.Local] = a.Value
 		}
 		typ := attrs.String("type", "")
 		if typ == "" {
-			return fmt.Errorf("core: analysis element %d missing type attribute", i)
+			return fmt.Errorf("%s element %d missing type attribute", kind, i)
 		}
 		if !attrs.Bool("enabled", true) {
 			continue
 		}
-		label := typ
-		if n := attrs.String("name", ""); n != "" {
-			label = typ + ":" + n
-		}
 		f, ok := lookupFactory(typ)
 		if !ok {
-			return fmt.Errorf("core: unknown analysis type %q (registered: %s)", typ, strings.Join(FactoryTypes(), ", "))
+			return fmt.Errorf("%s element %d: unknown analysis type %q (registered: %s)", kind, i, typ, strings.Join(FactoryTypes(), ", "))
 		}
-		a, err := f(attrs, env)
-		if err = attrs.verdict(err); err != nil {
-			return fmt.Errorf("core: analysis element %d (%s): %w", i, typ, err)
+		label := typ
+		if n := attrs.String("name", ""); n != "" {
+			label += ":" + n
 		}
-		b.AddAnalysis(label, a)
+		if err := fn(label, attrs, f); err != nil {
+			return fmt.Errorf("%s element %d (%s): %w", kind, i, typ, err)
+		}
 	}
 	return nil
+}
+
+// Config is a parsed configuration document. It is read-only once parsed, so
+// the goroutine ranks of one process configure their bridges from one value.
+type Config struct{ analyses []xmlAnalysis }
+
+// ParseConfig parses a SENSEI configuration document and checks what can be
+// checked without a rank to build on: the XML is well formed and every
+// enabled element, nested ones included, names a registered analysis type.
+// A launcher calls it before any rank exists.
+func ParseConfig(doc []byte) (*Config, error) {
+	var cfg xmlConfig
+	if err := xml.Unmarshal(doc, &cfg); err != nil {
+		return nil, fmt.Errorf("core: parse sensei config: %w", err)
+	}
+	if err := checkTypes("core: analysis", cfg.Analyses); err != nil {
+		return nil, err
+	}
+	return &Config{analyses: cfg.Analyses}, nil
+}
+
+// checkTypes resolves every enabled element of one level, and of the levels
+// nested in it, without building anything.
+func checkTypes(kind string, elems []xmlAnalysis) error {
+	return each(kind, elems, func(_ string, attrs *Attrs, _ Factory) error {
+		if attrs.err != nil {
+			return attrs.err
+		}
+		return checkTypes("nested", attrs.nested)
+	})
+}
+
+// Configure registers the analyses the document describes on the bridge, in
+// document order. Each is timed under its type name (plus an optional name
+// attribute for disambiguation). An attribute a factory rejects or does not
+// know is an error naming the element and the attribute.
+func (cfg *Config) Configure(b *Bridge) error {
+	env := &Env{Comm: b.Comm, Registry: b.Registry, Memory: b.Memory, Publish: b.Publish}
+	return each("core: analysis", cfg.analyses, func(label string, attrs *Attrs, f Factory) error {
+		a, err := f(attrs, env)
+		if err = attrs.verdict(err); err == nil {
+			b.AddAnalysis(label, a)
+		}
+		return err
+	})
+}
+
+// ConfigureFromXML is ParseConfig then Configure, for callers that hold the
+// document and one bridge.
+func ConfigureFromXML(b *Bridge, doc []byte) error {
+	cfg, err := ParseConfig(doc)
+	if err != nil {
+		return err
+	}
+	return cfg.Configure(b)
 }

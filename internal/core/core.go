@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 
 	"gosensei/internal/grid"
 	"gosensei/internal/metrics"
@@ -58,6 +59,14 @@ type AnalysisAdaptor interface {
 	Finalize() error
 }
 
+// Reporter is the optional third method of an analysis adaptor: after
+// Finalize, write what the run computed. What it writes is a function of the
+// data and the configuration alone — no timings — so that a run's report is
+// the same bytes on goroutine ranks, loopback pipes and TCP worlds.
+type Reporter interface {
+	Report(w io.Writer)
+}
+
 // BaseDataAdaptor carries the step/time bookkeeping every data adaptor
 // needs; concrete adaptors embed it.
 type BaseDataAdaptor struct {
@@ -88,6 +97,9 @@ type Bridge struct {
 	Comm     *mpi.Comm
 	Registry *metrics.Registry
 	Memory   *metrics.Tracker
+	// Publish, when set before the bridge is configured, is the live frame
+	// sink handed to the configured analyses as Env.Publish.
+	Publish func(step, w, h int, png []byte)
 
 	analyses  []namedAnalysis
 	execCount int
@@ -163,6 +175,19 @@ func (b *Bridge) Finalize() error {
 		}
 	})
 	return firstErr
+}
+
+// Report writes, on rank 0 and after Finalize, the results of every analysis
+// that reports, in registration order; other ranks write nothing.
+func (b *Bridge) Report(w io.Writer) {
+	if b.Comm.Rank() != 0 {
+		return
+	}
+	for _, na := range b.analyses {
+		if r, ok := na.a.(Reporter); ok {
+			r.Report(w)
+		}
+	}
 }
 
 // FetchArray is a convenience for analyses: it obtains the mesh and attaches

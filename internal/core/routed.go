@@ -1,12 +1,70 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"gosensei/internal/mpi"
 	"gosensei/internal/route"
 )
+
+// storageCounter is implemented by a route adaptor that writes to storage
+// (iosim.HistogramReplay): the cumulative bytes all ranks wrote, identical on
+// every rank — the odometer WallMeter.Storage differences.
+type storageCounter interface {
+	StorageBytes() int64
+}
+
+// The routed analysis is configured like any other, its routes nested in it:
+// one element per route, each built through the same registry. The eligible
+// set is the routes present and the first listed starts. The router starts
+// from the zero prior route.New documents ("assumed free until observed"):
+// a configuration carries no machine model, so it learns every cost from the
+// run itself.
+func init() {
+	RegisterFactory("routed", func(attrs *Attrs, env *Env) (AnalysisAdaptor, error) {
+		cfg := route.Config{Budget: route.Budget{
+			MaxStepSeconds:  attrs.Float("budget-step", 0),
+			MaxWireBytes:    int64(attrs.Int("budget-wire", 0, 0)),
+			MaxStorageBytes: int64(attrs.Int("budget-storage", 0, 0)),
+		}}
+		var routes [route.NumBackends]AnalysisAdaptor
+		meter := &WallMeter{}
+		err := attrs.Nested(env, func(child *Attrs, a AnalysisAdaptor) error {
+			b, err := route.ParseBackend(child.String("route", ""))
+			if err != nil {
+				return fmt.Errorf("attribute %q: %w", "route", err)
+			}
+			if routes[b] != nil {
+				return fmt.Errorf("attribute %q: a second element on route %v", "route", b)
+			}
+			routes[b] = a
+			cfg.Eligible = append(cfg.Eligible, b)
+			if sc, ok := a.(storageCounter); ok && b == route.PostHoc {
+				meter.Storage = sc.StorageBytes
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		if len(cfg.Eligible) == 0 {
+			return nil, errors.New("no nested analysis elements to route between")
+		}
+		cfg.Start = cfg.Eligible[0]
+		var router *route.Router
+		if env.Comm.Rank() == 0 {
+			router = route.New(cfg, [route.NumBackends]route.Estimate{})
+		}
+		rt := NewRouted(env.Comm, router, meter)
+		for _, b := range cfg.Eligible {
+			rt.SetRoute(b, routes[b])
+		}
+		return rt, nil
+	})
+}
 
 // StepMeter measures the cost of one routed dispatch: it runs fn and returns
 // the estimate the router should learn from. The production WallMeter reads
@@ -213,4 +271,18 @@ func (rt *Routed) Finalize() error {
 		}
 	}
 	return firstErr
+}
+
+// Report implements Reporter: the decision log, then every route that
+// reports, in backend order.
+func (rt *Routed) Report(w io.Writer) {
+	if !rt.root() {
+		return
+	}
+	fmt.Fprintf(w, "route: decision log\n%s\n", route.FormatDecisions(rt.router.Decisions()))
+	for _, a := range rt.routes {
+		if r, ok := a.(Reporter); ok {
+			r.Report(w)
+		}
+	}
 }

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -223,3 +226,82 @@ type funcAnalysis func(DataAdaptor) (bool, error)
 
 func (f funcAnalysis) Execute(d DataAdaptor) (bool, error) { return f(d) }
 func (f funcAnalysis) Finalize() error                     { return nil }
+
+// reportingAnalysis is a recordingAnalysis that reports what it ran.
+type reportingAnalysis struct {
+	recordingAnalysis
+	tag string
+}
+
+func (r *reportingAnalysis) Report(w io.Writer) { fmt.Fprintf(w, "%s ran %v\n", r.tag, r.executed) }
+
+// TestRoutedFromXML: a routed analysis is a configuration element whose
+// routes are nested elements built through the same registry — the eligible
+// set is the routes present, the first listed starts, a route that reports
+// does so under the decision log — and every way of misplacing a route is an
+// error naming the element.
+func TestRoutedFromXML(t *testing.T) {
+	RegisterFactory("test-route", func(attrs *Attrs, env *Env) (AnalysisAdaptor, error) {
+		return &reportingAnalysis{tag: attrs.String("tag", "")}, nil
+	})
+	RegisterFactory("test-silent", func(*Attrs, *Env) (AnalysisAdaptor, error) { return &recordingAnalysis{}, nil })
+
+	b := NewBridge(nil, nil, nil)
+	err := ConfigureFromXML(b, []byte(`<sensei>
+		<analysis type="routed" budget-step="0.5" budget-storage="4096">
+			<analysis route="posthoc" type="test-route" tag="replayed" name="ph"/>
+			<analysis route="insitu" type="test-silent"/>
+			<analysis route="intransit" type="nothing-registered" enabled="0"/>
+		</analysis>
+	</sensei>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, ok := b.analyses[0].a.(*Routed)
+	if !ok || b.AnalysisCount() != 1 {
+		t.Fatalf("configured %d analyses, the first a %T", b.AnalysisCount(), b.analyses[0].a)
+	}
+	if got, want := rt.router.Eligible(), []route.Backend{route.PostHoc, route.InSitu}; !reflect.DeepEqual(got, want) {
+		t.Errorf("eligible %v, want the routes present, %v", got, want)
+	}
+	if rt.router.Current() != route.PostHoc {
+		t.Errorf("starts on %v, want the first listed (posthoc)", rt.router.Current())
+	}
+	if got, want := rt.router.Budget(), (route.Budget{MaxStepSeconds: 0.5, MaxStorageBytes: 4096}); got != want {
+		t.Errorf("budget %+v, want %+v", got, want)
+	}
+	if rt.Route(route.InTransit) != nil || rt.Route(route.InSitu) == nil {
+		t.Error("route table does not match the enabled nested elements")
+	}
+	d := newFakeAdaptor()
+	d.SetStep(0, 0)
+	if _, err := b.Execute(d); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	b.Report(&out)
+	if got := out.String(); !strings.HasPrefix(got, "route: decision log\nstep=0 ") || !strings.HasSuffix(got, "\nreplayed ran [0]\n") {
+		t.Errorf("report %q: want the decision log, then the post hoc route's own report of step 0", got)
+	}
+
+	for doc, want := range map[string]string{
+		`<analysis type="test-route" route="insitu"/>`:                                                                                 `element 0 (test-route): attribute "route": not an attribute`,
+		`<analysis type="routed"><analysis type="test-route"/></analysis>`:                                                             `element 0 (routed): nested element 0 (test-route): attribute "route": route: unknown backend ""`,
+		`<analysis type="routed"><analysis route="sideways" type="test-route"/></analysis>`:                                            `nested element 0 (test-route): attribute "route": route: unknown backend "sideways"`,
+		`<analysis type="routed"><analysis route="insitu" type="test-route"/><analysis route="insitu" type="test-silent"/></analysis>`: `element 0 (routed): nested element 1 (test-silent): attribute "route": a second element on route insitu`,
+		`<analysis type="test-route"><analysis route="insitu" type="test-silent"/></analysis>`:                                         `element 0 (test-route): 1 nested analysis elements: this analysis type takes none`,
+		`<analysis type="routed" budget-step="0.5"/>`:                                                                                  `element 0 (routed): no nested analysis elements to route between`,
+		`<analysis type="routed"><analysis route="insitu" type="nope"/></analysis>`:                                                    `element 0 (routed): nested element 0: unknown analysis type "nope"`,
+		`<analysis type="routed"><analysis route="insitu" type="test-route" tga="x"/></analysis>`:                                      `element 0 (routed): nested element 0 (test-route): attribute "tga"`,
+		`<analysis type="routed" budget-wire="-1"><analysis route="insitu" type="test-route"/></analysis>`:                             `element 0 (routed): attribute "budget-wire"`,
+		`<analysis type="routed" eligible="insitu"><analysis route="insitu" type="test-route"/></analysis>`:                            `element 0 (routed): attribute "eligible": not an attribute`,
+	} {
+		err := ConfigureFromXML(NewBridge(nil, nil, nil), []byte("<sensei>"+doc+"</sensei>"))
+		if err == nil || !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "\n") {
+			t.Errorf("%s: err=%v, want one line containing %q", doc, err, want)
+		}
+	}
+}

@@ -2,12 +2,23 @@ package iosim
 
 import (
 	"fmt"
+	"io"
 
 	"gosensei/internal/analysis"
 	"gosensei/internal/core"
 	"gosensei/internal/grid"
 	"gosensei/internal/mpi"
 )
+
+func init() {
+	core.RegisterFactory("histogram-replay", func(attrs *core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
+		dir := attrs.String("dir", "")
+		if dir == "" {
+			return nil, fmt.Errorf("iosim: histogram-replay needs a dir attribute")
+		}
+		return NewHistogramReplay(env.Comm, dir, attrs.String("array", "data"), attrs.Association(), attrs.Int("bins", 10, 1)), nil
+	})
+}
 
 // HistogramReplay is the post hoc route for a routed histogram analysis:
 // Execute writes every rank's block to Dir (the traditional file-per-process
@@ -98,3 +109,14 @@ func (r *HistogramReplay) Execute(d core.DataAdaptor) (bool, error) {
 
 // Finalize implements core.AnalysisAdaptor.
 func (r *HistogramReplay) Finalize() error { return nil }
+
+// StorageBytes is the odometer a routed analysis meters its post hoc route
+// by: BytesWritten.
+func (r *HistogramReplay) StorageBytes() int64 { return r.BytesWritten }
+
+// Report implements core.Reporter: the last replayed step's histogram.
+func (r *HistogramReplay) Report(w io.Writer) {
+	if r.Last != nil {
+		fmt.Fprintf(w, "histogram-replay %s: %s\n", r.ArrayName, r.Last)
+	}
+}

@@ -18,7 +18,6 @@ import (
 	"gosensei/internal/compositing"
 	"gosensei/internal/core"
 	"gosensei/internal/grid"
-	"gosensei/internal/live"
 	"gosensei/internal/metrics"
 	"gosensei/internal/mpi"
 	"gosensei/internal/parallel"
@@ -44,6 +43,7 @@ func init() {
 			SessionPath: path,
 			ParallelPNG: attrs.Bool("parallel-png", false),
 			Workers:     attrs.Int("threads", 0, 0),
+			Publish:     env.Publish,
 		})
 		a.Registry = env.Registry
 		a.Memory = env.Memory
@@ -167,9 +167,9 @@ type Options struct {
 	// SessionPath, when set, is stat'ed by every rank during initialization
 	// (the per-rank config check the paper measured).
 	SessionPath string
-	// Hub, when set, receives every composited frame for live viewers (the
-	// VisIt live-connection capability).
-	Hub *live.Hub
+	// Publish, when set, receives every composited frame's PNG for live
+	// viewers (the VisIt live-connection capability).
+	Publish func(step, w, h int, png []byte)
 	// Workers requests intra-rank parallelism for the render and encode
 	// stages; 0 derives it from the process thread budget divided by the
 	// communicator size. Output is bit-identical at any worker count.
@@ -264,12 +264,7 @@ func (a *Adaptor) tail() compositing.Tail {
 		RenderTimer: "libsim::render", CompositeTimer: "libsim::composite", PNGTimer: "libsim::png",
 		Prefix: "libsim", Background: color.RGBA{R: 12, G: 12, B: 16, A: 255},
 		PNG: render.PNGOptions{Parallel: a.Opts.ParallelPNG, Workers: a.workers()},
-		Dir: a.Opts.OutputDir,
-	}
-	if hub := a.Opts.Hub; hub != nil {
-		t.Publish = func(step, w, h int, png []byte) {
-			hub.Publish(live.Frame{Step: step, Width: w, Height: h, PNG: png})
-		}
+		Dir: a.Opts.OutputDir, Publish: a.Opts.Publish,
 	}
 	return t
 }

@@ -6,9 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"gosensei/internal/catalyst"
+	_ "gosensei/internal/catalyst" // registers the configured slice adaptor
 	"gosensei/internal/core"
-	"gosensei/internal/grid"
 	. "gosensei/internal/live"
 	"gosensei/internal/mpi"
 	"gosensei/internal/oscillator"
@@ -160,13 +159,17 @@ func TestLiveFramesFromCatalyst(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		a := catalyst.NewSliceAdaptor(c, catalyst.Options{
-			ArrayName: "data", Assoc: grid.CellData,
-			Width: 32, Height: 32, SliceAxis: 2, SliceCoord: 4,
-			Hub: hub,
-		})
+		// A configured element reaches the hub through the bridge's frame
+		// sink, the way endpoint -live wires it.
 		b := core.NewBridge(c, nil, nil)
-		b.AddAnalysis("catalyst", a)
+		b.Publish = func(step, w, h int, png []byte) {
+			hub.Publish(Frame{Step: step, Width: w, Height: h, PNG: png})
+		}
+		err = core.ConfigureFromXML(b, []byte(`<sensei><analysis type="catalyst" array="data"
+			image-width="32" image-height="32" slice-axis="z" slice-coord="4"/></sensei>`))
+		if err != nil {
+			return err
+		}
 		d := oscillator.NewDataAdaptor(sim)
 		for i := 0; i < cfg.Steps; i++ {
 			if err := sim.Step(); err != nil {

@@ -2,17 +2,28 @@ package gosensei
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"io/fs"
+	"os"
 	"os/exec"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// runStdout executes the launcher and returns stdout and stderr separately —
-// the cross-transport contract is on stdout bytes alone.
+// runStdout executes the launcher in a fresh directory and returns stdout
+// and stderr separately — the cross-transport contract is on stdout bytes
+// (and on the files written) alone.
 func runStdout(t *testing.T, bin string, args ...string) (string, string, error) {
 	t.Helper()
+	return runIn(t, t.TempDir(), bin, args...)
+}
+
+func runIn(t *testing.T, dir, bin string, args ...string) (string, string, error) {
+	t.Helper()
 	cmd := exec.Command(bin, args...)
-	cmd.Dir = t.TempDir()
+	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
@@ -20,38 +31,87 @@ func runStdout(t *testing.T, bin string, args ...string) (string, string, error)
 	return stdout.String(), stderr.String(), err
 }
 
-// TestWorldSmoke is the acceptance gate for the cross-process world: a
-// 4-process oscillator -> histogram run over real TCP must be bit-identical
-// to the in-process run, and so must the binary-swap compositing pipeline.
+// filesUnder digests every file a run left under dir, by relative path.
+func filesUnder(t *testing.T, dir string) map[string][sha256.Size]byte {
+	t.Helper()
+	files := map[string][sha256.Size]byte{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		files[rel] = sha256.Sum256(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestWorldSmoke is the acceptance gate for the cross-process world, for
+// configurations rather than built-in pipelines: whatever the SENSEI XML
+// names, a world of N OS processes over real TCP (and one of N goroutine
+// ranks over loopback pipes) must print the stdout and write the files of the
+// in-process run, byte for byte. "histogram" is the statistics pair, whose
+// results are on stdout; "binswap" is a catalyst slice, whose binary-swap
+// compositing exchanges half images between ranks and whose results are PNG
+// files — at 4 ranks and at 3, the non-power-of-two fold.
 func TestWorldSmoke(t *testing.T) {
 	bin := buildTool(t, "gosensei-run")
 	pipelines := []struct {
-		name string
-		args []string
+		name, config string
+		nps          []string
+		args         []string
+		stdout       string // what rank 0 must report
+		files        int    // how many files the run must write
 	}{
-		{"histogram", []string{"-pipeline", "histogram", "-cells", "12", "-steps", "4"}},
-		{"binswap", []string{"-pipeline", "binswap", "-steps", "3"}},
+		{"histogram", `<sensei>
+			<analysis type="histogram" array="data" bins="10"/>
+			<analysis type="autocorrelation" array="data" window="3" k-max="3"/>
+		</sensei>`, []string{"4"}, []string{"-cells", "12", "-steps", "4"}, "histogram data: step=4 ", 0},
+		{"binswap", `<sensei>
+			<analysis type="catalyst" array="data" image-width="64" image-height="48"
+			          slice-axis="z" slice-coord="6" output-dir="frames"/>
+		</sensei>`, []string{"3", "4"}, []string{"-cells", "12", "-steps", "3"}, "1 analyses", 3},
 	}
 	for _, p := range pipelines {
 		p := p
 		t.Run(p.name, func(t *testing.T) {
 			t.Parallel()
-			base := append([]string{"-np", "4"}, p.args...)
-			proc, _, err := runStdout(t, bin, append(base, "-transport", "proc")...)
-			if err != nil {
-				t.Fatalf("proc: %v", err)
+			config := filepath.Join(t.TempDir(), p.name+".xml")
+			if err := os.WriteFile(config, []byte(p.config), 0o644); err != nil {
+				t.Fatal(err)
 			}
-			if !strings.Contains(proc, "step=") {
-				t.Fatalf("proc produced no steps:\n%s", proc)
-			}
-			for _, transport := range []string{"loopback", "tcp"} {
-				got, stderr, err := runStdout(t, bin, append(base, "-transport", transport)...)
+			for _, np := range p.nps {
+				base := append([]string{"-np", np, "-config", config}, p.args...)
+				procDir := t.TempDir()
+				proc, stderr, err := runIn(t, procDir, bin, append(base, "-transport", "proc")...)
 				if err != nil {
-					t.Fatalf("%s: %v\nstderr:\n%s", transport, err, stderr)
+					t.Fatalf("np %s proc: %v\nstderr:\n%s", np, err, stderr)
 				}
-				if got != proc {
-					t.Errorf("%s output diverges from proc:\n--- proc:\n%s--- %s:\n%s",
-						transport, proc, transport, got)
+				procFiles := filesUnder(t, procDir)
+				if !strings.Contains(proc, p.stdout) || len(procFiles) != p.files {
+					t.Fatalf("np %s proc wrote %d files, want %d, and must report %q:\n%s", np, len(procFiles), p.files, p.stdout, proc)
+				}
+				for _, transport := range []string{"loopback", "tcp"} {
+					dir := t.TempDir()
+					got, stderr, err := runIn(t, dir, bin, append(base, "-transport", transport)...)
+					if err != nil {
+						t.Fatalf("np %s %s: %v\nstderr:\n%s", np, transport, err, stderr)
+					}
+					if got != proc {
+						t.Errorf("np %s %s output diverges from proc:\n--- proc:\n%s--- %s:\n%s",
+							np, transport, proc, transport, got)
+					}
+					if files := filesUnder(t, dir); !reflect.DeepEqual(files, procFiles) {
+						t.Errorf("np %s %s files diverge from proc: %d files vs %d, or different bytes",
+							np, transport, len(files), len(procFiles))
+					}
 				}
 			}
 		})
@@ -71,7 +131,7 @@ func TestWorldSmokeRankkill(t *testing.T) {
 			t.Parallel()
 			_, stderr, err := runStdout(t, bin,
 				"-np", "4", "-transport", transport,
-				"-pipeline", "histogram", "-cells", "8", "-steps", "5",
+				"-config", repoFile(t, "configs", "histogram.xml"), "-cells", "8", "-steps", "5",
 				"-faults", schedule)
 			if err == nil {
 				t.Fatal("fatal schedule exited zero")
