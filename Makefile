@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build vet fmt-check lint lint-stats test bench bench-smoke bench-canonical-smoke bench-collectives bench-wire bench-world bench-live fabric-smoke faultline-smoke fuzz-smoke world-smoke configs-smoke live-smoke route-smoke race cover experiments examples clean
+.PHONY: all check build vet fmt-check lint lint-stats test bench bench-record bench-smoke bench-canonical-smoke bench-collectives bench-wire bench-world bench-live fabric-smoke faultline-smoke fuzz-smoke world-smoke configs-smoke live-smoke route-smoke race cover experiments examples clean
 
 all: build vet lint test
 
@@ -38,6 +38,24 @@ race:
 # paper-shaped workloads, eight end-to-end metrics, a per-layer ledger.
 bench:
 	$(GO) run ./cmd/bench
+
+# One point of the benchmark's trajectory (ROADMAP item 3a): the full -out
+# report — header, every repetition's values — of each of the four canonical
+# workloads' timed pass, joined into BENCH_<PR>.json under the commit it was
+# measured on (`go run` stamps none into the reports' own headers).
+bench-record:
+	@test -n "$(PR)" || { echo "usage: make bench-record PR=<n>"; exit 2; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; sep=""; \
+	commit=$$(git rev-parse HEAD 2>/dev/null || echo unknown); \
+	if [ -n "$$(git status --porcelain 2>/dev/null)" ]; then commit="$$commit+uncommitted"; fi; \
+	printf '{\n"id": "BENCH_%s",\n"commit": "%s",\n"workloads": {\n' "$(PR)" "$$commit" > "$$tmp/record"; \
+	for w in insitu-stats insitu-render-tcp intransit-delta live-fanout; do \
+		$(GO) run ./cmd/bench -workload $$w -out "$$tmp/$$w.json" > "$$tmp/log" 2>&1 || { cat "$$tmp/log"; exit 1; }; \
+		tail -n 1 "$$tmp/log"; \
+		printf '%s"%s": ' "$$sep" "$$w" >> "$$tmp/record"; cat "$$tmp/$$w.json" >> "$$tmp/record"; sep=","; \
+	done; \
+	printf '}\n}\n' >> "$$tmp/record"; mv "$$tmp/record" BENCH_$(PR).json; \
+	echo "bench-record: wrote BENCH_$(PR).json"
 
 # The four canonical workloads at smoke length. Each checks its output bit
 # for bit against the serial reference, so this is a cross-stack test of the
@@ -136,8 +154,10 @@ faultline-smoke:
 route-smoke:
 	GOSENSEI_NO_CALIBRATE=1 $(GO) run ./cmd/experiments -route auto -shift -check -calibrate=false
 
-# A short fuzz pass over the wire- and file-facing decoders, seeded from the
-# checked-in corpora under testdata/fuzz/.
+# A short fuzz pass over the seven wire- and file-facing decoders — fabric
+# frames and codecs, BP containers and staged payloads, extracts, live frame
+# payloads, mpi envelopes — seeded from the checked-in corpora under
+# testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzFrameDecode -fuzztime 10s ./internal/fabric/
 	$(GO) test -run XXX -fuzz FuzzCodecDecode -fuzztime 10s ./internal/fabric/
@@ -145,6 +165,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzStagedPayloadSniff -fuzztime 10s ./internal/adios/
 	$(GO) test -run XXX -fuzz FuzzExtractSniff -fuzztime 10s ./internal/extracts/
 	$(GO) test -run XXX -fuzz FuzzFramePayloadDecode -fuzztime 10s ./internal/live/
+	$(GO) test -run XXX -fuzz FuzzEnvelopeDecode -fuzztime 10s ./internal/mpi/
 
 cover:
 	$(GO) test -cover ./...

@@ -24,6 +24,7 @@
 package compositing
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -67,57 +68,88 @@ const (
 	tagTree   = 103
 )
 
-// packPool recycles pack/receive buffers across compositing rounds. Pack
-// buffers travel zero-copy via mpi.SendOwned — ownership transfers to the
-// receiver, which returns the buffer to this process-wide pool after
-// unpackMerge — so at steady state no image-sized allocation happens per
-// round in either compositor. Pointers to slices are pooled to avoid boxing
-// allocations.
-var packPool sync.Pool // *[]float32
+// bytesPerPixel is one pixel of a region message: its float32 depth and its
+// RGBA8 colour, the 8 bytes perfmodel.CompositeTime prices.
+const bytesPerPixel = 8
 
-func getPack(n int) []float32 {
+// packPool recycles region buffers across compositing rounds. Who owns one:
+// pack draws it and the send gives it away — mpi.SendOwned hands the slice
+// itself to an in-process receiver, and hands it back as spare once its
+// bytes are on the wire to a remote one; the receiver gets the sender's
+// slice in-process, and over the wire has mpi.RecvOwned decode the envelope
+// straight into a buffer it drew here; unpackMerge returns whichever it was.
+// So at steady state no image-sized allocation happens per round in either
+// compositor on either transport. Pointers to slices are pooled to avoid
+// boxing allocations.
+var packPool sync.Pool // *[]byte
+
+func getPack(n int) []byte {
 	if v := packPool.Get(); v != nil {
-		buf := *(v.(*[]float32))
+		buf := *(v.(*[]byte))
 		if cap(buf) >= n {
 			return buf[:n]
 		}
 	}
-	return make([]float32, n)
+	return make([]byte, n)
 }
 
-func putPack(buf []float32) {
+func putPack(buf []byte) {
 	if buf == nil {
 		return
 	}
 	packPool.Put(&buf)
 }
 
-// pack flattens a pixel range [lo, hi) into one float32 message:
-// [depth..., r, g, b, a as float32...]. A single slice keeps each exchange
-// to one message, matching the "image-sized buffers" the paper describes.
-// The returned buffer comes from packPool; callers return it with putPack
-// once the message has been handed to mpi (which copies on send).
-func pack(fb *render.Framebuffer, lo, hi int) []float32 {
+// pack flattens a pixel range [lo, hi) of n pixels into one region message:
+// n depths as their IEEE-754 bits, then the n·4 colour bytes as the
+// framebuffer holds them. A single slice keeps each exchange to one message,
+// matching the "image-sized buffers" the paper describes. The buffer comes
+// from packPool.
+func pack(fb *render.Framebuffer, lo, hi int) []byte {
 	n := hi - lo
-	out := getPack(n * 5)
-	copy(out[:n], fb.Depth[lo:hi])
-	for i := 0; i < n*4; i++ {
-		out[n+i] = float32(fb.Color[lo*4+i])
+	out := getPack(n * bytesPerPixel)
+	for i, d := range fb.Depth[lo:hi] {
+		binary.LittleEndian.PutUint32(out[i*4:], math.Float32bits(d))
 	}
+	copy(out[n*4:], fb.Color[lo*4:hi*4])
 	return out
 }
 
-// unpackMerge depth-merges a packed region into fb at [lo, hi).
-func unpackMerge(fb *render.Framebuffer, buf []float32, lo, hi int) {
+// unpackMerge depth-merges a packed region into fb at [lo, hi) and returns
+// buf to the pool. The nearer fragment wins on a float32 comparison, so
+// ties, signed zeros, +Inf and NaN resolve as CompositeRegion resolves them.
+// A region of any size but the one this rank is about to merge is the
+// peer's mistake: an error, not an index out of range.
+func unpackMerge(fb *render.Framebuffer, buf []byte, lo, hi int) error {
+	defer putPack(buf)
 	n := hi - lo
-	for i := 0; i < n; i++ {
-		if buf[i] < fb.Depth[lo+i] {
-			fb.Depth[lo+i] = buf[i]
-			for c := 0; c < 4; c++ {
-				fb.Color[(lo+i)*4+c] = uint8(buf[n+i*4+c])
-			}
+	if len(buf) != n*bytesPerPixel {
+		return fmt.Errorf("region of %d bytes, want %d", len(buf), n*bytesPerPixel)
+	}
+	depth, color := fb.Depth[lo:hi], fb.Color[lo*4:hi*4]
+	bits, rgba := buf[:n*4], buf[n*4:]
+	for i := range depth {
+		if d := math.Float32frombits(binary.LittleEndian.Uint32(bits[i*4:])); d < depth[i] {
+			depth[i] = d
+			copy(color[i*4:i*4+4], rgba[i*4:i*4+4])
 		}
 	}
+	return nil
+}
+
+// sendRegion packs [lo, hi) of fb and ships it to dest.
+func sendRegion(c *mpi.Comm, dest, tag int, fb *render.Framebuffer, lo, hi int) {
+	putPack(mpi.SendOwned(c, dest, tag, pack(fb, lo, hi)))
+}
+
+// recvMerge receives the region [lo, hi) from src and merges it into fb.
+func recvMerge(c *mpi.Comm, src, tag int, fb *render.Framebuffer, lo, hi int) error {
+	buf, spare, err := mpi.RecvOwned(c, src, tag, getPack((hi-lo)*bytesPerPixel))
+	putPack(spare)
+	if err != nil {
+		return err
+	}
+	return unpackMerge(fb, buf, lo, hi)
 }
 
 // binarySwap composites via recursive halving. Non-power-of-two sizes fold
@@ -133,15 +165,11 @@ func binarySwap(c *mpi.Comm, fb *render.Framebuffer, root int) (*render.Framebuf
 	rank := c.Rank()
 	// Fold phase: ranks >= pow send their whole image to rank - pow.
 	if rank >= pow {
-		msg := pack(fb, 0, total)
-		mpi.SendOwned(c, rank-pow, tagSwap, msg)
+		sendRegion(c, rank-pow, tagSwap, fb, 0, total)
 	} else if rank+pow < p {
-		buf, _, err := mpi.Recv[float32](c, rank+pow, tagSwap)
-		if err != nil {
+		if err := recvMerge(c, rank+pow, tagSwap, fb, 0, total); err != nil {
 			return nil, fmt.Errorf("compositing: fold: %w", err)
 		}
-		unpackMerge(fb, buf, 0, total)
-		putPack(buf)
 	}
 	var final *render.Framebuffer
 	if rank < pow {
@@ -156,13 +184,13 @@ func binarySwap(c *mpi.Comm, fb *render.Framebuffer, root int) (*render.Framebuf
 			} else {
 				sendLo, sendHi, keepLo, keepHi = lo, mid, mid, hi
 			}
-			msg := pack(fb, sendLo, sendHi)
-			buf, err := mpi.SendRecvOwned(c, partner, tagSwap, msg, partner, tagSwap)
+			buf, err := mpi.SendRecvOwned(c, partner, tagSwap, pack(fb, sendLo, sendHi), partner, tagSwap)
+			if err == nil {
+				err = unpackMerge(fb, buf, keepLo, keepHi)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("compositing: swap stage %d: %w", stage, err)
 			}
-			unpackMerge(fb, buf, keepLo, keepHi)
-			putPack(buf)
 			lo, hi = keepLo, keepHi
 		}
 		// Gather the stripes to root.
@@ -173,35 +201,28 @@ func binarySwap(c *mpi.Comm, fb *render.Framebuffer, root int) (*render.Framebuf
 				if other == rank {
 					continue
 				}
-				buf, _, err := mpi.Recv[float32](c, other, tagGather)
-				if err != nil {
+				oLo, oHi := stripeOf(other, pow, total)
+				if err := recvMerge(c, other, tagGather, final, oLo, oHi); err != nil {
 					final.Release()
 					return nil, fmt.Errorf("compositing: gather: %w", err)
 				}
-				oLo, oHi := stripeOf(other, pow, total)
-				unpackMerge(final, buf, oLo, oHi)
-				putPack(buf)
 			}
 		} else {
-			msg := pack(fb, lo, hi)
-			mpi.SendOwned(c, root%pow, tagGather, msg)
+			sendRegion(c, root%pow, tagGather, fb, lo, hi)
 		}
 	}
 	// Ship the result to the true root if it was folded away.
 	if root%pow != root {
 		if rank == root%pow {
-			msg := pack(final, 0, total)
-			mpi.SendOwned(c, root, tagGather, msg)
+			sendRegion(c, root, tagGather, final, 0, total)
 			final.Release()
 			final = nil
 		} else if rank == root {
-			buf, _, err := mpi.Recv[float32](c, root%pow, tagGather)
-			if err != nil {
-				return nil, err
-			}
 			final = render.AcquireFramebuffer(fb.W, fb.H)
-			unpackMerge(final, buf, 0, total)
-			putPack(buf)
+			if err := recvMerge(c, root%pow, tagGather, final, 0, total); err != nil {
+				final.Release()
+				return nil, fmt.Errorf("compositing: folded root: %w", err)
+			}
 		}
 	}
 	if rank == root && final == nil {
@@ -240,18 +261,14 @@ func directSend(c *mpi.Comm, fb *render.Framebuffer, root int) (*render.Framebuf
 	for mask < p {
 		if vrank&mask != 0 {
 			parent := ((vrank &^ mask) + root) % p
-			msg := pack(fb, 0, total)
-			mpi.SendOwned(c, parent, tagTree, msg)
+			sendRegion(c, parent, tagTree, fb, 0, total)
 			return nil, nil
 		}
 		vchild := vrank | mask
 		if vchild < p {
-			buf, _, err := mpi.Recv[float32](c, (vchild+root)%p, tagTree)
-			if err != nil {
+			if err := recvMerge(c, (vchild+root)%p, tagTree, fb, 0, total); err != nil {
 				return nil, fmt.Errorf("compositing: tree: %w", err)
 			}
-			unpackMerge(fb, buf, 0, total)
-			putPack(buf)
 		}
 		mask <<= 1
 	}

@@ -28,12 +28,15 @@ import (
 func TestImageReleasesEveryBufferOnce(t *testing.T) {
 	errDraw, errDeliver := errors.New("draw failed"), errors.New("deliver failed")
 	errTimeout := errors.New("mpi's receive timeout, which has no sentinel")
+	errShort := errors.New("a region of the wrong size, which has no sentinel")
 	for _, tc := range []struct {
 		name  string
 		ranks int
 		alg   Algorithm
-		// absent ranks return without joining the composite.
+		// absent ranks return without joining the composite; a short rank
+		// sends rank 0 half of the swap region it waits for instead.
 		absent     func(rank int) bool
+		short      func(rank int) bool
 		draw       error
 		deliver    error
 		want       func(rank int) error // nil func: no rank fails
@@ -64,6 +67,14 @@ func TestImageReleasesEveryBufferOnce(t *testing.T) {
 				}
 				return nil
 			}},
+		{name: "peer sends a truncated region", ranks: 2, alg: BinarySwap,
+			short: func(rank int) bool { return rank == 1 },
+			want: func(rank int) error {
+				if rank == 0 {
+					return errShort
+				}
+				return nil
+			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := render.FramebuffersInUse()
@@ -71,6 +82,10 @@ func TestImageReleasesEveryBufferOnce(t *testing.T) {
 			errs := make([]error, tc.ranks)
 			err := mpi.Run(tc.ranks, func(c *mpi.Comm) error {
 				if tc.absent != nil && tc.absent(c.Rank()) {
+					return nil
+				}
+				if tc.short != nil && tc.short(c.Rank()) {
+					mpi.SendOwned(c, 0, tagSwap, make([]byte, 16*8/2*bytesPerPixel/2))
 					return nil
 				}
 				tail := Tail{Comm: c, Algorithm: tc.alg}
@@ -105,6 +120,9 @@ func TestImageReleasesEveryBufferOnce(t *testing.T) {
 					want = tc.want(rank)
 				}
 				if want == errTimeout && got != nil && strings.Contains(got.Error(), "recv timeout") {
+					continue
+				}
+				if want == errShort && got != nil && strings.Contains(got.Error(), "compositing: swap stage 1: region of 256 bytes, want 512") {
 					continue
 				}
 				if !errors.Is(got, want) {

@@ -7,8 +7,8 @@
 //     math/rand source, or let map iteration order feed outputs — the
 //     paper's Table 2 / Figure 5 measurements are reproduced bit-identically
 //     only because these packages are pure functions of their inputs.
-//   - ownership: a buffer passed to mpi.SendOwned/SendRecvOwned, a
-//     framebuffer after Release, or a buffer returned to a fabric.BufPool
+//   - ownership: a buffer passed to mpi.SendOwned/SendRecvOwned/RecvOwned,
+//     a framebuffer after Release, or a buffer returned to a fabric.BufPool
 //     via Put belongs to someone else; touching it again in the same
 //     function is a use-after-give.
 //   - worker-independence: parallel.For/MapChunks bodies (and their n/grain

@@ -8,9 +8,10 @@ import (
 
 // RuleOwnership flags uses of a buffer after its ownership left the
 // function: a slice passed to mpi.SendOwned/SendRecvOwned belongs to the
-// receiver, a framebuffer after Release belongs to the pool, and a slice
-// handed to fabric's BufPool.Put belongs to the codec pool — the next Get
-// may already be writing over it. Either way the memory may be concurrently
+// receiver (and the spare passed to mpi.RecvOwned to the runtime, which
+// hands back what the caller owns), a framebuffer after Release belongs to
+// the pool, and a slice handed to fabric's BufPool.Put belongs to the codec
+// pool — the next Get may already be writing over it. Either way the memory may be concurrently
 // overwritten, which corrupts results silently — the exact aliasing class
 // PR 1's pool tests guard dynamically.
 const RuleOwnership = "ownership"
@@ -19,14 +20,14 @@ const RuleOwnership = "ownership"
 func OwnershipAnalyzer() *Analyzer {
 	return &Analyzer{
 		Name: RuleOwnership,
-		Doc:  "forbid touching a buffer after mpi.SendOwned/SendRecvOwned, Framebuffer.Release, or fabric BufPool.Put gave it away",
+		Doc:  "forbid touching a buffer after mpi.SendOwned/SendRecvOwned/RecvOwned, Framebuffer.Release, or fabric BufPool.Put gave it away",
 		Run:  runOwnership,
 	}
 }
 
 // giveInfo records how and where a variable was given away.
 type giveInfo struct {
-	what string // "mpi.SendOwned", "mpi.SendRecvOwned", "Release", or "BufPool.Put"
+	what string // "mpi.SendOwned", "mpi.SendRecvOwned", "mpi.RecvOwned", "Release", or "BufPool.Put"
 	line int
 }
 
@@ -133,7 +134,7 @@ func (w *ownWalker) expr(e ast.Node) {
 			return true
 		}
 		if name, ok := calleeFromPkg(w.pass.Pkg.Info, call, w.pass.Cfg.MPIPkg); ok {
-			if (name == "SendOwned" || name == "SendRecvOwned") && len(call.Args) >= 4 {
+			if (name == "SendOwned" || name == "SendRecvOwned" || name == "RecvOwned") && len(call.Args) >= 4 {
 				w.give(call.Args[3], "mpi."+name)
 			}
 			return true

@@ -30,6 +30,7 @@ var tagArgIndex = map[string][]int{
 	"Send":          {2},
 	"SendOwned":     {2},
 	"Recv":          {2},
+	"RecvOwned":     {2},
 	"SendRecv":      {2, 5},
 	"SendRecvOwned": {2, 5},
 }

@@ -1,6 +1,6 @@
 // Package ownership exercises the use-after-give rule for buffers handed to
-// mpi.SendOwned/SendRecvOwned, framebuffers after Release, and codec-pool
-// buffers after fabric's BufPool.Put.
+// mpi.SendOwned/SendRecvOwned/RecvOwned, framebuffers after Release, and
+// codec-pool buffers after fabric's BufPool.Put.
 package ownership
 
 import (
@@ -26,6 +26,33 @@ func ReadAfterSendRecvOwned(c *mpi.Comm, buf []float32) float32 {
 		return 0
 	}
 	return got[0] + buf[1] // want ownership
+}
+
+// TouchAfterRecvOwned gives buf to the receive as its spare and then reads
+// it: a wire message was decoded into it and came back as data, an
+// in-process one left it to come back as spare — either way buf itself is no
+// longer a name the caller may use.
+func TouchAfterRecvOwned(c *mpi.Comm, buf []byte) byte {
+	data, spare, err := mpi.RecvOwned(c, 1, tagA, buf)
+	if err != nil || len(data) == 0 {
+		return 0
+	}
+	_ = spare
+	return data[0] + buf[0] // want ownership
+}
+
+// RecvOwnedResultsAreClean mirrors compositing: what RecvOwned returns is
+// the caller's, and the spare goes back to the same pool the buffer came
+// from.
+func RecvOwnedResultsAreClean(c *mpi.Comm, p *fabric.BufPool) byte {
+	data, spare, err := mpi.RecvOwned(c, 1, tagA, p.Get(64))
+	p.Put(spare)
+	if err != nil || len(data) == 0 {
+		return 0
+	}
+	first := data[0]
+	p.Put(data)
+	return first
 }
 
 // UseAfterRelease reads a framebuffer the pool may already have recycled.

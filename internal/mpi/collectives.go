@@ -176,8 +176,13 @@ func recvBuf[T any](c *Comm, src, tag int) (*[]T, error) {
 		return nil, err
 	}
 	if env, ok := msg.payload.(*Envelope); ok {
+		// getBuf is sized by the envelope's count: check it first.
+		if derr := checkPayload[T](env); derr != nil {
+			env.release()
+			return nil, derr
+		}
 		ptr := getBuf[T](env.Count)
-		if derr := decodePayloadInto(env, *ptr); derr != nil {
+		if _, derr := decodePayload(env, *ptr); derr != nil {
 			putBuf(ptr)
 			return nil, derr
 		}

@@ -375,20 +375,58 @@ func Send[T any](c *Comm, dest, tag int, data []T) {
 // pool: the sender drains a buffer from the pool, SendOwned hands it to the
 // receiver, and the receiver returns it to the pool when done. Use Send when
 // the sender needs to keep its buffer.
-func SendOwned[T any](c *Comm, dest, tag int, data []T) {
+//
+// The result is what the call did not give away: nil when the slice went to
+// an in-process receiver, the slice itself when dest lives in another
+// process — its bytes are on the wire, nobody else holds it, and a pooled
+// pipeline puts it back instead of leaking one buffer per remote hop.
+func SendOwned[T any](c *Comm, dest, tag int, data []T) (spare []T) {
 	countSent[T](c, len(data))
 	if wd := c.remoteDst(dest); wd >= 0 {
 		c.sendRemote(buildEnvelope(c, wd, tag, data))
-		return
+		return data
 	}
 	c.send(dest, tag, data)
+	return nil
+}
+
+// RecvOwned is the receiving half of SendOwned for pooled pipelines: it
+// takes a spare buffer from the caller, who must not touch buf after the
+// call, and returns the message in a slice the caller owns. An in-process
+// message is the sender's own slice, handed over as Recv does, and buf comes
+// back unused as spare; a wire envelope is decoded straight into buf (or a
+// fresh slice if buf is too small, buf again coming back as spare), so a
+// pipeline that recycles data and spare allocates nothing per message on
+// either transport. On error data is nil and spare is buf.
+func RecvOwned[T any](c *Comm, src, tag int, buf []T) (data, spare []T, err error) {
+	msg, err := c.recv(src, tag)
+	if err != nil {
+		return nil, buf, err
+	}
+	if env, ok := msg.payload.(*Envelope); ok {
+		data, err = decodePayload(env, buf)
+		if err != nil {
+			return nil, buf, err
+		}
+		countRecv[T](c, len(data))
+		if buf != nil && cap(buf) >= len(data) {
+			return data, nil, nil // data is buf, refilled
+		}
+		return data, buf, nil
+	}
+	data, ok := msg.payload.([]T)
+	if !ok {
+		return nil, buf, fmt.Errorf("mpi: recv type mismatch: message from rank %d tag %d holds %T", msg.src, msg.tag, msg.payload)
+	}
+	countRecv[T](c, len(data))
+	return data, buf, nil
 }
 
 // SendRecvOwned is SendRecv with SendOwned's ownership transfer applied to
-// the outgoing buffer. The received slice is owned by the caller.
+// the outgoing buffer. The received slice is owned by the caller; when both
+// hops cross the wire it is the outgoing buffer, refilled.
 func SendRecvOwned[T any](c *Comm, dest, sendTag int, data []T, src, recvTag int) ([]T, error) {
-	SendOwned(c, dest, sendTag, data)
-	got, _, err := Recv[T](c, src, recvTag)
+	got, _, err := RecvOwned(c, src, recvTag, SendOwned(c, dest, sendTag, data))
 	return got, err
 }
 
@@ -401,7 +439,7 @@ func Recv[T any](c *Comm, src, tag int) ([]T, int, error) {
 		return nil, -1, err
 	}
 	if env, ok := msg.payload.(*Envelope); ok {
-		data, derr := decodePayload[T](env)
+		data, derr := decodePayload[T](env, nil)
 		if derr != nil {
 			return nil, msg.src, derr
 		}

@@ -28,6 +28,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"sync"
 	"time"
@@ -66,6 +67,9 @@ type Envelope struct {
 	Elem    string // element type name, checked on decode
 	Count   int    // element count
 	Data    []byte
+	// pooled is Data's backing when DecodeEnvelope drew it from envPools;
+	// release hands it back once the payload has been decoded.
+	pooled *[]byte
 }
 
 // Payload encodings.
@@ -105,9 +109,21 @@ func AppendEnvelope(dst []byte, e *Envelope) []byte {
 	return append(dst, e.Data...)
 }
 
+// envPools recycles the copies DecodeEnvelope makes of received payloads, one
+// pool per power-of-two size class so that an 80-byte reduction never pins —
+// or evicts — the buffer a half image needs. Pointers to slices are pooled to
+// avoid boxing allocations.
+var envPools [bits.UintSize + 1]sync.Pool // *[]byte
+
 // DecodeEnvelope reverses AppendEnvelope. Data is copied out of p, so the
 // envelope stays valid after the caller's read buffer is reused (frame
-// readers recycle their payload buffer between frames).
+// readers recycle their payload buffer between frames). The copy lives in a
+// pooled buffer that Recv, the collectives and RecvOwned return as soon as
+// they have decoded the payload; an envelope nobody receives (an injected
+// duplicate the mailbox drops) is simply collected.
+//
+// What no sender can produce is refused here, before anything is sized by
+// it: a peer's bytes must not be able to do worse than fail the world.
 func DecodeEnvelope(p []byte) (Envelope, error) {
 	if len(p) < envelopeHeaderLen {
 		return Envelope{}, fmt.Errorf("mpi: envelope %d bytes, want >= %d", len(p), envelopeHeaderLen)
@@ -124,15 +140,55 @@ func DecodeEnvelope(p []byte) (Envelope, error) {
 		Kind:    p[37],
 		Count:   int(int64(le.Uint64(p[40:48]))),
 	}
+	if p[36]&^envFlagReorder != 0 {
+		return Envelope{}, fmt.Errorf("mpi: unknown envelope flags %#x", p[36])
+	}
 	elemLen := int(le.Uint16(p[38:40]))
 	if len(p) < envelopeHeaderLen+elemLen {
 		return Envelope{}, fmt.Errorf("mpi: envelope truncated in element name (%d bytes, need %d)", len(p), envelopeHeaderLen+elemLen)
 	}
-	e.Elem = string(p[envelopeHeaderLen : envelopeHeaderLen+elemLen])
 	data := p[envelopeHeaderLen+elemLen:]
-	e.Data = make([]byte, len(data))
-	copy(e.Data, data)
+	if err := checkCount(e.Kind, e.Count, len(data)); err != nil {
+		return Envelope{}, err
+	}
+	e.Elem = string(p[envelopeHeaderLen : envelopeHeaderLen+elemLen])
+	if len(data) > 0 {
+		pool := &envPools[bits.Len(uint(len(data)))]
+		ptr, _ := pool.Get().(*[]byte)
+		if ptr == nil {
+			ptr = new([]byte)
+		}
+		if cap(*ptr) < len(data) {
+			*ptr = make([]byte, len(data))
+		}
+		e.pooled, e.Data = ptr, (*ptr)[:len(data)]
+		copy(e.Data, data)
+	}
 	return e, nil
+}
+
+// checkCount is the part of an envelope's consistency that does not depend
+// on the element type: every element of either encoding takes at least one
+// byte, and a raw payload of no elements has no bytes.
+func checkCount(kind uint8, count, dataLen int) error {
+	switch {
+	case kind != payloadRaw && kind != payloadGob:
+		return fmt.Errorf("mpi: unknown envelope payload kind %d", kind)
+	case count < 0 || count > dataLen:
+		return fmt.Errorf("mpi: envelope claims %d elements in %d payload bytes", count, dataLen)
+	case kind == payloadRaw && count == 0 && dataLen > 0:
+		return fmt.Errorf("mpi: raw envelope carries %d bytes for no elements", dataLen)
+	}
+	return nil
+}
+
+// release returns a decoded envelope's pooled payload copy. The envelope
+// keeps its header; Data is gone.
+func (e *Envelope) release() {
+	if e.pooled != nil {
+		envPools[bits.Len(uint(cap(*e.pooled)))].Put(e.pooled)
+		e.pooled, e.Data = nil, nil
+	}
 }
 
 // NewWorld assembles one process's share of a distributed world: the local
@@ -314,7 +370,9 @@ func computePOD(t reflect.Type) bool {
 // path's no-error signature.
 func encodePayload[T any](data []T) (uint8, []byte) {
 	et := reflect.TypeOf((*T)(nil)).Elem()
-	if isPOD(et) {
+	// A zero-size element has no bytes to count on the far side; it takes
+	// the gob route, which refuses it here instead of failing the peer.
+	if isPOD(et) && et.Size() > 0 {
 		if len(data) == 0 {
 			return payloadRaw, nil
 		}
@@ -327,47 +385,53 @@ func encodePayload[T any](data []T) (uint8, []byte) {
 	return payloadGob, buf.Bytes()
 }
 
-// decodePayloadInto deserializes an envelope's payload into dst, which must
-// have length e.Count. The element type is checked against the envelope so a
-// cross-process type mismatch fails like the in-process type assertion.
-func decodePayloadInto[T any](e *Envelope, dst []T) error {
+// checkPayload reports whether e can be decoded as []T, trusting nothing in
+// it: the element type is compared like the in-process type assertion, and a
+// raw payload must be exactly Count elements long. Nothing is sized by Count
+// before this has passed.
+func checkPayload[T any](e *Envelope) error {
 	if want := elemName[T](); e.Elem != want {
 		return fmt.Errorf("mpi: recv type mismatch: envelope from world rank %d tag %d holds []%s, want []%s", e.WSrc, e.Tag, e.Elem, want)
 	}
-	if len(dst) != e.Count {
-		return fmt.Errorf("mpi: envelope count %d does not fit buffer of %d", e.Count, len(dst))
+	if err := checkCount(e.Kind, e.Count, len(e.Data)); err != nil {
+		return err
 	}
-	switch e.Kind {
-	case payloadRaw:
-		size := sizeOf[T]()
-		if len(e.Data) != e.Count*size {
-			return fmt.Errorf("mpi: raw envelope carries %d bytes for %d x %d-byte elements", len(e.Data), e.Count, size)
-		}
-		if e.Count > 0 {
-			view := unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), len(e.Data))
-			copy(view, e.Data)
-		}
-		return nil
-	case payloadGob:
-		var tmp []T
-		if err := gob.NewDecoder(bytes.NewReader(e.Data)).Decode(&tmp); err != nil {
-			return fmt.Errorf("mpi: gob envelope decode: %w", err)
-		}
-		if len(tmp) != e.Count {
-			return fmt.Errorf("mpi: gob envelope decoded %d elements, header says %d", len(tmp), e.Count)
-		}
-		copy(dst, tmp)
-		return nil
-	default:
-		return fmt.Errorf("mpi: unknown envelope payload kind %d", e.Kind)
+	if size := sizeOf[T](); e.Kind == payloadRaw && len(e.Data) != e.Count*size {
+		return fmt.Errorf("mpi: raw envelope carries %d bytes for %d x %d-byte elements", len(e.Data), e.Count, size)
 	}
+	return nil
 }
 
-// decodePayload deserializes an envelope's payload into a fresh slice.
-func decodePayload[T any](e *Envelope) ([]T, error) {
-	out := make([]T, e.Count)
-	if err := decodePayloadInto(e, out); err != nil {
+// decodePayload deserializes an envelope's payload as []T — into buf when it
+// has the capacity, into a fresh slice otherwise — and returns the
+// envelope's pooled copy of the bytes, on every path.
+func decodePayload[T any](e *Envelope, buf []T) ([]T, error) {
+	defer e.release()
+	if err := checkPayload[T](e); err != nil {
 		return nil, err
 	}
-	return out, nil
+	fits := buf != nil && cap(buf) >= e.Count
+	if e.Kind == payloadGob {
+		// Always through a fresh slice: gob leaves what the stream omits
+		// (zero values) as it finds it, and buf is recycled.
+		tmp := []T{}
+		if err := gob.NewDecoder(bytes.NewReader(e.Data)).Decode(&tmp); err != nil {
+			return nil, fmt.Errorf("mpi: gob envelope decode: %w", err)
+		}
+		if len(tmp) != e.Count {
+			return nil, fmt.Errorf("mpi: gob envelope decoded %d elements, header says %d", len(tmp), e.Count)
+		}
+		if !fits {
+			return tmp, nil
+		}
+		return buf[:copy(buf[:e.Count], tmp)], nil
+	}
+	if !fits {
+		buf = make([]T, e.Count)
+	}
+	buf = buf[:e.Count]
+	if e.Count > 0 {
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(&buf[0])), len(e.Data)), e.Data)
+	}
+	return buf, nil
 }

@@ -90,14 +90,20 @@ func (fb *Framebuffer) Release() {
 	fbPool.Put(fb)
 }
 
-// Clear resets every pixel to bg at infinite depth.
+// Clear resets every pixel to bg at infinite depth. Each plane is its first
+// pixel copied over the rest in doubling runs: every acquired framebuffer is
+// cleared, so this is paid three times per composited image, at memmove
+// speed instead of a store per byte.
 func (fb *Framebuffer) Clear(bg color.RGBA) {
-	for i := 0; i < fb.W*fb.H; i++ {
-		fb.Color[i*4+0] = bg.R
-		fb.Color[i*4+1] = bg.G
-		fb.Color[i*4+2] = bg.B
-		fb.Color[i*4+3] = bg.A
-		fb.Depth[i] = float32(math.Inf(1))
+	n := fb.W * fb.H
+	rgba, depth := fb.Color[:n*4], fb.Depth[:n]
+	rgba[0], rgba[1], rgba[2], rgba[3] = bg.R, bg.G, bg.B, bg.A
+	for i := 4; i < len(rgba); i *= 2 {
+		copy(rgba[i:], rgba[:i])
+	}
+	depth[0] = float32(math.Inf(1))
+	for i := 1; i < len(depth); i *= 2 {
+		copy(depth[i:], depth[:i])
 	}
 }
 

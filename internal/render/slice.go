@@ -2,8 +2,11 @@ package render
 
 import (
 	"fmt"
+	"image/color"
 	"math"
+	"sync"
 
+	"gosensei/internal/array"
 	"gosensei/internal/colormap"
 	"gosensei/internal/grid"
 	"gosensei/internal/parallel"
@@ -87,6 +90,16 @@ func (s *SliceSpec) PlaneWindow() (u, v Vec3, umin, umax, vmin, vmax float64) {
 // write nothing — the paper's "only those ranks whose domains intersect the
 // slice plane will extract and render" stage. The composited result across
 // ranks is the full slice image.
+//
+// A pixel's world point is (Origin + u·pu) + v·pv, component by component,
+// and its cell the floor of (point − grid origin) / spacing. Those operations
+// and their order are frozen: a pixel centre that lands within an ulp of a
+// cell face must floor to the same side on every rank and in every version,
+// or composited images change. What the loop may do, and does, is not repeat
+// them: the column term is computed once per column and the row term once
+// per row, cell scalars and ghost levels are read from the typed slice when
+// there is one, and a cell is ghost-tested and coloured once per run of
+// pixels that fall in it, not once per pixel.
 func ResampleImageSlice(fb *Framebuffer, img *grid.ImageData, spec *SliceSpec) error {
 	a := img.Attributes(spec.Assoc).Get(spec.ArrayName)
 	if a == nil {
@@ -106,39 +119,107 @@ func ResampleImageSlice(fb *Framebuffer, img *grid.ImageData, spec *SliceSpec) e
 	du := (umax - umin) / float64(fb.W)
 	dv := (vmax - vmin) / float64(fb.H)
 
+	// Origin + u·pu, three components per column, shared by every stripe.
+	colp := columnPool.Get().(*[]float64)
+	defer columnPool.Put(colp)
+	if cap(*colp) < 3*fb.W {
+		*colp = make([]float64, 3*fb.W)
+	}
+	cols := (*colp)[:3*fb.W]
+	for px := 0; px < fb.W; px++ {
+		pu := umin + (float64(px)+0.5)*du
+		cols[3*px+0] = spec.Plane.Origin[0] + u[0]*pu
+		cols[3*px+1] = spec.Plane.Origin[1] + u[1]*pu
+		cols[3*px+2] = spec.Plane.Origin[2] + u[2]*pu
+	}
+
 	ext := img.Extent
 	cx, cy, cz := ext.CellDims()
+	o0, o1, o2 := img.Origin[0], img.Origin[1], img.Origin[2]
+	s0, s1, s2 := img.Spacing[0], img.Spacing[1], img.Spacing[2]
+	cells := spec.Assoc == grid.CellData
+	var (
+		f64    []float64
+		f32    []float32
+		ghosts []uint8
+	)
+	if cells {
+		f64, f32, ghosts = scalars[float64](a), scalars[float32](a), scalars[uint8](ghost)
+	}
 	parallel.For(spec.Workers, fb.H, rasterStripeRows, func(yLo, yHi int) {
 		for py := yLo; py < yHi; py++ {
 			pv := vmin + (float64(py)+0.5)*dv
-			for px := 0; px < fb.W; px++ {
-				pu := umin + (float64(px)+0.5)*du
-				w := spec.Plane.Origin.Add(u.Scale(pu)).Add(v.Scale(pv))
+			v0, v1, v2 := v[0]*pv, v[1]*pv, v[2]*pv
+			depth := fb.Depth[py*fb.W : (py+1)*fb.W]
+			rgba := fb.Color[py*fb.W*4 : (py+1)*fb.W*4]
+			// The cell the previous pixel fell in, whether it is drawn (a
+			// point-data sample always is), and its colour.
+			last, drawn := -1, !cells
+			var c color.RGBA
+			for px := range depth {
 				// World to cell index.
-				fi := (w[0] - img.Origin[0]) / img.Spacing[0]
-				fj := (w[1] - img.Origin[1]) / img.Spacing[1]
-				fk := (w[2] - img.Origin[2]) / img.Spacing[2]
+				fi := (cols[3*px+0] + v0 - o0) / s0
+				fj := (cols[3*px+1] + v1 - o1) / s1
+				fk := (cols[3*px+2] + v2 - o2) / s2
 				ci := int(math.Floor(fi)) - ext[0]
 				cj := int(math.Floor(fj)) - ext[2]
 				ck := int(math.Floor(fk)) - ext[4]
 				if ci < 0 || ci >= cx || cj < 0 || cj >= cy || ck < 0 || ck >= cz {
 					continue
 				}
-				var val float64
-				if spec.Assoc == grid.CellData {
-					idx := ck*cx*cy + cj*cx + ci
-					if ghost != nil && ghost.Value(idx, 0) != 0 {
-						continue
+				if !cells {
+					val := trilinear(img, a, fi-float64(ext[0]), fj-float64(ext[2]), fk-float64(ext[4]))
+					c = spec.Map.Pseudocolor(val, spec.Lo, spec.Hi)
+				} else if idx := ck*cx*cy + cj*cx + ci; idx != last {
+					last = idx
+					switch {
+					case ghosts != nil:
+						drawn = ghosts[idx] == 0
+					case ghost != nil:
+						drawn = ghost.Value(idx, 0) == 0
+					default:
+						drawn = true
 					}
-					val = a.Value(idx, 0)
-				} else {
-					val = trilinear(img, a, fi-float64(ext[0]), fj-float64(ext[2]), fk-float64(ext[4]))
+					if drawn {
+						var val float64
+						switch {
+						case f64 != nil:
+							val = f64[idx]
+						case f32 != nil:
+							val = float64(f32[idx])
+						default:
+							val = a.Value(idx, 0)
+						}
+						c = spec.Map.Pseudocolor(val, spec.Lo, spec.Hi)
+					}
 				}
-				fb.Set(px, py, spec.Map.Pseudocolor(val, spec.Lo, spec.Hi), 0)
+				// Framebuffer.Set at depth 0, on a pixel known to be inside.
+				if !drawn || 0 >= depth[px] {
+					continue
+				}
+				depth[px] = 0
+				rgba[4*px+0], rgba[4*px+1], rgba[4*px+2], rgba[4*px+3] = c.R, c.G, c.B, c.A
 			}
 		}
 	})
 	return nil
+}
+
+// columnPool recycles ResampleImageSlice's per-column table.
+var columnPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// scalars returns the storage of a single-component array of element type T
+// — either layout is one flat slice then — and nil for anything else, the
+// absent array included; callers fall back to Array.Value.
+func scalars[T array.Element](a array.Array) []T {
+	t, ok := a.(*array.Typed[T])
+	if !ok || t.Components() != 1 {
+		return nil
+	}
+	if t.Layout() == array.SOA {
+		return t.RawSOA()[0]
+	}
+	return t.RawAOS()
 }
 
 func planeIntersectsBox(p Plane, b [6]float64) bool {

@@ -6,10 +6,12 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"gosensei/internal/fabric"
 	"gosensei/internal/faultline"
 	"gosensei/internal/mpi"
 )
@@ -452,5 +454,61 @@ func TestSingleRankWorld(t *testing.T) {
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCorruptEnvelopeFailsTheWorld: a well-formed frame carrying an envelope
+// no sender can produce — 2^36 elements in twelve bytes, which used to reach
+// make([]T, Count) in the receiving rank — is refused where it is decoded,
+// and the receive that waited for it fails with that cause, not a panic, an
+// out-of-memory throw or the deadlock timeout.
+func TestCorruptEnvelopeFailsTheWorld(t *testing.T) {
+	cfg := testConfig("loopback")
+	cfg.RecvTimeout = time.Minute // the failure must not come from here
+	reg, err := NewRegistry(cfg.Network, registryAddr(cfg), cfg.ID, cfg.Epoch, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() {
+		_, err := reg.Serve()
+		served <- err
+	}()
+	worlds := make([]*World, 2)
+	var wg sync.WaitGroup
+	for rank := range worlds {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			c := cfg
+			c.Rank, c.Size, c.Registry = rank, 2, reg.Addr()
+			w, err := Join(c)
+			if err != nil {
+				t.Errorf("rank %d: %v", rank, err)
+			}
+			worlds[rank] = w
+		}(rank)
+	}
+	wg.Wait()
+	if err := <-served; err != nil || t.Failed() {
+		t.Fatal(err)
+	}
+
+	const tag = 5
+	hostile := mpi.AppendEnvelope(nil, &mpi.Envelope{WSrc: 1, WDst: 0, Src: 1, Tag: tag, Elem: "float32", Count: 3, Data: make([]byte, 12)})
+	binary.LittleEndian.PutUint64(hostile[40:48], 1<<36) // the count field
+	to0 := worlds[1].peers[0]
+	if err := to0.sess.Send(fabric.FrameEnvelope, to0.seq.Add(1)-1, hostile); err != nil {
+		t.Fatal(err)
+	}
+	err = worlds[0].Run(func(c *mpi.Comm) error {
+		_, _, err := mpi.Recv[float32](c, 1, tag)
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "world: envelope from rank 1: mpi: envelope claims 68719476736 elements in 12 payload bytes") {
+		t.Errorf("receive on rank 0: %v, want the refused envelope as the cause", err)
+	}
+	for _, w := range worlds {
+		_ = w.Close() // rank 0 has failed and hung up on rank 1; nothing to report
 	}
 }
