@@ -211,6 +211,30 @@ func IsBPContainer(data []byte) bool {
 
 // DecodeStep re-hydrates a BP buffer into image data.
 func DecodeStep(data []byte) (*grid.ImageData, int, float64, error) {
+	return decodeStep(data, func(n int) []float64 { return make([]float64, n) })
+}
+
+// valueStore recycles the value arrays of re-hydrated steps: an endpoint
+// reader decodes each staged container into storage lent from here and
+// hands it back once the step has executed, so a steady stream re-hydrates
+// into the same few arrays. A lent array's contents are unspecified.
+type valueStore struct{ free [][]float64 }
+
+func (s *valueStore) lend(n int) []float64 {
+	for i, v := range s.free {
+		if cap(v) >= n {
+			s.free[i] = s.free[len(s.free)-1]
+			s.free = s.free[:len(s.free)-1]
+			return v[:n]
+		}
+	}
+	return make([]float64, n)
+}
+
+// decodeStep is DecodeStep over caller-supplied value storage: values(n)
+// returns the n-element slice an array's values are written to, every
+// element of it.
+func decodeStep(data []byte, values func(n int) []float64) (*grid.ImageData, int, float64, error) {
 	r := &bpReader{data: data}
 	if m := r.u32(); r.err != nil || m != bpMagic {
 		return nil, 0, 0, fmt.Errorf("adios: bad magic %#x", m)
@@ -275,12 +299,12 @@ func DecodeStep(data []byte) (*grid.ImageData, int, float64, error) {
 		if tuples > 0 && comps > r.rem()/8/tuples {
 			return nil, 0, 0, fmt.Errorf("adios: array %d shape %dx%d exceeds remaining %d bytes", i, tuples, comps, r.rem())
 		}
-		vals := make([]float64, comps*tuples)
 		le := binary.LittleEndian
-		src := r.bytes(len(vals) * 8)
+		src := r.bytes(comps * tuples * 8)
 		if r.err != nil {
 			return nil, 0, 0, fmt.Errorf("adios: truncated array %d data: %w", i, r.err)
 		}
+		vals := values(comps * tuples)
 		for j := range vals {
 			vals[j] = math.Float64frombits(le.Uint64(src[j*8:]))
 		}

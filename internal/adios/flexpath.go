@@ -605,9 +605,11 @@ func RunEndpoint(f *Fabric, configure func(b *core.Bridge) error, opts ...mpi.Op
 			hist     *extracts.HistogramPartial
 			got      int // messages received for the step, any payload kind
 			releases []func()
+			values   [][]float64 // the blocks' arrays, on loan from store
 			time     float64
 		}
 		pending := map[int]*partial{}
+		var store valueStore
 		eos := 0
 		for eos < len(writers) {
 			msg := f.recv(c.Rank())
@@ -623,6 +625,7 @@ func RunEndpoint(f *Fabric, configure func(b *core.Bridge) error, opts ...mpi.Op
 			var (
 				img  *grid.ImageData
 				hist *extracts.HistogramPartial
+				lent [][]float64
 				st   int
 				tm   float64
 				err  error
@@ -642,7 +645,10 @@ func RunEndpoint(f *Fabric, configure func(b *core.Bridge) error, opts ...mpi.Op
 						err = fmt.Errorf("adios: unsupported extract kind %d", extracts.ExtractKind(msg.Payload))
 					}
 				default:
-					img, st, tm, err = DecodeStep(msg.Payload)
+					img, st, tm, err = decodeStep(msg.Payload, func(n int) []float64 {
+						lent = append(lent, store.lend(n))
+						return lent[len(lent)-1]
+					})
 				}
 			})
 			if err != nil {
@@ -663,6 +669,7 @@ func RunEndpoint(f *Fabric, configure func(b *core.Bridge) error, opts ...mpi.Op
 			}
 			p.got++
 			p.releases = append(p.releases, msg.Release)
+			p.values = append(p.values, lent...)
 			p.time = tm
 			if p.got < len(writers) {
 				continue
@@ -713,9 +720,12 @@ func RunEndpoint(f *Fabric, configure func(b *core.Bridge) error, opts ...mpi.Op
 			// Release-after-execute: only now are the step's credits
 			// returned to the writers, so an endpoint killed before this
 			// point never acknowledged the step and its writers retransmit.
+			// The analyses are done with the step's arrays, as in situ they
+			// are done with the simulation's once Execute returns.
 			for _, rel := range p.releases {
 				rel()
 			}
+			store.free = append(store.free, p.values...)
 			steps[c.Rank()]++
 		}
 		if len(pending) > 0 {
@@ -738,6 +748,7 @@ func (f *Fabric) DrainTimeout(rank int, d time.Duration) (Message, error) {
 	case del := <-f.hub.Deliveries(rank):
 		m := messageOf(del)
 		m.Release()
+		m.Payload = nil // went back to the hub's pool with the release
 		return m, nil
 	case <-time.After(d):
 		return Message{}, fmt.Errorf("adios: no message within %v", d)

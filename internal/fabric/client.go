@@ -47,11 +47,13 @@ type ClientOptions struct {
 }
 
 // pendingFrame is one credit-consuming message awaiting release; it is the
-// retransmit unit after a reconnect.
+// retransmit unit after a reconnect. A data frame's container is the
+// client's copy, borrowed from payloadBufs until the release.
 type pendingFrame struct {
-	typ     FrameType
-	seq     uint32
-	payload []byte
+	typ       FrameType
+	seq       uint32
+	step      int
+	container []byte
 }
 
 // advanceWait tracks one outstanding Advance round trip.
@@ -82,6 +84,8 @@ type Client struct {
 	cond       *sync.Cond
 	sess       *Session // the current connection epoch; nil while redialing
 	pending    []pendingFrame
+	released   [][]byte // containers of released frames, pooled again once writing is 0
+	writing    int      // transmits in flight (Send's, install's), each reading pending containers unlocked
 	nextSeq    uint32
 	credits    int
 	adv        *advanceWait
@@ -159,37 +163,42 @@ func (c *Client) Negotiated() (codec uint8, extract ExtractSpec, err error) {
 // connection declared unrecoverable (retry window exhausted). The payload
 // is copied, so the caller may reuse its buffer.
 func (c *Client) Send(step int, container []byte) error {
-	p := AppendStepPayload(make([]byte, 0, 8+len(container)), step, container)
-	return c.sendMsg(FrameData, p)
+	return c.sendMsg(FrameData, step, append(payloadBufs.Get(len(container)), container...))
 }
 
 // SendEOS stages the end-of-stream marker. Like a data message it consumes
 // a credit: EOS occupies a queue slot at the endpoint, as the in-process
 // channel fabric always modeled.
 func (c *Client) SendEOS() error {
-	return c.sendMsg(FrameEOS, nil)
+	return c.sendMsg(FrameEOS, 0, nil)
 }
 
-func (c *Client) sendMsg(typ FrameType, payload []byte) error {
+func (c *Client) sendMsg(typ FrameType, step int, container []byte) error {
 	c.mu.Lock()
 	for (c.credits == 0 || c.installing) && c.fatal == nil && !c.closed {
 		c.cond.Wait()
 	}
 	if err := c.deadLocked(); err != nil {
 		c.mu.Unlock()
+		payloadBufs.Put(container)
 		return err
 	}
 	c.credits--
 	c.nextSeq++
-	p := pendingFrame{typ: typ, seq: c.nextSeq, payload: payload}
+	p := pendingFrame{typ: typ, seq: c.nextSeq, step: step, container: container}
 	c.pending = append(c.pending, p)
 	sess := c.sess
+	c.writing++
 	c.mu.Unlock()
 	if sess != nil {
 		// A write failure is not a Send failure: the message is pending and
 		// will be retransmitted after the reconnect.
 		_ = transmit(sess, p)
 	}
+	c.mu.Lock()
+	c.writing--
+	c.recycleLocked()
+	c.mu.Unlock()
 	return nil
 }
 
@@ -207,9 +216,9 @@ func (c *Client) deadLocked() error {
 // order.
 func transmit(sess *Session, p pendingFrame) error {
 	if p.typ == FrameData {
-		return sess.SendData(p.seq, p.payload)
+		return sess.SendData(p.seq, p.step, p.container)
 	}
-	return sess.Send(p.typ, p.seq, p.payload)
+	return sess.Send(p.typ, p.seq, nil)
 }
 
 // Advance publishes step metadata and waits for the endpoint's
@@ -396,9 +405,7 @@ func (c *Client) install(sess *Session, w Welcome) {
 	}
 	// Prune everything the endpoint consumed before the connection dropped
 	// (its Welcome carries the cumulative released sequence).
-	for len(c.pending) > 0 && c.pending[0].seq <= w.Released {
-		c.pending = c.pending[1:]
-	}
+	c.releaseLocked(w.Released)
 	c.credits = max(int(w.Credits)-len(c.pending), 0)
 	c.sess = sess
 	c.codec = w.Codec
@@ -413,11 +420,14 @@ func (c *Client) install(sess *Session, w Welcome) {
 	// and the hub's cumulative dedup would then swallow the late older
 	// retransmits without delivering them. installing holds Send/Advance in
 	// their wait loops until every retransmit is out, so the snapshot below
-	// cannot grow; Releases during the loop only reslice c.pending, and the
-	// credits they free stay gated too. A re-sent already-released frame is
-	// re-acked, not re-delivered.
+	// is complete; a Release during the loop (the endpoint may have had the
+	// frame queued since before the connection dropped) parks its container
+	// in c.released until the loop is over, and the credits it frees stay
+	// gated too. A re-sent already-released frame is re-acked, not
+	// re-delivered.
 	c.installing = true
-	retransmits, adv := c.pending, c.adv
+	c.writing++
+	retransmits, adv := append([]pendingFrame(nil), c.pending...), c.adv
 	c.mu.Unlock()
 
 	// The recv pump must be reading BEFORE the retransmits go out: the
@@ -440,6 +450,8 @@ func (c *Client) install(sess *Session, w Welcome) {
 	}
 	c.mu.Lock()
 	c.installing = false
+	c.writing--
+	c.recycleLocked()
 	c.cond.Broadcast()
 	c.mu.Unlock()
 }
@@ -481,15 +493,38 @@ func (c *Client) recvPump(sess *Session) {
 func (c *Client) handleRelease(upTo uint32) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for len(c.pending) > 0 && c.pending[0].seq <= upTo {
-		c.pending = c.pending[1:]
-		n++
-	}
-	if n > 0 {
+	if n := c.releaseLocked(upTo); n > 0 {
 		c.credits += n
 		c.cond.Broadcast()
 	}
+}
+
+// releaseLocked drops every pending message up to the cumulative sequence
+// and reports how many there were; c.mu must be held.
+func (c *Client) releaseLocked(upTo uint32) int {
+	n := 0
+	for n < len(c.pending) && c.pending[n].seq <= upTo {
+		c.released = append(c.released, c.pending[n].container)
+		n++
+	}
+	c.pending = c.pending[:copy(c.pending, c.pending[n:])]
+	c.recycleLocked()
+	return n
+}
+
+// recycleLocked hands the released containers back to the pool, unless a
+// transmit is in flight: it reads its frame's container without c.mu, and
+// the frame may be released (delivered by an earlier connection, or by a
+// reconnect's retransmit) before that read is over. c.mu must be held.
+func (c *Client) recycleLocked() {
+	if c.writing > 0 {
+		return
+	}
+	for i := range c.released {
+		payloadBufs.Put(c.released[i])
+		c.released[i] = nil
+	}
+	c.released = c.released[:0]
 }
 
 func (c *Client) handleAdvanceAck(step uint32) {

@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -18,14 +19,26 @@ import (
 //
 //   - CodecRaw: identity.
 //   - CodecFlate: stdlib DEFLATE over the payload. Stateless per frame.
-//   - CodecDelta: XOR against the previous step's payload (bit-level deltas
-//     of float64 fields evolve slowly for smooth data), then a byte-shuffle
-//     transpose with stride 8 (grouping the exponent/mantissa byte planes of
-//     consecutive float64s, which turns near-zero XOR residue into long zero
-//     runs), then DEFLATE. Stateful: the first frame of a connection — and
-//     the first retransmit after a reconnect — is a keyframe encoding the
-//     full payload, because the previous-step reference dies with the
-//     connection (an endpoint restart loses its decoder state).
+//   - CodecDelta: the plane codec. One pass over the payload as 64-bit
+//     words subtracts the previous step's word (float64 bit patterns of a
+//     smooth field move by small integers), zigzags the difference so either
+//     sign leaves its high bytes zero, and scatters the eight bytes into
+//     eight planes. The planes DEFLATE can shrink (the sign/exponent and top
+//     mantissa planes) go through it as one stream; the ones that are noise
+//     to it (the low mantissa planes: 8.00 bits per byte on the oscillator
+//     field) ship raw, decided per plane and per frame by compressible.
+//     Stateful: the first frame of a connection — and the first retransmit
+//     after a reconnect — is a keyframe, a residual against zeros, because
+//     the previous-step reference dies with the connection (an endpoint
+//     restart loses its decoder state).
+//
+// A CodecDelta body is
+//
+//	uint32  n, the plain payload's length; g = n/8 words
+//	uint8   mask, bit j set when plane j is in the DEFLATE stream
+//	n%8     the bytes past the last word, verbatim
+//	g each  the planes the mask leaves out, ascending, raw
+//	rest    the stream: the planes the mask names, ascending, back to back
 const (
 	CodecRaw uint8 = iota
 	CodecFlate
@@ -81,46 +94,53 @@ func chooseCodec(pref []uint8, offered uint32) uint8 {
 	return CodecRaw
 }
 
-// shuffle8 writes the stride-8 byte transpose of src into dst[:len(src)]:
-// byte j of float64 i lands in plane j. The tail (len % 8) is copied
-// verbatim. dst must not alias src.
-func shuffle8(dst, src []byte) {
-	n := len(src) &^ 7
-	g := n / 8
-	for i := 0; i < g; i++ {
-		b := src[i*8 : i*8+8]
-		dst[i] = b[0]
-		dst[g+i] = b[1]
-		dst[2*g+i] = b[2]
-		dst[3*g+i] = b[3]
-		dst[4*g+i] = b[4]
-		dst[5*g+i] = b[5]
-		dst[6*g+i] = b[6]
-		dst[7*g+i] = b[7]
+// zigzag folds a two's-complement difference so that small magnitudes of
+// either sign have zero high bytes; unzigzag inverts it.
+func zigzag(d uint64) uint64   { return d<<1 ^ uint64(int64(d)>>63) }
+func unzigzag(z uint64) uint64 { return z>>1 ^ -(z & 1) }
+
+// scatter is the encoder's one pass: for each 64-bit word of cur it writes
+// byte j of the zigzagged difference against ref into planes[j*g+i] and
+// leaves cur's word in ref. len(planes) is 8*g; ref and cur hold at least
+// that much.
+func scatter(planes, ref, cur []byte) {
+	g := len(planes) / 8
+	p0, p1, p2, p3 := planes[:g], planes[g:2*g], planes[2*g:3*g], planes[3*g:4*g]
+	p4, p5, p6, p7 := planes[4*g:5*g], planes[5*g:6*g], planes[6*g:7*g], planes[7*g:8*g]
+	le := binary.LittleEndian
+	for i := range p0 {
+		c := le.Uint64(cur[8*i:])
+		z := zigzag(c - le.Uint64(ref[8*i:]))
+		le.PutUint64(ref[8*i:], c)
+		p0[i], p1[i], p2[i], p3[i] = byte(z), byte(z>>8), byte(z>>16), byte(z>>24)
+		p4[i], p5[i], p6[i], p7[i] = byte(z>>32), byte(z>>40), byte(z>>48), byte(z>>56)
 	}
-	copy(dst[n:], src[n:])
 }
 
-// unshuffle8 inverts shuffle8.
-func unshuffle8(dst, src []byte) {
-	n := len(src) &^ 7
-	g := n / 8
-	for i := 0; i < g; i++ {
-		b := dst[i*8 : i*8+8]
-		b[0] = src[i]
-		b[1] = src[g+i]
-		b[2] = src[2*g+i]
-		b[3] = src[3*g+i]
-		b[4] = src[4*g+i]
-		b[5] = src[5*g+i]
-		b[6] = src[6*g+i]
-		b[7] = src[7*g+i]
+// gather inverts scatter in place: ref's words advance by the differences
+// the eight planes (each g bytes) spell.
+func gather(ref []byte, planes *[8][]byte) {
+	p0, p1, p2, p3 := planes[0], planes[1], planes[2], planes[3]
+	p4, p5, p6, p7 := planes[4], planes[5], planes[6], planes[7]
+	le := binary.LittleEndian
+	for i := range p0 {
+		z := uint64(p0[i]) | uint64(p1[i])<<8 | uint64(p2[i])<<16 | uint64(p3[i])<<24 |
+			uint64(p4[i])<<32 | uint64(p5[i])<<40 | uint64(p6[i])<<48 | uint64(p7[i])<<56
+		le.PutUint64(ref[8*i:], le.Uint64(ref[8*i:])+unzigzag(z))
 	}
-	copy(dst[n:], src[n:])
 }
 
-// appendWriter is the flate sink: an append-only slice the pooled buffers
-// back. Write never fails.
+// sized returns b with length n and unspecified contents, trading it for a
+// pooled buffer when it is too small.
+func sized(b []byte, n int) []byte {
+	if cap(b) < n {
+		payloadBufs.Put(b)
+		b = payloadBufs.Get(n)
+	}
+	return b[:n]
+}
+
+// appendWriter is the flate sink: an append-only slice. Write never fails.
 type appendWriter struct{ b []byte }
 
 func (w *appendWriter) Write(p []byte) (int, error) {
@@ -133,8 +153,8 @@ func (w *appendWriter) Write(p []byte) (int, error) {
 // chain order to wire order.
 type codecEncoder struct {
 	id      uint8
-	prev    []byte // previous step's plain payload (CodecDelta)
-	work    []byte // xor + shuffle staging
+	ref     []byte // previous step's plain payload (CodecDelta)
+	planes  []byte // the residual's eight byte planes, back to back
 	out     appendWriter
 	fw      *flate.Writer
 	started bool
@@ -147,9 +167,6 @@ func newCodecEncoder(id uint8) *codecEncoder {
 		return nil
 	}
 	e := &codecEncoder{id: id}
-	e.prev = payloadBufs.Get(0)
-	e.work = payloadBufs.Get(0)
-	e.out.b = payloadBufs.Get(0)
 	fw, err := flate.NewWriter(&e.out, flate.BestSpeed)
 	if err != nil {
 		panic(fmt.Sprintf("fabric: flate.NewWriter(BestSpeed): %v", err)) // impossible: valid level
@@ -164,73 +181,110 @@ func (e *codecEncoder) close() {
 	if e == nil {
 		return
 	}
-	payloadBufs.Put(e.prev)
-	payloadBufs.Put(e.work)
-	payloadBufs.Put(e.out.b)
-	e.prev, e.work, e.out.b = nil, nil, nil
+	payloadBufs.Put(e.ref)
+	payloadBufs.Put(e.planes)
+	e.ref, e.planes = nil, nil
 }
 
-// encode transforms one step payload, returning the coded body and whether
-// this frame is a keyframe (full payload, delta chain reset). The returned
-// slice is valid until the next encode.
-func (e *codecEncoder) encode(payload []byte) (body []byte, keyframe bool, err error) {
-	if cap(e.work) < len(payload) {
-		e.work = append(e.work[:0], make([]byte, len(payload))...)
-	}
-	e.work = e.work[:len(payload)]
-
-	src := payload
-	keyframe = true
-	if e.id == CodecDelta {
-		if e.started && len(e.prev) == len(payload) {
-			keyframe = false
-			for i := range payload {
-				e.work[i] = payload[i] ^ e.prev[i]
-			}
-			src = e.work
-		}
-		e.prev = append(e.prev[:0], payload...)
-		e.started = true
-
-		// Shuffle in place is impossible (transpose), so stage through work
-		// when the XOR already lives there.
-		if &src[0] == &e.work[0] && len(src) > 0 {
-			// XOR residue is in work; shuffle into a second region appended
-			// past it so neither aliases.
-			need := 2 * len(payload)
-			if cap(e.work) < need {
-				grown := payloadBufs.Get(need)
-				grown = append(grown, e.work...)
-				payloadBufs.Put(e.work)
-				e.work = grown
-			}
-			e.work = e.work[:need]
-			shuffle8(e.work[len(payload):], e.work[:len(payload)])
-			src = e.work[len(payload):]
-		} else if len(src) > 0 {
-			shuffle8(e.work, src)
-			src = e.work[:len(payload)]
-		}
-	}
-
-	e.out.b = e.out.b[:0]
+// deflate appends to dst the DEFLATE stream of srcs, back to back.
+func (e *codecEncoder) deflate(dst []byte, srcs ...[]byte) ([]byte, error) {
+	e.out.b = dst
 	e.fw.Reset(&e.out)
-	if _, err := e.fw.Write(src); err != nil {
-		return nil, false, fmt.Errorf("fabric: codec compress: %w", err)
+	for _, src := range srcs {
+		if _, err := e.fw.Write(src); err != nil {
+			return dst, fmt.Errorf("fabric: codec compress: %w", err)
+		}
 	}
 	if err := e.fw.Close(); err != nil {
-		return nil, false, fmt.Errorf("fabric: codec flush: %w", err)
+		return dst, fmt.Errorf("fabric: codec flush: %w", err)
 	}
-	return e.out.b, keyframe, nil
+	dst, e.out.b = e.out.b, nil
+	return dst, nil
+}
+
+// compressible estimates whether DEFLATE would shrink a plane, from four
+// sampleRun-byte runs spread over it (all of a short plane). DEFLATE's
+// Huffman half gains when byte values are skewed: two bytes of the sample
+// agree over four times as often as uniform bytes would. Its LZ77 half gains
+// when sequences recur, which a flat histogram hides (a field mirrored about
+// an axis repeats its rows): over an eighth of the sample's 4-byte windows
+// were seen before. Noise planes fail both and ship raw.
+func compressible(plane []byte) bool {
+	if len(plane) < sampleRun {
+		return true // no time to save, and stored blocks bound what DEFLATE can lose
+	}
+	var hist [256]uint32
+	var seen [1 << 10]uint32 // the last 4-byte window to hash to each slot
+	n, recur := uint64(0), uint64(0)
+	for at := 0; at < len(plane); at += max(len(plane)/4, sampleRun) {
+		run := plane[at:min(at+sampleRun, len(plane))]
+		for i, b := range run {
+			hist[b]++
+			if i+4 <= len(run) {
+				w := binary.LittleEndian.Uint32(run[i:])
+				if slot := &seen[w*2654435761>>22]; *slot == w {
+					recur++
+				} else {
+					*slot = w
+				}
+			}
+		}
+		n += uint64(len(run))
+	}
+	var pairs uint64 // ordered pairs of distinct sample bytes that agree
+	for _, c := range hist {
+		pairs += uint64(c) * uint64(c-1)
+	}
+	return pairs*64 > n*(n-1) || recur*8 > n
+}
+
+// sampleRun is the length of one sampled run: long enough to hold the
+// repeats of a field's rows.
+const sampleRun = 1 << 10
+
+// encode appends one step payload's coded body to dst and reports whether
+// the frame is a keyframe (self-contained, delta chain reset).
+func (e *codecEncoder) encode(dst, payload []byte) (body []byte, keyframe bool, err error) {
+	if e.id == CodecFlate {
+		dst, err = e.deflate(dst, payload)
+		return dst, true, err
+	}
+	n := len(payload)
+	g := n / 8
+	if keyframe = !e.started || len(e.ref) != n; keyframe {
+		// Both are asked for n bytes, like every other step-sized buffer in
+		// the pool, so whichever comes back fits whoever asks next.
+		e.ref, e.planes, e.started = sized(e.ref, n), sized(e.planes, n)[:8*g], true
+		clear(e.ref)
+	}
+	scatter(e.planes, e.ref, payload)
+	copy(e.ref[8*g:], payload[8*g:])
+
+	dst = append(binary.LittleEndian.AppendUint32(dst, uint32(n)), 0)
+	mask := len(dst) - 1
+	dst = append(dst, payload[8*g:]...)
+	var coded [8][]byte
+	k := 0
+	for j := 0; j < 8; j++ {
+		if plane := e.planes[j*g : (j+1)*g]; compressible(plane) {
+			dst[mask] |= 1 << j
+			coded[k], k = plane, k+1
+		} else {
+			dst = append(dst, plane...)
+		}
+	}
+	if k > 0 {
+		dst, err = e.deflate(dst, coded[:k]...)
+	}
+	return dst, keyframe, err
 }
 
 // codecDecoder is the endpoint-side per-connection codec state.
 type codecDecoder struct {
 	id   uint8
-	max  int // plain payload bound (ErrCodecTooLarge past it)
-	prev []byte
-	infl []byte // inflate output (shuffled bytes)
-	out  []byte // unshuffled plain payload
+	max  int    // plain payload bound (ErrCodecTooLarge past it)
+	ref  []byte // previous step's plain payload (CodecDelta): what decode returns
+	infl []byte // inflate output: the payload (CodecFlate) or the stream's planes
 	br   *bytes.Reader
 	fr   io.ReadCloser
 }
@@ -245,9 +299,6 @@ func newCodecDecoder(id uint8, max int) *codecDecoder {
 		max = MaxPayload
 	}
 	d := &codecDecoder{id: id, max: max, br: bytes.NewReader(nil)}
-	d.prev = payloadBufs.Get(0)
-	d.infl = payloadBufs.Get(0)
-	d.out = payloadBufs.Get(0)
 	d.fr = flate.NewReader(d.br)
 	return d
 }
@@ -257,69 +308,105 @@ func (d *codecDecoder) close() {
 	if d == nil {
 		return
 	}
-	payloadBufs.Put(d.prev)
+	payloadBufs.Put(d.ref)
 	payloadBufs.Put(d.infl)
-	payloadBufs.Put(d.out)
-	d.prev, d.infl, d.out = nil, nil, nil
+	d.ref, d.infl = nil, nil
+}
+
+// inflate appends src's inflated bytes to d.infl and returns how many there
+// were, reading no further than limit+1 so the caller can tell too many from
+// enough. The buffer grows only as inflated bytes actually materialize,
+// never from a length the (attacker-controlled) body claims.
+func (d *codecDecoder) inflate(src []byte, limit int) (int, error) {
+	d.br.Reset(src)
+	if err := d.fr.(flate.Resetter).Reset(d.br, nil); err != nil {
+		return 0, fmt.Errorf("fabric: codec reset: %w", err)
+	}
+	base := len(d.infl)
+	for {
+		got := len(d.infl) - base
+		if got > limit {
+			return got, nil
+		}
+		if len(d.infl) == cap(d.infl) {
+			step := min(max(cap(d.infl), 4<<10), growStep, limit+1-got)
+			d.infl = append(d.infl, make([]byte, step)...)[:len(d.infl)]
+		}
+		n, err := d.fr.Read(d.infl[len(d.infl):min(cap(d.infl), base+limit+1)])
+		d.infl = d.infl[:len(d.infl)+n]
+		if err == io.EOF {
+			return got + n, nil
+		}
+		if err != nil {
+			return 0, fmt.Errorf("fabric: codec inflate: %w", err)
+		}
+	}
 }
 
 // decode reverses encode for one frame. Corrupt bodies, chain breaks
-// (non-keyframe without a matching reference), and payloads inflating past
-// the bound all return errors without over-allocating: the inflate buffer
-// grows only as decompressed bytes actually materialize, never from any
-// length claimed by the (attacker-controlled) body. The returned slice is
-// valid until the next decode.
+// (non-keyframe without a matching reference) and payloads past the bound
+// all return errors, and the reference is touched only once the whole body
+// has checked out — by which point every byte of the claimed length has
+// been seen, raw in the body or inflated. The returned slice is valid until
+// the next decode.
 func (d *codecDecoder) decode(body []byte, keyframe bool) ([]byte, error) {
-	d.br.Reset(body)
-	if err := d.fr.(flate.Resetter).Reset(d.br, nil); err != nil {
-		return nil, fmt.Errorf("fabric: codec reset: %w", err)
-	}
 	d.infl = d.infl[:0]
-	for {
-		if len(d.infl) == cap(d.infl) {
-			step := cap(d.infl)
-			if step < 4<<10 {
-				step = 4 << 10
-			}
-			if step > growStep {
-				step = growStep
-			}
-			if len(d.infl)+step > d.max+1 {
-				step = d.max + 1 - len(d.infl)
-			}
-			d.infl = append(d.infl, make([]byte, step)...)[:len(d.infl)]
-		}
-		n, err := d.fr.Read(d.infl[len(d.infl):cap(d.infl)])
-		d.infl = d.infl[:len(d.infl)+n]
-		if len(d.infl) > d.max {
+	if d.id == CodecFlate {
+		if n, err := d.inflate(body, d.max); err != nil {
+			return nil, err
+		} else if n > d.max {
 			return nil, fmt.Errorf("%w: > %d bytes", ErrCodecTooLarge, d.max)
 		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("fabric: codec inflate: %w", err)
-		}
-	}
-
-	if d.id == CodecFlate {
 		return d.infl, nil
 	}
 
-	// CodecDelta: unshuffle, then XOR against the reference for non-keyframes.
-	if cap(d.out) < len(d.infl) {
-		d.out = append(d.out[:0], make([]byte, len(d.infl))...)
+	if len(body) < 5 {
+		return nil, fmt.Errorf("fabric: delta body of %d bytes has no header", len(body))
 	}
-	d.out = d.out[:len(d.infl)]
-	unshuffle8(d.out, d.infl)
-	if !keyframe {
-		if len(d.prev) != len(d.out) {
-			return nil, fmt.Errorf("%w: have %d-byte reference, frame is %d bytes", ErrCodecChain, len(d.prev), len(d.out))
-		}
-		for i := range d.out {
-			d.out[i] ^= d.prev[i]
+	le := binary.LittleEndian
+	n, mask, body := int(le.Uint32(body)), body[4], body[5:]
+	if n > d.max {
+		return nil, fmt.Errorf("%w: claims %d > %d bytes", ErrCodecTooLarge, n, d.max)
+	}
+	if !keyframe && len(d.ref) != n {
+		return nil, fmt.Errorf("%w: have %d-byte reference, frame is %d bytes", ErrCodecChain, len(d.ref), n)
+	}
+	g := n / 8
+	if len(body) < n%8 {
+		return nil, fmt.Errorf("fabric: delta body ends %d bytes into its header", 5+len(body))
+	}
+	tail, body := body[:n%8], body[n%8:]
+	var planes [8][]byte
+	k := 0 // planes in the stream
+	for j := range planes {
+		if mask&(1<<j) != 0 {
+			k++
+		} else if len(body) < g {
+			return nil, fmt.Errorf("fabric: delta plane %d: %d bytes left, want %d", j, len(body), g)
+		} else {
+			planes[j], body = body[:g], body[g:]
 		}
 	}
-	d.prev = append(d.prev[:0], d.out...)
-	return d.out, nil
+	if k == 0 && len(body) > 0 {
+		return nil, fmt.Errorf("fabric: delta body has %d bytes past its planes", len(body))
+	}
+	if k > 0 {
+		if got, err := d.inflate(body, k*g); err != nil {
+			return nil, err
+		} else if got != k*g {
+			return nil, fmt.Errorf("fabric: delta stream inflates to %d bytes, its %d planes hold %d", got, k, k*g)
+		}
+		for j, at := 0, 0; j < 8; j++ {
+			if mask&(1<<j) != 0 {
+				planes[j], at = d.infl[at:at+g], at+g
+			}
+		}
+	}
+	if keyframe {
+		d.ref = sized(d.ref, n)
+		clear(d.ref)
+	}
+	gather(d.ref, &planes)
+	copy(d.ref[8*g:], tail)
+	return d.ref, nil
 }

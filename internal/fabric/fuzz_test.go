@@ -24,7 +24,7 @@ func FuzzFrameDecode(f *testing.F) {
 	huge := AppendFrame(nil, FrameData, 5, nil)
 	huge[0], huge[1], huge[2], huge[3] = 0xFF, 0xFF, 0xFF, 0xFF
 	f.Add(huge)
-	// Version-3 handshake payloads: a world-membership hello (with peer
+	// Handshake payloads: a world-membership hello (with peer
 	// address), one whose claimed address length disagrees with the
 	// payload, and a welcome carrying the world tail.
 	v3 := appendHello(nil, Hello{Version: ProtocolVersion, Role: RoleRank, Rank: 2,
@@ -88,12 +88,12 @@ func FuzzCodecDecode(f *testing.F) {
 	}
 	for _, id := range []uint8{CodecFlate, CodecDelta} {
 		enc := newCodecEncoder(id)
-		b0, _, err := enc.encode(step0)
+		b0, _, err := enc.encode(nil, step0)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(id, true, append([]byte(nil), b0...))
-		b1, key1, err := enc.encode(step1)
+		b1, key1, err := enc.encode(nil, step1)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -105,6 +105,22 @@ func FuzzCodecDecode(f *testing.F) {
 		enc.close()
 	}
 	f.Add(uint8(CodecFlate), true, []byte{})
+	// The plane codec's body, shape by shape: every plane raw, every plane
+	// in the stream, some of each; a stream that inflates to a plane too few;
+	// a header claiming more than the bound, and more than the body holds;
+	// a delta whose length is not the reference's.
+	planes := make([][]byte, 8)
+	for j := range planes {
+		planes[j] = bytes.Repeat([]byte{byte(j), byte(3 * j)}, 16)
+	}
+	f.Add(uint8(CodecDelta), true, deltaBody(8*32+2, 0x00, []byte("ab"), planes, nil))
+	f.Add(uint8(CodecDelta), true, deltaBody(8*32, 0xFF, nil, nil, deflated(f, planes...)))
+	f.Add(uint8(CodecDelta), true, deltaBody(8*32+7, 0xA5, []byte("seven b"),
+		[][]byte{planes[1], planes[3], planes[4], planes[6]}, deflated(f, planes[0], planes[2], planes[5], planes[7])))
+	f.Add(uint8(CodecDelta), true, deltaBody(8*32, 0xF0, nil, planes[:4], deflated(f, planes[4:7]...)))
+	f.Add(uint8(CodecDelta), true, deltaBody(MaxPayload, 0xFF, nil, nil, deflated(f, planes...)))
+	f.Add(uint8(CodecDelta), true, deltaBody(1<<16, 0x00, nil, planes, nil))
+	f.Add(uint8(CodecDelta), false, deltaBody(8*16, 0x00, nil, planes, nil))
 
 	f.Fuzz(func(t *testing.T, id uint8, keyframe bool, body []byte) {
 		if id != CodecFlate {
@@ -122,6 +138,9 @@ func FuzzCodecDecode(f *testing.F) {
 			}
 			if cap(d.infl) > max+growStep {
 				t.Fatalf("inflate buffer grew to %d, past the %d bound", cap(d.infl), max)
+			}
+			if err != nil && keyframe && len(d.ref) > 0 && pass == 0 {
+				t.Fatalf("a refused keyframe left a %d-byte reference", len(d.ref))
 			}
 		}
 	})

@@ -20,7 +20,10 @@ import (
 // RoleRank peers, cross-process MPI world membership (the Hello names the
 // world being joined and the peer's own listener address for the mesh, the
 // Welcome echoes the world identity with the rank confirmed).
-const ProtocolVersion = 3
+//
+// Version 4 kept the handshake's layout and changed what follows it: the
+// body of a CodecDelta data frame (codec.go).
+const ProtocolVersion = 4
 
 // Role identifies what a dialing peer is.
 type Role uint8

@@ -45,26 +45,26 @@ func TestHandshakeGolden(t *testing.T) {
 	golden := goldenPayloads(t)
 
 	hello := Hello{
-		Version: 3, Role: RoleRank, Rank: 2, Codecs: 1,
+		Version: ProtocolVersion, Role: RoleRank, Rank: 2, Codecs: 1,
 		WorldID: 77001, WorldEpoch: 2, WorldSize: 4, PeerAddr: "127.0.0.1:4001",
 	}
-	if got := appendHello(nil, hello); !bytes.Equal(got, golden["hello-v3"]) {
-		t.Errorf("hello-v3 encoding drifted:\n got %x\nwant %x", got, golden["hello-v3"])
+	if got := appendHello(nil, hello); !bytes.Equal(got, golden["hello"]) {
+		t.Errorf("hello encoding drifted:\n got %x\nwant %x", got, golden["hello"])
 	}
-	if got, err := decodeHello(golden["hello-v3"]); err != nil {
-		t.Errorf("hello-v3: %v", err)
+	if got, err := decodeHello(golden["hello"]); err != nil {
+		t.Errorf("hello: %v", err)
 	} else if got != hello {
-		t.Errorf("hello-v3 decoded %+v, want %+v", got, hello)
+		t.Errorf("hello decoded %+v, want %+v", got, hello)
 	}
 
-	welcome := Welcome{Version: 3, WorldID: 77001, WorldEpoch: 2, PeerRank: 2}
-	if got := appendWelcome(nil, welcome); !bytes.Equal(got, golden["welcome-v3"]) {
-		t.Errorf("welcome-v3 encoding drifted:\n got %x\nwant %x", got, golden["welcome-v3"])
+	welcome := Welcome{Version: ProtocolVersion, WorldID: 77001, WorldEpoch: 2, PeerRank: 2}
+	if got := appendWelcome(nil, welcome); !bytes.Equal(got, golden["welcome"]) {
+		t.Errorf("welcome encoding drifted:\n got %x\nwant %x", got, golden["welcome"])
 	}
-	if got, err := decodeWelcome(golden["welcome-v3"]); err != nil {
-		t.Errorf("welcome-v3: %v", err)
+	if got, err := decodeWelcome(golden["welcome"]); err != nil {
+		t.Errorf("welcome: %v", err)
 	} else if got != welcome {
-		t.Errorf("welcome-v3 decoded %+v, want %+v", got, welcome)
+		t.Errorf("welcome decoded %+v, want %+v", got, welcome)
 	}
 
 	// The staging half of a Welcome, which the world fixture leaves zero.
@@ -93,9 +93,10 @@ func oldHello(version uint32) []byte {
 }
 
 // TestHandshakeVersionMismatch: every peer is built from this module, so a
-// Hello of any other version — the retired v1 and v2 shapes, or a future
-// one — is refused by name and the connection is closed well inside the
-// handshake deadline, not answered down.
+// Hello of any other version — the retired v1 and v2 shapes, v3 whose delta
+// frames this build could not decode, or a future one — is refused by name
+// and the connection is closed well inside the handshake deadline, not
+// answered down.
 func TestHandshakeVersionMismatch(t *testing.T) {
 	for _, tc := range []struct {
 		version uint32
@@ -103,7 +104,8 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	}{
 		{1, oldHello(1)},
 		{2, oldHello(2)},
-		{4, appendHello(nil, Hello{Version: 4, Role: RoleWriter, Writers: 1, Readers: 1, Depth: 2})},
+		{3, appendHello(nil, Hello{Version: 3, Role: RoleWriter, Writers: 1, Readers: 1, Depth: 2})},
+		{5, appendHello(nil, Hello{Version: 5, Role: RoleWriter, Writers: 1, Readers: 1, Depth: 2})},
 	} {
 		t.Run(fmt.Sprintf("v%d", tc.version), func(t *testing.T) {
 			lis, err := Listen("loopback", t.Name())
@@ -131,7 +133,7 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 			if _, err := conn.Write(AppendFrame(nil, FrameHello, 0, tc.hello)); err != nil {
 				t.Fatal(err)
 			}
-			want := fmt.Sprintf("protocol version mismatch: peer %d, ours 3", tc.version)
+			want := fmt.Sprintf("protocol version mismatch: peer %d, ours %d", tc.version, ProtocolVersion)
 			if err := <-acceptErr; err == nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("acceptor error %v, want %q", err, want)
 			}
@@ -143,7 +145,7 @@ func TestHandshakeVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestHandshakeWorldFieldsRoundTrip drives a full v3 exchange through
+// TestHandshakeWorldFieldsRoundTrip drives a full exchange through
 // DialHello/AcceptHello/SendWelcome and checks the world membership arrives
 // intact in both directions.
 func TestHandshakeWorldFieldsRoundTrip(t *testing.T) {

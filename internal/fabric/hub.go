@@ -19,21 +19,26 @@ func ReaderOf(writer, writers, readers int) int {
 // and advances the cumulative release watermark a reconnecting writer
 // prunes its retransmit buffer against. Releasing only after execution is
 // what makes an endpoint kill lossless — an unexecuted step is never
-// acknowledged, so the writer still holds it.
+// acknowledged, so the writer still holds it. Payload is borrowed from the
+// hub's buffer pool and goes back with the release: it must not be touched
+// afterwards.
 type Delivery struct {
 	Writer  int
 	Step    int
 	Payload []byte
 	EOS     bool
-	release func()
+	from    *hubWriter
+	seq     uint32
 }
 
-// Release acknowledges the delivery back to its writer. Idempotent.
+// Release acknowledges the delivery back to its writer. Idempotent, and safe
+// on copies of one Delivery: only the release that advances the writer's
+// watermark pools the payload.
 func (d *Delivery) Release() {
-	if d.release != nil {
-		d.release()
-		d.release = nil
+	if d.from != nil && d.from.releaseUpTo(d.seq) {
+		payloadBufs.Put(d.Payload)
 	}
+	d.from, d.Payload = nil, nil
 }
 
 // HubOptions configures the endpoint side of the fabric.
@@ -283,15 +288,16 @@ func (h *Hub) serve(conn Conn) {
 			}
 			st.lastDelivered = seq
 			st.mu.Unlock()
-			d := Delivery{Writer: rank, EOS: typ == FrameEOS}
+			// The container is the session's (the decoder's reference, or the
+			// frame reader's buffer) until the next frame; the delivery's copy
+			// lives until its release.
+			var payload []byte
 			if typ == FrameData {
-				d.Step = step
-				d.Payload = append([]byte(nil), container...)
+				payload = append(payloadBufs.Get(len(container)), container...)
 			}
-			d.release = func() { st.releaseUpTo(seq) }
 			// Queue capacity equals the credit bound, so this never blocks
 			// for a well-behaved writer.
-			h.queues[reader] <- d
+			h.queues[reader] <- Delivery{Writer: rank, Step: step, Payload: payload, EOS: typ == FrameEOS, from: st, seq: seq}
 		}
 		return nil
 	})
@@ -304,11 +310,12 @@ func (h *Hub) serve(conn Conn) {
 }
 
 // releaseUpTo advances the cumulative release watermark and tells the
-// writer, returning its credit. Safe if the connection is gone — the
-// watermark rides back in the next handshake's Welcome.
-func (st *hubWriter) releaseUpTo(seq uint32) {
+// writer, returning its credit; it reports whether the watermark moved. Safe
+// if the connection is gone — the watermark rides back in the next
+// handshake's Welcome.
+func (st *hubWriter) releaseUpTo(seq uint32) (advanced bool) {
 	st.mu.Lock()
-	if seq > st.lastReleased {
+	if advanced = seq > st.lastReleased; advanced {
 		st.lastReleased = seq
 	}
 	rel, sess := st.lastReleased, st.sess
@@ -316,4 +323,5 @@ func (st *hubWriter) releaseUpTo(seq uint32) {
 	if sess != nil {
 		_ = sess.Send(FrameRelease, rel, nil) // a failed write closes the session; its serve loop retires it
 	}
+	return advanced
 }

@@ -100,40 +100,36 @@ func (s *Session) SendSealed(frame []byte) error {
 	return s.send(0, 0, nil, frame)
 }
 
-// SendData writes one staged step (the AppendStepPayload layout) as a
-// FrameData frame under the negotiated codec. Encoding happens under the
-// write lock, so the delta chain advances in wire order; the first data
-// frame of a session is always a keyframe.
-func (s *Session) SendData(seq uint32, payload []byte) error {
+// SendData writes one staged step as a FrameData frame under the negotiated
+// codec. Encoding happens under the write lock, so the delta chain advances
+// in wire order; the first data frame of a session is always a keyframe.
+func (s *Session) SendData(seq uint32, step int, container []byte) error {
 	wire := 0
 	err := s.send(FrameData, seq, func(dst []byte) ([]byte, error) {
-		dst, err := s.appendData(dst, payload)
+		dst, err := s.appendData(dst, step, container)
 		wire = len(dst) - FrameOverhead
 		return dst, err
 	}, nil)
 	if err == nil {
-		s.stats.CountData(len(payload), wire)
+		s.stats.CountData(8+len(container), wire)
 	}
 	return err
 }
 
-// appendData appends payload's wire form; s.wmu is held.
-func (s *Session) appendData(dst, payload []byte) ([]byte, error) {
+// appendData appends the step's wire form; s.wmu is held.
+func (s *Session) appendData(dst []byte, step int, container []byte) ([]byte, error) {
 	if s.codec == CodecRaw {
-		return append(dst, payload...), nil
-	}
-	step, container, err := SplitStepPayload(payload)
-	if err != nil {
-		return dst, err
+		return AppendStepPayload(dst, step, container), nil
 	}
 	if s.enc == nil {
 		s.enc = newCodecEncoder(s.codec)
 	}
-	body, key, err := s.enc.encode(container)
-	if err != nil {
-		return dst, err
+	flags := len(dst) + codedStepHeader - 1
+	dst, key, err := s.enc.encode(AppendCodedStepPayload(dst, step, s.codec, false, nil), container)
+	if key {
+		dst[flags] |= codedKeyframe
 	}
-	return AppendCodedStepPayload(dst, step, s.codec, key, body), nil
+	return dst, err
 }
 
 // send is the one place a frame reaches the wire: sealed verbatim, or built

@@ -207,14 +207,13 @@ func TestSessionWritePathsAllocateNothing(t *testing.T) {
 	}
 	s := newSession(nullConn{}, &Stats{})
 	payload := bytes.Repeat([]byte("x"), 4096)
-	step := AppendStepPayload(nil, 3, payload)
 	sealed := AppendFrame(nil, FrameData, 1, payload)
 	for name, send := range map[string]func() error{
 		"Send": func() error { return s.Send(FrameEnvelope, 1, payload) },
 		"SendFunc": func() error {
 			return s.SendFunc(FrameEnvelope, 1, func(dst []byte) []byte { return append(dst, payload...) })
 		},
-		"SendData":   func() error { return s.SendData(1, step) },
+		"SendData":   func() error { return s.SendData(1, 3, payload) },
 		"SendSealed": func() error { return s.SendSealed(sealed) },
 	} {
 		if err := send(); err != nil { // grows the scratch once
