@@ -42,15 +42,17 @@ bench:
 # One point of the benchmark's trajectory (ROADMAP item 3a): the full -out
 # report — header, every repetition's values — of each of the four canonical
 # workloads' timed pass, joined into BENCH_<PR>.json under the commit it was
-# measured on (`go run` stamps none into the reports' own headers).
+# measured on. The binary is built first, not run through `go run`, so that
+# each report's own header carries the build's vcs.revision.
 bench-record:
 	@test -n "$(PR)" || { echo "usage: make bench-record PR=<n>"; exit 2; }
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; sep=""; \
 	commit=$$(git rev-parse HEAD 2>/dev/null || echo unknown); \
 	if [ -n "$$(git status --porcelain 2>/dev/null)" ]; then commit="$$commit+uncommitted"; fi; \
+	$(GO) build -o "$$tmp/bench" ./cmd/bench; \
 	printf '{\n"id": "BENCH_%s",\n"commit": "%s",\n"workloads": {\n' "$(PR)" "$$commit" > "$$tmp/record"; \
 	for w in insitu-stats insitu-render-tcp intransit-delta live-fanout; do \
-		$(GO) run ./cmd/bench -workload $$w -out "$$tmp/$$w.json" > "$$tmp/log" 2>&1 || { cat "$$tmp/log"; exit 1; }; \
+		"$$tmp/bench" -workload $$w -out "$$tmp/$$w.json" > "$$tmp/log" 2>&1 || { cat "$$tmp/log"; exit 1; }; \
 		tail -n 1 "$$tmp/log"; \
 		printf '%s"%s": ' "$$sep" "$$w" >> "$$tmp/record"; cat "$$tmp/$$w.json" >> "$$tmp/record"; sep=","; \
 	done; \

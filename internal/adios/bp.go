@@ -217,15 +217,34 @@ func DecodeStep(data []byte) (*grid.ImageData, int, float64, error) {
 // valueStore recycles the value arrays of re-hydrated steps: an endpoint
 // reader decodes each staged container into storage lent from here and
 // hands it back once the step has executed, so a steady stream re-hydrates
-// into the same few arrays. A lent array's contents are unspecified.
-type valueStore struct{ free [][]float64 }
+// into the same few arrays. Like fabric's pools it lends the smallest free
+// array that fits, and the first time it has none for a length larger than
+// any it has seen it makes fill of them — the reader's credit bound — so the
+// stream's high-water mark is reached at once. A lent array's contents are
+// unspecified.
+type valueStore struct {
+	fill int
+	seen int
+	free [][]float64
+}
 
 func (s *valueStore) lend(n int) []float64 {
+	best := -1
 	for i, v := range s.free {
-		if cap(v) >= n {
-			s.free[i] = s.free[len(s.free)-1]
-			s.free = s.free[:len(s.free)-1]
-			return v[:n]
+		if cap(v) >= n && (best < 0 || cap(v) < cap(s.free[best])) {
+			best = i
+		}
+	}
+	if best >= 0 {
+		v := s.free[best]
+		s.free[best] = s.free[len(s.free)-1]
+		s.free = s.free[:len(s.free)-1]
+		return v[:n]
+	}
+	if n > s.seen {
+		s.seen = n
+		for i := 1; i < s.fill; i++ {
+			s.free = append(s.free, make([]float64, n))
 		}
 	}
 	return make([]float64, n)

@@ -609,7 +609,10 @@ func RunEndpoint(f *Fabric, configure func(b *core.Bridge) error, opts ...mpi.Op
 			time     float64
 		}
 		pending := map[int]*partial{}
-		var store valueStore
+		// Lent arrays peak as a step completes: one container of the writer
+		// that completes it, and at most depth (its unreleased containers)
+		// of every other writer.
+		store := valueStore{fill: 1 + f.depth*(len(writers)-1)}
 		eos := 0
 		for eos < len(writers) {
 			msg := f.recv(c.Rank())

@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 
+	"gosensei/internal/array"
 	"gosensei/internal/core"
 	"gosensei/internal/grid"
 	"gosensei/internal/metrics"
@@ -87,32 +88,34 @@ func (ac *Autocorrelation) Execute(d core.DataAdaptor) (bool, error) {
 	}
 
 	// Update running correlations against the circular history, oldest
-	// delays limited by how many steps we have seen. The cell index runs
-	// over the concatenation of sources (stable across steps: block order
-	// is fixed by the adaptor).
-	maxDelay := ac.steps
-	if maxDelay > ac.Window {
-		maxDelay = ac.Window
-	}
-	for delay := 1; delay <= maxDelay; delay++ {
-		hist := ac.buf[(ac.head-delay+ac.Window*2)%ac.Window]
-		dst := ac.corr[delay-1]
-		off := 0
-		for _, src := range sources {
-			for i := 0; i < src.Values.Tuples(); i++ {
-				dst[off+i] += src.Values.Value(i, 0) * hist[off+i]
-			}
-			off += src.Values.Tuples()
-		}
-	}
-	// Push the new values into the circular buffer.
+	// delays limited by how many steps we have seen, then push the new values
+	// into the circular buffer. The cell index runs over the concatenation of
+	// sources (stable across steps: block order is fixed by the adaptor).
+	// The field is read once: block by block, every delay's correlation takes
+	// the block while it is in cache, and only then does the block overwrite
+	// its slot — the oldest history, which the longest delay has just read.
+	// Each cell's sums keep their order, so the result does not depend on the
+	// blocking.
+	maxDelay := min(ac.steps, ac.Window)
 	slot := ac.buf[ac.head]
+	var rd array.Reader
 	off := 0
 	for _, src := range sources {
-		for i := 0; i < src.Values.Tuples(); i++ {
-			slot[off+i] = src.Values.Value(i, 0)
+		rd.Reset(src.Values, nil)
+		n := src.Values.Tuples()
+		for at := 0; at < n; at += array.BlockLen {
+			cur := rd.Values(at, min(at+array.BlockLen, n))
+			lo := off + at
+			for delay := 1; delay <= maxDelay; delay++ {
+				hist := ac.buf[(ac.head-delay+ac.Window*2)%ac.Window][lo:][:len(cur)]
+				dst := ac.corr[delay-1][lo:][:len(cur)]
+				for i, v := range cur {
+					dst[i] += v * hist[i]
+				}
+			}
+			copy(slot[lo:], cur)
 		}
-		off += src.Values.Tuples()
+		off += n
 	}
 	ac.head = (ac.head + 1) % ac.Window
 	ac.steps++

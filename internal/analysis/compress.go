@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 
+	"gosensei/internal/array"
 	"gosensei/internal/core"
 	"gosensei/internal/grid"
 	"gosensei/internal/metrics"
@@ -93,11 +94,14 @@ func (cp *Compression) Execute(d core.DataAdaptor) (bool, error) {
 	}
 	// Global range (one fused min/max reduction, like the histogram).
 	lo, hi := math.Inf(1), math.Inf(-1)
+	var rd array.Reader
 	for _, src := range sources {
-		for i := 0; i < src.Values.Tuples(); i++ {
-			v := src.Values.Value(i, 0)
-			lo = math.Min(lo, v)
-			hi = math.Max(hi, v)
+		rd.Reset(src.Values, nil)
+		for at, n := 0, src.Values.Tuples(); at < n; at += array.BlockLen {
+			for _, v := range rd.Values(at, min(at+array.BlockLen, n)) {
+				lo = math.Min(lo, v)
+				hi = math.Max(hi, v)
+			}
 		}
 	}
 	if cp.Comm != nil {
@@ -119,22 +123,24 @@ func (cp *Compression) Execute(d core.DataAdaptor) (bool, error) {
 	scratch := make([]byte, 4)
 	n := 0
 	for _, src := range sources {
-		for i := 0; i < src.Values.Tuples(); i++ {
-			v := src.Values.Value(i, 0)
-			var q uint64
-			if span > 0 {
-				q = uint64(math.Round((v - lo) / span * float64(levels)))
+		rd.Reset(src.Values, nil)
+		for at, m := 0, src.Values.Tuples(); at < m; at += array.BlockLen {
+			for _, v := range rd.Values(at, min(at+array.BlockLen, m)) {
+				var q uint64
+				if span > 0 {
+					q = uint64(math.Round((v - lo) / span * float64(levels)))
+				}
+				recon := lo
+				if levels > 0 {
+					recon = lo + float64(q)/float64(levels)*span
+				}
+				if e := math.Abs(recon - v); e > maxErr {
+					maxErr = e
+				}
+				binary.LittleEndian.PutUint32(scratch, uint32(q))
+				quant.Write(scratch[:4]) // byte-aligned storage; deflate removes the slack
+				n++
 			}
-			recon := lo
-			if levels > 0 {
-				recon = lo + float64(q)/float64(levels)*span
-			}
-			if e := math.Abs(recon - v); e > maxErr {
-				maxErr = e
-			}
-			binary.LittleEndian.PutUint32(scratch, uint32(q))
-			quant.Write(scratch[:4]) // byte-aligned storage; deflate removes the slack
-			n++
 		}
 	}
 	var compressed bytes.Buffer

@@ -186,18 +186,22 @@ func (h *Histogram) GlobalRange(mesh grid.Dataset) (lo, hi float64, err error) {
 	}
 	// Local extrema over non-ghost values.
 	lo, hi = math.Inf(1), math.Inf(-1)
+	var rd array.Reader
 	for _, src := range sources {
-		n := src.Values.Tuples()
-		for i := 0; i < n; i++ {
-			if src.Ghost != nil && src.Ghost.Value(i, 0) != 0 {
-				continue
-			}
-			v := src.Values.Value(i, 0)
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
+		rd.Reset(src.Values, src.Ghost)
+		for at, n := 0, src.Values.Tuples(); at < n; at += array.BlockLen {
+			end := min(at+array.BlockLen, n)
+			vals, ghosts := rd.Values(at, end), rd.Ghosts(at, end)
+			for i, v := range vals {
+				if ghosts[i] != 0 {
+					continue
+				}
+				if v < lo {
+					lo = v
+				}
+				if v > hi {
+					hi = v
+				}
 			}
 		}
 	}
@@ -240,24 +244,28 @@ func (h *Histogram) PartialCounts(mesh grid.Dataset, lo, hi float64) ([]int64, e
 		invWidth = 1 / width
 	}
 	maxBin := h.Bins - 1
+	var rd array.Reader
 	for _, src := range sources {
-		n := src.Values.Tuples()
-		for i := 0; i < n; i++ {
-			if src.Ghost != nil && src.Ghost.Value(i, 0) != 0 {
-				continue
-			}
-			v := src.Values.Value(i, 0)
-			b := 0
-			if invWidth > 0 {
-				b = int((v - lo) * invWidth)
-				if b > maxBin {
-					b = maxBin
+		rd.Reset(src.Values, src.Ghost)
+		for at, n := 0, src.Values.Tuples(); at < n; at += array.BlockLen {
+			end := min(at+array.BlockLen, n)
+			vals, ghosts := rd.Values(at, end), rd.Ghosts(at, end)
+			for i, v := range vals {
+				if ghosts[i] != 0 {
+					continue
 				}
-				if b < 0 {
-					b = 0
+				b := 0
+				if invWidth > 0 {
+					b = int((v - lo) * invWidth)
+					if b > maxBin {
+						b = maxBin
+					}
+					if b < 0 {
+						b = 0
+					}
 				}
+				counts[b]++
 			}
-			counts[b]++
 		}
 	}
 	return counts, nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"gosensei/internal/array"
 	"gosensei/internal/core"
 	"gosensei/internal/grid"
 	"gosensei/internal/metrics"
@@ -64,14 +65,19 @@ func (ix *BinnedIndex) Execute(d core.DataAdaptor) (bool, error) {
 	}
 	// Global range via the usual two reductions.
 	lo, hi := math.Inf(1), math.Inf(-1)
+	var rd array.Reader
 	for _, src := range sources {
-		for i := 0; i < src.Values.Tuples(); i++ {
-			if src.Ghost != nil && src.Ghost.Value(i, 0) != 0 {
-				continue
+		rd.Reset(src.Values, src.Ghost)
+		for at, n := 0, src.Values.Tuples(); at < n; at += array.BlockLen {
+			end := min(at+array.BlockLen, n)
+			vals, ghosts := rd.Values(at, end), rd.Ghosts(at, end)
+			for i, v := range vals {
+				if ghosts[i] != 0 {
+					continue
+				}
+				lo = math.Min(lo, v)
+				hi = math.Max(hi, v)
 			}
-			v := src.Values.Value(i, 0)
-			lo = math.Min(lo, v)
-			hi = math.Max(hi, v)
 		}
 	}
 	if ix.Comm != nil {
@@ -100,24 +106,30 @@ func (ix *BinnedIndex) Execute(d core.DataAdaptor) (bool, error) {
 	width := (hi - lo) / float64(ix.Bins)
 	pos := 0
 	for _, src := range sources {
-		for i := 0; i < src.Values.Tuples(); i++ {
-			idx := pos
-			pos++
-			if src.Ghost != nil && src.Ghost.Value(i, 0) != 0 {
-				continue // ghosts never set a bit: queries see each cell once
-			}
-			b := 0
-			if width > 0 {
-				b = int((src.Values.Value(i, 0) - lo) / width)
-				if b >= ix.Bins {
-					b = ix.Bins - 1
+		rd.Reset(src.Values, src.Ghost)
+		n := src.Values.Tuples()
+		for at := 0; at < n; at += array.BlockLen {
+			end := min(at+array.BlockLen, n)
+			vals, ghosts := rd.Values(at, end), rd.Ghosts(at, end)
+			for i, v := range vals {
+				if ghosts[i] != 0 {
+					continue // ghosts never set a bit: queries see each cell once
 				}
-				if b < 0 {
-					b = 0
+				b := 0
+				if width > 0 {
+					b = int((v - lo) / width)
+					if b >= ix.Bins {
+						b = ix.Bins - 1
+					}
+					if b < 0 {
+						b = 0
+					}
 				}
+				idx := pos + at + i
+				ix.bitmaps[b][idx/64] |= 1 << (idx % 64)
 			}
-			ix.bitmaps[b][idx/64] |= 1 << (idx % 64)
 		}
+		pos += n
 	}
 	ix.lo, ix.hi, ix.n, ix.step, ix.built = lo, hi, n, d.TimeStep(), true
 	return true, nil

@@ -300,3 +300,51 @@ func TestNewInvalidShapePanics(t *testing.T) {
 	}()
 	New[float64]("", 0, 4)
 }
+
+// TestReaderAliasesAndConverts: a float64 scalar array is read where it
+// lies (a write through the simulation's slice shows in the run), and any
+// other element type, layout or component count reads exactly as Value.
+func TestReaderAliasesAndConverts(t *testing.T) {
+	sim := []float64{1, 2, 3}
+	var r Reader
+	r.Reset(WrapSOA("f", sim), nil)
+	run := r.Values(0, 3)
+	sim[1] = 42
+	if run[1] != 42 || r.At(1) != 42 {
+		t.Fatal("float64 run is a copy, not the simulation's memory")
+	}
+	if g := r.Ghosts(0, 3); len(g) != 3 || g[0]|g[1]|g[2] != 0 {
+		t.Fatalf("no ghost array: ghosts %v, want zeros", g)
+	}
+
+	n := BlockLen + 3
+	vec := New[float64]("v", 2, n)
+	i32 := New[int32]("i", 1, n)
+	ghost := New[float32]("g", 1, n)
+	for i := 0; i < n; i++ {
+		vec.Set(i, 0, float64(i)-0.5)
+		vec.Set(i, 1, -1)
+		i32.Set(i, 0, int32(3*i-700))
+	}
+	ghost.Set(1, 0, 0.5)
+	ghost.Set(2, 0, float32(math.NaN()))
+	ghost.Set(3, 0, float32(math.Copysign(0, -1)))
+	for _, a := range []Array{vec, i32} {
+		r.Reset(a, ghost)
+		for lo := 0; lo < n; lo += BlockLen {
+			hi := min(lo+BlockLen, n)
+			vals, gs := r.Values(lo, hi), r.Ghosts(lo, hi)
+			for i := lo; i < hi; i++ {
+				if vals[i-lo] != a.Value(i, 0) || r.At(i) != a.Value(i, 0) {
+					t.Fatalf("%s tuple %d: %v, Value says %v", a.Name(), i, vals[i-lo], a.Value(i, 0))
+				}
+				if want := ghost.Value(i, 0) != 0; (gs[i-lo] != 0) != want || (r.GhostAt(i) != 0) != want {
+					t.Fatalf("ghost %d: %d, Value says %v", i, gs[i-lo], ghost.Value(i, 0))
+				}
+			}
+		}
+	}
+	if got := AppendValues([]float64{7}, i32); len(got) != n+1 || got[0] != 7 || got[n] != i32.Value(n-1, 0) {
+		t.Fatalf("AppendValues: %d values", len(got))
+	}
+}

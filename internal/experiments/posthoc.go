@@ -5,6 +5,7 @@ import (
 	"os"
 
 	"gosensei/internal/analysis"
+	"gosensei/internal/array"
 	"gosensei/internal/colormap"
 	"gosensei/internal/compositing"
 	"gosensei/internal/core"
@@ -249,9 +250,7 @@ func mergeBlocks(blocks []*grid.ImageData) grid.Dataset {
 		if a == nil {
 			continue
 		}
-		for i := 0; i < a.Tuples(); i++ {
-			vals = append(vals, a.Value(i, 0))
-		}
+		vals = array.AppendValues(vals, a)
 	}
 	img := grid.NewImageData(grid.Extent{0, len(vals), 0, 1, 0, 1})
 	img.Attributes(grid.CellData).Add(wrapData(vals))

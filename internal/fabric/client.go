@@ -48,7 +48,7 @@ type ClientOptions struct {
 
 // pendingFrame is one credit-consuming message awaiting release; it is the
 // retransmit unit after a reconnect. A data frame's container is the
-// client's copy, borrowed from payloadBufs until the release.
+// client's copy, borrowed from its pool until the release.
 type pendingFrame struct {
 	typ       FrameType
 	seq       uint32
@@ -75,6 +75,7 @@ type Client struct {
 	retryWindow time.Duration
 	backoff     *Backoff
 	stats       *Stats
+	bufs        *BufPool
 
 	// mu guards the protocol state below and is never held across a session
 	// write: the recv pump needs it to process a Release, and on a
@@ -109,8 +110,11 @@ func DialWriter(o ClientOptions) *Client {
 		retryWindow: o.RetryWindow,
 		backoff:     o.backoff,
 		stats:       o.Stats,
-		broken:      make(chan struct{}, 1),
-		done:        make(chan struct{}),
+		// The credit bound, the copy Send makes before it waits for a credit,
+		// and a delta encoder's reference and planes.
+		bufs:   newBufPool(o.Depth + 3),
+		broken: make(chan struct{}, 1),
+		done:   make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	if c.hbInterval == 0 && diesSilently(o.Network) {
@@ -163,7 +167,7 @@ func (c *Client) Negotiated() (codec uint8, extract ExtractSpec, err error) {
 // connection declared unrecoverable (retry window exhausted). The payload
 // is copied, so the caller may reuse its buffer.
 func (c *Client) Send(step int, container []byte) error {
-	return c.sendMsg(FrameData, step, append(payloadBufs.Get(len(container)), container...))
+	return c.sendMsg(FrameData, step, append(c.bufs.Get(len(container)), container...))
 }
 
 // SendEOS stages the end-of-stream marker. Like a data message it consumes
@@ -180,7 +184,7 @@ func (c *Client) sendMsg(typ FrameType, step int, container []byte) error {
 	}
 	if err := c.deadLocked(); err != nil {
 		c.mu.Unlock()
-		payloadBufs.Put(container)
+		c.bufs.Put(container)
 		return err
 	}
 	c.credits--
@@ -307,6 +311,7 @@ func (c *Client) Close() error {
 	c.closed = true
 	c.stopLocked()
 	c.breakLocked(c.sess)
+	c.bufs.Close()
 	if c.adv != nil {
 		close(c.adv.done)
 		c.adv = nil
@@ -407,6 +412,7 @@ func (c *Client) install(sess *Session, w Welcome) {
 	// (its Welcome carries the cumulative released sequence).
 	c.releaseLocked(w.Released)
 	c.credits = max(int(w.Credits)-len(c.pending), 0)
+	sess.bufs = c.bufs
 	c.sess = sess
 	c.codec = w.Codec
 	c.extract = w.Extract
@@ -521,7 +527,7 @@ func (c *Client) recycleLocked() {
 		return
 	}
 	for i := range c.released {
-		payloadBufs.Put(c.released[i])
+		c.bufs.Put(c.released[i])
 		c.released[i] = nil
 	}
 	c.released = c.released[:0]

@@ -131,11 +131,11 @@ func gather(ref []byte, planes *[8][]byte) {
 }
 
 // sized returns b with length n and unspecified contents, trading it for a
-// pooled buffer when it is too small.
-func sized(b []byte, n int) []byte {
+// buffer from p when it is too small.
+func sized(p *BufPool, b []byte, n int) []byte {
 	if cap(b) < n {
-		payloadBufs.Put(b)
-		b = payloadBufs.Get(n)
+		p.Put(b)
+		b = p.Get(n)
 	}
 	return b[:n]
 }
@@ -153,20 +153,22 @@ func (w *appendWriter) Write(p []byte) (int, error) {
 // chain order to wire order.
 type codecEncoder struct {
 	id      uint8
-	ref     []byte // previous step's plain payload (CodecDelta)
-	planes  []byte // the residual's eight byte planes, back to back
+	bufs    *BufPool // where ref and planes come from and go back to
+	ref     []byte   // previous step's plain payload (CodecDelta)
+	planes  []byte   // the residual's eight byte planes, back to back
 	out     appendWriter
 	fw      *flate.Writer
 	started bool
 }
 
-// newCodecEncoder builds the state for one connection epoch; id CodecRaw
-// returns nil (no transform, no state).
-func newCodecEncoder(id uint8) *codecEncoder {
+// newCodecEncoder builds the state for one connection epoch, borrowing its
+// buffers from bufs (nil: allocate); id CodecRaw returns nil (no transform,
+// no state).
+func newCodecEncoder(id uint8, bufs *BufPool) *codecEncoder {
 	if id == CodecRaw {
 		return nil
 	}
-	e := &codecEncoder{id: id}
+	e := &codecEncoder{id: id, bufs: bufs}
 	fw, err := flate.NewWriter(&e.out, flate.BestSpeed)
 	if err != nil {
 		panic(fmt.Sprintf("fabric: flate.NewWriter(BestSpeed): %v", err)) // impossible: valid level
@@ -181,8 +183,8 @@ func (e *codecEncoder) close() {
 	if e == nil {
 		return
 	}
-	payloadBufs.Put(e.ref)
-	payloadBufs.Put(e.planes)
+	e.bufs.Put(e.ref)
+	e.bufs.Put(e.planes)
 	e.ref, e.planes = nil, nil
 }
 
@@ -254,7 +256,7 @@ func (e *codecEncoder) encode(dst, payload []byte) (body []byte, keyframe bool, 
 	if keyframe = !e.started || len(e.ref) != n; keyframe {
 		// Both are asked for n bytes, like every other step-sized buffer in
 		// the pool, so whichever comes back fits whoever asks next.
-		e.ref, e.planes, e.started = sized(e.ref, n), sized(e.planes, n)[:8*g], true
+		e.ref, e.planes, e.started = sized(e.bufs, e.ref, n), sized(e.bufs, e.planes, n)[:8*g], true
 		clear(e.ref)
 	}
 	scatter(e.planes, e.ref, payload)
@@ -282,23 +284,25 @@ func (e *codecEncoder) encode(dst, payload []byte) (body []byte, keyframe bool, 
 // codecDecoder is the endpoint-side per-connection codec state.
 type codecDecoder struct {
 	id   uint8
-	max  int    // plain payload bound (ErrCodecTooLarge past it)
-	ref  []byte // previous step's plain payload (CodecDelta): what decode returns
-	infl []byte // inflate output: the payload (CodecFlate) or the stream's planes
+	max  int      // plain payload bound (ErrCodecTooLarge past it)
+	bufs *BufPool // where ref comes from and ref and infl go back to
+	ref  []byte   // previous step's plain payload (CodecDelta): what decode returns
+	infl []byte   // inflate output: the payload (CodecFlate) or the stream's planes
 	br   *bytes.Reader
 	fr   io.ReadCloser
 }
 
-// newCodecDecoder builds the state for one accepted connection; id CodecRaw
-// returns nil. max bounds the decoded payload (<= 0 selects MaxPayload).
-func newCodecDecoder(id uint8, max int) *codecDecoder {
+// newCodecDecoder builds the state for one accepted connection, borrowing
+// its reference from bufs (nil: allocate); id CodecRaw returns nil. max
+// bounds the decoded payload (<= 0 selects MaxPayload).
+func newCodecDecoder(id uint8, max int, bufs *BufPool) *codecDecoder {
 	if id == CodecRaw {
 		return nil
 	}
 	if max <= 0 {
 		max = MaxPayload
 	}
-	d := &codecDecoder{id: id, max: max, br: bytes.NewReader(nil)}
+	d := &codecDecoder{id: id, max: max, bufs: bufs, br: bytes.NewReader(nil)}
 	d.fr = flate.NewReader(d.br)
 	return d
 }
@@ -308,8 +312,8 @@ func (d *codecDecoder) close() {
 	if d == nil {
 		return
 	}
-	payloadBufs.Put(d.ref)
-	payloadBufs.Put(d.infl)
+	d.bufs.Put(d.ref)
+	d.bufs.Put(d.infl)
 	d.ref, d.infl = nil, nil
 }
 
@@ -403,7 +407,7 @@ func (d *codecDecoder) decode(body []byte, keyframe bool) ([]byte, error) {
 		}
 	}
 	if keyframe {
-		d.ref = sized(d.ref, n)
+		d.ref = sized(d.bufs, d.ref, n)
 		clear(d.ref)
 	}
 	gather(d.ref, &planes)

@@ -77,8 +77,8 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		for _, id := range []uint8{CodecFlate, CodecDelta} {
-			enc := newCodecEncoder(id)
-			dec := newCodecDecoder(id, 0)
+			enc := newCodecEncoder(id, nil)
+			dec := newCodecDecoder(id, 0, nil)
 			sizes := []int{0, 0, 1, 7, 8, 8, 9, 0, 264, 264, 0}
 			for n, size := 1+rng.Intn(6), rng.Intn(4096); n > 0; n-- {
 				if rng.Intn(4) == 0 {
@@ -148,9 +148,9 @@ func TestCodecKeyframeResetsChain(t *testing.T) {
 		rng.Read(payloads[i])
 	}
 
-	enc := newCodecEncoder(CodecDelta)
+	enc := newCodecEncoder(CodecDelta, nil)
 	defer enc.close()
-	dec := newCodecDecoder(CodecDelta, 0)
+	dec := newCodecDecoder(CodecDelta, 0, nil)
 	for i := 0; i < 2; i++ {
 		body, key, err := enc.encode(nil, payloads[i])
 		if err != nil {
@@ -167,7 +167,7 @@ func TestCodecKeyframeResetsChain(t *testing.T) {
 
 	// Endpoint dies. A new decoder must reject the continuation of the old
 	// chain...
-	dec2 := newCodecDecoder(CodecDelta, 0)
+	dec2 := newCodecDecoder(CodecDelta, 0, nil)
 	defer dec2.close()
 	body, key, err := enc.encode(nil, payloads[2])
 	if err != nil {
@@ -181,7 +181,7 @@ func TestCodecKeyframeResetsChain(t *testing.T) {
 	}
 
 	// ...and accept a fresh epoch: new encoder state → keyframe first.
-	enc2 := newCodecEncoder(CodecDelta)
+	enc2 := newCodecEncoder(CodecDelta, nil)
 	defer enc2.close()
 	for i, p := range payloads {
 		body, key, err := enc2.encode(nil, p)
@@ -204,7 +204,7 @@ func TestCodecKeyframeResetsChain(t *testing.T) {
 // TestCodecDecodeBound: a body claiming (or actually holding) more than the
 // configured payload bound errors out without materializing the excess.
 func TestCodecDecodeBound(t *testing.T) {
-	enc := newCodecEncoder(CodecFlate)
+	enc := newCodecEncoder(CodecFlate, nil)
 	defer enc.close()
 	big := make([]byte, 1<<20) // zeros: compresses to ~1KB
 	body, key, err := enc.encode(nil, big)
@@ -212,7 +212,7 @@ func TestCodecDecodeBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	const max = 64 << 10
-	dec := newCodecDecoder(CodecFlate, max)
+	dec := newCodecDecoder(CodecFlate, max, nil)
 	defer dec.close()
 	if _, err := dec.decode(body, key); !errors.Is(err, ErrCodecTooLarge) {
 		t.Fatalf("decode err = %v, want ErrCodecTooLarge", err)
@@ -226,7 +226,7 @@ func TestCodecDecodeBound(t *testing.T) {
 // never panics.
 func TestCodecDecodeCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
-	enc := newCodecEncoder(CodecDelta)
+	enc := newCodecEncoder(CodecDelta, nil)
 	defer enc.close()
 	payload := make([]byte, 2048)
 	rng.Read(payload)
@@ -239,7 +239,7 @@ func TestCodecDecodeCorrupt(t *testing.T) {
 		for k := 0; k < 1+rng.Intn(4); k++ {
 			mut[rng.Intn(len(mut))] ^= byte(1 + rng.Intn(255))
 		}
-		dec := newCodecDecoder(CodecDelta, 1<<20)
+		dec := newCodecDecoder(CodecDelta, 1<<20, nil)
 		got, err := dec.decode(mut, key)
 		if err == nil && !bytes.Equal(got, payload) {
 			// A flip the checksum-free flate stream tolerates may decode to
@@ -267,7 +267,7 @@ func deltaBody(n uint32, mask byte, tail []byte, raw [][]byte, stream []byte) []
 // deflated is a DEFLATE stream of the planes, back to back.
 func deflated(t testing.TB, planes ...[]byte) []byte {
 	t.Helper()
-	enc := newCodecEncoder(CodecFlate)
+	enc := newCodecEncoder(CodecFlate, nil)
 	defer enc.close()
 	out, err := enc.deflate(nil, planes...)
 	if err != nil {
@@ -324,7 +324,7 @@ func TestDeltaDecodeHardening(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			d := newCodecDecoder(CodecDelta, max)
+			d := newCodecDecoder(CodecDelta, max, nil)
 			defer d.close()
 			if c.name != "delta on no reference" {
 				if _, err := d.decode(cases[0].body, true); err != nil {
@@ -373,7 +373,7 @@ func TestDeltaDecodeAllocatesWhatArrives(t *testing.T) {
 		if len(body) > 64 {
 			t.Fatalf("body is %d bytes", len(body))
 		}
-		d := newCodecDecoder(CodecDelta, 0)
+		d := newCodecDecoder(CodecDelta, 0, nil)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := d.decode(body, true)
@@ -411,7 +411,7 @@ func TestPlanesShipRawOrCoded(t *testing.T) {
 		{"zeros", make([]byte, 8*words), 0xFF, 1 << 10},
 		{"halves", halves, 0xF0, len(halves)/2 + 1<<10},
 	} {
-		enc := newCodecEncoder(CodecDelta)
+		enc := newCodecEncoder(CodecDelta, nil)
 		body, _, err := enc.encode(nil, c.payload)
 		enc.close()
 		if err != nil {
@@ -451,7 +451,7 @@ func TestCodecSteadyStateAllocatesNothing(t *testing.T) {
 		binary.LittleEndian.PutUint64(steps[1][i:], v+uint64(rng.Uint32()>>1))
 	}
 	for _, id := range []uint8{CodecFlate, CodecDelta} {
-		enc, dec := newCodecEncoder(id), newCodecDecoder(id, 0)
+		enc, dec := newCodecEncoder(id, nil), newCodecDecoder(id, 0, nil)
 		var wire []byte
 		i := 0
 		round := func() {

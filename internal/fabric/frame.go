@@ -129,6 +129,7 @@ type FrameReader struct {
 	r   *bufio.Reader
 	buf []byte
 	max int
+	hdr [frameHeaderSize]byte // Next's: a local escapes through io.ReadFull, one allocation per frame
 }
 
 // NewFrameReader wraps r. maxPayload <= 0 selects MaxPayload.
@@ -147,7 +148,7 @@ const growStep = 1 << 20
 // a clean frame boundary); corruption yields ErrFrameChecksum,
 // ErrFrameTooLarge, or ErrFrameType.
 func (f *FrameReader) Next() (FrameType, uint32, []byte, error) {
-	var hdr [frameHeaderSize]byte
+	hdr := f.hdr[:]
 	if _, err := io.ReadFull(f.r, hdr[0:1]); err != nil {
 		return 0, 0, nil, err // clean EOF between frames stays io.EOF
 	}

@@ -87,7 +87,7 @@ func FuzzCodecDecode(f *testing.F) {
 		step1[i] = byte(i*7 + i/64) // small drift, like consecutive steps
 	}
 	for _, id := range []uint8{CodecFlate, CodecDelta} {
-		enc := newCodecEncoder(id)
+		enc := newCodecEncoder(id, nil)
 		b0, _, err := enc.encode(nil, step0)
 		if err != nil {
 			f.Fatal(err)
@@ -127,7 +127,7 @@ func FuzzCodecDecode(f *testing.F) {
 			id = CodecDelta
 		}
 		const max = 1 << 16
-		d := newCodecDecoder(id, max)
+		d := newCodecDecoder(id, max, nil)
 		defer d.close()
 		// Two passes: the second decodes with a previous-step reference in
 		// place (when the first succeeded), covering the delta-XOR path.

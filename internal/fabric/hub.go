@@ -36,7 +36,7 @@ type Delivery struct {
 // watermark pools the payload.
 func (d *Delivery) Release() {
 	if d.from != nil && d.from.releaseUpTo(d.seq) {
-		payloadBufs.Put(d.Payload)
+		d.from.bufs.Put(d.Payload)
 	}
 	d.from, d.Payload = nil, nil
 }
@@ -65,6 +65,7 @@ type HubOptions struct {
 // to the analysis.
 type hubWriter struct {
 	rank int
+	bufs *BufPool // the hub's
 
 	mu            sync.Mutex
 	sess          *Session      // published only after its Welcome is on the wire
@@ -82,6 +83,7 @@ type Hub struct {
 	o       HubOptions
 	stats   *Stats
 	lis     Listener
+	bufs    *BufPool
 	queues  []chan Delivery
 	silence time.Duration // a writer quiet this long is retired; 0 on loopback
 
@@ -103,9 +105,12 @@ func NewHub(lis Listener, o HubOptions) *Hub {
 		o.Stats = &Stats{}
 	}
 	h := &Hub{
-		o:       o,
-		stats:   o.Stats,
-		lis:     lis,
+		o:     o,
+		stats: o.Stats,
+		lis:   lis,
+		// Every writer's credit bound in delivery copies, plus its session's
+		// delta reference.
+		bufs:    newBufPool(o.Writers * (o.Depth + 1)),
 		queues:  make([]chan Delivery, o.Readers),
 		writers: make(map[int]*hubWriter),
 	}
@@ -150,6 +155,7 @@ func (h *Hub) Close() error {
 		return nil
 	}
 	h.closed = true
+	h.bufs.Close()
 	writers := make([]*hubWriter, 0, len(h.writers))
 	for _, st := range h.writers {
 		writers = append(writers, st)
@@ -184,7 +190,7 @@ func (h *Hub) writer(rank int) *hubWriter {
 	defer h.mu.Unlock()
 	st := h.writers[rank]
 	if st == nil {
-		st = &hubWriter{rank: rank}
+		st = &hubWriter{rank: rank, bufs: h.bufs}
 		h.writers[rank] = st
 	}
 	return st
@@ -208,6 +214,7 @@ func (h *Hub) serve(conn Conn) {
 	}
 	rank := int(hello.Rank)
 	st := h.writer(rank)
+	sess.bufs = h.bufs
 	// Negotiate the bandwidth reduction for this connection: codec from the
 	// endpoint's preference intersected with the writer's advertised mask,
 	// extract only if the writer declared it can compute one.
@@ -293,7 +300,7 @@ func (h *Hub) serve(conn Conn) {
 			// lives until its release.
 			var payload []byte
 			if typ == FrameData {
-				payload = append(payloadBufs.Get(len(container)), container...)
+				payload = append(h.bufs.Get(len(container)), container...)
 			}
 			// Queue capacity equals the credit bound, so this never blocks
 			// for a well-behaved writer.

@@ -62,6 +62,10 @@ type Session struct {
 	enc     *codecEncoder
 
 	dec *codecDecoder // the pump goroutine's alone
+
+	// bufs is the owner's pool the codec state borrows from (nil:
+	// allocate); the owner sets it before the session carries data.
+	bufs *BufPool
 }
 
 func newSession(c Conn, stats *Stats) *Session {
@@ -122,7 +126,7 @@ func (s *Session) appendData(dst []byte, step int, container []byte) ([]byte, er
 		return AppendStepPayload(dst, step, container), nil
 	}
 	if s.enc == nil {
-		s.enc = newCodecEncoder(s.codec)
+		s.enc = newCodecEncoder(s.codec, s.bufs)
 	}
 	flags := len(dst) + codedStepHeader - 1
 	dst, key, err := s.enc.encode(AppendCodedStepPayload(dst, step, s.codec, false, nil), container)
@@ -230,7 +234,7 @@ func (s *Session) DecodeData(payload []byte) (step int, container []byte, err er
 		}
 		if err == nil {
 			if s.dec == nil {
-				s.dec = newCodecDecoder(s.codec, MaxPayload)
+				s.dec = newCodecDecoder(s.codec, MaxPayload, s.bufs)
 			}
 			container, err = s.dec.decode(body, key)
 		}

@@ -231,9 +231,7 @@ func flattenBlocks(mb *grid.MultiBlock, name string) grid.Dataset {
 		if a == nil {
 			continue
 		}
-		for i := 0; i < a.Tuples(); i++ {
-			vals = append(vals, a.Value(i, 0))
-		}
+		vals = array.AppendValues(vals, a)
 	}
 	img := grid.NewImageData(grid.Extent{0, len(vals), 0, 1, 0, 1})
 	img.Attributes(grid.CellData).Add(wrapScalars(name, vals))

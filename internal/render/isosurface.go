@@ -3,6 +3,7 @@ package render
 import (
 	"fmt"
 
+	"gosensei/internal/array"
 	"gosensei/internal/grid"
 	"gosensei/internal/parallel"
 )
@@ -56,10 +57,13 @@ func IsosurfaceWorkers(img *grid.ImageData, name string, iso float64, colorBy st
 	parts := parallel.MapChunks(workers, nz-1, isoSlabGrain, func(_, klo, khi int) *TriMesh {
 		part := &TriMesh{}
 		var (
-			pos [8]Vec3
-			val [8]float64
-			col [8]float64
+			pos        [8]Vec3
+			val        [8]float64
+			col        [8]float64
+			vals, cols array.Reader
 		)
+		vals.Reset(a, nil)
+		cols.Reset(cb, nil)
 		for k := klo; k < khi; k++ {
 			for j := 0; j < ny-1; j++ {
 				for i := 0; i < nx-1; i++ {
@@ -69,8 +73,8 @@ func IsosurfaceWorkers(img *grid.ImageData, name string, iso float64, colorBy st
 						x, y, z := img.PointPosition(gi, gj, gk)
 						pos[c] = Vec3{x, y, z}
 						idx := (k+dk)*nx*ny + (j+dj)*nx + (i + di)
-						val[c] = a.Value(idx, 0)
-						col[c] = cb.Value(idx, 0)
+						val[c] = vals.At(idx)
+						col[c] = cols.At(idx)
 					}
 					for _, tet := range tets6 {
 						marchTet(part, tet, &pos, &val, &col, iso)
@@ -166,6 +170,8 @@ func CellToPointScalars(img *grid.ImageData, name string) error {
 	nx, ny, nz := img.Extent.Dims()
 	cx, cy, cz := img.Extent.CellDims()
 	vals := make([]float64, nx*ny*nz)
+	var rd array.Reader
+	rd.Reset(ca, nil)
 	for k := 0; k < nz; k++ {
 		for j := 0; j < ny; j++ {
 			for i := 0; i < nx; i++ {
@@ -177,7 +183,7 @@ func CellToPointScalars(img *grid.ImageData, name string) error {
 							if ci < 0 || ci >= cx || cj < 0 || cj >= cy || ck < 0 || ck >= cz {
 								continue
 							}
-							sum += ca.Value(ck*cx*cy+cj*cx+ci, 0)
+							sum += rd.At(ck*cx*cy + cj*cx + ci)
 							n++
 						}
 					}

@@ -567,16 +567,17 @@ func TestTrilinearExactOnLinearField(t *testing.T) {
 			}
 		}
 	}
-	a := array.WrapAOS("f", 1, vals)
+	var a array.Reader
+	a.Reset(array.WrapAOS("f", 1, vals), nil)
 	for _, p := range [][3]float64{{0.5, 0.5, 0.5}, {1.25, 2.75, 0.1}, {2.9, 0.4, 2.2}} {
-		got := trilinear(img, a, p[0], p[1], p[2])
+		got := trilinear(img, &a, p[0], p[1], p[2])
 		want := p[0] + 10*p[1] + 100*p[2]
 		if math.Abs(got-want) > 1e-12 {
 			t.Fatalf("trilinear(%v)=%v want %v", p, got, want)
 		}
 	}
 	// Clamping beyond the grid must not panic and stays finite.
-	if v := trilinear(img, a, -1, 5, 2); math.IsNaN(v) {
+	if v := trilinear(img, &a, -1, 5, 2); math.IsNaN(v) {
 		t.Fatal("clamped sample is NaN")
 	}
 }

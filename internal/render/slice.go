@@ -97,8 +97,8 @@ func (s *SliceSpec) PlaneWindow() (u, v Vec3, umin, umax, vmin, vmax float64) {
 // cell face must floor to the same side on every rank and in every version,
 // or composited images change. What the loop may do, and does, is not repeat
 // them: the column term is computed once per column and the row term once
-// per row, cell scalars and ghost levels are read from the typed slice when
-// there is one, and a cell is ghost-tested and coloured once per run of
+// per row, cell scalars and ghost levels are read through an array.Reader
+// (the simulation's memory itself for float64 data), and a cell is ghost-tested and coloured once per run of
 // pixels that fall in it, not once per pixel.
 func ResampleImageSlice(fb *Framebuffer, img *grid.ImageData, spec *SliceSpec) error {
 	a := img.Attributes(spec.Assoc).Get(spec.ArrayName)
@@ -138,15 +138,9 @@ func ResampleImageSlice(fb *Framebuffer, img *grid.ImageData, spec *SliceSpec) e
 	o0, o1, o2 := img.Origin[0], img.Origin[1], img.Origin[2]
 	s0, s1, s2 := img.Spacing[0], img.Spacing[1], img.Spacing[2]
 	cells := spec.Assoc == grid.CellData
-	var (
-		f64    []float64
-		f32    []float32
-		ghosts []uint8
-	)
-	if cells {
-		f64, f32, ghosts = scalars[float64](a), scalars[float32](a), scalars[uint8](ghost)
-	}
 	parallel.For(spec.Workers, fb.H, rasterStripeRows, func(yLo, yHi int) {
+		var rd array.Reader
+		rd.Reset(a, ghost)
 		for py := yLo; py < yHi; py++ {
 			pv := vmin + (float64(py)+0.5)*dv
 			v0, v1, v2 := v[0]*pv, v[1]*pv, v[2]*pv
@@ -168,29 +162,12 @@ func ResampleImageSlice(fb *Framebuffer, img *grid.ImageData, spec *SliceSpec) e
 					continue
 				}
 				if !cells {
-					val := trilinear(img, a, fi-float64(ext[0]), fj-float64(ext[2]), fk-float64(ext[4]))
+					val := trilinear(img, &rd, fi-float64(ext[0]), fj-float64(ext[2]), fk-float64(ext[4]))
 					c = spec.Map.Pseudocolor(val, spec.Lo, spec.Hi)
 				} else if idx := ck*cx*cy + cj*cx + ci; idx != last {
 					last = idx
-					switch {
-					case ghosts != nil:
-						drawn = ghosts[idx] == 0
-					case ghost != nil:
-						drawn = ghost.Value(idx, 0) == 0
-					default:
-						drawn = true
-					}
-					if drawn {
-						var val float64
-						switch {
-						case f64 != nil:
-							val = f64[idx]
-						case f32 != nil:
-							val = float64(f32[idx])
-						default:
-							val = a.Value(idx, 0)
-						}
-						c = spec.Map.Pseudocolor(val, spec.Lo, spec.Hi)
+					if drawn = rd.GhostAt(idx) == 0; drawn {
+						c = spec.Map.Pseudocolor(rd.At(idx), spec.Lo, spec.Hi)
 					}
 				}
 				// Framebuffer.Set at depth 0, on a pixel known to be inside.
@@ -207,20 +184,6 @@ func ResampleImageSlice(fb *Framebuffer, img *grid.ImageData, spec *SliceSpec) e
 
 // columnPool recycles ResampleImageSlice's per-column table.
 var columnPool = sync.Pool{New: func() any { return new([]float64) }}
-
-// scalars returns the storage of a single-component array of element type T
-// — either layout is one flat slice then — and nil for anything else, the
-// absent array included; callers fall back to Array.Value.
-func scalars[T array.Element](a array.Array) []T {
-	t, ok := a.(*array.Typed[T])
-	if !ok || t.Components() != 1 {
-		return nil
-	}
-	if t.Layout() == array.SOA {
-		return t.RawSOA()[0]
-	}
-	return t.RawAOS()
-}
 
 func planeIntersectsBox(p Plane, b [6]float64) bool {
 	neg, pos := false, false
@@ -239,7 +202,7 @@ func planeIntersectsBox(p Plane, b [6]float64) bool {
 
 // trilinear samples a point-centered scalar at fractional point coordinates
 // (relative to the local extent origin), clamping to the local grid.
-func trilinear(img *grid.ImageData, a interface{ Value(int, int) float64 }, fi, fj, fk float64) float64 {
+func trilinear(img *grid.ImageData, a *array.Reader, fi, fj, fk float64) float64 {
 	nx, ny, nz := img.Extent.Dims()
 	clampf := func(f float64, n int) (int, float64) {
 		i := int(math.Floor(f))
@@ -253,13 +216,13 @@ func trilinear(img *grid.ImageData, a interface{ Value(int, int) float64 }, fi, 
 		return i, t
 	}
 	if nx < 2 || ny < 2 || nz < 2 {
-		return a.Value(0, 0)
+		return a.At(0)
 	}
 	i, tx := clampf(fi, nx)
 	j, ty := clampf(fj, ny)
 	k, tz := clampf(fk, nz)
 	at := func(ii, jj, kk int) float64 {
-		return a.Value(kk*nx*ny+jj*nx+ii, 0)
+		return a.At(kk*nx*ny + jj*nx + ii)
 	}
 	lerp := func(x, y, t float64) float64 { return x + (y-x)*t }
 	c00 := lerp(at(i, j, k), at(i+1, j, k), tx)

@@ -63,13 +63,45 @@ func resampleReference(fb *Framebuffer, img *grid.ImageData, spec *SliceSpec) er
 					}
 					val = a.Value(idx, 0)
 				} else {
-					val = trilinear(img, a, fi-float64(ext[0]), fj-float64(ext[2]), fk-float64(ext[4]))
+					val = trilinearReference(img, a, fi-float64(ext[0]), fj-float64(ext[2]), fk-float64(ext[4]))
 				}
 				fb.Set(px, py, spec.Map.Pseudocolor(val, spec.Lo, spec.Hi), 0)
 			}
 		}
 	})
 	return nil
+}
+
+// trilinearReference is trilinear as it stood before the resampler read
+// through array.Reader: every corner through array.Array.Value.
+func trilinearReference(img *grid.ImageData, a array.Array, fi, fj, fk float64) float64 {
+	nx, ny, nz := img.Extent.Dims()
+	clampf := func(f float64, n int) (int, float64) {
+		i := int(math.Floor(f))
+		t := f - float64(i)
+		if i < 0 {
+			return 0, 0
+		}
+		if i >= n-1 {
+			return n - 2, 1
+		}
+		return i, t
+	}
+	if nx < 2 || ny < 2 || nz < 2 {
+		return a.Value(0, 0)
+	}
+	i, tx := clampf(fi, nx)
+	j, ty := clampf(fj, ny)
+	k, tz := clampf(fk, nz)
+	at := func(ii, jj, kk int) float64 {
+		return a.Value(kk*nx*ny+jj*nx+ii, 0)
+	}
+	lerp := func(x, y, t float64) float64 { return x + (y-x)*t }
+	c00 := lerp(at(i, j, k), at(i+1, j, k), tx)
+	c10 := lerp(at(i, j+1, k), at(i+1, j+1, k), tx)
+	c01 := lerp(at(i, j, k+1), at(i+1, j, k+1), tx)
+	c11 := lerp(at(i, j+1, k+1), at(i+1, j+1, k+1), tx)
+	return lerp(lerp(c00, c10, ty), lerp(c01, c11, ty), tz)
 }
 
 // refGrid is one rank's block of a 10×8×6-cell domain: a point extent that

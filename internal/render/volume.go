@@ -5,6 +5,7 @@ import (
 	"image/color"
 	"math"
 
+	"gosensei/internal/array"
 	"gosensei/internal/colormap"
 	"gosensei/internal/grid"
 	"gosensei/internal/parallel"
@@ -161,6 +162,8 @@ func rayMarchSized(img *grid.ImageData, spec *VolumeSpec, w, h int) (*AlphaImage
 	du := (b[2*u+1] - b[2*u]) / float64(w)
 	dv := (b[2*v+1] - b[2*v]) / float64(h)
 	parallel.For(spec.Workers, h, rasterStripeRows, func(yLo, yHi int) {
+		var rd array.Reader
+		rd.Reset(arr, ghost)
 		for py := yLo; py < yHi; py++ {
 			wv := b[2*v] + (float64(py)+0.5)*dv
 			cv := int(math.Floor((wv - img.Origin[v]) / img.Spacing[v]))
@@ -185,10 +188,10 @@ func rayMarchSized(img *grid.ImageData, spec *VolumeSpec, w, h int) (*AlphaImage
 					var li [3]int
 					li[u], li[v], li[spec.Axis] = lu, lv, s
 					id := li[0]*stride[0] + li[1]*stride[1] + li[2]*stride[2]
-					if ghost != nil && ghost.Value(id, 0) != 0 {
+					if rd.GhostAt(id) != 0 {
 						continue
 					}
-					val := arr.Value(id, 0)
+					val := rd.At(id)
 					tn := 0.0
 					if spec.Hi > spec.Lo {
 						tn = (val - spec.Lo) / (spec.Hi - spec.Lo)
