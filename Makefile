@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: all check build vet fmt-check lint lint-stats test bench bench-record bench-smoke bench-canonical-smoke bench-collectives bench-wire bench-world bench-live fabric-smoke faultline-smoke fuzz-smoke world-smoke configs-smoke live-smoke route-smoke race cover experiments examples clean
+.PHONY: all check build vet fmt-check lint lint-stats test bench bench-record bench-canonical-smoke fabric-smoke faultline-smoke fuzz-smoke world-smoke configs-smoke live-smoke route-smoke race cover experiments examples clean
 
 all: build vet lint test
 
-check: build vet fmt-check lint test race examples bench-smoke bench-canonical-smoke bench-collectives bench-wire bench-live fabric-smoke faultline-smoke fuzz-smoke world-smoke configs-smoke live-smoke route-smoke
+check: build vet fmt-check lint test race examples bench-canonical-smoke fabric-smoke faultline-smoke fuzz-smoke world-smoke configs-smoke live-smoke route-smoke
 
 build:
 	$(GO) build ./...
@@ -67,36 +67,6 @@ bench-canonical-smoke:
 		$(GO) run ./cmd/bench -quick -workload $$w || exit 1; \
 	done
 
-# A single-iteration pass over the hot-path benchmarks: catches bit-rot in
-# the benchmark harness without paying for stable timings.
-bench-smoke:
-	$(GO) test -run XXX -bench 'Fig3OscillatorKernel|RasterizeMesh|Tab2PNGEncode1080p|AblationCompositing|HistogramBinning' -benchtime=1x -benchmem .
-
-# One iteration of the collective engine sweep (BENCH_4.json is the
-# stable-timing sweep, next to the legacy shapes the engine replaced).
-bench-collectives:
-	$(GO) test -run XXX -bench 'BenchmarkCollectives|BenchmarkFusedMinMax' -benchtime=1x -benchmem ./internal/mpi/
-
-# Bytes on the wire for oscillator -> histogram staging: raw containers vs
-# delta+flate codecs vs extract shipping, at queue depths 1 and 4, plus the
-# bulk BP serializer vs its binary.Write baseline (BENCH_6.json pins the
-# stable-timing sweep and the reduction ratios).
-bench-wire:
-	$(GO) test -run XXX -bench 'BenchmarkWireStaging' -benchtime=1x ./internal/adios/
-	$(GO) test -run XXX -bench 'BenchmarkBPEncode|BenchmarkBPDecode' -benchtime=1x -benchmem ./internal/adios/
-
-# One iteration of the cross-transport collective latency sweep (BENCH_8.json
-# pins the stable-timing numbers): the same collectives over the in-process
-# transport, loopback world meshes, and real TCP sockets at P in {2,4,8}.
-bench-world:
-	$(GO) test -run XXX -bench 'BenchmarkWorld' -benchtime=1x ./internal/world/
-
-# One iteration of the live fan-out benchmarks at 1..1000 in-process
-# subscribers (BENCH_9.json pins the stable-timing sweep against the seed
-# hub, plus the cmd/live-load wire curves).
-bench-live:
-	$(GO) test -run XXX -bench 'BenchmarkPublish|BenchmarkFanout' -benchtime=1x -benchmem ./internal/live/
-
 # The fan-out scale contract end to end over real connections: 200 wire
 # viewers (10% read-delayed) against a paced publish sequence; enforces flat
 # publish cost, universal convergence on the final frame, and server-side
@@ -154,7 +124,7 @@ faultline-smoke:
 # total violations. Calibration is pinned off so the decision log is a pure
 # function of the model.
 route-smoke:
-	GOSENSEI_NO_CALIBRATE=1 $(GO) run ./cmd/experiments -route auto -shift -check -calibrate=false
+	$(GO) run ./cmd/experiments -shift -check -calibrate=false
 
 # A short fuzz pass over the seven wire- and file-facing decoders — fabric
 # frames and codecs, BP containers and staged payloads, extracts, live frame

@@ -8,7 +8,7 @@
 //	experiments -list
 //	experiments -run fig6
 //	experiments -run all -ranks 8 -cells 32 -steps 10 -calibrate
-//	experiments -route auto -shift -check
+//	experiments -shift -check
 package main
 
 import (
@@ -34,11 +34,16 @@ func main() {
 		calibrate = flag.Bool("calibrate", true, "measure kernel costs on this host for the model rows")
 		seed      = flag.Int64("seed", 1, "I/O variability seed")
 		threads   = flag.Int("threads", 0, "process thread budget shared across ranks (0 = GOMAXPROCS)")
-		routeMode = flag.String("route", "", "backend routing policy: \"auto\" for the adaptive router")
-		shift     = flag.Bool("shift", false, "run the mid-run workload-shift routing experiment (requires -route auto)")
+		shift     = flag.Bool("shift", false, "run the mid-run workload-shift routing experiment with the adaptive router")
 		check     = flag.Bool("check", false, "with -shift: exit nonzero unless the router switched, finished with zero post-switch budget violations, and beat every static backend")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fatal(fmt.Errorf("unexpected argument %q (everything is a flag)", flag.Arg(0)))
+	}
+	if *check && !*shift {
+		fatal(fmt.Errorf("-check requires -shift"))
+	}
 	if *threads > 0 {
 		parallel.SetThreads(*threads)
 	}
@@ -62,16 +67,8 @@ func main() {
 	}
 
 	if *shift {
-		if *routeMode != "auto" {
-			fmt.Fprintln(os.Stderr, "experiments: -shift requires -route auto")
-			os.Exit(2)
-		}
 		runShift(opt, *check)
 		return
-	}
-	if *routeMode != "" && *routeMode != "auto" {
-		fmt.Fprintf(os.Stderr, "experiments: unknown -route policy %q (want \"auto\")\n", *routeMode)
-		os.Exit(2)
 	}
 
 	var selected []experiments.Experiment
@@ -80,8 +77,7 @@ func main() {
 	} else {
 		e, err := experiments.ByID(*run)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(2)
+			fatal(err)
 		}
 		selected = []experiments.Experiment{e}
 	}
@@ -89,8 +85,7 @@ func main() {
 	for _, e := range selected {
 		tab, err := e.Run(opt)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.ID, err)
-			os.Exit(1)
+			fatal(fmt.Errorf("%s: %w", e.ID, err))
 		}
 		fmt.Println(tab.String())
 	}
@@ -103,8 +98,7 @@ func main() {
 func runShift(opt experiments.Options, check bool) {
 	tab, err := experiments.RouteShiftTable(opt)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: routeshift:", err)
-		os.Exit(1)
+		fatal(fmt.Errorf("routeshift: %w", err))
 	}
 	fmt.Println(tab.String())
 	if !check {
@@ -112,8 +106,7 @@ func runShift(opt experiments.Options, check bool) {
 	}
 	res, err := experiments.RouteShift(opt)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: routeshift:", err)
-		os.Exit(1)
+		fatal(fmt.Errorf("routeshift: %w", err))
 	}
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "experiments: routeshift check failed: "+format+"\n", args...)
@@ -131,4 +124,9 @@ func runShift(opt experiments.Options, check bool) {
 	}
 	fmt.Printf("routeshift check ok: %d switch(es) at %v, router %d violations vs statics %v, 0 post-switch\n",
 		res.Switches, res.SwitchSteps, res.RouterViolations, res.StaticViolations)
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "experiments:", err)
+	os.Exit(1)
 }

@@ -1,11 +1,10 @@
 // Command live-load drives a wall of wire viewers into one live hub — the
-// fan-out-scale load generator behind BENCH_9.json and the `make check`
-// smoke. It publishes a paced frame sequence while thousands of concurrent
-// viewers (loopback pipes or real TCP sockets) attach, and verifies the
-// scale contract: the publish path never stalls behind viewers, every fast
-// viewer converges on the final frame, and slow viewers — whose socket
-// reads are artificially delayed — are credit-gated into skip-to-newest
-// instead of building a backlog.
+// fan-out-scale load generator behind the `make check` smoke. It publishes a
+// paced frame sequence while thousands of concurrent viewers (loopback pipes
+// or real TCP sockets) attach, and verifies the scale contract: the publish
+// path never stalls behind viewers, every fast viewer converges on the final
+// frame, and slow viewers — whose socket reads are artificially delayed — are
+// credit-gated into skip-to-newest instead of building a backlog.
 //
 // Examples:
 //

@@ -29,9 +29,11 @@ func main() {
 		window   = flag.Int("window", 10, "autocorrelation window")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fatal(fmt.Errorf("unexpected argument %q (everything is a flag)", flag.Arg(0)))
+	}
 	if *dir == "" {
-		fmt.Fprintln(os.Stderr, "posthoc: -dir is required")
-		os.Exit(2)
+		fatal(fmt.Errorf("-dir is required"))
 	}
 	opt := experiments.DefaultOptions()
 	opt.RealCells = *cells
@@ -40,11 +42,15 @@ func main() {
 
 	r, err := experiments.RunPosthoc(*dir, *writers, *readers, experiments.ADIOSWorkload(*workload), opt)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "posthoc:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	fmt.Printf("post hoc %s over %s (%d writers -> %d readers)\n", *workload, *dir, *writers, *readers)
 	fmt.Printf("  read:    %s\n", metrics.FormatSeconds(r.Read))
 	fmt.Printf("  process: %s\n", metrics.FormatSeconds(r.Process))
 	fmt.Printf("  write:   %s\n", metrics.FormatSeconds(r.Write))
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "posthoc:", err)
+	os.Exit(1)
 }

@@ -13,6 +13,10 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"gosensei/internal/array"
+	"gosensei/internal/grid"
+	"gosensei/internal/iosim"
 )
 
 // buildTool compiles one cmd into a shared temp dir (cached per test run).
@@ -346,14 +350,26 @@ func TestCmdPosthocSmoke(t *testing.T) {
 }
 
 // TestCmdRefusals pins flag validation and exit codes for the two binaries a
-// run is assembled from: whatever is wrong with the command line, the files
-// it names or the fault schedule is refused before any rank exists — exit 1,
-// one line on stderr naming the problem, nothing on stdout, promptly, no
-// goroutine dump, and no worker process left behind (each command runs in
-// its own process group, which must be empty once it has exited).
+// run is assembled from, and for the post hoc and experiments harnesses:
+// whatever is wrong with the command line, the files it names or the fault
+// schedule is refused before any rank exists — exit 1, one line on stderr
+// naming the problem, nothing on stdout, promptly, no goroutine dump, and no
+// worker process left behind (each command runs in its own process group,
+// which must be empty once it has exited).
 func TestCmdRefusals(t *testing.T) {
-	bins := map[string]string{"gosensei-run": buildTool(t, "gosensei-run"), "endpoint": buildTool(t, "endpoint")}
+	bins := map[string]string{}
+	for _, name := range []string{"gosensei-run", "endpoint", "posthoc", "experiments"} {
+		bins[name] = buildTool(t, name)
+	}
 	work := t.TempDir()
+	// One stored step of one writer: enough for posthoc to analyse
+	// something, so a refusal cannot pass for an empty directory.
+	blocks := filepath.Join(work, "blocks")
+	img := grid.NewImageData(grid.NewExtent3D(3, 3, 3))
+	img.Attributes(grid.CellData).Add(array.New[float64]("data", 1, img.NumberOfCells()))
+	if _, err := iosim.WriteBlockFile(blocks, 0, img, 0, 0); err != nil {
+		t.Fatal(err)
+	}
 	file := func(name, doc string) string {
 		path := filepath.Join(work, name)
 		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
@@ -393,6 +409,12 @@ func TestCmdRefusals(t *testing.T) {
 		{"endpoint", []string{"-config", histogram, "-codec", "zip"}, `unknown codec "zip"`},
 		{"endpoint", []string{"-config", histogram, "-extract", "histogram:data"}, "bad -extract"},
 		{"endpoint", []string{"-config", histogram, "-listen", "not-an-address"}, "not-an-address"},
+		{"posthoc", nil, "-dir is required"},
+		{"posthoc", []string{"-dir", blocks, "-writers", "1", "stray-arg"}, `unexpected argument "stray-arg"`},
+		{"posthoc", []string{"-dir", blocks, "-writers", "1", "-workload", "nope"}, `unknown ADIOS workload "nope"`},
+		{"experiments", []string{"-run", "tab1", "-calibrate=false", "stray-arg"}, `unexpected argument "stray-arg"`},
+		{"experiments", []string{"-run", "tab1", "-calibrate=false", "-check"}, "-check requires -shift"},
+		{"experiments", []string{"-run", "nope"}, `unknown experiment "nope"`},
 	}
 	// What PR 17 pinned for a bad attribute value, now on every transport.
 	for attrs, want := range map[string]string{

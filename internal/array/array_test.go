@@ -239,27 +239,6 @@ func TestSetValueConversion(t *testing.T) {
 	}
 }
 
-func BenchmarkAtAOS(b *testing.B) {
-	a := New[float64]("", 3, 1024)
-	b.ReportAllocs()
-	var s float64
-	for i := 0; i < b.N; i++ {
-		s += a.At(i%1024, i%3)
-	}
-	_ = s
-}
-
-func BenchmarkAtSOA(b *testing.B) {
-	planes := [][]float64{make([]float64, 1024), make([]float64, 1024), make([]float64, 1024)}
-	a := WrapSOA("", planes...)
-	b.ReportAllocs()
-	var s float64
-	for i := 0; i < b.N; i++ {
-		s += a.At(i%1024, i%3)
-	}
-	_ = s
-}
-
 type myFloat float64
 
 func TestDataTypeNamedUnderlying(t *testing.T) {

@@ -121,6 +121,11 @@ type PosthocTimings struct {
 // reader group (the paper uses 10% of the write cores), reporting the
 // read/process/write split of Fig. 11.
 func RunPosthoc(dir string, writeRanks, readRanks int, w ADIOSWorkload, opt Options) (*PosthocTimings, error) {
+	switch w {
+	case ADIOSHistogram, ADIOSAutocorrelation, ADIOSCatalystSlice:
+	default:
+		return nil, fmt.Errorf("experiments: unknown ADIOS workload %q", w)
+	}
 	if readRanks < 1 {
 		readRanks = 1
 	}

@@ -56,12 +56,12 @@ func TestModuleIsLintClean(t *testing.T) {
 
 // TestLintRuntimeBudget pins the scan cost: the three interprocedural
 // concurrency rules (and the may-block fixpoint behind them) must stay
-// under 2x the BENCH_2 baseline of the five-rule suite (2.17s wall), per
-// the v3 acceptance criteria recorded in BENCH_7.json. One retry absorbs
+// under 2x the recorded baseline of the five-rule suite (2.17s wall), per
+// the v3 acceptance criteria. One retry absorbs
 // CI scheduling noise; two consecutive misses are a real regression.
 func TestLintRuntimeBudget(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race instrumentation inflates the scan ~5x; the budget is pinned for normal builds (BENCH_7.json)")
+		t.Skip("race instrumentation inflates the scan ~5x; the budget is pinned for normal builds")
 	}
 	const budget = 2 * 2170 * time.Millisecond
 	res := moduleScan(t)
@@ -74,7 +74,7 @@ func TestLintRuntimeBudget(t *testing.T) {
 		elapsed = fresh.Elapsed
 	}
 	if elapsed >= budget {
-		t.Errorf("module scan took %s, budget %s (2x BENCH_2 baseline); the may-block fixpoint or a new rule regressed scan cost", elapsed.Round(time.Millisecond), budget)
+		t.Errorf("module scan took %s, budget %s (2x the five-rule baseline); the may-block fixpoint or a new rule regressed scan cost", elapsed.Round(time.Millisecond), budget)
 	}
 }
 

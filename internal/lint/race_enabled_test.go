@@ -3,6 +3,5 @@
 package lint
 
 // raceEnabled lets TestLintRuntimeBudget skip under the race detector,
-// whose instrumentation inflates the scan ~5x past the non-race budget
-// BENCH_7.json pins.
+// whose instrumentation inflates the scan ~5x past the non-race budget.
 const raceEnabled = true

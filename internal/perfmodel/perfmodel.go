@@ -21,7 +21,6 @@ import (
 	"image/color"
 	"image/png"
 	"math"
-	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -77,21 +76,13 @@ var calibrations atomic.Int64
 // only DefaultCalibration.
 func Calibrations() int64 { return calibrations.Load() }
 
-// noCalibrate reports whether measurement is disabled: explicitly via the
-// GOSENSEI_NO_CALIBRATE environment variable, or implicitly because the
-// process is a `go test` binary. Previously deterministic tests avoided
-// Calibrate only by convention; the guard makes wall-clock-seeded constants
-// unreachable from tier 1.
-func noCalibrate() bool {
-	return os.Getenv("GOSENSEI_NO_CALIBRATE") != "" || testing.Testing()
-}
-
 // Calibrate measures the kernel costs on this host. It runs for a few
-// milliseconds. Under `go test` or GOSENSEI_NO_CALIBRATE it returns
-// DefaultCalibration without measuring, so modeled numbers in tests never
-// depend on host timing.
+// milliseconds. Inside a `go test` binary it returns DefaultCalibration
+// without measuring, so modeled numbers in tests never depend on host timing:
+// wall-clock-seeded constants are unreachable from tier 1, not avoided by
+// convention.
 func Calibrate() Calibration {
-	if noCalibrate() {
+	if testing.Testing() {
 		return DefaultCalibration()
 	}
 	calibrations.Add(1)

@@ -12,9 +12,6 @@ import (
 // measuring anything, and the measurement counter must stay zero no matter
 // how many times it is called.
 func TestCalibrateGuardedUnderGoTest(t *testing.T) {
-	if !noCalibrate() {
-		t.Fatal("noCalibrate() must be true inside go test")
-	}
 	before := Calibrations()
 	for i := 0; i < 3; i++ {
 		if got, want := Calibrate(), DefaultCalibration(); got != want {
@@ -23,13 +20,6 @@ func TestCalibrateGuardedUnderGoTest(t *testing.T) {
 	}
 	if got := Calibrations(); got != before || got != 0 {
 		t.Fatalf("Calibrations = %d, want 0 (calibration ran under go test)", got)
-	}
-}
-
-func TestNoCalibrateEnvGuard(t *testing.T) {
-	t.Setenv("GOSENSEI_NO_CALIBRATE", "1")
-	if !noCalibrate() {
-		t.Fatal("GOSENSEI_NO_CALIBRATE must disable calibration")
 	}
 }
 
