@@ -146,20 +146,34 @@ experiments:
 	$(GO) run ./cmd/experiments -run all
 
 # Every example end to end, from a scratch directory so that nothing lands in
-# the tree: each must exit 0, and together they must write the 45 PNGs they
+# the tree: the three example programs, and the four deck + config pairs on
+# the launcher, each run from a copy of its inputs (deck and XML, no frames
+# left by an earlier run) so that its session= and output-dir= resolve there.
+# Each must exit 0, and together they must write exactly the 45 PNGs they
 # write today (Catalyst structured and unstructured, Libsim TML, Nyx, and the
-# live hub's frames all go through the shared image tail).
+# live hub's frames all go through the shared image tail), whose digest —
+# sha256 over the sorted per-file sha256s — is pinned.
 examples:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	for d in examples/*/; do \
-		e=$$(basename $$d); \
-		$(GO) build -o "$$tmp/bin/$$e" ./$$d; \
+	for e in adios-staging live-steering quickstart; do \
+		$(GO) build -o "$$tmp/bin/$$e" ./examples/$$e; \
 		(cd "$$tmp" && ./bin/$$e > $$e.log 2>&1) || { cat "$$tmp/$$e.log"; echo "examples: $$e failed"; exit 1; }; \
 	done; \
+	$(GO) build -o "$$tmp/bin/gosensei-run" ./cmd/gosensei-run; \
+	deck() { d=$$1; shift; mkdir "$$tmp/$$d"; cp examples/$$d/sim.deck examples/$$d/*.xml "$$tmp/$$d"; \
+		(cd "$$tmp/$$d" && ../bin/gosensei-run -deck sim.deck -config sensei.xml "$$@" > run.log 2>&1) \
+			|| { cat "$$tmp/$$d/run.log"; echo "examples: $$d failed"; exit 1; }; }; \
+	deck oscillator-insitu -np 4 -cells 32 -steps 12; \
+	deck phasta-slice -np 4 -cells 26 -steps 16; \
+	deck leslie-rendering -np 4 -cells 24 -steps 25; \
+	deck nyx-histogram -np 4 -cells 24 -steps 8; \
 	n=$$(find "$$tmp" -name '*.png' | wc -l); \
-	if [ "$$n" -lt 45 ]; then echo "examples: $$n PNGs written, want at least 45"; exit 1; fi; \
-	echo "examples: $$(ls examples | wc -l) ran, $$n PNGs"
+	if [ "$$n" -ne 45 ]; then echo "examples: $$n PNGs written, want 45"; exit 1; fi; \
+	digest=$$(find "$$tmp" -name '*.png' -exec sha256sum {} + | cut -d' ' -f1 | sort | sha256sum | cut -d' ' -f1); \
+	if [ "$$digest" != 7909eeb1b2645938e13f2bab7e93a48d08613267a847573e9c6a724aa431a00f ]; then \
+		echo "examples: PNG digest $$digest, want 7909eeb1b2645938e13f2bab7e93a48d08613267a847573e9c6a724aa431a00f"; exit 1; fi; \
+	echo "examples: 3 programs and 4 decks ran, $$n PNGs, digest $$digest"
 
 clean:
-	rm -rf frames bp-out cinema-store blocks replay-blocks oscillator-frames phasta-frames leslie-frames nyx-frames live-frames
+	rm -rf frames bp-out cinema-store blocks replay-blocks live-frames examples/*/*-frames
 	rm -f lint-stats.json

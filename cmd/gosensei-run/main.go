@@ -1,6 +1,17 @@
-// Command gosensei-run is the launcher: the paper's oscillator miniapp
-// (§3.3), instrumented once with the SENSEI bridge, on an N-rank world of the
-// chosen transport, running whatever the SENSEI XML configuration names —
+// Command gosensei-run is the launcher: one of the paper's miniapps,
+// instrumented once with the SENSEI bridge, on an N-rank world of the chosen
+// transport, running whatever the SENSEI XML configuration names. The deck's
+// first line names the simulation, and -cells is the size its package's
+// DefaultConfig takes:
+//
+//	simulation oscillator  the oscillators of §3.3 (also: no such line, no deck)
+//	simulation phasta      PHASTA's jet in crossflow (§4.2.1); each further
+//	                       line "steer <step> <amplitude> <frequency>" retunes
+//	                       the jet from that step on (Fig. 13)
+//	simulation leslie      AVF-LESLIE's temporal mixing layer (§4.2.2)
+//	simulation nyx         Nyx's particle-mesh cosmology (§4.2.3)
+//
+// Any deck runs on any transport:
 //
 //	-transport=proc      goroutine ranks in this process (mpi.Run; no wire)
 //	-transport=loopback  one process, ranks meshed over in-process pipes
@@ -17,19 +28,19 @@
 // Timings, -v timers and fault traces go to stderr.
 //
 // Everything a run can be refused for is refused before a rank exists: a
-// missing deck, a config that does not parse or build, a fault schedule with
-// a domain nothing in the run can deliver. A fatal fault (mpi.crash,
-// world.rankkill) makes the launcher exit 3 after printing the fired fault's
-// repro token to stderr.
+// missing deck or a line its simulation does not take, a config that does not
+// parse or build, a fault schedule with a domain nothing in the run can
+// deliver. A fatal fault (mpi.crash, world.rankkill) makes the launcher exit 3
+// after printing the fired fault's repro token to stderr.
 //
 // Examples:
 //
 //	gosensei-run -np 8 -cells 32 -steps 20 -config configs/histogram.xml -deck decks/sample.osc
 //	gosensei-run -np 4 -transport tcp -config configs/all-infrastructures.xml
+//	cd examples/nyx-histogram && gosensei-run -np 4 -cells 24 -steps 8 -deck sim.deck -config sensei.xml
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -45,11 +56,14 @@ import (
 	"gosensei/internal/faultline"
 	_ "gosensei/internal/glean"
 	"gosensei/internal/iosim"
+	"gosensei/internal/leslie"
 	_ "gosensei/internal/libsim"
 	"gosensei/internal/metrics"
 	"gosensei/internal/mpi"
+	"gosensei/internal/nyx"
 	"gosensei/internal/oscillator"
 	"gosensei/internal/parallel"
+	"gosensei/internal/phasta"
 	"gosensei/internal/world"
 )
 
@@ -67,10 +81,23 @@ const workerEnv = "GOSENSEI_WORLD_RANK"
 type run struct {
 	np        int
 	transport string
+	steps     int
 	verbose   bool
-	sim       oscillator.Config
+	sim       string // the deck's simulation
+	size      string // what -cells made of it, for the header
+	newSim    func(c *mpi.Comm, mem *metrics.Tracker) (simulation, error)
 	cfg       *core.Config   // nil without -config
 	frun      *faultline.Run // nil without -faults
+}
+
+// simulation is one rank of the deck's miniapp: step advances it one time
+// step, and data is its SENSEI data adaptor, updated after every step.
+type simulation struct {
+	step func() error
+	data interface {
+		core.DataAdaptor
+		Update()
+	}
 }
 
 func main() {
@@ -79,11 +106,9 @@ func main() {
 	var deck, config, faults string
 	flag.IntVar(&r.np, "np", 4, "world size (number of ranks)")
 	flag.StringVar(&r.transport, "transport", "proc", "rank transport: proc, loopback, or tcp")
-	flag.IntVar(&cells, "cells", 32, "global cells per axis")
-	flag.IntVar(&r.sim.Steps, "steps", 20, "time steps")
-	flag.Float64Var(&r.sim.DT, "dt", 0.05, "time resolution")
-	flag.BoolVar(&r.sim.Sync, "sync", false, "barrier after every step")
-	flag.StringVar(&deck, "deck", "", "oscillator input deck (default: built-in three-source deck)")
+	flag.IntVar(&cells, "cells", 32, "problem size: the simulation's global cells (PHASTA: points) per axis")
+	flag.IntVar(&r.steps, "steps", 20, "time steps")
+	flag.StringVar(&deck, "deck", "", "input deck; a first line \"simulation phasta|leslie|nyx\" selects the miniapp (default: the oscillator's built-in three-source deck)")
 	flag.StringVar(&config, "config", "", "SENSEI analysis configuration XML")
 	flag.IntVar(&threads, "threads", 0, "thread budget shared across the world's ranks (0 = GOMAXPROCS)")
 	flag.StringVar(&faults, "faults", "", "fault-injection schedule <seed:spec> (see internal/faultline)")
@@ -143,18 +168,17 @@ func fatal(err error) {
 // once per process, before any rank exists; a tcp worker does the same from
 // the same arguments.
 func (r *run) load(cells int, deck, config, faults string) error {
-	r.sim.GlobalCells = [3]int{cells, cells, cells}
-	r.sim.Oscillators = oscillator.DefaultDeck(float64(cells))
+	if r.steps <= 0 {
+		return fmt.Errorf("steps must be positive, got -steps %d", r.steps)
+	}
+	var text []byte
 	if deck != "" {
-		text, err := os.ReadFile(deck)
-		if err != nil {
-			return err
-		}
-		if r.sim.Oscillators, err = oscillator.ParseDeck(bytes.NewReader(text)); err != nil {
+		var err error
+		if text, err = os.ReadFile(deck); err != nil {
 			return err
 		}
 	}
-	if err := r.sim.Validate(); err != nil {
+	if err := r.loadSim(cells, deck != "", string(text)); err != nil {
 		return err
 	}
 	if config != "" {
@@ -172,6 +196,146 @@ func (r *run) load(cells int, deck, config, faults string) error {
 			return err
 		}
 		r.frun = sched.Start()
+	}
+	return nil
+}
+
+// deckLine is one deck line that says something: its number, and its fields
+// with the comment ('#' onward) stripped.
+type deckLine struct {
+	no     int
+	fields []string
+}
+
+// refuse is the error for a deck line the simulation does not take.
+func refuse(l deckLine, sim, takes string) error {
+	return fmt.Errorf("deck line %d: simulation %s takes %s, got %q", l.no, sim, takes, strings.Join(l.fields, " "))
+}
+
+// loadSim selects the simulation the deck names on its first line (no such
+// line, or no deck, is the oscillator), refuses every other line it does not
+// take, and validates its package's DefaultConfig(cells).
+func (r *run) loadSim(cells int, haveDeck bool, text string) error {
+	raw := strings.Split(text, "\n")
+	var lines []deckLine
+	for i, l := range raw {
+		if c := strings.IndexByte(l, '#'); c >= 0 {
+			l = l[:c]
+		}
+		if f := strings.Fields(l); len(f) > 0 {
+			lines = append(lines, deckLine{i + 1, f})
+		}
+	}
+	r.sim, r.size = "oscillator", fmt.Sprintf("%d^3 cells", cells)
+	simLine := 0
+	if len(lines) > 0 && lines[0].fields[0] == "simulation" {
+		simLine, r.sim = lines[0].no, strings.Join(lines[0].fields[1:], " ")
+		raw[simLine-1] = "" // the oscillator parser reads the rest, line numbers intact
+		lines = lines[1:]
+	}
+	switch r.sim {
+	case "oscillator":
+		cfg := oscillator.Config{
+			GlobalCells: [3]int{cells, cells, cells},
+			DT:          0.05,
+			Steps:       r.steps,
+			Oscillators: oscillator.DefaultDeck(float64(cells)),
+		}
+		if haveDeck {
+			var err error
+			if cfg.Oscillators, err = oscillator.ParseDeck(strings.NewReader(strings.Join(raw, "\n"))); err != nil {
+				return err
+			}
+		}
+		if err := cfg.Validate(); err != nil {
+			return err
+		}
+		r.newSim = func(c *mpi.Comm, mem *metrics.Tracker) (simulation, error) {
+			s, err := oscillator.NewSim(c, cfg, mem)
+			if err != nil {
+				return simulation{}, err
+			}
+			return simulation{s.Step, oscillator.NewDataAdaptor(s)}, nil
+		}
+	case "phasta":
+		type steer struct {
+			step                 int
+			amplitude, frequency float64
+		}
+		var steers []steer
+		for _, l := range lines {
+			var st steer
+			err := fmt.Errorf("not a steer line")
+			if len(l.fields) == 4 && l.fields[0] == "steer" {
+				st.step, err = strconv.Atoi(l.fields[1])
+				if err == nil {
+					st.amplitude, err = strconv.ParseFloat(l.fields[2], 64)
+				}
+				if err == nil {
+					st.frequency, err = strconv.ParseFloat(l.fields[3], 64)
+				}
+			}
+			if err != nil || st.step < 1 {
+				return refuse(l, r.sim, "only steer <step> <amplitude> <frequency> lines, step >= 1")
+			}
+			steers = append(steers, st)
+		}
+		cfg := phasta.DefaultConfig(cells)
+		if err := cfg.Validate(); err != nil {
+			return err
+		}
+		r.size = fmt.Sprintf("%dx%dx%d points", cfg.GlobalPoints[0], cfg.GlobalPoints[1], cfg.GlobalPoints[2])
+		r.newSim = func(c *mpi.Comm, mem *metrics.Tracker) (simulation, error) {
+			s, err := phasta.NewSolver(c, cfg)
+			if err != nil {
+				return simulation{}, err
+			}
+			d := phasta.NewDataAdaptor(s)
+			d.Memory = mem
+			return simulation{func() error {
+				for _, st := range steers {
+					if st.step == s.StepIndex()+1 {
+						s.SetJet(st.amplitude, st.frequency)
+					}
+				}
+				s.Step()
+				return nil
+			}, d}, nil
+		}
+	case "leslie":
+		if len(lines) > 0 {
+			return refuse(lines[0], r.sim, "no other line")
+		}
+		cfg := leslie.DefaultConfig(cells)
+		if err := cfg.Validate(); err != nil {
+			return err
+		}
+		r.newSim = func(c *mpi.Comm, mem *metrics.Tracker) (simulation, error) {
+			s, err := leslie.NewSolver(c, cfg, mem)
+			if err != nil {
+				return simulation{}, err
+			}
+			d := leslie.NewDataAdaptor(s)
+			d.Memory = mem
+			return simulation{s.Step, d}, nil
+		}
+	case "nyx":
+		if len(lines) > 0 {
+			return refuse(lines[0], r.sim, "no other line")
+		}
+		cfg := nyx.DefaultConfig(cells)
+		if err := cfg.Validate(); err != nil {
+			return err
+		}
+		r.newSim = func(c *mpi.Comm, _ *metrics.Tracker) (simulation, error) {
+			s, err := nyx.NewSim(c, cfg)
+			if err != nil {
+				return simulation{}, err
+			}
+			return simulation{s.Step, nyx.NewDataAdaptor(s)}, nil
+		}
+	default:
+		return fmt.Errorf("deck line %d: unknown simulation %q (want oscillator, phasta, leslie or nyx)", simLine, r.sim)
 	}
 	return nil
 }
@@ -209,13 +373,14 @@ func (r *run) validate() error {
 	return nil
 }
 
-// rank is one rank of the miniapp: the simulation, the bridge, whatever the
-// configuration names. Only rank 0 writes to stdout, and only what is
-// deterministic in (np, deck, config) — transport must never show through.
+// rank is one rank of the miniapp: the deck's simulation, the bridge,
+// whatever the configuration names. Only rank 0 writes to stdout, and only
+// what is deterministic in (np, deck, config) — transport must never show
+// through.
 func (r *run) rank(c *mpi.Comm) error {
 	reg := metrics.NewRegistry(c.Rank())
 	mem := metrics.NewTracker()
-	sim, err := oscillator.NewSim(c, r.sim, mem)
+	sim, err := r.newSim(c, mem)
 	if err != nil {
 		return err
 	}
@@ -225,15 +390,14 @@ func (r *run) rank(c *mpi.Comm) error {
 			return err
 		}
 	}
-	adaptor := oscillator.NewDataAdaptor(sim)
 	total := reg.Timer("total")
 	total.Start()
-	for i := 0; i < r.sim.Steps; i++ {
-		if err := sim.Step(); err != nil {
+	for i := 0; i < r.steps; i++ {
+		if err := sim.step(); err != nil {
 			return err
 		}
-		adaptor.Update()
-		cont, err := bridge.Execute(adaptor)
+		sim.data.Update()
+		cont, err := bridge.Execute(sim.data)
 		if err != nil {
 			return err
 		}
@@ -257,8 +421,8 @@ func (r *run) rank(c *mpi.Comm) error {
 	if c.Rank() != 0 {
 		return nil
 	}
-	fmt.Printf("oscillator: %d ranks, %d^3 cells, %d steps, %d analyses\n",
-		c.Size(), r.sim.GlobalCells[0], r.sim.Steps, bridge.AnalysisCount())
+	fmt.Printf("%s: %d ranks, %s, %d steps, %d analyses\n",
+		r.sim, c.Size(), r.size, r.steps, bridge.AnalysisCount())
 	bridge.Report(os.Stdout)
 	fmt.Fprintf(os.Stderr, "time to solution: %s (max over ranks)\n", metrics.FormatSeconds(tot.Max))
 	fmt.Fprintf(os.Stderr, "memory high-water (sum over ranks): %s\n", metrics.FormatBytes(hw))

@@ -387,6 +387,10 @@ func TestCmdRefusals(t *testing.T) {
 	rows := []refusal{
 		{"gosensei-run", []string{"-np", "2", "-deck", "/nonexistent"}, "/nonexistent: no such file"},
 		{"gosensei-run", []string{"-np", "2", "-deck", file("bad.osc", "damped 1 2\n")}, "deck line 1"},
+		{"gosensei-run", []string{"-deck", file("nope.deck", "# which miniapp\nsimulation nope\n")}, `deck line 2: unknown simulation "nope" (want oscillator, phasta, leslie or nyx)`},
+		{"gosensei-run", []string{"-deck", file("nyx.deck", "simulation nyx\nperiodic 8 8 8 4 6.28\n")}, "deck line 2: simulation nyx takes no other line"},
+		{"gosensei-run", []string{"-deck", file("steer.deck", "simulation phasta\nsteer 10 1.6\n")}, "deck line 2: simulation phasta takes only steer <step> <amplitude> <frequency> lines"},
+		{"gosensei-run", []string{"-deck", file("osc.deck", "simulation oscillator\nsteer 10 1.6 1.5\n")}, "oscillator: deck line 2: want 6 or 7 fields, got 4"},
 		{"gosensei-run", []string{"-config", "/nonexistent.xml"}, "/nonexistent.xml: no such file"},
 		{"gosensei-run", []string{"-config", file("torn.xml", `<sensei><analysis`)}, "parse sensei config"},
 		{"gosensei-run", []string{"-transport", "tcp", "-config", unknown}, `unknown analysis type "nope"`},

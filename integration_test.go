@@ -184,15 +184,32 @@ func TestBadConfigsAreErrors(t *testing.T) {
 }
 
 // TestShippedConfigsLoad: strict attribute reading must not reject anything
-// the repository itself ships.
+// the repository itself ships — configs/, and each example's sensei.xml from
+// the example's own directory, where its session= resolves.
 func TestShippedConfigsLoad(t *testing.T) {
-	files, err := filepath.Glob("configs/*.xml")
-	if err != nil || len(files) == 0 {
+	configs, err := filepath.Glob("configs/*.xml")
+	if err != nil || len(configs) == 0 {
 		t.Fatalf("no configs found: %v", err)
 	}
-	for _, f := range files {
-		doc, err := os.ReadFile(f)
+	examples, err := filepath.Glob("examples/*/sensei.xml")
+	if err != nil || len(examples) != 4 {
+		t.Fatalf("want the 4 example configs, found %v: %v", examples, err)
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, f := range append(configs, examples...) {
+		doc, err := os.ReadFile(filepath.Join(wd, f))
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chdir(filepath.Join(wd, filepath.Dir(f))); err != nil {
 			t.Fatal(err)
 		}
 		if err := configure(t, string(doc)); err != nil {

@@ -202,13 +202,6 @@ func (r *bpReader) bytes(n int) []byte {
 	return b
 }
 
-// IsBPContainer reports whether data begins with the BP magic — the cheap
-// sniff endpoints use to tell a full staged container from a negotiated
-// extract product.
-func IsBPContainer(data []byte) bool {
-	return len(data) >= 4 && binary.LittleEndian.Uint32(data) == bpMagic
-}
-
 // DecodeStep re-hydrates a BP buffer into image data.
 func DecodeStep(data []byte) (*grid.ImageData, int, float64, error) {
 	return decodeStep(data, func(n int) []float64 { return make([]float64, n) })

@@ -292,14 +292,6 @@ func (c *Client) Drain(timeout time.Duration) error {
 	return nil
 }
 
-// Pending reports the number of sent-but-unreleased messages (the
-// writer-side buffer an endpoint restart is ridden out with).
-func (c *Client) Pending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.pending)
-}
-
 // Close tears the connection down. Messages not yet released are dropped;
 // call Drain first for a clean shutdown.
 func (c *Client) Close() error {

@@ -4,8 +4,8 @@
 // Every time step the simulation fills its local grid cells with the sum of
 // the convolved oscillator values, costing O(m·N³) per rank per step for m
 // oscillators and an N³ local subgrid. The computation is embarrassingly
-// parallel; per-step synchronization is optional and off by default, exactly
-// as in the paper's experiments.
+// parallel and, as in the paper's experiments, needs no per-step
+// synchronization.
 package oscillator
 
 import (
@@ -15,8 +15,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-
-	"gosensei/internal/mpi"
 )
 
 // Kind selects an oscillator's time behavior.
@@ -147,66 +145,6 @@ func ParseDeck(r io.Reader) ([]Oscillator, error) {
 		return nil, fmt.Errorf("oscillator: read deck: %w", err)
 	}
 	return out, nil
-}
-
-// encode flattens oscillators for broadcast: 7 float64 per oscillator, the
-// first being the kind.
-func encode(os []Oscillator) []float64 {
-	out := make([]float64, 0, len(os)*7)
-	for _, o := range os {
-		out = append(out, float64(o.Kind), o.Center[0], o.Center[1], o.Center[2], o.Radius, o.Omega0, o.Zeta)
-	}
-	return out
-}
-
-func decode(buf []float64) []Oscillator {
-	n := len(buf) / 7
-	out := make([]Oscillator, n)
-	for i := range out {
-		b := buf[i*7:]
-		out[i] = Oscillator{
-			Kind:   Kind(int(b[0])),
-			Center: [3]float64{b[1], b[2], b[3]},
-			Radius: b[4],
-			Omega0: b[5],
-			Zeta:   b[6],
-		}
-	}
-	return out
-}
-
-// BroadcastDeck parses the deck on rank 0 and broadcasts the oscillators to
-// every rank, as the paper's miniapp does ("read and broadcast from the root
-// process"). Non-root ranks pass r == nil.
-func BroadcastDeck(c *mpi.Comm, r io.Reader) ([]Oscillator, error) {
-	var (
-		flat []float64
-		n    = make([]int64, 1)
-	)
-	if c.Rank() == 0 {
-		os, err := ParseDeck(r)
-		if err != nil {
-			// Propagate the failure to all ranks so nobody hangs in Bcast.
-			n[0] = -1
-			_ = mpi.Bcast(c, n, 0)
-			return nil, err
-		}
-		flat = encode(os)
-		n[0] = int64(len(flat))
-	}
-	if err := mpi.Bcast(c, n, 0); err != nil {
-		return nil, err
-	}
-	if n[0] < 0 {
-		return nil, fmt.Errorf("oscillator: deck parse failed on root")
-	}
-	if c.Rank() != 0 {
-		flat = make([]float64, n[0])
-	}
-	if err := mpi.Bcast(c, flat, 0); err != nil {
-		return nil, err
-	}
-	return decode(flat), nil
 }
 
 // DefaultDeck returns a deterministic deck with one oscillator of each kind,

@@ -92,51 +92,6 @@ func TestParseDeckErrors(t *testing.T) {
 	}
 }
 
-func TestBroadcastDeck(t *testing.T) {
-	deck := "periodic 8 8 8 4 6.28\ndamped 2 2 2 1 3.0 0.5\n"
-	err := mpi.Run(4, func(c *mpi.Comm) error {
-		var r *strings.Reader
-		if c.Rank() == 0 {
-			r = strings.NewReader(deck)
-		}
-		var os []Oscillator
-		var err error
-		if r != nil {
-			os, err = BroadcastDeck(c, r)
-		} else {
-			os, err = BroadcastDeck(c, nil)
-		}
-		if err != nil {
-			return err
-		}
-		if len(os) != 2 || os[0].Kind != Periodic || os[1].Zeta != 0.5 {
-			t.Errorf("rank %d: %+v", c.Rank(), os)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBroadcastDeckParseFailurePropagates(t *testing.T) {
-	err := mpi.Run(3, func(c *mpi.Comm) error {
-		var err error
-		if c.Rank() == 0 {
-			_, err = BroadcastDeck(c, strings.NewReader("junk"))
-		} else {
-			_, err = BroadcastDeck(c, nil)
-		}
-		if err == nil {
-			t.Errorf("rank %d: expected error", c.Rank())
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	good := Config{GlobalCells: [3]int{8, 8, 8}, DT: 0.1, Steps: 2, Oscillators: DefaultDeck(8)}
 	if err := good.Validate(); err != nil {
@@ -419,25 +374,6 @@ func TestSimDecompositionInvariance(t *testing.T) {
 					}
 					idx++
 				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSimSyncOption(t *testing.T) {
-	cfg := Config{GlobalCells: [3]int{6, 6, 6}, DT: 0.1, Steps: 2, Sync: true, Oscillators: DefaultDeck(6)}
-	err := mpi.Run(3, func(c *mpi.Comm) error {
-		s, err := NewSim(c, cfg, nil)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < cfg.Steps; i++ {
-			if err := s.Step(); err != nil {
-				return err
 			}
 		}
 		return nil

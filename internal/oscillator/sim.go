@@ -19,8 +19,6 @@ type Config struct {
 	DT float64
 	// Steps is the number of time steps.
 	Steps int
-	// Sync adds a barrier after every step (off in the paper's experiments).
-	Sync bool
 	// Oscillators is the (already broadcast) source list.
 	Oscillators []Oscillator
 	// Threads bounds the intra-rank workers for the cell loop; 0 derives a
@@ -175,9 +173,6 @@ func (s *Sim) Step() error {
 	})
 	s.step++
 	s.time += s.Cfg.DT
-	if s.Cfg.Sync {
-		return s.Comm.Barrier()
-	}
 	return nil
 }
 

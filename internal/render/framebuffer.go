@@ -129,9 +129,6 @@ func (fb *Framebuffer) At(x, y int) color.RGBA {
 	return color.RGBA{fb.Color[i], fb.Color[i+1], fb.Color[i+2], fb.Color[i+3]}
 }
 
-// DepthAt returns the depth at (x, y).
-func (fb *Framebuffer) DepthAt(x, y int) float32 { return fb.Depth[y*fb.W+x] }
-
 // CompositeFrom merges src into fb with a depth test: for every pixel the
 // nearer fragment wins. Both buffers must have identical dimensions. This is
 // the kernel both compositing algorithms share.

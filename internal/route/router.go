@@ -1,10 +1,6 @@
 package route
 
-import (
-	"fmt"
-
-	"gosensei/internal/metrics"
-)
+import "gosensei/internal/metrics"
 
 // Config tunes the router. The zero value routes everything in situ with no
 // budget; Normalize fills defaults.
@@ -324,12 +320,3 @@ func (r *Router) Budget() Budget { return r.cfg.Budget }
 
 // Eligible returns the configured eligible backends.
 func (r *Router) Eligible() []Backend { return append([]Backend(nil), r.cfg.Eligible...) }
-
-// DebugState renders a short summary of the router's posterior state.
-func (r *Router) DebugState() string {
-	s := ""
-	for b := Backend(0); b < NumBackends; b++ {
-		s += fmt.Sprintf("%s: obs=%d pred=%+v failedAt=%d\n", b, r.obs[b], r.Predict(b), r.failedAt[b])
-	}
-	return s
-}

@@ -59,17 +59,6 @@ type Result struct {
 	Violations int
 }
 
-// ViolationsAfter sums budget violations over steps >= s.
-func (r Result) ViolationsAfter(s int) int {
-	n := 0
-	for _, o := range r.Outcomes {
-		if o.Step >= s {
-			n += o.Violations
-		}
-	}
-	return n
-}
-
 // Executed returns the executed-backend sequence, one entry per step.
 func (r Result) Executed() []route.Backend {
 	out := make([]route.Backend, len(r.Outcomes))
@@ -129,26 +118,6 @@ func Drive(r *route.Router, tr Trace) Result {
 	}
 	res.Decisions = r.Decisions()
 	res.Switches = r.Switches()
-	return res
-}
-
-// DriveStatic scores a fixed backend against the trace under the given
-// budget — the "every static choice" baseline routers must beat. Outages
-// follow the same fallback rule as Drive.
-func DriveStatic(b route.Backend, budget route.Budget, tr Trace) Result {
-	var res Result
-	for step := 0; step < tr.Steps; step++ {
-		o := StepOutcome{Step: step, Decided: b, Executed: b}
-		if tr.Down != nil && tr.Down(step, b) {
-			o.FellBack = true
-			o.Executed = tr.Fallback
-			res.Fallbacks++
-		}
-		o.Cost = tr.Costs(step, o.Executed)
-		o.Violations = budget.Violations(o.Cost)
-		res.Violations += o.Violations
-		res.Outcomes = append(res.Outcomes, o)
-	}
 	return res
 }
 

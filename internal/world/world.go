@@ -209,12 +209,30 @@ func (w *World) register(selfAddr string) ([]string, error) {
 	return addrs, nil
 }
 
-// acceptPeers accepts one mesh connection from every higher rank.
+// acceptPeers accepts one mesh connection from every higher rank within the
+// join window: a rank that registered and then died before dialing closes
+// the listener when the window expires, instead of parking this rank in
+// Accept forever.
 func (w *World) acceptPeers(ls fabric.Listener) error {
 	cfg := w.cfg
+	var expired atomic.Bool
+	deadline := time.AfterFunc(cfg.JoinTimeout, func() {
+		expired.Store(true)
+		_ = ls.Close() // Join's deferred Close is then a no-op
+	})
+	defer deadline.Stop()
 	seen := make(map[int]bool)
 	for have := 0; have < cfg.Size-1-cfg.Rank; {
 		conn, err := ls.Accept()
+		if err != nil && expired.Load() {
+			var missing []int
+			for r := cfg.Rank + 1; r < cfg.Size; r++ {
+				if !seen[r] {
+					missing = append(missing, r)
+				}
+			}
+			return fmt.Errorf("world: rank %d: ranks %v never dialed within %v", cfg.Rank, missing, cfg.JoinTimeout)
+		}
 		if err != nil {
 			return fmt.Errorf("world: rank %d accept peer: %w", cfg.Rank, err)
 		}

@@ -394,6 +394,64 @@ func TestStragglerRefused(t *testing.T) {
 	<-served
 }
 
+// TestJoinTimeoutBoundsAccept: a higher rank that registers and then dies
+// before dialing must not park a lower rank in Accept. Join fails once the
+// join window expires, naming the rank that never dialed.
+func TestJoinTimeoutBoundsAccept(t *testing.T) {
+	cfg := testConfig("loopback")
+	reg, err := NewRegistry(cfg.Network, registryAddr(cfg), cfg.ID, cfg.Epoch, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() {
+		_, err := reg.Serve()
+		served <- err
+	}()
+
+	// Rank 1 registers and never dials.
+	conn, err := fabric.Dial(cfg.Network, reg.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ghost, _, err := fabric.DialHello(conn, fabric.Hello{
+		Role: fabric.RoleRank, Rank: 1, WorldID: cfg.ID, WorldEpoch: cfg.Epoch, WorldSize: 2,
+		PeerAddr: "world-ghost-rank-1",
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = ghost.Close() }()
+
+	rank0 := cfg
+	rank0.Rank, rank0.Size, rank0.Registry = 0, 2, reg.Addr()
+	rank0.JoinTimeout = 200 * time.Millisecond
+	joined := make(chan error, 1)
+	go func() {
+		w, err := Join(rank0)
+		if err == nil {
+			_ = w.Close()
+		}
+		joined <- err
+	}()
+	// It takes its address book, as a rank does before it dies.
+	err = ghost.Run(5*time.Second, func(fabric.FrameType, uint32, []byte) error { return errDone })
+	if err != errDone {
+		t.Fatalf("rank 1 await address book: %v", err)
+	}
+	select {
+	case err := <-joined:
+		if err == nil || !strings.Contains(err.Error(), "ranks [1] never dialed") {
+			t.Errorf("Join returned %v, want the ranks that never dialed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Join still waiting for rank 1 to dial after 5s")
+	}
+	if err := <-served; err != nil {
+		t.Errorf("registry: %v", err)
+	}
+}
+
 // TestWorldInfoCodec round-trips and fault-checks the address-book payload.
 func TestWorldInfoCodec(t *testing.T) {
 	addrs := []string{"127.0.0.1:4001", "", "world-9-e2-rank-2"}

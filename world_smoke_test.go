@@ -3,6 +3,7 @@ package gosensei
 import (
 	"bytes"
 	"crypto/sha256"
+	"fmt"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -60,24 +61,48 @@ func filesUnder(t *testing.T, dir string) map[string][sha256.Size]byte {
 // in-process run, byte for byte. "histogram" is the statistics pair, whose
 // results are on stdout; "binswap" is a catalyst slice, whose binary-swap
 // compositing exchanges half images between ranks and whose results are PNG
-// files — at 4 ranks and at 3, the non-power-of-two fold.
+// files — at 4 ranks and at 3, the non-power-of-two fold. The other three
+// rows are the paper's applications, each named by its deck: PHASTA's
+// point-data slice with a mid-run jet retune, AVF-LESLIE's Libsim session
+// (isosurfaces and slices), and Nyx's ghost-blanked density histogram and
+// slice, at non-power-of-two rank counts.
 func TestWorldSmoke(t *testing.T) {
 	bin := buildTool(t, "gosensei-run")
+	session := filepath.Join(t.TempDir(), "session.xml")
+	if err := os.WriteFile(session, []byte(`<session>
+		<image width="48" height="48"/>
+		<plot type="isosurface" array="vorticity" value="0.15" color-by="vorticity"/>
+		<plot type="slice" array="vorticity" axis="z" coord="3.14"/>
+	</session>`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	pipelines := []struct {
-		name, config string
-		nps          []string
-		args         []string
-		stdout       string // what rank 0 must report
-		files        int    // how many files the run must write
+		name, deck, config string
+		nps                []string
+		args               []string
+		stdout             string // what rank 0 must report
+		files              int    // how many files the run must write
 	}{
-		{"histogram", `<sensei>
+		{"histogram", "", `<sensei>
 			<analysis type="histogram" array="data" bins="10"/>
 			<analysis type="autocorrelation" array="data" window="3" k-max="3"/>
 		</sensei>`, []string{"4"}, []string{"-cells", "12", "-steps", "4"}, "histogram data: step=4 ", 0},
-		{"binswap", `<sensei>
+		{"binswap", "", `<sensei>
 			<analysis type="catalyst" array="data" image-width="64" image-height="48"
 			          slice-axis="z" slice-coord="6" output-dir="frames"/>
 		</sensei>`, []string{"3", "4"}, []string{"-cells", "12", "-steps", "3"}, "1 analyses", 3},
+		{"phasta", "simulation phasta\nsteer 3 1.6 1.5\n", `<sensei>
+			<analysis type="catalyst" array="velocity" association="point" image-width="64" image-height="16"
+			          slice-axis="z" slice-coord="1" output-dir="frames"/>
+		</sensei>`, []string{"3"}, []string{"-cells", "10", "-steps", "4"}, "phasta: 3 ranks, 10x7x7 points, 4 steps, 1 analyses", 4},
+		{"leslie", "# the temporal mixing layer\nsimulation leslie\n", `<sensei>
+			<analysis type="libsim" session="` + session + `" stride="2" output-dir="frames"/>
+		</sensei>`, []string{"3"}, []string{"-cells", "8", "-steps", "4"}, "leslie: 3 ranks, 8^3 cells, 4 steps, 1 analyses", 2},
+		{"nyx", "simulation nyx\n", `<sensei>
+			<analysis type="histogram" array="dark_matter_density" bins="6"/>
+			<analysis type="catalyst" array="dark_matter_density" image-width="32" image-height="32"
+			          slice-axis="z" slice-coord="0.5" output-dir="frames"/>
+		</sensei>`, []string{"3"}, []string{"-cells", "8", "-steps", "3"}, "histogram dark_matter_density: step=3 ", 3},
 	}
 	for _, p := range pipelines {
 		p := p
@@ -87,8 +112,16 @@ func TestWorldSmoke(t *testing.T) {
 			if err := os.WriteFile(config, []byte(p.config), 0o644); err != nil {
 				t.Fatal(err)
 			}
+			args := append([]string{"-config", config}, p.args...)
+			if p.deck != "" {
+				deck := filepath.Join(t.TempDir(), p.name+".deck")
+				if err := os.WriteFile(deck, []byte(p.deck), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				args = append(args, "-deck", deck)
+			}
 			for _, np := range p.nps {
-				base := append([]string{"-np", np, "-config", config}, p.args...)
+				base := append([]string{"-np", np}, args...)
 				procDir := t.TempDir()
 				proc, stderr, err := runIn(t, procDir, bin, append(base, "-transport", "proc")...)
 				if err != nil {
@@ -115,6 +148,45 @@ func TestWorldSmoke(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPhastaSteer pins when a deck's steer line takes effect: "steer 3"
+// retunes the jet before the third step, so a steered run writes the frames of
+// an unsteered one for steps 1 and 2 and different frames from step 3 on.
+func TestPhastaSteer(t *testing.T) {
+	bin := buildTool(t, "gosensei-run")
+	config := filepath.Join(t.TempDir(), "slice.xml")
+	if err := os.WriteFile(config, []byte(`<sensei>
+		<analysis type="catalyst" array="velocity" association="point" image-width="64" image-height="16"
+		          slice-axis="z" slice-coord="1" output-dir="frames"/>
+	</sensei>`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(deck string) map[string][sha256.Size]byte {
+		path := filepath.Join(t.TempDir(), "sim.deck")
+		if err := os.WriteFile(path, []byte(deck), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		if _, stderr, err := runIn(t, dir, bin, "-np", "2", "-cells", "10", "-steps", "4",
+			"-deck", path, "-config", config); err != nil {
+			t.Fatalf("%v\nstderr:\n%s", err, stderr)
+		}
+		return filesUnder(t, dir)
+	}
+	plain := run("simulation phasta\n")
+	steered := run("simulation phasta\nsteer 3 1.6 1.5\n")
+	for step, want := range []bool{false, false, true, true} {
+		name := filepath.Join("frames", fmt.Sprintf("slice_%05d.png", step+1))
+		a, okA := plain[name]
+		b, okB := steered[name]
+		if !okA || !okB {
+			t.Fatalf("%s missing: unsteered %v, steered %v", name, okA, okB)
+		}
+		if differ := a != b; differ != want {
+			t.Errorf("%s: steered frame differs from unsteered: %v, want %v", name, differ, want)
+		}
 	}
 }
 
