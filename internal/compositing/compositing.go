@@ -49,9 +49,10 @@ func (a Algorithm) String() string {
 	return "direct-send"
 }
 
-// Composite merges every rank's framebuffer; rank root returns the final
-// image, all others return nil. The framebuffer contents are consumed (used
-// as scratch).
+// Composite merges every rank's framebuffer into root's: rank root gets
+// back its own fb holding the final image, all others nil. Every rank's
+// framebuffer contents are consumed (used as scratch). No compositor
+// acquires a framebuffer of its own.
 func Composite(c *mpi.Comm, fb *render.Framebuffer, root int, alg Algorithm) (*render.Framebuffer, error) {
 	switch alg {
 	case BinarySwap:
@@ -77,7 +78,7 @@ const bytesPerPixel = 8
 // itself to an in-process receiver, and hands it back as spare once its
 // bytes are on the wire to a remote one; the receiver gets the sender's
 // slice in-process, and over the wire has mpi.RecvOwned decode the envelope
-// straight into a buffer it drew here; unpackMerge returns whichever it was.
+// straight into a buffer it drew here; unpack returns whichever it was.
 // So at steady state no image-sized allocation happens per round in either
 // compositor on either transport. Pointers to slices are pooled to avoid
 // boxing allocations.
@@ -115,26 +116,57 @@ func pack(fb *render.Framebuffer, lo, hi int) []byte {
 	return out
 }
 
-// unpackMerge depth-merges a packed region into fb at [lo, hi) and returns
-// buf to the pool. The nearer fragment wins on a float32 comparison, so
-// ties, signed zeros, +Inf and NaN resolve as CompositeRegion resolves them.
-// A region of any size but the one this rank is about to merge is the
+// The two ways a received region meets the pixels fb already holds.
+const (
+	merge     = true  // the nearer fragment wins
+	overwrite = false // the region lands as merged into a cleared buffer
+)
+
+// unpack lays a packed region into fb at [lo, hi) and returns buf to the
+// pool. To merge, the nearer fragment wins on a float32 comparison, so ties,
+// signed zeros, +Inf and NaN resolve as Framebuffer.CompositeFrom resolves
+// them. To overwrite, each pixel becomes what merging it into a cleared
+// framebuffer would give: a depth below +Inf lands with its colour, any
+// other (+Inf, NaN) leaves the pixel cleared — transparent black at +Inf.
+// A region of any size but the one this rank is about to unpack is the
 // peer's mistake: an error, not an index out of range.
-func unpackMerge(fb *render.Framebuffer, buf []byte, lo, hi int) error {
+func unpack(fb *render.Framebuffer, buf []byte, lo, hi int, merging bool) error {
 	defer putPack(buf)
 	n := hi - lo
 	if len(buf) != n*bytesPerPixel {
 		return fmt.Errorf("region of %d bytes, want %d", len(buf), n*bytesPerPixel)
 	}
+	inf := float32(math.Inf(1))
 	depth, color := fb.Depth[lo:hi], fb.Color[lo*4:hi*4]
 	bits, rgba := buf[:n*4], buf[n*4:]
 	for i := range depth {
-		if d := math.Float32frombits(binary.LittleEndian.Uint32(bits[i*4:])); d < depth[i] {
+		cur := inf
+		if merging {
+			cur = depth[i]
+		}
+		if d := math.Float32frombits(binary.LittleEndian.Uint32(bits[i*4:])); d < cur {
 			depth[i] = d
 			copy(color[i*4:i*4+4], rgba[i*4:i*4+4])
+		} else if !merging {
+			depth[i] = inf
+			clear(color[i*4 : i*4+4])
 		}
 	}
 	return nil
+}
+
+// clearUndrawn gives fb's own pixels in [lo, hi) the rule an overwriting
+// unpack applies to a peer's: a pixel whose depth is not below +Inf becomes
+// cleared.
+func clearUndrawn(fb *render.Framebuffer, lo, hi int) {
+	inf := float32(math.Inf(1))
+	color := fb.Color[lo*4 : hi*4]
+	for i, d := range fb.Depth[lo:hi] {
+		if !(d < inf) {
+			fb.Depth[lo+i] = inf
+			clear(color[i*4 : i*4+4])
+		}
+	}
 }
 
 // sendRegion packs [lo, hi) of fb and ships it to dest.
@@ -142,14 +174,14 @@ func sendRegion(c *mpi.Comm, dest, tag int, fb *render.Framebuffer, lo, hi int) 
 	putPack(mpi.SendOwned(c, dest, tag, pack(fb, lo, hi)))
 }
 
-// recvMerge receives the region [lo, hi) from src and merges it into fb.
-func recvMerge(c *mpi.Comm, src, tag int, fb *render.Framebuffer, lo, hi int) error {
+// recvRegion receives the region [lo, hi) from src and unpacks it into fb.
+func recvRegion(c *mpi.Comm, src, tag int, fb *render.Framebuffer, lo, hi int, merging bool) error {
 	buf, spare, err := mpi.RecvOwned(c, src, tag, getPack((hi-lo)*bytesPerPixel))
 	putPack(spare)
 	if err != nil {
 		return err
 	}
-	return unpackMerge(fb, buf, lo, hi)
+	return unpack(fb, buf, lo, hi, merging)
 }
 
 // binarySwap composites via recursive halving. Non-power-of-two sizes fold
@@ -167,11 +199,10 @@ func binarySwap(c *mpi.Comm, fb *render.Framebuffer, root int) (*render.Framebuf
 	if rank >= pow {
 		sendRegion(c, rank-pow, tagSwap, fb, 0, total)
 	} else if rank+pow < p {
-		if err := recvMerge(c, rank+pow, tagSwap, fb, 0, total); err != nil {
+		if err := recvRegion(c, rank+pow, tagSwap, fb, 0, total, merge); err != nil {
 			return nil, fmt.Errorf("compositing: fold: %w", err)
 		}
 	}
-	var final *render.Framebuffer
 	if rank < pow {
 		lo, hi := 0, total
 		for stage := 1; stage < pow; stage *= 2 {
@@ -186,24 +217,24 @@ func binarySwap(c *mpi.Comm, fb *render.Framebuffer, root int) (*render.Framebuf
 			}
 			buf, err := mpi.SendRecvOwned(c, partner, tagSwap, pack(fb, sendLo, sendHi), partner, tagSwap)
 			if err == nil {
-				err = unpackMerge(fb, buf, keepLo, keepHi)
+				err = unpack(fb, buf, keepLo, keepHi, merge)
 			}
 			if err != nil {
 				return nil, fmt.Errorf("compositing: swap stage %d: %w", stage, err)
 			}
 			lo, hi = keepLo, keepHi
 		}
-		// Gather the stripes to root.
+		// Gather the stripes into root's own buffer. Every stripe, root's
+		// own included, ends as it would merged into a cleared buffer, and
+		// together they cover every pixel.
 		if rank == root%pow {
-			final = render.AcquireFramebuffer(fb.W, fb.H)
-			final.CompositeRegion(fb, lo, hi)
+			clearUndrawn(fb, lo, hi)
 			for other := 0; other < pow; other++ {
 				if other == rank {
 					continue
 				}
 				oLo, oHi := stripeOf(other, pow, total)
-				if err := recvMerge(c, other, tagGather, final, oLo, oHi); err != nil {
-					final.Release()
+				if err := recvRegion(c, other, tagGather, fb, oLo, oHi, overwrite); err != nil {
 					return nil, fmt.Errorf("compositing: gather: %w", err)
 				}
 			}
@@ -214,25 +245,17 @@ func binarySwap(c *mpi.Comm, fb *render.Framebuffer, root int) (*render.Framebuf
 	// Ship the result to the true root if it was folded away.
 	if root%pow != root {
 		if rank == root%pow {
-			sendRegion(c, root, tagGather, final, 0, total)
-			final.Release()
-			final = nil
+			sendRegion(c, root, tagGather, fb, 0, total)
 		} else if rank == root {
-			final = render.AcquireFramebuffer(fb.W, fb.H)
-			if err := recvMerge(c, root%pow, tagGather, final, 0, total); err != nil {
-				final.Release()
+			if err := recvRegion(c, root%pow, tagGather, fb, 0, total, overwrite); err != nil {
 				return nil, fmt.Errorf("compositing: folded root: %w", err)
 			}
 		}
 	}
-	if rank == root && final == nil {
-		// p == 1: the local buffer is already final.
-		final = fb
-	}
 	if rank != root {
 		return nil, nil
 	}
-	return final, nil
+	return fb, nil
 }
 
 // stripeOf reproduces the pixel range rank r owns after the swap phase: the
@@ -266,7 +289,7 @@ func directSend(c *mpi.Comm, fb *render.Framebuffer, root int) (*render.Framebuf
 		}
 		vchild := vrank | mask
 		if vchild < p {
-			if err := recvMerge(c, (vchild+root)%p, tagTree, fb, 0, total); err != nil {
+			if err := recvRegion(c, (vchild+root)%p, tagTree, fb, 0, total, merge); err != nil {
 				return nil, fmt.Errorf("compositing: tree: %w", err)
 			}
 		}

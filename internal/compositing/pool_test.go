@@ -58,10 +58,6 @@ func TestCompositeBufferReuseNoAliasing(t *testing.T) {
 					if !bytes.Equal(first.Color, firstColor) {
 						return fmt.Errorf("round 1 image mutated by round 2 (pool aliasing)")
 					}
-					if second != fb2 {
-						second.Release()
-					}
-					first.Release()
 				}
 				fb2.Release()
 				return nil

@@ -75,11 +75,9 @@ func (t *Tail) time(name string, step int, f func()) {
 // is called with the result on rank 0 only. Both callbacks borrow their
 // framebuffer for the duration of the call.
 //
-// Image owns the framebuffers: on every path, errors included, the local
-// buffer and — when the compositor produced a distinct one — the final
-// buffer go back to the pool exactly once. DirectSend merges into rank 0's
-// own buffer and hands that back, BinarySwap assembles the stripes in a
-// second one: hence the identity test.
+// Image owns the one framebuffer it acquires and returns it to the pool
+// exactly once on every path, errors included. No compositor produces a
+// second one: the final image on rank 0 is that same buffer.
 func (t *Tail) Image(step, w, h int, draw, deliver func(*render.Framebuffer) error) error {
 	fb := render.AcquireFramebuffer(w, h)
 	var (
@@ -92,9 +90,6 @@ func (t *Tail) Image(step, w, h int, draw, deliver func(*render.Framebuffer) err
 	}
 	if err == nil && final != nil {
 		err = deliver(final)
-	}
-	if final != nil && final != fb {
-		final.Release()
 	}
 	fb.Release()
 	return err

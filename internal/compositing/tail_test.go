@@ -21,10 +21,10 @@ import (
 )
 
 // TestImageReleasesEveryBufferOnce holds Tail.Image to its ownership rule on
-// every path: whatever fails, and whether or not the compositor produced a
-// second framebuffer, the count of framebuffers in use ends where it began —
-// a buffer not released leaves it high, one released twice leaves it low —
-// and only rank 0 ever delivers.
+// every path: whatever fails, the count of framebuffers in use ends where it
+// began — a buffer not released leaves it high, one released twice leaves it
+// low — only rank 0 ever delivers, and what it delivers is the framebuffer
+// it drew on, whichever compositor ran.
 func TestImageReleasesEveryBufferOnce(t *testing.T) {
 	errDraw, errDeliver := errors.New("draw failed"), errors.New("deliver failed")
 	errTimeout := errors.New("mpi's receive timeout, which has no sentinel")
@@ -35,19 +35,18 @@ func TestImageReleasesEveryBufferOnce(t *testing.T) {
 		alg   Algorithm
 		// absent ranks return without joining the composite; a short rank
 		// sends rank 0 half of the swap region it waits for instead.
-		absent     func(rank int) bool
-		short      func(rank int) bool
-		draw       error
-		deliver    error
-		want       func(rank int) error // nil func: no rank fails
-		delivers   int
-		sameBuffer bool // rank 0's final is its own framebuffer
+		absent   func(rank int) bool
+		short    func(rank int) bool
+		draw     error
+		deliver  error
+		want     func(rank int) error // nil func: no rank fails
+		delivers int
 	}{
 		{name: "binary swap P=1", ranks: 1, alg: BinarySwap, delivers: 1},
-		{name: "direct send P=1", ranks: 1, alg: DirectSend, delivers: 1, sameBuffer: true},
+		{name: "direct send P=1", ranks: 1, alg: DirectSend, delivers: 1},
 		{name: "binary swap P=2", ranks: 2, alg: BinarySwap, delivers: 1},
 		{name: "binary swap P=3", ranks: 3, alg: BinarySwap, delivers: 1},
-		{name: "direct send P=3", ranks: 3, alg: DirectSend, delivers: 1, sameBuffer: true},
+		{name: "direct send P=3", ranks: 3, alg: DirectSend, delivers: 1},
 		{name: "draw fails", ranks: 2, alg: BinarySwap, draw: errDraw,
 			want: func(int) error { return errDraw }},
 		{name: "deliver fails", ranks: 2, alg: BinarySwap, deliver: errDeliver, delivers: 1,
@@ -57,7 +56,7 @@ func TestImageReleasesEveryBufferOnce(t *testing.T) {
 				}
 				return nil
 			}},
-		{name: "deliver fails on the local buffer", ranks: 1, alg: DirectSend, deliver: errDeliver, delivers: 1, sameBuffer: true,
+		{name: "deliver fails on the local buffer", ranks: 1, alg: DirectSend, deliver: errDeliver, delivers: 1,
 			want: func(int) error { return errDeliver }},
 		{name: "composite fails", ranks: 2, alg: BinarySwap,
 			absent: func(rank int) bool { return rank == 1 },
@@ -101,8 +100,8 @@ func TestImageReleasesEveryBufferOnce(t *testing.T) {
 						if c.Rank() != 0 {
 							t.Errorf("rank %d delivered", c.Rank())
 						}
-						if (final == drawn) != tc.sameBuffer {
-							t.Errorf("final is the local buffer: %v, want %v", final == drawn, tc.sameBuffer)
+						if final != drawn {
+							t.Error("final is not the framebuffer rank 0 drew on")
 						}
 						if got := final.NonBackgroundPixels(); got != tc.ranks {
 							t.Errorf("final has %d drawn pixels, want one per rank (%d)", got, tc.ranks)

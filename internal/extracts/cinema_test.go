@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"syscall"
 	"testing"
@@ -190,8 +191,8 @@ func TestCinemaReusesFramebuffers(t *testing.T) {
 	}
 	spec := baseSpec(t.TempDir())
 	spec.IsoValues = []float64{0.5}
-	// Large enough that image/png's ~1 MiB of deflate state per encode is
-	// small next to a framebuffer (12 MiB).
+	// Large enough that image/png's ~1 MiB of deflate state, should the
+	// encoder pool miss once, is small next to a framebuffer (12 MiB).
 	spec.Width, spec.Height = 1536, 1024
 	views := len(spec.IsoValues) * len(spec.Phi) * len(spec.Theta)
 	if views != 2 {
@@ -203,6 +204,12 @@ func TestCinemaReusesFramebuffers(t *testing.T) {
 		Steps:       1,
 		Oscillators: oscillator.DefaultDeck(12),
 	}
+	// What is under test is who releases, not how long a sync.Pool
+	// remembers: collection is held off across both executes, so none can
+	// empty the pools between them, and on one P a buffer put back is found
+	// by the next Get instead of sitting in another P's private slot.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	readFrames := func(cn *Cinema) [][]byte {
 		var out [][]byte
 		for _, e := range cn.index.Entries[len(cn.index.Entries)-views:] {
@@ -236,11 +243,13 @@ func TestCinemaReusesFramebuffers(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		fresh := uint64(views * spec.Width * spec.Height * 8)
-		// The serial PNG path copies the colour plane (W×H×4 per view, half
-		// of fresh) whatever this package does; one framebuffer allocated
-		// on top of that is another half.
-		if got := after.TotalAlloc - before.TotalAlloc; got > fresh*3/4 {
+		// The serial PNG path encodes the framebuffer in place with pooled
+		// encoder state, so one framebuffer, or one colour plane, allocated
+		// anywhere in the second Execute is far over a sixteenth of fresh.
+		if got := after.TotalAlloc - before.TotalAlloc; got > fresh/16 {
 			t.Errorf("second Execute allocated %d bytes; %d views of fresh framebuffers are %d", got, views, fresh)
+		} else {
+			t.Logf("second Execute allocated %d bytes (%d views of fresh framebuffers are %d)", got, views, fresh)
 		}
 		if len(cn.index.Entries) != 2*views {
 			t.Errorf("index has %d entries after two executes, want %d", len(cn.index.Entries), 2*views)

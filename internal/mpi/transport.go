@@ -270,9 +270,10 @@ func (c *Comm) remoteDst(dest int) int {
 // same fault-injection actions as the local faulty path: crash panics the
 // rank, stall/delay sleep the sender, dup sends the envelope twice (the
 // receiver's seq high-water mark drops the copy), reorder travels as an
-// envelope flag. A transport error panics the rank — its peer is gone and
-// the collective in flight cannot complete; Run-style recovery turns the
-// panic into the rank's error.
+// envelope flag. A transport error means the peer is gone and the
+// collective in flight cannot complete: it poisons the hosted mailboxes with
+// the cause (World.Fail), so this rank's next receive returns an error that
+// names the dead rank instead of the send panicking.
 func (c *Comm) sendRemote(env *Envelope) {
 	w := c.world
 	if w.faults != nil {
@@ -301,7 +302,7 @@ func (c *Comm) sendRemote(env *Envelope) {
 
 func transportSend(w *World, env *Envelope) {
 	if err := w.remote.Send(env); err != nil {
-		panic(fmt.Sprintf("mpi: transport send to world rank %d failed: %v", env.WDst, err))
+		w.Fail(fmt.Errorf("mpi: transport send to world rank %d failed: %w", env.WDst, err))
 	}
 }
 

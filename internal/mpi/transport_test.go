@@ -296,3 +296,30 @@ func decodeAgain[T any](t *testing.T, p []byte, raw bool) {
 		t.Fatalf("decoding %d input bytes allocated %d", len(p), grew)
 	}
 }
+
+// gone is the transport of a process whose only peer has exited: every
+// send fails, as a write to a closed connection does.
+type gone struct{}
+
+func (gone) Send(env *Envelope) error { return fmt.Errorf("connection to rank %d closed", env.WDst) }
+func (gone) Close() error             { return nil }
+
+// TestSendToDeadPeerPoisons: on rank 0 of a two-process world whose peer has
+// exited, a send does not panic; it poisons the mailbox with the cause, so
+// the receive after it fails at once with an error naming the dead rank
+// instead of waiting out the deadlock timeout.
+func TestSendToDeadPeerPoisons(t *testing.T) {
+	_, c := NewWorld(0, 2, gone{}, WithRecvTimeout(time.Minute))
+	start := time.Now()
+	spare := SendOwned(c, 1, 5, []float32{1, 2, 3})
+	if len(spare) != 3 {
+		t.Errorf("SendOwned gave back %d elements, want the 3 it was given", len(spare))
+	}
+	_, _, err := RecvOwned[float32](c, 1, 5, nil)
+	if err == nil || !strings.Contains(err.Error(), "world rank 1") {
+		t.Fatalf("RecvOwned after a failed send: err = %v, want one naming world rank 1", err)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Errorf("the receive took %v: the mailbox was not poisoned", elapsed)
+	}
+}

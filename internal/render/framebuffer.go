@@ -17,7 +17,6 @@ package render
 
 import (
 	"fmt"
-	"image"
 	"image/color"
 	"math"
 	"sync"
@@ -92,7 +91,7 @@ func (fb *Framebuffer) Release() {
 
 // Clear resets every pixel to bg at infinite depth. Each plane is its first
 // pixel copied over the rest in doubling runs: every acquired framebuffer is
-// cleared, so this is paid three times per composited image, at memmove
+// cleared, so this is paid once per rank per composited image, at memmove
 // speed instead of a store per byte.
 func (fb *Framebuffer) Clear(bg color.RGBA) {
 	n := fb.W * fb.H
@@ -145,16 +144,6 @@ func (fb *Framebuffer) CompositeFrom(src *Framebuffer) error {
 	return nil
 }
 
-// CompositeRegion merges the pixel range [lo, hi) of src into fb.
-func (fb *Framebuffer) CompositeRegion(src *Framebuffer, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		if src.Depth[i] < fb.Depth[i] {
-			fb.Depth[i] = src.Depth[i]
-			copy(fb.Color[i*4:i*4+4], src.Color[i*4:i*4+4])
-		}
-	}
-}
-
 // FillBackground colors every pixel that was never written (depth still
 // infinite) without touching depth. Compositors return images whose
 // untouched pixels are transparent black; the root calls this before
@@ -176,13 +165,6 @@ func (fb *Framebuffer) Pixels() int { return fb.W * fb.H }
 
 // ByteSize returns the memory footprint of color plus depth planes.
 func (fb *Framebuffer) ByteSize() int64 { return int64(fb.W) * int64(fb.H) * (4 + 4) }
-
-// Image converts the framebuffer to an *image.RGBA sharing no memory.
-func (fb *Framebuffer) Image() *image.RGBA {
-	img := image.NewRGBA(image.Rect(0, 0, fb.W, fb.H))
-	copy(img.Pix, fb.Color)
-	return img
-}
 
 // NonBackgroundPixels counts pixels whose depth was ever written; useful in
 // tests and for verifying a slice actually intersected a domain.

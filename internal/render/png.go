@@ -1,9 +1,11 @@
 package render
 
 import (
+	"image"
 	"image/png"
 	"io"
 	"math"
+	"sync"
 	"time"
 
 	"gosensei/internal/array"
@@ -39,16 +41,33 @@ type PNGOptions struct {
 
 // WritePNG serializes the framebuffer and returns the encode duration,
 // which callers log separately from rendering (it is the serial rank-0
-// bottleneck the paper diagnoses).
+// bottleneck the paper diagnoses). The serial encoder reads the colour plane
+// in place through an image.RGBA view of it, and takes its deflate state
+// from a package pool: a steady stream of frames allocates neither a copy of
+// the image nor a compressor per frame, and the bytes are image/png's own.
 func WritePNG(w io.Writer, fb *Framebuffer, opts PNGOptions) (time.Duration, error) {
 	start := time.Now()
 	if opts.Parallel {
 		err := writePNGParallel(w, fb, opts)
 		return time.Since(start), err
 	}
-	enc := png.Encoder{CompressionLevel: opts.Compression}
-	img := fb.Image()
-	start = time.Now()
+	enc := png.Encoder{CompressionLevel: opts.Compression, BufferPool: encoderPool{}}
+	img := &image.RGBA{Pix: fb.Color[:fb.W*fb.H*4], Stride: 4 * fb.W, Rect: image.Rect(0, 0, fb.W, fb.H)}
 	err := enc.Encode(w, img)
 	return time.Since(start), err
 }
+
+// encoderBuffers holds image/png's per-encode state (its zlib writer and
+// row buffers) between frames; sync.Pool hands each one to one encode at a
+// time.
+var encoderBuffers sync.Pool // *png.EncoderBuffer
+
+// encoderPool is the png.EncoderBufferPool over encoderBuffers.
+type encoderPool struct{}
+
+func (encoderPool) Get() *png.EncoderBuffer {
+	b, _ := encoderBuffers.Get().(*png.EncoderBuffer)
+	return b
+}
+
+func (encoderPool) Put(b *png.EncoderBuffer) { encoderBuffers.Put(b) }

@@ -69,27 +69,34 @@ type SliceSpec struct {
 // quads onto.
 func (s *SliceSpec) PlaneWindow() (u, v Vec3, umin, umax, vmin, vmax float64) {
 	u, v = s.Plane.Basis()
+	umin, umax, vmin, vmax = boxInPlane(s.Plane, u, v, s.DomainBounds)
+	return u, v, umin, umax, vmin, vmax
+}
+
+// boxInPlane returns the bounding rectangle, in p's (u, v) coordinates, of
+// the eight corners of box b.
+func boxInPlane(p Plane, u, v Vec3, b [6]float64) (umin, umax, vmin, vmax float64) {
 	umin, vmin = math.Inf(1), math.Inf(1)
 	umax, vmax = math.Inf(-1), math.Inf(-1)
-	b := s.DomainBounds
 	for ci := 0; ci < 8; ci++ {
-		p := Vec3{b[ci&1], b[2+(ci>>1)&1], b[4+(ci>>2)&1]}
-		rel := p.Sub(s.Plane.Origin)
+		q := Vec3{b[ci&1], b[2+(ci>>1)&1], b[4+(ci>>2)&1]}
+		rel := q.Sub(p.Origin)
 		pu, pv := rel.Dot(u), rel.Dot(v)
 		umin = math.Min(umin, pu)
 		umax = math.Max(umax, pu)
 		vmin = math.Min(vmin, pv)
 		vmax = math.Max(vmax, pv)
 	}
-	return u, v, umin, umax, vmin, vmax
+	return umin, umax, vmin, vmax
 }
 
 // ResampleImageSlice renders this rank's portion of the slice into fb by
-// sampling the plane at every pixel: pixels whose world point falls in a
-// local (non-ghost) cell are pseudocolored. Ranks not intersecting the plane
-// write nothing — the paper's "only those ranks whose domains intersect the
-// slice plane will extract and render" stage. The composited result across
-// ranks is the full slice image.
+// sampling the plane at every pixel the local block can cover: pixels whose
+// world point falls in a local (non-ghost) cell are pseudocolored, and rows
+// and columns outside the block's projected rectangle are not visited.
+// Ranks not intersecting the plane write nothing — the paper's "only those
+// ranks whose domains intersect the slice plane will extract and render"
+// stage. The composited result across ranks is the full slice image.
 //
 // A pixel's world point is (Origin + u·pu) + v·pv, component by component,
 // and its cell the floor of (point − grid origin) / spacing. Those operations
@@ -118,6 +125,10 @@ func ResampleImageSlice(fb *Framebuffer, img *grid.ImageData, spec *SliceSpec) e
 	u, v, umin, umax, vmin, vmax := spec.PlaneWindow()
 	du := (umax - umin) / float64(fb.W)
 	dv := (vmax - vmin) / float64(fb.H)
+	// Only pixels in the rectangle the block's corners span can fall in it.
+	bumin, bumax, bvmin, bvmax := boxInPlane(spec.Plane, u, v, lb)
+	x0, x1 := pixelSpan(bumin, bumax, umin, du, fb.W)
+	y0, y1 := pixelSpan(bvmin, bvmax, vmin, dv, fb.H)
 
 	// Origin + u·pu, three components per column, shared by every stripe.
 	colp := columnPool.Get().(*[]float64)
@@ -126,7 +137,7 @@ func ResampleImageSlice(fb *Framebuffer, img *grid.ImageData, spec *SliceSpec) e
 		*colp = make([]float64, 3*fb.W)
 	}
 	cols := (*colp)[:3*fb.W]
-	for px := 0; px < fb.W; px++ {
+	for px := x0; px < x1; px++ {
 		pu := umin + (float64(px)+0.5)*du
 		cols[3*px+0] = spec.Plane.Origin[0] + u[0]*pu
 		cols[3*px+1] = spec.Plane.Origin[1] + u[1]*pu
@@ -138,10 +149,10 @@ func ResampleImageSlice(fb *Framebuffer, img *grid.ImageData, spec *SliceSpec) e
 	o0, o1, o2 := img.Origin[0], img.Origin[1], img.Origin[2]
 	s0, s1, s2 := img.Spacing[0], img.Spacing[1], img.Spacing[2]
 	cells := spec.Assoc == grid.CellData
-	parallel.For(spec.Workers, fb.H, rasterStripeRows, func(yLo, yHi int) {
+	parallel.For(spec.Workers, y1-y0, rasterStripeRows, func(yLo, yHi int) {
 		var rd array.Reader
 		rd.Reset(a, ghost)
-		for py := yLo; py < yHi; py++ {
+		for py := y0 + yLo; py < y0+yHi; py++ {
 			pv := vmin + (float64(py)+0.5)*dv
 			v0, v1, v2 := v[0]*pv, v[1]*pv, v[2]*pv
 			depth := fb.Depth[py*fb.W : (py+1)*fb.W]
@@ -150,7 +161,7 @@ func ResampleImageSlice(fb *Framebuffer, img *grid.ImageData, spec *SliceSpec) e
 			// point-data sample always is), and its colour.
 			last, drawn := -1, !cells
 			var c color.RGBA
-			for px := range depth {
+			for px := x0; px < x1; px++ {
 				// World to cell index.
 				fi := (cols[3*px+0] + v0 - o0) / s0
 				fj := (cols[3*px+1] + v1 - o1) / s1
@@ -180,6 +191,29 @@ func ResampleImageSlice(fb *Framebuffer, img *grid.ImageData, spec *SliceSpec) e
 		}
 	})
 	return nil
+}
+
+// pixelSpan returns the pixels [p0, p1) of n, pixel p centred at
+// start + (p+0.5)·d, whose centres lie in [lo, hi], widened by one pixel on
+// each side so that a point the cell test rounds into the block is never
+// clipped away. A window of no width, or one that does not compute, clips
+// nothing.
+func pixelSpan(lo, hi, start, d float64, n int) (p0, p1 int) {
+	if !(d > 0) {
+		return 0, n
+	}
+	first := math.Ceil((lo-start)/d-0.5) - 1
+	end := math.Floor((hi-start)/d-0.5) + 2
+	if !(first > 0) {
+		first = 0
+	}
+	if !(end < float64(n)) {
+		end = float64(n)
+	}
+	if first >= end {
+		return 0, 0
+	}
+	return int(first), int(end)
 }
 
 // columnPool recycles ResampleImageSlice's per-column table.

@@ -106,9 +106,15 @@ func trilinearReference(img *grid.ImageData, a array.Array, fi, fj, fk float64) 
 
 // refGrid is one rank's block of a 10×8×6-cell domain: a point extent that
 // does not start at zero, on a grid whose origin and spacing are not 0 and 1,
-// so that the window the slice maps covers more than the block.
+// so that the window the slice maps covers more than the block. It sits at
+// the domain's max corner.
 func refGrid() *grid.ImageData {
-	img := grid.NewImageData(grid.Extent{4, 10, 1, 8, 2, 6})
+	return refBlock(grid.Extent{4, 10, 1, 8, 2, 6})
+}
+
+// refBlock is the block of refDomain's grid with the given point extent.
+func refBlock(ext grid.Extent) *grid.ImageData {
+	img := grid.NewImageData(ext)
 	img.Origin = [3]float64{-1.5, 0.25, 2}
 	img.Spacing = [3]float64{0.5, 1, 0.75}
 	return img
@@ -179,7 +185,8 @@ func refFramebuffer(w, h int) *Framebuffer {
 
 // TestResampleMatchesReference holds the resampler to the bytes the
 // per-pixel loop writes: Color and Depth, on every kind of plane, array and
-// image size the fast paths and their fallbacks see.
+// image size the fast paths and their fallbacks see, and on blocks placed so
+// that the pixel window the resampler clips itself to matters.
 func TestResampleMatchesReference(t *testing.T) {
 	planes := []struct {
 		name  string
@@ -247,6 +254,73 @@ func TestResampleMatchesReference(t *testing.T) {
 							}
 						}
 						n++
+					}
+				}
+			}
+		}
+	}
+
+	// Blocks whose projected window is a small part of the image, each cut
+	// by the three axis planes and an oblique one through a point inside
+	// it, and one whose box two planes touch only along an edge and only at
+	// a corner.
+	blocks := []struct {
+		name string
+		ext  grid.Extent
+		edge bool
+	}{
+		{"min corner", grid.Extent{0, 4, 0, 3, 0, 2}, false},
+		{"interior", grid.Extent{3, 7, 2, 6, 1, 4}, false},
+		{"one cell thick", grid.Extent{2, 8, 3, 4, 0, 6}, false},
+		// The edge x = 0, y = 2.25 and the corner below it are the box's
+		// low ones: the cell test keeps a point on them, so a pixel that
+		// lands there is drawn.
+		{"edge", grid.Extent{3, 7, 2, 6, 1, 4}, true},
+	}
+	for bi, blk := range blocks {
+		b := refBlock(blk.ext).Bounds()
+		c := Vec3{(b[0]+b[1])/2 + 0.05, (b[2]+b[3])/2 + 0.1, (b[4]+b[5])/2 + 0.075}
+		planes := []Plane{AxisPlane(0, c[0]), AxisPlane(1, c[1]), AxisPlane(2, c[2]),
+			{Origin: c, Normal: Vec3{1, 2, 3}}}
+		if blk.edge {
+			planes = []Plane{{Origin: Vec3{b[0], b[2], c[2]}, Normal: Vec3{1, 1, 0}},
+				{Origin: Vec3{b[0], b[2], b[4]}, Normal: Vec3{1, 1, 1}}}
+		}
+		for pi, pl := range planes {
+			for _, assoc := range []grid.Association{grid.CellData, grid.PointData} {
+				img := refBlock(blk.ext)
+				tuples := img.NumberOfCells()
+				if assoc == grid.PointData {
+					tuples = img.NumberOfPoints()
+				}
+				img.Attributes(assoc).Add(refArray("data", "float64", array.AOS, tuples, int64(bi)))
+				img.Attributes(assoc).Add(refGhosts(array.AOS, tuples, int64(bi)+1000))
+				for si, size := range [][2]int{{7, 5}, {160, 90}, {800, 450}} {
+					// The large image at one worker count, in rotation.
+					workers := workerCounts
+					if si == 2 {
+						workers = workerCounts[(bi+pi)%3:][:1]
+					}
+					for _, nw := range workers {
+						spec := &SliceSpec{
+							Plane: pl, ArrayName: "data", Assoc: assoc,
+							Lo: 0, Hi: 1, Map: colormap.Viridis(),
+							DomainBounds: refDomain, Workers: nw,
+						}
+						want, got := refFramebuffer(size[0], size[1]), refFramebuffer(size[0], size[1])
+						if err := resampleReference(want, img, spec); err != nil {
+							t.Fatal(err)
+						}
+						if err := ResampleImageSlice(got, img, spec); err != nil {
+							t.Fatal(err)
+						}
+						if !framebuffersEqual(got, want) {
+							t.Errorf("%s block, plane %d, %v, %dx%d, %d workers: differs from the per-pixel loop",
+								blk.name, pi, assoc, size[0], size[1], nw)
+						}
+						if size[0] == 800 && !blk.edge && want.NonBackgroundPixels() == 3*size[0] {
+							t.Errorf("%s block, plane %d: the slice drew nothing", blk.name, pi)
+						}
 					}
 				}
 			}

@@ -368,6 +368,36 @@ func TestRankDeathPoisonsPeers(t *testing.T) {
 	}
 }
 
+// TestSendToExitedPeerIsAnError: on a two-rank world whose rank 1 has died,
+// rank 0's send over the closed connection is an error and not a panic, and
+// the receive after it names the dead rank.
+func TestSendToExitedPeerIsAnError(t *testing.T) {
+	cfg := testConfig("loopback")
+	cfg.RecvTimeout = time.Minute
+	cfg.Hook = &killAt{rank: 1, op: 1}
+	errs := Launch(2, cfg, func(c *mpi.Comm) error {
+		if c.Rank() == 1 {
+			// Rank 0 has joined once it says go; rank 1's first send kills it.
+			if _, _, err := mpi.RecvOwned[float64](c, 0, 6, nil); err != nil {
+				return err
+			}
+			mpi.SendOwned(c, 0, 7, []float64{1})
+			return nil
+		}
+		mpi.SendOwned(c, 1, 6, []float64{0})
+		// The first receive returns once the connection's death is seen.
+		if _, _, err := mpi.RecvOwned[float64](c, 1, 7, nil); err == nil {
+			return fmt.Errorf("receive from the dying rank succeeded")
+		}
+		mpi.SendOwned(c, 1, 8, []float64{2})
+		_, _, err := mpi.RecvOwned[float64](c, 1, 8, nil)
+		return err
+	})
+	if errs[0] == nil || !strings.Contains(errs[0].Error(), "rank 1") || strings.Contains(errs[0].Error(), "panicked") {
+		t.Errorf("rank 0: err = %v, want an error naming rank 1 and no panic", errs[0])
+	}
+}
+
 // TestStragglerRefused verifies the epoch check: a rank from a previous
 // incarnation is refused by the registry and cannot join the new world.
 func TestStragglerRefused(t *testing.T) {
