@@ -3,9 +3,10 @@
 // of Extreme-scale In Situ Infrastructures" (Ayachit et al.,
 // DOI 10.1109/SC.2016.78).
 //
-// The repository root holds the benchmark harness (one testing.B benchmark
-// per paper table and figure, plus design-choice ablations) and the
-// everything-at-once integration test. The implementation lives under
+// The repository root holds the end-to-end tests: the everything-at-once
+// integration test, the multi-process world smoke tests and the command
+// smoke tests; cmd/bench is the only performance harness. The
+// implementation lives under
 // internal/ — see DESIGN.md for the full inventory, EXPERIMENTS.md for
 // paper-versus-measured results, and README.md for a tour:
 //

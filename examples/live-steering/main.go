@@ -32,8 +32,16 @@ func main() {
 	const (
 		ranks = 4
 		steps = 12
+		// The viewer steers on the first frame it sees of step steerAt or
+		// later, and rank 0 drains commands once, before loop step applyAt,
+		// after waiting for that steer. Which step a steer lands on is then
+		// fixed, not a matter of scheduling, so the frames are the same on
+		// every run.
+		steerAt = 3
+		applyAt = 3
 	)
 	hub := live.NewHub()
+	steered := make(chan struct{})
 
 	// The viewer: an engineer at a workstation, here a goroutine. It
 	// watches frames and, after seeing a few, retunes the jet.
@@ -43,7 +51,7 @@ func main() {
 		defer viewer.Done()
 		sub := hub.SubscribeRef()
 		defer sub.Cancel()
-		seen := 0
+		sent := false
 		for {
 			// Next blocks for the next frame, newest wins if the viewer
 			// lags, and returns nil once the hub closes — so the viewer
@@ -52,13 +60,15 @@ func main() {
 			if ref == nil {
 				return
 			}
-			seen++
-			fmt.Printf("viewer: frame for step %d (%d bytes PNG)\n", ref.Step(), len(ref.PNG()))
+			step := ref.Step()
+			fmt.Printf("viewer: frame for step %d (%d bytes PNG)\n", step, len(ref.PNG()))
 			ref.Release()
-			if seen == 3 {
+			if step >= steerAt && !sent {
 				fmt.Println("viewer: steering -> jet amplitude 1.8, frequency 1.2")
 				hub.SendCommand("jet-amplitude", 1.8)
 				hub.SendCommand("jet-frequency", 1.2)
+				close(steered)
+				sent = true
 			}
 		}
 	}()
@@ -85,7 +95,8 @@ func main() {
 			// Drain viewer commands on rank 0 and broadcast to all ranks so
 			// the steering applies identically everywhere.
 			var amp, freq []float64
-			if c.Rank() == 0 {
+			if c.Rank() == 0 && i == applyAt {
+				<-steered
 				for _, cmd := range hub.DrainCommands() {
 					switch cmd.Name {
 					case "jet-amplitude":

@@ -2,7 +2,10 @@ package adios
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +18,21 @@ import (
 	"gosensei/internal/mpi"
 	"gosensei/internal/oscillator"
 )
+
+// drainTimeout guards tests against a stuck fabric: it receives one message
+// with a timeout, releasing its credit immediately (a drained message is by
+// definition consumed).
+func drainTimeout(f *Fabric, rank int, d time.Duration) (Message, error) {
+	select {
+	case del := <-f.hub.Deliveries(rank):
+		m := messageOf(del)
+		m.Release()
+		m.Payload = nil // went back to the hub's pool with the release
+		return m, nil
+	case <-time.After(d):
+		return Message{}, fmt.Errorf("adios: no message within %v", d)
+	}
+}
 
 func sampleImage() *grid.ImageData {
 	img := grid.NewImageData(grid.Extent{1, 4, 0, 2, 0, 2})
@@ -108,7 +126,7 @@ func TestFabricBackpressure(t *testing.T) {
 		t.Fatal("second write did not block on full queue")
 	case <-time.After(30 * time.Millisecond):
 	}
-	if _, err := f.DrainTimeout(0, time.Second); err != nil {
+	if _, err := drainTimeout(f, 0, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -116,7 +134,7 @@ func TestFabricBackpressure(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("writer still blocked after drain")
 	}
-	if _, err := f.DrainTimeout(0, time.Second); err != nil {
+	if _, err := drainTimeout(f, 0, time.Second); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -238,10 +256,10 @@ func TestWriterTimersAndMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Step + EOS are queued.
-	if m, err := fabric.DrainTimeout(0, time.Second); err != nil || m.EOS {
+	if m, err := drainTimeout(fabric, 0, time.Second); err != nil || m.EOS {
 		t.Fatalf("first message: %+v %v", m, err)
 	}
-	if m, err := fabric.DrainTimeout(0, time.Second); err != nil || !m.EOS {
+	if m, err := drainTimeout(fabric, 0, time.Second); err != nil || !m.EOS {
 		t.Fatalf("second message should be EOS: %+v %v", m, err)
 	}
 }
@@ -254,15 +272,16 @@ func TestBPFileTransport(t *testing.T) {
 	if err := tr.WriteStep(0, payload, 2); err != nil {
 		t.Fatal(err)
 	}
-	got, step, _, err := ReadBPFile(dir, 2, 0)
+	data, err := os.ReadFile(filepath.Join(dir, "step00002_rank00000.bp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, step, _, err := DecodeStep(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if step != 2 || got.NumberOfCells() != img.NumberOfCells() {
 		t.Fatal("bp file round trip failed")
-	}
-	if _, _, _, err := ReadBPFile(dir, 7, 0); err == nil {
-		t.Fatal("missing bp file accepted")
 	}
 }
 
@@ -321,8 +340,8 @@ func TestStagedDataAdaptor(t *testing.T) {
 
 func TestFabricNMMapping(t *testing.T) {
 	f := NewFabricNM(8, 2, 1)
-	if f.Writers() != 8 || f.Pairs() != 2 {
-		t.Fatalf("shape: %d writers %d readers", f.Writers(), f.Pairs())
+	if f.nWriters != 8 || f.Pairs() != 2 {
+		t.Fatalf("shape: %d writers %d readers", f.nWriters, f.Pairs())
 	}
 	// Contiguous blocks: writers 0-3 -> reader 0, 4-7 -> reader 1.
 	for w := 0; w < 8; w++ {

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"gosensei/internal/analysis"
 	"gosensei/internal/core"
@@ -180,9 +179,6 @@ func (f *Fabric) Close() error {
 // Pairs returns the reader count (for the 1:1 case, the pair count).
 func (f *Fabric) Pairs() int { return f.nReaders }
 
-// Writers returns the writer-group size.
-func (f *Fabric) Writers() int { return f.nWriters }
-
 // ReaderOf returns the analysis rank that consumes a writer's stream.
 func (f *Fabric) ReaderOf(writer int) int {
 	return fabric.ReaderOf(writer, f.nWriters, f.nReaders)
@@ -260,8 +256,6 @@ type Transport interface {
 	Advance(c *mpi.Comm, step int) error
 	// Close ends the stream.
 	Close(rank int) error
-	// Name identifies the transport ("flexpath", "bp-file").
-	Name() string
 }
 
 // FlexPathTransport stages steps through a Fabric.
@@ -309,9 +303,6 @@ type BPFileTransport struct {
 	Dir string
 }
 
-// Name implements Transport.
-func (t *BPFileTransport) Name() string { return "bp-file" }
-
 // WriteStep implements Transport.
 func (t *BPFileTransport) WriteStep(rank int, payload []byte, step int) error {
 	if err := os.MkdirAll(t.Dir, 0o755); err != nil {
@@ -334,15 +325,6 @@ func (t *BPFileTransport) Advance(c *mpi.Comm, step int) error {
 
 // Close implements Transport.
 func (t *BPFileTransport) Close(rank int) error { return nil }
-
-// ReadBPFile loads one staged BP file.
-func ReadBPFile(dir string, step, rank int) (*grid.ImageData, int, float64, error) {
-	data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("step%05d_rank%05d.bp", step, rank)))
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("adios: %w", err)
-	}
-	return DecodeStep(data)
-}
 
 // Writer is the simulation-side SENSEI analysis adaptor: executing it
 // serializes the current step (a buffer copy — FlexPath is not zero-copy)
@@ -741,19 +723,4 @@ func RunEndpoint(f *Fabric, configure func(b *core.Bridge) error, opts ...mpi.Op
 	}
 	res.Steps = steps[0]
 	return res, nil
-}
-
-// DrainTimeout guards tests against a stuck fabric: it receives one message
-// with a timeout, releasing its credit immediately (a drained message is by
-// definition consumed).
-func (f *Fabric) DrainTimeout(rank int, d time.Duration) (Message, error) {
-	select {
-	case del := <-f.hub.Deliveries(rank):
-		m := messageOf(del)
-		m.Release()
-		m.Payload = nil // went back to the hub's pool with the release
-		return m, nil
-	case <-time.After(d):
-		return Message{}, fmt.Errorf("adios: no message within %v", d)
-	}
 }

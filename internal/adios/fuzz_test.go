@@ -11,7 +11,7 @@ import (
 
 // addTestField attaches a deterministic point-data array for fuzz seeds.
 func addTestField(img *grid.ImageData, name string, comps int) {
-	nx, ny, nz := img.Dims()
+	nx, ny, nz := img.Extent.Dims()
 	vals := make([]float64, nx*ny*nz*comps)
 	for i := range vals {
 		vals[i] = float64(i) * 0.5

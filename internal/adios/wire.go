@@ -65,9 +65,6 @@ func DialWire(o WireOptions) (*WireTransport, error) {
 	return &WireTransport{o: o, stats: o.Stats, clients: map[int]*fabric.Client{}}, nil
 }
 
-// Name implements Transport.
-func (t *WireTransport) Name() string { return "flexpath-wire" }
-
 // Stats returns the writer-side wire counters (shared by all ranks).
 func (t *WireTransport) Stats() *fabric.Stats { return t.stats }
 

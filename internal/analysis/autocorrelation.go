@@ -228,12 +228,3 @@ func (ac *Autocorrelation) BufferBytes() int64 {
 	}
 	return 2 * int64(ac.Window) * int64(ac.cells) * 8
 }
-
-// FreeBuffers releases the tracked memory (after Finalize).
-func (ac *Autocorrelation) FreeBuffers() {
-	if ac.Memory != nil {
-		ac.Memory.FreeAll("autocorrelation/history")
-		ac.Memory.FreeAll("autocorrelation/correlations")
-	}
-	ac.buf, ac.corr = nil, nil
-}

@@ -5,7 +5,6 @@ import (
 	"compress/zlib"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 
 	"gosensei/internal/array"
@@ -56,12 +55,10 @@ type Compression struct {
 
 	// Last holds the most recent result (rank 0; every rank when Comm nil).
 	Last *CompressionResult
-	// KeepPayload retains the last compressed payload for decompression
-	// (tests and extract writers); off by default to stay memory-light.
+	// KeepPayload retains the last compressed payload, so that its bytes
+	// can be inspected; off by default to stay memory-light.
 	KeepPayload bool
 	payload     []byte
-	lo, hi      float64
-	n           int
 }
 
 // NewCompression builds the analysis.
@@ -70,16 +67,6 @@ func NewCompression(c *mpi.Comm, name string, assoc grid.Association, bits int) 
 		panic(fmt.Sprintf("analysis: compression bits must be in [1,32], got %d", bits))
 	}
 	return &Compression{Comm: c, ArrayName: name, Assoc: assoc, Bits: bits}
-}
-
-// ErrorBound returns the guaranteed maximum absolute error for a given
-// global range.
-func (cp *Compression) ErrorBound(lo, hi float64) float64 {
-	levels := float64(uint64(1)<<cp.Bits - 1)
-	if levels == 0 {
-		return hi - lo
-	}
-	return (hi - lo) / levels / 2
 }
 
 // Execute implements core.AnalysisAdaptor.
@@ -157,7 +144,6 @@ func (cp *Compression) Execute(d core.DataAdaptor) (bool, error) {
 	}
 	if cp.KeepPayload {
 		cp.payload = compressed.Bytes()
-		cp.lo, cp.hi, cp.n = lo, hi, n
 	}
 
 	raw := int64(n) * 8
@@ -182,33 +168,6 @@ func (cp *Compression) Execute(d core.DataAdaptor) (bool, error) {
 		cp.Last = res
 	}
 	return true, nil
-}
-
-// Decompress reconstructs the local values of the last kept payload.
-func (cp *Compression) Decompress() ([]float64, error) {
-	if cp.payload == nil {
-		return nil, fmt.Errorf("analysis: compression: no payload kept (set KeepPayload)")
-	}
-	zr, err := zlib.NewReader(bytes.NewReader(cp.payload))
-	if err != nil {
-		return nil, err
-	}
-	defer zr.Close()
-	levels := uint64(1)<<cp.Bits - 1
-	span := cp.hi - cp.lo
-	out := make([]float64, cp.n)
-	buf := make([]byte, 4)
-	for i := range out {
-		if _, err := io.ReadFull(zr, buf); err != nil {
-			return nil, err
-		}
-		q := uint64(binary.LittleEndian.Uint32(buf))
-		out[i] = cp.lo
-		if levels > 0 {
-			out[i] = cp.lo + float64(q)/float64(levels)*span
-		}
-	}
-	return out, nil
 }
 
 // Finalize implements core.AnalysisAdaptor.

@@ -277,6 +277,8 @@ func (h *Histogram) Finalize() error { return nil }
 // SerialHistogram bins the values of one array without any communication;
 // it is the reference the parallel path is tested against and the kernel the
 // post hoc tool uses.
+//
+//lint:ignore unreferenced TestParallelHistogramMatchesSerial compares the parallel histogram against this serial oracle
 func SerialHistogram(a array.Array, ghost array.Array, bins int) *HistogramResult {
 	h := &Histogram{ArrayName: a.Name(), Assoc: grid.CellData, Bins: bins}
 	mesh := grid.NewImageData(grid.NewExtent3D(2, 2, 2)) // container only

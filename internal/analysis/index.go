@@ -27,8 +27,7 @@ func init() {
 // Indexing is one of the SDMAV operations the paper's terminology section
 // lists alongside visualization and compression.
 //
-// The index for the most recent step is kept; Query answers selection
-// cardinality and can enumerate local element ids exactly.
+// The index for the most recent step is kept.
 type BinnedIndex struct {
 	Comm      *mpi.Comm
 	ArrayName string
@@ -41,7 +40,6 @@ type BinnedIndex struct {
 	lo, hi  float64
 	bitmaps [][]uint64 // bins x ceil(n/64)
 	n       int
-	step    int
 	built   bool
 }
 
@@ -131,98 +129,8 @@ func (ix *BinnedIndex) Execute(d core.DataAdaptor) (bool, error) {
 		}
 		pos += n
 	}
-	ix.lo, ix.hi, ix.n, ix.step, ix.built = lo, hi, n, d.TimeStep(), true
+	ix.lo, ix.hi, ix.n, ix.built = lo, hi, n, true
 	return true, nil
-}
-
-// popcount sums the set bits of a bitmap.
-func popcount(bm []uint64) int64 {
-	var n int64
-	for _, w := range bm {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
-}
-
-// binOf returns the bin containing value v.
-func (ix *BinnedIndex) binOf(v float64) int {
-	if ix.hi <= ix.lo {
-		return 0
-	}
-	b := int((v - ix.lo) / (ix.hi - ix.lo) * float64(ix.Bins))
-	if b < 0 {
-		b = 0
-	}
-	if b >= ix.Bins {
-		b = ix.Bins - 1
-	}
-	return b
-}
-
-// CountAbove answers the global range query "how many elements exceed t"
-// using the index: whole bins above the threshold bin are counted by bitmap
-// popcount; only the single straddling bin would need a candidate check, so
-// the result is reported as [lower, upper] bounds, FastBit-style. A global
-// sum reduces the local bounds; valid on every rank.
-func (ix *BinnedIndex) CountAbove(t float64) (lower, upper int64, err error) {
-	if !ix.built {
-		return 0, 0, fmt.Errorf("analysis: index: no step indexed yet")
-	}
-	tb := ix.binOf(t)
-	var lowerL, upperL int64
-	for b := tb + 1; b < ix.Bins; b++ {
-		c := popcount(ix.bitmaps[b])
-		lowerL += c
-		upperL += c
-	}
-	upperL += popcount(ix.bitmaps[tb]) // the straddling bin: candidates
-	if ix.Comm == nil {
-		return lowerL, upperL, nil
-	}
-	out := make([]int64, 2)
-	if err := mpi.Allreduce(ix.Comm, []int64{lowerL, upperL}, out, mpi.OpSum); err != nil {
-		return 0, 0, err
-	}
-	return out[0], out[1], nil
-}
-
-// LocalSelection enumerates the local element ids in bins fully above t
-// (the guaranteed hits of CountAbove's lower bound).
-func (ix *BinnedIndex) LocalSelection(t float64) []int {
-	if !ix.built {
-		return nil
-	}
-	var out []int
-	tb := ix.binOf(t)
-	for b := tb + 1; b < ix.Bins; b++ {
-		for wi, w := range ix.bitmaps[b] {
-			for ; w != 0; w &= w - 1 {
-				bit := trailingZeros(w)
-				out = append(out, wi*64+bit)
-			}
-		}
-	}
-	return out
-}
-
-func trailingZeros(w uint64) int {
-	n := 0
-	for w&1 == 0 {
-		w >>= 1
-		n++
-	}
-	return n
-}
-
-// IndexBytes reports the local index size — the "explorable extract" the
-// post hoc side would store instead of the field itself.
-func (ix *BinnedIndex) IndexBytes() int64 {
-	if !ix.built {
-		return 0
-	}
-	return int64(ix.Bins) * int64((ix.n+63)/64) * 8
 }
 
 // Finalize implements core.AnalysisAdaptor.

@@ -93,16 +93,10 @@ type Array interface {
 	Components() int
 	// Tuples returns the number of tuples.
 	Tuples() int
-	// DataType returns the element type.
-	DataType() DataType
-	// Layout returns the memory layout.
-	Layout() Layout
 	// ByteSize returns the total payload size in bytes.
 	ByteSize() int64
 	// Value returns component comp of tuple i, converted to float64.
 	Value(i, comp int) float64
-	// SetValue stores v (converted to the element type) at (i, comp).
-	SetValue(i, comp int, v float64)
 	// Range returns the [min, max] of component comp; if comp is negative it
 	// returns the range of the L2 magnitude over all components.
 	Range(comp int) (min, max float64)
@@ -191,9 +185,6 @@ func (a *Typed[T]) DataType() DataType {
 	}
 }
 
-// Layout returns the memory layout.
-func (a *Typed[T]) Layout() Layout { return a.lay }
-
 // ByteSize returns the payload size in bytes.
 func (a *Typed[T]) ByteSize() int64 {
 	return int64(a.Tuples()) * int64(a.comps) * a.DataType().Size()
@@ -218,20 +209,6 @@ func (a *Typed[T]) Set(i, comp int, v T) {
 
 // Value implements Array.
 func (a *Typed[T]) Value(i, comp int) float64 { return float64(a.At(i, comp)) }
-
-// SetValue implements Array.
-func (a *Typed[T]) SetValue(i, comp int, v float64) { a.Set(i, comp, T(v)) }
-
-// Tuple copies tuple i into out, which must have length >= Components.
-func (a *Typed[T]) Tuple(i int, out []T) {
-	if a.lay == AOS {
-		copy(out, a.aos[i*a.comps:(i+1)*a.comps])
-		return
-	}
-	for c := 0; c < a.comps; c++ {
-		out[c] = a.soa[c][i]
-	}
-}
 
 // RawAOS returns the underlying interleaved buffer, or nil for SOA arrays.
 // The returned slice aliases the array's storage.
@@ -282,16 +259,6 @@ func (a *Typed[T]) Range(comp int) (lo, hi float64) {
 	return lo, hi
 }
 
-// Magnitude returns the Euclidean norm of tuple i across all components.
-func (a *Typed[T]) Magnitude(i int) float64 {
-	s := 0.0
-	for c := 0; c < a.comps; c++ {
-		v := float64(a.At(i, c))
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // Clone implements Array: a deep copy preserving layout.
 func (a *Typed[T]) Clone() Array {
 	out := &Typed[T]{name: a.name, comps: a.comps, lay: a.lay}
@@ -303,22 +270,6 @@ func (a *Typed[T]) Clone() Array {
 		for i, p := range a.soa {
 			out.soa[i] = make([]T, len(p))
 			copy(out.soa[i], p)
-		}
-	}
-	return out
-}
-
-// ToAOS returns an AOS-layout copy of the array (or the array itself if it is
-// already AOS). Infrastructure adaptors that cannot consume SOA use this; the
-// copy is what the paper's non-zero-copy paths pay for.
-func (a *Typed[T]) ToAOS() *Typed[T] {
-	if a.lay == AOS {
-		return a
-	}
-	out := New[T](a.name, a.comps, a.Tuples())
-	for i := 0; i < a.Tuples(); i++ {
-		for c := 0; c < a.comps; c++ {
-			out.Set(i, c, a.At(i, c))
 		}
 	}
 	return out

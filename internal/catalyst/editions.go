@@ -1,7 +1,5 @@
 package catalyst
 
-import "sort"
-
 // Edition is a named subset of the infrastructure's features, mirroring
 // Catalyst Editions: trimmed builds "that only enable components of ParaView
 // used in the analysis pipelines" to minimize the linked footprint.
@@ -17,29 +15,6 @@ type Edition struct {
 // Has reports whether the edition includes a feature.
 func (e *Edition) Has(feature string) bool { return e.Features[feature] }
 
-// FeatureList returns the sorted feature names.
-func (e *Edition) FeatureList() []string {
-	out := make([]string, 0, len(e.Features))
-	for f := range e.Features {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// FullEdition models a complete ParaView link: every feature, maximum
-// footprint.
-func FullEdition() Edition {
-	return Edition{
-		Name: "full",
-		Features: map[string]bool{
-			"slice": true, "render": true, "png": true, "contour": true,
-			"histogram": true, "writers": true, "readers": true, "scripting": true,
-		},
-		ResidentBytes: 153 << 20,
-	}
-}
-
 // RenderingEdition models the trimmed rendering build the paper's PHASTA
 // runs used: rendering plus a small subset of filters.
 func RenderingEdition() Edition {
@@ -49,17 +24,5 @@ func RenderingEdition() Edition {
 			"slice": true, "render": true, "png": true,
 		},
 		ResidentBytes: 87 << 20,
-	}
-}
-
-// DataOnlyEdition models a build without rendering (extract writers only);
-// pipelines that render must reject it.
-func DataOnlyEdition() Edition {
-	return Edition{
-		Name: "data-only",
-		Features: map[string]bool{
-			"slice": true, "writers": true,
-		},
-		ResidentBytes: 24 << 20,
 	}
 }

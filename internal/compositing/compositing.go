@@ -123,9 +123,11 @@ const (
 )
 
 // unpack lays a packed region into fb at [lo, hi) and returns buf to the
-// pool. To merge, the nearer fragment wins on a float32 comparison, so ties,
-// signed zeros, +Inf and NaN resolve as Framebuffer.CompositeFrom resolves
-// them. To overwrite, each pixel becomes what merging it into a cleared
+// pool. To merge, an incoming fragment replaces the held one only when its
+// depth compares strictly less as a float32: on a tie (including -0 against
+// +0) the held fragment stays, an incoming +Inf never lands, and a NaN on
+// either side never wins, since every comparison with NaN is false. To
+// overwrite, each pixel becomes what merging it into a cleared
 // framebuffer would give: a depth below +Inf lands with its colour, any
 // other (+Inf, NaN) leaves the pixel cleared — transparent black at +Inf.
 // A region of any size but the one this rank is about to unpack is the
@@ -299,20 +301,4 @@ func directSend(c *mpi.Comm, fb *render.Framebuffer, root int) (*render.Framebuf
 		return fb, nil
 	}
 	return nil, nil
-}
-
-// Stages returns the number of communication rounds each algorithm performs
-// at the given rank count; the performance model uses this.
-func Stages(alg Algorithm, p int) int {
-	if p <= 1 {
-		return 0
-	}
-	l := int(math.Ceil(math.Log2(float64(p))))
-	switch alg {
-	case BinarySwap:
-		return l + 1 // swap rounds plus the stripe gather
-	case DirectSend:
-		return l
-	}
-	return l
 }

@@ -49,7 +49,7 @@ func TestCompositeBufferReuseNoAliasing(t *testing.T) {
 				if c.Rank() == 0 {
 					for y := 0; y < h; y++ {
 						for x := 0; x < w; x++ {
-							if got := second.At(x, y).R; got != uint8(100+n-1) {
+							if got := red(second, x, y); got != uint8(100+n-1) {
 								return fmt.Errorf("round 2 pixel (%d,%d)=%d want %d", x, y, got, 100+n-1)
 							}
 						}

@@ -151,15 +151,13 @@ func TestImageTimesItsPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
-	for _, e := range reg.Events() {
-		if e.Step != 7 {
-			t.Errorf("event %s at step %d, want 7", e.Name, e.Step)
-		}
-		names = append(names, e.Name)
+	if names := reg.TimerNames(); len(names) != 2 {
+		t.Errorf("timers %v, want x::composite and x::png", names)
 	}
-	if len(names) != 2 || names[0] != "x::composite" || names[1] != "x::png" {
-		t.Errorf("events %v, want [x::composite x::png]", names)
+	for _, name := range []string{"x::composite", "x::png"} {
+		if evs := reg.EventsNamed(name); len(evs) != 1 || evs[0].Step != 7 {
+			t.Errorf("events %s = %v, want one at step 7", name, evs)
+		}
 	}
 }
 

@@ -330,6 +330,8 @@ func (cfg *Config) Configure(b *Bridge) error {
 
 // ConfigureFromXML is ParseConfig then Configure, for callers that hold the
 // document and one bridge.
+//
+//lint:ignore unreferenced TestConfigureFromXML and tests in 13 more packages configure bridges from inline XML with it
 func ConfigureFromXML(b *Bridge, doc []byte) error {
 	cfg, err := ParseConfig(doc)
 	if err != nil {

@@ -123,9 +123,6 @@ func (b *Bridge) AddAnalysis(name string, a AnalysisAdaptor) {
 // AnalysisCount returns the number of registered analyses.
 func (b *Bridge) AnalysisCount() int { return len(b.analyses) }
 
-// Stopped reports whether any analysis requested an orderly stop.
-func (b *Bridge) Stopped() bool { return b.stopped }
-
 // Execute passes the current simulation state to every registered analysis.
 // Per-analysis wall time is logged as "analysis::<name>"; the total for the
 // step as "sensei::execute". It returns false when any analysis requests a
@@ -224,37 +221,3 @@ func FetchAll(d DataAdaptor) (grid.Dataset, error) {
 	}
 	return mesh, nil
 }
-
-// Strided wraps an analysis so it executes only every n-th bridge step,
-// finalizing normally. Catalyst and Libsim carry their own stride options;
-// this decorator gives the same cadence control to any analysis (the
-// AVF-LESLIE pattern of invoking an expensive pipeline one step in five).
-type Strided struct {
-	N     int
-	Inner AnalysisAdaptor
-	calls int
-}
-
-// EveryN wraps a in a Strided executing every n-th step (n < 1 acts as 1).
-func EveryN(n int, a AnalysisAdaptor) *Strided {
-	if n < 1 {
-		n = 1
-	}
-	return &Strided{N: n, Inner: a}
-}
-
-// Execute implements AnalysisAdaptor.
-func (s *Strided) Execute(d DataAdaptor) (bool, error) {
-	idx := s.calls
-	s.calls++
-	if idx%s.N != 0 {
-		return true, nil
-	}
-	return s.Inner.Execute(d)
-}
-
-// Finalize implements AnalysisAdaptor.
-func (s *Strided) Finalize() error { return s.Inner.Finalize() }
-
-// Executions reports how many times the inner analysis actually ran.
-func (s *Strided) Executions() int { return (s.calls + s.N - 1) / s.N }

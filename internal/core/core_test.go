@@ -121,7 +121,7 @@ func TestBridgeStopRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cont || !b.Stopped() {
+	if cont || !b.stopped {
 		t.Fatal("stop not propagated")
 	}
 }
@@ -384,44 +384,5 @@ func TestNewBridgeDefaults(t *testing.T) {
 	b2 := NewBridge(nil, reg, mem)
 	if b2.Registry != reg || b2.Memory != mem {
 		t.Fatal("provided sinks not used")
-	}
-}
-
-func TestEveryNStride(t *testing.T) {
-	inner := &recordingAnalysis{}
-	s := EveryN(3, inner)
-	d := newFakeAdaptor()
-	for step := 0; step < 7; step++ {
-		d.SetStep(step, 0)
-		if _, err := s.Execute(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(inner.executed) != 3 { // steps 0, 3, 6
-		t.Fatalf("executed=%v", inner.executed)
-	}
-	if inner.executed[1] != 3 {
-		t.Fatalf("executed=%v", inner.executed)
-	}
-	if s.Executions() != 3 {
-		t.Fatalf("Executions=%d", s.Executions())
-	}
-	if err := s.Finalize(); err != nil || !inner.finalized {
-		t.Fatal("finalize not forwarded")
-	}
-}
-
-func TestEveryNDegenerate(t *testing.T) {
-	inner := &recordingAnalysis{}
-	s := EveryN(0, inner) // clamps to 1
-	d := newFakeAdaptor()
-	for step := 0; step < 3; step++ {
-		d.SetStep(step, 0)
-		if _, err := s.Execute(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(inner.executed) != 3 {
-		t.Fatalf("executed=%v", inner.executed)
 	}
 }

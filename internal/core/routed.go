@@ -148,9 +148,6 @@ func (rt *Routed) SetRoute(b route.Backend, a AnalysisAdaptor) {
 	rt.routes[b] = a
 }
 
-// Route returns the adaptor registered for b (nil if none).
-func (rt *Routed) Route(b route.Backend) AnalysisAdaptor { return rt.routes[b] }
-
 func (rt *Routed) root() bool { return rt.comm == nil || rt.comm.Rank() == 0 }
 
 // decide picks the step's backend on rank 0 and broadcasts it.

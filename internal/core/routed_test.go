@@ -205,8 +205,8 @@ func TestRoutedMultiRankConsistency(t *testing.T) {
 			if r.Switches() < 1 {
 				return fmt.Errorf("no switch after the shift:\n%s", route.FormatDecisions(r.Decisions()))
 			}
-			if got := r.Current(); got != route.InTransit {
-				return fmt.Errorf("final backend %v, want intransit", got)
+			if ds := r.Decisions(); ds[len(ds)-1].Backend != route.InTransit {
+				return fmt.Errorf("final backend %v, want intransit", ds[len(ds)-1].Backend)
 			}
 		}
 		return nil
@@ -261,22 +261,19 @@ func TestRoutedFromXML(t *testing.T) {
 	if !ok || b.AnalysisCount() != 1 {
 		t.Fatalf("configured %d analyses, the first a %T", b.AnalysisCount(), b.analyses[0].a)
 	}
-	if got, want := rt.router.Eligible(), []route.Backend{route.PostHoc, route.InSitu}; !reflect.DeepEqual(got, want) {
-		t.Errorf("eligible %v, want the routes present, %v", got, want)
-	}
-	if rt.router.Current() != route.PostHoc {
-		t.Errorf("starts on %v, want the first listed (posthoc)", rt.router.Current())
-	}
 	if got, want := rt.router.Budget(), (route.Budget{MaxStepSeconds: 0.5, MaxStorageBytes: 4096}); got != want {
 		t.Errorf("budget %+v, want %+v", got, want)
 	}
-	if rt.Route(route.InTransit) != nil || rt.Route(route.InSitu) == nil {
+	if rt.routes[route.InTransit] != nil || rt.routes[route.InSitu] == nil || rt.routes[route.PostHoc] == nil {
 		t.Error("route table does not match the enabled nested elements")
 	}
 	d := newFakeAdaptor()
 	d.SetStep(0, 0)
 	if _, err := b.Execute(d); err != nil {
 		t.Fatal(err)
+	}
+	if got := rt.router.Decisions()[0].Backend; got != route.PostHoc {
+		t.Errorf("starts on %v, want the first listed (posthoc)", got)
 	}
 	if err := b.Finalize(); err != nil {
 		t.Fatal(err)

@@ -7,8 +7,6 @@ import (
 	"gosensei/internal/metrics"
 )
 
-const oscillatorsInDeck = 3 // DefaultDeck's source count
-
 // paperDeckOscillators sizes the modeled runs' oscillator deck. The paper
 // never states its deck, but Fig. 10's write/simulation ratios (writes have
 // "little impact" at 1K, ~4x at 6K, ~20x at 45K, with the write times of

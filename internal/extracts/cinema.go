@@ -124,16 +124,6 @@ type Index struct {
 	Entries []Entry   `json:"entries"`
 }
 
-// Lookup finds the entry for exact (step, iso, phi, theta), if present.
-func (ix *Index) Lookup(step int, iso, phi, theta float64) (Entry, bool) {
-	for _, e := range ix.Entries {
-		if e.Step == step && e.Iso == iso && e.Phi == phi && e.Theta == theta {
-			return e, true
-		}
-	}
-	return Entry{}, false
-}
-
 // Cinema is the extract-writing analysis adaptor.
 type Cinema struct {
 	Comm     *mpi.Comm
@@ -154,9 +144,6 @@ func New(c *mpi.Comm, spec Spec) *Cinema {
 	}
 	return &Cinema{Comm: c, Spec: spec}
 }
-
-// ImageCount reports the database size so far (rank 0).
-func (cn *Cinema) ImageCount() int { return len(cn.index.Entries) }
 
 // Execute implements core.AnalysisAdaptor: for every (iso, phi, theta)
 // combination, extract the isosurface, render from the orbit camera,
@@ -274,17 +261,4 @@ func (cn *Cinema) Finalize() error {
 		return fmt.Errorf("extracts: %w", err)
 	}
 	return os.WriteFile(filepath.Join(cn.Spec.OutputDir, "index.json"), doc, 0o644)
-}
-
-// LoadIndex reads a store's catalog for post hoc exploration.
-func LoadIndex(dir string) (*Index, error) {
-	doc, err := os.ReadFile(filepath.Join(dir, "index.json"))
-	if err != nil {
-		return nil, fmt.Errorf("extracts: %w", err)
-	}
-	var ix Index
-	if err := json.Unmarshal(doc, &ix); err != nil {
-		return nil, fmt.Errorf("extracts: parse index: %w", err)
-	}
-	return &ix, nil
 }

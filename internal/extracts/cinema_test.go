@@ -2,7 +2,9 @@ package extracts
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"image/png"
 	"os"
 	"path/filepath"
@@ -99,14 +101,22 @@ func TestCinemaStoreComplete(t *testing.T) {
 func TestCinemaLookup(t *testing.T) {
 	dir := t.TempDir()
 	ix := runCinema(t, 1, 2, baseSpec(dir))
-	e, ok := ix.Lookup(2, 0.7, 90, 30)
+	lookup := func(step int, iso, phi, theta float64) (Entry, bool) {
+		for _, e := range ix.Entries {
+			if e.Step == step && e.Iso == iso && e.Phi == phi && e.Theta == theta {
+				return e, true
+			}
+		}
+		return Entry{}, false
+	}
+	e, ok := lookup(2, 0.7, 90, 30)
 	if !ok {
 		t.Fatalf("entry not found; have %+v", ix.Entries)
 	}
 	if e.File == "" || e.Step != 2 {
 		t.Fatalf("entry=%+v", e)
 	}
-	if _, ok := ix.Lookup(99, 0.7, 90, 30); ok {
+	if _, ok := lookup(99, 0.7, 90, 30); ok {
 		t.Fatal("phantom entry")
 	}
 }
@@ -298,8 +308,8 @@ func TestCinemaWriteFailureIsNotIndexed(t *testing.T) {
 		if !errors.Is(err, syscall.ENOSPC) || !strings.HasPrefix(err.Error(), "extracts: ") {
 			t.Errorf("Execute: %v, want this package's ENOSPC", err)
 		}
-		if cn.ImageCount() != 0 {
-			t.Errorf("index has %d entries, no view landed", cn.ImageCount())
+		if n := len(cn.index.Entries); n != 0 {
+			t.Errorf("index has %d entries, no view landed", n)
 		}
 		if got := render.FramebuffersInUse(); got != inUse {
 			t.Errorf("framebuffers in use: %d before, %d after the failed view", inUse, got)
@@ -309,4 +319,17 @@ func TestCinemaWriteFailureIsNotIndexed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// LoadIndex reads a store's catalog, as post hoc exploration would.
+func LoadIndex(dir string) (*Index, error) {
+	doc, err := os.ReadFile(filepath.Join(dir, "index.json"))
+	if err != nil {
+		return nil, fmt.Errorf("extracts: %w", err)
+	}
+	var ix Index
+	if err := json.Unmarshal(doc, &ix); err != nil {
+		return nil, fmt.Errorf("extracts: parse index: %w", err)
+	}
+	return &ix, nil
 }

@@ -116,7 +116,7 @@ func sliceTestImage() *grid.ImageData {
 		cvals[i] = float64(i)
 	}
 	img.Attributes(grid.CellData).Add(array.WrapAOS("data", 1, cvals))
-	nx, ny, nz := img.Dims()
+	nx, ny, nz := img.Extent.Dims()
 	pvals := make([]float64, nx*ny*nz*2)
 	for i := range pvals {
 		pvals[i] = float64(i) * 0.25

@@ -97,7 +97,7 @@ type Client struct {
 	broken     chan struct{} // kicks the run loop when the conn dies
 	done       chan struct{} // closed by Close and by the fatal path: stops the heartbeat at once
 	codec      uint8         // negotiated codec for the current connection
-	extract    ExtractSpec   // negotiated extract (Kind == ExtractNone: none)
+	extract    ExtractSpec   // negotiated extract (Kind 0: none)
 }
 
 // DialWriter creates a client. Connection is lazy: the first Send/Advance
@@ -138,9 +138,6 @@ func DialWriter(o ClientOptions) *Client {
 	}
 	return c
 }
-
-// Stats returns the client's counters.
-func (c *Client) Stats() *Stats { return c.stats }
 
 // Negotiated blocks until the first handshake completes (or the client
 // dies) and reports the codec and extract the endpoint chose. Reconnects to

@@ -61,7 +61,7 @@ func TestNegotiatedCodecStaging(t *testing.T) {
 			if err := c.Drain(5 * time.Second); err != nil {
 				t.Fatalf("drain: %v", err)
 			}
-			st := c.Stats()
+			st := c.stats
 			logical, wire := st.DataBytesLogical.Value(), st.DataBytesWire.Value()
 			if logical == 0 || wire == 0 {
 				t.Fatalf("odometer not advanced: logical %d wire %d", logical, wire)
@@ -76,7 +76,7 @@ func TestNegotiatedCodecStaging(t *testing.T) {
 				t.Fatalf("delta: no reduction (logical %d, wire %d)", logical, wire)
 			}
 			// Both odometers must agree end to end.
-			hs := hub.Stats()
+			hs := hub.stats
 			if hs.DataBytesLogical.Value() != logical || hs.DataBytesWire.Value() != wire {
 				t.Fatalf("hub odometer %d/%d, client %d/%d",
 					hs.DataBytesLogical.Value(), hs.DataBytesWire.Value(), logical, wire)
@@ -152,7 +152,7 @@ func TestDeltaCodecRidesOutEndpointRestart(t *testing.T) {
 	if err := c.Drain(5 * time.Second); err != nil {
 		t.Fatalf("final drain: %v", err)
 	}
-	if got := c.Stats().Reconnects.Value(); got != 1 {
+	if got := c.stats.Reconnects.Value(); got != 1 {
 		t.Errorf("reconnects = %d, want 1", got)
 	}
 }
@@ -187,7 +187,7 @@ func TestExtractNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("negotiated: %v", err)
 	}
-	if ext.Kind != ExtractNone {
+	if ext.Kind != 0 {
 		t.Fatalf("incapable writer got extract %+v", ext)
 	}
 }

@@ -46,8 +46,8 @@ type Conn interface {
 	io.Reader
 	io.Writer
 	Close() error
+	//lint:ignore unreferenced lock-blocking and unchecked-close recognise a conn-like interface by this method (internal/lint isConnLike)
 	LocalAddr() net.Addr
-	RemoteAddr() net.Addr
 	SetDeadline(t time.Time) error
 	SetReadDeadline(t time.Time) error
 	SetWriteDeadline(t time.Time) error

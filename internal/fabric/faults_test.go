@@ -110,7 +110,7 @@ func TestClientWrapConnRidesOutInjectedDeaths(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("writer: %v", err)
 	}
-	if got := c.Stats().Reconnects.Value(); got < 3 {
+	if got := c.stats.Reconnects.Value(); got < 3 {
 		t.Fatalf("reconnects = %d, want >= 3 (one per injected death)", got)
 	}
 	if err := c.Close(); err != nil {

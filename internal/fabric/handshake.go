@@ -48,7 +48,7 @@ const (
 
 // Extract kinds carried in a Welcome's ExtractSpec.
 const (
-	ExtractNone uint8 = iota
+	_ uint8 = iota // none: the endpoint takes full containers
 	ExtractHistogram
 	ExtractSlice
 )
@@ -97,7 +97,7 @@ type Hello struct {
 // number already released (so a reconnecting dialer can prune its
 // retransmit buffer), and the negotiated bandwidth reduction — the codec
 // every subsequent data frame on this connection must use, and the extract
-// the endpoint wants instead of full containers (Kind == ExtractNone ships
+// the endpoint wants instead of full containers (Kind 0 ships
 // containers).
 type Welcome struct {
 	Version  uint32

@@ -87,10 +87,9 @@ type Hub struct {
 	queues  []chan Delivery
 	silence time.Duration // a writer quiet this long is retired; 0 on loopback
 
-	mu       sync.Mutex
-	writers  map[int]*hubWriter
-	advanced int
-	closed   bool
+	mu      sync.Mutex
+	writers map[int]*hubWriter
+	closed  bool
 }
 
 // NewHub starts serving on lis. Geometry must satisfy writers >= readers
@@ -131,19 +130,9 @@ func NewHub(lis Listener, o HubOptions) *Hub {
 	return h
 }
 
-// Stats returns the hub's counters.
-func (h *Hub) Stats() *Stats { return h.stats }
-
 // Deliveries returns the delivery queue for one endpoint reader rank.
 func (h *Hub) Deliveries(reader int) <-chan Delivery {
 	return h.queues[reader]
-}
-
-// Advanced reports the highest step any writer has published metadata for.
-func (h *Hub) Advanced() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.advanced
 }
 
 // Close stops accepting and drops every writer connection. Queued
@@ -259,11 +248,6 @@ func (h *Hub) serve(conn Conn) {
 	_ = sess.Run(h.silence, func(typ FrameType, seq uint32, payload []byte) error {
 		switch typ {
 		case FrameAdvance:
-			h.mu.Lock()
-			if int(seq) > h.advanced {
-				h.advanced = int(seq)
-			}
-			h.mu.Unlock()
 			_ = sess.Send(FrameAdvanceAck, seq, nil)
 		case FrameData, FrameEOS:
 			// Decode BEFORE the dedup branches: on a reconnect the frames in

@@ -108,7 +108,7 @@ func TestPooledPendingFrameSurvivesRedial(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("writer: %v", err)
 	}
-	st := c.Stats()
+	st := c.stats
 	if st.Reconnects.Value() < 5 || st.Retransmits.Value() == 0 {
 		t.Fatalf("reconnects %d, retransmits %d: the script's deaths did not happen", st.Reconnects.Value(), st.Retransmits.Value())
 	}

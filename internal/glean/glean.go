@@ -122,9 +122,6 @@ func New(c *mpi.Comm, opts Options) (*Staging, error) {
 	return s, nil
 }
 
-// IsAggregator reports whether this rank aggregates its node.
-func (s *Staging) IsAggregator() bool { return s.isAggregator }
-
 // Execute implements core.AnalysisAdaptor: serialize the local block, gather
 // node-local blocks onto the aggregator, and act per the configured mode.
 func (s *Staging) Execute(d core.DataAdaptor) (bool, error) {

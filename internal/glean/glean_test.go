@@ -57,7 +57,7 @@ func TestTopologyAggregators(t *testing.T) {
 	stagings, _ := runGlean(t, 8, Options{RanksPerNode: 4, Mode: NodeAnalysis}, 1)
 	aggs := 0
 	for rank, s := range stagings {
-		if s.IsAggregator() {
+		if s.isAggregator {
 			aggs++
 			if rank%4 != 0 {
 				t.Errorf("rank %d should not aggregate", rank)
@@ -112,7 +112,7 @@ func TestNodeAnalysisHistogram(t *testing.T) {
 
 func TestSingleRankDegenerate(t *testing.T) {
 	stagings, _ := runGlean(t, 1, Options{RanksPerNode: 4, Mode: NodeAnalysis}, 1)
-	if !stagings[0].IsAggregator() {
+	if !stagings[0].isAggregator {
 		t.Fatal("single rank must aggregate itself")
 	}
 	if stagings[0].LastHistogram == nil {
@@ -194,7 +194,7 @@ func TestGleanMemoryAccounting(t *testing.T) {
 			t.Errorf("rank %d: staging not tracked", c.Rank())
 		}
 		if mem.Current() != 0 {
-			t.Errorf("rank %d: staging leaked %d (%s)", c.Rank(), mem.Current(), mem.Breakdown())
+			t.Errorf("rank %d: staging leaked %d", c.Rank(), mem.Current())
 		}
 		return b.Finalize()
 	})
@@ -208,8 +208,8 @@ func TestGleanNodeCommTopology(t *testing.T) {
 	stagings, _ := runGlean(t, 6, Options{RanksPerNode: 3, Mode: NodeAnalysis}, 1)
 	for rank, s := range stagings {
 		want := rank%3 == 0
-		if s.IsAggregator() != want {
-			t.Errorf("rank %d: aggregator=%v want %v", rank, s.IsAggregator(), want)
+		if s.isAggregator != want {
+			t.Errorf("rank %d: aggregator=%v want %v", rank, s.isAggregator, want)
 		}
 	}
 }

@@ -52,43 +52,6 @@ func (e Extent) Valid() bool {
 	return e[0] <= e[1] && e[2] <= e[3] && e[4] <= e[5]
 }
 
-// Contains reports whether global point (i, j, k) lies inside the extent.
-func (e Extent) Contains(i, j, k int) bool {
-	return i >= e[0] && i <= e[1] && j >= e[2] && j <= e[3] && k >= e[4] && k <= e[5]
-}
-
-// Intersect returns the overlap of two extents and whether it is non-empty.
-func (e Extent) Intersect(o Extent) (Extent, bool) {
-	var r Extent
-	for ax := 0; ax < 3; ax++ {
-		lo, hi := e[2*ax], e[2*ax+1]
-		if o[2*ax] > lo {
-			lo = o[2*ax]
-		}
-		if o[2*ax+1] < hi {
-			hi = o[2*ax+1]
-		}
-		r[2*ax], r[2*ax+1] = lo, hi
-	}
-	return r, r.Valid()
-}
-
-// Grow expands the extent by n on every side, clamped to bounds.
-func (e Extent) Grow(n int, bounds Extent) Extent {
-	var r Extent
-	for ax := 0; ax < 3; ax++ {
-		r[2*ax] = e[2*ax] - n
-		if r[2*ax] < bounds[2*ax] {
-			r[2*ax] = bounds[2*ax]
-		}
-		r[2*ax+1] = e[2*ax+1] + n
-		if r[2*ax+1] > bounds[2*ax+1] {
-			r[2*ax+1] = bounds[2*ax+1]
-		}
-	}
-	return r
-}
-
 func (e Extent) String() string {
 	return fmt.Sprintf("[%d..%d, %d..%d, %d..%d]", e[0], e[1], e[2], e[3], e[4], e[5])
 }

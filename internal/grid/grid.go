@@ -63,16 +63,6 @@ func (f *FieldData) Get(name string) array.Array {
 	return nil
 }
 
-// Remove deletes the named array; it is a no-op if absent.
-func (f *FieldData) Remove(name string) {
-	for i, x := range f.arrays {
-		if x.Name() == name {
-			f.arrays = append(f.arrays[:i], f.arrays[i+1:]...)
-			return
-		}
-	}
-}
-
 // Names lists the array names in insertion order.
 func (f *FieldData) Names() []string {
 	out := make([]string, len(f.arrays))
@@ -103,7 +93,7 @@ type Kind int
 // Dataset kinds.
 const (
 	ImageKind Kind = iota
-	RectilinearKind
+	_              // unused: keeps the kinds below at their values
 	UnstructuredKind
 	MultiBlockKind
 )
@@ -112,8 +102,6 @@ func (k Kind) String() string {
 	switch k {
 	case ImageKind:
 		return "image"
-	case RectilinearKind:
-		return "rectilinear"
 	case UnstructuredKind:
 		return "unstructured"
 	case MultiBlockKind:
@@ -154,9 +142,6 @@ func NewImageData(ext Extent) *ImageData {
 // Kind implements Dataset.
 func (g *ImageData) Kind() Kind { return ImageKind }
 
-// Dims returns the number of points along each axis.
-func (g *ImageData) Dims() (nx, ny, nz int) { return g.Extent.Dims() }
-
 // NumberOfPoints implements Dataset.
 func (g *ImageData) NumberOfPoints() int { return g.Extent.NumPoints() }
 
@@ -185,73 +170,11 @@ func (g *ImageData) Bounds() [6]float64 {
 // only attributes contribute.
 func (g *ImageData) ByteSize() int64 { return g.pd.ByteSize() + g.cd.ByteSize() }
 
-// PointIndex returns the linear index of global point (i, j, k), which must
-// lie inside the extent. Points vary fastest in i.
-func (g *ImageData) PointIndex(i, j, k int) int {
-	nx, ny, _ := g.Dims()
-	return (k-g.Extent[4])*nx*ny + (j-g.Extent[2])*nx + (i - g.Extent[0])
-}
-
 // PointPosition returns the world coordinates of global point (i, j, k).
 func (g *ImageData) PointPosition(i, j, k int) (x, y, z float64) {
 	return g.Origin[0] + float64(i)*g.Spacing[0],
 		g.Origin[1] + float64(j)*g.Spacing[1],
 		g.Origin[2] + float64(k)*g.Spacing[2]
-}
-
-// RectilinearGrid has per-axis coordinate arrays — VTK's vtkRectilinearGrid.
-type RectilinearGrid struct {
-	X, Y, Z []float64
-	pd, cd  FieldData
-}
-
-// NewRectilinearGrid builds a grid from per-axis coordinates (each must be
-// non-empty and ascending).
-func NewRectilinearGrid(x, y, z []float64) *RectilinearGrid {
-	if len(x) == 0 || len(y) == 0 || len(z) == 0 {
-		panic("grid: rectilinear axes must be non-empty")
-	}
-	return &RectilinearGrid{X: x, Y: y, Z: z}
-}
-
-// Kind implements Dataset.
-func (g *RectilinearGrid) Kind() Kind { return RectilinearKind }
-
-// NumberOfPoints implements Dataset.
-func (g *RectilinearGrid) NumberOfPoints() int { return len(g.X) * len(g.Y) * len(g.Z) }
-
-// NumberOfCells implements Dataset.
-func (g *RectilinearGrid) NumberOfCells() int {
-	cx, cy, cz := len(g.X)-1, len(g.Y)-1, len(g.Z)-1
-	if cx < 1 {
-		cx = 1
-	}
-	if cy < 1 {
-		cy = 1
-	}
-	if cz < 1 {
-		cz = 1
-	}
-	return cx * cy * cz
-}
-
-// Attributes implements Dataset.
-func (g *RectilinearGrid) Attributes(a Association) *FieldData {
-	if a == PointData {
-		return &g.pd
-	}
-	return &g.cd
-}
-
-// Bounds implements Dataset.
-func (g *RectilinearGrid) Bounds() [6]float64 {
-	return [6]float64{g.X[0], g.X[len(g.X)-1], g.Y[0], g.Y[len(g.Y)-1], g.Z[0], g.Z[len(g.Z)-1]}
-}
-
-// ByteSize implements Dataset.
-func (g *RectilinearGrid) ByteSize() int64 {
-	coords := int64(len(g.X)+len(g.Y)+len(g.Z)) * 8
-	return coords + g.pd.ByteSize() + g.cd.ByteSize()
 }
 
 // Cell types for unstructured grids, matching VTK's numbering for the types
@@ -439,45 +362,4 @@ func (g *MultiBlock) ByteSize() int64 {
 		}
 	}
 	return n + g.pd.ByteSize() + g.cd.ByteSize()
-}
-
-// MarkGhostCells attaches (or rebuilds) a vtkGhostLevels cell array on an
-// image grid: cells within `layers` of the local extent boundary on sides
-// listed in ghostSides are marked 1. ghostSides follows Extent ordering
-// (low-x, high-x, low-y, high-y, low-z, high-z).
-func MarkGhostCells(g *ImageData, layers int, ghostSides [6]bool) *array.Typed[uint8] {
-	cx, cy, cz := g.Extent.CellDims()
-	gh := array.New[uint8](GhostArrayName, 1, cx*cy*cz)
-	idx := 0
-	for k := 0; k < cz; k++ {
-		for j := 0; j < cy; j++ {
-			for i := 0; i < cx; i++ {
-				ghost := false
-				if ghostSides[0] && i < layers {
-					ghost = true
-				}
-				if ghostSides[1] && i >= cx-layers {
-					ghost = true
-				}
-				if ghostSides[2] && j < layers {
-					ghost = true
-				}
-				if ghostSides[3] && j >= cy-layers {
-					ghost = true
-				}
-				if ghostSides[4] && k < layers {
-					ghost = true
-				}
-				if ghostSides[5] && k >= cz-layers {
-					ghost = true
-				}
-				if ghost {
-					gh.Set(idx, 0, 1)
-				}
-				idx++
-			}
-		}
-	}
-	g.Attributes(CellData).Add(gh)
-	return gh
 }

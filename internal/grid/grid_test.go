@@ -22,32 +22,6 @@ func TestExtentDims(t *testing.T) {
 	}
 }
 
-func TestExtentContainsIntersect(t *testing.T) {
-	a := Extent{0, 10, 0, 10, 0, 10}
-	b := Extent{5, 15, 5, 15, 5, 15}
-	if !a.Contains(10, 0, 5) || a.Contains(11, 0, 0) {
-		t.Fatal("contains wrong")
-	}
-	r, ok := a.Intersect(b)
-	if !ok || r != (Extent{5, 10, 5, 10, 5, 10}) {
-		t.Fatalf("intersect=%v ok=%v", r, ok)
-	}
-	_, ok = a.Intersect(Extent{20, 30, 0, 1, 0, 1})
-	if ok {
-		t.Fatal("disjoint extents intersected")
-	}
-}
-
-func TestExtentGrowClamped(t *testing.T) {
-	bounds := Extent{0, 100, 0, 100, 0, 100}
-	e := Extent{0, 10, 50, 60, 95, 100}
-	g := e.Grow(5, bounds)
-	want := Extent{0, 15, 45, 65, 90, 100}
-	if g != want {
-		t.Fatalf("grow=%v want %v", g, want)
-	}
-}
-
 func TestDims3Balanced(t *testing.T) {
 	cases := map[int][3]int{
 		1:  {1, 1, 1},
@@ -123,19 +97,6 @@ func TestImageDataBasics(t *testing.T) {
 	if x != 2 || y != 3 || z != 5 {
 		t.Fatalf("pos=%v %v %v", x, y, z)
 	}
-	if g.PointIndex(0, 0, 0) != 0 || g.PointIndex(3, 2, 1) != g.NumberOfPoints()-1 {
-		t.Fatal("point indexing wrong")
-	}
-}
-
-func TestImageDataPointIndexOffsetExtent(t *testing.T) {
-	g := NewImageData(Extent{10, 12, 20, 21, 5, 6})
-	if g.PointIndex(10, 20, 5) != 0 {
-		t.Fatal("offset extent index wrong at min corner")
-	}
-	if g.PointIndex(12, 21, 6) != g.NumberOfPoints()-1 {
-		t.Fatal("offset extent index wrong at max corner")
-	}
 }
 
 func TestFieldDataAddReplaceRemove(t *testing.T) {
@@ -153,25 +114,6 @@ func TestFieldDataAddReplaceRemove(t *testing.T) {
 	}
 	if names := f.Names(); names[0] != "a" || names[1] != "b" {
 		t.Fatalf("names=%v", names)
-	}
-	f.Remove("a")
-	if f.Len() != 1 || f.Get("a") != nil {
-		t.Fatal("remove failed")
-	}
-	f.Remove("missing") // no-op
-}
-
-func TestRectilinearGrid(t *testing.T) {
-	g := NewRectilinearGrid([]float64{0, 1, 3}, []float64{0, 2}, []float64{5, 6, 7, 9})
-	if g.NumberOfPoints() != 3*2*4 {
-		t.Fatalf("points=%d", g.NumberOfPoints())
-	}
-	if g.NumberOfCells() != 2*1*3 {
-		t.Fatalf("cells=%d", g.NumberOfCells())
-	}
-	b := g.Bounds()
-	if b != [6]float64{0, 3, 0, 2, 5, 9} {
-		t.Fatalf("bounds=%v", b)
 	}
 }
 
@@ -222,31 +164,6 @@ func TestMultiBlockAggregation(t *testing.T) {
 	}
 }
 
-func TestMarkGhostCells(t *testing.T) {
-	g := NewImageData(NewExtent3D(5, 5, 5)) // 4x4x4 cells
-	gh := MarkGhostCells(g, 1, [6]bool{true, false, false, true, false, false})
-	if g.Attributes(CellData).Get(GhostArrayName) == nil {
-		t.Fatal("ghost array not attached")
-	}
-	cx, cy, _ := g.Extent.CellDims()
-	idx := func(i, j, k int) int { return k*cx*cy + j*cx + i }
-	if gh.At(idx(0, 2, 2), 0) != 1 {
-		t.Fatal("low-x face not ghosted")
-	}
-	if gh.At(idx(3, 2, 2), 0) != 0 {
-		t.Fatal("high-x face wrongly ghosted")
-	}
-	if gh.At(idx(2, 3, 2), 0) != 1 {
-		t.Fatal("high-y face not ghosted")
-	}
-	if gh.At(idx(2, 0, 2), 0) != 0 {
-		t.Fatal("low-y face wrongly ghosted")
-	}
-	if gh.At(idx(2, 2, 2), 0) != 0 {
-		t.Fatal("interior ghosted")
-	}
-}
-
 func TestCellTypePoints(t *testing.T) {
 	if CellTypePoints(CellTriangle) != 3 || CellTypePoints(CellHexahedron) != 8 {
 		t.Fatal("cell type sizes wrong")
@@ -259,31 +176,6 @@ func TestByteSizes(t *testing.T) {
 	if g.ByteSize() != 64 {
 		t.Fatalf("bytes=%d", g.ByteSize())
 	}
-}
-
-func TestRectilinearAttributes(t *testing.T) {
-	g := NewRectilinearGrid([]float64{0, 1}, []float64{0, 1}, []float64{0, 1})
-	g.Attributes(PointData).Add(array.New[float64]("p", 1, g.NumberOfPoints()))
-	g.Attributes(CellData).Add(array.New[float64]("c", 1, g.NumberOfCells()))
-	if g.Attributes(PointData).Get("p") == nil || g.Attributes(CellData).Get("c") == nil {
-		t.Fatal("attributes lost")
-	}
-	if g.Kind() != RectilinearKind {
-		t.Fatal("kind")
-	}
-	// Coordinates count toward the footprint.
-	if g.ByteSize() <= g.Attributes(PointData).ByteSize()+g.Attributes(CellData).ByteSize() {
-		t.Fatal("coordinate bytes missing from ByteSize")
-	}
-}
-
-func TestRectilinearDegenerateAxisPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewRectilinearGrid(nil, []float64{0}, []float64{0})
 }
 
 func TestUnstructuredValidation(t *testing.T) {
@@ -342,7 +234,7 @@ func TestAssociationAndKindStrings(t *testing.T) {
 		t.Fatal("association strings")
 	}
 	for k, want := range map[Kind]string{
-		ImageKind: "image", RectilinearKind: "rectilinear",
+		ImageKind:        "image",
 		UnstructuredKind: "unstructured", MultiBlockKind: "multiblock",
 	} {
 		if k.String() != want {

@@ -210,24 +210,3 @@ func ListSteps(dir string) ([]int, error) {
 	}
 	return out, nil
 }
-
-// RanksOf returns the sorted rank indices present for a step.
-func RanksOf(dir string, step int) ([]int, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("iosim: %w", err)
-	}
-	var out []int
-	for _, e := range entries {
-		var s, rank int
-		if _, err := fmt.Sscanf(e.Name(), "step%05d_rank%05d.blk", &s, &rank); err == nil && s == step {
-			out = append(out, rank)
-		}
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out, nil
-}

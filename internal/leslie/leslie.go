@@ -98,7 +98,6 @@ type Solver struct {
 
 	step int
 	time float64
-	mem  *metrics.Tracker
 }
 
 // NewSolver decomposes the domain and applies the TML initial condition.
@@ -110,7 +109,7 @@ func NewSolver(c *mpi.Comm, cfg Config, mem *metrics.Tracker) (*Solver, error) {
 		mem = metrics.NewTracker()
 	}
 	px, py, pz := grid.Dims3(c.Size())
-	s := &Solver{Comm: c, Cfg: cfg, pdims: [3]int{px, py, pz}, mem: mem}
+	s := &Solver{Comm: c, Cfg: cfg, pdims: [3]int{px, py, pz}}
 	r := c.Rank()
 	s.pcoord = [3]int{r % px, (r / px) % py, r / (px * py)}
 	for ax := 0; ax < 3; ax++ {
@@ -205,9 +204,6 @@ func (s *Solver) LocalDims() [3]int { return s.n }
 
 // GlobalOffset returns the rank's cell offset per axis.
 func (s *Solver) GlobalOffset() [3]int { return s.off }
-
-// Free releases the tracked field memory.
-func (s *Solver) Free() { s.mem.FreeAll("leslie/fields") }
 
 // primitive extracts (rho, u, v, w, p) at a linear index.
 func (s *Solver) primitive(id int) (rho, u, v, w, p float64) {

@@ -311,7 +311,7 @@ func TestAdaptorExposesArrays(t *testing.T) {
 			return err
 		}
 		if mem.Current() != 0 {
-			t.Errorf("derived arrays leaked: %s", mem.Breakdown())
+			t.Errorf("derived arrays leaked: %d bytes", mem.Current())
 		}
 		return nil
 	})

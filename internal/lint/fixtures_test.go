@@ -84,22 +84,42 @@ func TestFixtures(t *testing.T) {
 		{"goleak", 0},
 		{"wghygiene", 0},
 		{"deadlockregress", 0},
+		{"unreferenced", 1},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
+			// A fixture's subdirectories are packages of their own, loaded
+			// first so that the fixture's root package can import them.
 			dir := filepath.Join("testdata", "src", tc.name)
-			path := "fixture/" + tc.name
-			pkg, err := l.LoadDir(dir, path)
+			entries, err := os.ReadDir(dir)
 			if err != nil {
-				t.Fatalf("load fixture %s: %v", tc.name, err)
+				t.Fatal(err)
 			}
-			res := Run(l, []*Package{pkg}, Analyzers(), fixtureConfig(path))
+			var rels []string
+			for _, e := range entries {
+				if e.IsDir() {
+					rels = append(rels, e.Name())
+				}
+			}
+			rels = append(rels, "")
+			path := "fixture/" + tc.name
+			var pkgs []*Package
+			var want []string
+			for _, rel := range rels {
+				pkg, err := l.LoadDir(filepath.Join(dir, rel), strings.TrimSuffix(path+"/"+rel, "/"))
+				if err != nil {
+					t.Fatalf("load fixture %s: %v", tc.name, err)
+				}
+				pkgs = append(pkgs, pkg)
+				want = append(want, fixtureWants(t, filepath.Join(dir, rel), strings.TrimSuffix("internal/lint/testdata/src/"+tc.name+"/"+rel, "/"))...)
+			}
+			sort.Strings(want)
+			res := Run(l, pkgs, Analyzers(), fixtureConfig(path))
 			var got []string
 			for _, d := range res.Diagnostics {
 				got = append(got, fmt.Sprintf("%s:%d: %s", d.File, d.Line, d.Rule))
 			}
 			sort.Strings(got)
-			want := fixtureWants(t, dir, "internal/lint/testdata/src/"+tc.name)
 			if !slices.Equal(got, want) {
 				t.Errorf("diagnostics mismatch\n got:\n  %s\nwant:\n  %s",
 					strings.Join(got, "\n  "), strings.Join(want, "\n  "))

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"strings"
@@ -17,9 +18,10 @@ type ignoreDirective struct {
 
 const ignorePrefix = "lint:ignore"
 
-// RuleIgnore is the rule name under which malformed //lint:ignore directives
-// are themselves reported; a suppression without a written reason is a
-// finding, not a free pass.
+// RuleIgnore is the rule name under which malformed or unused //lint:ignore
+// directives are themselves reported: a suppression without a written
+// reason is a finding, not a free pass, and so is one left behind after its
+// code went or naming a rule that never fires on its line.
 const RuleIgnore = "ignore"
 
 // parseIgnores extracts //lint:ignore directives from a file. A directive on
@@ -111,4 +113,32 @@ func (s *suppressionIndex) suppresses(d Diagnostic) bool {
 		}
 	}
 	return false
+}
+
+// unused reports the directives that suppressed nothing. A directive naming
+// a rule of the suite that this run did not execute is left alone; one
+// naming a rule the suite does not have is always reported.
+func (s *suppressionIndex) unused(root string, ran []*Analyzer) []Diagnostic {
+	ranRule := map[string]bool{}
+	for _, a := range ran {
+		ranRule[a.Name] = true
+	}
+	known := map[string]bool{}
+	for _, a := range Analyzers() {
+		known[a.Name] = true
+	}
+	var out []Diagnostic
+	for _, dirs := range s.byFileLine {
+		for _, dir := range dirs {
+			if dir.used || (known[dir.rule] && !ranRule[dir.rule]) {
+				continue
+			}
+			file, line, col := relPosition(root, dir.pos)
+			out = append(out, Diagnostic{
+				File: file, Line: line, Col: col, Rule: RuleIgnore,
+				Message: fmt.Sprintf("//lint:ignore %s suppresses nothing: no %s finding on line %d; delete the directive", dir.rule, dir.rule, dir.target),
+			})
+		}
+	}
+	return out
 }

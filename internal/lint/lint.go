@@ -25,12 +25,15 @@
 //     loops, time.Tick, and unstopped NewTimer/NewTicker results leak.
 //   - waitgroup-hygiene: wg.Add before `go`, lexical Add/Done arity
 //     agreement, and no sync types passed by value.
+//   - unreferenced: every package-level declaration in non-test code has a
+//     non-test reference somewhere in the module; what only tests need
+//     lives in their _test.go files.
 //
 // Findings can be suppressed with `//lint:ignore <rule> <reason>` on the
-// offending line or the line above; a suppression without a reason is
-// itself a finding. The suite is stdlib-only (go/ast, go/parser, go/token,
-// go/types) — see DESIGN.md's invariant catalog for the rationale behind
-// each rule.
+// offending line or the line above; a suppression without a reason, or one
+// that suppresses nothing, is itself a finding. The suite is stdlib-only
+// (go/ast, go/parser, go/token, go/types) — see DESIGN.md's invariant
+// catalog for the rationale behind each rule.
 package lint
 
 import (
@@ -160,6 +163,7 @@ func Analyzers() []*Analyzer {
 		LockBlockingAnalyzer(),
 		GoroutineLeakAnalyzer(),
 		WaitgroupHygieneAnalyzer(),
+		UnreferencedAnalyzer(),
 	}
 }
 
@@ -186,8 +190,8 @@ type RuleCount struct {
 }
 
 // Run executes the given analyzers over the packages, applying suppressions
-// found in their sources. Malformed suppressions are reported under the
-// "ignore" rule.
+// found in their sources. Malformed suppressions, and suppressions that
+// silence nothing, are reported under the "ignore" rule.
 func Run(l *Loader, pkgs []*Package, analyzers []*Analyzer, cfg *Config) *Result {
 	start := time.Now()
 	var raw []Diagnostic
@@ -211,16 +215,20 @@ func Run(l *Loader, pkgs []*Package, analyzers []*Analyzer, cfg *Config) *Result
 		}
 	}
 	for _, d := range raw {
-		rc := res.PerRule[d.Rule]
 		if d.Rule != RuleIgnore && sup.suppresses(d) {
+			rc := res.PerRule[d.Rule]
 			res.Suppressed++
 			rc.Suppressed++
 			res.PerRule[d.Rule] = rc
 			continue
 		}
+		res.Diagnostics = append(res.Diagnostics, d)
+	}
+	res.Diagnostics = append(res.Diagnostics, sup.unused(l.ModuleRoot, analyzers)...)
+	for _, d := range res.Diagnostics {
+		rc := res.PerRule[d.Rule]
 		rc.Findings++
 		res.PerRule[d.Rule] = rc
-		res.Diagnostics = append(res.Diagnostics, d)
 	}
 	sortDiagnostics(res.Diagnostics)
 	res.Elapsed = time.Since(start)

@@ -89,6 +89,9 @@ func findModule(dir string) (root, path string, err error) {
 
 // Import implements types.Importer over the module/stdlib split.
 func (l *Loader) Import(path string) (*types.Package, error) {
+	if p, ok := l.cache[path]; ok {
+		return p.Types, nil
+	}
 	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
 		p, err := l.loadModulePath(path)
 		if err != nil {
@@ -115,7 +118,10 @@ func (l *Loader) loadModulePath(path string) (*Package, error) {
 
 // LoadDir type-checks the single package in dir under the given import path.
 // It is the entry point fixture tests use for packages outside the module
-// tree proper (testdata is skipped by LoadModule).
+// tree proper (testdata is skipped by LoadModule); a package loaded this way
+// can be imported by the ones loaded after it.
+//
+//lint:ignore unreferenced TestFixtures loads every fixture package through it
 func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {

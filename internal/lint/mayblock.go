@@ -61,6 +61,10 @@ type Facts struct {
 	// seeds holds Config.BlockingFuncs as a FullName set, consulted per
 	// call site alongside the built-in seed classification.
 	seeds map[string]bool
+	// pkgs are the analyzed packages; refs is the unreferenced rule's index
+	// over them, built on first use.
+	pkgs []*Package
+	refs *refIndex
 }
 
 // MayBlock reports whether fn may block, with the reason recorded during the
@@ -122,7 +126,7 @@ func ComputeFacts(l *Loader, pkgs []*Package, cfg *Config) *Facts {
 		}
 	}
 
-	facts := &Facts{mayBlock: map[*types.Func]string{}, decls: map[*types.Func]*ast.FuncDecl{}, seeds: seeds}
+	facts := &Facts{mayBlock: map[*types.Func]string{}, decls: map[*types.Func]*ast.FuncDecl{}, seeds: seeds, pkgs: pkgs}
 	var sums []*funcSummary
 	for _, p := range all {
 		for _, f := range p.Files {

@@ -8,7 +8,7 @@
 //     write while the recv pump needed the same mutex to process the
 //     Release that would have unblocked the peer — a two-process deadlock
 //     on a loopback transport.
-//   - reconnect: the reconnect path replayed the in-flight window under the
+//   - Reconnect: the reconnect path replayed the in-flight window under the
 //     state lock BEFORE restarting the recv pump, so a slow peer filled the
 //     kernel buffer and wedged the lock (the reconnect pump-ordering bug;
 //     the production fix sends the Welcome first and replays outside the
@@ -52,9 +52,9 @@ func (c *Client) Release(upTo uint32) {
 	}
 }
 
-// reconnect replays the window under the state lock before the pump is
+// Reconnect replays the window under the state lock before the pump is
 // back: every write can block on a peer that cannot drain yet.
-func (c *Client) reconnect(conn net.Conn) error {
+func (c *Client) Reconnect(conn net.Conn) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.conn = conn

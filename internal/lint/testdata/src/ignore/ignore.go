@@ -1,7 +1,7 @@
 // Package ignore exercises the //lint:ignore directive: valid suppressions
 // (standalone and trailing) silence a finding, a directive without a reason
 // is itself a finding, and a directive naming the wrong rule suppresses
-// nothing.
+// nothing and is itself a finding.
 package ignore
 
 import "os"
@@ -40,12 +40,14 @@ func MissingReason(path string) error {
 	return nil
 }
 
-// WrongRule names a different rule; the finding still fires.
+// WrongRule names a different rule; the finding still fires, and so does
+// the unused directive.
 func WrongRule(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
+	// want ignore
 	//lint:ignore nondeterminism file closes have nothing to do with clocks
 	defer f.Close() // want unchecked-close
 	return nil

@@ -229,3 +229,10 @@ func TestCommandTableBounded(t *testing.T) {
 		}
 	}
 }
+
+// PendingCommands reports the size of the coalesced steering table.
+func (h *Hub) PendingCommands() int {
+	h.steerMu.Lock()
+	defer h.steerMu.Unlock()
+	return len(h.steer)
+}

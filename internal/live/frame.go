@@ -56,7 +56,6 @@ type FrameRef struct {
 	refs  atomic.Int32
 	buf   []byte // sealed wire frame: fabric header + payload
 	step  int
-	w, h  int
 	epoch uint64
 }
 
@@ -75,7 +74,7 @@ func newFrameRef(f Frame, epoch uint64) *FrameRef {
 	buf = appendFramePayload(buf, f)
 	fabric.SealFrame(buf, fabric.FrameData, uint32(epoch))
 	r.buf = buf
-	r.step, r.w, r.h = f.Step, f.Width, f.Height
+	r.step = f.Step
 	r.epoch = epoch
 	r.refs.Store(1)
 	return r
@@ -83,12 +82,6 @@ func newFrameRef(f Frame, epoch uint64) *FrameRef {
 
 // Step returns the simulation step the frame renders.
 func (r *FrameRef) Step() int { return r.step }
-
-// Width returns the image width in pixels.
-func (r *FrameRef) Width() int { return r.w }
-
-// Height returns the image height in pixels.
-func (r *FrameRef) Height() int { return r.h }
 
 // Epoch returns the hub publish epoch (also the wire sequence number).
 func (r *FrameRef) Epoch() uint64 { return r.epoch }
@@ -100,13 +93,6 @@ func (r *FrameRef) PNG() []byte { return r.buf[fabric.FrameOverhead+framePayload
 // Wire returns the complete sealed fabric frame, ready for conn.Write —
 // the same bytes for every viewer. Valid only while a reference is held.
 func (r *FrameRef) Wire() []byte { return r.buf }
-
-// Frame returns an owned deep copy for callers that outlive their
-// reference (Hub.Latest).
-func (r *FrameRef) Frame() Frame {
-	return Frame{Step: r.step, Width: r.w, Height: r.h,
-		PNG: append([]byte(nil), r.PNG()...)}
-}
 
 // Retain adds a reference on behalf of a new holder.
 func (r *FrameRef) Retain() { r.refs.Add(1) }

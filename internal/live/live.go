@@ -31,7 +31,6 @@
 package live
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -188,18 +187,6 @@ func (h *Hub) LatestRef() *FrameRef {
 	return h.latest
 }
 
-// Latest returns an owned copy of the most recent frame, if any was
-// published — the snapshot cache late joiners are seeded from.
-func (h *Hub) Latest() (Frame, bool) {
-	ref := h.LatestRef()
-	if ref == nil {
-		return Frame{}, false
-	}
-	f := ref.Frame()
-	ref.Release()
-	return f, true
-}
-
 // Frames reports how many frames were published.
 func (h *Hub) Frames() int {
 	h.pubMu.Lock()
@@ -305,9 +292,6 @@ func (s *Subscription) deliver(ref *FrameRef) {
 // slot update. Pair with Take in a select loop.
 func (s *Subscription) Ready() <-chan struct{} { return s.rdy }
 
-// Done is closed when the subscription is canceled.
-func (s *Subscription) Done() <-chan struct{} { return s.done }
-
 // Take removes and returns the newest undelivered frame, or nil if the
 // viewer already took it. The caller owns the reference and must Release.
 func (s *Subscription) Take() *FrameRef { return s.slot.Swap(nil) }
@@ -362,13 +346,6 @@ func (h *Hub) SendCommand(name string, value float64) {
 	h.steer[name] = Command{Name: name, Value: value, Epoch: h.steerEpoch}
 }
 
-// PendingCommands reports the size of the coalesced steering table.
-func (h *Hub) PendingCommands() int {
-	h.steerMu.Lock()
-	defer h.steerMu.Unlock()
-	return len(h.steer)
-}
-
 // DrainCommands returns and clears the coalesced commands in ascending
 // epoch order (deterministic: last-update order, not map order). The
 // simulation's rank 0 calls this once per step and broadcasts the result
@@ -386,27 +363,4 @@ func (h *Hub) DrainCommands() []Command {
 	h.steerMu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Epoch < out[j].Epoch })
 	return out
-}
-
-// EncodeCommands flattens commands for an mpi broadcast: callers send the
-// count first, then the flattened payload. Epoch tags are hub-local and do
-// not cross ranks (the broadcast list order already encodes them).
-func EncodeCommands(cmds []Command) (names []string, values []float64) {
-	for _, c := range cmds {
-		names = append(names, c.Name)
-		values = append(values, c.Value)
-	}
-	return names, values
-}
-
-// DecodeCommands reverses EncodeCommands.
-func DecodeCommands(names []string, values []float64) ([]Command, error) {
-	if len(names) != len(values) {
-		return nil, fmt.Errorf("live: name/value length mismatch %d vs %d", len(names), len(values))
-	}
-	out := make([]Command, len(names))
-	for i := range names {
-		out[i] = Command{Name: names[i], Value: values[i]}
-	}
-	return out, nil
 }

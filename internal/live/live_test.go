@@ -16,7 +16,7 @@ import (
 
 func TestHubLatestAndSubscribe(t *testing.T) {
 	h := NewHub()
-	if _, ok := h.Latest(); ok {
+	if h.LatestRef() != nil {
 		t.Fatal("empty hub has a frame")
 	}
 	sub := h.SubscribeRef()
@@ -33,10 +33,11 @@ func TestHubLatestAndSubscribe(t *testing.T) {
 	src := []byte{9}
 	h.Publish(Frame{Step: 2, PNG: src})
 	src[0] = 0
-	got, ok := h.Latest()
-	if !ok || got.PNG[0] != 9 {
+	got := h.LatestRef()
+	if got == nil || got.PNG()[0] != 9 {
 		t.Fatal("frame not copied")
 	}
+	got.Release()
 	sub.Cancel()
 	sub.Cancel() // idempotent
 	if h.Viewers() != 0 {
@@ -58,9 +59,10 @@ func TestHubLaggingViewerSkipsToNewest(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.Publish(Frame{Step: i, PNG: []byte{byte(i)}})
 	}
-	f, ok := h.Latest()
-	if !ok || f.Step != 4 {
-		t.Fatalf("latest=%+v", f)
+	if f := h.LatestRef(); f == nil || f.Step() != 4 {
+		t.Fatalf("latest=%v", f)
+	} else {
+		f.Release()
 	}
 	seen := -1
 	deadline := time.Now().Add(5 * time.Second)
@@ -106,14 +108,6 @@ func TestCommandsRoundTrip(t *testing.T) {
 	}
 	if len(h.DrainCommands()) != 0 {
 		t.Fatal("drain not clearing")
-	}
-	names, values := EncodeCommands(cmds)
-	back, err := DecodeCommands(names, values)
-	if err != nil || len(back) != 2 || back[0].Name != cmds[0].Name || back[0].Value != cmds[0].Value {
-		t.Fatalf("decode=%v err=%v", back, err)
-	}
-	if _, err := DecodeCommands([]string{"a"}, nil); err == nil {
-		t.Fatal("mismatched decode accepted")
 	}
 }
 
@@ -213,7 +207,9 @@ func TestSteeringLoopThroughHub(t *testing.T) {
 			// Rank 0 drains viewer commands and broadcasts them.
 			var values []float64
 			if c.Rank() == 0 {
-				_, values = EncodeCommands(hub.DrainCommands())
+				for _, cmd := range hub.DrainCommands() {
+					values = append(values, cmd.Value)
+				}
 			}
 			count := []int64{int64(len(values))}
 			if err := mpi.Bcast(c, count, 0); err != nil {

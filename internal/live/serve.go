@@ -208,8 +208,7 @@ type Viewer struct {
 	rdy  chan struct{} // cap 1: set when the slot is filled
 	done chan struct{} // closed when the receive pump exits
 
-	recvd   atomic.Uint64
-	granted uint32
+	recvd atomic.Uint64
 }
 
 // DialViewer attaches to a live server.
@@ -226,29 +225,18 @@ func DialViewerWith(network, addr string, o ViewerOptions) (*Viewer, error) {
 	if o.WrapConn != nil {
 		conn = o.WrapConn(conn)
 	}
-	sess, w, err := fabric.DialHello(conn, fabric.Hello{Role: fabric.RoleViewer}, nil)
+	sess, _, err := fabric.DialHello(conn, fabric.Hello{Role: fabric.RoleViewer}, nil)
 	if err != nil {
 		return nil, err
 	}
 	v := &Viewer{
-		sess:    sess,
-		rdy:     make(chan struct{}, 1),
-		done:    make(chan struct{}),
-		granted: w.Credits,
+		sess: sess,
+		rdy:  make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
 	go v.recvPump()
 	return v, nil
 }
-
-// Credits reports the in-flight frame budget the server granted.
-func (v *Viewer) Credits() int { return int(v.granted) }
-
-// Received reports how many frames the receive pump has taken off the
-// wire (delivered to the slot or superseded there).
-func (v *Viewer) Received() uint64 { return v.recvd.Load() }
-
-// Done is closed when the connection drops or Close is called.
-func (v *Viewer) Done() <-chan struct{} { return v.done }
 
 // Next blocks until a frame is available (newest-wins: intervening frames
 // the caller was too slow for are skipped), the viewer closes (ok=false),

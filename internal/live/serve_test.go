@@ -138,9 +138,9 @@ func TestViewerRecvPumpNewestWins(t *testing.T) {
 	// channel capacity off the wire, without the application reading once.
 	deadline := time.Now().Add(10 * time.Second)
 	step := 0
-	for v.Received() < 40 {
+	for v.recvd.Load() < 40 {
 		if time.Now().After(deadline) {
-			t.Fatalf("recv pump wedged: only %d frames received", v.Received())
+			t.Fatalf("recv pump wedged: only %d frames received", v.recvd.Load())
 		}
 		hub.Publish(Frame{Step: step, PNG: []byte{byte(step)}})
 		step++

@@ -64,9 +64,6 @@ type Machine struct {
 	IO           IOSystem
 }
 
-// TotalCores returns the machine's core count.
-func (m Machine) TotalCores() int { return m.Nodes * m.CoresPerNode }
-
 // Cori returns the Cori Phase I (NERSC Cray XC40, Haswell) model used for
 // the miniapplication and Nyx studies.
 func Cori() Machine {
@@ -140,44 +137,4 @@ func Titan() Machine {
 			ReadSigma:               0.3,
 		},
 	}
-}
-
-// Local returns a model of the machine the tests actually run on; the
-// experiment harnesses use it for the "real" (executed) rows.
-func Local() Machine {
-	return Machine{
-		Name:              "local",
-		Nodes:             1,
-		CoresPerNode:      8,
-		RanksPerCore:      1,
-		MemPerNodeGB:      16,
-		CoreGFLOPS:        8,
-		ScalarSlowdown:    1,
-		NetLatencySeconds: 2e-7, // channel hop
-		NetBandwidth:      8e9,
-		IO: IOSystem{
-			OSTs:                    1,
-			OSTBandwidth:            1e9,
-			MetadataOpSeconds:       20e-6,
-			CollectiveBandwidth:     1e9,
-			FilePerProcessBandwidth: 1.5e9,
-			ReadBandwidth:           2e9,
-			ReadSigma:               0.1,
-		},
-	}
-}
-
-// ByName returns a platform model by name.
-func ByName(name string) (Machine, bool) {
-	switch name {
-	case "cori", "cori-p1":
-		return Cori(), true
-	case "mira":
-		return Mira(), true
-	case "titan":
-		return Titan(), true
-	case "local":
-		return Local(), true
-	}
-	return Machine{}, false
 }

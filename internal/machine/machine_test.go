@@ -4,8 +4,8 @@ import "testing"
 
 func TestPresets(t *testing.T) {
 	cori := Cori()
-	if cori.TotalCores() != 1630*32 {
-		t.Fatalf("cori cores=%d", cori.TotalCores())
+	if cores := cori.Nodes * cori.CoresPerNode; cores != 1630*32 {
+		t.Fatalf("cori cores=%d", cores)
 	}
 	if cori.MemPerNodeGB != 128 {
 		t.Fatalf("cori mem=%v", cori.MemPerNodeGB)
@@ -15,7 +15,7 @@ func TestPresets(t *testing.T) {
 		t.Fatalf("mira ranks/core=%d (PHASTA runs 4)", mira.RanksPerCore)
 	}
 	// Mira supports the paper's 1M-rank run: 16384 nodes x 16 cores x 4.
-	if mira.TotalCores()*mira.RanksPerCore < 1048576 {
+	if mira.Nodes*mira.CoresPerNode*mira.RanksPerCore < 1048576 {
 		t.Fatal("mira cannot host 1M ranks")
 	}
 	titan := Titan()
@@ -24,19 +24,8 @@ func TestPresets(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"cori", "cori-p1", "mira", "titan", "local"} {
-		if _, ok := ByName(name); !ok {
-			t.Errorf("ByName(%q) failed", name)
-		}
-	}
-	if _, ok := ByName("summit"); ok {
-		t.Error("unknown machine resolved")
-	}
-}
-
 func TestSanityOfRates(t *testing.T) {
-	for _, m := range []Machine{Cori(), Mira(), Titan(), Local()} {
+	for _, m := range []Machine{Cori(), Mira(), Titan()} {
 		if m.CoreGFLOPS <= 0 || m.NetBandwidth <= 0 || m.NetLatencySeconds <= 0 {
 			t.Errorf("%s: non-positive rates", m.Name)
 		}

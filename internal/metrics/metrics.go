@@ -15,7 +15,6 @@ package metrics
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,14 +61,6 @@ func (t *Timer) Total() time.Duration { return t.total }
 
 // Count returns the number of completed intervals.
 func (t *Timer) Count() int { return t.count }
-
-// Mean returns the average interval length, or zero if none completed.
-func (t *Timer) Mean() time.Duration {
-	if t.count == 0 {
-		return 0
-	}
-	return t.total / time.Duration(t.count)
-}
 
 // Counter is a monotonically increasing tally safe for concurrent use.
 // Infrastructure layers with their own goroutines (the fabric's send/recv
@@ -137,16 +128,12 @@ func (e *EWMA) Observe(x float64) {
 // Value returns the current smoothed value (zero before any observation).
 func (e *EWMA) Value() float64 { return e.value }
 
-// Count returns the number of observations folded in.
-func (e *EWMA) Count() int { return e.count }
-
 // Registry collects the timers and events of a single rank.
 // A Registry is safe for use by one rank (goroutine) at a time.
 type Registry struct {
 	Rank   int
 	timers map[string]*Timer
 	events []Event
-	hook   func(Event)
 }
 
 // NewRegistry returns an empty registry for the given rank.
@@ -180,44 +167,14 @@ func (r *Registry) Time(name string, step int, f func()) time.Duration {
 	t.Start()
 	f()
 	d := t.Stop()
-	r.append(Event{Name: name, Step: step, Seconds: d.Seconds()})
+	r.events = append(r.events, Event{Name: name, Step: step, Seconds: d.Seconds()})
 	return d
 }
 
 // Log records an externally measured or modeled event.
 func (r *Registry) Log(name string, step int, seconds float64) {
 	r.Timer(name).Add(time.Duration(seconds * float64(time.Second)))
-	r.append(Event{Name: name, Step: step, Seconds: seconds})
-}
-
-func (r *Registry) append(e Event) {
-	r.events = append(r.events, e)
-	if r.hook != nil {
-		r.hook(e)
-	}
-}
-
-// SetEventHook installs an observer invoked synchronously for every event
-// the registry logs, in insertion order — the step-cost export seam an
-// adaptive controller (internal/route) taps without polling the event log.
-// It returns the previous hook; pass nil to uninstall.
-func (r *Registry) SetEventHook(h func(Event)) func(Event) {
-	prev := r.hook
-	r.hook = h
-	return prev
-}
-
-// Events returns the logged events in insertion order.
-func (r *Registry) Events() []Event { return r.events }
-
-// LastNamed returns the most recently logged event with the given name.
-func (r *Registry) LastNamed(name string) (Event, bool) {
-	for i := len(r.events) - 1; i >= 0; i-- {
-		if r.events[i].Name == name {
-			return r.events[i], true
-		}
-	}
-	return Event{}, false
+	r.events = append(r.events, Event{Name: name, Step: step, Seconds: seconds})
 }
 
 // EventsNamed returns the logged events with the given name, in step order.
@@ -307,22 +264,4 @@ func (t *Tracker) Named(name string) int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.byName[name]
-}
-
-// Breakdown returns a sorted "name=bytes" summary of current registrations.
-func (t *Tracker) Breakdown() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	names := make([]string, 0, len(t.byName))
-	for n, b := range t.byName {
-		if b != 0 {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	parts := make([]string, len(names))
-	for i, n := range names {
-		parts[i] = fmt.Sprintf("%s=%d", n, t.byName[n])
-	}
-	return strings.Join(parts, " ")
 }

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"gosensei/internal/mpi"
@@ -146,19 +145,4 @@ func FormatSeconds(s float64) string {
 		return fmt.Sprintf("%.2f s", s)
 	}
 	return fmt.Sprintf("%.0f s", s)
-}
-
-// MergeEvents interleaves event logs from several ranks sorted by (step, name).
-func MergeEvents(regs ...*Registry) []Event {
-	var all []Event
-	for _, r := range regs {
-		all = append(all, r.Events()...)
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].Step != all[j].Step {
-			return all[i].Step < all[j].Step
-		}
-		return all[i].Name < all[j].Name
-	})
-	return all
 }

@@ -2,7 +2,7 @@
 //
 // Every collective here used to be the naive textbook shape: Allreduce was
 // reduce-then-broadcast, Allgather concatenated on rank 0 and broadcast the
-// whole flat buffer twice, Gather/Scatter were linear root floods, and every
+// whole flat buffer twice, Gather was a linear root flood, and every
 // tree hop allocated a fresh message. The paper's scaling story (Figs. 3-7)
 // is driven by exactly these costs — global min/max reductions feed every
 // analysis method and gather/allgather feed compositing and I/O — so this
@@ -13,11 +13,11 @@
 //     Rabenseifner (recursive-halving reduce-scatter + recursive-doubling
 //     allgather) for long ones. The bottleneck rank moves ~2n bytes instead
 //     of the 2n·log P of reduce+bcast.
-//   - Allgather/Allgatherv: a ring — P-1 rounds of neighbor exchanges, each
+//   - Allgather: a ring — P-1 rounds of neighbor exchanges, each
 //     rank forwarding the block it just received — replacing the old
 //     root-gather plus two whole-buffer broadcasts.
-//   - Gather/Gatherv/Scatter: binomial trees (log P rounds at the root
-//     instead of P-1 point-to-point messages).
+//   - Gatherv: a binomial tree (log P rounds at the root instead of P-1
+//     point-to-point messages).
 //   - Bcast: binomial for short payloads, segmented and pipelined down the
 //     same tree for long ones so deep trees stream rather than
 //     store-and-forward.
@@ -50,7 +50,7 @@ type Number interface {
 // Op identifies a reduction operation.
 type Op int
 
-// Reduction operations supported by Reduce, Allreduce, and Scan. OpMinMax is
+// Reduction operations supported by Reduce and Allreduce. OpMinMax is
 // the fused range operation: the first half of the vector is combined with
 // min and the second half with max, so the ubiquitous "global [lo, hi]"
 // pattern costs one collective round instead of two.
@@ -289,9 +289,9 @@ const (
 	tagReduce
 	tagGather
 	tagGatherLen
-	tagScatter
-	tagScatterLen
-	tagScan
+	_ // unused: the three blanks keep the tags below at their values
+	_
+	_
 	tagAlltoall
 	tagAllgather
 	tagAllreduce
@@ -663,54 +663,6 @@ func subtreeSpan(vrank, size int) int {
 	return span
 }
 
-// Gather collects equal-length contributions from every rank onto root over
-// a binomial tree, ordered by rank. Non-root ranks receive nil. Ranks must
-// contribute equal lengths; use Gatherv for variable-length contributions.
-func Gather[T any](c *Comm, send []T, root int) ([][]T, error) {
-	m := len(send)
-	if c.size == 1 {
-		cp := make([]T, m)
-		copy(cp, send)
-		return [][]T{cp}, nil
-	}
-	vrank := (c.rank - root + c.size) % c.size
-	span := subtreeSpan(vrank, c.size)
-	var acc []T
-	var accPtr *[]T
-	if vrank == 0 {
-		acc = make([]T, span*m) // becomes the caller-owned result
-	} else {
-		accPtr = getBuf[T](span * m)
-		acc = *accPtr
-	}
-	copy(acc[:m], send)
-	for mask := 1; mask < c.size; mask <<= 1 {
-		if vrank&mask != 0 {
-			parent := ((vrank &^ mask) + root) % c.size
-			sendBuf(c, parent, tagGather, accPtr)
-			return nil, nil
-		}
-		vchild := vrank | mask
-		if vchild < c.size {
-			cspan := subtreeSpan(vchild, c.size)
-			data, err := recvBuf[T](c, (vchild+root)%c.size, tagGather)
-			if err != nil {
-				return nil, fmt.Errorf("gather (rank %d from %d): %w", c.rank, (vchild+root)%c.size, err)
-			}
-			if len(*data) != cspan*m {
-				return nil, fmt.Errorf("gather: unequal contribution lengths (rank %d: subtree of %d sent %d elements, want %d·%d); use Gatherv for variable lengths", c.rank, (vchild+root)%c.size, len(*data), cspan, m)
-			}
-			copy(acc[(vchild-vrank)*m:], *data)
-			putBuf(data)
-		}
-	}
-	out := make([][]T, c.size)
-	for v := 0; v < c.size; v++ {
-		out[(v+root)%c.size] = acc[v*m : (v+1)*m : (v+1)*m]
-	}
-	return out, nil
-}
-
 // Gatherv collects variable-length contributions from every rank onto root
 // over a binomial tree, ordered by rank. Non-root ranks receive nil. Each
 // tree hop ships a per-rank length header alongside the concatenated
@@ -790,24 +742,6 @@ func Allgather[T any](c *Comm, send []T) ([]T, error) {
 	return flat, nil
 }
 
-// Allgatherv is Allgather returning per-rank slices instead of a flat
-// concatenation; the slices are views into one contiguous allocation, in
-// rank order, on every rank.
-func Allgatherv[T any](c *Comm, send []T) ([][]T, error) {
-	flat, lens, err := allgatherRing(c, send)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]T, c.size)
-	off := 0
-	for r, l := range *lens {
-		out[r] = flat[off : off+int(l) : off+int(l)]
-		off += int(l)
-	}
-	putBuf(lens)
-	return out, nil
-}
-
 func allgatherRing[T any](c *Comm, send []T) ([]T, *[]int64, error) {
 	p := c.size
 	if p == 1 {
@@ -863,119 +797,6 @@ func allgatherRing[T any](c *Comm, send []T) ([]T, *[]int64, error) {
 	}
 	putBuf(blockPtrs)
 	return flat, lens, nil
-}
-
-// Scatter distributes parts[i] from root to rank i over a binomial tree:
-// the root ships each child the concatenated block for that child's whole
-// subtree (with a length header), and interior ranks peel off their part
-// and forward the rest. parts is read on root only; every rank returns its
-// own part. Parts may vary in length (MPI_Scatterv semantics).
-func Scatter[T any](c *Comm, parts [][]T, root int) ([]T, error) {
-	p := c.size
-	if c.rank == root && len(parts) != p {
-		return nil, fmt.Errorf("scatter: need %d parts, got %d", p, len(parts))
-	}
-	if p == 1 {
-		cp := make([]T, len(parts[root]))
-		copy(cp, parts[root])
-		return cp, nil
-	}
-	vrank := (c.rank - root + p) % p
-	span := subtreeSpan(vrank, p)
-	var lens *[]int64
-	var flat *[]T
-	if vrank == 0 {
-		lens = getBuf[int64](p)
-		total := 0
-		for v := 0; v < p; v++ {
-			(*lens)[v] = int64(len(parts[(v+root)%p]))
-			total += len(parts[(v+root)%p])
-		}
-		flat = getBuf[T](total)
-		off := 0
-		for v := 0; v < p; v++ {
-			off += copy((*flat)[off:], parts[(v+root)%p])
-		}
-	} else {
-		// Parent in the contiguous-subtree convention (same tree as Gather):
-		// clear the lowest set bit of vrank.
-		parent := vrank &^ (vrank & -vrank)
-		src := (parent + root) % p
-		var err error
-		lens, err = recvBuf[int64](c, src, tagScatterLen)
-		if err != nil {
-			return nil, fmt.Errorf("scatter (rank %d from %d): %w", c.rank, src, err)
-		}
-		flat, err = recvBuf[T](c, src, tagScatter)
-		if err != nil {
-			return nil, fmt.Errorf("scatter (rank %d from %d): %w", c.rank, src, err)
-		}
-		var want int64
-		for _, l := range *lens {
-			want += l
-		}
-		if len(*lens) != span || int64(len(*flat)) != want {
-			return nil, fmt.Errorf("scatter: inconsistent block on rank %d (lens %d/%d, data %d/%d)", c.rank, len(*lens), span, len(*flat), want)
-		}
-	}
-	// Prefix offsets of each subtree vrank's part within my block.
-	offs := getBuf[int64](span + 1)
-	(*offs)[0] = 0
-	for i := 0; i < span; i++ {
-		(*offs)[i+1] = (*offs)[i] + (*lens)[i]
-	}
-	// Children in the contiguous-subtree convention: vrank+mask for each
-	// mask below vrank's lowest set bit (all masks for the root), so each
-	// child's subtree is the contiguous vrank range [vchild, vchild+cspan).
-	childLimit := p
-	if vrank != 0 {
-		childLimit = vrank & -vrank
-	}
-	for mask := 1; mask < childLimit && vrank+mask < p; mask <<= 1 {
-		vchild := vrank + mask
-		cspan := subtreeSpan(vchild, p)
-		i0 := vchild - vrank
-		clens := getBuf[int64](cspan)
-		copy(*clens, (*lens)[i0:i0+cspan])
-		cdata := getBuf[T](int((*offs)[i0+cspan] - (*offs)[i0]))
-		copy(*cdata, (*flat)[(*offs)[i0]:(*offs)[i0+cspan]])
-		dst := (vchild + root) % p
-		sendBuf(c, dst, tagScatterLen, clens)
-		sendBuf(c, dst, tagScatter, cdata)
-	}
-	out := make([]T, (*lens)[0])
-	copy(out, (*flat)[:(*lens)[0]])
-	putBuf(offs)
-	putBuf(lens)
-	putBuf(flat)
-	return out, nil
-}
-
-// Scan computes an inclusive prefix reduction over ranks: rank r receives
-// op(send_0, ..., send_r). Implemented linearly along the rank order.
-func Scan[T Number](c *Comm, send []T, recv []T, op Op) error {
-	if len(recv) != len(send) {
-		return fmt.Errorf("scan: recv length %d != send length %d", len(recv), len(send))
-	}
-	split, err := opSplit("scan", op, len(send))
-	if err != nil {
-		return err
-	}
-	copy(recv, send)
-	if c.rank > 0 {
-		data, err := recvBuf[T](c, c.rank-1, tagScan)
-		if err != nil {
-			return fmt.Errorf("scan (rank %d): %w", c.rank, err)
-		}
-		apply(c, op, recv, *data, 0, split)
-		putBuf(data)
-	}
-	if c.rank < c.size-1 {
-		msg := getBuf[T](len(recv))
-		copy(*msg, recv)
-		sendBuf(c, c.rank+1, tagScan, msg)
-	}
-	return nil
 }
 
 // Alltoall exchanges parts[i] with rank i on every rank; the returned slice

@@ -199,8 +199,8 @@ func TestCollectivesOnSplitSubcommunicators(t *testing.T) {
 			}
 		}
 
-		// Gather (equal lengths) to a non-zero root.
-		parts, err := Gather(sub, []int32{int32(sub.Rank()), int32(color)}, root)
+		// Gatherv of equal lengths to a non-zero root.
+		parts, err := Gatherv(sub, []int32{int32(sub.Rank()), int32(color)}, root)
 		if err != nil {
 			return err
 		}
@@ -236,10 +236,10 @@ func TestCollectivesOnSplitSubcommunicators(t *testing.T) {
 			}
 		}
 
-		// Scatter variable-length parts from a non-zero root.
-		var sparts [][]float32
+		// Variable-length parts from a non-zero root, scattered as an
+		// Alltoall in which only the root's parts are non-empty.
+		sparts := make([][]float32, p)
 		if sub.Rank() == root {
-			sparts = make([][]float32, p)
 			for r := range sparts {
 				sparts[r] = make([]float32, r+2)
 				for i := range sparts[r] {
@@ -247,10 +247,11 @@ func TestCollectivesOnSplitSubcommunicators(t *testing.T) {
 				}
 			}
 		}
-		got, err := Scatter(sub, sparts, root)
+		scattered, err := Alltoall(sub, sparts)
 		if err != nil {
 			return err
 		}
+		got := scattered[root]
 		if len(got) != sub.Rank()+2 {
 			return fmt.Errorf("scatter: color %d sub-rank %d len %d", color, sub.Rank(), len(got))
 		}
@@ -260,7 +261,7 @@ func TestCollectivesOnSplitSubcommunicators(t *testing.T) {
 			}
 		}
 
-		// Allgather / Allgatherv with variable lengths.
+		// Allgather with variable lengths.
 		flat, err := Allgather(sub, mine)
 		if err != nil {
 			return err
@@ -272,13 +273,9 @@ func TestCollectivesOnSplitSubcommunicators(t *testing.T) {
 		if len(flat) != wantLen {
 			return fmt.Errorf("allgather: color %d len %d want %d", color, len(flat), wantLen)
 		}
-		aparts, err := Allgatherv(sub, mine)
-		if err != nil {
-			return err
-		}
-		for r := 0; r < p; r++ {
-			if len(aparts[r]) != r+1 || aparts[r][0] != int64(r*100) {
-				return fmt.Errorf("allgatherv: color %d rank %d part %v", color, r, aparts[r])
+		for r, off := 0, 0; r < p; off, r = off+r+1, r+1 {
+			if flat[off] != int64(r*100) {
+				return fmt.Errorf("allgather: color %d rank %d starts with %d", color, r, flat[off])
 			}
 		}
 
@@ -310,19 +307,6 @@ func TestCollectivesOnSplitSubcommunicators(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestGatherRejectsUnequalLengths: Gather now enforces equal contributions
-// and points callers at Gatherv.
-func TestGatherRejectsUnequalLengths(t *testing.T) {
-	err := Run(4, func(c *Comm) error {
-		data := make([]int, c.Rank()+1)
-		_, err := Gather(c, data, 0)
-		return err
-	})
-	if err == nil {
-		t.Fatal("expected unequal-length error")
 	}
 }
 
@@ -453,8 +437,9 @@ func TestCollectiveResultsDoNotAliasPools(t *testing.T) {
 }
 
 // TestScatterGatherPropertyNonPow2 is the quick property test across random
-// sizes, roots, and part lengths: Scatter then Gatherv must reproduce the
-// root's partition exactly.
+// sizes, roots, and part lengths: scattering the root's partition (an
+// Alltoall in which only the root's parts are non-empty) and gathering it
+// back with Gatherv must reproduce it exactly.
 func TestScatterGatherPropertyNonPow2(t *testing.T) {
 	f := func(seed int64, nRaw, rootRaw uint8) bool {
 		p := int(nRaw%7) + 2 // 2..8
@@ -468,14 +453,15 @@ func TestScatterGatherPropertyNonPow2(t *testing.T) {
 			}
 		}
 		err := Run(p, func(c *Comm) error {
-			var in [][]float64
+			in := make([][]float64, p)
 			if c.Rank() == root {
 				in = parts
 			}
-			mine, err := Scatter(c, in, root)
+			scattered, err := Alltoall(c, in)
 			if err != nil {
 				return err
 			}
+			mine := scattered[root]
 			back, err := Gatherv(c, mine, root)
 			if err != nil {
 				return err

@@ -3,7 +3,7 @@
 // Ranks are goroutines launched by Run; each rank receives a *Comm handle
 // through which it performs point-to-point communication (Send/Recv with tag
 // matching) and collective operations (Barrier, Bcast, Reduce, Allreduce,
-// Gather, Gatherv, Scatter, Allgather, Allgatherv, Scan, Alltoall).
+// Gatherv, Allgather, Alltoall).
 // Communicators can be split into sub-communicators with Split, mirroring
 // MPI_Comm_split.
 //

@@ -306,7 +306,7 @@ func TestAllreduceQuickProperty(t *testing.T) {
 func TestGatherOrdered(t *testing.T) {
 	n := 5
 	err := Run(n, func(c *Comm) error {
-		parts, err := Gather(c, []int{c.Rank(), c.Rank() * 2}, 2)
+		parts, err := Gatherv(c, []int{c.Rank(), c.Rank() * 2}, 2)
 		if err != nil {
 			return err
 		}
@@ -320,6 +320,56 @@ func TestGatherOrdered(t *testing.T) {
 			if p[0] != i || p[1] != i*2 {
 				return fmt.Errorf("part %d = %v", i, p)
 			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScatter scatters rank 1's parts as an Alltoall in which only rank 1's
+// parts are non-empty.
+func TestScatter(t *testing.T) {
+	n := 4
+	err := Run(n, func(c *Comm) error {
+		parts := make([][]float32, n)
+		if c.Rank() == 1 {
+			for i := range parts {
+				parts[i] = []float32{float32(i) * 1.5}
+			}
+		}
+		got, err := Alltoall(c, parts)
+		if err != nil {
+			return err
+		}
+		mine := got[1]
+		if mine[0] != float32(c.Rank())*1.5 {
+			return fmt.Errorf("rank %d got %v", c.Rank(), mine)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScanInclusive computes an inclusive prefix sum from an Allgather: each
+// rank sums the contributions of ranks 0..itself.
+func TestScanInclusive(t *testing.T) {
+	n := 6
+	err := Run(n, func(c *Comm) error {
+		all, err := Allgather(c, []int64{int64(c.Rank() + 1)})
+		if err != nil {
+			return err
+		}
+		var prefix int64
+		for _, v := range all[:c.Rank()+1] {
+			prefix += v
+		}
+		want := int64((c.Rank() + 1) * (c.Rank() + 2) / 2)
+		if prefix != want {
+			return fmt.Errorf("rank %d: got %d want %d", c.Rank(), prefix, want)
 		}
 		return nil
 	})
@@ -348,48 +398,6 @@ func TestAllgatherVariableLengths(t *testing.T) {
 			if all[i] != want[i] {
 				return fmt.Errorf("all=%v", all)
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestScatter(t *testing.T) {
-	n := 4
-	err := Run(n, func(c *Comm) error {
-		var parts [][]float32
-		if c.Rank() == 1 {
-			parts = make([][]float32, n)
-			for i := range parts {
-				parts[i] = []float32{float32(i) * 1.5}
-			}
-		}
-		mine, err := Scatter(c, parts, 1)
-		if err != nil {
-			return err
-		}
-		if mine[0] != float32(c.Rank())*1.5 {
-			return fmt.Errorf("rank %d got %v", c.Rank(), mine)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestScanInclusive(t *testing.T) {
-	n := 6
-	err := Run(n, func(c *Comm) error {
-		recv := make([]int64, 1)
-		if err := Scan(c, []int64{int64(c.Rank() + 1)}, recv, OpSum); err != nil {
-			return err
-		}
-		want := int64((c.Rank() + 1) * (c.Rank() + 2) / 2)
-		if recv[0] != want {
-			return fmt.Errorf("rank %d: got %d want %d", c.Rank(), recv[0], want)
 		}
 		return nil
 	})

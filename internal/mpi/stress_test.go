@@ -146,8 +146,9 @@ func TestSplitNested(t *testing.T) {
 	}
 }
 
-// TestGatherScatterInverse: scatter then gather reproduces the original
-// partition, for random part sizes.
+// TestGatherScatterInverse: scattering a partition from rank 0 (an Alltoall
+// in which only rank 0's parts are non-empty) and gathering it back
+// reproduces it, for random part sizes.
 func TestGatherScatterInverse(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw%6) + 2
@@ -161,14 +162,15 @@ func TestGatherScatterInverse(t *testing.T) {
 		}
 		ok := true
 		err := Run(n, func(c *Comm) error {
-			var in [][]float64
+			in := make([][]float64, n)
 			if c.Rank() == 0 {
 				in = parts
 			}
-			mine, err := Scatter(c, in, 0)
+			scattered, err := Alltoall(c, in)
 			if err != nil {
 				return err
 			}
+			mine := scattered[0]
 			back, err := Gatherv(c, mine, 0)
 			if err != nil {
 				return err

@@ -44,8 +44,6 @@ type Transport interface {
 	// and its Data are owned by the transport for the duration of the call
 	// only; implementations must not retain them after returning.
 	Send(env *Envelope) error
-	// Close releases the transport's resources.
-	Close() error
 }
 
 // Envelope is one point-to-point message in wire form: the routing identity

@@ -178,15 +178,6 @@ func (s *Sim) ownsZ(z float64) bool {
 // NumParticles returns the local particle count.
 func (s *Sim) NumParticles() int { return len(s.Pos) / 3 }
 
-// GlobalParticles returns the global particle count.
-func (s *Sim) GlobalParticles() (int64, error) {
-	out := make([]int64, 1)
-	if err := mpi.Allreduce(s.Comm, []int64{int64(s.NumParticles())}, out, mpi.OpSum); err != nil {
-		return 0, err
-	}
-	return out[0], nil
-}
-
 // StepIndex returns the completed step count.
 func (s *Sim) StepIndex() int { return s.step }
 
@@ -484,6 +475,8 @@ func (s *Sim) Migrate() error {
 
 // TotalDeposited integrates the owned density — equal to the global mass
 // independent of decomposition (the tests verify).
+//
+//lint:ignore unreferenced TestDepositConservesMass checks the CIC deposit against this global sum
 func (s *Sim) TotalDeposited() (float64, error) {
 	n := s.Cfg.GridCells
 	h := s.cellSize()

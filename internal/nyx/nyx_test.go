@@ -58,7 +58,7 @@ func TestParticleCountConserved(t *testing.T) {
 			return err
 		}
 		want := int64(cfg.ParticlesPerAxis * cfg.ParticlesPerAxis * cfg.ParticlesPerAxis)
-		n0, err := s.GlobalParticles()
+		n0, err := globalParticles(s)
 		if err != nil {
 			return err
 		}
@@ -70,7 +70,7 @@ func TestParticleCountConserved(t *testing.T) {
 				return err
 			}
 		}
-		n1, err := s.GlobalParticles()
+		n1, err := globalParticles(s)
 		if err != nil {
 			return err
 		}
@@ -380,4 +380,13 @@ func TestBridgeIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// globalParticles returns the global particle count.
+func globalParticles(s *Sim) (int64, error) {
+	out := make([]int64, 1)
+	if err := mpi.Allreduce(s.Comm, []int64{int64(s.NumParticles())}, out, mpi.OpSum); err != nil {
+		return 0, err
+	}
+	return out[0], nil
 }

@@ -59,7 +59,6 @@ type Sim struct {
 
 	step    int
 	time    float64
-	mem     *metrics.Tracker
 	workers int
 	// Per-step hoisted oscillator constants: the time factor depends only on
 	// t and the Gaussian denominator 2σ² only on the deck, yet the seed code
@@ -102,7 +101,6 @@ func NewSim(c *mpi.Comm, cfg Config, mem *metrics.Tracker) (*Sim, error) {
 		GlobalCellExtent: global,
 		LocalCellExtent:  local,
 		Data:             make([]float64, n),
-		mem:              mem,
 		workers:          parallel.Workers(cfg.Threads, c.Size()),
 		amps:             make([]float64, len(cfg.Oscillators)),
 		twoR2:            make([]float64, len(cfg.Oscillators)),
@@ -181,12 +179,6 @@ func (s *Sim) StepIndex() int { return s.step }
 
 // Time returns the current simulation time.
 func (s *Sim) Time() float64 { return s.time }
-
-// LocalCells returns the number of cells owned by this rank.
-func (s *Sim) LocalCells() int { return len(s.Data) }
-
-// Free releases the tracked memory accounting for the simulation data.
-func (s *Sim) Free() { s.mem.FreeAll("oscillator/data") }
 
 // Mesh returns the local block as image data whose cell extent matches the
 // rank's owned cells. The cell data array is NOT attached; that is the data

@@ -71,11 +71,6 @@ func DefaultCalibration() Calibration {
 // to returning DefaultCalibration via the guard).
 var calibrations atomic.Int64
 
-// Calibrations returns how many times Calibrate has measured kernels in this
-// process. Tier-1 tests assert it stays zero: deterministic tests must see
-// only DefaultCalibration.
-func Calibrations() int64 { return calibrations.Load() }
-
 // Calibrate measures the kernel costs on this host. It runs for a few
 // milliseconds. Inside a `go test` binary it returns DefaultCalibration
 // without measuring, so modeled numbers in tests never depend on host timing:
@@ -199,11 +194,6 @@ func (m *Model) BcastTime(p int, bytes int64) float64 {
 // AllreduceTime predicts reduce + broadcast.
 func (m *Model) AllreduceTime(p int, bytes int64) float64 {
 	return m.ReduceTime(p, bytes) + m.BcastTime(p, bytes)
-}
-
-// BarrierTime predicts a barrier (reduce + broadcast of an empty token).
-func (m *Model) BarrierTime(p int) float64 {
-	return 2 * rounds(p) * m.M.NetLatencySeconds
 }
 
 // OscillatorStepTime predicts one miniapp step: cells × oscillators × the

@@ -12,14 +12,14 @@ import (
 // measuring anything, and the measurement counter must stay zero no matter
 // how many times it is called.
 func TestCalibrateGuardedUnderGoTest(t *testing.T) {
-	before := Calibrations()
+	before := calibrations.Load()
 	for i := 0; i < 3; i++ {
 		if got, want := Calibrate(), DefaultCalibration(); got != want {
 			t.Fatalf("Calibrate under go test = %+v, want DefaultCalibration %+v", got, want)
 		}
 	}
-	if got := Calibrations(); got != before || got != 0 {
-		t.Fatalf("Calibrations = %d, want 0 (calibration ran under go test)", got)
+	if got := calibrations.Load(); got != before || got != 0 {
+		t.Fatalf("calibrations = %d, want 0 (calibration ran under go test)", got)
 	}
 }
 

@@ -272,6 +272,8 @@ func (s *Solver) BuildConnectivity() []int64 {
 
 // MaxJetVelocity returns the global maximum vertical velocity — a cheap
 // scalar the steering loop watches.
+//
+//lint:ignore unreferenced TestJetPulsesAndSteers reads the global jet peak to check pulsing and steering
 func (s *Solver) MaxJetVelocity() (float64, error) {
 	local := 0.0
 	for p := 0; p < s.NumPoints(); p++ {

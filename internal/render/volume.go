@@ -80,15 +80,6 @@ func rgba8(r, g, b float64) color.RGBA {
 	return color.RGBA{R: clamp(r), G: clamp(g), B: clamp(b), A: 255}
 }
 
-// MeanAlpha returns the average opacity — a cheap scalar for tests.
-func (a *AlphaImage) MeanAlpha() float64 {
-	s := 0.0
-	for i := 0; i < a.W*a.H; i++ {
-		s += float64(a.Pix[i*4+3])
-	}
-	return s / float64(a.W*a.H)
-}
-
 // VolumeSpec describes one direct volume rendering of a cell scalar.
 type VolumeSpec struct {
 	ArrayName string
@@ -109,20 +100,12 @@ type VolumeSpec struct {
 	Workers int
 }
 
-// RayMarchLocal renders this rank's brick into an AlphaImage by marching
-// axis-aligned rays through the local cells, accumulating front-to-back
-// premultiplied color. Cross-rank assembly is compositing.OverComposite,
-// ordered by each brick's position along the axis.
-func RayMarchLocal(img *grid.ImageData, spec *VolumeSpec) (*AlphaImage, int, error) {
-	return rayMarchSized(img, spec, 0, 0)
-}
-
-// RayMarchLocalSized is RayMarchLocal with an explicit image size.
+// RayMarchLocalSized renders this rank's brick into a w×h AlphaImage by
+// marching axis-aligned rays through the local cells, accumulating
+// front-to-back premultiplied color; w or h <= 0 gives one pixel per global
+// cell along each image axis. Cross-rank assembly is
+// compositing.OverComposite, ordered by each brick's position along the axis.
 func RayMarchLocalSized(img *grid.ImageData, spec *VolumeSpec, w, h int) (*AlphaImage, int, error) {
-	return rayMarchSized(img, spec, w, h)
-}
-
-func rayMarchSized(img *grid.ImageData, spec *VolumeSpec, w, h int) (*AlphaImage, int, error) {
 	arr := img.Attributes(grid.CellData).Get(spec.ArrayName)
 	if arr == nil {
 		return nil, 0, fmt.Errorf("render: volume: mesh has no cell array %q", spec.ArrayName)

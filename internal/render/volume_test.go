@@ -77,7 +77,7 @@ func TestRayMarchUniformSlabTransmittance(t *testing.T) {
 		Map: colormap.Gray(), OpacityScale: 0.2,
 		DomainBounds: [6]float64{0, 8, 0, 8, 0, 16},
 	}
-	out, orderKey, err := RayMarchLocal(img, spec)
+	out, orderKey, err := RayMarchLocalSized(img, spec, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestRayMarchEmptyValueTransparent(t *testing.T) {
 		Map: colormap.Gray(), OpacityScale: 1,
 		DomainBounds: [6]float64{0, 4, 0, 4, 0, 4},
 	}
-	out, _, err := RayMarchLocal(img, spec)
+	out, _, err := RayMarchLocalSized(img, spec, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestRayMarchGhostsSkipped(t *testing.T) {
 		Map: colormap.Gray(), OpacityScale: 1,
 		DomainBounds: [6]float64{0, 2, 0, 2, 0, 2},
 	}
-	out, _, err := RayMarchLocal(img, spec)
+	out, _, err := RayMarchLocalSized(img, spec, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,17 +137,17 @@ func TestRayMarchErrors(t *testing.T) {
 		DomainBounds: [6]float64{0, 2, 0, 2, 0, 2}}
 	bad := base
 	bad.ArrayName = "absent"
-	if _, _, err := RayMarchLocal(img, &bad); err == nil {
+	if _, _, err := RayMarchLocalSized(img, &bad, 0, 0); err == nil {
 		t.Fatal("missing array accepted")
 	}
 	bad = base
 	bad.Map = nil
-	if _, _, err := RayMarchLocal(img, &bad); err == nil {
+	if _, _, err := RayMarchLocalSized(img, &bad, 0, 0); err == nil {
 		t.Fatal("nil colormap accepted")
 	}
 	bad = base
 	bad.Axis = 7
-	if _, _, err := RayMarchLocal(img, &bad); err == nil {
+	if _, _, err := RayMarchLocalSized(img, &bad, 0, 0); err == nil {
 		t.Fatal("bad axis accepted")
 	}
 }
@@ -160,4 +160,13 @@ func TestAlphaToFramebuffer(t *testing.T) {
 	if c.R != 128 || c.B != 128 {
 		t.Fatalf("blend wrong: %+v", c)
 	}
+}
+
+// MeanAlpha returns the average opacity — a cheap scalar for tests.
+func (a *AlphaImage) MeanAlpha() float64 {
+	s := 0.0
+	for i := 0; i < a.W*a.H; i++ {
+		s += float64(a.Pix[i*4+3])
+	}
+	return s / float64(a.W*a.H)
 }

@@ -77,16 +77,6 @@ type Estimate struct {
 	StorageBytes int64
 }
 
-// add returns the elementwise sum (used when a step pays for two routes,
-// e.g. a failed dispatch plus its fallback).
-func (e Estimate) add(o Estimate) Estimate {
-	return Estimate{
-		Seconds:      e.Seconds + o.Seconds,
-		WireBytes:    e.WireBytes + o.WireBytes,
-		StorageBytes: e.StorageBytes + o.StorageBytes,
-	}
-}
-
 // Budget declares the per-step resource ceilings a route must respect. A
 // zero field is an unlimited dimension.
 type Budget struct {

@@ -305,10 +305,6 @@ func better(a, b Estimate, aIsCurrent, bIsCurrent bool) bool {
 	return aIsCurrent && !bIsCurrent
 }
 
-// Current returns the backend the router last decided (Start before any
-// Decide).
-func (r *Router) Current() Backend { return r.current }
-
 // Switches returns the number of backend changes decided so far.
 func (r *Router) Switches() int { return r.switches }
 
@@ -317,6 +313,3 @@ func (r *Router) Decisions() []Decision { return r.decisions }
 
 // Budget returns the configured budget (for harnesses scoring outcomes).
 func (r *Router) Budget() Budget { return r.cfg.Budget }
-
-// Eligible returns the configured eligible backends.
-func (r *Router) Eligible() []Backend { return append([]Backend(nil), r.cfg.Eligible...) }

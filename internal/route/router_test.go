@@ -209,7 +209,7 @@ func TestTransitions(t *testing.T) {
 			if res.Fallbacks != c.wantFall {
 				t.Errorf("fallbacks = %d, want %d\n%s", res.Fallbacks, c.wantFall, res.String())
 			}
-			if got := r.Current(); got != c.wantEnd {
+			if got := res.Decisions[len(res.Decisions)-1].Backend; got != c.wantEnd {
 				t.Errorf("final backend = %v, want %v", got, c.wantEnd)
 			}
 
@@ -317,7 +317,7 @@ func TestConfigNormalizeDefaults(t *testing.T) {
 
 func TestStartBackendMustBeEligible(t *testing.T) {
 	r := route.New(route.Config{Eligible: []route.Backend{route.PostHoc}, Start: route.InTransit}, [route.NumBackends]route.Estimate{})
-	if got := r.Current(); got != route.PostHoc {
+	if got := r.Decide(0).Backend; got != route.PostHoc {
 		t.Fatalf("ineligible Start kept: %v", got)
 	}
 }

@@ -350,9 +350,6 @@ func (w *World) closePeers() {
 	}
 }
 
-// Comm returns the world communicator for the hosted rank.
-func (w *World) Comm() *mpi.Comm { return w.comm }
-
 // Run executes f as the hosted rank, converting a panic (rank crash, fault
 // injection, transport failure) into an error the caller can surface — the
 // same recovery contract mpi.Run gives goroutine ranks.

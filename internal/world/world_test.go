@@ -98,8 +98,9 @@ func TestRecvTypeMismatch(t *testing.T) {
 
 // collectiveWorkout runs the full collective families on one communicator —
 // both Allreduce algorithms (the vector length straddles the Rabenseifner
-// crossover), segmented Bcast, Gather(v)/Scatter, Allgather(v), Alltoall,
-// Scan, Barrier — and verifies every result against closed forms.
+// crossover), segmented Bcast, Gatherv, a scatter from one root, Allgather,
+// Alltoall, Reduce, Barrier — and verifies every result against closed
+// forms.
 func collectiveWorkout(c *mpi.Comm) error {
 	n, r := c.Size(), c.Rank()
 
@@ -166,23 +167,23 @@ func collectiveWorkout(c *mpi.Comm) error {
 		}
 	}
 
-	// Scatter from the same root.
-	var scatterParts [][]int64
+	// Scatter from the same root: an Alltoall in which only the root's
+	// parts are non-empty.
+	scatterParts := make([][]int64, n)
 	if r == root {
-		scatterParts = make([][]int64, n)
 		for i := range scatterParts {
 			scatterParts[i] = []int64{int64(i) * 7, int64(i) * 7}
 		}
 	}
-	part, err := mpi.Scatter(c, scatterParts, root)
+	scattered, err := mpi.Alltoall(c, scatterParts)
 	if err != nil {
 		return fmt.Errorf("scatter: %w", err)
 	}
-	if len(part) != 2 || part[0] != int64(r)*7 {
-		return fmt.Errorf("scatter: rank %d got %v", r, part)
+	if part := scattered[root]; len(part) != 2 || part[0] != int64(r)*7 {
+		return fmt.Errorf("scatter: rank %d got %v", r, scattered[root])
 	}
 
-	// Allgather (uniform) + Alltoall + Scan.
+	// Allgather (uniform) + Alltoall + Reduce.
 	all, err := mpi.Allgather(c, []int32{int32(r)})
 	if err != nil {
 		return fmt.Errorf("allgather: %w", err)
@@ -205,12 +206,12 @@ func collectiveWorkout(c *mpi.Comm) error {
 			return fmt.Errorf("alltoall from %d: %v", src, p)
 		}
 	}
-	scanRecv := make([]float64, 1)
-	if err := mpi.Scan(c, []float64{float64(r + 1)}, scanRecv, mpi.OpSum); err != nil {
-		return fmt.Errorf("scan: %w", err)
+	sumRecv := make([]float64, 1)
+	if err := mpi.Reduce(c, []float64{float64(r + 1)}, sumRecv, mpi.OpSum, root); err != nil {
+		return fmt.Errorf("reduce: %w", err)
 	}
-	if want := float64((r + 1) * (r + 2) / 2); scanRecv[0] != want {
-		return fmt.Errorf("scan: got %g, want %g", scanRecv[0], want)
+	if want := float64(n * (n + 1) / 2); r == root && sumRecv[0] != want {
+		return fmt.Errorf("reduce: got %g, want %g", sumRecv[0], want)
 	}
 
 	return c.Barrier()
