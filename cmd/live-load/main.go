@@ -6,6 +6,12 @@
 // frame, and slow viewers — whose socket reads are artificially delayed — are
 // credit-gated into skip-to-newest instead of building a backlog.
 //
+// heap_mb is what the viewers hold: the live heap after a collection, read
+// while every viewer is still attached and has converged. -check fails when
+// the viewers add more than viewers x (2 x -png + 64 KiB) to the heap
+// measured before the first attach: two frames and the session buffers of
+// both ends each.
+//
 // Examples:
 //
 //	live-load -viewers 2000 -frames 60
@@ -117,6 +123,7 @@ func main() {
 
 	// Attach every viewer before the first publish. Slow viewers get a
 	// read-delayed conn; their pump still runs, just late.
+	baseHeap := liveHeap()
 	attachStart := time.Now()
 	vs := make([]*live.Viewer, *viewers)
 	var dialWG sync.WaitGroup
@@ -190,13 +197,12 @@ func main() {
 	}
 	consumeWG.Wait()
 	elapsedMS := float64(time.Since(runStart).Microseconds()) / 1000
+	heap := liveHeap() // every viewer attached and converged
 	for _, v := range vs {
 		_ = v.Close()
 	}
 
 	sort.Float64s(publishUS)
-	var mem runtime.MemStats
-	runtime.ReadMemStats(&mem)
 	r := report{
 		Network: *network, Viewers: *viewers, SlowViewers: nSlow,
 		Frames: *frames, PNGBytes: *pngBytes, Credits: *credits,
@@ -204,7 +210,7 @@ func main() {
 		PublishP50US: publishUS[len(publishUS)/2],
 		PublishMaxUS: publishUS[len(publishUS)-1],
 		ElapsedMS:    elapsedMS,
-		HeapMB:       float64(mem.HeapAlloc) / (1 << 20),
+		HeapMB:       float64(heap) / (1 << 20),
 	}
 	r.FastMinRecv = ^uint64(0)
 	r.SlowMinRecv = ^uint64(0)
@@ -261,7 +267,19 @@ func main() {
 		if nSlow > 0 && *frames >= 20 && r.SlowMaxRecv >= uint64(*frames) {
 			fatalf("check: slow viewers received %d of %d frames — no skip-to-newest", r.SlowMaxRecv, *frames)
 		}
+		// A viewer holds its frames and its session buffers, nothing more.
+		if held, budget := heap-min(heap, baseHeap), uint64(*viewers)*uint64(2**pngBytes+64<<10); held > budget {
+			fatalf("check: %d viewers hold %.1f MB, budget %.1f MB", *viewers, float64(held)/(1<<20), float64(budget)/(1<<20))
+		}
 	}
+}
+
+// liveHeap returns the heap bytes still reachable after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var mem runtime.MemStats
+	runtime.ReadMemStats(&mem)
+	return mem.HeapAlloc
 }
 
 // runDial is the client-only mode: attach viewers to a server someone else

@@ -7,27 +7,86 @@ import (
 	"io"
 	"regexp"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
 // --- framing ---
 
+// Frames round-trip at every payload size around the read-ahead, however
+// the stream hands out its bytes: each size rides between small frames and
+// is read through a whole-buffer reader and through two that return short
+// reads.
 func TestFrameRoundTrip(t *testing.T) {
-	payload := []byte("the staged container bytes")
-	frame := AppendFrame(nil, FrameData, 42, payload)
-	fr := NewFrameReader(bytes.NewReader(frame), 0)
-	typ, seq, got, err := fr.Next()
-	if err != nil {
-		t.Fatalf("Next: %v", err)
+	readers := []struct {
+		name string
+		wrap func(io.Reader) io.Reader
+	}{
+		{"bytes", func(r io.Reader) io.Reader { return r }},
+		{"one-byte", iotest.OneByteReader},
+		{"half", iotest.HalfReader},
 	}
-	if typ != FrameData || seq != 42 || !bytes.Equal(got, payload) {
-		t.Fatalf("got %s seq %d payload %q", typ, seq, got)
+	type frame struct {
+		typ     FrameType
+		seq     uint32
+		payload []byte
 	}
-	if _, _, _, err := fr.Next(); err != io.EOF {
-		t.Fatalf("want clean EOF at frame boundary, got %v", err)
+	for _, size := range []int{0, 1, readAhead - frameHeaderSize - 1, readAhead - frameHeaderSize,
+		4 << 10, 64<<10 + 16, 1440 << 10} {
+		payload := make([]byte, size)
+		for i := range payload {
+			payload[i] = byte(i*131 + i>>8)
+		}
+		frames := []frame{
+			{FrameAdvance, 1, []byte("step metadata")},
+			{FrameData, 2, payload},
+			{FrameRelease, 3, nil},
+			{FrameSteer, 4, []byte("the staged container bytes")},
+		}
+		var stream []byte
+		for _, f := range frames {
+			stream = AppendFrame(stream, f.typ, f.seq, f.payload)
+		}
+		for _, rd := range readers {
+			t.Run(fmt.Sprintf("%d/%s", size, rd.name), func(t *testing.T) {
+				fr := NewFrameReader(rd.wrap(bytes.NewReader(stream)), 0)
+				for _, want := range frames {
+					typ, seq, got, err := fr.Next()
+					if err != nil {
+						t.Fatalf("frame seq %d: %v", want.seq, err)
+					}
+					if typ != want.typ || seq != want.seq || !bytes.Equal(got, want.payload) {
+						t.Fatalf("got %s seq %d with %d bytes, want %s seq %d with %d", typ, seq, len(got), want.typ, want.seq, len(want.payload))
+					}
+				}
+				if _, _, _, err := fr.Next(); err != io.EOF {
+					t.Fatalf("want clean EOF at frame boundary, got %v", err)
+				}
+			})
+		}
+	}
+}
+
+// Every session owns a FrameReader, so its read-ahead is paid per
+// connection: a hundred readers stay far below what a payload-sized
+// read-ahead (64 KiB each) would cost.
+func TestFrameReaderFootprint(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n = 100
+	readers := make([]*FrameReader, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range readers {
+		readers[i] = NewFrameReader(bytes.NewReader(nil), 0)
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(readers)
+	if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(n*8<<10); grew >= limit {
+		t.Fatalf("%d frame readers allocated %d bytes, want < %d", n, grew, limit)
 	}
 }
 

@@ -125,6 +125,14 @@ func SealFrame(buf []byte, typ FrameType, seq uint32) {
 // never trusts the claimed length further than the bytes that actually
 // arrive: the payload buffer grows in bounded steps as data is read, so a
 // truncated stream with a huge claimed length cannot balloon memory.
+//
+// Its read-ahead is readAhead bytes, sized for headers: it batches the
+// 13-byte frame headers and the frames smaller than itself into few reads.
+// A larger payload copies at most what is already buffered; once that is
+// drained, each read at least the read-ahead's size goes straight to the
+// connection (bufio.Reader.Read does not buffer such a read) and lands in
+// the payload buffer. A larger read-ahead would only cost every session
+// its size.
 type FrameReader struct {
 	r   *bufio.Reader
 	buf []byte
@@ -137,8 +145,11 @@ func NewFrameReader(r io.Reader, maxPayload int) *FrameReader {
 	if maxPayload <= 0 {
 		maxPayload = MaxPayload
 	}
-	return &FrameReader{r: bufio.NewReaderSize(r, 64<<10), max: maxPayload}
+	return &FrameReader{r: bufio.NewReaderSize(r, readAhead), max: maxPayload}
 }
+
+// readAhead is the FrameReader's buffer size (see FrameReader).
+const readAhead = 4 << 10
 
 // growStep bounds each payload-buffer growth increment.
 const growStep = 1 << 20

@@ -24,19 +24,20 @@ func appendFramePayload(dst []byte, f Frame) []byte {
 	return append(dst, f.PNG...)
 }
 
-// decodeFramePayload reverses appendFramePayload, copying the PNG bytes
-// out of the wire buffer (which the caller's FrameReader will reuse).
-func decodeFramePayload(p []byte) (Frame, error) {
+// decodeFramePayload reverses appendFramePayload into dst, copying the PNG
+// bytes out of the wire buffer (which the caller's FrameReader will reuse)
+// into dst's own PNG buffer, so a recycled frame allocates only when its
+// buffer must grow. On error dst is left as it was.
+func decodeFramePayload(dst *Frame, p []byte) error {
 	if len(p) < framePayloadHeader {
-		return Frame{}, fmt.Errorf("live: frame payload too short (%d bytes)", len(p))
+		return fmt.Errorf("live: frame payload too short (%d bytes)", len(p))
 	}
 	le := binary.LittleEndian
-	return Frame{
-		Step:   int(int64(le.Uint64(p[0:8]))),
-		Width:  int(le.Uint32(p[8:12])),
-		Height: int(le.Uint32(p[12:16])),
-		PNG:    append([]byte(nil), p[framePayloadHeader:]...),
-	}, nil
+	dst.Step = int(int64(le.Uint64(p[0:8])))
+	dst.Width = int(le.Uint32(p[8:12]))
+	dst.Height = int(le.Uint32(p[12:16]))
+	dst.PNG = append(dst.PNG[:0], p[framePayloadHeader:]...)
+	return nil
 }
 
 // FrameRef is one published frame as an immutable refcounted buffer — the

@@ -41,7 +41,9 @@ type Frame struct {
 	Step   int
 	Width  int
 	Height int
-	// PNG holds the encoded image bytes.
+	// PNG holds the encoded image bytes. Publish copies them; a frame a
+	// wire Viewer's Next returns lends them from the viewer's recycled
+	// buffers, valid until that viewer's next Next or Close.
 	PNG []byte
 }
 

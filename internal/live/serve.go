@@ -31,6 +31,11 @@ import (
 //   - The frame bytes a viewer receives are the hub's sealed wire buffer
 //     (FrameRef.Wire()), encoded once per publish and written verbatim to
 //     every connection: the fan-out path copies nothing per viewer.
+//   - The receive side allocates nothing per frame either: a viewer decodes
+//     each frame into a recycled Frame, and Next gives the one it returned
+//     last back to the pump. A viewer holds at most three frames (the one
+//     its consumer reads, the slotted one, the one being filled) plus its
+//     session's payload buffer and 4 KiB read-ahead.
 
 // ServeOptions tunes the wire side of a hub; the zero value selects the
 // defaults.
@@ -208,6 +213,15 @@ type Viewer struct {
 	rdy  chan struct{} // cap 1: set when the slot is filled
 	done chan struct{} // closed when the receive pump exits
 
+	// Frames are recycled, not allocated per receive. held is the frame
+	// Next returned last (Next's alone); the next Next gives it back to
+	// free, the pump's free list, and so does the pump with a slotted frame
+	// it displaces before the consumer took it. At most three frames exist
+	// (held, slotted, filling), so whoever gives one back finds at most two
+	// in free: cap 2 never drops one.
+	held *Frame
+	free chan *Frame
+
 	recvd atomic.Uint64
 }
 
@@ -233,6 +247,7 @@ func DialViewerWith(network, addr string, o ViewerOptions) (*Viewer, error) {
 		sess: sess,
 		rdy:  make(chan struct{}, 1),
 		done: make(chan struct{}),
+		free: make(chan *Frame, 2),
 	}
 	go v.recvPump()
 	return v, nil
@@ -241,7 +256,15 @@ func DialViewerWith(network, addr string, o ViewerOptions) (*Viewer, error) {
 // Next blocks until a frame is available (newest-wins: intervening frames
 // the caller was too slow for are skipped), the viewer closes (ok=false),
 // or the timeout elapses (ok=false; timeout <= 0 waits forever).
+//
+// The returned PNG is lent, not copied: it is valid until the next Next or
+// Close on this viewer, whose receive pump then refills the buffer. One
+// goroutine calls Next; a caller that keeps the bytes copies them first.
 func (v *Viewer) Next(timeout time.Duration) (Frame, bool) {
+	if v.held != nil {
+		v.recycle(v.held)
+		v.held = nil
+	}
 	var expired <-chan time.Time
 	if timeout > 0 {
 		t := time.NewTimer(timeout)
@@ -249,15 +272,15 @@ func (v *Viewer) Next(timeout time.Duration) (Frame, bool) {
 		expired = t.C
 	}
 	for {
-		if f := v.slot.Swap(nil); f != nil {
-			return *f, true
+		if v.held = v.slot.Swap(nil); v.held != nil {
+			return *v.held, true
 		}
 		select {
 		case <-v.rdy:
 		case <-v.done:
 			// The pump may have slotted a final frame before exiting.
-			if f := v.slot.Swap(nil); f != nil {
-				return *f, true
+			if v.held = v.slot.Swap(nil); v.held != nil {
+				return *v.held, true
 			}
 			return Frame{}, false
 		case <-expired:
@@ -276,8 +299,17 @@ func (v *Viewer) Steer(name string, value float64) error {
 // Close detaches from the server. Idempotent.
 func (v *Viewer) Close() error { return v.sess.Close() }
 
-// recvPump drains the wire. It never blocks on the consumer: each decoded
-// frame replaces the slot (newest-wins) and its credit is returned
+// recycle returns a frame nobody reads any more to the pump's free list.
+func (v *Viewer) recycle(f *Frame) {
+	select {
+	case v.free <- f:
+	default:
+	}
+}
+
+// recvPump drains the wire. It never blocks on the consumer: each frame is
+// decoded into a recycled Frame that replaces the slot (newest-wins, the
+// displaced one going back to the free list) and its credit is returned
 // immediately, so a viewer whose application stops reading still keeps its
 // connection — and every other viewer's — healthy.
 func (v *Viewer) recvPump() {
@@ -286,12 +318,19 @@ func (v *Viewer) recvPump() {
 		if typ != fabric.FrameData {
 			return nil
 		}
-		f, err := decodeFramePayload(payload)
-		if err != nil {
+		var f *Frame
+		select {
+		case f = <-v.free:
+		default:
+			f = new(Frame)
+		}
+		if err := decodeFramePayload(f, payload); err != nil {
 			return err
 		}
 		n := v.recvd.Add(1)
-		v.slot.Store(&f)
+		if old := v.slot.Swap(f); old != nil {
+			v.recycle(old)
+		}
 		select {
 		case v.rdy <- struct{}{}:
 		default:

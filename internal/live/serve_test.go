@@ -3,6 +3,8 @@ package live
 import (
 	"bytes"
 	"errors"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -11,14 +13,14 @@ import (
 
 func TestFramePayloadRoundTrip(t *testing.T) {
 	f := Frame{Step: 9, Width: 64, Height: 32, PNG: []byte("not really a png")}
-	got, err := decodeFramePayload(appendFramePayload(nil, f))
-	if err != nil {
+	var got Frame
+	if err := decodeFramePayload(&got, appendFramePayload(nil, f)); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if got.Step != f.Step || got.Width != f.Width || got.Height != f.Height || !bytes.Equal(got.PNG, f.PNG) {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
-	if _, err := decodeFramePayload([]byte("short")); err == nil {
+	if err := decodeFramePayload(&got, []byte("short")); err == nil {
 		t.Fatalf("short payload decoded")
 	}
 }
@@ -211,8 +213,8 @@ func TestSlowViewerCreditSkipToNewest(t *testing.T) {
 		if typ != fabric.FrameData {
 			return nil
 		}
-		f, err := decodeFramePayload(payload)
-		if err != nil {
+		var f Frame
+		if err := decodeFramePayload(&f, payload); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
 		got++
@@ -239,8 +241,8 @@ func TestSlowViewerCreditSkipToNewest(t *testing.T) {
 		if typ != fabric.FrameData {
 			return nil
 		}
-		f, err := decodeFramePayload(payload)
-		if err != nil {
+		var f Frame
+		if err := decodeFramePayload(&f, payload); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
 		if f.Step != steps-1 && f.Step != finalStep {
@@ -257,5 +259,108 @@ func TestSlowViewerCreditSkipToNewest(t *testing.T) {
 	})
 	if err != errFinal {
 		t.Fatalf("no frame after credit release: %v", err)
+	}
+}
+
+// wireViewer serves a fresh hub on a loopback listener named after the test
+// and attaches one viewer to it; both close when the test ends.
+func wireViewer(t *testing.T) (*Hub, *Viewer) {
+	t.Helper()
+	hub := NewHub()
+	t.Cleanup(hub.Close)
+	lis, err := fabric.Listen("loopback", t.Name())
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	srv := Serve(lis, hub)
+	t.Cleanup(func() { _ = srv.Close() })
+	v, err := DialViewer("loopback", t.Name())
+	if err != nil {
+		t.Fatalf("dial viewer: %v", err)
+	}
+	t.Cleanup(func() { _ = v.Close() })
+	deadline := time.Now().Add(5 * time.Second)
+	for hub.Viewers() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("viewer never attached")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return hub, v
+}
+
+// A frame Next returned is the consumer's until its next Next: the receive
+// pump recycles frame buffers, and must never fill the one the consumer
+// holds, however many frames arrive meanwhile. Under -race a pump writing
+// the held buffer is also reported as a race with the reads below.
+func TestViewerFrameStableUntilNext(t *testing.T) {
+	hub, v := wireViewer(t)
+	const size = 4 << 10
+	hub.Publish(Frame{Step: 0, Width: 8, Height: 8, PNG: pseudoPNG(0, size)})
+	held, ok := v.Next(5 * time.Second)
+	if !ok || held.Step != 0 {
+		t.Fatalf("first frame: step %d ok=%v", held.Step, ok)
+	}
+	want := append([]byte(nil), held.PNG...)
+
+	// Push distinct frames one at a time until the pump has taken ten more
+	// off the wire, each decoded into a recycled buffer while the consumer
+	// holds step 0.
+	const last = 10
+	base := v.recvd.Load()
+	for k := 1; k <= last; k++ {
+		hub.Publish(Frame{Step: k, Width: 8, Height: 8, PNG: pseudoPNG(k, size)})
+		deadline := time.Now().Add(5 * time.Second)
+		for v.recvd.Load() < base+uint64(k) {
+			if time.Now().After(deadline) {
+				t.Fatalf("frame %d never reached the pump", k)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	if !bytes.Equal(held.PNG, want) {
+		t.Fatalf("held frame changed under the consumer after %d more frames", last)
+	}
+
+	f, ok := v.Next(5 * time.Second)
+	if !ok || f.Step != last || !bytes.Equal(f.PNG, pseudoPNG(last, size)) {
+		t.Fatalf("next frame: step %d ok=%v, want the newest, step %d", f.Step, ok, last)
+	}
+}
+
+// A viewer in lockstep with the publisher allocates nothing per frame: each
+// frame lands in the buffer the consumer gave back with its previous Next.
+// Copying each 64 KiB frame afresh would allocate 50 x 64 KiB here.
+func TestViewerReceiveAllocatesNoFrame(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	hub, v := wireViewer(t)
+	const size, frames = 64 << 10, 50
+	bodies := [][]byte{pseudoPNG(1, size), pseudoPNG(2, size)}
+	step := 0
+	lockstep := func() {
+		hub.Publish(Frame{Step: step, Width: 64, Height: 64, PNG: bodies[step%2]})
+		f, ok := v.Next(5 * time.Second)
+		if !ok || f.Step != step || !bytes.Equal(f.PNG, bodies[step%2]) {
+			t.Fatalf("lockstep frame %d: got step %d ok=%v", step, f.Step, ok)
+		}
+		step++
+	}
+
+	// A collection mid-measurement would empty the publish side's pool; hold
+	// it off, and warm up so every buffer has reached its working size.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for i := 0; i < 10; i++ {
+		lockstep()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < frames; i++ {
+		lockstep()
+	}
+	runtime.ReadMemStats(&after)
+	if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(frames*size/16); grew >= limit {
+		t.Fatalf("%d lockstep %d-byte frames allocated %d bytes, want < %d", frames, size, grew, limit)
 	}
 }
