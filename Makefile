@@ -104,13 +104,15 @@ configs-smoke:
 	echo "configs-smoke: $$(grep -L 'transport="flexpath"' configs/*.xml | wc -l) configurations ran on proc and loopback"
 
 # The wire end to end under the race detector: staging fan-in, backpressure,
-# endpoint restart, and the two-executable TCP deployment — `endpoint -config`
-# serving `gosensei-run -config` (itself a tcp world), an endpoint killed and
-# restarted mid-run, a retry window that expires — plus the refusals both
-# binaries owe a bad command line.
+# endpoint restart, and the two-executable TCP deployment — `gosensei-run
+# -deck decks/endpoint.deck -config …` serving `gosensei-run -config
+# configs/intransit-writer.xml` (itself a tcp world), an endpoint killed
+# mid-run by its -faults schedule and restarted, a retry window that expires,
+# the post hoc replay deck against the in situ histogram — plus the
+# refusals the launcher owes a bad command line or deck.
 fabric-smoke:
 	$(GO) test -race -count=1 -run 'TestClientHubStagingFanIn|TestClientBackpressure|TestClientRidesOutEndpointRestart' ./internal/fabric/
-	$(GO) test -count=1 -run 'TestCmdEndpointSmoke|TestCmdEndpointTwoProcessTCP|TestCmdEndpointReconnect|TestCmdEndpointRetryWindowExpires|TestCmdRefusals' .
+	$(GO) test -count=1 -run 'TestCmdEndpointSmoke|TestCmdEndpointTwoProcessTCP|TestCmdEndpointReconnect|TestCmdEndpointRetryWindowExpires|TestCmdPosthocSmoke|TestCmdRefusals' .
 
 # The metamorphic fault-injection suite under the race detector: 13 seeded
 # schedules per pipeline (staging + post hoc = 26 total), each required to
@@ -129,8 +131,8 @@ route-smoke:
 
 # A short fuzz pass over the seven wire- and file-facing decoders — fabric
 # frames and codecs, BP containers and staged payloads, extracts, live frame
-# payloads, mpi envelopes — seeded from the checked-in corpora under
-# testdata/fuzz/.
+# payloads, mpi envelopes — and the launcher's deck front door, seeded from
+# the checked-in corpora under testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzFrameDecode -fuzztime 10s ./internal/fabric/
 	$(GO) test -run XXX -fuzz FuzzCodecDecode -fuzztime 10s ./internal/fabric/
@@ -139,6 +141,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzExtractSniff -fuzztime 10s ./internal/extracts/
 	$(GO) test -run XXX -fuzz FuzzFramePayloadDecode -fuzztime 10s ./internal/live/
 	$(GO) test -run XXX -fuzz FuzzEnvelopeDecode -fuzztime 10s ./internal/mpi/
+	$(GO) test -run XXX -fuzz FuzzLoadDeck -fuzztime 10s ./cmd/gosensei-run/
 
 cover:
 	$(GO) test -cover ./...

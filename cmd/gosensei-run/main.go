@@ -1,8 +1,8 @@
-// Command gosensei-run is the launcher: one of the paper's miniapps,
-// instrumented once with the SENSEI bridge, on an N-rank world of the chosen
-// transport, running whatever the SENSEI XML configuration names. The deck's
-// first line names the simulation, and -cells is the size its package's
-// DefaultConfig takes:
+// Command gosensei-run is the launcher: one data source, instrumented once
+// with the SENSEI bridge, on an N-rank world of the chosen transport,
+// running whatever the SENSEI XML configuration names. The deck's first line
+// names the source. Four are the paper's miniapps, and -cells is the size
+// their package's DefaultConfig takes:
 //
 //	simulation oscillator  the oscillators of §3.3 (also: no such line, no deck)
 //	simulation phasta      PHASTA's jet in crossflow (§4.2.1); each further
@@ -11,7 +11,22 @@
 //	simulation leslie      AVF-LESLIE's temporal mixing layer (§4.2.2)
 //	simulation nyx         Nyx's particle-mesh cosmology (§4.2.3)
 //
-// Any deck runs on any transport:
+// Two are SENSEI's other data adaptors, over steps a simulation produced
+// elsewhere; the source decides the steps and the mesh, so -steps and -cells
+// are refused on their decks:
+//
+//	simulation endpoint    the in transit endpoint of §4.1.4: -np reader ranks
+//	                       1:1 with a flexpath writer's ranks; lines listen,
+//	                       queue-depth, codec, extract (decks/endpoint.deck)
+//	simulation replay      post hoc (Fig. 11): "dir <path>" names what a
+//	                       vtk-writer stored; reader r of -np serves writers
+//	                       r, r+np, … of each step (decks/replay.deck)
+//
+// Any deck may carry "live <host:port>": the frames the configured analyses
+// render are served there to live wire viewers.
+//
+// Any source runs on any transport, except that an endpoint serves its
+// reader group from one process (proc or loopback):
 //
 //	-transport=proc      goroutine ranks in this process (mpi.Run; no wire)
 //	-transport=loopback  one process, ranks meshed over in-process pipes
@@ -19,30 +34,36 @@
 //	                     spawned by re-executing this binary with the same
 //	                     arguments (each reads the same deck and config)
 //
-// The configuration file is the only way a run is assembled: analyses,
-// infrastructures, the in transit writer (adios transport="flexpath") and
-// adaptive routing (type="routed") are all elements of it. Rank 0's stdout is
-// one header line and what the configured analyses report — a function of
-// (np, deck, config) alone, so a tcp run must print the same bytes as a proc
-// run, the contract the world-smoke suite enforces for any configuration.
-// Timings, -v timers and fault traces go to stderr.
+// The configuration file is the only way a run's analyses are assembled:
+// analyses, infrastructures, the in transit writer (adios
+// transport="flexpath") and adaptive routing (type="routed") are all
+// elements of it. Rank 0's stdout is one header line and what the configured
+// analyses report — a function of (np, deck, config) alone, so a tcp run
+// must print the same bytes as a proc run, and an endpoint or a replay the
+// lines the same analyses print in situ. Timings, -v timers and fault
+// traces go to stderr; an endpoint's stdout starts with its bound address.
 //
-// Everything a run can be refused for is refused before a rank exists: a
-// missing deck or a line its simulation does not take, a config that does not
-// parse or build, a fault schedule with a domain nothing in the run can
-// deliver. A fatal fault (mpi.crash, world.rankkill) makes the launcher exit 3
-// after printing the fired fault's repro token to stderr.
+// Everything a run can be refused for is refused before a rank exists or a
+// socket is bound: a missing deck or a line its source does not take, a
+// config that does not parse or build, a fault schedule with a domain
+// nothing in the run can deliver. A fatal fault (mpi.crash, world.rankkill)
+// makes the launcher exit 3 after printing the fired fault's repro token to
+// stderr.
 //
 // Examples:
 //
 //	gosensei-run -np 8 -cells 32 -steps 20 -config configs/histogram.xml -deck decks/sample.osc
 //	gosensei-run -np 4 -transport tcp -config configs/all-infrastructures.xml
 //	cd examples/nyx-histogram && gosensei-run -np 4 -cells 24 -steps 8 -deck sim.deck -config sensei.xml
+//	gosensei-run -np 4 -deck decks/endpoint.deck -config configs/endpoint-histogram.xml      # terminal 1
+//	gosensei-run -np 4 -steps 10 -config configs/intransit-writer.xml                       # terminal 2
+//	gosensei-run -np 1 -deck decks/replay.deck -config configs/histogram.xml
 package main
 
 import (
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"strconv"
@@ -53,11 +74,14 @@ import (
 	_ "gosensei/internal/catalyst"
 	"gosensei/internal/core"
 	_ "gosensei/internal/extracts"
+	"gosensei/internal/fabric"
 	"gosensei/internal/faultline"
 	_ "gosensei/internal/glean"
+	"gosensei/internal/grid"
 	"gosensei/internal/iosim"
 	"gosensei/internal/leslie"
 	_ "gosensei/internal/libsim"
+	"gosensei/internal/live"
 	"gosensei/internal/metrics"
 	"gosensei/internal/mpi"
 	"gosensei/internal/nyx"
@@ -83,21 +107,48 @@ type run struct {
 	transport string
 	steps     int
 	verbose   bool
-	sim       string // the deck's simulation
-	size      string // what -cells made of it, for the header
-	newSim    func(c *mpi.Comm, mem *metrics.Tracker) (simulation, error)
+	explicit  map[string]bool // the flags the command line set
+	sim       string          // the deck's source
+	size      string          // what the source's size is, for the header
+	newSource func(c *mpi.Comm, reg *metrics.Registry, mem *metrics.Tracker) (core.Source, error)
 	cfg       *core.Config   // nil without -config
 	frun      *faultline.Run // nil without -faults
+	live      string         // a live line's address
+
+	// A simulation endpoint deck's lines.
+	listen  string
+	depth   int
+	fabOpts []adios.FabricOption
+
+	// Opened after validate, in the process that hosts rank 0.
+	fab *adios.Fabric
+	hub *live.Hub
+	srv *live.Server
 }
 
-// simulation is one rank of the deck's miniapp: step advances it one time
-// step, and data is its SENSEI data adaptor, updated after every step.
+// simulation is one rank of the deck's miniapp as a source: step advances
+// it one time step, and data is its SENSEI data adaptor, updated after every
+// step; left counts the steps still to run.
 type simulation struct {
 	step func() error
 	data interface {
 		core.DataAdaptor
 		Update()
 	}
+	left int
+}
+
+// Next implements core.Source.
+func (s *simulation) Next() (core.DataAdaptor, error) {
+	if s.left == 0 {
+		return nil, nil
+	}
+	s.left--
+	if err := s.step(); err != nil {
+		return nil, err
+	}
+	s.data.Update()
+	return s.data, nil
 }
 
 func main() {
@@ -108,12 +159,14 @@ func main() {
 	flag.StringVar(&r.transport, "transport", "proc", "rank transport: proc, loopback, or tcp")
 	flag.IntVar(&cells, "cells", 32, "problem size: the simulation's global cells (PHASTA: points) per axis")
 	flag.IntVar(&r.steps, "steps", 20, "time steps")
-	flag.StringVar(&deck, "deck", "", "input deck; a first line \"simulation phasta|leslie|nyx\" selects the miniapp (default: the oscillator's built-in three-source deck)")
+	flag.StringVar(&deck, "deck", "", "input deck; a first line \"simulation phasta|leslie|nyx|endpoint|replay\" selects the source (default: the oscillator's built-in three-source deck)")
 	flag.StringVar(&config, "config", "", "SENSEI analysis configuration XML")
 	flag.IntVar(&threads, "threads", 0, "thread budget shared across the world's ranks (0 = GOMAXPROCS)")
 	flag.StringVar(&faults, "faults", "", "fault-injection schedule <seed:spec> (see internal/faultline)")
 	flag.BoolVar(&r.verbose, "v", false, "rank 0's timers on stderr")
 	flag.Parse()
+	r.explicit = map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { r.explicit[f.Name] = true })
 
 	if flag.NArg() > 0 {
 		fatal(fmt.Errorf("unexpected argument %q (everything is a flag)", flag.Arg(0)))
@@ -145,18 +198,28 @@ func main() {
 	if err := r.validate(); err != nil {
 		fatal(err)
 	}
-	switch r.transport {
-	case "proc":
+	if r.transport == "tcp" {
+		os.Exit(r.spawn())
+	}
+	if err := r.open(); err != nil {
+		fatal(err)
+	}
+	var errs []error
+	if r.transport == "proc" {
 		var opts []mpi.Option
 		if p := r.frun.NewMPIPlan(); p != nil {
 			opts = append(opts, mpi.WithFaults(p))
 		}
-		os.Exit(r.finish([]error{mpi.Run(r.np, r.rank, opts...)}))
-	case "loopback":
-		os.Exit(r.finish(world.Launch(r.np, r.world("loopback"), r.rank)))
-	case "tcp":
-		os.Exit(r.spawn())
+		errs = []error{mpi.Run(r.np, r.rank, opts...)}
+	} else {
+		errs = world.Launch(r.np, r.world("loopback"), r.rank)
 	}
+	code := r.finish(errs)
+	if err := r.close(); err != nil {
+		fmt.Fprintln(os.Stderr, "gosensei-run:", err)
+		code = max(code, 1)
+	}
+	os.Exit(code)
 }
 
 func fatal(err error) {
@@ -212,9 +275,14 @@ func refuse(l deckLine, sim, takes string) error {
 	return fmt.Errorf("deck line %d: simulation %s takes %s, got %q", l.no, sim, takes, strings.Join(l.fields, " "))
 }
 
-// loadSim selects the simulation the deck names on its first line (no such
-// line, or no deck, is the oscillator), refuses every other line it does not
-// take, and validates its package's DefaultConfig(cells).
+// endpointTakes is what a simulation endpoint deck's lines may say.
+const endpointTakes = "only listen <host:port>, queue-depth <n>, codec <list> and extract <spec> lines"
+
+// loadSim selects the source the deck names on its first line (no such
+// line, or no deck, is the oscillator), takes a live line on any deck,
+// refuses every other line the source does not take, and validates what the
+// source will run: a simulation's DefaultConfig(cells), an endpoint's
+// listen address, a replay's stored steps.
 func (r *run) loadSim(cells int, haveDeck bool, text string) error {
 	raw := strings.Split(text, "\n")
 	var lines []deckLine
@@ -233,6 +301,29 @@ func (r *run) loadSim(cells int, haveDeck bool, text string) error {
 		raw[simLine-1] = "" // the oscillator parser reads the rest, line numbers intact
 		lines = lines[1:]
 	}
+	// The live line, on any deck: taken out before the source sees the rest.
+	kept := lines[:0]
+	for _, l := range lines {
+		if l.fields[0] != "live" {
+			kept = append(kept, l)
+			continue
+		}
+		if len(l.fields) != 2 || r.live != "" {
+			return fmt.Errorf("deck line %d: want one live <host:port> line, got %q", l.no, strings.Join(l.fields, " "))
+		}
+		if _, _, err := net.SplitHostPort(l.fields[1]); err != nil {
+			return fmt.Errorf("deck line %d: live: %w", l.no, err)
+		}
+		r.live, raw[l.no-1] = l.fields[1], ""
+	}
+	lines = kept
+	if r.sim == "endpoint" || r.sim == "replay" {
+		for _, name := range []string{"steps", "cells"} {
+			if r.explicit[name] {
+				return fmt.Errorf("simulation %s: the source decides the %s; drop -%s", r.sim, name, name)
+			}
+		}
+	}
 	switch r.sim {
 	case "oscillator":
 		cfg := oscillator.Config{
@@ -250,12 +341,12 @@ func (r *run) loadSim(cells int, haveDeck bool, text string) error {
 		if err := cfg.Validate(); err != nil {
 			return err
 		}
-		r.newSim = func(c *mpi.Comm, mem *metrics.Tracker) (simulation, error) {
+		r.newSource = func(c *mpi.Comm, _ *metrics.Registry, mem *metrics.Tracker) (core.Source, error) {
 			s, err := oscillator.NewSim(c, cfg, mem)
 			if err != nil {
-				return simulation{}, err
+				return nil, err
 			}
-			return simulation{s.Step, oscillator.NewDataAdaptor(s)}, nil
+			return &simulation{s.Step, oscillator.NewDataAdaptor(s), r.steps}, nil
 		}
 	case "phasta":
 		type steer struct {
@@ -285,14 +376,14 @@ func (r *run) loadSim(cells int, haveDeck bool, text string) error {
 			return err
 		}
 		r.size = fmt.Sprintf("%dx%dx%d points", cfg.GlobalPoints[0], cfg.GlobalPoints[1], cfg.GlobalPoints[2])
-		r.newSim = func(c *mpi.Comm, mem *metrics.Tracker) (simulation, error) {
+		r.newSource = func(c *mpi.Comm, _ *metrics.Registry, mem *metrics.Tracker) (core.Source, error) {
 			s, err := phasta.NewSolver(c, cfg)
 			if err != nil {
-				return simulation{}, err
+				return nil, err
 			}
 			d := phasta.NewDataAdaptor(s)
 			d.Memory = mem
-			return simulation{func() error {
+			return &simulation{func() error {
 				for _, st := range steers {
 					if st.step == s.StepIndex()+1 {
 						s.SetJet(st.amplitude, st.frequency)
@@ -300,7 +391,7 @@ func (r *run) loadSim(cells int, haveDeck bool, text string) error {
 				}
 				s.Step()
 				return nil
-			}, d}, nil
+			}, d, r.steps}, nil
 		}
 	case "leslie":
 		if len(lines) > 0 {
@@ -310,14 +401,14 @@ func (r *run) loadSim(cells int, haveDeck bool, text string) error {
 		if err := cfg.Validate(); err != nil {
 			return err
 		}
-		r.newSim = func(c *mpi.Comm, mem *metrics.Tracker) (simulation, error) {
+		r.newSource = func(c *mpi.Comm, _ *metrics.Registry, mem *metrics.Tracker) (core.Source, error) {
 			s, err := leslie.NewSolver(c, cfg, mem)
 			if err != nil {
-				return simulation{}, err
+				return nil, err
 			}
 			d := leslie.NewDataAdaptor(s)
 			d.Memory = mem
-			return simulation{s.Step, d}, nil
+			return &simulation{s.Step, d, r.steps}, nil
 		}
 	case "nyx":
 		if len(lines) > 0 {
@@ -327,17 +418,110 @@ func (r *run) loadSim(cells int, haveDeck bool, text string) error {
 		if err := cfg.Validate(); err != nil {
 			return err
 		}
-		r.newSim = func(c *mpi.Comm, _ *metrics.Tracker) (simulation, error) {
+		r.newSource = func(c *mpi.Comm, _ *metrics.Registry, _ *metrics.Tracker) (core.Source, error) {
 			s, err := nyx.NewSim(c, cfg)
 			if err != nil {
-				return simulation{}, err
+				return nil, err
 			}
-			return simulation{s.Step, nyx.NewDataAdaptor(s)}, nil
+			return &simulation{s.Step, nyx.NewDataAdaptor(s), r.steps}, nil
+		}
+	case "endpoint":
+		r.listen, r.depth = "127.0.0.1:0", 1
+		for _, l := range lines {
+			if len(l.fields) != 2 {
+				return refuse(l, r.sim, endpointTakes)
+			}
+			var err error
+			switch v := l.fields[1]; l.fields[0] {
+			case "listen":
+				r.listen = v
+				_, _, err = net.SplitHostPort(v)
+			case "queue-depth":
+				if r.depth, err = strconv.Atoi(v); err == nil && r.depth < 1 {
+					err = fmt.Errorf("queue-depth must be at least 1, got %d", r.depth)
+				}
+			case "codec":
+				var ids []uint8
+				for _, name := range strings.Split(v, ",") {
+					id, cerr := fabric.ParseCodec(name)
+					if cerr != nil {
+						err = cerr
+						break
+					}
+					ids = append(ids, id)
+				}
+				r.fabOpts = append(r.fabOpts, adios.WithCodecs(ids...))
+			case "extract":
+				var spec *fabric.ExtractSpec
+				if spec, err = parseExtractSpec(v); err == nil {
+					r.fabOpts = append(r.fabOpts, adios.WithExtract(*spec))
+				}
+			default:
+				return refuse(l, r.sim, endpointTakes)
+			}
+			if err != nil {
+				return fmt.Errorf("deck line %d: %w", l.no, err)
+			}
+		}
+		r.steps, r.size = 0, fmt.Sprintf("%d writers", r.np)
+		r.newSource = func(c *mpi.Comm, reg *metrics.Registry, _ *metrics.Tracker) (core.Source, error) {
+			return r.fab.Reader(c.Rank(), reg), nil
+		}
+	case "replay":
+		var dir string
+		for _, l := range lines {
+			if len(l.fields) != 2 || l.fields[0] != "dir" || dir != "" {
+				return refuse(l, r.sim, "one dir <path> line")
+			}
+			dir = l.fields[1]
+		}
+		if dir == "" {
+			return fmt.Errorf("simulation replay: the deck names no dir <path> of stored steps")
+		}
+		steps, writers, err := iosim.ListSteps(dir)
+		if err != nil {
+			return err
+		}
+		if len(steps) == 0 {
+			return fmt.Errorf("simulation replay: %s holds no stored steps", dir)
+		}
+		if r.np > writers {
+			return fmt.Errorf("simulation replay: -np %d is more readers than the %d writers whose blocks %s holds", r.np, writers, dir)
+		}
+		r.steps, r.size = 0, fmt.Sprintf("%d writers", writers)
+		r.newSource = func(c *mpi.Comm, reg *metrics.Registry, _ *metrics.Tracker) (core.Source, error) {
+			return iosim.NewReplay(c, reg, dir, steps, writers), nil
 		}
 	default:
-		return fmt.Errorf("deck line %d: unknown simulation %q (want oscillator, phasta, leslie or nyx)", simLine, r.sim)
+		return fmt.Errorf("deck line %d: unknown simulation %q (want oscillator, phasta, leslie, nyx, endpoint or replay)", simLine, r.sim)
 	}
 	return nil
+}
+
+// parseExtractSpec turns an extract line into the negotiated wire spec.
+// Extracts are computed over cell data, what the miniapps produce.
+func parseExtractSpec(s string) (*fabric.ExtractSpec, error) {
+	parts := strings.Split(s, ":")
+	bad := fmt.Errorf("bad extract %q: want histogram:<array>:<bins> or slice:<axis>:<coord>:<array>", s)
+	switch {
+	case parts[0] == "histogram" && len(parts) == 3:
+		bins, err := strconv.Atoi(parts[2])
+		if err != nil || bins <= 0 {
+			return nil, bad
+		}
+		return &fabric.ExtractSpec{Kind: fabric.ExtractHistogram, Assoc: uint8(grid.CellData), Bins: uint32(bins), Array: parts[1]}, nil
+	case parts[0] == "slice" && len(parts) == 4:
+		axis, err := strconv.Atoi(parts[1])
+		if err != nil || axis < 0 || axis > 2 {
+			return nil, bad
+		}
+		coord, err := strconv.ParseFloat(parts[2], 64)
+		if err != nil {
+			return nil, bad
+		}
+		return &fabric.ExtractSpec{Kind: fabric.ExtractSlice, Assoc: uint8(grid.CellData), Axis: uint32(axis), Coord: coord, Array: parts[3]}, nil
+	}
+	return nil, bad
 }
 
 // undeliverable says, per fault domain, why a run has nothing to deliver it.
@@ -348,10 +532,11 @@ var undeliverable = map[string]string{
 
 // validate builds the configuration once on throwaway goroutine ranks — so
 // that an attribute a factory rejects is one line on stderr on every
-// transport, with no worker spawned — and then holds the fault schedule to
-// one rule: every domain in it was taken by something that can fire it (mpi
-// by the world and io by iosim.SetFaults, always; world by a wire transport;
-// fabric by a configured flexpath writer).
+// transport, with no worker spawned — refuses an endpoint on a transport
+// that spreads its reader group over processes, and holds the fault
+// schedule to one rule: every domain in it was taken by something that can
+// fire it (mpi by the world and io by iosim.SetFaults, always; world by a
+// wire transport; fabric by a configured flexpath writer).
 func (r *run) validate() error {
 	if r.cfg != nil {
 		err := mpi.Run(r.np, func(c *mpi.Comm) error {
@@ -360,6 +545,9 @@ func (r *run) validate() error {
 		if err != nil {
 			return err
 		}
+	}
+	if r.sim == "endpoint" && r.transport == "tcp" {
+		return fmt.Errorf("simulation endpoint serves its reader group from one process; use -transport proc or loopback")
 	}
 	if r.frun == nil {
 		return nil
@@ -373,18 +561,66 @@ func (r *run) validate() error {
 	return nil
 }
 
-// rank is one rank of the miniapp: the deck's simulation, the bridge,
-// whatever the configuration names. Only rank 0 writes to stdout, and only
-// what is deterministic in (np, deck, config) — transport must never show
-// through.
+// open binds what the deck serves beyond its ranks, in the process that
+// hosts rank 0 and only once validate passed: an endpoint's staging
+// listener (its address is stdout's first line) and a live line's viewer
+// port.
+func (r *run) open() error {
+	if r.sim == "endpoint" {
+		var err error
+		if r.fab, err = adios.ListenFabric("tcp", r.listen, r.np, r.np, r.depth, r.fabOpts...); err != nil {
+			return err
+		}
+		// The writers' endpoint attribute; scripts and tests parse this line.
+		fmt.Printf("fabric: listening on %s\n", r.fab.Addr())
+	}
+	if r.live != "" {
+		lis, err := fabric.Listen("tcp", r.live)
+		if err != nil {
+			return err
+		}
+		r.hub = live.NewHub()
+		r.srv = live.Serve(lis, r.hub)
+		fmt.Fprintf(os.Stderr, "live: serving viewers on %s\n", r.srv.Addr())
+	}
+	return nil
+}
+
+// close ends what open bound, with its counters on stderr.
+func (r *run) close() error {
+	var err error
+	if r.fab != nil {
+		err = r.fab.Close()
+		// What the negotiated codec or extract bought: logical vs wire bytes.
+		fmt.Fprintf(os.Stderr, "fabric: %s\n", r.fab.Stats().Summary())
+	}
+	if r.hub != nil {
+		fmt.Fprintf(os.Stderr, "live: %d frames published, %d viewers attached at exit\n", r.hub.Frames(), r.hub.Viewers())
+		if cerr := r.srv.Close(); err == nil {
+			err = cerr
+		}
+		r.hub.Close()
+	}
+	return err
+}
+
+// rank is one rank of the run: the deck's source driving the bridge, which
+// runs whatever the configuration names. Only rank 0 writes to stdout, and
+// only what is deterministic in (np, deck, config) — transport must never
+// show through.
 func (r *run) rank(c *mpi.Comm) error {
 	reg := metrics.NewRegistry(c.Rank())
 	mem := metrics.NewTracker()
-	sim, err := r.newSim(c, mem)
+	src, err := r.newSource(c, reg, mem)
 	if err != nil {
 		return err
 	}
 	bridge := core.NewBridge(c, reg, mem)
+	if hub := r.hub; hub != nil {
+		bridge.Publish = func(step, w, h int, png []byte) {
+			hub.Publish(live.Frame{Step: step, Width: w, Height: h, PNG: png})
+		}
+	}
 	if r.cfg != nil {
 		if err := r.cfg.Configure(bridge); err != nil {
 			return err
@@ -392,20 +628,8 @@ func (r *run) rank(c *mpi.Comm) error {
 	}
 	total := reg.Timer("total")
 	total.Start()
-	for i := 0; i < r.steps; i++ {
-		if err := sim.step(); err != nil {
-			return err
-		}
-		sim.data.Update()
-		cont, err := bridge.Execute(sim.data)
-		if err != nil {
-			return err
-		}
-		if !cont {
-			break
-		}
-	}
-	if err := bridge.Finalize(); err != nil {
+	steps, err := bridge.Drive(src)
+	if err != nil {
 		return err
 	}
 	total.Stop()
@@ -422,7 +646,7 @@ func (r *run) rank(c *mpi.Comm) error {
 		return nil
 	}
 	fmt.Printf("%s: %d ranks, %s, %d steps, %d analyses\n",
-		r.sim, c.Size(), r.size, r.steps, bridge.AnalysisCount())
+		r.sim, c.Size(), r.size, steps, bridge.AnalysisCount())
 	bridge.Report(os.Stdout)
 	fmt.Fprintf(os.Stderr, "time to solution: %s (max over ranks)\n", metrics.FormatSeconds(tot.Max))
 	fmt.Fprintf(os.Stderr, "memory high-water (sum over ranks): %s\n", metrics.FormatBytes(hw))
@@ -552,12 +776,21 @@ func (r *run) worker(rankStr string) int {
 	}
 	cfg := r.world("tcp")
 	cfg.ID, cfg.Rank, cfg.Size, cfg.Registry = id, rank, r.np, os.Getenv("GOSENSEI_WORLD_REGISTRY")
-	w, err := world.Join(cfg)
+	if rank == 0 {
+		err = r.open()
+	}
+	var w *world.World
+	if err == nil {
+		w, err = world.Join(cfg)
+	}
 	if err == nil {
 		err = w.Run(r.rank)
 		if cerr := w.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
+	}
+	if cerr := r.close(); cerr != nil && err == nil {
+		err = cerr
 	}
 	if err != nil {
 		err = fmt.Errorf("rank %d: %w", rank, err)

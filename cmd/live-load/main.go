@@ -20,7 +20,8 @@
 //
 // With -dial it skips the built-in hub and publisher and instead attaches
 // the viewer wall to an already-running live server (for example
-// `endpoint -live host:port`), reporting what the viewers observed:
+// a gosensei-run whose deck has a `live host:port` line), reporting what
+// the viewers observed:
 //
 //	live-load -dial 127.0.0.1:9920 -viewers 50 -network tcp
 package main

@@ -74,6 +74,16 @@ func TestCmdOscillatorSmoke(t *testing.T) {
 	if !strings.Contains(out, "histogram data: step=3 ") {
 		t.Fatalf("histogram not reported:\n%s", out)
 	}
+	// A live line serves what the configured catalyst renders, on any deck.
+	deck := filepath.Join(t.TempDir(), "live.deck")
+	if err := os.WriteFile(deck, []byte("live 127.0.0.1:0\ndamped 6 6 6 3 3.14 0.3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out = run(t, bin, "-np", "2", "-cells", "12", "-steps", "3", "-deck", deck,
+		"-config", repoFile(t, "configs", "catalyst-slice.xml"))
+	if !strings.Contains(out, "live: serving viewers on 127.0.0.1:") || !strings.Contains(out, "live: 3 frames published") {
+		t.Fatalf("live line not served:\n%s", out)
+	}
 }
 
 func TestCmdExperimentsSmoke(t *testing.T) {
@@ -90,11 +100,15 @@ func TestCmdExperimentsSmoke(t *testing.T) {
 	}
 }
 
-// endpointShape is the analysis half of every in transit test: two endpoint
-// ranks, queue depth 2, the shipped histogram configuration.
-func endpointShape(t *testing.T, extra ...string) []string {
-	return append([]string{"-ranks", "2", "-queue-depth", "2",
-		"-config", repoFile(t, "configs", "endpoint-histogram.xml")}, extra...)
+// endpointDeck writes a simulation endpoint deck listening on addr with the
+// tests' queue depth, and returns its path.
+func endpointDeck(t *testing.T, addr string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "endpoint.deck")
+	if err := os.WriteFile(path, []byte("simulation endpoint\nqueue-depth 2\nlisten "+addr+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // writerConfig is configs/intransit-writer.xml pointed at a listening
@@ -135,33 +149,45 @@ func awaitOutput(t *testing.T, what string, out <-chan string) string {
 	}
 }
 
-// TestCmdEndpointSmoke stages three steps to an endpoint process under a
-// schedule of fabric faults — which reach the configured writer through
-// adios.SetWireFaults, fire, and are ridden out.
+// TestCmdEndpointSmoke stages three steps to an endpoint run — two reader
+// ranks on a loopback world, under a schedule of tolerated mpi faults — from
+// writers under a schedule of fabric faults, which reach the configured
+// writer through adios.SetWireFaults. Every fault fires and is ridden out:
+// the endpoint reports what the in situ run reports.
 func TestCmdEndpointSmoke(t *testing.T) {
-	ep, sim := buildTool(t, "endpoint"), buildTool(t, "gosensei-run")
-	_, addr, out := startListener(t, ep, "127.0.0.1:0", endpointShape(t)...)
-	writer := run(t, sim, "-np", "2", "-cells", "12", "-steps", "3", "-config", writerConfig(t, addr, "15"),
-		"-faults", "7:fabric.kill(rank=0,write=3)")
+	sim := buildTool(t, "gosensei-run")
+	shape := []string{"-np", "2", "-cells", "12", "-steps", "3"}
+	want := inSituHistogram(t, sim, shape...)
+	const mpiFaults = "5:mpi.delay(src=0,dst=1,msg=2,ms=2);mpi.dup(src=1,dst=0,msg=1);mpi.reorder(src=1,dst=0,msg=3)"
+	_, addr, out := startListener(t, sim, "127.0.0.1:0", "-transport", "loopback", "-faults", mpiFaults)
+	writer := run(t, sim, append(shape, "-config", writerConfig(t, addr, "15"),
+		"-faults", "7:fabric.kill(rank=0,write=3)")...)
 	if !strings.Contains(writer, "faultline: fired fabric.kill(rank=0,write=3) x1") || !strings.Contains(writer, "reconnects 1") {
 		t.Fatalf("the fabric fault did not reach the configured writer:\n%s", writer)
 	}
 	epOut := awaitOutput(t, "endpoint", out)
-	if !strings.Contains(epOut, "3 steps staged") {
+	for _, fired := range []string{"mpi.delay(src=0,dst=1,msg=2,ms=2) x1", "mpi.dup(src=1,dst=0,msg=1) x1", "mpi.reorder(src=1,dst=0,msg=3) x1"} {
+		if !strings.Contains(epOut, "faultline: fired "+fired) {
+			t.Fatalf("%s did not reach the endpoint's reader group:\n%s", fired, epOut)
+		}
+	}
+	if !strings.Contains(epOut, "endpoint: 2 ranks, 2 writers, 3 steps, 1 analyses\n") {
 		t.Fatalf("staging count wrong:\n%s", epOut)
 	}
-	if !strings.Contains(epOut, "histogram data: step=3 ") {
-		t.Fatalf("histogram missing:\n%s", epOut)
+	if got := histogramLines(t, epOut); got != want {
+		t.Fatalf("endpoint histogram differs from in situ:\n--- endpoint ---\n%s--- in situ ---\n%s", got, want)
 	}
 }
 
-// startListener launches an endpoint process with -listen 127.0.0.1:0 (or
-// a fixed addr), parses the bound address from its stdout, and returns the
-// command, the address, and a channel that yields the full output when the
-// process exits.
+// startListener launches an endpoint run — gosensei-run on an endpoint deck
+// listening on addr (127.0.0.1:0, or a fixed address), two reader ranks, the
+// shipped endpoint configuration, and any extra flags — parses the bound
+// address from its stdout, and returns the command, the address, and a
+// channel that yields the full output when the process exits.
 func startListener(t *testing.T, bin, addr string, extra ...string) (*exec.Cmd, string, <-chan string) {
 	t.Helper()
-	args := append([]string{"-listen", addr}, extra...)
+	args := append([]string{"-np", "2", "-deck", endpointDeck(t, addr),
+		"-config", repoFile(t, "configs", "endpoint-histogram.xml")}, extra...)
 	cmd := exec.Command(bin, args...)
 	cmd.Dir = t.TempDir()
 	stdout, err := cmd.StdoutPipe()
@@ -187,14 +213,14 @@ func startListener(t *testing.T, bin, addr string, extra ...string) (*exec.Cmd, 
 	out := make(chan string, 1)
 	go func() {
 		rest, _ := io.ReadAll(r)
-		_ = cmd.Wait()
-		out <- line + string(rest)
+		err := cmd.Wait()
+		out <- line + string(rest) + fmt.Sprintf("exit: %v\n", err)
 	}()
 	return cmd, bound, out
 }
 
 // histogramLines extracts what the histogram analysis reported — the part of
-// any output that depends on (np, cells, steps) alone, whichever executable
+// any output that depends on (np, cells, steps) alone, whichever data source
 // of whichever deployment computed it.
 func histogramLines(t *testing.T, out string) string {
 	t.Helper()
@@ -223,11 +249,11 @@ func inSituHistogram(t *testing.T, sim string, shape ...string) string {
 // report, byte for byte, what the in situ run reports: the §4.1.4 deployment
 // with the wire underneath.
 func TestCmdEndpointTwoProcessTCP(t *testing.T) {
-	ep, sim := buildTool(t, "endpoint"), buildTool(t, "gosensei-run")
+	sim := buildTool(t, "gosensei-run")
 	shape := []string{"-np", "2", "-cells", "12", "-steps", "3"}
 	want := inSituHistogram(t, sim, shape...)
 
-	_, addr, out := startListener(t, ep, "127.0.0.1:0", endpointShape(t)...)
+	_, addr, out := startListener(t, sim, "127.0.0.1:0")
 	writer := run(t, sim, append(shape, "-transport", "tcp", "-config", writerConfig(t, addr, "15"))...)
 	if !strings.Contains(writer, "adios flexpath to "+addr) || !strings.Contains(writer, "reconnects 0") {
 		t.Fatalf("writer output wrong:\n%s", writer)
@@ -237,16 +263,37 @@ func TestCmdEndpointTwoProcessTCP(t *testing.T) {
 	}
 }
 
-// TestCmdEndpointReconnect kills the endpoint process mid-run, restarts it
-// on the same port, and requires the writers to ride the outage out —
-// retransmitting unacknowledged steps — with the final histogram identical
-// to an undisturbed in situ run.
+// endpointKill is the fault that kills an endpoint run of two reader ranks
+// mid-run: reader 0's third send is the first of the third step's histogram
+// reduction, so both readers die inside that step, before its credits
+// return, and the writers must retransmit it.
+const endpointKill = "1:mpi.crash(rank=0,op=3)"
+
+// awaitKilled waits for an endpoint run killed by endpointKill, and requires
+// the launcher's fatal-fault exit with the fired fault in its trace.
+func awaitKilled(t *testing.T, doomed *exec.Cmd, out <-chan string) {
+	t.Helper()
+	select {
+	case o := <-out:
+		if !strings.Contains(o, "faultline: fired mpi.crash(rank=0,op=3) x1") || !strings.Contains(o, "exit: exit status 3\n") {
+			t.Fatalf("endpoint did not die of the scheduled crash:\n%s", o)
+		}
+	case <-time.After(60 * time.Second):
+		_ = doomed.Process.Kill()
+		t.Fatalf("endpoint never exited")
+	}
+}
+
+// TestCmdEndpointReconnect kills the endpoint process mid-run through its
+// fault schedule, restarts it on the same port, and requires the writers to
+// ride the outage out — retransmitting unacknowledged steps — with the final
+// histogram identical to an undisturbed in situ run.
 func TestCmdEndpointReconnect(t *testing.T) {
-	ep, sim := buildTool(t, "endpoint"), buildTool(t, "gosensei-run")
+	sim := buildTool(t, "gosensei-run")
 	shape := []string{"-np", "2", "-cells", "12", "-steps", "4"}
 	want := inSituHistogram(t, sim, shape...)
 
-	doomed, addr, doomedOut := startListener(t, ep, "127.0.0.1:0", endpointShape(t, "-kill-after", "2")...)
+	doomed, addr, doomedOut := startListener(t, sim, "127.0.0.1:0", "-faults", endpointKill)
 	writerDone := make(chan string, 1)
 	writerErr := make(chan error, 1)
 	cfg := writerConfig(t, addr, "60")
@@ -260,16 +307,8 @@ func TestCmdEndpointReconnect(t *testing.T) {
 
 	// Wait for the injected failure, then restart the endpoint on the SAME
 	// port while the writer process is mid-run.
-	select {
-	case o := <-doomedOut:
-		if !strings.Contains(o, "injected failure") {
-			t.Fatalf("first endpoint did not fail as injected:\n%s", o)
-		}
-	case <-time.After(60 * time.Second):
-		_ = doomed.Process.Kill()
-		t.Fatalf("first endpoint never exited")
-	}
-	_, _, out2 := startListener(t, ep, addr, endpointShape(t)...)
+	awaitKilled(t, doomed, doomedOut)
+	_, _, out2 := startListener(t, sim, addr)
 
 	wo := <-writerDone
 	if err := <-writerErr; err != nil {
@@ -284,37 +323,25 @@ func TestCmdEndpointReconnect(t *testing.T) {
 }
 
 // TestCmdEndpointRetryWindowExpires is the complement of the reconnect
-// test: the endpoint dies mid-run and is never restarted, so the writer's
+// test: the endpoint dies mid-run and is never restarted, so the writers'
 // retry-window must expire and the process must fail with a diagnostic
 // rather than hang.
 func TestCmdEndpointRetryWindowExpires(t *testing.T) {
-	ep, sim := buildTool(t, "endpoint"), buildTool(t, "gosensei-run")
-	// One writer rank: a second rank would outlive the failure blocked in
-	// the next advance collective until the mpi recv timeout.
-	doomed, addr, doomedOut := startListener(t, ep, "127.0.0.1:0",
-		"-ranks", "1", "-queue-depth", "2", "-kill-after", "2",
-		"-config", repoFile(t, "configs", "endpoint-histogram.xml"))
+	sim := buildTool(t, "gosensei-run")
+	doomed, addr, doomedOut := startListener(t, sim, "127.0.0.1:0", "-faults", endpointKill)
 	writerDone := make(chan string, 1)
 	writerErr := make(chan error, 1)
 	cfg := writerConfig(t, addr, "2")
 	go func() {
-		cmd := exec.Command(sim, "-np", "1", "-cells", "12", "-steps", "4", "-config", cfg)
+		cmd := exec.Command(sim, "-np", "2", "-cells", "12", "-steps", "4", "-config", cfg)
 		cmd.Dir = t.TempDir()
 		o, err := cmd.CombinedOutput()
 		writerDone <- string(o)
 		writerErr <- err
 	}()
 
-	select {
-	case o := <-doomedOut:
-		if !strings.Contains(o, "injected failure") {
-			t.Fatalf("endpoint did not fail as injected:\n%s", o)
-		}
-	case <-time.After(60 * time.Second):
-		_ = doomed.Process.Kill()
-		t.Fatalf("endpoint never exited")
-	}
-	// No restart: the writer must give up within the window.
+	awaitKilled(t, doomed, doomedOut)
+	// No restart: the writers must give up within the window.
 	wo := <-writerDone
 	err := <-writerErr
 	if err == nil {
@@ -329,45 +356,69 @@ func TestCmdEndpointRetryWindowExpires(t *testing.T) {
 	}
 }
 
+// TestCmdPosthocSmoke: what a -np 4 run stored with the vtk-writer, replayed
+// by a replay deck at 1, 2 and 4 reader ranks on goroutine ranks and on a
+// tcp world, reports the histogram lines the run itself reported in situ,
+// byte for byte. A stored step some writer's block is missing from is
+// refused, naming the step and the rank, before any rank exists.
 func TestCmdPosthocSmoke(t *testing.T) {
 	sim := buildTool(t, "gosensei-run")
-	ph := buildTool(t, "posthoc")
 	work := t.TempDir()
-	// Produce step files with the vtk-writer analysis.
 	cfg := filepath.Join(work, "writer.xml")
-	if err := os.WriteFile(cfg, []byte(`<sensei><analysis type="vtk-writer" dir="`+work+`/out"/></sensei>`), 0o644); err != nil {
+	if err := os.WriteFile(cfg, []byte(`<sensei><analysis type="vtk-writer" dir="`+work+`/out"/><analysis type="histogram" bins="10"/></sensei>`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(sim, "-np", "2", "-cells", "12", "-steps", "3", "-config", cfg)
-	cmd.Dir = work
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("producer: %v\n%s", err, out)
+	want := histogramLines(t, run(t, sim, "-np", "4", "-cells", "12", "-steps", "3", "-config", cfg))
+	deck := filepath.Join(work, "replay.deck")
+	if err := os.WriteFile(deck, []byte("simulation replay\ndir "+work+"/out\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	out := run(t, ph, "-dir", work+"/out", "-writers", "2", "-readers", "1", "-workload", "histogram", "-cells", "12")
-	if !strings.Contains(out, "read:") || !strings.Contains(out, "process:") {
-		t.Fatalf("posthoc output wrong:\n%s", out)
+	histogram := repoFile(t, "configs", "histogram.xml")
+	for _, np := range []string{"1", "2", "4"} {
+		for _, transport := range []string{"proc", "tcp"} {
+			out := run(t, sim, "-np", np, "-transport", transport, "-deck", deck, "-config", histogram)
+			if !strings.Contains(out, "replay: "+np+" ranks, 4 writers, 3 steps, 1 analyses\n") {
+				t.Fatalf("np %s on %s: header wrong:\n%s", np, transport, out)
+			}
+			if got := histogramLines(t, out); got != want {
+				t.Fatalf("np %s on %s: replayed histogram differs from in situ:\n--- replay ---\n%s--- in situ ---\n%s", np, transport, got, want)
+			}
+		}
+	}
+	if err := os.Remove(iosim.BlockPath(work+"/out", 2, 1)); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(sim, "-np", "2", "-deck", deck, "-config", histogram)
+	cmd.Dir = work
+	out, err := cmd.CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "step 2 lacks rank 1's block") || strings.Contains(string(out), "histogram") {
+		t.Fatalf("a partial step was not refused: %v\n%s", err, out)
 	}
 }
 
-// TestCmdRefusals pins flag validation and exit codes for the two binaries a
-// run is assembled from, and for the post hoc and experiments harnesses:
-// whatever is wrong with the command line, the files it names or the fault
-// schedule is refused before any rank exists — exit 1, one line on stderr
-// naming the problem, nothing on stdout, promptly, no goroutine dump, and no
-// worker process left behind (each command runs in its own process group,
-// which must be empty once it has exited).
+// TestCmdRefusals pins flag and deck validation and exit codes for the
+// launcher, the one binary a run is assembled from, and for the experiments
+// harness: whatever is wrong with the command line, the files it names or
+// the fault schedule is refused before any rank exists or any socket is
+// bound — exit 1, one line on stderr naming the problem, nothing on stdout
+// (an endpoint deck's first line there is its bound address), promptly, no
+// goroutine dump, and no worker process left behind (each command runs in
+// its own process group, which must be empty once it has exited).
 func TestCmdRefusals(t *testing.T) {
 	bins := map[string]string{}
-	for _, name := range []string{"gosensei-run", "endpoint", "posthoc", "experiments"} {
+	for _, name := range []string{"gosensei-run", "experiments"} {
 		bins[name] = buildTool(t, name)
 	}
 	work := t.TempDir()
-	// One stored step of one writer: enough for posthoc to analyse
+	// One stored step of one writer: enough for a replay to analyse
 	// something, so a refusal cannot pass for an empty directory.
 	blocks := filepath.Join(work, "blocks")
 	img := grid.NewImageData(grid.NewExtent3D(3, 3, 3))
 	img.Attributes(grid.CellData).Add(array.New[float64]("data", 1, img.NumberOfCells()))
 	if _, err := iosim.WriteBlockFile(blocks, 0, img, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(work, "empty"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	file := func(name, doc string) string {
@@ -379,6 +430,8 @@ func TestCmdRefusals(t *testing.T) {
 	}
 	histogram := repoFile(t, "configs", "histogram.xml")
 	unknown := file("unknown.xml", `<sensei><analysis type="nope"/></sensei>`)
+	endpoint := func(name, lines string) string { return file(name, "simulation endpoint\n"+lines) }
+	replay := file("replay.deck", "simulation replay\ndir "+blocks+"\n")
 	type refusal struct {
 		bin  string
 		args []string
@@ -387,10 +440,11 @@ func TestCmdRefusals(t *testing.T) {
 	rows := []refusal{
 		{"gosensei-run", []string{"-np", "2", "-deck", "/nonexistent"}, "/nonexistent: no such file"},
 		{"gosensei-run", []string{"-np", "2", "-deck", file("bad.osc", "damped 1 2\n")}, "deck line 1"},
-		{"gosensei-run", []string{"-deck", file("nope.deck", "# which miniapp\nsimulation nope\n")}, `deck line 2: unknown simulation "nope" (want oscillator, phasta, leslie or nyx)`},
+		{"gosensei-run", []string{"-deck", file("nope.deck", "# which miniapp\nsimulation nope\n")}, `deck line 2: unknown simulation "nope" (want oscillator, phasta, leslie, nyx, endpoint or replay)`},
 		{"gosensei-run", []string{"-deck", file("nyx.deck", "simulation nyx\nperiodic 8 8 8 4 6.28\n")}, "deck line 2: simulation nyx takes no other line"},
 		{"gosensei-run", []string{"-deck", file("steer.deck", "simulation phasta\nsteer 10 1.6\n")}, "deck line 2: simulation phasta takes only steer <step> <amplitude> <frequency> lines"},
 		{"gosensei-run", []string{"-deck", file("osc.deck", "simulation oscillator\nsteer 10 1.6 1.5\n")}, "oscillator: deck line 2: want 6 or 7 fields, got 4"},
+		{"gosensei-run", []string{"-deck", file("live.deck", "simulation leslie\nlive nowhere\n")}, "deck line 2: live: address nowhere: missing port"},
 		{"gosensei-run", []string{"-config", "/nonexistent.xml"}, "/nonexistent.xml: no such file"},
 		{"gosensei-run", []string{"-config", file("torn.xml", `<sensei><analysis`)}, "parse sensei config"},
 		{"gosensei-run", []string{"-transport", "tcp", "-config", unknown}, `unknown analysis type "nope"`},
@@ -404,18 +458,25 @@ func TestCmdRefusals(t *testing.T) {
 		{"gosensei-run", []string{"-transport", "proc", "-faults", "7:world.rankkill(rank=2,op=4)"}, "cannot deliver world faults"},
 		{"gosensei-run", []string{"-config", histogram, "-faults", "7:fabric.kill(rank=0,write=1)"}, "cannot deliver fabric faults"},
 		{"gosensei-run", []string{"-transport", "tcp", "-faults", "7:fabric.kill(rank=0,write=1)"}, "cannot deliver fabric faults"},
-		{"endpoint", []string{"stray-arg"}, `unexpected argument "stray-arg"`},
-		{"endpoint", nil, "-config is required"},
-		{"endpoint", []string{"-config", "/nonexistent.xml"}, "/nonexistent.xml: no such file"},
-		{"endpoint", []string{"-config", unknown}, `unknown analysis type "nope"`},
-		{"endpoint", []string{"-config", histogram, "-ranks", "0"}, "invalid fabric writers=0"},
-		{"endpoint", []string{"-config", histogram, "-queue-depth", "0"}, "depth=0"},
-		{"endpoint", []string{"-config", histogram, "-codec", "zip"}, `unknown codec "zip"`},
-		{"endpoint", []string{"-config", histogram, "-extract", "histogram:data"}, "bad -extract"},
-		{"endpoint", []string{"-config", histogram, "-listen", "not-an-address"}, "not-an-address"},
-		{"posthoc", nil, "-dir is required"},
-		{"posthoc", []string{"-dir", blocks, "-writers", "1", "stray-arg"}, `unexpected argument "stray-arg"`},
-		{"posthoc", []string{"-dir", blocks, "-writers", "1", "-workload", "nope"}, `unknown ADIOS workload "nope"`},
+		// The in transit endpoint: what its binary's flags refused, now
+		// its deck's lines and the launcher's flags.
+		{"gosensei-run", []string{"-deck", endpoint("ep-analysis.deck", ""), "-config", unknown}, `unknown analysis type "nope"`},
+		{"gosensei-run", []string{"-deck", endpoint("ep-depth.deck", "queue-depth 0\n"), "-config", histogram}, "deck line 2: queue-depth must be at least 1, got 0"},
+		{"gosensei-run", []string{"-deck", endpoint("ep-codec.deck", "codec raw,zip\n"), "-config", histogram}, `deck line 2: fabric: unknown codec "zip"`},
+		{"gosensei-run", []string{"-deck", endpoint("ep-extract.deck", "extract histogram:data\n"), "-config", histogram}, `deck line 2: bad extract "histogram:data"`},
+		{"gosensei-run", []string{"-deck", endpoint("ep-listen.deck", "listen not-an-address\n"), "-config", histogram}, "deck line 2: address not-an-address: missing port"},
+		{"gosensei-run", []string{"-deck", endpoint("ep-line.deck", "ranks 4\n"), "-config", histogram}, `deck line 2: simulation endpoint takes only listen <host:port>, queue-depth <n>, codec <list> and extract <spec> lines, got "ranks 4"`},
+		{"gosensei-run", []string{"-transport", "tcp", "-deck", endpoint("ep-tcp.deck", ""), "-config", histogram}, "simulation endpoint serves its reader group from one process"},
+		{"gosensei-run", []string{"-steps", "3", "-deck", endpoint("ep-steps.deck", ""), "-config", histogram}, "simulation endpoint: the source decides the steps; drop -steps"},
+		{"gosensei-run", []string{"-cells", "12", "-deck", endpoint("ep-cells.deck", ""), "-config", histogram}, "simulation endpoint: the source decides the cells; drop -cells"},
+		// Post hoc replay.
+		{"gosensei-run", []string{"-np", "1", "-deck", file("rp-empty.deck", "simulation replay\ndir "+filepath.Join(work, "empty")+"\n")}, "holds no stored steps"},
+		{"gosensei-run", []string{"-np", "1", "-deck", file("rp-line.deck", "simulation replay\ndir "+blocks+"\nwriters 4\n")}, `deck line 3: simulation replay takes one dir <path> line, got "writers 4"`},
+		{"gosensei-run", []string{"-np", "1", "-deck", file("rp-nodir.deck", "simulation replay\n")}, "the deck names no dir <path>"},
+		{"gosensei-run", []string{"-np", "2", "-deck", replay}, "-np 2 is more readers than the 1 writers"},
+		{"gosensei-run", []string{"-np", "1", "-transport", "tcp", "-deck", replay, "-config", unknown}, `unknown analysis type "nope"`},
+		{"gosensei-run", []string{"-np", "1", "-steps", "3", "-deck", replay}, "simulation replay: the source decides the steps; drop -steps"},
+		{"gosensei-run", []string{"-np", "1", "-cells", "8", "-deck", replay}, "simulation replay: the source decides the cells; drop -cells"},
 		{"experiments", []string{"-run", "tab1", "-calibrate=false", "stray-arg"}, `unexpected argument "stray-arg"`},
 		{"experiments", []string{"-run", "tab1", "-calibrate=false", "-check"}, "-check requires -shift"},
 		{"experiments", []string{"-run", "nope"}, `unknown experiment "nope"`},

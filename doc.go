@@ -21,9 +21,9 @@
 //   - internal/experiments regenerates every table and figure, combining
 //     real goroutine-scale execution with a calibrated at-scale model.
 //
-// Entry points: cmd/gosensei-run (the launcher: the miniapp on goroutine,
-// loopback or tcp ranks, running whatever SENSEI XML configuration it is
-// given — the only way a run is assembled), cmd/endpoint (the analysis
-// executable of the in transit pair), cmd/experiments, cmd/posthoc, and the
-// runnable programs under examples/.
+// Entry points: cmd/gosensei-run (the launcher: a data source — one of the
+// miniapps, an in transit endpoint, or a post hoc replay of stored steps,
+// named by its deck — on goroutine, loopback or tcp ranks, running whatever
+// SENSEI XML configuration it is given; the only way a run is assembled),
+// cmd/experiments, and the runnable programs under examples/.
 package gosensei

@@ -11,11 +11,11 @@
 //
 // This example stages over the in-process loopback wire. For the paper's
 // literal deployment — writer and endpoint as two OS processes speaking
-// the same staging protocol over TCP — use cmd/endpoint and cmd/gosensei-run,
-// each with a configuration file:
+// the same staging protocol over TCP — run cmd/gosensei-run twice, the
+// endpoint from a deck, each with a configuration file:
 //
-//	go run ./cmd/endpoint -listen 127.0.0.1:9917 -ranks 4 -config configs/endpoint-histogram.xml   # terminal 1
-//	go run ./cmd/gosensei-run -np 4 -steps 10 -config configs/intransit-writer.xml                 # terminal 2
+//	go run ./cmd/gosensei-run -np 4 -deck decks/endpoint.deck -config configs/endpoint-histogram.xml   # terminal 1
+//	go run ./cmd/gosensei-run -np 4 -steps 10 -config configs/intransit-writer.xml                     # terminal 2
 //
 // The endpoint reports what the same analysis reports in situ, byte for
 // byte, and it can be killed and restarted on the same port mid-run:

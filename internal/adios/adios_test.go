@@ -13,6 +13,7 @@ import (
 	"gosensei/internal/analysis"
 	"gosensei/internal/array"
 	"gosensei/internal/core"
+	"gosensei/internal/fabric"
 	"gosensei/internal/grid"
 	"gosensei/internal/metrics"
 	"gosensei/internal/mpi"
@@ -22,15 +23,14 @@ import (
 // drainTimeout guards tests against a stuck fabric: it receives one message
 // with a timeout, releasing its credit immediately (a drained message is by
 // definition consumed).
-func drainTimeout(f *Fabric, rank int, d time.Duration) (Message, error) {
+func drainTimeout(f *Fabric, rank int, d time.Duration) (fabric.Delivery, error) {
 	select {
 	case del := <-f.hub.Deliveries(rank):
-		m := messageOf(del)
-		m.Release()
-		m.Payload = nil // went back to the hub's pool with the release
-		return m, nil
+		del.Release()
+		del.Payload = nil // went back to the hub's pool with the release
+		return del, nil
 	case <-time.After(d):
-		return Message{}, fmt.Errorf("adios: no message within %v", d)
+		return fabric.Delivery{}, fmt.Errorf("adios: no message within %v", d)
 	}
 }
 
@@ -317,7 +317,7 @@ func TestFactoryBPFile(t *testing.T) {
 
 func TestStagedDataAdaptor(t *testing.T) {
 	img := sampleImage()
-	da := &StagedDataAdaptor{Data: img}
+	da := &core.StagedDataAdaptor{Data: img}
 	da.SetStep(4, 0.4)
 	mesh, err := da.Mesh(false)
 	if err != nil {
@@ -429,7 +429,7 @@ func TestStagedAdaptorMultiBlock(t *testing.T) {
 	a := sampleImage()
 	b := sampleImage()
 	mb := &grid.MultiBlock{Blocks: []grid.Dataset{a, b}}
-	da := &StagedDataAdaptor{Data: mb}
+	da := &core.StagedDataAdaptor{Data: mb}
 	mesh, err := da.Mesh(false)
 	if err != nil {
 		t.Fatal(err)

@@ -16,27 +16,6 @@ import (
 	"gosensei/internal/mpi"
 )
 
-// Message is one staged unit: a serialized step from one writer rank, or an
-// end-of-stream marker. Release acknowledges consumption back to the
-// producing writer, returning its flow-control credit; the endpoint calls
-// it only after the analysis executed the step, so a message a dying
-// endpoint never acknowledged is retransmitted by the writer.
-type Message struct {
-	Payload []byte
-	Step    int
-	Writer  int // producing writer rank
-	EOS     bool
-	release func()
-}
-
-// Release returns the message's credit to its writer. Idempotent.
-func (m *Message) Release() {
-	if m.release != nil {
-		m.release()
-		m.release = nil
-	}
-}
-
 // Fabric is the FlexPath-like staging layer connecting a group of N writers
 // to a group of M analysis readers. FlexPath "can support same-node,
 // multi-node, or even multi-machine deployment configurations"; the paper's
@@ -213,39 +192,6 @@ func (f *Fabric) client(writer int) *fabric.Client {
 	return c
 }
 
-// Negotiated blocks until the writer's first handshake completes and
-// reports the codec and extract the endpoint chose for it.
-func (f *Fabric) Negotiated(writer int) (uint8, fabric.ExtractSpec, error) {
-	return f.client(writer).Negotiated()
-}
-
-// send blocks until the writer holds a queue-depth credit, then stages the
-// message over the wire.
-func (f *Fabric) send(writer int, m Message) error {
-	c := f.client(writer)
-	if m.EOS {
-		return c.SendEOS()
-	}
-	return c.Send(m.Step, m.Payload)
-}
-
-// messageOf converts a wire delivery into a staged message.
-func messageOf(d fabric.Delivery) Message {
-	return Message{
-		Payload: d.Payload,
-		Step:    d.Step,
-		Writer:  d.Writer,
-		EOS:     d.EOS,
-		release: d.Release,
-	}
-}
-
-// recv blocks until some writer delivers a message for this reader. The
-// caller owns the message's credit: call Release after consuming it.
-func (f *Fabric) recv(reader int) Message {
-	return messageOf(<-f.hub.Deliveries(reader))
-}
-
 // Transport is the ADIOS service interface: "only a tweak to the input
 // parameters is needed to swap methods". Both the staging and file
 // transports implement it.
@@ -269,7 +215,7 @@ func (t *FlexPathTransport) Name() string { return "flexpath" }
 // WriteStep implements Transport; it blocks on reader backpressure (the
 // writer's queue-depth credits exhausted).
 func (t *FlexPathTransport) WriteStep(rank int, payload []byte, step int) error {
-	return t.Fabric.send(rank, Message{Payload: payload, Step: step})
+	return t.Fabric.client(rank).Send(step, payload)
 }
 
 // Advance implements Transport: the writer group synchronizes metadata (a
@@ -286,14 +232,14 @@ func (t *FlexPathTransport) Advance(c *mpi.Comm, step int) error {
 // Close implements Transport. It stages the end-of-stream marker without
 // waiting for the endpoint to consume it.
 func (t *FlexPathTransport) Close(rank int) error {
-	return t.Fabric.send(rank, Message{EOS: true})
+	return t.Fabric.client(rank).SendEOS()
 }
 
 // Negotiated implements extract negotiation for the staging Writer: the
 // endpoint's Welcome names the reduced product (if any) this writer should
 // ship instead of full containers.
 func (t *FlexPathTransport) Negotiated(rank int) (fabric.ExtractSpec, error) {
-	_, ext, err := t.Fabric.Negotiated(rank)
+	_, ext, err := t.Fabric.client(rank).Negotiated()
 	return ext, err
 }
 
@@ -445,50 +391,6 @@ func (w *Writer) timeAdvance(step int) error {
 // Finalize implements core.AnalysisAdaptor: signals end of stream.
 func (w *Writer) Finalize() error { return w.Transport.Close(w.Comm.Rank()) }
 
-// StagedDataAdaptor serves a re-hydrated step to endpoint analyses. With a
-// 1:1 fabric Data is the single staged block; with N:M fan-in it is a
-// MultiBlock of every block the reader's writers produced for the step.
-type StagedDataAdaptor struct {
-	core.BaseDataAdaptor
-	Data grid.Dataset
-}
-
-// Mesh implements core.DataAdaptor.
-func (s *StagedDataAdaptor) Mesh(bool) (grid.Dataset, error) { return s.Data, nil }
-
-// AddArray implements core.DataAdaptor: arrays arrive pre-attached in the
-// stream, so this only validates presence.
-func (s *StagedDataAdaptor) AddArray(mesh grid.Dataset, assoc grid.Association, name string) error {
-	if mb, ok := mesh.(*grid.MultiBlock); ok {
-		for _, b := range mb.Blocks {
-			if b != nil && b.Attributes(assoc).Get(name) != nil {
-				return nil
-			}
-		}
-		return fmt.Errorf("adios: staged step has no %s array %q in any block", assoc, name)
-	}
-	if mesh.Attributes(assoc).Get(name) == nil {
-		return fmt.Errorf("adios: staged step has no %s array %q", assoc, name)
-	}
-	return nil
-}
-
-// ArrayNames implements core.DataAdaptor.
-func (s *StagedDataAdaptor) ArrayNames(assoc grid.Association) ([]string, error) {
-	if mb, ok := s.Data.(*grid.MultiBlock); ok {
-		for _, b := range mb.Blocks {
-			if b != nil {
-				return b.Attributes(assoc).Names(), nil
-			}
-		}
-		return nil, nil
-	}
-	return s.Data.Attributes(assoc).Names(), nil
-}
-
-// ReleaseData implements core.DataAdaptor.
-func (s *StagedDataAdaptor) ReleaseData() error { s.Data = nil; return nil }
-
 // StagedExtractAdaptor serves a merged histogram partial to endpoint
 // analyses in extract-shipping mode. It implements
 // analysis.StagedHistogramSource structurally, so the endpoint's Histogram
@@ -497,6 +399,8 @@ type StagedExtractAdaptor struct {
 	core.BaseDataAdaptor
 	Spec fabric.ExtractSpec
 	Hist *extracts.HistogramPartial
+	// Release, when set, runs in ReleaseData (core.StagedDataAdaptor's).
+	Release func()
 }
 
 // StagedHistogram reports the merged partial when it matches the requested
@@ -523,7 +427,13 @@ func (s *StagedExtractAdaptor) AddArray(grid.Dataset, grid.Association, string) 
 func (s *StagedExtractAdaptor) ArrayNames(grid.Association) ([]string, error) { return nil, nil }
 
 // ReleaseData implements core.DataAdaptor.
-func (s *StagedExtractAdaptor) ReleaseData() error { s.Hist = nil; return nil }
+func (s *StagedExtractAdaptor) ReleaseData() error {
+	s.Hist = nil
+	if s.Release != nil {
+		s.Release()
+	}
+	return nil
+}
 
 // mergeHistogramPartial folds one writer's partial into the step's
 // accumulator: exact min/max and exact int64 sums, the same reductions the
@@ -548,179 +458,217 @@ func mergeHistogramPartial(acc, p *extracts.HistogramPartial) (*extracts.Histogr
 	return acc, nil
 }
 
+// Reader is one endpoint rank's data source: the steps its writers stage,
+// served whole. Next receives until every feeding writer has delivered the
+// next step — full containers, histogram partials or "nothing this step"
+// markers, sniffed by magic and decoded under "endpoint::decode" — and
+// serves it: the one block, a MultiBlock of a fan-in reader's blocks, or the
+// merged histogram partial. A step on which every writer sent the empty
+// marker is skipped here, its credits returned. A served step's credits
+// return in its adaptor's ReleaseData, which the bridge calls after the
+// analyses ran: an endpoint that dies mid-step never acknowledged the step,
+// and its writers retransmit it. Next returns nil once every writer sent
+// EOS.
+type Reader struct {
+	f       *Fabric
+	rank    int
+	writers []int
+	reg     *metrics.Registry
+	pending map[int]*stagedStep
+	store   valueStore
+	eos     int
+	steps   int
+	// cur is the step being served; blocks and hist are the adaptors that
+	// serve it, reused across steps.
+	cur    *stagedStep
+	blocks core.StagedDataAdaptor
+	hist   StagedExtractAdaptor
+}
+
+// stagedStep is what a reader holds of one step until it is complete.
+type stagedStep struct {
+	blocks map[int]*grid.ImageData
+	hist   *extracts.HistogramPartial
+	got    int               // messages received for the step, any payload kind
+	dels   []fabric.Delivery // released once the step executed
+	values [][]float64       // the blocks' arrays, on loan from the store
+	time   float64
+}
+
+// Reader opens the source of endpoint rank rank, timing its decodes in reg.
+func (f *Fabric) Reader(rank int, reg *metrics.Registry) *Reader {
+	writers := f.WritersOf(rank)
+	r := &Reader{
+		f: f, rank: rank, writers: writers, reg: reg,
+		pending: map[int]*stagedStep{},
+		// Lent arrays peak as a step completes: one container of the writer
+		// that completes it, and at most depth (its unreleased containers)
+		// of every other writer.
+		store: valueStore{fill: 1 + f.depth*(len(writers)-1)},
+	}
+	r.blocks.Release = r.release
+	r.hist.Release = r.release
+	if f.extract != nil {
+		r.hist.Spec = *f.extract
+	}
+	return r
+}
+
+// Steps is the number of steps the reader consumed, skipped ones included.
+func (r *Reader) Steps() int { return r.steps }
+
+// Next implements core.Source.
+func (r *Reader) Next() (core.DataAdaptor, error) {
+	for r.eos < len(r.writers) {
+		msg := <-r.f.hub.Deliveries(r.rank)
+		if msg.EOS {
+			// EOS carries no data to execute; acknowledge on receipt.
+			msg.Release()
+			r.eos++
+			continue
+		}
+		var (
+			img  *grid.ImageData
+			hist *extracts.HistogramPartial
+			lent [][]float64
+			st   int
+			tm   float64
+			err  error
+		)
+		r.reg.Time("endpoint::decode", msg.Step, func() {
+			switch {
+			case extracts.IsExtract(msg.Payload):
+				switch extracts.ExtractKind(msg.Payload) {
+				case extracts.KindHistogram:
+					hist, err = extracts.DecodeHistogramExtract(msg.Payload)
+					if err == nil {
+						st, tm = hist.Step, hist.Time
+					}
+				case extracts.KindEmpty:
+					st, tm, err = extracts.DecodeEmptyExtract(msg.Payload)
+				default:
+					err = fmt.Errorf("adios: unsupported extract kind %d", extracts.ExtractKind(msg.Payload))
+				}
+			default:
+				img, st, tm, err = decodeStep(msg.Payload, func(n int) []float64 {
+					lent = append(lent, r.store.lend(n))
+					return lent[len(lent)-1]
+				})
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
+		p := r.pending[st]
+		if p == nil {
+			p = &stagedStep{blocks: map[int]*grid.ImageData{}}
+			r.pending[st] = p
+		}
+		if img != nil {
+			p.blocks[msg.Writer] = img
+		}
+		if hist != nil {
+			if p.hist, err = mergeHistogramPartial(p.hist, hist); err != nil {
+				return nil, err
+			}
+		}
+		p.got++
+		p.dels = append(p.dels, msg)
+		p.values = append(p.values, lent...)
+		p.time = tm
+		if p.got < len(r.writers) {
+			continue
+		}
+		delete(r.pending, st)
+		r.steps++
+		r.cur = p
+		switch {
+		case p.hist != nil && len(p.blocks) > 0:
+			return nil, fmt.Errorf("adios: step %d mixes extract partials and full containers", st)
+		case p.hist != nil:
+			r.hist.Hist = p.hist
+			r.hist.SetStep(st, p.time)
+			return &r.hist, nil
+		case len(p.blocks) == 0:
+			r.release() // nothing to analyze this step, but the credits return
+			continue
+		case len(p.blocks) == 1:
+			for _, b := range p.blocks {
+				r.blocks.Data = b
+			}
+		default:
+			mb := &grid.MultiBlock{}
+			for _, w := range r.writers {
+				if b := p.blocks[w]; b != nil {
+					mb.Blocks = append(mb.Blocks, b)
+				}
+			}
+			r.blocks.Data = mb
+		}
+		r.blocks.SetStep(st, p.time)
+		return &r.blocks, nil
+	}
+	if len(r.pending) > 0 {
+		return nil, fmt.Errorf("adios: endpoint rank %d: %d incomplete steps at EOS", r.rank, len(r.pending))
+	}
+	return nil, nil
+}
+
+// release returns the served step's credits to its writers and its arrays
+// to the store: the analyses are done with them, as in situ they are done
+// with the simulation's once Execute returns.
+func (r *Reader) release() {
+	p := r.cur
+	if p == nil {
+		return
+	}
+	r.cur = nil
+	for i := range p.dels {
+		p.dels[i].Release()
+	}
+	r.store.free = append(r.store.free, p.values...)
+}
+
 // EndpointResult carries the endpoint's instrumentation back to the driver.
 type EndpointResult struct {
 	Registries []*metrics.Registry
 	Steps      int
 }
 
-// RunEndpoint runs the analysis endpoint group: one rank per fabric reader,
-// each receiving staged steps until every feeding writer sent EOS. With
-// fan-in (N writers > M readers), a reader assembles each step's blocks into
-// a MultiBlock before executing its bridge. It blocks until the stream
-// ends; run it concurrently with the writer group. Reader initialization is
-// timed under "endpoint::initialize" — the phase the paper found an order
-// of magnitude slower on Cori than Titan.
+// RunEndpoint runs the analysis endpoint group on goroutine ranks: one rank
+// per fabric reader, each driving its bridge with its Reader until every
+// feeding writer sent EOS. It blocks until the stream ends; run it
+// concurrently with the writer group. Reader initialization — configure,
+// then the group barrier every reader meets before consuming, as FlexPath's
+// control channel does — is timed under "endpoint::initialize", the phase
+// the paper found an order of magnitude slower on Cori than Titan.
 func RunEndpoint(f *Fabric, configure func(b *core.Bridge) error, opts ...mpi.Option) (*EndpointResult, error) {
 	n := f.Pairs()
 	res := &EndpointResult{Registries: make([]*metrics.Registry, n)}
-	steps := make([]int, n)
 	err := mpi.Run(n, func(c *mpi.Comm) error {
 		reg := metrics.NewRegistry(c.Rank())
 		res.Registries[c.Rank()] = reg
 		b := core.NewBridge(c, reg, metrics.NewTracker())
-		var cfgErr error
+		var err error
 		reg.Time("endpoint::initialize", 0, func() {
-			// Connection handshake: every reader meets the group barrier
-			// before consuming, as FlexPath's control channel does.
-			cfgErr = configure(b)
-			if cfgErr == nil {
-				cfgErr = c.Barrier()
+			if err = configure(b); err == nil {
+				err = c.Barrier()
 			}
 		})
-		if cfgErr != nil {
-			return cfgErr
+		if err != nil {
+			return err
 		}
-		writers := f.WritersOf(c.Rank())
-		type partial struct {
-			blocks   map[int]*grid.ImageData
-			hist     *extracts.HistogramPartial
-			got      int // messages received for the step, any payload kind
-			releases []func()
-			values   [][]float64 // the blocks' arrays, on loan from store
-			time     float64
+		src := f.Reader(c.Rank(), reg)
+		if _, err := b.Drive(src); err != nil {
+			return err
 		}
-		pending := map[int]*partial{}
-		// Lent arrays peak as a step completes: one container of the writer
-		// that completes it, and at most depth (its unreleased containers)
-		// of every other writer.
-		store := valueStore{fill: 1 + f.depth*(len(writers)-1)}
-		eos := 0
-		for eos < len(writers) {
-			msg := f.recv(c.Rank())
-			if msg.EOS {
-				// EOS carries no data to execute; acknowledge on receipt.
-				msg.Release()
-				eos++
-				continue
-			}
-			// Sniff the payload kind by magic: a full BP container, a
-			// pre-binned extract, or the "nothing this step" marker (a slice
-			// plane that missed the writer's block).
-			var (
-				img  *grid.ImageData
-				hist *extracts.HistogramPartial
-				lent [][]float64
-				st   int
-				tm   float64
-				err  error
-			)
-			reg.Time("endpoint::decode", msg.Step, func() {
-				switch {
-				case extracts.IsExtract(msg.Payload):
-					switch extracts.ExtractKind(msg.Payload) {
-					case extracts.KindHistogram:
-						hist, err = extracts.DecodeHistogramExtract(msg.Payload)
-						if err == nil {
-							st, tm = hist.Step, hist.Time
-						}
-					case extracts.KindEmpty:
-						st, tm, err = extracts.DecodeEmptyExtract(msg.Payload)
-					default:
-						err = fmt.Errorf("adios: unsupported extract kind %d", extracts.ExtractKind(msg.Payload))
-					}
-				default:
-					img, st, tm, err = decodeStep(msg.Payload, func(n int) []float64 {
-						lent = append(lent, store.lend(n))
-						return lent[len(lent)-1]
-					})
-				}
-			})
-			if err != nil {
-				return err
-			}
-			p := pending[st]
-			if p == nil {
-				p = &partial{blocks: map[int]*grid.ImageData{}}
-				pending[st] = p
-			}
-			if img != nil {
-				p.blocks[msg.Writer] = img
-			}
-			if hist != nil {
-				if p.hist, err = mergeHistogramPartial(p.hist, hist); err != nil {
-					return err
-				}
-			}
-			p.got++
-			p.releases = append(p.releases, msg.Release)
-			p.values = append(p.values, lent...)
-			p.time = tm
-			if p.got < len(writers) {
-				continue
-			}
-			delete(pending, st)
-			if p.hist != nil && len(p.blocks) > 0 {
-				return fmt.Errorf("adios: step %d mixes extract partials and full containers", st)
-			}
-			var da core.DataAdaptor
-			switch {
-			case p.hist != nil:
-				ea := &StagedExtractAdaptor{Hist: p.hist}
-				if f.extract != nil {
-					ea.Spec = *f.extract
-				}
-				ea.SetStep(st, p.time)
-				da = ea
-			case len(p.blocks) == 0:
-				// Every writer sent an empty marker: nothing to analyze this
-				// step, but the credits still return.
-				for _, rel := range p.releases {
-					rel()
-				}
-				steps[c.Rank()]++
-				continue
-			default:
-				var data grid.Dataset
-				if len(p.blocks) == 1 {
-					for _, b := range p.blocks {
-						data = b
-					}
-				} else {
-					mb := &grid.MultiBlock{}
-					for _, w := range writers {
-						if b := p.blocks[w]; b != nil {
-							mb.Blocks = append(mb.Blocks, b)
-						}
-					}
-					data = mb
-				}
-				sa := &StagedDataAdaptor{Data: data}
-				sa.SetStep(st, p.time)
-				da = sa
-			}
-			if _, err := b.Execute(da); err != nil {
-				return err
-			}
-			// Release-after-execute: only now are the step's credits
-			// returned to the writers, so an endpoint killed before this
-			// point never acknowledged the step and its writers retransmit.
-			// The analyses are done with the step's arrays, as in situ they
-			// are done with the simulation's once Execute returns.
-			for _, rel := range p.releases {
-				rel()
-			}
-			store.free = append(store.free, p.values...)
-			steps[c.Rank()]++
+		if c.Rank() == 0 {
+			res.Steps = src.Steps()
 		}
-		if len(pending) > 0 {
-			return fmt.Errorf("adios: endpoint rank %d: %d incomplete steps at EOS", c.Rank(), len(pending))
-		}
-		return b.Finalize()
+		return nil
 	}, opts...)
 	if err != nil {
 		return nil, err
 	}
-	res.Steps = steps[0]
 	return res, nil
 }

@@ -68,7 +68,7 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzStagedPayloadSniff replicates RunEndpoint's payload dispatch — BP
+// FuzzStagedPayloadSniff replicates Reader.Next's payload dispatch — BP
 // container, histogram extract, or empty marker, classified by magic — and
 // hammers it with arbitrary bytes: whatever a (possibly corrupt or
 // malicious) writer stages, classification plus the chosen decoder must

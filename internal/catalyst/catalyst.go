@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"image/color"
 	"image/png"
+	"math"
 
 	"gosensei/internal/colormap"
 	"gosensei/internal/compositing"
@@ -194,15 +195,32 @@ func (a *SliceAdaptor) tail() compositing.Tail {
 // buildSpec computes the shared slice specification: global bounds and
 // scalar range via collectives.
 func (a *SliceAdaptor) buildSpec(mesh grid.Dataset) (*render.SliceSpec, error) {
-	arr := mesh.Attributes(a.Opts.Assoc).Get(a.Opts.ArrayName)
-	if arr == nil {
-		return nil, fmt.Errorf("catalyst: mesh lacks %s array %q", a.Opts.Assoc, a.Opts.ArrayName)
+	// A MultiBlock is a reader serving several writers' blocks.
+	blocks := []grid.Dataset{mesh}
+	if mb, ok := mesh.(*grid.MultiBlock); ok {
+		blocks = mb.Blocks
 	}
-	comp := 0
-	if arr.Components() > 1 {
-		comp = -1 // pseudocolor by magnitude (velocity magnitude)
+	lo, hi := math.Inf(1), math.Inf(-1)
+	comp, found := 0, false
+	for _, b := range blocks {
+		if b == nil {
+			continue
+		}
+		found = true
+		arr := b.Attributes(a.Opts.Assoc).Get(a.Opts.ArrayName)
+		if arr == nil {
+			return nil, fmt.Errorf("catalyst: mesh lacks %s array %q", a.Opts.Assoc, a.Opts.ArrayName)
+		}
+		if arr.Components() > 1 {
+			comp = -1 // pseudocolor by magnitude (velocity magnitude)
+		}
+		l, h := arr.Range(comp)
+		lo, hi = math.Min(lo, l), math.Max(hi, h)
 	}
-	lo, hi, bounds, err := compositing.AgreeRange(a.Comm, arr, comp, mesh.Bounds())
+	if !found {
+		return nil, fmt.Errorf("catalyst: the %v mesh holds no block to slice", mesh.Kind())
+	}
+	lo, hi, bounds, err := compositing.AgreeRange(a.Comm, lo, hi, mesh.Bounds())
 	if err != nil {
 		return nil, err
 	}
@@ -221,6 +239,16 @@ func (a *SliceAdaptor) buildSpec(mesh grid.Dataset) (*render.SliceSpec, error) {
 // renderLocal rasterizes this rank's portion of the slice.
 func (a *SliceAdaptor) renderLocal(fb *render.Framebuffer, mesh grid.Dataset, spec *render.SliceSpec) error {
 	switch g := mesh.(type) {
+	case *grid.MultiBlock:
+		for _, b := range g.Blocks {
+			if b == nil {
+				continue
+			}
+			if err := a.renderLocal(fb, b, spec); err != nil {
+				return err
+			}
+		}
+		return nil
 	case *grid.ImageData:
 		return render.ResampleImageSlice(fb, g, spec)
 	case *grid.UnstructuredGrid:

@@ -8,24 +8,22 @@ import (
 	"os"
 	"path/filepath"
 
-	"gosensei/internal/array"
 	"gosensei/internal/metrics"
 	"gosensei/internal/mpi"
 	"gosensei/internal/render"
 )
 
 // AgreeRange turns one rank's view of a scalar into what every rank must
-// share before drawing: the global range of component comp of arr (-1 for
-// the magnitude) and the union of the ranks' bounding boxes, in one fused
-// min/max round. A nil communicator is a serial run: the local values are
-// the global ones.
-func AgreeRange(c *mpi.Comm, arr array.Array, comp int, local [6]float64) (lo, hi float64, bounds [6]float64, err error) {
-	lo, hi = arr.Range(comp)
+// share before drawing: the global range from the rank's [lo, hi] (what
+// array.Range reports of its blocks) and the union of the ranks' bounding
+// boxes, in one fused min/max round. A nil communicator is a serial run:
+// the local values are the global ones.
+func AgreeRange(c *mpi.Comm, lo, hi float64, local [6]float64) (float64, float64, [6]float64, error) {
 	mins := []float64{lo, local[0], local[2], local[4]}
 	maxs := []float64{hi, local[1], local[3], local[5]}
 	if c != nil {
 		if err := mpi.AllreduceMinMax(c, mins, maxs); err != nil {
-			return 0, 0, bounds, err
+			return 0, 0, [6]float64{}, err
 		}
 	}
 	return mins[0], maxs[0], [6]float64{mins[1], maxs[1], mins[2], maxs[2], mins[3], maxs[3]}, nil

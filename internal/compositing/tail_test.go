@@ -271,14 +271,16 @@ func TestAgreeRange(t *testing.T) {
 	local := [][6]float64{{0, 4, 0, 8, 0, 8}, {4, 8, 0, 8, -1, 8}}
 	err := mpi.Run(2, func(c *mpi.Comm) error {
 		arr := array.WrapAOS("v", 2, vectors[c.Rank()])
-		lo, hi, bounds, err := AgreeRange(c, arr, 1, local[c.Rank()])
+		lo, hi := arr.Range(1)
+		lo, hi, bounds, err := AgreeRange(c, lo, hi, local[c.Rank()])
 		if err != nil {
 			return err
 		}
 		if lo != 1 || hi != 8 || bounds != [6]float64{0, 8, 0, 8, -1, 8} {
 			t.Errorf("rank %d: component 1 range [%v, %v] bounds %v", c.Rank(), lo, hi, bounds)
 		}
-		lo, hi, _, err = AgreeRange(c, arr, -1, local[c.Rank()])
+		lo, hi = arr.Range(-1)
+		lo, hi, _, err = AgreeRange(c, lo, hi, local[c.Rank()])
 		if err != nil {
 			return err
 		}
@@ -291,7 +293,8 @@ func TestAgreeRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Without a communicator the local view is the global one.
-	lo, hi, bounds, err := AgreeRange(nil, array.WrapAOS("v", 2, vectors[0]), -1, local[0])
+	lo, hi := array.WrapAOS("v", 2, vectors[0]).Range(-1)
+	lo, hi, bounds, err := AgreeRange(nil, lo, hi, local[0])
 	if err != nil || lo != 1 || hi != 5 || bounds != local[0] {
 		t.Errorf("serial: [%v, %v] %v (%v)", lo, hi, bounds, err)
 	}

@@ -154,10 +154,15 @@ func (b *Bridge) Execute(d DataAdaptor) (bool, error) {
 	if !cont {
 		b.stopped = true
 	}
-	if err := d.ReleaseData(); err != nil && firstErr == nil {
-		firstErr = fmt.Errorf("release data at step %d: %w", step, err)
+	// A step an analysis failed on is not released: a staged step stays
+	// unacknowledged, and its writer retransmits it to a restarted endpoint.
+	if firstErr != nil {
+		return false, firstErr
 	}
-	return cont, firstErr
+	if err := d.ReleaseData(); err != nil {
+		return false, fmt.Errorf("release data at step %d: %w", step, err)
+	}
+	return cont, nil
 }
 
 // Finalize finalizes every analysis (in registration order), logging the

@@ -5,11 +5,8 @@ import (
 	"sync"
 
 	"gosensei/internal/adios"
-	"gosensei/internal/analysis"
-	"gosensei/internal/catalyst"
 	"gosensei/internal/compositing"
 	"gosensei/internal/core"
-	"gosensei/internal/grid"
 	"gosensei/internal/metrics"
 	"gosensei/internal/mpi"
 	"gosensei/internal/oscillator"
@@ -25,11 +22,25 @@ const (
 	ADIOSCatalystSlice   ADIOSWorkload = "catalyst-slice"
 )
 
+// workloadConfig is a workload's analysis as the SENSEI configuration the
+// endpoint (Fig. 9) or the post hoc replay (Fig. 11) runs.
+func workloadConfig(w ADIOSWorkload, opt Options) (*core.Config, error) {
+	elem, ok := map[ADIOSWorkload]string{
+		ADIOSHistogram:       fmt.Sprintf(`<analysis type="histogram" bins="%d"/>`, opt.Bins),
+		ADIOSAutocorrelation: fmt.Sprintf(`<analysis type="autocorrelation" window="%d" k-max="%d"/>`, opt.Window, opt.KMax),
+		ADIOSCatalystSlice: fmt.Sprintf(`<analysis type="catalyst" image-width="%d" image-height="%d" slice-axis="z" slice-coord="%g"/>`,
+			opt.ImageW, opt.ImageH, float64(opt.RealCells)/2),
+	}[w]
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown ADIOS workload %q", w)
+	}
+	return core.ParseConfig([]byte("<sensei>" + elem + "</sensei>"))
+}
+
 // ADIOSTimings aggregates one staged run: the writer side (adios::advance
 // and adios::analysis of Fig. 8) and the endpoint side (init + per-step
 // analysis of Fig. 9).
 type ADIOSTimings struct {
-	Workload        ADIOSWorkload
 	AdvancePerStep  float64
 	TransferPerStep float64 // adios::analysis on the writer
 	EndpointInit    float64
@@ -47,8 +58,12 @@ func RunADIOS(w ADIOSWorkload, opt Options) (*ADIOSTimings, error) {
 		Steps:       opt.RealSteps,
 		Oscillators: oscillator.DefaultDeck(float64(opt.RealCells)),
 	}
+	cfg, err := workloadConfig(w, opt)
+	if err != nil {
+		return nil, err
+	}
 	fabric := adios.NewFabric(opt.RealRanks, 1)
-	out := &ADIOSTimings{Workload: w}
+	out := &ADIOSTimings{}
 
 	var wg sync.WaitGroup
 	var writerErr, endpointErr error
@@ -90,25 +105,7 @@ func RunADIOS(w ADIOSWorkload, opt Options) (*ADIOSTimings, error) {
 	}()
 	go func() {
 		defer wg.Done()
-		endpointRes, endpointErr = adios.RunEndpoint(fabric, func(b *core.Bridge) error {
-			switch w {
-			case ADIOSHistogram:
-				b.AddAnalysis("histogram", analysis.NewHistogram(b.Comm, "data", grid.CellData, opt.Bins))
-			case ADIOSAutocorrelation:
-				b.AddAnalysis("autocorrelation", analysis.NewAutocorrelation(b.Comm, "data", grid.CellData, opt.Window, opt.KMax))
-			case ADIOSCatalystSlice:
-				a := catalyst.NewSliceAdaptor(b.Comm, catalyst.Options{
-					ArrayName: "data", Assoc: grid.CellData,
-					Width: opt.ImageW, Height: opt.ImageH,
-					SliceAxis: 2, SliceCoord: float64(opt.RealCells) / 2,
-				})
-				a.Registry = b.Registry
-				b.AddAnalysis("catalyst", a)
-			default:
-				return fmt.Errorf("experiments: unknown ADIOS workload %q", w)
-			}
-			return nil
-		})
+		endpointRes, endpointErr = adios.RunEndpoint(fabric, cfg.Configure)
 	}()
 	wg.Wait()
 	if writerErr != nil {

@@ -182,7 +182,7 @@ func TestRealPosthocPipeline(t *testing.T) {
 		t.Fatalf("write run degenerate: %+v", w)
 	}
 	for _, wl := range []ADIOSWorkload{ADIOSHistogram, ADIOSAutocorrelation, ADIOSCatalystSlice} {
-		r, err := RunPosthoc(dir, opt.RealRanks, 2, wl, opt)
+		r, err := RunPosthoc(dir, 2, wl, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", wl, err)
 		}

@@ -19,7 +19,6 @@ import (
 	"fmt"
 
 	"gosensei/internal/analysis"
-	"gosensei/internal/array"
 	"gosensei/internal/catalyst"
 	"gosensei/internal/core"
 	"gosensei/internal/grid"
@@ -341,8 +340,3 @@ func fmtS(s float64) string { return metrics.FormatSeconds(s) }
 
 // fmtB renders bytes compactly for table cells.
 func fmtB(b int64) string { return metrics.FormatBytes(b) }
-
-// wrapData wraps scalars as a cell array named "data".
-func wrapData(vals []float64) array.Array {
-	return array.WrapAOS("data", 1, vals)
-}

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"os"
 
-	"gosensei/internal/analysis"
-	"gosensei/internal/array"
-	"gosensei/internal/colormap"
 	"gosensei/internal/compositing"
 	"gosensei/internal/core"
 	"gosensei/internal/grid"
@@ -15,7 +12,6 @@ import (
 	"gosensei/internal/metrics"
 	"gosensei/internal/mpi"
 	"gosensei/internal/oscillator"
-	"gosensei/internal/render"
 )
 
 // WriteRunResult summarizes a Baseline+I/O run.
@@ -23,14 +19,13 @@ type WriteRunResult struct {
 	SimPerStep   float64
 	WritePerStep float64
 	Init         float64
-	Finalize     float64
 	BytesPerStep int64
 	Dir          string
 }
 
 // RunBaselineWithIO executes the miniapp with SENSEI enabled and a real
 // file-per-rank write every step (the paper's Baseline+I/O configuration of
-// Fig. 10). dir receives step files consumed by RunPosthoc.
+// Fig. 10). dir receives the step files a replay reads back.
 func RunBaselineWithIO(opt Options, dir string) (*WriteRunResult, error) {
 	simCfg := oscillator.Config{
 		GlobalCells: [3]int{opt.RealCells, opt.RealCells, opt.RealCells},
@@ -77,7 +72,6 @@ func RunBaselineWithIO(opt Options, dir string) (*WriteRunResult, error) {
 			}
 			_ = d.ReleaseData()
 		}
-		reg.Time("finalize", simCfg.Steps, func() {})
 		simS, err := metrics.Summarize(c, reg, "sim")
 		if err != nil {
 			return err
@@ -111,114 +105,46 @@ func RunBaselineWithIO(opt Options, dir string) (*WriteRunResult, error) {
 
 // PosthocTimings is one post hoc pipeline execution: read, process, write.
 type PosthocTimings struct {
-	Workload ADIOSWorkload // same workload names as the staging study
-	Read     float64
-	Process  float64
-	Write    float64
+	Read    float64
+	Process float64
+	Write   float64
 }
 
-// RunPosthoc replays the stored steps through an analysis using a reduced
-// reader group (the paper uses 10% of the write cores), reporting the
-// read/process/write split of Fig. 11.
-func RunPosthoc(dir string, writeRanks, readRanks int, w ADIOSWorkload, opt Options) (*PosthocTimings, error) {
-	switch w {
-	case ADIOSHistogram, ADIOSAutocorrelation, ADIOSCatalystSlice:
-	default:
-		return nil, fmt.Errorf("experiments: unknown ADIOS workload %q", w)
-	}
-	if readRanks < 1 {
-		readRanks = 1
-	}
-	steps, err := iosim.ListSteps(dir)
+// RunPosthoc replays the steps stored under dir through one workload's
+// analysis on a reduced reader group (the paper uses 10% of the write
+// cores): the replay source under the bridge, as a post hoc gosensei-run
+// deck runs it. The read/process/write split of Fig. 11 comes from the
+// registry's timers: the source's reads, the analyses' executions less the
+// PNG encode, and the encode plus the finalize.
+func RunPosthoc(dir string, readRanks int, w ADIOSWorkload, opt Options) (*PosthocTimings, error) {
+	cfg, err := workloadConfig(w, opt)
 	if err != nil {
 		return nil, err
 	}
-	if len(steps) == 0 {
-		return nil, fmt.Errorf("experiments: no steps under %s", dir)
+	steps, writers, err := iosim.ListSteps(dir)
+	if err != nil {
+		return nil, err
 	}
-	out := &PosthocTimings{Workload: w}
+	out := &PosthocTimings{}
 	err = mpi.Run(readRanks, func(c *mpi.Comm) error {
 		reg := metrics.NewRegistry(c.Rank())
-		var ac *analysis.Autocorrelation
-		if w == ADIOSAutocorrelation {
-			ac = analysis.NewAutocorrelation(c, "data", grid.CellData, opt.Window, opt.KMax)
+		b := core.NewBridge(c, reg, nil)
+		if err := cfg.Configure(b); err != nil {
+			return err
 		}
-		for _, step := range steps {
-			// Each reader loads its share of the writers' blocks.
-			var blocks []*grid.ImageData
-			var rerr error
-			reg.Time("read", step, func() {
-				for r := c.Rank(); r < writeRanks; r += readRanks {
-					img, _, _, e := iosim.ReadBlockFile(dir, step, r)
-					if e != nil {
-						rerr = e
-						return
-					}
-					blocks = append(blocks, img)
-				}
-			})
-			if rerr != nil {
-				return rerr
+		if _, err := b.Drive(iosim.NewReplay(c, reg, dir, steps, writers)); err != nil {
+			return err
+		}
+		var t [4]float64
+		for i, name := range []string{"replay::read", "sensei::execute", "catalyst::png", "sensei::finalize"} {
+			s, err := metrics.Summarize(c, reg, name)
+			if err != nil {
+				return err
 			}
-			reg.Time("process", step, func() {
-				switch w {
-				case ADIOSHistogram:
-					h := analysis.NewHistogram(c, "data", grid.CellData, opt.Bins)
-					merged := mergeBlocks(blocks)
-					_, rerr = h.Compute(step, merged)
-				case ADIOSAutocorrelation:
-					merged := mergeBlocks(blocks)
-					da := &stagedMesh{mesh: merged}
-					da.SetStep(step, 0)
-					_, rerr = ac.Execute(da)
-				case ADIOSCatalystSlice:
-					spec := &render.SliceSpec{
-						Plane:     render.AxisPlane(2, float64(opt.RealCells)/2),
-						ArrayName: "data",
-						Assoc:     grid.CellData,
-						Lo:        -3, Hi: 3,
-						Map:          colormap.CoolWarm(),
-						DomainBounds: [6]float64{0, float64(opt.RealCells), 0, float64(opt.RealCells), 0, float64(opt.RealCells)},
-					}
-					tail := compositing.Tail{
-						Comm: c, Registry: reg, Algorithm: compositing.BinarySwap,
-						PNGTimer: "write", Prefix: "experiments",
-					}
-					rerr = tail.Image(step, opt.ImageW, opt.ImageH,
-						func(fb *render.Framebuffer) error {
-							for _, b := range blocks {
-								if err := render.ResampleImageSlice(fb, b, spec); err != nil {
-									return err
-								}
-							}
-							return nil
-						},
-						func(final *render.Framebuffer) error { return tail.Deliver(final, step, nil) })
-				}
-			})
-			if rerr != nil {
-				return rerr
-			}
-		}
-		if ac != nil {
-			reg.Time("write", len(steps), func() { _ = ac.Finalize() })
-		}
-		read, err := metrics.Summarize(c, reg, "read")
-		if err != nil {
-			return err
-		}
-		proc, err := metrics.Summarize(c, reg, "process")
-		if err != nil {
-			return err
-		}
-		wr, err := metrics.Summarize(c, reg, "write")
-		if err != nil {
-			return err
+			t[i] = s.Max
 		}
 		if c.Rank() == 0 {
-			out.Read = read.Max
-			out.Process = proc.Max
-			out.Write = wr.Max
+			out.Read, out.Process, out.Write = t[0], t[1]-t[2], t[2]+t[3]
 		}
 		return nil
 	})
@@ -226,40 +152,6 @@ func RunPosthoc(dir string, writeRanks, readRanks int, w ADIOSWorkload, opt Opti
 		return nil, err
 	}
 	return out, nil
-}
-
-// stagedMesh adapts an in-memory mesh for analyses that take DataAdaptors.
-type stagedMesh struct {
-	core.BaseDataAdaptor
-	mesh grid.Dataset
-}
-
-func (s *stagedMesh) Mesh(bool) (grid.Dataset, error) { return s.mesh, nil }
-func (s *stagedMesh) AddArray(mesh grid.Dataset, assoc grid.Association, name string) error {
-	if mesh.Attributes(assoc).Get(name) == nil {
-		return fmt.Errorf("no %s array %q", assoc, name)
-	}
-	return nil
-}
-func (s *stagedMesh) ArrayNames(assoc grid.Association) ([]string, error) {
-	return s.mesh.Attributes(assoc).Names(), nil
-}
-func (s *stagedMesh) ReleaseData() error { return nil }
-
-// mergeBlocks concatenates the "data" cell arrays of several blocks into one
-// flat container (post hoc analyses see the union of their blocks).
-func mergeBlocks(blocks []*grid.ImageData) grid.Dataset {
-	var vals []float64
-	for _, b := range blocks {
-		a := b.Attributes(grid.CellData).Get("data")
-		if a == nil {
-			continue
-		}
-		vals = array.AppendValues(vals, a)
-	}
-	img := grid.NewImageData(grid.Extent{0, len(vals), 0, 1, 0, 1})
-	img.Attributes(grid.CellData).Add(wrapData(vals))
-	return img
 }
 
 // Table1 reproduces Table 1: one-step write cost, file-per-process "VTK
@@ -334,12 +226,9 @@ func Fig11(opt Options) (*metrics.Table, error) {
 	if _, err := RunBaselineWithIO(opt, dir); err != nil {
 		return nil, err
 	}
-	readRanks := opt.RealRanks / 2 // scaled-down stand-in for the 10% rule
-	if readRanks < 1 {
-		readRanks = 1
-	}
+	readRanks := max(opt.RealRanks/2, 1) // scaled-down stand-in for the 10% rule
 	for _, w := range []ADIOSWorkload{ADIOSHistogram, ADIOSAutocorrelation, ADIOSCatalystSlice} {
-		r, err := RunPosthoc(dir, opt.RealRanks, readRanks, w, opt)
+		r, err := RunPosthoc(dir, readRanks, w, opt)
 		if err != nil {
 			return nil, fmt.Errorf("workload %s: %w", w, err)
 		}

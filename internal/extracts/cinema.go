@@ -170,7 +170,8 @@ func (cn *Cinema) Execute(d core.DataAdaptor) (bool, error) {
 	if arr == nil {
 		return false, fmt.Errorf("extracts: mesh lacks cell array %q", cn.Spec.ArrayName)
 	}
-	lo, hi, bounds, err := compositing.AgreeRange(cn.Comm, arr, 0, img.Bounds())
+	lo, hi := arr.Range(0)
+	lo, hi, bounds, err := compositing.AgreeRange(cn.Comm, lo, hi, img.Bounds())
 	if err != nil {
 		return false, err
 	}

@@ -219,7 +219,7 @@ func posthocRun(dir string, sched *faultline.Schedule) (string, []string, error)
 		return "", run.TraceLines(), fmt.Errorf("write phase: %w", err)
 	}
 
-	steps, err := iosim.ListSteps(dir)
+	steps, writers, err := iosim.ListSteps(dir)
 	if err != nil {
 		return "", run.TraceLines(), err
 	}
@@ -227,13 +227,9 @@ func posthocRun(dir string, sched *faultline.Schedule) (string, []string, error)
 	err = mpi.Run(1, func(c *mpi.Comm) error {
 		h := analysis.NewHistogram(c, "data", grid.CellData, e2eBins)
 		for _, step := range steps {
-			mb := &grid.MultiBlock{}
-			for r := 0; r < e2eWriters; r++ {
-				img, _, _, err := iosim.ReadBlockFile(dir, step, r)
-				if err != nil {
-					return err
-				}
-				mb.Blocks = append(mb.Blocks, img)
+			mb, _, err := iosim.ReadStep(dir, step, 0, 1, writers)
+			if err != nil {
+				return err
 			}
 			res, err := h.Compute(step, mb)
 			if err != nil {

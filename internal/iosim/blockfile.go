@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"gosensei/internal/array"
 	"gosensei/internal/grid"
@@ -186,27 +187,52 @@ func ReadBlockFile(dir string, step, rank int) (*grid.ImageData, int, float64, e
 	return nil, 0, 0, fmt.Errorf("iosim: giving up on %s after %d attempts: %w", path, maxBlockAttempts, lastErr)
 }
 
-// ListSteps scans dir and returns the sorted distinct step indices present.
-func ListSteps(dir string) ([]int, error) {
+// ListSteps scans dir for what a post hoc replay reads: the sorted distinct
+// step indices present, and the writer count — one more than the highest
+// rank with a block. A step some writer has no block for is refused, naming
+// the step and the rank: a replay never analyses part of a step.
+func ListSteps(dir string) ([]int, int, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("iosim: %w", err)
+		return nil, 0, fmt.Errorf("iosim: %w", err)
 	}
-	seen := map[int]bool{}
+	have := map[[2]int]bool{}
+	var steps []int
+	writers := 0
 	for _, e := range entries {
 		var step, rank int
-		if _, err := fmt.Sscanf(e.Name(), "step%05d_rank%05d.blk", &step, &rank); err == nil {
-			seen[step] = true
+		if _, err := fmt.Sscanf(e.Name(), "step%05d_rank%05d.blk", &step, &rank); err != nil || e.Name() != filepath.Base(BlockPath(dir, step, rank)) {
+			continue
+		}
+		if !slices.Contains(steps, step) {
+			steps = append(steps, step)
+		}
+		have[[2]int{step, rank}], writers = true, max(writers, rank+1)
+	}
+	slices.Sort(steps)
+	for _, s := range steps {
+		for rank := 0; rank < writers; rank++ {
+			if !have[[2]int{s, rank}] {
+				return nil, 0, fmt.Errorf("iosim: step %d lacks rank %d's block %s", s, rank, BlockPath(dir, s, rank))
+			}
 		}
 	}
-	out := make([]int, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	return steps, writers, nil
+}
+
+// ReadStep is the one way a stored step is read back: the blocks of writers
+// first, first+stride, … below writers, as one MultiBlock, and the step's
+// time. A reader rank r of P passes (r, P); a serial read-back (0, 1).
+func ReadStep(dir string, step, first, stride, writers int) (*grid.MultiBlock, float64, error) {
+	mb := &grid.MultiBlock{}
+	var tm float64
+	for rank := first; rank < writers; rank += stride {
+		img, _, t, err := ReadBlockFile(dir, step, rank)
+		if err != nil {
+			return nil, 0, fmt.Errorf("iosim: replay step %d rank %d: %w", step, rank, err)
 		}
+		mb.Blocks = append(mb.Blocks, img)
+		tm = t
 	}
-	return out, nil
+	return mb, tm, nil
 }

@@ -3,6 +3,7 @@ package iosim
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"gosensei/internal/array"
@@ -178,13 +179,6 @@ func TestBlockFilesOnDisk(t *testing.T) {
 	if step != 12 || got.NumberOfCells() != img.NumberOfCells() {
 		t.Fatal("round trip via disk failed")
 	}
-	steps, err := ListSteps(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(steps) != 2 || steps[0] != 12 || steps[1] != 13 {
-		t.Fatalf("steps=%v", steps)
-	}
 	for rank := 0; rank < 6; rank++ {
 		_, _, _, err := ReadBlockFile(dir, 12, rank)
 		if want := rank == 3 || rank == 4; (err == nil) != want {
@@ -193,6 +187,24 @@ func TestBlockFilesOnDisk(t *testing.T) {
 	}
 	if _, _, _, err := ReadBlockFile(dir, 99, 0); err == nil {
 		t.Fatal("missing file read succeeded")
+	}
+	// A replay reads whole steps only: step 12 has no block of ranks 0-2.
+	if _, _, err := ListSteps(dir); err == nil || !strings.Contains(err.Error(), "step 12 lacks rank 0's block") {
+		t.Fatalf("ListSteps over partial steps: %v, want the first missing block named", err)
+	}
+	for _, step := range []int{12, 13} {
+		for rank := 0; rank < 5; rank++ {
+			if _, err := WriteBlockFile(dir, rank, img, step, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	steps, writers, err := ListSteps(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(steps) != 2 || steps[0] != 12 || steps[1] != 13 || writers != 5 {
+		t.Fatalf("steps=%v writers=%d", steps, writers)
 	}
 }
 
@@ -233,7 +245,7 @@ func TestBlockWriterAdaptor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps, err := ListSteps(dir)
+	steps, _, err := ListSteps(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

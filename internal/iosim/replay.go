@@ -7,6 +7,7 @@ import (
 	"gosensei/internal/analysis"
 	"gosensei/internal/core"
 	"gosensei/internal/grid"
+	"gosensei/internal/metrics"
 	"gosensei/internal/mpi"
 )
 
@@ -88,13 +89,9 @@ func (r *HistogramReplay) Execute(d core.DataAdaptor) (bool, error) {
 	r.StepsWritten++
 
 	if rank == 0 {
-		mb := &grid.MultiBlock{}
-		for rk := 0; rk < size; rk++ {
-			blk, _, _, err := ReadBlockFile(r.Dir, d.TimeStep(), rk)
-			if err != nil {
-				return false, fmt.Errorf("iosim: replay step %d rank %d: %w", d.TimeStep(), rk, err)
-			}
-			mb.Blocks = append(mb.Blocks, blk)
+		mb, _, err := ReadStep(r.Dir, d.TimeStep(), 0, 1, size)
+		if err != nil {
+			return false, err
 		}
 		h := analysis.NewHistogram(nil, r.ArrayName, r.Assoc, r.Bins)
 		res, err := h.Compute(d.TimeStep(), mb)
@@ -119,4 +116,47 @@ func (r *HistogramReplay) Report(w io.Writer) {
 	if r.Last != nil {
 		fmt.Fprintf(w, "histogram-replay %s: %s\n", r.ArrayName, r.Last)
 	}
+}
+
+// Replay is the post hoc data source: the steps a vtk-writer (or the
+// Fig. 10 harness) stored under a directory, read back one at a time. Reader
+// rank r of P serves writers r, r+P, … of each step as one MultiBlock, so
+// any reader count replays any writer count; the reads are timed as
+// "replay::read". The steps and the writer count are ListSteps'.
+type Replay struct {
+	comm    *mpi.Comm
+	reg     *metrics.Registry
+	dir     string
+	steps   []int
+	writers int
+	next    int
+	staged  core.StagedDataAdaptor
+}
+
+// NewReplay opens the source of one reader rank.
+func NewReplay(c *mpi.Comm, reg *metrics.Registry, dir string, steps []int, writers int) *Replay {
+	return &Replay{comm: c, reg: reg, dir: dir, steps: steps, writers: writers}
+}
+
+// Next implements core.Source.
+func (r *Replay) Next() (core.DataAdaptor, error) {
+	if r.next == len(r.steps) {
+		return nil, nil
+	}
+	step := r.steps[r.next]
+	r.next++
+	var (
+		mb  *grid.MultiBlock
+		tm  float64
+		err error
+	)
+	r.reg.Time("replay::read", step, func() {
+		mb, tm, err = ReadStep(r.dir, step, r.comm.Rank(), r.comm.Size(), r.writers)
+	})
+	if err != nil {
+		return nil, err
+	}
+	r.staged.Data = mb
+	r.staged.SetStep(step, tm)
+	return &r.staged, nil
 }

@@ -25,7 +25,7 @@ func init() {
 // BlockWriter is the "VTK multi-file I/O" path as a SENSEI analysis
 // adaptor: every rank writes its block to its own file each (strided) step
 // — the traditional post hoc producer, configurable from the same XML as
-// any in situ analysis. cmd/posthoc consumes its output.
+// any in situ analysis. A replay deck (decks/replay.deck) reads it back.
 type BlockWriter struct {
 	Comm *mpi.Comm
 	Dir  string

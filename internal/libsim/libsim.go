@@ -462,7 +462,8 @@ func (a *Adaptor) globalRange(img *grid.ImageData, assoc grid.Association, name 
 	if arr == nil {
 		return 0, 0, bounds, fmt.Errorf("libsim: mesh lacks %s array %q", assoc, name)
 	}
-	return compositing.AgreeRange(a.Comm, arr, 0, img.Bounds())
+	lo, hi = arr.Range(0)
+	return compositing.AgreeRange(a.Comm, lo, hi, img.Bounds())
 }
 
 // Finalize implements core.AnalysisAdaptor.

@@ -63,10 +63,7 @@ func fixtureWants(t *testing.T, dir, modRel string) []string {
 // compares the diagnostics against the want comments, exactly: every
 // expected finding must fire, and nothing else may.
 func TestFixtures(t *testing.T) {
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, _ := testModule(t)
 	tests := []struct {
 		name       string
 		suppressed int

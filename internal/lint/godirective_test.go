@@ -21,15 +21,8 @@ import (
 // release added, $GOROOT/api/go1.N.txt; no package of the module, test files
 // included, may use a symbol listed for a release after the directive.
 func TestModuleKeepsGoDirective(t *testing.T) {
-	l, err := NewLoader("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, pkgs := testModule(t)
 	newer := newerStdAPI(t, l.ModuleRoot)
-	pkgs, err := l.LoadModule()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var found []string
 	files := 0
 	for _, p := range pkgs {
@@ -51,10 +44,7 @@ func TestModuleKeepsGoDirective(t *testing.T) {
 // TestGoDirectiveCatchesChdir: the fixture's test file calls t.Chdir, and
 // the check names it against a module that declares go 1.22.
 func TestGoDirectiveCatchesChdir(t *testing.T) {
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, _ := testModule(t)
 	newer := newerStdAPI(t, l.ModuleRoot)
 	p, err := l.LoadDir(filepath.Join("testdata", "src", "godirective"), "fixture/godirective")
 	if err != nil {

@@ -104,8 +104,6 @@ func DefaultConfig() *Config {
 			m + "/internal/fabric",
 			m + "/internal/live",
 			m + "/internal/world",
-			m + "/cmd/posthoc",
-			m + "/cmd/endpoint",
 			m + "/cmd/gosensei-run",
 			m + "/cmd/live-load",
 		},

@@ -9,22 +9,45 @@ import (
 	"time"
 )
 
-// moduleScanOnce shares one full-module scan between the cleanliness and
-// runtime-budget tests, so tier 1 pays for the source-importer load once.
+// testModuleOnce is the module, loaded and type-checked from source once
+// per test binary: every test that reads the module's packages, or loads a
+// fixture importing them, shares this loader. A load costs seconds; only
+// TestLintRuntimeBudget pays for a fresh one, because that is what it
+// measures. The tests of this package do not run in parallel, and a Loader
+// is not safe for concurrent use.
+var testModuleOnce struct {
+	sync.Once
+	l    *Loader
+	pkgs []*Package
+	err  error
+}
+
+func testModule(t testing.TB) (*Loader, []*Package) {
+	t.Helper()
+	m := &testModuleOnce
+	m.Do(func() {
+		if m.l, m.err = NewLoader("../.."); m.err == nil {
+			m.pkgs, m.err = m.l.LoadModule()
+		}
+	})
+	if m.err != nil {
+		t.Fatalf("load module: %v", m.err)
+	}
+	return m.l, m.pkgs
+}
+
+// moduleScanOnce is the full suite run once over the shared module.
 var moduleScanOnce struct {
 	sync.Once
 	res *Result
-	err error
 }
 
 func moduleScan(t *testing.T) *Result {
 	t.Helper()
+	l, pkgs := testModule(t)
 	moduleScanOnce.Do(func() {
-		moduleScanOnce.res, moduleScanOnce.err = RunModule("../..")
+		moduleScanOnce.res = Run(l, pkgs, Analyzers(), DefaultConfig())
 	})
-	if moduleScanOnce.err != nil {
-		t.Fatalf("RunModule: %v", moduleScanOnce.err)
-	}
 	return moduleScanOnce.res
 }
 
@@ -62,22 +85,22 @@ func TestModuleIsLintClean(t *testing.T) {
 	}
 }
 
-// TestLintRuntimeBudget pins the scan cost: the three interprocedural
-// concurrency rules (and the may-block fixpoint behind them) must stay
-// under 2x the recorded baseline of the five-rule suite (2.17s wall), per
-// the v3 acceptance criteria. One retry absorbs
-// CI scheduling noise; two consecutive misses are a real regression.
+// TestLintRuntimeBudget pins the scan cost: a fresh load and scan of the
+// module — the three interprocedural concurrency rules and the may-block
+// fixpoint behind them included — must stay under 2x the recorded baseline
+// of the five-rule suite (2.17s wall), per the v3 acceptance criteria. One
+// retry absorbs CI scheduling noise; two consecutive misses are a real
+// regression.
 func TestLintRuntimeBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates the scan ~5x; the budget is pinned for normal builds")
 	}
 	const budget = 2 * 2170 * time.Millisecond
-	res := moduleScan(t)
-	elapsed := res.Elapsed
-	if elapsed >= budget {
+	var elapsed time.Duration
+	for attempt := 0; attempt < 2 && (attempt == 0 || elapsed >= budget); attempt++ {
 		fresh, err := RunModule("../..")
 		if err != nil {
-			t.Fatalf("RunModule (retry): %v", err)
+			t.Fatalf("RunModule: %v", err)
 		}
 		elapsed = fresh.Elapsed
 	}

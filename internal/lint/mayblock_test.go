@@ -9,10 +9,7 @@ import (
 // way Run does.
 func computeMayblockFacts(t *testing.T) (*Package, *Facts) {
 	t.Helper()
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
+	l, _ := testModule(t)
 	pkg, err := l.LoadDir("testdata/src/mayblock", "fixture/mayblock")
 	if err != nil {
 		t.Fatalf("load mayblock fixture: %v", err)

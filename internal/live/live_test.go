@@ -154,7 +154,7 @@ func TestLiveFramesFromCatalyst(t *testing.T) {
 			return err
 		}
 		// A configured element reaches the hub through the bridge's frame
-		// sink, the way endpoint -live wires it.
+		// sink, the way a deck's live line wires it.
 		b := core.NewBridge(c, nil, nil)
 		b.Publish = func(step, w, h int, png []byte) {
 			hub.Publish(Frame{Step: step, Width: w, Height: h, PNG: png})

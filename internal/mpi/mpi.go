@@ -297,7 +297,8 @@ func (c *Comm) WorldRank() int { return c.group[c.rank] }
 
 // Run executes f on n concurrent ranks and waits for all of them.
 // Each rank receives a distinct *Comm with ranks 0..n-1. The returned error
-// is the first error returned (or panic raised) by any rank.
+// is the first error returned (or panic raised), in rank order; a failed
+// rank fails the receives the others are blocked in, so the run ends at once.
 func Run(n int, f func(c *Comm) error, opts ...Option) error {
 	if n <= 0 {
 		return fmt.Errorf("mpi: world size must be positive, got %d", n)
@@ -322,6 +323,12 @@ func Run(n int, f func(c *Comm) error, opts ...Option) error {
 			defer func() {
 				if p := recover(); p != nil {
 					errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v\n%s", rank, p, debug.Stack())
+				}
+				// A failed rank fails the survivors' receives at once, as a
+				// dead peer process does a wire world's, instead of leaving
+				// them to wait out the receive timeout.
+				if errs[rank] != nil {
+					w.Fail(errs[rank])
 				}
 			}()
 			c := &Comm{world: w, rank: rank, size: n, group: group, ctx: 0}

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync/atomic"
@@ -517,5 +518,26 @@ func TestWorldRank(t *testing.T) {
 func TestRunRejectsNonPositive(t *testing.T) {
 	if err := Run(0, func(c *Comm) error { return nil }); err == nil {
 		t.Fatal("expected error for n=0")
+	}
+}
+
+// TestRunFailsSurvivorsFast: a rank that fails while another waits to
+// receive from it ends the run at once, with its error, instead of leaving
+// the survivor to wait out the receive timeout.
+func TestRunFailsSurvivorsFast(t *testing.T) {
+	boom := errors.New("boom")
+	start := time.Now()
+	err := Run(2, func(c *Comm) error {
+		if c.Rank() == 1 {
+			return boom
+		}
+		_, _, err := Recv[int](c, 1, 7)
+		return err
+	}, WithRecvTimeout(20*time.Second))
+	if !errors.Is(err, boom) {
+		t.Fatalf("Run = %v, want the failed rank's error", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("the survivor waited %v for a failed rank", d)
 	}
 }
