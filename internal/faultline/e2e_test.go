@@ -510,10 +510,7 @@ func TestFatalScheduleFailsIdentically(t *testing.T) {
 		if err == nil {
 			faultf(t, sched, "fatal schedule did not fail the run")
 		}
-		// The panic error embeds a stack dump whose goroutine ids vary;
-		// the first line is the deterministic part.
-		msg, _, _ := strings.Cut(err.Error(), "\n")
-		return msg, run.TraceLines()
+		return err.Error(), run.TraceLines()
 	}
 	msg1, tr1 := runOnce()
 	msg2, tr2 := runOnce()

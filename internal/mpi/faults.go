@@ -21,11 +21,19 @@ type SendFault struct {
 	// the same sender and communicator, preserving MPI's non-overtaking
 	// guarantee.
 	Reorder bool
-	// Crash, when non-empty, panics the sending rank with this message
-	// (recovered by Run into a per-rank error): a fail-stop rank death at a
-	// deterministic point.
+	// Crash, when non-empty, panics the sending rank with an InjectedCrash
+	// carrying this message (recovered by Run into a per-rank error): a
+	// fail-stop rank death at a deterministic point.
 	Crash string
 }
+
+// InjectedCrash is the panic value of an injected rank death. Run reports
+// it as a one-line error; a panic of any other value is a bug, and Run's
+// error carries its stack.
+type InjectedCrash struct{ Reason string }
+
+// Error returns the reason, e.g. "faultline: injected crash (…)".
+func (c InjectedCrash) Error() string { return c.Reason }
 
 // FaultInjector is consulted once per message on the faulty send path. Ranks
 // are world ranks (injection identity must not depend on communicator
@@ -48,7 +56,7 @@ func (c *Comm) sendFaulty(dest, tag int, payload any) {
 	wsrc, wdst := c.group[c.rank], c.group[dest]
 	f := c.world.faults.BeforeSend(wsrc, wdst, tag)
 	if f.Crash != "" {
-		panic(f.Crash)
+		panic(InjectedCrash{f.Crash})
 	}
 	if f.Stall > 0 {
 		time.Sleep(f.Stall)

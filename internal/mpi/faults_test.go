@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -186,6 +187,27 @@ func TestFaultsCrashSurfacesAsRunError(t *testing.T) {
 	}, WithFaults(inj), WithRecvTimeout(300*time.Millisecond))
 	if err == nil || !strings.Contains(err.Error(), "injected crash") {
 		t.Fatalf("want injected-crash error, got %v", err)
+	}
+	if want := "mpi: rank 0: faultline: injected crash (test)"; err.Error() != want {
+		t.Errorf("crash error = %q, want the one line %q", err, want)
+	}
+	var crash InjectedCrash
+	if !errors.As(err, &crash) {
+		t.Errorf("crash error %v does not wrap an InjectedCrash", err)
+	}
+}
+
+// TestRunPanicKeepsItsStack: a panic that no fault injected is a bug, and
+// Run's error carries the stack that finds it.
+func TestRunPanicKeepsItsStack(t *testing.T) {
+	err := Run(2, func(c *Comm) error {
+		if c.Rank() == 1 {
+			panic("boom")
+		}
+		return nil
+	})
+	if err == nil || !strings.HasPrefix(err.Error(), "mpi: rank 1 panicked: boom\n") || !strings.Contains(err.Error(), "goroutine ") {
+		t.Errorf("panic error = %v, want the panic and its stack", err)
 	}
 }
 

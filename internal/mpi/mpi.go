@@ -322,7 +322,7 @@ func Run(n int, f func(c *Comm) error, opts ...Option) error {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
-					errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v\n%s", rank, p, debug.Stack())
+					errs[rank] = fmt.Errorf("mpi: %w", PanicError(rank, p))
 				}
 				// A failed rank fails the survivors' receives at once, as a
 				// dead peer process does a wire world's, instead of leaving
@@ -342,6 +342,16 @@ func Run(n int, f func(c *Comm) error, opts ...Option) error {
 		}
 	}
 	return nil
+}
+
+// PanicError is the error of a rank that panicked with p: one line for an
+// InjectedCrash, and the panic with its stack for anything else. Call it
+// from the deferred function that recovered p.
+func PanicError(rank int, p any) error {
+	if c, ok := p.(InjectedCrash); ok {
+		return fmt.Errorf("rank %d: %w", rank, c)
+	}
+	return fmt.Errorf("rank %d panicked: %v\n%s", rank, p, debug.Stack())
 }
 
 // send delivers a payload (already copied) to dest within this communicator.

@@ -277,7 +277,7 @@ func (c *Comm) sendRemote(env *Envelope) {
 	if w.faults != nil {
 		f := w.faults.BeforeSend(env.WSrc, env.WDst, env.Tag)
 		if f.Crash != "" {
-			panic(f.Crash)
+			panic(InjectedCrash{f.Crash})
 		}
 		if f.Stall > 0 {
 			time.Sleep(f.Stall)

@@ -2,10 +2,12 @@
 // paper's §3.3: a collection of periodic, damped, or decaying oscillators
 // placed in a 3D domain, each convolved with a Gaussian of prescribed width.
 // Every time step the simulation fills its local grid cells with the sum of
-// the convolved oscillator values, costing O(m·N³) per rank per step for m
-// oscillators and an N³ local subgrid. The computation is embarrassingly
-// parallel and, as in the paper's experiments, needs no per-step
-// synchronization.
+// the convolved oscillator values, for m oscillators and an N³ local
+// subgrid. Only the amplitudes depend on time, so the m·N³ Gaussian exps are
+// paid once per lifetime, in the first step; every later step costs m
+// multiply-adds per cell (plus one product and an int16 correction each,
+// see Sim). The computation is embarrassingly parallel and, as in the
+// paper's experiments, needs no per-step synchronization.
 package oscillator
 
 import (
@@ -96,6 +98,29 @@ func (o Oscillator) Evaluate(x, y, z, t float64) float64 {
 	return o.Amplitude(t) * math.Exp(-d2/(2*o.Radius*o.Radius))
 }
 
+// maxTwoR2 bounds a Gaussian's denominator 2R². Below it, a cell whose d²
+// overflows has d²/2R² ≥ 1024, past where exp underflows to 0, so the
+// direct sum's 0 there is the right value and so is the cached product's.
+const maxTwoR2 = math.MaxFloat64 / 1024
+
+// validate is the one rule for an oscillator, whether it came from a deck
+// line or was built in code: finite fields, a positive radius, and a 2R²
+// neither 0 (its center cell would read 0/0) nor past maxTwoR2.
+func (o Oscillator) validate() error {
+	for _, v := range []float64{o.Center[0], o.Center[1], o.Center[2], o.Radius, o.Omega0, o.Zeta} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%v is not a finite number", v)
+		}
+	}
+	if o.Radius <= 0 {
+		return fmt.Errorf("radius must be positive")
+	}
+	if twoR2 := 2 * o.Radius * o.Radius; twoR2 == 0 || twoR2 > maxTwoR2 {
+		return fmt.Errorf("radius %v gives 2R² = %v, outside (0, %v]", o.Radius, twoR2, maxTwoR2)
+	}
+	return nil
+}
+
 // ParseDeck reads an oscillator input deck: one oscillator per line in the
 // form "kind cx cy cz radius omega0 [zeta]"; '#' starts a comment.
 func ParseDeck(r io.Reader) ([]Oscillator, error) {
@@ -136,8 +161,8 @@ func ParseDeck(r io.Reader) ([]Oscillator, error) {
 		if len(vals) == 6 {
 			o.Zeta = vals[5]
 		}
-		if o.Radius <= 0 {
-			return nil, fmt.Errorf("oscillator: deck line %d: radius must be positive", lineNo)
+		if err := o.validate(); err != nil {
+			return nil, fmt.Errorf("oscillator: deck line %d: %w", lineNo, err)
 		}
 		out = append(out, o)
 	}

@@ -85,6 +85,11 @@ func TestParseDeckErrors(t *testing.T) {
 		"bad kind":       "wavy 1 2 3 4 5",
 		"bad float":      "periodic a 2 3 4 5",
 		"zero radius":    "periodic 1 2 3 0 5",
+		"nan center":     "periodic nan 1 1 nan 3",
+		"inf omega":      "periodic 1 1 1 inf 3",
+		"infinity zeta":  "damped 1 1 1 2 3 -infinity",
+		"2R² underflows": "periodic 1 1 1 1e-200 3",
+		"2R² too large":  "periodic 1 1 1 1e153 3",
 	} {
 		if _, err := ParseDeck(strings.NewReader(deck)); err == nil {
 			t.Errorf("%s: expected error", name)
@@ -116,6 +121,28 @@ func TestConfigValidate(t *testing.T) {
 	bad.Oscillators = nil
 	if err := bad.Validate(); err == nil {
 		t.Error("empty deck accepted")
+	}
+	// Decks built in code are held to ParseDeck's rule.
+	for name, edit := range map[string]func(o *Oscillator){
+		"nan radius":          func(o *Oscillator) { o.Radius = math.NaN() },
+		"inf center":          func(o *Oscillator) { o.Center[2] = math.Inf(-1) },
+		"nan zeta":            func(o *Oscillator) { o.Zeta = math.NaN() },
+		"negative radius":     func(o *Oscillator) { o.Radius = -2 },
+		"2R² underflows to 0": func(o *Oscillator) { o.Radius = 1e-200 },
+		"2R² overflows to ∞":  func(o *Oscillator) { o.Radius = 1e200 },
+		"2R² past the bound":  func(o *Oscillator) { o.Radius = 1e153 },
+	} {
+		bad = good
+		bad.Oscillators = DefaultDeck(8)
+		edit(&bad.Oscillators[1])
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "oscillator 1") {
+			t.Errorf("%s: Validate() = %v, want an error naming oscillator 1", name, err)
+		}
+	}
+	bad = good
+	bad.Oscillators = []Oscillator{{Kind: Periodic, Radius: largestRadius(), Omega0: 1}}
+	if err := bad.Validate(); err != nil {
+		t.Errorf("the largest radius refused: %v", err)
 	}
 }
 
@@ -197,6 +224,11 @@ func TestSimMemoryTracking(t *testing.T) {
 		}
 		if mem.Named("oscillator/data") != 64*8 {
 			t.Errorf("tracked=%d", mem.Named("oscillator/data"))
+		}
+		// Three oscillators: a 2-byte correction per cell each, and three
+		// 4-entry float64 axis tables each.
+		if got, want := mem.Named("oscillator/gaussians"), int64(3*64*2+3*(4+4+4)*8); got != want {
+			t.Errorf("oscillator/gaussians tracked %d bytes, want %d", got, want)
 		}
 		return nil
 	})

@@ -3,6 +3,7 @@ package oscillator
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"gosensei/internal/array"
 	"gosensei/internal/grid"
@@ -42,6 +43,11 @@ func (c *Config) Validate() error {
 	if len(c.Oscillators) == 0 {
 		return fmt.Errorf("oscillator: need at least one oscillator")
 	}
+	for i, o := range c.Oscillators {
+		if err := o.validate(); err != nil {
+			return fmt.Errorf("oscillator: oscillator %d: %w", i, err)
+		}
+	}
 	return nil
 }
 
@@ -65,6 +71,14 @@ type Sim struct {
 	// recomputed both for every cell. amps is refreshed each Step; twoR2 once.
 	amps  []float64
 	twoR2 []float64
+	// The Gaussians depend only on the deck, so they are evaluated once. The
+	// first Step computes each exactly and records corr, the int16 ulp
+	// distance from the separable product ex[i]·(ey[j]·ez[k]) of per-axis
+	// tables; later Steps rebuild every exact value from the product and its
+	// correction without an exp. Each axis table is oscillator-major
+	// (ex[o*nx+i]); corr is, per cell row, one run of nx per oscillator.
+	ex, ey, ez []float64
+	corr       []int16
 }
 
 // NewSim builds the per-rank simulation state: the local block of a regular
@@ -95,6 +109,7 @@ func NewSim(c *mpi.Comm, cfg Config, mem *metrics.Tracker) (*Sim, error) {
 	}
 	nx, ny, nz := local.Dims() // here Dims counts cells since extents are cell extents
 	n := nx * ny * nz
+	m := len(cfg.Oscillators)
 	s := &Sim{
 		Comm:             c,
 		Cfg:              cfg,
@@ -102,8 +117,12 @@ func NewSim(c *mpi.Comm, cfg Config, mem *metrics.Tracker) (*Sim, error) {
 		LocalCellExtent:  local,
 		Data:             make([]float64, n),
 		workers:          parallel.Workers(cfg.Threads, c.Size()),
-		amps:             make([]float64, len(cfg.Oscillators)),
-		twoR2:            make([]float64, len(cfg.Oscillators)),
+		amps:             make([]float64, m),
+		twoR2:            make([]float64, m),
+		ex:               make([]float64, m*nx),
+		ey:               make([]float64, m*ny),
+		ez:               make([]float64, m*nz),
+		corr:             make([]int16, m*n),
 	}
 	for i, o := range cfg.Oscillators {
 		// Same association as the seed's Evaluate ((2*R)*R) so the division
@@ -111,6 +130,7 @@ func NewSim(c *mpi.Comm, cfg Config, mem *metrics.Tracker) (*Sim, error) {
 		s.twoR2[i] = 2 * o.Radius * o.Radius
 	}
 	mem.Alloc("oscillator/data", int64(n)*8)
+	mem.Alloc("oscillator/gaussians", int64(m*n)*2+int64(m*(nx+ny+nz))*8)
 	return s, nil
 }
 
@@ -131,47 +151,131 @@ func decomposeCells(global grid.Extent, n int) []grid.Extent {
 }
 
 // Step advances the simulation one time step: every local cell receives the
-// sum of all oscillator contributions evaluated at the cell center. The cell
-// loop is band-partitioned over k-slabs across the rank's worker budget;
-// each slab writes a disjoint range of Data and evaluates the identical
-// per-cell expression, so the result is bit-identical at any worker count.
+// sum of all oscillator contributions evaluated at the cell center, added in
+// oscillator order. The first Step evaluates every Gaussian exactly and fills
+// the cache; every later Step rebuilds the same Gaussians from it, so each
+// step's field is bit-identical to the direct sum. The cell loop is
+// band-partitioned over k-slabs across the rank's worker budget; each slab
+// writes a disjoint range of Data, so the result is bit-identical at any
+// worker count.
 func (s *Sim) Step() error {
 	t := s.time
 	for i, o := range s.Cfg.Oscillators {
 		s.amps[i] = o.Amplitude(t)
 	}
+	// A first Step that failed did not advance, so the next one refills.
+	if s.step == 0 {
+		if err := s.stepExact(); err != nil {
+			return err
+		}
+	} else {
+		s.stepCached()
+	}
+	s.step++
+	s.time += s.Cfg.DT
+	return nil
+}
+
+// stepExact is the first Step. It evaluates each Gaussian with the direct
+// per-cell expression, fills the axis tables, and stores each exact value's
+// correction against their product. A correction outside int16 is an error
+// naming the lowest such cell and oscillator; the Data it writes is exact
+// either way.
+func (s *Sim) stepExact() error {
 	e := s.LocalCellExtent
-	nx := e[1] - e[0] + 1
-	ny := e[3] - e[2] + 1
-	nz := e[5] - e[4] + 1
+	nx, ny, nz := e.Dims()
 	oscs := s.Cfg.Oscillators
+	m := len(oscs)
+	for oi := range oscs {
+		c, twoR2 := oscs[oi].Center, s.twoR2[oi]
+		axisGaussians(s.ex[oi*nx:(oi+1)*nx], e[0], c[0], twoR2)
+		axisGaussians(s.ey[oi*ny:(oi+1)*ny], e[2], c[1], twoR2)
+		axisGaussians(s.ez[oi*nz:(oi+1)*nz], e[4], c[2], twoR2)
+	}
+	var bad atomic.Int64 // lowest cell*m+oscillator whose correction overflowed
+	bad.Store(math.MaxInt64)
 	parallel.For(s.workers, nz, 1, func(klo, khi int) {
 		for kk := klo; kk < khi; kk++ {
-			k := e[4] + kk
-			z := float64(k) + 0.5
-			idx := kk * nx * ny
-			for j := e[2]; j <= e[3]; j++ {
-				y := float64(j) + 0.5
-				for i := e[0]; i <= e[1]; i++ {
-					x := float64(i) + 0.5
-					v := 0.0
-					for oi := range oscs {
-						o := &oscs[oi]
+			z := float64(e[4]+kk) + 0.5
+			for jj := 0; jj < ny; jj++ {
+				y := float64(e[2]+jj) + 0.5
+				row := (kk*ny + jj) * nx
+				data := s.Data[row : row+nx]
+				clear(data)
+				for oi := range oscs {
+					o := &oscs[oi]
+					eyz := s.ey[oi*ny+jj] * s.ez[oi*nz+kk]
+					ex := s.ex[oi*nx : (oi+1)*nx]
+					corr := s.corr[row*m+oi*nx : row*m+(oi+1)*nx]
+					for ii := range data {
+						x := float64(e[0]+ii) + 0.5
 						dx := x - o.Center[0]
 						dy := y - o.Center[1]
 						dz := z - o.Center[2]
 						d2 := dx*dx + dy*dy + dz*dz
-						v += s.amps[oi] * math.Exp(-d2/s.twoR2[oi])
+						g := math.Exp(-d2 / s.twoR2[oi])
+						data[ii] += s.amps[oi] * g
+						d := int64(math.Float64bits(g) - math.Float64bits(ex[ii]*eyz))
+						if d != int64(int16(d)) {
+							lowerTo(&bad, int64((row+ii)*m+oi))
+						}
+						corr[ii] = int16(d)
 					}
-					s.Data[idx] = v
-					idx++
 				}
 			}
 		}
 	})
-	s.step++
-	s.time += s.Cfg.DT
+	if f := bad.Load(); f != math.MaxInt64 {
+		cell, oi := int(f)/m, int(f)%m
+		return fmt.Errorf("oscillator: oscillator %d at cell (%d,%d,%d): Gaussian is over 32767 ulps from its separable product",
+			oi, e[0]+cell%nx, e[2]+cell/nx%ny, e[4]+cell/(nx*ny))
+	}
 	return nil
+}
+
+// stepCached is every Step after the first: per cell and oscillator one
+// product, the correction added to its bits, and one multiply-add.
+func (s *Sim) stepCached() {
+	nx, ny, nz := s.LocalCellExtent.Dims()
+	m := len(s.amps)
+	parallel.For(s.workers, nz, 1, func(klo, khi int) {
+		for kk := klo; kk < khi; kk++ {
+			for jj := 0; jj < ny; jj++ {
+				row := (kk*ny + jj) * nx
+				data := s.Data[row : row+nx]
+				clear(data)
+				for oi, a := range s.amps {
+					eyz := s.ey[oi*ny+jj] * s.ez[oi*nz+kk]
+					ex := s.ex[oi*nx : (oi+1)*nx]
+					corr := s.corr[row*m+oi*nx : row*m+(oi+1)*nx]
+					ex, corr = ex[:len(data)], corr[:len(data)] // no bounds checks below
+					for ii := range data {
+						g := math.Float64frombits(math.Float64bits(ex[ii]*eyz) + uint64(corr[ii]))
+						data[ii] += a * g
+					}
+				}
+			}
+		}
+	})
+}
+
+// axisGaussians fills dst[i] with exp(-d²/twoR2) for the cell centers
+// lo+i+0.5 at distance d from c along one axis.
+func axisGaussians(dst []float64, lo int, c, twoR2 float64) {
+	for i := range dst {
+		d := float64(lo+i) + 0.5 - c
+		dst[i] = math.Exp(-(d * d) / twoR2)
+	}
+}
+
+// lowerTo stores v in a if v is lower than what a holds.
+func lowerTo(a *atomic.Int64, v int64) {
+	for {
+		cur := a.Load()
+		if v >= cur || a.CompareAndSwap(cur, v) {
+			return
+		}
+	}
 }
 
 // StepIndex returns the number of completed steps.

@@ -352,11 +352,16 @@ func (w *World) closePeers() {
 
 // Run executes f as the hosted rank, converting a panic (rank crash, fault
 // injection, transport failure) into an error the caller can surface — the
-// same recovery contract mpi.Run gives goroutine ranks.
+// same recovery contract mpi.Run gives goroutine ranks. A failed rank tears
+// its connections down without a goodbye, as a dead process's are, so its
+// peers fail at once instead of waiting out the receive timeout.
 func (w *World) Run(f func(c *mpi.Comm) error) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("world: rank %d panicked: %v", w.cfg.Rank, p)
+			err = fmt.Errorf("world: %w", mpi.PanicError(w.cfg.Rank, p))
+		}
+		if err != nil {
+			w.fail(err)
 		}
 	}()
 	return f(w.comm)
@@ -370,7 +375,7 @@ func (w *World) Send(env *mpi.Envelope) error {
 			// peers observe a genuine rank death.
 			w.shutdown.Store(true)
 			w.closePeers()
-			panic("faultline: fired " + token)
+			panic(mpi.InjectedCrash{Reason: "faultline: fired " + token})
 		}
 	}
 	if env.WDst < 0 || env.WDst >= len(w.peers) || w.peers[env.WDst] == nil {

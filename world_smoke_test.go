@@ -3,6 +3,7 @@ package gosensei
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // runStdout executes the launcher in a fresh directory and returns stdout
@@ -217,6 +219,44 @@ func TestWorldSmokeRankkill(t *testing.T) {
 			}
 			if !strings.Contains(stderr, "world.rankkill(rank=2,op=4)") {
 				t.Errorf("repro token missing from stderr:\n%s", stderr)
+			}
+		})
+	}
+}
+
+// TestWorldSmokeInjectedCrash: an injected rank death is reported, not
+// dumped. On goroutine ranks stderr is exactly the fired line and one error
+// line; on a wire world each rank adds a line, none carries a stack, and
+// the survivor learns of the death from its peer's closed connection
+// instead of waiting out the receive timeout.
+func TestWorldSmokeInjectedCrash(t *testing.T) {
+	bin := buildTool(t, "gosensei-run")
+	for _, transport := range []string{"proc", "loopback", "tcp"} {
+		transport := transport
+		t.Run(transport, func(t *testing.T) {
+			t.Parallel()
+			start := time.Now()
+			_, stderr, err := runStdout(t, bin,
+				"-np", "2", "-transport", transport, "-cells", "16", "-steps", "4",
+				"-config", repoFile(t, "configs", "histogram.xml"),
+				"-faults", "1:mpi.crash(rank=0,op=3)")
+			var ee *exec.ExitError
+			if !errors.As(err, &ee) || ee.ExitCode() != 3 {
+				t.Fatalf("%v, want exit code 3 (fault fired)\nstderr:\n%s", err, stderr)
+			}
+			if d := time.Since(start); d > 30*time.Second {
+				t.Errorf("took %v to end", d)
+			}
+			if strings.Contains(stderr, "goroutine ") {
+				t.Errorf("stderr carries a stack:\n%s", stderr)
+			}
+			if !strings.Contains(stderr, "faultline: fired mpi.crash(rank=0,op=3) x1\n") {
+				t.Errorf("fired line missing from stderr:\n%s", stderr)
+			}
+			want := "faultline: fired mpi.crash(rank=0,op=3) x1\n" +
+				"gosensei-run: mpi: rank 0: faultline: injected crash (mpi.crash(rank=0,op=3))\n"
+			if transport == "proc" && stderr != want {
+				t.Errorf("stderr %q, want %q", stderr, want)
 			}
 		})
 	}
