@@ -150,7 +150,7 @@ experiments:
 	$(GO) run ./cmd/experiments -run all
 
 # Every example end to end, from a scratch directory so that nothing lands in
-# the tree: the three example programs, and the four deck + config pairs on
+# the tree: the two example programs, and the four deck + config pairs on
 # the launcher, each run from a copy of its inputs (deck and XML, no frames
 # left by an earlier run) so that its session= and output-dir= resolve there.
 # Each must exit 0, and together they must write exactly the 45 PNGs they
@@ -159,7 +159,7 @@ experiments:
 # sha256 over the sorted per-file sha256s — is pinned.
 examples:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	for e in adios-staging live-steering quickstart; do \
+	for e in live-steering quickstart; do \
 		$(GO) build -o "$$tmp/bin/$$e" ./examples/$$e; \
 		(cd "$$tmp" && ./bin/$$e > $$e.log 2>&1) || { cat "$$tmp/$$e.log"; echo "examples: $$e failed"; exit 1; }; \
 	done; \
@@ -176,7 +176,7 @@ examples:
 	digest=$$(find "$$tmp" -name '*.png' -exec sha256sum {} + | cut -d' ' -f1 | sort | sha256sum | cut -d' ' -f1); \
 	if [ "$$digest" != 7909eeb1b2645938e13f2bab7e93a48d08613267a847573e9c6a724aa431a00f ]; then \
 		echo "examples: PNG digest $$digest, want 7909eeb1b2645938e13f2bab7e93a48d08613267a847573e9c6a724aa431a00f"; exit 1; fi; \
-	echo "examples: 3 programs and 4 decks ran, $$n PNGs, digest $$digest"
+	echo "examples: 2 programs and 4 decks ran, $$n PNGs, digest $$digest"
 
 clean:
 	rm -rf frames bp-out cinema-store blocks replay-blocks live-frames examples/*/*-frames

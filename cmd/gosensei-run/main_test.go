@@ -7,6 +7,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"gosensei/internal/launch"
 )
 
 // dirNames lists a directory's entries by name.
@@ -26,7 +28,7 @@ func dirNames(t testing.TB, dir string) []string {
 // FuzzLoadDeck holds the launcher's front door to its contract over every
 // deck grammar — the four simulations', the endpoint's and the replay's —
 // with an optional configuration, on proc or tcp, with or without an
-// explicit -steps and -cells: load + validate yield a run plan or an error,
+// explicit -steps and -cells: load + Check yield a run plan or an error,
 // never a panic, and write nothing, bind nothing and leave no goroutine
 // behind. The committed corpus under testdata/fuzz holds every deck
 // refusal TestCmdRefusals pins.
@@ -51,17 +53,14 @@ func FuzzLoadDeck(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		r := run{np: 2, transport: "proc", steps: 3, explicit: map[string]bool{"steps": explicit, "cells": explicit}}
+		req := launch.Request{NP: 2, Transport: "proc", Cells: 8, Steps: 3, StepsSet: explicit, CellsSet: explicit}
 		if tcp {
-			r.transport = "tcp"
+			req.Transport = "tcp"
 		}
 		before := runtime.NumGoroutine()
-		err := r.load(8, deckPath, configPath, "")
+		p, err := load(req, deckPath, configPath)
 		if err == nil {
-			err = r.validate()
-		}
-		if err == nil && r.newSource == nil {
-			t.Fatalf("deck %q: a run plan with no source", deck)
+			err = p.Check()
 		}
 		want := []string{"sim.deck"}
 		if configPath != "" {

@@ -443,6 +443,10 @@ func TestCmdRefusals(t *testing.T) {
 		{"gosensei-run", []string{"-deck", file("nope.deck", "# which miniapp\nsimulation nope\n")}, `deck line 2: unknown simulation "nope" (want oscillator, phasta, leslie, nyx, endpoint or replay)`},
 		{"gosensei-run", []string{"-deck", file("nyx.deck", "simulation nyx\nperiodic 8 8 8 4 6.28\n")}, "deck line 2: simulation nyx takes no other line"},
 		{"gosensei-run", []string{"-deck", file("steer.deck", "simulation phasta\nsteer 10 1.6\n")}, "deck line 2: simulation phasta takes only steer <step> <amplitude> <frequency> lines"},
+		// A decomposition the simulation cannot make: refused by the front
+		// door, not by every worker.
+		{"gosensei-run", []string{"-np", "16", "-cells", "8", "-steps", "2", "-transport", "tcp", "-deck", file("nyx16.deck", "simulation nyx\n")}, "nyx: 8 z-cells cannot feed 16 ranks"},
+		{"gosensei-run", []string{"-np", "16", "-cells", "8", "-steps", "2", "-transport", "tcp", "-deck", file("phasta16.deck", "simulation phasta\n")}, "phasta: 7 x-cells cannot feed 16 ranks"},
 		{"gosensei-run", []string{"-deck", file("osc.deck", "simulation oscillator\nsteer 10 1.6 1.5\n")}, "oscillator: deck line 2: want 6 or 7 fields, got 4"},
 		{"gosensei-run", []string{"-np", "2", "-transport", "tcp", "-deck", file("tiny.osc", "periodic 1 1 1 1e-200 3\n")}, "oscillator: deck line 1: radius 1e-200 gives 2R² = 0"},
 		{"gosensei-run", []string{"-np", "2", "-transport", "tcp", "-deck", file("nan.osc", "# a NaN radius is not positive, yet passes radius <= 0\nperiodic nan 1 1 nan 3\n")}, "oscillator: deck line 2: NaN is not a finite number"},

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -112,7 +113,7 @@ func TestBPDecodeRejectsCorruption(t *testing.T) {
 }
 
 func TestFabricBackpressure(t *testing.T) {
-	f := NewFabric(1, 1)
+	f := loopbackFabric(t, 1, 1, 1)
 	tr := &FlexPathTransport{Fabric: f}
 	done := make(chan struct{})
 	go func() {
@@ -149,7 +150,7 @@ func TestWriterEndpointHistogram(t *testing.T) {
 		Steps:       3,
 		Oscillators: oscillator.DefaultDeck(8),
 	}
-	fabric := NewFabric(n, 1)
+	fabric := loopbackFabric(t, n, n, 1)
 	var wg sync.WaitGroup
 	var writerErr, endpointErr error
 	var res *EndpointResult
@@ -203,8 +204,8 @@ func TestWriterEndpointHistogram(t *testing.T) {
 	if hist == nil || hist.Last == nil {
 		t.Fatal("no histogram computed at the endpoint")
 	}
-	if hist.Last.Total() != 8*8*8 {
-		t.Fatalf("endpoint histogram total=%d want %d", hist.Last.Total(), 8*8*8)
+	if n := countsTotal(hist.Last.Counts); n != 8*8*8 {
+		t.Fatalf("endpoint histogram total=%d want %d", n, 8*8*8)
 	}
 	// The endpoint's instrumentation includes the init and decode phases.
 	reg := res.Registries[0]
@@ -217,7 +218,7 @@ func TestWriterEndpointHistogram(t *testing.T) {
 }
 
 func TestWriterTimersAndMemory(t *testing.T) {
-	fabric := NewFabric(1, 4)
+	fabric := loopbackFabric(t, 1, 1, 4)
 	mem := metrics.NewTracker()
 	err := mpi.Run(1, func(c *mpi.Comm) error {
 		s, err := oscillator.NewSim(c, oscillator.Config{
@@ -339,7 +340,7 @@ func TestStagedDataAdaptor(t *testing.T) {
 }
 
 func TestFabricNMMapping(t *testing.T) {
-	f := NewFabricNM(8, 2, 1)
+	f := loopbackFabric(t, 8, 2, 1)
 	if f.nWriters != 8 || f.Pairs() != 2 {
 		t.Fatalf("shape: %d writers %d readers", f.nWriters, f.Pairs())
 	}
@@ -366,7 +367,7 @@ func TestFanInEndpointHistogram(t *testing.T) {
 		Steps:       3,
 		Oscillators: oscillator.DefaultDeck(8),
 	}
-	fabric := NewFabricNM(nWriters, nReaders, 2)
+	fabric := loopbackFabric(t, nWriters, nReaders, 2)
 	var wg sync.WaitGroup
 	var writerErr, endpointErr error
 	var res *EndpointResult
@@ -420,8 +421,8 @@ func TestFanInEndpointHistogram(t *testing.T) {
 	if hist == nil || hist.Last == nil {
 		t.Fatal("no histogram at fan-in endpoint")
 	}
-	if hist.Last.Total() != 8*8*8 {
-		t.Fatalf("fan-in histogram total=%d want %d (blocks lost or double-counted)", hist.Last.Total(), 8*8*8)
+	if countsTotal(hist.Last.Counts) != 8*8*8 {
+		t.Fatalf("fan-in histogram total=%d want %d (blocks lost or double-counted)", countsTotal(hist.Last.Counts), 8*8*8)
 	}
 }
 
@@ -444,4 +445,20 @@ func TestStagedAdaptorMultiBlock(t *testing.T) {
 	if len(names) != 1 || names[0] != "uv" {
 		t.Fatalf("names=%v", names)
 	}
+}
+
+// fabricSeq names the tests' fabrics apart on the loopback registry.
+var fabricSeq atomic.Int64
+
+// loopbackFabric is an in-process fabric for nWriters producers and
+// nReaders analysis ranks: the staging traffic runs over the loopback wire,
+// the same framing, credit and release code paths as a TCP deployment,
+// deterministically.
+func loopbackFabric(tb testing.TB, nWriters, nReaders, depth int, opts ...FabricOption) *Fabric {
+	tb.Helper()
+	f, err := ListenFabric("loopback", fmt.Sprintf("adios-test/%d", fabricSeq.Add(1)), nWriters, nReaders, depth, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return f
 }

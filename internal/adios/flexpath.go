@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
 	"gosensei/internal/analysis"
 	"gosensei/internal/core"
@@ -26,8 +25,8 @@ import (
 // Since PR 3 the fabric is a real wire: every message crosses an
 // internal/fabric connection — length-prefixed CRC-checked frames under
 // credit flow control — whether the two groups share a process (the
-// "loopback" network, used by NewFabric/NewFabricNM) or sit in separate
-// OS processes connected over TCP (ListenFabric + DialWire). A writer
+// "loopback" network) or sit in separate OS processes connected over TCP
+// (ListenFabric + DialWire). A writer
 // blocks in adios::analysis when its queue-depth credits are exhausted —
 // the backpressure the paper's Fig. 8 timings include — and the endpoint
 // releases a credit only after executing the step, so an endpoint restart
@@ -64,32 +63,6 @@ func WithCodecs(ids ...uint8) FabricOption {
 // ladder. Writers that cannot compute the extract still ship containers.
 func WithExtract(spec fabric.ExtractSpec) FabricOption {
 	return func(c *fabricConfig) { c.extract = &spec }
-}
-
-// loopbackSeq uniquifies in-process fabric names so independent fabrics
-// never collide on the loopback registry.
-var loopbackSeq atomic.Int64
-
-// NewFabric creates a 1:1 in-process fabric for n writer/reader pairs with
-// the given queue depth (FlexPath's default behavior corresponds to depth 1).
-func NewFabric(n, depth int, opts ...FabricOption) *Fabric {
-	return NewFabricNM(n, n, depth, opts...)
-}
-
-// NewFabricNM creates an in-process fabric for nWriters producers and
-// nReaders analysis ranks (writers map to reader writer*nReaders/nWriters).
-// The staging traffic runs over the loopback wire — the same framing,
-// credit, and release code paths as a TCP deployment, deterministically.
-func NewFabricNM(nWriters, nReaders, depth int, opts ...FabricOption) *Fabric {
-	if nWriters <= 0 || nReaders <= 0 || depth <= 0 {
-		panic(fmt.Sprintf("adios: invalid fabric writers=%d readers=%d depth=%d", nWriters, nReaders, depth))
-	}
-	name := fmt.Sprintf("adios/fabric-%d", loopbackSeq.Add(1))
-	f, err := ListenFabric("loopback", name, nWriters, nReaders, depth, opts...)
-	if err != nil {
-		panic(fmt.Sprintf("adios: %v", err))
-	}
-	return f
 }
 
 // ListenFabric creates the endpoint side of a fabric on an explicit

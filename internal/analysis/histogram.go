@@ -48,15 +48,6 @@ func (r *HistogramResult) Bin(i int) (lo, hi float64) {
 	return r.Min + float64(i)*w, r.Min + float64(i+1)*w
 }
 
-// Total returns the number of counted elements.
-func (r *HistogramResult) Total() int64 {
-	var n int64
-	for _, c := range r.Counts {
-		n += c
-	}
-	return n
-}
-
 // Histogram computes a global histogram of one mesh array per step: two
 // allreduce operations establish the global [min, max], each rank bins its
 // local (non-ghost) values, and the bins are reduced to rank 0. The only

@@ -115,9 +115,6 @@ func NewSliceAdaptor(c *mpi.Comm, opts Options) *SliceAdaptor {
 	return &SliceAdaptor{Comm: c, Opts: opts}
 }
 
-// ImagesWritten reports how many images rank 0 produced.
-func (a *SliceAdaptor) ImagesWritten() int { return a.imagesOut }
-
 // workers resolves the intra-rank worker count against the process thread
 // budget, so goroutine-ranks times workers stays bounded under mpi.Run.
 func (a *SliceAdaptor) workers() int { return parallel.Workers(a.Opts.Workers, a.Comm.Size()) }

@@ -166,3 +166,6 @@ func TestSliceAdaptorWriteFailureIsNotCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// ImagesWritten reports how many images rank 0 produced.
+func (a *SliceAdaptor) ImagesWritten() int { return a.imagesOut }

@@ -4,15 +4,16 @@ import (
 	"fmt"
 
 	"gosensei/internal/grid"
+	"gosensei/internal/launch"
 	"gosensei/internal/metrics"
-	"gosensei/internal/mpi"
 	"gosensei/internal/oscillator"
 )
 
 // ZeroCopyAblation quantifies the paper's central design decision as a
 // table: the per-step cost and tracked memory of accessing the simulation
 // data through (a) the zero-copy SENSEI adaptor and (b) a deep-copying
-// adaptor, at several per-rank grid sizes.
+// adaptor, at several per-rank grid sizes. The adaptor is the first step of
+// a one-rank oscillator plan's source.
 func ZeroCopyAblation(opt Options) (*metrics.Table, error) {
 	t := &metrics.Table{
 		Title:   "Ablation — zero-copy vs copying data adaptor",
@@ -26,43 +27,31 @@ func ZeroCopyAblation(opt Options) (*metrics.Table, error) {
 			}
 			var perStep float64
 			var extra int64
-			err := mpi.Run(1, func(c *mpi.Comm) error {
-				sim, err := oscillator.NewSim(c, oscillator.Config{
-					GlobalCells: [3]int{edge, edge, edge}, DT: 0.05, Steps: 1,
-					Oscillators: oscillator.DefaultDeck(float64(edge)),
-				}, nil)
+			_, err := runPlan(launch.Request{NP: 1, Cells: edge, Steps: 1}, func(r *launch.Rank) error {
+				src, err := r.Source.Next()
 				if err != nil {
 					return err
 				}
-				if err := sim.Step(); err != nil {
-					return err
-				}
-				mem := metrics.NewTracker()
-				d := oscillator.NewDataAdaptor(sim)
+				d := src.(*oscillator.DataAdaptor)
 				d.ForceCopy = forceCopy
-				d.Memory = mem
-				d.Update()
-				reg := metrics.NewRegistry(0)
+				d.Memory = r.Memory
 				const reps = 50
-				reg.Time("access", 0, func() {
-					for i := 0; i < reps; i++ {
-						mesh, err := d.Mesh(false)
-						if err != nil {
-							panic(err)
-						}
-						if err := d.AddArray(mesh, grid.CellData, "data"); err != nil {
-							panic(err)
+				r.Registry.Time("access", 0, func() {
+					for i := 0; i < reps && err == nil; i++ {
+						var mesh grid.Dataset
+						if mesh, err = d.Mesh(false); err == nil {
+							err = d.AddArray(mesh, grid.CellData, "data")
 						}
 						if i == 0 {
-							extra = mem.Named("adaptor/copy")
+							extra = r.Memory.Named("adaptor/copy")
 						}
-						if err := d.ReleaseData(); err != nil {
-							panic(err)
+						if err == nil {
+							err = d.ReleaseData()
 						}
 					}
 				})
-				perStep = reg.Timer("access").Total().Seconds() / reps
-				return nil
+				perStep = r.Registry.Timer("access").Total().Seconds() / reps
+				return err
 			})
 			if err != nil {
 				return nil, err

@@ -1,15 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
-	"sync"
 
-	"gosensei/internal/adios"
 	"gosensei/internal/compositing"
-	"gosensei/internal/core"
+	"gosensei/internal/launch"
 	"gosensei/internal/metrics"
-	"gosensei/internal/mpi"
-	"gosensei/internal/oscillator"
 )
 
 // ADIOSWorkload selects the endpoint analysis of the §4.1.4 study.
@@ -24,17 +21,17 @@ const (
 
 // workloadConfig is a workload's analysis as the SENSEI configuration the
 // endpoint (Fig. 9) or the post hoc replay (Fig. 11) runs.
-func workloadConfig(w ADIOSWorkload, opt Options) (*core.Config, error) {
-	elem, ok := map[ADIOSWorkload]string{
-		ADIOSHistogram:       fmt.Sprintf(`<analysis type="histogram" bins="%d"/>`, opt.Bins),
-		ADIOSAutocorrelation: fmt.Sprintf(`<analysis type="autocorrelation" window="%d" k-max="%d"/>`, opt.Window, opt.KMax),
-		ADIOSCatalystSlice: fmt.Sprintf(`<analysis type="catalyst" image-width="%d" image-height="%d" slice-axis="z" slice-coord="%g"/>`,
-			opt.ImageW, opt.ImageH, float64(opt.RealCells)/2),
-	}[w]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown ADIOS workload %q", w)
+func workloadConfig(w ADIOSWorkload, opt Options) ([]byte, error) {
+	switch w {
+	case ADIOSHistogram:
+		return sensei(`<analysis type="histogram" bins="%d"/>`, opt.Bins), nil
+	case ADIOSAutocorrelation:
+		return sensei(`<analysis type="autocorrelation" window="%d" k-max="%d"/>`, opt.Window, opt.KMax), nil
+	case ADIOSCatalystSlice:
+		return sensei(`<analysis type="catalyst" image-width="%d" image-height="%d" slice-axis="z" slice-coord="%v"/>`,
+			opt.ImageW, opt.ImageH, float64(opt.RealCells)/2), nil
 	}
-	return core.ParseConfig([]byte("<sensei>" + elem + "</sensei>"))
+	return nil, fmt.Errorf("experiments: unknown ADIOS workload %q", w)
 }
 
 // ADIOSTimings aggregates one staged run: the writer side (adios::advance
@@ -49,103 +46,53 @@ type ADIOSTimings struct {
 }
 
 // RunADIOS executes the miniapp through the FlexPath transport with the
-// chosen endpoint workload, writer and endpoint as two concurrent groups
-// 1:1 paired (the paper's hyperthread co-scheduling).
+// chosen endpoint workload: two launcher plans in this process, as the
+// paper's two executables — an endpoint deck listening on tcp loopback with
+// queue depth 1, so the writer feels reader backpressure, and the oscillator
+// under a flexpath writer dialing it, 1:1 paired.
 func RunADIOS(w ADIOSWorkload, opt Options) (*ADIOSTimings, error) {
-	simCfg := oscillator.Config{
-		GlobalCells: [3]int{opt.RealCells, opt.RealCells, opt.RealCells},
-		DT:          0.05,
-		Steps:       opt.RealSteps,
-		Oscillators: oscillator.DefaultDeck(float64(opt.RealCells)),
-	}
 	cfg, err := workloadConfig(w, opt)
 	if err != nil {
 		return nil, err
 	}
-	fabric := adios.NewFabric(opt.RealRanks, 1)
-	out := &ADIOSTimings{}
-
-	var wg sync.WaitGroup
-	var writerErr, endpointErr error
-	var endpointRes *adios.EndpointResult
-	writerRegs := make([]*metrics.Registry, opt.RealRanks)
-
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		writerErr = mpi.Run(opt.RealRanks, func(c *mpi.Comm) error {
-			reg := metrics.NewRegistry(c.Rank())
-			writerRegs[c.Rank()] = reg
-			sim, err := oscillator.NewSim(c, simCfg, nil)
-			if err != nil {
-				return err
-			}
-			writer := adios.NewWriter(c, &adios.FlexPathTransport{Fabric: fabric})
-			writer.Registry = reg
-			b := core.NewBridge(c, reg, nil)
-			b.AddAnalysis("adios", writer)
-			d := oscillator.NewDataAdaptor(sim)
-			total := reg.Timer("writer::total")
-			total.Start()
-			for i := 0; i < simCfg.Steps; i++ {
-				if err := sim.Step(); err != nil {
-					return err
-				}
-				d.Update()
-				if _, err := b.Execute(d); err != nil {
-					return err
-				}
-			}
-			if err := b.Finalize(); err != nil {
-				return err
-			}
-			total.Stop()
-			return nil
-		})
-	}()
-	go func() {
-		defer wg.Done()
-		endpointRes, endpointErr = adios.RunEndpoint(fabric, cfg.Configure)
-	}()
-	wg.Wait()
-	if writerErr != nil {
-		return nil, fmt.Errorf("writer: %w", writerErr)
+	endpoint, err := launch.Load(launch.Request{
+		Deck:   []byte("simulation endpoint\nlisten 127.0.0.1:0\nqueue-depth 1\n"),
+		Config: cfg, NP: opt.RealRanks, Transport: "proc", Steps: 1,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if endpointErr != nil {
-		return nil, fmt.Errorf("endpoint: %w", endpointErr)
+	if err := endpoint.Open(); err != nil {
+		return nil, err
 	}
-
+	served := make(chan error, 1)
+	go func() { served <- errors.Join(endpoint.Run(endpoint.Drive)...) }()
+	writers, err := runPlan(launch.Request{
+		Config: sensei(`<analysis type="adios" transport="flexpath" endpoint="%s"/>`, endpoint.Addr()),
+		NP:     opt.RealRanks, Cells: opt.RealCells, Steps: opt.RealSteps,
+	}, nil)
+	if err != nil {
+		// Readers wait for every writer's end of stream, which a failed
+		// writer never sends: the error returns without them.
+		_ = endpoint.Close()
+		return nil, fmt.Errorf("writer: %w", err)
+	}
+	err = <-served
+	if cerr := endpoint.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return nil, fmt.Errorf("endpoint: %w", err)
+	}
+	readers := endpoint.Ranks()
 	steps := float64(opt.RealSteps)
-	maxOver := func(regs []*metrics.Registry, name string) float64 {
-		m := 0.0
-		for _, r := range regs {
-			if r == nil {
-				continue
-			}
-			if v := r.Timer(name).Total().Seconds(); v > m {
-				m = v
-			}
-		}
-		return m
-	}
-	out.AdvancePerStep = maxOver(writerRegs, "adios::advance") / steps
-	out.TransferPerStep = maxOver(writerRegs, "adios::analysis") / steps
-	out.WriterTotal = maxOver(writerRegs, "writer::total")
-	out.EndpointInit = maxOver(endpointRes.Registries, "endpoint::initialize")
-	perStep := maxOver(endpointRes.Registries, "endpoint::decode")
-	for _, r := range endpointRes.Registries {
-		for _, n := range r.TimerNames() {
-			if len(n) > 10 && n[:10] == "analysis::" {
-				v := r.Timer(n).Total().Seconds()
-				if v/steps > 0 {
-					perStep += v
-				}
-				break
-			}
-		}
-	}
-	out.EndpointPerStep = perStep / steps
-	return out, nil
+	return &ADIOSTimings{
+		AdvancePerStep:  maxOver(writers, "adios::advance") / steps,
+		TransferPerStep: maxOver(writers, "adios::analysis") / steps,
+		WriterTotal:     maxOver(writers, "total"),
+		EndpointInit:    maxOver(readers, "sim::initialize", "sensei::initialize"),
+		EndpointPerStep: maxOver(readers, "endpoint::decode", "sensei::execute") / steps,
+	}, nil
 }
 
 // Fig8 reproduces Figure 8: the writer-side costs of the FlexPath coupling —

@@ -16,17 +16,17 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"slices"
 
 	"gosensei/internal/analysis"
-	"gosensei/internal/catalyst"
-	"gosensei/internal/core"
 	"gosensei/internal/grid"
+	"gosensei/internal/launch"
 	"gosensei/internal/libsim"
 	"gosensei/internal/machine"
 	"gosensei/internal/metrics"
-	"gosensei/internal/mpi"
-	"gosensei/internal/oscillator"
 	"gosensei/internal/perfmodel"
 )
 
@@ -75,10 +75,6 @@ type Options struct {
 	Calibration perfmodel.Calibration
 	// Seed drives the iosim variability stream.
 	Seed int64
-	// Threads requests intra-rank parallelism in the executed miniapp
-	// pipelines (0 means the process thread budget divided across ranks).
-	// Results are bit-identical at any setting.
-	Threads int
 }
 
 // DefaultOptions returns CI-friendly settings.
@@ -145,187 +141,135 @@ type MiniappTimings struct {
 	SimSteps, AnalysisSteps int
 }
 
-// RunMiniapp executes one configuration for real and aggregates its
-// instrumentation.
+// RunMiniapp executes one configuration for real, as a launcher plan of the
+// oscillator on goroutine ranks, and aggregates the plan's timers.
 func RunMiniapp(cfg Configuration, opt Options) (*MiniappTimings, error) {
-	simCfg := oscillator.Config{
-		GlobalCells: [3]int{opt.RealCells, opt.RealCells, opt.RealCells},
-		DT:          0.05,
-		Steps:       opt.RealSteps,
-		Oscillators: oscillator.DefaultDeck(float64(opt.RealCells)),
-		Threads:     opt.Threads,
+	var config []byte
+	var host func(*launch.Rank) error
+	switch cfg {
+	case Original:
+		host = original(opt)
+	case Baseline:
+		// SENSEI invoked with nothing configured: the interface's own
+		// (near-zero) overhead.
+	case HistogramCfg:
+		config = sensei(`<analysis type="histogram" bins="%d"/>`, opt.Bins)
+	case AutocorrelationCfg:
+		config = sensei(`<analysis type="autocorrelation" window="%d" k-max="%d"/>`, opt.Window, opt.KMax)
+	case CatalystSlice:
+		config = sensei(`<analysis type="catalyst" image-width="%d" image-height="%d" slice-axis="z" slice-coord="%v"/>`,
+			opt.ImageW, opt.ImageH, float64(opt.RealCells)/2)
+	case LibsimSlice:
+		// Libsim takes its pipeline from a session file, which every rank
+		// checks at initialization.
+		dir, err := os.MkdirTemp("", "gosensei-miniapp-")
+		if err != nil {
+			return nil, err
+		}
+		defer os.RemoveAll(dir)
+		session, err := writeSession(dir, libsim.DefaultSliceSession("data", float64(opt.RealCells)/2))
+		if err != nil {
+			return nil, err
+		}
+		config = sensei(`<analysis type="libsim" session="%s" image-width="%d" image-height="%d"/>`, session, opt.ImageW, opt.ImageH)
+	default:
+		return nil, fmt.Errorf("experiments: unknown configuration %q", cfg)
 	}
-	out := &MiniappTimings{Config: cfg, Ranks: opt.RealRanks}
-	var images int
-
-	err := mpi.Run(opt.RealRanks, func(c *mpi.Comm) error {
-		reg := metrics.NewRegistry(c.Rank())
-		mem := metrics.NewTracker()
-
-		var sim *oscillator.Sim
-		var err error
-		reg.Time("sim::initialize", 0, func() {
-			sim, err = oscillator.NewSim(c, simCfg, mem)
-		})
-		if err != nil {
-			return err
-		}
-		memStartup := mem.Current()
-
-		// Assemble the analysis side.
-		bridge := core.NewBridge(c, reg, mem)
-		var direct *analysis.Autocorrelation // Original: subroutine-called
-		var catalystA *catalyst.SliceAdaptor
-		var libsimA *libsim.Adaptor
-		reg.Time("analysis::initialize", 0, func() {
-			switch cfg {
-			case Original:
-				direct = analysis.NewAutocorrelation(c, "data", grid.CellData, opt.Window, opt.KMax)
-				direct.Memory = mem
-			case Baseline:
-				// SENSEI enabled, nothing registered.
-			case HistogramCfg:
-				h := analysis.NewHistogram(c, "data", grid.CellData, opt.Bins)
-				h.Memory = mem
-				bridge.AddAnalysis("histogram", h)
-			case AutocorrelationCfg:
-				a := analysis.NewAutocorrelation(c, "data", grid.CellData, opt.Window, opt.KMax)
-				a.Memory = mem
-				bridge.AddAnalysis("autocorrelation", a)
-			case CatalystSlice:
-				catalystA = catalyst.NewSliceAdaptor(c, catalyst.Options{
-					ArrayName: "data", Assoc: grid.CellData,
-					Width: opt.ImageW, Height: opt.ImageH,
-					SliceAxis: 2, SliceCoord: float64(opt.RealCells) / 2,
-					Workers: opt.Threads,
-				})
-				catalystA.Registry = reg
-				catalystA.Memory = mem
-				err = catalystA.Initialize()
-				bridge.AddAnalysis("catalyst", catalystA)
-			case LibsimSlice:
-				session := libsim.DefaultSliceSession("data", float64(opt.RealCells)/2)
-				session.Image.Width = opt.ImageW
-				session.Image.Height = opt.ImageH
-				libsimA = libsim.NewAdaptor(c, session, libsim.Options{Workers: opt.Threads})
-				libsimA.Registry = reg
-				libsimA.Memory = mem
-				err = libsimA.Initialize()
-				bridge.AddAnalysis("libsim", libsimA)
-			default:
-				err = fmt.Errorf("experiments: unknown configuration %q", cfg)
-			}
-		})
-		if err != nil {
-			return err
-		}
-
-		adaptor := oscillator.NewDataAdaptor(sim)
-		total := reg.Timer("total")
-		total.Start()
-		for i := 0; i < simCfg.Steps; i++ {
-			reg.Time("sim::step", i, func() { err = sim.Step() })
-			if err != nil {
-				return err
-			}
-			switch cfg {
-			case Original:
-				// Direct subroutine coupling: same analysis, no SENSEI.
-				adaptor.Update()
-				reg.Time("analysis::step", i, func() {
-					_, err = direct.Execute(adaptor)
-				})
-			case Baseline:
-				// SENSEI invoked with nothing registered: the interface's
-				// own (near-zero) overhead.
-				adaptor.Update()
-				reg.Time("analysis::step", i, func() {
-					_, err = bridge.Execute(adaptor)
-				})
-			default:
-				adaptor.Update()
-				reg.Time("analysis::step", i, func() {
-					_, err = bridge.Execute(adaptor)
-				})
-			}
-			if err != nil {
-				return err
-			}
-		}
-		reg.Time("finalize", simCfg.Steps, func() {
-			if cfg == Original {
-				err = direct.Finalize()
-			} else {
-				err = bridge.Finalize()
-			}
-		})
-		if err != nil {
-			return err
-		}
-		total.Stop()
-
-		// Aggregate across ranks.
-		agg := func(name string) (metrics.RankSummary, error) {
-			return metrics.Summarize(c, reg, name)
-		}
-		simInit, err := agg("sim::initialize")
-		if err != nil {
-			return err
-		}
-		anInit, err := agg("analysis::initialize")
-		if err != nil {
-			return err
-		}
-		simStep, err := agg("sim::step")
-		if err != nil {
-			return err
-		}
-		anStep, err := agg("analysis::step")
-		if err != nil {
-			return err
-		}
-		fin, err := agg("finalize")
-		if err != nil {
-			return err
-		}
-		tot, err := agg("total")
-		if err != nil {
-			return err
-		}
-		hw, err := metrics.SumHighWater(c, mem)
-		if err != nil {
-			return err
-		}
-		startup := make([]int64, 1)
-		if err := mpi.Allreduce(c, []int64{memStartup}, startup, mpi.OpSum); err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			steps := float64(simCfg.Steps)
-			out.SimInit = simInit.Max
-			out.AnalysisInit = anInit.Max
-			out.SimPerStep = simStep.Max / steps
-			out.AnalysisPer = anStep.Max / steps
-			out.Finalize = fin.Max
-			out.Total = tot.Max
-			out.MemStartup = startup[0]
-			out.MemHighWater = hw
-			out.SimSteps = reg.Timer("sim::step").Count()
-			out.AnalysisSteps = reg.Timer("analysis::step").Count()
-			if catalystA != nil {
-				images = catalystA.ImagesWritten()
-			}
-			if libsimA != nil {
-				images = libsimA.ImagesWritten()
-			}
-		}
-		return nil
-	})
+	ranks, err := runPlan(launch.Request{Config: config, NP: opt.RealRanks, Cells: opt.RealCells, Steps: opt.RealSteps}, host)
 	if err != nil {
 		return nil, err
 	}
-	out.ImagesWritten = images
+	steps := float64(opt.RealSteps)
+	r0 := ranks[0].Registry
+	out := &MiniappTimings{
+		Config: cfg, Ranks: opt.RealRanks,
+		SimInit:       maxOver(ranks, "sim::initialize"),
+		AnalysisInit:  maxOver(ranks, "sensei::initialize", "catalyst::initialize", "libsim::initialize"),
+		SimPerStep:    maxOver(ranks, "sim::step") / steps,
+		AnalysisPer:   maxOver(ranks, "sensei::execute") / steps,
+		Finalize:      maxOver(ranks, "sensei::finalize"),
+		Total:         maxOver(ranks, "total"),
+		ImagesWritten: r0.Timer("catalyst::png").Count() + r0.Timer("libsim::png").Count(),
+		SimSteps:      r0.Timer("sim::step").Count(),
+		AnalysisSteps: r0.Timer("sensei::execute").Count(),
+	}
+	for _, r := range ranks {
+		out.MemStartup += r.Startup
+		out.MemHighWater += r.Memory.HighWater()
+	}
 	return out, nil
+}
+
+// original is the paper's no-SENSEI contrast, which no bridge can host: the
+// plan's simulation steps, and each step calls the autocorrelation directly,
+// as a subroutine — timed under the bridge's names, so that both rows
+// aggregate alike.
+func original(opt Options) func(*launch.Rank) error {
+	return func(r *launch.Rank) error {
+		a := analysis.NewAutocorrelation(r.Comm, "data", grid.CellData, opt.Window, opt.KMax)
+		a.Memory = r.Memory
+		total := r.Registry.Timer("total")
+		total.Start()
+		for {
+			d, err := r.Source.Next()
+			if err != nil {
+				return err
+			}
+			if d == nil {
+				break
+			}
+			r.Registry.Time("sensei::execute", d.TimeStep(), func() { _, err = a.Execute(d) })
+			if err != nil {
+				return err
+			}
+			if err := d.ReleaseData(); err != nil {
+				return err
+			}
+		}
+		var err error
+		r.Registry.Time("sensei::finalize", 0, func() { err = a.Finalize() })
+		total.Stop()
+		return err
+	}
+}
+
+// sensei is a SENSEI configuration of the analysis elements format names.
+func sensei(format string, args ...any) []byte {
+	return []byte("<sensei>" + fmt.Sprintf(format, args...) + "</sensei>")
+}
+
+// runPlan runs a launcher request that serves nothing beyond its ranks (no
+// endpoint, no live line) on goroutine ranks, its output discarded — the
+// plan's bridge loop, or host over each rank's source when host is set —
+// and returns every rank's instrumentation.
+func runPlan(req launch.Request, host func(*launch.Rank) error) ([]*launch.Rank, error) {
+	req.Transport = "proc"
+	p, err := launch.Load(req)
+	if err != nil {
+		return nil, err
+	}
+	if host == nil {
+		host = p.Drive
+	}
+	err = errors.Join(p.Run(host)...)
+	return p.Ranks(), err
+}
+
+// maxOver is the largest over ranks of one rank's summed totals of the named
+// timers, in seconds: the paper's wall-clock view of a phase.
+func maxOver(ranks []*launch.Rank, names ...string) float64 {
+	return slices.Max(totals(ranks, names...))
+}
+
+// totals is each rank's summed totals of the named timers, in seconds.
+func totals(ranks []*launch.Rank, names ...string) []float64 {
+	out := make([]float64, len(ranks))
+	for i, r := range ranks {
+		for _, n := range names {
+			out[i] += r.Registry.Timer(n).Total().Seconds()
+		}
+	}
+	return out
 }
 
 // models builds per-machine performance models from the options.

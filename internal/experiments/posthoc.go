@@ -5,13 +5,10 @@ import (
 	"os"
 
 	"gosensei/internal/compositing"
-	"gosensei/internal/core"
-	"gosensei/internal/grid"
 	"gosensei/internal/iosim"
+	"gosensei/internal/launch"
 	"gosensei/internal/machine"
 	"gosensei/internal/metrics"
-	"gosensei/internal/mpi"
-	"gosensei/internal/oscillator"
 )
 
 // WriteRunResult summarizes a Baseline+I/O run.
@@ -25,82 +22,36 @@ type WriteRunResult struct {
 
 // RunBaselineWithIO executes the miniapp with SENSEI enabled and a real
 // file-per-rank write every step (the paper's Baseline+I/O configuration of
-// Fig. 10). dir receives the step files a replay reads back.
+// Fig. 10): an oscillator plan under a vtk-writer. dir receives the step
+// files a replay reads back.
 func RunBaselineWithIO(opt Options, dir string) (*WriteRunResult, error) {
-	simCfg := oscillator.Config{
-		GlobalCells: [3]int{opt.RealCells, opt.RealCells, opt.RealCells},
-		DT:          0.05,
-		Steps:       opt.RealSteps,
-		Oscillators: oscillator.DefaultDeck(float64(opt.RealCells)),
-	}
-	out := &WriteRunResult{Dir: dir}
-	err := mpi.Run(opt.RealRanks, func(c *mpi.Comm) error {
-		reg := metrics.NewRegistry(c.Rank())
-		var sim *oscillator.Sim
-		var err error
-		reg.Time("init", 0, func() { sim, err = oscillator.NewSim(c, simCfg, nil) })
-		if err != nil {
-			return err
-		}
-		d := oscillator.NewDataAdaptor(sim)
-		var bytes int64
-		for i := 0; i < simCfg.Steps; i++ {
-			reg.Time("sim", i, func() { err = sim.Step() })
-			if err != nil {
-				return err
-			}
-			d.Update()
-			reg.Time("write", i, func() {
-				mesh, merr := d.Mesh(false)
-				if merr != nil {
-					err = merr
-					return
-				}
-				if merr := d.AddArray(mesh, grid.CellData, "data"); merr != nil {
-					err = merr
-					return
-				}
-				n, werr := iosim.WriteBlockFile(dir, c.Rank(), mesh.(*grid.ImageData), sim.StepIndex(), sim.Time())
-				if werr != nil {
-					err = werr
-					return
-				}
-				bytes += n
-			})
-			if err != nil {
-				return err
-			}
-			_ = d.ReleaseData()
-		}
-		simS, err := metrics.Summarize(c, reg, "sim")
-		if err != nil {
-			return err
-		}
-		writeS, err := metrics.Summarize(c, reg, "write")
-		if err != nil {
-			return err
-		}
-		initS, err := metrics.Summarize(c, reg, "init")
-		if err != nil {
-			return err
-		}
-		total := make([]int64, 1)
-		if err := mpi.Allreduce(c, []int64{bytes}, total, mpi.OpSum); err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			steps := float64(simCfg.Steps)
-			out.SimPerStep = simS.Max / steps
-			out.WritePerStep = writeS.Max / steps
-			out.Init = initS.Max
-			out.BytesPerStep = total[0] / int64(simCfg.Steps)
-		}
-		return nil
-	})
+	ranks, err := runPlan(launch.Request{
+		Config: sensei(`<analysis type="vtk-writer" dir="%s"/>`, dir),
+		NP:     opt.RealRanks, Cells: opt.RealCells, Steps: opt.RealSteps,
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var bytes int64
+	for _, f := range files {
+		info, err := f.Info()
+		if err != nil {
+			return nil, err
+		}
+		bytes += info.Size()
+	}
+	steps := float64(opt.RealSteps)
+	return &WriteRunResult{
+		SimPerStep:   maxOver(ranks, "sim::step") / steps,
+		WritePerStep: maxOver(ranks, "vtkio::write") / steps,
+		Init:         maxOver(ranks, "sim::initialize"),
+		BytesPerStep: bytes / int64(opt.RealSteps),
+		Dir:          dir,
+	}, nil
 }
 
 // PosthocTimings is one post hoc pipeline execution: read, process, write.
@@ -112,46 +63,27 @@ type PosthocTimings struct {
 
 // RunPosthoc replays the steps stored under dir through one workload's
 // analysis on a reduced reader group (the paper uses 10% of the write
-// cores): the replay source under the bridge, as a post hoc gosensei-run
-// deck runs it. The read/process/write split of Fig. 11 comes from the
-// registry's timers: the source's reads, the analyses' executions less the
-// PNG encode, and the encode plus the finalize.
+// cores): a simulation replay plan. The read/process/write split of Fig. 11
+// comes from the registry's timers: the source's reads, the analyses'
+// executions less the PNG encode, and the encode plus the finalize.
 func RunPosthoc(dir string, readRanks int, w ADIOSWorkload, opt Options) (*PosthocTimings, error) {
 	cfg, err := workloadConfig(w, opt)
 	if err != nil {
 		return nil, err
 	}
-	steps, writers, err := iosim.ListSteps(dir)
+	ranks, err := runPlan(launch.Request{
+		Deck:   []byte("simulation replay\ndir " + dir + "\n"),
+		Config: cfg, NP: readRanks, Steps: 1,
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := &PosthocTimings{}
-	err = mpi.Run(readRanks, func(c *mpi.Comm) error {
-		reg := metrics.NewRegistry(c.Rank())
-		b := core.NewBridge(c, reg, nil)
-		if err := cfg.Configure(b); err != nil {
-			return err
-		}
-		if _, err := b.Drive(iosim.NewReplay(c, reg, dir, steps, writers)); err != nil {
-			return err
-		}
-		var t [4]float64
-		for i, name := range []string{"replay::read", "sensei::execute", "catalyst::png", "sensei::finalize"} {
-			s, err := metrics.Summarize(c, reg, name)
-			if err != nil {
-				return err
-			}
-			t[i] = s.Max
-		}
-		if c.Rank() == 0 {
-			out.Read, out.Process, out.Write = t[0], t[1]-t[2], t[2]+t[3]
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	png := maxOver(ranks, "catalyst::png")
+	return &PosthocTimings{
+		Read:    maxOver(ranks, "replay::read"),
+		Process: maxOver(ranks, "sensei::execute") - png,
+		Write:   png + maxOver(ranks, "sensei::finalize"),
+	}, nil
 }
 
 // Table1 reproduces Table 1: one-step write cost, file-per-process "VTK

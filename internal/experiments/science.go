@@ -1,20 +1,19 @@
 package experiments
 
 import (
+	"encoding/xml"
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 
-	"gosensei/internal/analysis"
-	"gosensei/internal/catalyst"
 	"gosensei/internal/compositing"
-	"gosensei/internal/core"
-	"gosensei/internal/grid"
 	"gosensei/internal/iosim"
+	"gosensei/internal/launch"
 	"gosensei/internal/leslie"
 	"gosensei/internal/libsim"
 	"gosensei/internal/machine"
 	"gosensei/internal/metrics"
-	"gosensei/internal/mpi"
-	"gosensei/internal/nyx"
 	"gosensei/internal/phasta"
 )
 
@@ -44,60 +43,21 @@ func PaperPHASTARuns() []PHASTARun {
 }
 
 // RunPHASTAReal executes the PHASTA proxy with Catalyst slice imaging every
-// other step and returns (one-time, in-situ-per-executed-step, total).
+// other step — a simulation phasta plan — and returns (one-time,
+// in-situ-per-executed-step, total).
 func RunPHASTAReal(opt Options, imgW, imgH int, skipPNGCompression bool) (oneTime, perStep, total float64, err error) {
-	steps := opt.RealSteps
-	err = mpi.Run(opt.RealRanks, func(c *mpi.Comm) error {
-		reg := metrics.NewRegistry(c.Rank())
-		s, err := phasta.NewSolver(c, phasta.DefaultConfig(4*opt.RealRanks+6))
-		if err != nil {
-			return err
-		}
-		a := catalyst.NewSliceAdaptor(c, catalyst.Options{
-			ArrayName: "velocity", Assoc: grid.PointData,
-			Width: imgW, Height: imgH,
-			SliceAxis: 2, SliceCoord: s.Cfg.Domain[2] / 2,
-			SkipCompression: skipPNGCompression,
-			Stride:          2, // images every other step
-		})
-		a.Registry = reg
-		b := core.NewBridge(c, reg, nil)
-		b.AddAnalysis("catalyst", a)
-		d := phasta.NewDataAdaptor(s)
-		tot := reg.Timer("total")
-		tot.Start()
-		for i := 0; i < steps; i++ {
-			reg.Time("solver", i, func() { s.Step() })
-			d.Update()
-			reg.Time("insitu", i, func() { _, err = b.Execute(d) })
-			if err != nil {
-				return err
-			}
-		}
-		if err := b.Finalize(); err != nil {
-			return err
-		}
-		tot.Stop()
-		one, err := metrics.Summarize(c, reg, "catalyst::initialize")
-		if err != nil {
-			return err
-		}
-		per, err := metrics.Summarize(c, reg, "insitu")
-		if err != nil {
-			return err
-		}
-		tt, err := metrics.Summarize(c, reg, "total")
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			oneTime = one.Max
-			perStep = per.Max / float64((steps+1)/2) // executed every other step
-			total = tt.Max
-		}
-		return nil
-	})
-	return oneTime, perStep, total, err
+	cells := 4*opt.RealRanks + 6
+	ranks, err := runPlan(launch.Request{
+		Deck: []byte("simulation phasta\n"),
+		Config: sensei(`<analysis type="catalyst" array="velocity" association="point" stride="2" image-width="%d" image-height="%d" slice-axis="z" slice-coord="%v" skip-png-compression="%t"/>`,
+			imgW, imgH, phasta.DefaultConfig(cells).Domain[2]/2, skipPNGCompression),
+		NP: opt.RealRanks, Cells: cells, Steps: opt.RealSteps,
+	}, nil)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	executed := float64((opt.RealSteps + 1) / 2) // stride 2: images every other step
+	return maxOver(ranks, "catalyst::initialize"), maxOver(ranks, "sensei::execute") / executed, maxOver(ranks, "total"), nil
 }
 
 // Table2 reproduces Table 2: PHASTA execution times for IS1/IS2/IS3. The
@@ -186,63 +146,53 @@ type LESLIETimings struct {
 }
 
 // RunLESLIEReal executes the TML proxy with the 3-isosurface + 3-slice
-// session every 5th step.
+// session every 5th step: a simulation leslie plan whose Libsim reads its
+// session file, as Libsim takes its session in the paper. The events are the
+// per-invocation SENSEI costs, by invocation.
 func RunLESLIEReal(opt Options, ranks int) (*LESLIETimings, []metrics.Event, error) {
-	out := &LESLIETimings{}
-	var events []metrics.Event
-	err := mpi.Run(ranks, func(c *mpi.Comm) error {
-		reg := metrics.NewRegistry(c.Rank())
-		s, err := leslie.NewSolver(c, leslie.DefaultConfig(opt.RealCells), nil)
-		if err != nil {
-			return err
-		}
-		session := libsim.TMLSession("vorticity",
-			[3]float64{0.1, 0.3, 0.5},
-			[3]float64{s.Cfg.Domain[0] / 2, s.Cfg.Domain[1] / 2, s.Cfg.Domain[2] / 2})
-		session.Image.Width = opt.ImageW
-		session.Image.Height = opt.ImageH
-		a := libsim.NewAdaptor(c, session, libsim.Options{Stride: 5})
-		a.Registry = reg
-		b := core.NewBridge(c, reg, nil)
-		b.AddAnalysis("libsim", a)
-		d := leslie.NewDataAdaptor(s)
-		for i := 0; i < opt.RealSteps; i++ {
-			reg.Time("avf_timestep", i, func() { err = s.Step() })
-			if err != nil {
-				return err
-			}
-			d.Update()
-			reg.Time("avf_insitu::analyze", i, func() { _, err = b.Execute(d) })
-			if err != nil {
-				return err
-			}
-		}
-		if err := b.Finalize(); err != nil {
-			return err
-		}
-		solver, err := metrics.Summarize(c, reg, "avf_timestep")
-		if err != nil {
-			return err
-		}
-		insitu, err := metrics.Summarize(c, reg, "avf_insitu::analyze")
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			steps := float64(opt.RealSteps)
-			fires := float64((opt.RealSteps + 4) / 5)
-			out.SolverPerStep = solver.Max / steps
-			// Attribute the in situ total to the firing steps.
-			out.InsituPerCall = insitu.Max / fires
-			out.SenseiPerSkip = insitu.Min / steps
-			events = reg.EventsNamed("avf_insitu::analyze")
-		}
-		return nil
-	})
+	dir, err := os.MkdirTemp("", "gosensei-leslie-")
 	if err != nil {
 		return nil, nil, err
 	}
+	defer os.RemoveAll(dir)
+	d := leslie.DefaultConfig(opt.RealCells).Domain
+	session := libsim.TMLSession("vorticity", [3]float64{0.1, 0.3, 0.5}, [3]float64{d[0] / 2, d[1] / 2, d[2] / 2})
+	session.Image = libsim.ImageConfig{Width: opt.ImageW, Height: opt.ImageH}
+	path, err := writeSession(dir, session)
+	if err != nil {
+		return nil, nil, err
+	}
+	rs, err := runPlan(launch.Request{
+		Deck:   []byte("simulation leslie\n"),
+		Config: sensei(`<analysis type="libsim" session="%s" stride="5"/>`, path),
+		NP:     ranks, Cells: opt.RealCells, Steps: opt.RealSteps,
+	}, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	steps := float64(opt.RealSteps)
+	insitu := totals(rs, "sensei::execute")
+	out := &LESLIETimings{
+		SolverPerStep: maxOver(rs, "sim::step") / steps,
+		// Attribute the in situ total to the firing steps.
+		InsituPerCall: slices.Max(insitu) / float64((opt.RealSteps+4)/5),
+		SenseiPerSkip: slices.Min(insitu) / steps,
+	}
+	events := rs[0].Registry.EventsNamed("sensei::execute-step")
+	for i := range events {
+		events[i].Step = i
+	}
 	return out, events, nil
+}
+
+// writeSession writes a Libsim session file into dir and returns its path.
+func writeSession(dir string, s *libsim.Session) (string, error) {
+	doc, err := xml.Marshal(s)
+	if err != nil {
+		return "", err
+	}
+	path := filepath.Join(dir, "session.xml")
+	return path, os.WriteFile(path, doc, 0o644)
 }
 
 // Fig15 reproduces Figure 15: AVF-LESLIE strong scaling on the 1025^3 TML,
@@ -333,63 +283,28 @@ func PaperNyxScales() []NyxScale {
 	}
 }
 
-// RunNyxReal executes the PM proxy under the three Fig. 17 configurations:
-// baseline (no SENSEI), histogram, slice.
+// RunNyxReal executes the PM proxy under the three Fig. 17 configurations,
+// each a simulation nyx plan: baseline (nothing configured), histogram,
+// slice.
 func RunNyxReal(opt Options, workload string) (solverPerStep, analysisPerStep float64, err error) {
-	err = mpi.Run(opt.RealRanks, func(c *mpi.Comm) error {
-		reg := metrics.NewRegistry(c.Rank())
-		s, err := nyx.NewSim(c, nyx.DefaultConfig(opt.RealCells))
-		if err != nil {
-			return err
-		}
-		b := core.NewBridge(c, reg, nil)
-		switch workload {
-		case "baseline":
-		case "histogram":
-			b.AddAnalysis("histogram", analysis.NewHistogram(c, "dark_matter_density", grid.CellData, opt.Bins))
-		case "slice":
-			a := catalyst.NewSliceAdaptor(c, catalyst.Options{
-				ArrayName: "dark_matter_density", Assoc: grid.CellData,
-				Width: opt.ImageW, Height: opt.ImageH,
-				SliceAxis: 2, SliceCoord: 0.5,
-			})
-			a.Registry = reg
-			b.AddAnalysis("catalyst", a)
-		default:
-			return fmt.Errorf("experiments: unknown nyx workload %q", workload)
-		}
-		d := nyx.NewDataAdaptor(s)
-		for i := 0; i < opt.RealSteps; i++ {
-			reg.Time("solver", i, func() { err = s.Step() })
-			if err != nil {
-				return err
-			}
-			if workload != "baseline" {
-				d.Update()
-				reg.Time("analysis", i, func() { _, err = b.Execute(d) })
-				if err != nil {
-					return err
-				}
-			}
-		}
-		if err := b.Finalize(); err != nil {
-			return err
-		}
-		sv, err := metrics.Summarize(c, reg, "solver")
-		if err != nil {
-			return err
-		}
-		an, err := metrics.Summarize(c, reg, "analysis")
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			solverPerStep = sv.Max / float64(opt.RealSteps)
-			analysisPerStep = an.Max / float64(opt.RealSteps)
-		}
-		return nil
-	})
-	return solverPerStep, analysisPerStep, err
+	config, ok := map[string][]byte{
+		"baseline":  nil,
+		"histogram": sensei(`<analysis type="histogram" array="dark_matter_density" bins="%d"/>`, opt.Bins),
+		"slice": sensei(`<analysis type="catalyst" array="dark_matter_density" image-width="%d" image-height="%d" slice-axis="z" slice-coord="0.5"/>`,
+			opt.ImageW, opt.ImageH),
+	}[workload]
+	if !ok {
+		return 0, 0, fmt.Errorf("experiments: unknown nyx workload %q", workload)
+	}
+	ranks, err := runPlan(launch.Request{
+		Deck: []byte("simulation nyx\n"), Config: config,
+		NP: opt.RealRanks, Cells: opt.RealCells, Steps: opt.RealSteps,
+	}, nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	steps := float64(opt.RealSteps)
+	return maxOver(ranks, "sim::step") / steps, maxOver(ranks, "sensei::execute") / steps, nil
 }
 
 // Fig17 reproduces Figure 17: Nyx per-step solution time versus histogram

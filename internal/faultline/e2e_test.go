@@ -25,6 +25,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -110,6 +111,9 @@ func (r *histRecorder) Execute(core.DataAdaptor) (bool, error) {
 
 func (r *histRecorder) Finalize() error { return nil }
 
+// fabricSeq names the runs' fabrics apart on the loopback registry.
+var fabricSeq atomic.Int64
+
 // stagingRun drives the full in transit pipeline — oscillator writers ->
 // FlexPath fabric -> endpoint histogram — under a fault schedule, returning
 // the canonical analysis output and the schedule's fired-fault trace. Fabric
@@ -118,7 +122,10 @@ func (r *histRecorder) Finalize() error { return nil }
 func stagingRun(sched *faultline.Schedule, fabOpts ...adios.FabricOption) (string, []string, error) {
 	run := sched.Start()
 	cfg := e2eConfig()
-	fab := adios.NewFabricNM(e2eWriters, 1, e2eDepth, fabOpts...)
+	fab, err := adios.ListenFabric("loopback", fmt.Sprintf("faultline/%d", fabricSeq.Add(1)), e2eWriters, 1, e2eDepth, fabOpts...)
+	if err != nil {
+		return "", nil, err
+	}
 	if fp := run.FabricPlan(); fp != nil {
 		fab.SetConnWrapper(fp.WrapConn)
 	}

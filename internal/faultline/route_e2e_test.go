@@ -124,7 +124,10 @@ func routedRun(dir string, sched *faultline.Schedule) (string, string, error) {
 	defer iosim.SetFaults(prev)
 
 	cfg := routeConfig()
-	fab := adios.NewFabricNM(routeWriters, 1, e2eDepth)
+	fab, err := adios.ListenFabric("loopback", fmt.Sprintf("faultline/%d", fabricSeq.Add(1)), routeWriters, 1, e2eDepth)
+	if err != nil {
+		return "", "", err
+	}
 	if fp := run.FabricPlan(); fp != nil {
 		fab.SetConnWrapper(fp.WrapConn)
 	}

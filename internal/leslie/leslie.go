@@ -77,6 +77,19 @@ func (c *Config) Validate() error {
 	return nil
 }
 
+// CheckRanks is the one rule of which world sizes the grid can feed: each
+// axis of the process grid needs a cell per process. NewSolver applies it,
+// and so does a launcher before any rank exists.
+func (c *Config) CheckRanks(n int) error {
+	px, py, pz := grid.Dims3(n)
+	for ax, parts := range [3]int{px, py, pz} {
+		if total := c.GlobalCells[ax]; total < parts {
+			return fmt.Errorf("leslie: axis %d: %d cells cannot feed %d ranks", ax, total, parts)
+		}
+	}
+	return nil
+}
+
 // Solver is the per-rank state: a slab-decomposed block with one ghost layer
 // on every face, holding the five conserved fields.
 type Solver struct {
@@ -108,6 +121,9 @@ func NewSolver(c *mpi.Comm, cfg Config, mem *metrics.Tracker) (*Solver, error) {
 	if mem == nil {
 		mem = metrics.NewTracker()
 	}
+	if err := cfg.CheckRanks(c.Size()); err != nil {
+		return nil, err
+	}
 	px, py, pz := grid.Dims3(c.Size())
 	s := &Solver{Comm: c, Cfg: cfg, pdims: [3]int{px, py, pz}}
 	r := c.Rank()
@@ -123,9 +139,6 @@ func NewSolver(c *mpi.Comm, cfg Config, mem *metrics.Tracker) (*Solver, error) {
 			s.n[ax]++
 		}
 		s.off[ax] = i*base + min(i, rem)
-		if s.n[ax] < 1 {
-			return nil, fmt.Errorf("leslie: axis %d: %d cells cannot feed %d ranks", ax, total, parts)
-		}
 		s.dx[ax] = cfg.Domain[ax] / float64(total)
 	}
 	tot := (s.n[0] + 2) * (s.n[1] + 2) * (s.n[2] + 2)

@@ -200,9 +200,6 @@ func NewAdaptor(c *mpi.Comm, session *Session, opts Options) *Adaptor {
 	return &Adaptor{Comm: c, Session: session, Opts: opts}
 }
 
-// ImagesWritten reports how many images rank 0 produced.
-func (a *Adaptor) ImagesWritten() int { return a.imagesOut }
-
 // workers resolves the intra-rank worker count against the process thread
 // budget, so goroutine-ranks times workers stays bounded under mpi.Run.
 func (a *Adaptor) workers() int { return parallel.Workers(a.Opts.Workers, a.Comm.Size()) }

@@ -79,3 +79,6 @@ func TestVolumeReusesFramebuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// ImagesWritten reports how many images rank 0 produced.
+func (a *Adaptor) ImagesWritten() int { return a.imagesOut }

@@ -104,6 +104,7 @@ func DefaultConfig() *Config {
 			m + "/internal/fabric",
 			m + "/internal/live",
 			m + "/internal/world",
+			m + "/internal/launch",
 			m + "/cmd/gosensei-run",
 			m + "/cmd/live-load",
 		},

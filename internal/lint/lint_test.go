@@ -3,8 +3,12 @@ package lint
 import (
 	"bytes"
 	"encoding/json"
+	"go/types"
+	"math"
+	"runtime"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -85,28 +89,98 @@ func TestModuleIsLintClean(t *testing.T) {
 	}
 }
 
-// TestLintRuntimeBudget pins the scan cost: a fresh load and scan of the
-// module — the three interprocedural concurrency rules and the may-block
-// fixpoint behind them included — must stay under 2x the recorded baseline
-// of the five-rule suite (2.17s wall), per the v3 acceptance criteria. One
-// retry absorbs CI scheduling noise; two consecutive misses are a real
-// regression.
+// TestOneConstructionSite holds the module to one way of hosting a
+// simulation: outside internal/launch, no non-test code calls a miniapp's
+// constructor, except cmd/bench (its workloads build their own) and the two
+// examples that show the API by hand. Like TestBadConfigsAreErrors' rule
+// for every registered analysis type, every constructor listed must resolve
+// and must be called by the launcher: a renamed or new simulation cannot
+// slip past the guard.
+func TestOneConstructionSite(t *testing.T) {
+	l, pkgs := testModule(t)
+	constructors := map[string]bool{
+		"gosensei/internal/oscillator.NewSim": false,
+		"gosensei/internal/phasta.NewSolver":  false,
+		"gosensei/internal/leslie.NewSolver":  false,
+		"gosensei/internal/nyx.NewSim":        false,
+	}
+	allowed := map[string]bool{
+		"gosensei/internal/launch":        true,
+		"gosensei/cmd/bench":              true,
+		"gosensei/examples/quickstart":    true,
+		"gosensei/examples/live-steering": true,
+	}
+	for _, pkg := range pkgs {
+		for id, obj := range pkg.Info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok || fn.Pkg() == nil {
+				continue
+			}
+			name := fn.Pkg().Path() + "." + fn.Name()
+			if _, listed := constructors[name]; !listed || fn.Pkg() == pkg.Types {
+				continue
+			}
+			if pkg.Path == "gosensei/internal/launch" {
+				constructors[name] = true
+			}
+			if !allowed[pkg.Path] {
+				t.Errorf("%s: %s builds a simulation by hand; host it through a launch plan", l.Fset.Position(id.Pos()), name)
+			}
+		}
+	}
+	for name, launched := range constructors {
+		if !launched {
+			t.Errorf("internal/launch never calls %s: the guard's list is stale", name)
+		}
+	}
+}
+
+// TestLintRuntimeBudget pins what the rules cost against what loading the
+// module costs, both in this process's own CPU time (getrusage), so that
+// other processes on the host move neither: a fresh load type-checks the
+// module and the standard library from source, then the full suite — the
+// three interprocedural concurrency rules and the may-block fixpoint behind
+// them included — scans it, three times, and the fastest scan counts (one
+// pass can absorb a garbage collection the load left behind). On a 2-core
+// host the scan read 3.5–4.7 % of the load (10 runs), and 3.4–5.2 % as the
+// faster of two scans (17 runs, 5 of them beside two busy-looping
+// processes); a suite that runs its analyzers twice read 7.4–9.2 % (8
+// runs). The bound, 6 %, sits between.
 func TestLintRuntimeBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates the scan ~5x; the budget is pinned for normal builds")
 	}
-	const budget = 2 * 2170 * time.Millisecond
-	var elapsed time.Duration
-	for attempt := 0; attempt < 2 && (attempt == 0 || elapsed >= budget); attempt++ {
-		fresh, err := RunModule("../..")
-		if err != nil {
-			t.Fatalf("RunModule: %v", err)
-		}
-		elapsed = fresh.Elapsed
+	const budget = 0.06
+	start := cpuTime(t)
+	l, err := NewLoader("../..")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if elapsed >= budget {
-		t.Errorf("module scan took %s, budget %s (2x the five-rule baseline); the may-block fixpoint or a new rule regressed scan cost", elapsed.Round(time.Millisecond), budget)
+	pkgs, err := l.LoadModule()
+	if err != nil {
+		t.Fatal(err)
 	}
+	load := cpuTime(t) - start
+	scan := time.Duration(math.MaxInt64)
+	for attempt := 0; attempt < 3; attempt++ {
+		runtime.GC()
+		start := cpuTime(t)
+		Run(l, pkgs, Analyzers(), DefaultConfig())
+		scan = min(scan, cpuTime(t)-start)
+	}
+	if ratio := float64(scan) / float64(load); ratio > budget {
+		t.Errorf("the rules took %s of CPU, %.1f %% of the module load's %s; budget %.1f %%: the may-block fixpoint or a new rule regressed scan cost",
+			scan.Round(time.Millisecond), 100*ratio, load.Round(time.Millisecond), 100*budget)
+	}
+}
+
+// cpuTime is the CPU time this process has used, user and system.
+func cpuTime(t *testing.T) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		t.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // TestWriteFormats checks the two CLI output encodings.

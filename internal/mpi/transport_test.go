@@ -4,7 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"runtime"
+	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -277,23 +282,77 @@ func FuzzEnvelopeDecode(f *testing.F) {
 }
 
 // decodeAgain decodes the accepted envelope p as []T — a mismatch is an
-// error, which is fine — and holds the result and, for a raw payload, the
-// allocation to the size of the input (twice it, if the pooled copy had to
-// be made afresh).
+// error, which is fine — and holds what the decode returns to the size of
+// the input: the elements to no more bytes than p, and for a raw payload its
+// copy to twice p (a pooled copy made afresh) plus 1 KiB. What the decode
+// allocates is TestEnvelopeDecodeAllocation's: the fuzz engine's own
+// goroutines allocate too, so a process-wide count read here can fail on
+// unchanged code.
 func decodeAgain[T any](t *testing.T, p []byte, raw bool) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	e, err := DecodeEnvelope(p)
 	if err != nil {
 		t.Fatalf("second decode of the same bytes: %v", err)
 	}
+	if held := cap(e.Data); raw && held > 2*len(p)+1024 {
+		t.Fatalf("%d input bytes decoded into a %d-byte payload copy", len(p), held)
+	}
 	out, _ := decodePayload[T](&e, nil)
-	runtime.ReadMemStats(&after)
 	if len(out)*sizeOf[T]() > len(p) {
 		t.Fatalf("%d input bytes decoded into %d x %d-byte elements", len(p), len(out), sizeOf[T]())
 	}
-	if grew := after.TotalAlloc - before.TotalAlloc; raw && grew > uint64(2*len(p))+1024 {
-		t.Fatalf("decoding %d input bytes allocated %d", len(p), grew)
+}
+
+// TestEnvelopeDecodeAllocation replays the committed FuzzEnvelopeDecode
+// corpus under the allocation bound: decoding a raw envelope, as float32s
+// or as bytes, allocates at most twice its input plus 1 KiB. The count is
+// process-wide (MemStats.TotalAlloc), so it is read with collection held
+// off, from a test that starts no goroutine, and each decode counts the
+// least of three tries: an allocation elsewhere in the process would have
+// to land in all three.
+func TestEnvelopeDecodeAllocation(t *testing.T) {
+	files, err := filepath.Glob("testdata/fuzz/FuzzEnvelopeDecode/*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no committed corpus: %v", err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	decodes := map[string]func(p []byte){
+		"float32": func(p []byte) { e, _ := DecodeEnvelope(p); _, _ = decodePayload[float32](&e, nil) },
+		"byte":    func(p []byte) { e, _ := DecodeEnvelope(p); _, _ = decodePayload[byte](&e, nil) },
+	}
+	raws := 0
+	for _, f := range files {
+		doc, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(doc)), "\n")
+		quoted, ok := strings.CutPrefix(lines[len(lines)-1], "[]byte(")
+		p, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+		if !ok || err != nil {
+			t.Fatalf("%s: not a []byte corpus entry: %v", f, err)
+		}
+		e, err := DecodeEnvelope([]byte(p))
+		if err != nil || e.Kind != payloadRaw {
+			continue
+		}
+		e.release()
+		raws++
+		for as, decode := range decodes {
+			grew := uint64(math.MaxUint64)
+			for try := 0; try < 3; try++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				decode([]byte(p))
+				runtime.ReadMemStats(&after)
+				grew = min(grew, after.TotalAlloc-before.TotalAlloc)
+			}
+			if grew > uint64(2*len(p))+1024 {
+				t.Errorf("%s: decoding %d input bytes as %s allocated %d", filepath.Base(f), len(p), as, grew)
+			}
+		}
+	}
+	if raws == 0 {
+		t.Fatal("the corpus holds no raw envelope the decoder accepts")
 	}
 }
 

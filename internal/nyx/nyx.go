@@ -67,6 +67,16 @@ func (c *Config) Validate() error {
 	return nil
 }
 
+// CheckRanks is the one rule of which world sizes the box can feed: the z
+// slabs need a cell each. NewSim applies it, and so does a launcher before
+// any rank exists.
+func (c *Config) CheckRanks(n int) error {
+	if c.GridCells < n {
+		return fmt.Errorf("nyx: %d z-cells cannot feed %d ranks", c.GridCells, n)
+	}
+	return nil
+}
+
 // Sim is the per-rank state: a z slab of the mesh (one ghost layer each
 // side) plus the particles currently owned by the slab.
 type Sim struct {
@@ -105,8 +115,8 @@ func NewSim(c *mpi.Comm, cfg Config) (*Sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.GridCells < c.Size() {
-		return nil, fmt.Errorf("nyx: %d z-cells cannot feed %d ranks", cfg.GridCells, c.Size())
+	if err := cfg.CheckRanks(c.Size()); err != nil {
+		return nil, err
 	}
 	n := cfg.GridCells
 	base := n / c.Size()

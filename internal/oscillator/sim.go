@@ -51,6 +51,23 @@ func (c *Config) Validate() error {
 	return nil
 }
 
+// CheckRanks is the one rule of which world sizes the grid can feed: every
+// rank's block of the cell decomposition must hold a cell. NewSim applies
+// it, and so does a launcher before any rank exists.
+func (c *Config) CheckRanks(n int) error {
+	for _, b := range decomposeCells(c.globalCells(), n) {
+		if !b.Valid() {
+			return fmt.Errorf("oscillator: grid %v too small for %d ranks (some blocks empty)", c.GlobalCells, n)
+		}
+	}
+	return nil
+}
+
+// globalCells is the extent of every cell: [0, nx-1] x ...
+func (c *Config) globalCells() grid.Extent {
+	return grid.Extent{0, c.GlobalCells[0] - 1, 0, c.GlobalCells[1] - 1, 0, c.GlobalCells[2] - 1}
+}
+
 // Sim is the per-rank state of the miniapp: a block of the regular cell
 // decomposition and the cell-centered "data" array.
 type Sim struct {
@@ -90,23 +107,14 @@ func NewSim(c *mpi.Comm, cfg Config, mem *metrics.Tracker) (*Sim, error) {
 	if mem == nil {
 		mem = metrics.NewTracker()
 	}
-	// Decompose the cell grid directly: each rank owns a disjoint cell block.
-	global := grid.Extent{0, cfg.GlobalCells[0] - 1, 0, cfg.GlobalCells[1] - 1, 0, cfg.GlobalCells[2] - 1}
-	parts := decomposeCells(global, c.Size())
-	local := parts[c.Rank()]
-	// Detect empty blocks collectively so every rank fails together instead
-	// of some ranks proceeding into collectives the others never enter.
-	ok := int64(1)
-	if !local.Valid() {
-		ok = 0
-	}
-	allOK := make([]int64, 1)
-	if err := mpi.Allreduce(c, []int64{ok}, allOK, mpi.OpMin); err != nil {
+	// Every rank applies the same rule, so all fail together instead of some
+	// proceeding into collectives the others never enter.
+	if err := cfg.CheckRanks(c.Size()); err != nil {
 		return nil, err
 	}
-	if allOK[0] == 0 {
-		return nil, fmt.Errorf("oscillator: grid %v too small for %d ranks (some blocks empty)", cfg.GlobalCells, c.Size())
-	}
+	// Decompose the cell grid directly: each rank owns a disjoint cell block.
+	global := cfg.globalCells()
+	local := decomposeCells(global, c.Size())[c.Rank()]
 	nx, ny, nz := local.Dims() // here Dims counts cells since extents are cell extents
 	n := nx * ny * nz
 	m := len(cfg.Oscillators)

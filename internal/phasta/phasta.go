@@ -80,6 +80,16 @@ func (c *Config) Validate() error {
 	return nil
 }
 
+// CheckRanks is the one rule of which world sizes the mesh can feed: the x
+// slabs need a generating cell each. NewSolver applies it, and so does a
+// launcher before any rank exists.
+func (c *Config) CheckRanks(n int) error {
+	if cellsX := c.GlobalPoints[0] - 1; cellsX < n {
+		return fmt.Errorf("phasta: %d x-cells cannot feed %d ranks", cellsX, n)
+	}
+	return nil
+}
+
 // Solver is the per-rank state: a slab (along x) of the generated tet mesh
 // with Fortran-style separate nodal coordinate arrays and an interleaved
 // velocity array.
@@ -108,10 +118,10 @@ func NewSolver(c *mpi.Comm, cfg Config) (*Solver, error) {
 	}
 	// Slab decomposition along x over generating cells: rank r owns cell
 	// planes [lo, hi), and points [lo, hi] (sharing the interface point).
-	cellsX := cfg.GlobalPoints[0] - 1
-	if cellsX < c.Size() {
-		return nil, fmt.Errorf("phasta: %d x-cells cannot feed %d ranks", cellsX, c.Size())
+	if err := cfg.CheckRanks(c.Size()); err != nil {
+		return nil, err
 	}
+	cellsX := cfg.GlobalPoints[0] - 1
 	base := cellsX / c.Size()
 	rem := cellsX % c.Size()
 	lo := c.Rank()*base + min(c.Rank(), rem)
