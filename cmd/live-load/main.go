@@ -12,6 +12,12 @@
 // measured before the first attach: two frames and the session buffers of
 // both ends each.
 //
+// publish_idle_p50_us is the same paced publish sequence on the same hub
+// before any viewer attaches. -check fails when the publish p50 with every
+// viewer attached exceeds publishBound times it: a publisher that does
+// per-viewer work (waking each waiting pusher itself) fails there long
+// before it comes near the 1 s stall bound.
+//
 // Examples:
 //
 //	live-load -viewers 2000 -frames 60
@@ -53,6 +59,12 @@ func (c *slowConn) Read(p []byte) (int, error) {
 	return c.Conn.Read(p)
 }
 
+// publishBound caps, under -check, the publish p50 with every viewer
+// attached as a multiple of the p50 with none. At 1000 viewers it read
+// 0.55–1.4 on a 2-core host on either network; a publisher that woke each
+// waiting pusher itself read 10–48.
+const publishBound = 4.0
+
 type viewerStats struct {
 	received  uint64
 	lastStep  int
@@ -67,6 +79,7 @@ type report struct {
 	PNGBytes      int     `json:"png_bytes"`
 	Credits       int     `json:"credits"`
 	AttachMS      float64 `json:"attach_ms"`
+	PublishIdleUS float64 `json:"publish_idle_p50_us"`
 	PublishP50US  float64 `json:"publish_p50_us"`
 	PublishMaxUS  float64 `json:"publish_max_us"`
 	ElapsedMS     float64 `json:"elapsed_ms"`
@@ -121,6 +134,10 @@ func main() {
 		payload[i] = byte(i * 131)
 	}
 	finalStep := *frames - 1
+
+	// The publish cost with nobody attached, paced like the run below. Its
+	// frames carry negative steps: the viewers' first frame is the last.
+	idleUS := publishPaced(hub, -*frames, *frames, payload, *pace)
 
 	// Attach every viewer before the first publish. Slow viewers get a
 	// read-delayed conn; their pump still runs, just late.
@@ -188,14 +205,8 @@ func main() {
 
 	// Publish the paced sequence, timing each publish call: this is the
 	// simulation's side of the contract — flat, viewer-independent cost.
-	publishUS := make([]float64, 0, *frames)
 	runStart := time.Now()
-	for step := 0; step < *frames; step++ {
-		t0 := time.Now()
-		hub.Publish(live.Frame{Step: step, Width: 64, Height: 64, PNG: payload})
-		publishUS = append(publishUS, float64(time.Since(t0).Microseconds()))
-		time.Sleep(*pace)
-	}
+	publishUS := publishPaced(hub, 0, *frames, payload, *pace)
 	consumeWG.Wait()
 	elapsedMS := float64(time.Since(runStart).Microseconds()) / 1000
 	heap := liveHeap() // every viewer attached and converged
@@ -203,15 +214,15 @@ func main() {
 		_ = v.Close()
 	}
 
-	sort.Float64s(publishUS)
 	r := report{
 		Network: *network, Viewers: *viewers, SlowViewers: nSlow,
 		Frames: *frames, PNGBytes: *pngBytes, Credits: *credits,
-		AttachMS:     attachMS,
-		PublishP50US: publishUS[len(publishUS)/2],
-		PublishMaxUS: publishUS[len(publishUS)-1],
-		ElapsedMS:    elapsedMS,
-		HeapMB:       float64(heap) / (1 << 20),
+		AttachMS:      attachMS,
+		PublishIdleUS: idleUS[len(idleUS)/2],
+		PublishP50US:  publishUS[len(publishUS)/2],
+		PublishMaxUS:  publishUS[len(publishUS)-1],
+		ElapsedMS:     elapsedMS,
+		HeapMB:        float64(heap) / (1 << 20),
 	}
 	r.FastMinRecv = ^uint64(0)
 	r.SlowMinRecv = ^uint64(0)
@@ -243,9 +254,9 @@ func main() {
 			fatalf("encode: %v", err)
 		}
 	} else {
-		fmt.Printf("live-load %s: %d viewers (%d slow) x %d frames (%dB): publish p50 %.0fus max %.0fus, %d delivered (%.0f/s), converged %d/%d, heap %.1f MB\n",
+		fmt.Printf("live-load %s: %d viewers (%d slow) x %d frames (%dB): publish p50 %.2fus (idle %.2fus) max %.0fus, %d delivered (%.0f/s), converged %d/%d, heap %.1f MB\n",
 			r.Network, r.Viewers, r.SlowViewers, r.Frames, r.PNGBytes,
-			r.PublishP50US, r.PublishMaxUS, r.Delivered, r.DeliveredPerS,
+			r.PublishP50US, r.PublishIdleUS, r.PublishMaxUS, r.Delivered, r.DeliveredPerS,
 			r.Converged, r.Viewers, r.HeapMB)
 	}
 
@@ -256,6 +267,11 @@ func main() {
 		// on a loaded 1-CPU host).
 		if r.PublishMaxUS > 1e6 {
 			fatalf("check: publish stalled: max %.0fus", r.PublishMaxUS)
+		}
+		// Nor does its typical cost grow with the audience.
+		if r.PublishP50US > publishBound*r.PublishIdleUS {
+			fatalf("check: publish p50 %.2fus with %d viewers, over %gx the %.2fus with none",
+				r.PublishP50US, r.Viewers, publishBound, r.PublishIdleUS)
 		}
 		// Every viewer — fast or slow — eventually converges on the final
 		// frame: slow viewers skip, they do not fall off or wedge.
@@ -273,6 +289,21 @@ func main() {
 			fatalf("check: %d viewers hold %.1f MB, budget %.1f MB", *viewers, float64(held)/(1<<20), float64(budget)/(1<<20))
 		}
 	}
+}
+
+// publishPaced publishes steps first … first+n-1 of payload, each followed
+// by a pace sleep, and returns the publish durations in µs (timed in ns),
+// sorted.
+func publishPaced(hub *live.Hub, first, n int, payload []byte, pace time.Duration) []float64 {
+	us := make([]float64, 0, n)
+	for step := first; step < first+n; step++ {
+		t0 := time.Now()
+		hub.Publish(live.Frame{Step: step, Width: 64, Height: 64, PNG: payload})
+		us = append(us, float64(time.Since(t0).Nanoseconds())/1e3)
+		time.Sleep(pace)
+	}
+	sort.Float64s(us)
+	return us
 }
 
 // liveHeap returns the heap bytes still reachable after a collection.

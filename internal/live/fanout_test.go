@@ -3,6 +3,7 @@ package live
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -30,7 +31,7 @@ func pseudoPNG(s, size int) []byte {
 // Run under -race this is the registry's integrity check: no deadlock, no
 // over-release panic, no lost cancel.
 func TestSubscribeChurnHammer(t *testing.T) {
-	h := newHub(4, maxPendingCommands)
+	h := newHub(maxPendingCommands)
 	defer h.Close()
 
 	stop := make(chan struct{})
@@ -133,9 +134,12 @@ func TestFanoutDeterminism(t *testing.T) {
 }
 
 // TestPublishFanoutZeroAlloc guards the zero-copy pool: a steady-state
-// publish/take loop recycles FrameRef buffers instead of allocating. The
-// threshold tolerates the stray allocation a mid-run GC can cause by
-// emptying the sync.Pool, but catches any per-op allocation coming back.
+// publish/take loop recycles FrameRef buffers instead of allocating, and so
+// does waking a consumer parked in Next — every publish finds one parked,
+// the way a wire pusher waits between frames. The threshold tolerates the
+// stray allocation a mid-run GC can cause by emptying the sync.Pool, but
+// catches any per-op allocation coming back (a channel made per epoch to
+// wake the parked consumer costs one).
 func TestPublishFanoutZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts")
@@ -144,13 +148,29 @@ func TestPublishFanoutZeroAlloc(t *testing.T) {
 	defer h.Close()
 	sub := h.SubscribeRef()
 	defer sub.Cancel()
+	parked := h.SubscribeRef()
+	woke := make(chan struct{})
+	go func() {
+		for ref := parked.Next(); ref != nil; ref = parked.Next() {
+			ref.Release()
+			woke <- struct{}{}
+		}
+		close(woke)
+	}()
+	defer func() {
+		parked.Cancel()
+		for range woke {
+		}
+	}()
 
 	png := pseudoPNG(1, 4096)
 	publishAndDrain := func() {
+		waitParked(h)
 		h.Publish(Frame{Step: 1, Width: 64, Height: 64, PNG: png})
 		if ref := sub.Take(); ref != nil {
 			ref.Release()
 		}
+		<-woke
 	}
 	for i := 0; i < 100; i++ { // warm the pool to the working size
 		publishAndDrain()
@@ -206,8 +226,137 @@ func TestManyViewersPublishUnstalled(t *testing.T) {
 	}
 }
 
+// waitParked spins until a consumer is parked on h's waiting list.
+func waitParked(h *Hub) {
+	for {
+		h.pubMu.Lock()
+		n := len(h.waiting)
+		h.pubMu.Unlock()
+		if n > 0 {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestReadyFiresOncePerEpoch pins the edge-triggered latch: once ready has
+// fired for an epoch, arming it again without a take does not fire until
+// the next publish. A level-triggered latch, firing for as long as an
+// untaken frame exists, fails this — and spins a serve pusher whose
+// credits are spent.
+func TestReadyFiresOncePerEpoch(t *testing.T) {
+	h := NewHub()
+	defer h.Close()
+	sub := h.SubscribeRef()
+	defer sub.Cancel()
+	fires := func(rdy <-chan struct{}, within time.Duration) bool {
+		select {
+		case <-rdy:
+			return true
+		case <-time.After(within):
+			return false
+		}
+	}
+
+	rdy := sub.ready() // nothing published: parks
+	h.Publish(Frame{Step: 0, PNG: pseudoPNG(0, 8)})
+	if !fires(rdy, 10*time.Second) {
+		t.Fatal("the waker did not fire a parked latch")
+	}
+	if fires(sub.ready(), 50*time.Millisecond) {
+		t.Fatal("latch fired twice for epoch 1 without a take (woken by the waker)")
+	}
+	h.Publish(Frame{Step: 1, PNG: pseudoPNG(1, 8)})
+	if !fires(rdy, 10*time.Second) {
+		t.Fatal("latch did not fire for the next publish")
+	}
+	if fires(sub.ready(), 50*time.Millisecond) {
+		t.Fatal("latch fired twice for epoch 2 without a take")
+	}
+	ref := sub.take()
+	if ref == nil || ref.Step() != 1 {
+		t.Fatalf("take after two publishes = %v, want step 1", ref)
+	}
+	ref.Release()
+	if sub.take() != nil {
+		t.Fatal("took the same epoch twice")
+	}
+
+	// A latch that fires at once (an untaken frame when armed) is
+	// edge-triggered too.
+	late := h.SubscribeRef()
+	defer late.Cancel()
+	if !fires(late.ready(), 10*time.Second) {
+		t.Fatal("a late joiner's latch did not fire for the snapshot")
+	}
+	if fires(late.ready(), 50*time.Millisecond) {
+		t.Fatal("a late joiner's latch fired twice for one epoch without a take")
+	}
+}
+
+// TestPoolSafetyUnderPressure drains 1,000 subscriptions against a publisher
+// running flat out until every one of them has checked frames from at least
+// 200 publishes. Every frame a subscriber holds must still carry its own
+// step's bytes when checked, so no FrameRef returns to frameRefPool — to be
+// refilled in place by a later publish — while someone still holds it. Run
+// it under -race.
+func TestPoolSafetyUnderPressure(t *testing.T) {
+	const subs, steps, checks, size = 1000, 200, 5, 64
+	h := NewHub()
+	defer h.Close()
+
+	errs := make(chan error, subs)
+	var wg sync.WaitGroup
+	wg.Add(subs)
+	for i := 0; i < subs; i++ {
+		sub := h.SubscribeRef()
+		go func(i int) {
+			defer wg.Done()
+			defer sub.Cancel()
+			last := -1
+			for n := 0; n < checks || last < steps-1; n++ {
+				ref := sub.Next()
+				if ref == nil {
+					errs <- fmt.Errorf("subscriber %d: closed after step %d", i, last)
+					return
+				}
+				s := ref.Step()
+				ok := s > last && bytes.Equal(ref.PNG(), pseudoPNG(s, size))
+				ref.Release()
+				if !ok {
+					errs <- fmt.Errorf("subscriber %d: frame for step %d (after %d) is not its own bytes", i, s, last)
+					return
+				}
+				last = s
+			}
+		}(i)
+	}
+	drained := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(drained)
+	}()
+	for s, done := 0, false; !done; s++ {
+		h.Publish(Frame{Step: s, Width: 8, Height: 8, PNG: pseudoPNG(s, size)})
+		if s >= steps-1 {
+			select {
+			case <-drained:
+				done = true
+			default:
+			}
+		}
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n := h.Viewers(); n != 0 {
+		t.Fatalf("viewers=%d after every subscriber canceled", n)
+	}
+}
+
 func TestCommandTableBounded(t *testing.T) {
-	h := newHub(hubShards, 8)
+	h := newHub(8)
 	defer h.Close()
 	// A flood of distinct names between drains must not grow memory
 	// without bound: the table caps at its maxPending, evicting the
@@ -228,6 +377,20 @@ func TestCommandTableBounded(t *testing.T) {
 			t.Fatalf("cmds[%d]=%+v, want name %s", i, c, want)
 		}
 	}
+}
+
+// Take is take for the external tests.
+func (s *Subscription) Take() *FrameRef { return s.take() }
+
+// LatestRef returns a retained reference to the most recent frame, or nil
+// if none was published. The caller must Release it.
+func (h *Hub) LatestRef() *FrameRef {
+	h.pubMu.Lock()
+	defer h.pubMu.Unlock()
+	if h.latest != nil {
+		h.latest.Retain()
+	}
+	return h.latest
 }
 
 // PendingCommands reports the size of the coalesced steering table.

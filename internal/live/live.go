@@ -14,16 +14,18 @@
 // The hub is built for fan-out scale (the libyt many-client pattern):
 //
 //   - Publish encodes the frame into an immutable refcounted buffer exactly
-//     once (FrameRef), swaps it into the latest-frame snapshot cache, and
-//     wakes K shard pushers — O(1) in the number of viewers, so a thousand
-//     attached viewers cannot slow the simulation's publish path.
-//   - Viewers hash into shards, each with its own lock and pusher
-//     goroutine. Delivery is newest-wins per viewer: a subscription holds
-//     at most one undelivered frame, and a slower viewer skips straight to
-//     the newest rather than accumulating a backlog.
-//   - Late joiners are seeded from the snapshot cache at attach, so a
-//     viewer sees the current image immediately instead of waiting for the
-//     next publish.
+//     once (FrameRef) and swaps it into the hub's snapshot. Nobody is pushed
+//     to: a subscriber takes the snapshot itself when its epoch is newer
+//     than the last one it took, so delivery is newest-wins and a slower
+//     viewer skips straight to the newest frame instead of accumulating a
+//     backlog.
+//   - A consumer with nothing new parks on the hub's waiting list. Publish
+//     only sets one cap-1 latch; the hub's single waker goroutine swaps the
+//     list out and sets each parked consumer's latch. Publish is O(1) in
+//     the number of viewers, so a thousand attached viewers cannot slow the
+//     simulation's publish path.
+//   - A late joiner's first take is the snapshot, so a viewer sees the
+//     current image immediately instead of waiting for the next publish.
 //   - Steering commands coalesce last-writer-wins per command name with
 //     epoch tags, so a steer flood costs bounded memory and DrainCommands
 //     returns a deterministic, update-ordered list for the rank-0
@@ -33,7 +35,6 @@ package live
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Frame is one published image.
@@ -57,36 +58,35 @@ type Command struct {
 	Epoch uint64
 }
 
-const (
-	// hubShards is the number of subscriber shards (and pusher goroutines)
-	// fanning frames out.
-	hubShards = 8
-	// maxPendingCommands caps the coalesced steering table: at most this
-	// many distinct command names are held between DrainCommands calls,
-	// evicting the stalest (lowest-epoch) entry when a new name arrives
-	// full. Steering vocabularies are small, and the cap is what keeps a
-	// steer flood from growing memory without bound.
-	maxPendingCommands = 64
-)
+// maxPendingCommands caps the coalesced steering table: at most this many
+// distinct command names are held between DrainCommands calls, evicting the
+// stalest (lowest-epoch) entry when a new name arrives full. Steering
+// vocabularies are small, and the cap is what keeps a steer flood from
+// growing memory without bound.
+const maxPendingCommands = 64
 
 // Hub connects one running pipeline to its viewers. All methods are safe
 // for concurrent use; the pipeline and every viewer run on their own
 // goroutines.
 type Hub struct {
-	shards []*shard
 	done   chan struct{}
+	exited chan struct{} // closed by the waker on its way out
+	wake   chan struct{} // cap 1: set by Publish for the waker, a latch
 	closed sync.Once
 
-	// pubMu guards the snapshot cache. It is the only lock Publish takes,
-	// held for a pointer swap — never across encoding, delivery, or any
-	// per-viewer work — so publish cost is flat in viewer count.
+	// pubMu guards the snapshot, the waiting list and every subscription's
+	// epochs. Publish holds it for a pointer swap — never across encoding,
+	// waking or any per-viewer work — so publish cost is flat in viewer
+	// count; the waker holds it for one pass of field reads over the
+	// waiting list.
 	pubMu   sync.Mutex
 	latest  *FrameRef
-	epoch   uint64
-	frames  int
+	epoch   uint64 // also the number of frames published
+	viewers int
 	stopped bool
-
-	nextSub atomic.Int64
+	// waiting holds the consumers parked since the waker last ran. The
+	// waker swaps it for its own spare buffer, so neither is reallocated.
+	waiting []*Subscription
 
 	// The coalesced steering table: last-writer-wins per name, bounded by
 	// maxPending, drained in epoch order.
@@ -96,234 +96,220 @@ type Hub struct {
 	maxPending int
 }
 
-// shard owns a slice of the subscriber registry: its own lock, its own
-// pusher goroutine, its own wakeup latch. Publish wakes the pusher; the
-// pusher delivers the newest frame to every subscriber in the shard.
-type shard struct {
-	hub    *Hub
-	mu     sync.Mutex
-	subs   map[int64]*Subscription
-	wakeup chan struct{} // cap 1: a set latch, not a queue
-}
-
 // NewHub returns an empty hub.
-func NewHub() *Hub { return newHub(hubShards, maxPendingCommands) }
+func NewHub() *Hub { return newHub(maxPendingCommands) }
 
-// newHub is NewHub with the two sizes open, for the tests that need a
-// small table or an uneven shard count.
-func newHub(shards, maxPending int) *Hub {
+// newHub is NewHub with the steering table's size open, for the tests that
+// need a small one.
+func newHub(maxPending int) *Hub {
 	h := &Hub{
-		shards:     make([]*shard, shards),
 		done:       make(chan struct{}),
+		exited:     make(chan struct{}),
+		wake:       make(chan struct{}, 1),
 		steer:      make(map[string]Command),
 		maxPending: maxPending,
 	}
-	for i := range h.shards {
-		sh := &shard{hub: h, subs: make(map[int64]*Subscription), wakeup: make(chan struct{}, 1)}
-		h.shards[i] = sh
-		go sh.run()
-	}
+	go h.waker()
 	return h
 }
 
-// Close detaches every subscriber and stops the shard pushers. Idempotent;
-// a hub used for the life of the process need never be closed.
+// Close stops the waker and waits for it to exit, drops the snapshot and
+// ends every Next. Idempotent; a hub used for the life of the process need
+// never be closed.
 func (h *Hub) Close() {
 	h.closed.Do(func() {
 		close(h.done)
-		for _, sh := range h.shards {
-			sh.mu.Lock()
-			subs := make([]*Subscription, 0, len(sh.subs))
-			for _, s := range sh.subs {
-				subs = append(subs, s)
-			}
-			sh.mu.Unlock()
-			for _, s := range subs {
-				s.Cancel()
-			}
-		}
+		<-h.exited
 		h.pubMu.Lock()
 		old := h.latest
-		h.latest = nil
-		h.stopped = true
+		h.latest, h.stopped = nil, true
 		h.pubMu.Unlock()
 		old.Release()
 	})
 }
 
-// Publish stores a frame as the latest and wakes the shard pushers. The
-// frame is encoded once into an immutable shared buffer; slow viewers skip
-// to the newest frame rather than stalling the simulation (a live viewer
-// wants the current image, not a backlog).
+// Publish stores a frame as the latest and, if a consumer is parked, wakes
+// the waker. The frame is encoded once into an immutable shared buffer;
+// slow viewers skip to the newest frame rather than stalling the
+// simulation (a live viewer wants the current image, not a backlog).
 func (h *Hub) Publish(f Frame) {
 	h.pubMu.Lock()
 	h.epoch++
 	e := h.epoch
-	h.frames++
 	h.pubMu.Unlock()
 	ref := newFrameRef(f, e) // encode once, outside every lock
-	old := ref
+	old, parked := ref, false
 	h.pubMu.Lock()
 	if !h.stopped && (h.latest == nil || h.latest.Epoch() < e) {
-		old = h.latest
-		h.latest = ref // the snapshot cache's reference
+		old, h.latest = h.latest, ref // the snapshot's reference
+		parked = len(h.waiting) > 0
 	}
 	h.pubMu.Unlock()
 	old.Release()
-	for _, sh := range h.shards {
-		select {
-		case sh.wakeup <- struct{}{}:
-		default: // pusher already signaled; it will see the newest frame
-		}
+	if parked {
+		set(h.wake)
 	}
 }
 
-// LatestRef returns a retained reference to the most recent frame, or nil
-// if none was published. The caller must Release it.
-func (h *Hub) LatestRef() *FrameRef {
-	h.pubMu.Lock()
-	defer h.pubMu.Unlock()
-	if h.latest != nil {
-		h.latest.Retain()
+// set sets a cap-1 latch; a latch already set covers this call.
+func set(latch chan struct{}) {
+	select {
+	case latch <- struct{}{}:
+	default:
 	}
-	return h.latest
 }
 
 // Frames reports how many frames were published.
 func (h *Hub) Frames() int {
 	h.pubMu.Lock()
 	defer h.pubMu.Unlock()
-	return h.frames
+	return int(h.epoch)
 }
 
 // Viewers reports the number of attached viewers.
 func (h *Hub) Viewers() int {
-	n := 0
-	for _, sh := range h.shards {
-		sh.mu.Lock()
-		n += len(sh.subs)
-		sh.mu.Unlock()
-	}
-	return n
+	h.pubMu.Lock()
+	defer h.pubMu.Unlock()
+	return h.viewers
 }
 
-// run is the shard's pusher: woken by Publish, it fans the newest frame
-// out to the shard's subscribers. Wakeups coalesce (the latch holds one
-// token), so under publish pressure a shard delivers the newest frame and
-// skips the ones already superseded — the O(viewers) work rides here, off
-// the publish path, split across shards.
-func (sh *shard) run() {
-	var lastEpoch uint64
+// waker is the hub's one goroutine. Each time its latch is set it swaps the
+// waiting list out and polls every consumer on it: one with a newer frame
+// is due a wake-up, one without is parked again, a canceled one is dropped.
+// The polls are field reads under one pubMu hold; the wake-ups — the
+// O(viewers) scheduler work — happen after it, off the publish path.
+func (h *Hub) waker() {
+	defer close(h.exited)
+	var woken []*Subscription
 	for {
 		select {
-		case <-sh.hub.done:
+		case <-h.done:
 			return
-		case <-sh.wakeup:
+		case <-h.wake:
 		}
-		ref := sh.hub.LatestRef()
-		if ref == nil {
-			continue
+		h.pubMu.Lock()
+		woken, h.waiting = h.waiting, woken[:0]
+		due := woken[:0] // filled in place behind the loop's index
+		for _, s := range woken {
+			if s.poll() {
+				due = append(due, s)
+			}
 		}
-		if ref.Epoch() == lastEpoch {
-			ref.Release()
-			continue
+		h.pubMu.Unlock()
+		for _, s := range due {
+			set(s.rdy)
 		}
-		lastEpoch = ref.Epoch()
-		sh.mu.Lock()
-		for _, sub := range sh.subs {
-			sub.deliver(ref)
-		}
-		sh.mu.Unlock()
-		ref.Release()
+		clear(woken) // a dropped consumer is not kept alive by the spare
 	}
 }
 
-// Subscription is one attached viewer on the zero-copy path. It holds at
-// most one undelivered frame — always the newest — so a viewer that stops
-// draining costs the hub one frame reference, not a growing queue.
+// Subscription is one attached viewer on the zero-copy path. It holds no
+// frame: it takes the hub's snapshot when that is newer than the last one
+// it took, so a viewer that stops draining costs the hub nothing.
 type Subscription struct {
-	sh        *shard
-	id        int64
-	lastEpoch uint64                   // newest epoch delivered; guarded by sh.mu
-	slot      atomic.Pointer[FrameRef] // newest undelivered frame (owned ref)
-	rdy       chan struct{}            // cap 1: set when the slot is filled
-	done      chan struct{}            // closed by Cancel
-	once      sync.Once
+	hub   *Hub
+	taken uint64        // epoch of the last frame taken; guarded by hub.pubMu
+	fired uint64        // epoch the latch last fired for; guarded by hub.pubMu
+	rdy   chan struct{} // cap 1: set once per epoch newer than taken
+	done  chan struct{} // closed by Cancel, under hub.pubMu
 }
 
-// SubscribeRef attaches a viewer on the zero-copy path and seeds it with
-// the snapshot cache, so a late joiner has the current frame immediately.
+// SubscribeRef attaches a viewer on the zero-copy path. Its first take is
+// the hub's snapshot, so a late joiner has the current frame immediately.
 // Cancel detaches.
 func (h *Hub) SubscribeRef() *Subscription {
-	id := h.nextSub.Add(1)
-	sh := h.shards[int(uint64(id)%uint64(len(h.shards)))]
-	sub := &Subscription{sh: sh, id: id, rdy: make(chan struct{}, 1), done: make(chan struct{})}
-	// Register and seed under one shard critical section: deliveries are
-	// serialized on sh.mu, and the seed reads the snapshot cache inside it,
-	// so the seeded frame can never be older than one a racing pusher
-	// already delivered.
-	sh.mu.Lock()
-	sh.subs[id] = sub
-	if ref := h.LatestRef(); ref != nil {
-		sub.deliver(ref)
-		ref.Release()
-	}
-	sh.mu.Unlock()
-	return sub
+	h.pubMu.Lock()
+	h.viewers++
+	h.pubMu.Unlock()
+	return &Subscription{hub: h, rdy: make(chan struct{}, 1), done: make(chan struct{})}
 }
 
-// deliver installs ref as the subscription's newest frame, releasing any
-// frame the viewer never took (newest-wins), and sets the ready latch.
-// Callers hold sh.mu; the epoch guard makes delivery exactly-once per frame
-// even when a registration seed races a pending shard wakeup for the same
-// snapshot.
-func (s *Subscription) deliver(ref *FrameRef) {
-	if ref.Epoch() <= s.lastEpoch {
-		return
-	}
-	s.lastEpoch = ref.Epoch()
-	ref.Retain()
-	s.slot.Swap(ref).Release()
+// poll reports whether the latch is due: the snapshot is newer than both
+// the last frame taken and the last epoch the latch fired for, which it
+// records as fired. Otherwise it parks the subscription on the waiting
+// list, unless it is canceled. The caller holds hub.pubMu and, on true,
+// sets the latch.
+func (s *Subscription) poll() bool {
+	h := s.hub
 	select {
-	case s.rdy <- struct{}{}:
+	case <-s.done:
+		return false
 	default:
 	}
+	if h.latest != nil && h.latest.Epoch() > max(s.taken, s.fired) {
+		s.fired = h.latest.Epoch()
+		return true
+	}
+	if !h.stopped {
+		h.waiting = append(h.waiting, s)
+	}
+	return false
 }
 
-// Ready returns the wakeup latch: it receives (at least) once after each
-// slot update. Pair with Take in a select loop.
-func (s *Subscription) Ready() <-chan struct{} { return s.rdy }
+// ready arms the latch and returns it. The latch is edge-triggered: it
+// fires once for each epoch newer than the last frame taken, not for as
+// long as an untaken frame exists. A consumer calls ready again only after
+// receiving from it, since each call that finds nothing new parks the
+// subscription once more.
+func (s *Subscription) ready() <-chan struct{} {
+	s.hub.pubMu.Lock()
+	due := s.poll()
+	s.hub.pubMu.Unlock()
+	if due {
+		set(s.rdy)
+	}
+	return s.rdy
+}
 
-// Take removes and returns the newest undelivered frame, or nil if the
-// viewer already took it. The caller owns the reference and must Release.
-func (s *Subscription) Take() *FrameRef { return s.slot.Swap(nil) }
+// take returns the hub's snapshot if it is newer than the last frame taken,
+// or nil. The retain happens under pubMu, so it cannot race the hub's
+// release of a displaced snapshot into frameRefPool. The caller owns the
+// reference and must Release it.
+func (s *Subscription) take() *FrameRef {
+	h := s.hub
+	h.pubMu.Lock()
+	defer h.pubMu.Unlock()
+	if h.latest == nil || h.latest.Epoch() <= s.taken {
+		return nil
+	}
+	s.taken = h.latest.Epoch()
+	h.latest.Retain()
+	return h.latest
+}
 
-// Next blocks until a frame is available (returning an owned reference the
-// caller must Release) or the subscription is canceled (returning nil).
+// Next blocks until a frame newer than the last one taken is available
+// (returning an owned reference the caller must Release), or the
+// subscription is canceled or its hub closed (returning nil).
 func (s *Subscription) Next() *FrameRef {
 	for {
-		if ref := s.Take(); ref != nil {
+		if ref := s.take(); ref != nil {
 			return ref
 		}
 		select {
-		case <-s.rdy:
+		case <-s.ready():
 		case <-s.done:
+			return nil
+		case <-s.hub.done:
 			return nil
 		}
 	}
 }
 
-// Cancel detaches the viewer and drops its pending frame. Idempotent.
+// Cancel detaches the viewer. Idempotent. The waker drops the subscription
+// from the waiting list; it is woken here so that a detached viewer does not
+// wait on the list for the next publish.
 func (s *Subscription) Cancel() {
-	s.once.Do(func() {
-		s.sh.mu.Lock()
-		delete(s.sh.subs, s.id)
-		s.sh.mu.Unlock()
-		// No deliver can be in flight past this point (delivery holds
-		// sh.mu), so draining the slot here is final.
-		s.slot.Swap(nil).Release()
-		close(s.done)
-	})
+	h := s.hub
+	h.pubMu.Lock()
+	defer h.pubMu.Unlock()
+	select {
+	case <-s.done:
+		return
+	default:
+	}
+	close(s.done)
+	h.viewers--
+	set(h.wake)
 }
 
 // SendCommand queues a steering request, coalescing last-writer-wins per

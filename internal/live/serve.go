@@ -24,10 +24,10 @@ import (
 //     returns them by sending FrameRelease with its cumulative received
 //     count once a frame has crossed the wire.
 //   - A viewer whose connection stops draining exhausts its credits and is
-//     simply skipped: its subscription slot keeps tracking the newest
-//     frame, and the moment credits return it resumes from there. A slow
-//     or stalled viewer therefore costs the server nothing per publish — no
-//     write-deadline stall per frame, no queue growth.
+//     simply skipped: its pusher takes nothing while the hub's snapshot
+//     moves on, and the moment credits return it takes the newest frame. A
+//     slow or stalled viewer therefore costs the server nothing per
+//     publish — no write-deadline stall per frame, no queue growth.
 //   - The frame bytes a viewer receives are the hub's sealed wire buffer
 //     (FrameRef.Wire()), encoded once per publish and written verbatim to
 //     every connection: the fan-out path copies nothing per viewer.
@@ -44,9 +44,6 @@ type ServeOptions struct {
 	// Welcome. Default 2: one frame crossing the wire while the next is
 	// queued behind it.
 	Credits int
-	// Stats receives the server-side wire counters; nil allocates a
-	// private set.
-	Stats *fabric.Stats
 }
 
 const defaultViewerCredits = 2
@@ -54,7 +51,7 @@ const defaultViewerCredits = 2
 // Server accepts viewer connections on a fabric listener and bridges them
 // to a Hub: every frame the pipeline publishes is pushed to each attached
 // viewer (newest-wins on lag, credit-bounded on the wire), a late joiner is
-// seeded from the hub's snapshot cache immediately on attach, and steering
+// seeded from the hub's snapshot immediately on attach, and steering
 // commands from viewers land in the hub's coalesced table for the
 // simulation's next DrainCommands.
 type Server struct {
@@ -77,10 +74,7 @@ func ServeWith(lis fabric.Listener, hub *Hub, o ServeOptions) *Server {
 	if o.Credits <= 0 {
 		o.Credits = defaultViewerCredits
 	}
-	if o.Stats == nil {
-		o.Stats = &fabric.Stats{}
-	}
-	s := &Server{hub: hub, lis: lis, stats: o.Stats, credits: o.Credits}
+	s := &Server{hub: hub, lis: lis, stats: &fabric.Stats{}, credits: o.Credits}
 	go s.acceptLoop()
 	return s
 }
@@ -128,17 +122,18 @@ func (s *Server) serve(conn fabric.Conn) {
 	if sess.SendWelcome(fabric.Welcome{Credits: uint32(s.credits)}) != nil {
 		return
 	}
-	// Attach on the zero-copy path: the subscription is seeded from the
-	// snapshot cache, so the pusher's first write is the current frame —
-	// a late joiner sees an image immediately, not at the next publish.
+	// Attach on the zero-copy path: the subscription's first take is the
+	// hub's snapshot, so the pusher's first write is the current frame — a
+	// late joiner sees an image immediately, not at the next publish.
 	sub := s.hub.SubscribeRef()
 	defer sub.Cancel()
 
 	// The credit ledger: sent is pusher-local, released is the cumulative
 	// count the viewer's FrameRelease frames carry back. The pusher sends
 	// only while sent-released < credits, so a viewer that stops draining
-	// is skipped (its slot keeps the newest frame) instead of stalling a
-	// write until the deadline.
+	// is skipped (it takes the newest frame once credits return) instead
+	// of stalling a write until the deadline. The ready latch is armed
+	// again only after it fired; a credit wake-up leaves it armed.
 	var released atomic.Uint32
 	creditCh := make(chan struct{}, 1)
 	stop := make(chan struct{})
@@ -146,15 +141,17 @@ func (s *Server) serve(conn fabric.Conn) {
 	go func() {
 		defer close(done)
 		var sent uint32
+		rdy := sub.ready()
 		for {
 			select {
 			case <-stop:
 				return
-			case <-sub.Ready():
+			case <-rdy:
+				rdy = nil
 			case <-creditCh:
 			}
 			for sent-released.Load() < uint32(s.credits) {
-				ref := sub.Take()
+				ref := sub.take()
 				if ref == nil {
 					break
 				}
@@ -164,6 +161,9 @@ func (s *Server) serve(conn fabric.Conn) {
 					return // the session closed itself; the pump below sees it
 				}
 				sent++
+			}
+			if rdy == nil {
+				rdy = sub.ready()
 			}
 		}
 	}()
