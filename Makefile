@@ -90,16 +90,20 @@ world-smoke:
 # Every shipped configuration that needs no second process, run by the
 # launcher from a scratch directory on goroutine ranks and on a loopback
 # world (3 ranks: the non-power-of-two shapes of every compositor and
-# aggregator): what configs/ ships must load strictly and run to exit 0.
+# aggregator): what configs/ ships must load strictly, run to exit 0, and
+# print the same stdout on both. routed-histogram.xml is exempt from the
+# comparison: the router's decision log prints wall-clock estimates.
 configs-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; root=$$(pwd); \
 	$(GO) build -o "$$tmp/gosensei-run" ./cmd/gosensei-run; \
 	for f in $$(grep -L 'transport="flexpath"' configs/*.xml); do \
 		for t in proc loopback; do \
 			mkdir -p "$$tmp/$$t"; \
-			(cd "$$tmp/$$t" && "$$tmp/gosensei-run" -np 3 -cells 12 -steps 4 -transport $$t -config "$$root/$$f" > run.log 2>&1) \
-				|| { cat "$$tmp/$$t/run.log"; echo "configs-smoke: $$f failed on $$t"; exit 1; }; \
+			(cd "$$tmp/$$t" && "$$tmp/gosensei-run" -np 3 -cells 12 -steps 4 -transport $$t -config "$$root/$$f" > stdout.txt 2> stderr.txt) \
+				|| { cat "$$tmp/$$t/stdout.txt" "$$tmp/$$t/stderr.txt"; echo "configs-smoke: $$f failed on $$t"; exit 1; }; \
 		done; \
+		[ "$$f" = configs/routed-histogram.xml ] || cmp "$$tmp/proc/stdout.txt" "$$tmp/loopback/stdout.txt" \
+			|| { echo "configs-smoke: $$f printed different stdout on proc and loopback"; exit 1; }; \
 	done; \
 	echo "configs-smoke: $$(grep -L 'transport="flexpath"' configs/*.xml | wc -l) configurations ran on proc and loopback"
 
@@ -117,9 +121,13 @@ fabric-smoke:
 # The metamorphic fault-injection suite under the race detector: 13 seeded
 # schedules per pipeline (staging + post hoc = 26 total), each required to
 # produce bit-identical analysis output to the fault-free run. Any failure
-# prints a GOSENSEI_FAULT_SCHEDULE=<seed:spec> token that replays it.
+# prints a GOSENSEI_FAULT_SCHEDULE=<seed:spec> token that replays it. Then
+# the launcher's own fault plumbing: a library plan fires its io faults,
+# refuses fabric faults it has no wire for, and shares no fault state with
+# a plan running beside it.
 faultline-smoke:
 	GOSENSEI_FAULT_N=13 $(GO) test -race -count=1 -run 'TestMetamorphic|TestRepro|TestFatal' ./internal/faultline/
+	$(GO) test -race -count=1 -run 'TestIOFaultsReachALibraryPlan|TestFabricFaultsNeedThisPlansWire|TestConcurrentPlansShareNoFaults' ./internal/launch/
 
 # The adaptive-routing contract end to end: the workload-shift experiment
 # with -check requires the router to switch at least once, finish with zero

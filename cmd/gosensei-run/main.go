@@ -68,8 +68,6 @@ import (
 	"strconv"
 	"strings"
 
-	"gosensei/internal/adios"
-	"gosensei/internal/iosim"
 	"gosensei/internal/launch"
 	"gosensei/internal/parallel"
 	"gosensei/internal/world"
@@ -113,14 +111,6 @@ func main() {
 	}
 	if threads > 0 {
 		parallel.SetThreads(threads)
-	}
-	// The process-wide seams of the two fault domains that fire below the
-	// world: block files and the staging wire.
-	if f := p.Faults().IOPlan(); f != nil {
-		iosim.SetFaults(f)
-	}
-	if f := p.Faults().FabricPlan(); f != nil {
-		adios.SetWireFaults(f.WrapConn)
 	}
 
 	if rank := os.Getenv(workerEnv); rank != "" {

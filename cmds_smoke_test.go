@@ -151,9 +151,9 @@ func awaitOutput(t *testing.T, what string, out <-chan string) string {
 
 // TestCmdEndpointSmoke stages three steps to an endpoint run — two reader
 // ranks on a loopback world, under a schedule of tolerated mpi faults — from
-// writers under a schedule of fabric faults, which reach the configured
-// writer through adios.SetWireFaults. Every fault fires and is ridden out:
-// the endpoint reports what the in situ run reports.
+// writers under a schedule of fabric faults, which the configured writer
+// takes from its bridge's fault schedule. Every fault fires and is ridden
+// out: the endpoint reports what the in situ run reports.
 func TestCmdEndpointSmoke(t *testing.T) {
 	sim := buildTool(t, "gosensei-run")
 	shape := []string{"-np", "2", "-cells", "12", "-steps", "3"}
@@ -415,7 +415,7 @@ func TestCmdRefusals(t *testing.T) {
 	blocks := filepath.Join(work, "blocks")
 	img := grid.NewImageData(grid.NewExtent3D(3, 3, 3))
 	img.Attributes(grid.CellData).Add(array.New[float64]("data", 1, img.NumberOfCells()))
-	if _, err := iosim.WriteBlockFile(blocks, 0, img, 0, 0); err != nil {
+	if _, err := iosim.WriteBlockFile(blocks, 0, img, 0, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Mkdir(filepath.Join(work, "empty"), 0o755); err != nil {

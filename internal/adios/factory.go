@@ -3,7 +3,6 @@ package adios
 import (
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"gosensei/internal/core"
@@ -12,10 +11,10 @@ import (
 )
 
 func init() {
-	core.RegisterFactory("adios", func(attrs *core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
+	core.RegisterFactory("adios", func(attrs *core.Attrs, b *core.Bridge) (core.AnalysisAdaptor, error) {
 		if attrs.Choice("transport", "bp-file", "bp-file", "flexpath") == 0 {
-			w := NewWriter(env.Comm, &BPFileTransport{Dir: attrs.String("dir", "adios-out")})
-			w.Registry, w.Memory = env.Registry, env.Memory
+			w := NewWriter(b.Comm, &BPFileTransport{Dir: attrs.String("dir", "adios-out")})
+			w.Registry, w.Memory = b.Registry, b.Memory
 			return w, nil
 		}
 		// The simulation half of the two-executable deployment. The
@@ -26,17 +25,21 @@ func init() {
 		if endpoint == "" {
 			return nil, fmt.Errorf("attribute %q: a flexpath writer needs the endpoint's host:port", "endpoint")
 		}
-		t, err := DialWire(WireOptions{
+		opts := WireOptions{
 			Network: "tcp", Addr: endpoint,
-			Writers: env.Comm.Size(), Readers: env.Comm.Size(), Depth: attrs.Int("depth", 1, 1),
+			Writers: b.Comm.Size(), Readers: b.Comm.Size(), Depth: attrs.Int("depth", 1, 1),
 			RetryWindow: time.Duration(attrs.Int("retry-window", 0, 0)) * time.Second,
-			WrapConn:    takeWireFaults(),
-		})
+		}
+		// The run's fabric faults fire on this writer's connections.
+		if fp := b.Faults.FabricPlan(); fp != nil {
+			opts.WrapConn = fp.WrapConn
+		}
+		t, err := DialWire(opts)
 		if err != nil {
 			return nil, err
 		}
-		w := NewWriter(env.Comm, t)
-		w.Registry, w.Memory = env.Registry, env.Memory
+		w := NewWriter(b.Comm, t)
+		w.Registry, w.Memory = b.Registry, b.Memory
 		return &wireWriter{Writer: w, endpoint: endpoint, stats: t.Stats()}, nil
 	})
 }
@@ -68,38 +71,4 @@ func (w *wireWriter) Finalize() error {
 func (w *wireWriter) Report(out io.Writer) {
 	fmt.Fprintf(out, "adios flexpath to %s: data bytes %d logical / %d wire, retransmits %d, reconnects %d\n",
 		w.endpoint, w.totals[0], w.totals[1], w.totals[2], w.totals[3])
-}
-
-// wireFaultState is the process-wide connection decorator of configured
-// flexpath writers, and whether one has taken it.
-var wireFaultState struct {
-	sync.Mutex
-	wrap  func(rank int, conn fabric.Conn) fabric.Conn
-	taken bool
-}
-
-// SetWireFaults installs (or, with nil, clears) the decorator every flexpath
-// writer configured from here on dials its connections through — the wire's
-// twin of iosim.SetFaults, the seam a launcher hands a fault schedule's
-// fabric plan to.
-func SetWireFaults(wrap func(rank int, conn fabric.Conn) fabric.Conn) {
-	wireFaultState.Lock()
-	wireFaultState.wrap, wireFaultState.taken = wrap, false
-	wireFaultState.Unlock()
-}
-
-// WireFaultsTaken reports whether a writer has been configured since
-// SetWireFaults: a schedule of fabric faults in a run that dials no staging
-// wire can deliver none of them.
-func WireFaultsTaken() bool {
-	wireFaultState.Lock()
-	defer wireFaultState.Unlock()
-	return wireFaultState.taken
-}
-
-func takeWireFaults() func(rank int, conn fabric.Conn) fabric.Conn {
-	wireFaultState.Lock()
-	defer wireFaultState.Unlock()
-	wireFaultState.taken = true
-	return wireFaultState.wrap
 }

@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -386,6 +388,12 @@ func TestCompressionRatioAndErrorBound(t *testing.T) {
 	bound := quantizationBound(cp.Bits, -1, 1)
 	if r.MaxError > bound+1e-15 {
 		t.Fatalf("max error %v exceeds bound %v", r.MaxError, bound)
+	}
+	var out strings.Builder
+	cp.Report(&out)
+	want := fmt.Sprintf("compress data: step=3 raw=%d compressed=%d max-error=%.17g\n", n*8, r.CompressedBytes, r.MaxError)
+	if out.String() != want {
+		t.Fatalf("report %q, want %q", out.String(), want)
 	}
 }
 

@@ -13,10 +13,10 @@ import (
 )
 
 func init() {
-	core.RegisterFactory("autocorrelation", func(attrs *core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
-		a := NewAutocorrelation(env.Comm, attrs.String("array", "data"), attrs.Association(),
+	core.RegisterFactory("autocorrelation", func(attrs *core.Attrs, b *core.Bridge) (core.AnalysisAdaptor, error) {
+		a := NewAutocorrelation(b.Comm, attrs.String("array", "data"), attrs.Association(),
 			attrs.Int("window", 10, 1), attrs.Int("k-max", 3, 1))
-		a.Memory = env.Memory
+		a.Memory = b.Memory
 		return a, nil
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"compress/zlib"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 
 	"gosensei/internal/array"
@@ -15,13 +16,13 @@ import (
 )
 
 func init() {
-	core.RegisterFactory("compress", func(attrs *core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
+	core.RegisterFactory("compress", func(attrs *core.Attrs, b *core.Bridge) (core.AnalysisAdaptor, error) {
 		bits := attrs.Int("bits", 12, 1)
 		if bits > 32 {
 			return nil, fmt.Errorf("attribute %q: %d is above the maximum of 32", "bits", bits)
 		}
-		c := NewCompression(env.Comm, attrs.String("array", "data"), attrs.Association(), bits)
-		c.Memory = env.Memory
+		c := NewCompression(b.Comm, attrs.String("array", "data"), attrs.Association(), bits)
+		c.Memory = b.Memory
 		return c, nil
 	})
 }
@@ -168,6 +169,14 @@ func (cp *Compression) Execute(d core.DataAdaptor) (bool, error) {
 		cp.Last = res
 	}
 	return true, nil
+}
+
+// Report implements core.Reporter: the last step's global sizes and error.
+func (cp *Compression) Report(w io.Writer) {
+	if r := cp.Last; r != nil {
+		fmt.Fprintf(w, "compress %s: step=%d raw=%d compressed=%d max-error=%.17g\n",
+			cp.ArrayName, r.Step, r.RawBytes, r.CompressedBytes, r.MaxError)
+	}
 }
 
 // Finalize implements core.AnalysisAdaptor.

@@ -21,9 +21,9 @@ import (
 )
 
 func init() {
-	core.RegisterFactory("histogram", func(attrs *core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
-		h := NewHistogram(env.Comm, attrs.String("array", "data"), attrs.Association(), attrs.Int("bins", 10, 1))
-		h.Memory = env.Memory
+	core.RegisterFactory("histogram", func(attrs *core.Attrs, b *core.Bridge) (core.AnalysisAdaptor, error) {
+		h := NewHistogram(b.Comm, attrs.String("array", "data"), attrs.Association(), attrs.Int("bins", 10, 1))
+		h.Memory = b.Memory
 		return h, nil
 	})
 }

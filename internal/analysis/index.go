@@ -12,9 +12,9 @@ import (
 )
 
 func init() {
-	core.RegisterFactory("index", func(attrs *core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
-		ix := NewBinnedIndex(env.Comm, attrs.String("array", "data"), attrs.Association(), attrs.Int("bins", 32, 1))
-		ix.Memory = env.Memory
+	core.RegisterFactory("index", func(attrs *core.Attrs, b *core.Bridge) (core.AnalysisAdaptor, error) {
+		ix := NewBinnedIndex(b.Comm, attrs.String("array", "data"), attrs.Association(), attrs.Int("bins", 32, 1))
+		ix.Memory = b.Memory
 		return ix, nil
 	})
 }

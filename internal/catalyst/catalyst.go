@@ -28,12 +28,12 @@ import (
 )
 
 func init() {
-	core.RegisterFactory("catalyst", func(attrs *core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
+	core.RegisterFactory("catalyst", func(attrs *core.Attrs, b *core.Bridge) (core.AnalysisAdaptor, error) {
 		cm, err := colormap.ByName(attrs.String("colormap", ""))
 		if err != nil {
 			return nil, err
 		}
-		a := NewSliceAdaptor(env.Comm, Options{
+		a := NewSliceAdaptor(b.Comm, Options{
 			ArrayName:       attrs.String("array", "data"),
 			Assoc:           attrs.Association(),
 			Width:           attrs.Int("image-width", 1920, 1),
@@ -45,11 +45,10 @@ func init() {
 			SkipCompression: attrs.Bool("skip-png-compression", false),
 			ParallelPNG:     attrs.Bool("parallel-png", false),
 			Stride:          attrs.Int("stride", 1, 1),
-			Workers:         attrs.Int("threads", 0, 0),
-			Publish:         env.Publish,
+			Publish:         b.Publish,
 		})
-		a.Registry = env.Registry
-		a.Memory = env.Memory
+		a.Registry = b.Registry
+		a.Memory = b.Memory
 		return a, nil
 	})
 }

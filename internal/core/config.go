@@ -9,27 +9,16 @@ import (
 	"sync"
 
 	"gosensei/internal/grid"
-	"gosensei/internal/metrics"
-	"gosensei/internal/mpi"
 )
 
-// Env is the per-rank environment handed to analysis factories: the
-// communicator, the rank's instrumentation sinks and, where the process
-// serves live viewers, the sink an image-producing analysis publishes its
-// encoded frames to (nil otherwise).
-type Env struct {
-	Comm     *mpi.Comm
-	Registry *metrics.Registry
-	Memory   *metrics.Tracker
-	Publish  func(step, w, h int, png []byte)
-}
-
-// Factory builds an analysis adaptor from XML attributes. Factories are
-// registered by the packages implementing analyses and infrastructures
-// (histogram, autocorrelation, catalyst, libsim, adios, glean) from their
-// init functions, mirroring how SENSEI's ConfigurableAnalysis dispatches on
-// the "type" attribute.
-type Factory func(attrs *Attrs, env *Env) (AnalysisAdaptor, error)
+// Factory builds an analysis adaptor from XML attributes for the bridge it
+// will run under, reading from the bridge what the run provides: the
+// communicator, the rank's instrumentation sinks, the live frame sink and
+// the fault schedule. Factories are registered by the packages implementing
+// analyses and infrastructures (histogram, autocorrelation, catalyst,
+// libsim, adios, glean) from their init functions, mirroring how SENSEI's
+// ConfigurableAnalysis dispatches on the "type" attribute.
+type Factory func(attrs *Attrs, b *Bridge) (AnalysisAdaptor, error)
 
 var (
 	factoryMu sync.RWMutex
@@ -130,10 +119,10 @@ func (a *Attrs) verdict(built error) error {
 // registry and hands each, with its attributes, to add — which reads there
 // whatever the parent keeps on its children (routed: route) before the child
 // is held to the same strictness as any element.
-func (a *Attrs) Nested(env *Env, add func(child *Attrs, built AnalysisAdaptor) error) error {
+func (a *Attrs) Nested(b *Bridge, add func(child *Attrs, built AnalysisAdaptor) error) error {
 	a.nestedTaken = true
 	return each("nested", a.nested, func(_ string, child *Attrs, f Factory) error {
-		built, err := f(child, env)
+		built, err := f(child, b)
 		if err == nil {
 			err = add(child, built)
 		}
@@ -318,9 +307,8 @@ func checkTypes(kind string, elems []xmlAnalysis) error {
 // attribute for disambiguation). An attribute a factory rejects or does not
 // know is an error naming the element and the attribute.
 func (cfg *Config) Configure(b *Bridge) error {
-	env := &Env{Comm: b.Comm, Registry: b.Registry, Memory: b.Memory, Publish: b.Publish}
 	return each("core: analysis", cfg.analyses, func(label string, attrs *Attrs, f Factory) error {
-		a, err := f(attrs, env)
+		a, err := f(attrs, b)
 		if err = attrs.verdict(err); err == nil {
 			b.AddAnalysis(label, a)
 		}

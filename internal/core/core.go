@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 
+	"gosensei/internal/faultline"
 	"gosensei/internal/grid"
 	"gosensei/internal/metrics"
 	"gosensei/internal/mpi"
@@ -98,8 +99,12 @@ type Bridge struct {
 	Registry *metrics.Registry
 	Memory   *metrics.Tracker
 	// Publish, when set before the bridge is configured, is the live frame
-	// sink handed to the configured analyses as Env.Publish.
+	// sink the configured image-producing analyses publish encoded frames to.
 	Publish func(step, w, h int, png []byte)
+	// Faults, when set before the bridge is configured, is the run's fault
+	// schedule: the configured analyses that write block files or dial a
+	// staging wire take its io and fabric plans. Nil injects nothing.
+	Faults *faultline.Run
 
 	analyses  []namedAnalysis
 	execCount int

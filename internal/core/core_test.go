@@ -290,7 +290,7 @@ func TestAttrsStrict(t *testing.T) {
 // error naming the element, its type and the attribute; type, name and
 // enabled belong to the dispatcher and count as read.
 func TestConfigureFromXMLReportsAttributes(t *testing.T) {
-	RegisterFactory("test-strict", func(attrs *Attrs, env *Env) (AnalysisAdaptor, error) {
+	RegisterFactory("test-strict", func(attrs *Attrs, b *Bridge) (AnalysisAdaptor, error) {
 		attrs.Int("bins", 10, 1)
 		return &recordingAnalysis{}, nil
 	})
@@ -312,7 +312,7 @@ func TestConfigureFromXMLReportsAttributes(t *testing.T) {
 }
 
 func TestConfigureFromXML(t *testing.T) {
-	RegisterFactory("test-recording", func(attrs *Attrs, env *Env) (AnalysisAdaptor, error) {
+	RegisterFactory("test-recording", func(attrs *Attrs, b *Bridge) (AnalysisAdaptor, error) {
 		if attrs.String("array", "") != "data" {
 			return nil, fmt.Errorf("bad attrs")
 		}
@@ -354,18 +354,18 @@ func TestConfigureFromXMLBadDocument(t *testing.T) {
 }
 
 func TestRegisterFactoryDuplicatePanics(t *testing.T) {
-	RegisterFactory("test-dup", func(*Attrs, *Env) (AnalysisAdaptor, error) { return nil, nil })
+	RegisterFactory("test-dup", func(*Attrs, *Bridge) (AnalysisAdaptor, error) { return nil, nil })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	RegisterFactory("test-dup", func(*Attrs, *Env) (AnalysisAdaptor, error) { return nil, nil })
+	RegisterFactory("test-dup", func(*Attrs, *Bridge) (AnalysisAdaptor, error) { return nil, nil })
 }
 
 func TestFactoryTypesSorted(t *testing.T) {
-	RegisterFactory("test-zzz", func(*Attrs, *Env) (AnalysisAdaptor, error) { return nil, nil })
-	RegisterFactory("test-aaa", func(*Attrs, *Env) (AnalysisAdaptor, error) { return nil, nil })
+	RegisterFactory("test-zzz", func(*Attrs, *Bridge) (AnalysisAdaptor, error) { return nil, nil })
+	RegisterFactory("test-aaa", func(*Attrs, *Bridge) (AnalysisAdaptor, error) { return nil, nil })
 	types := FactoryTypes()
 	for i := 1; i < len(types); i++ {
 		if types[i-1] >= types[i] {

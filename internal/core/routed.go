@@ -24,7 +24,7 @@ type storageCounter interface {
 // a configuration carries no machine model, so it learns every cost from the
 // run itself.
 func init() {
-	RegisterFactory("routed", func(attrs *Attrs, env *Env) (AnalysisAdaptor, error) {
+	RegisterFactory("routed", func(attrs *Attrs, bridge *Bridge) (AnalysisAdaptor, error) {
 		cfg := route.Config{Budget: route.Budget{
 			MaxStepSeconds:  attrs.Float("budget-step", 0),
 			MaxWireBytes:    int64(attrs.Int("budget-wire", 0, 0)),
@@ -32,7 +32,7 @@ func init() {
 		}}
 		var routes [route.NumBackends]AnalysisAdaptor
 		meter := &WallMeter{}
-		err := attrs.Nested(env, func(child *Attrs, a AnalysisAdaptor) error {
+		err := attrs.Nested(bridge, func(child *Attrs, a AnalysisAdaptor) error {
 			b, err := route.ParseBackend(child.String("route", ""))
 			if err != nil {
 				return fmt.Errorf("attribute %q: %w", "route", err)
@@ -55,10 +55,10 @@ func init() {
 		}
 		cfg.Start = cfg.Eligible[0]
 		var router *route.Router
-		if env.Comm.Rank() == 0 {
+		if bridge.Comm.Rank() == 0 {
 			router = route.New(cfg, [route.NumBackends]route.Estimate{})
 		}
-		rt := NewRouted(env.Comm, router, meter)
+		rt := NewRouted(bridge.Comm, router, meter)
 		for _, b := range cfg.Eligible {
 			rt.SetRoute(b, routes[b])
 		}

@@ -241,10 +241,10 @@ func (r *reportingAnalysis) Report(w io.Writer) { fmt.Fprintf(w, "%s ran %v\n", 
 // does so under the decision log — and every way of misplacing a route is an
 // error naming the element.
 func TestRoutedFromXML(t *testing.T) {
-	RegisterFactory("test-route", func(attrs *Attrs, env *Env) (AnalysisAdaptor, error) {
+	RegisterFactory("test-route", func(attrs *Attrs, b *Bridge) (AnalysisAdaptor, error) {
 		return &reportingAnalysis{tag: attrs.String("tag", "")}, nil
 	})
-	RegisterFactory("test-silent", func(*Attrs, *Env) (AnalysisAdaptor, error) { return &recordingAnalysis{}, nil })
+	RegisterFactory("test-silent", func(*Attrs, *Bridge) (AnalysisAdaptor, error) { return &recordingAnalysis{}, nil })
 
 	b := NewBridge(nil, nil, nil)
 	err := ConfigureFromXML(b, []byte(`<sensei>

@@ -42,7 +42,6 @@ type ADIOSTimings struct {
 	TransferPerStep float64 // adios::analysis on the writer
 	EndpointInit    float64
 	EndpointPerStep float64
-	WriterTotal     float64
 }
 
 // RunADIOS executes the miniapp through the FlexPath transport with the
@@ -89,7 +88,6 @@ func RunADIOS(w ADIOSWorkload, opt Options) (*ADIOSTimings, error) {
 	return &ADIOSTimings{
 		AdvancePerStep:  maxOver(writers, "adios::advance") / steps,
 		TransferPerStep: maxOver(writers, "adios::analysis") / steps,
-		WriterTotal:     maxOver(writers, "total"),
 		EndpointInit:    maxOver(readers, "sim::initialize", "sensei::initialize"),
 		EndpointPerStep: maxOver(readers, "endpoint::decode", "sensei::execute") / steps,
 	}, nil

@@ -142,7 +142,6 @@ func Table2PNG(opt Options) (*metrics.Table, error) {
 type LESLIETimings struct {
 	SolverPerStep float64
 	InsituPerCall float64 // when the Libsim pipeline actually fires
-	SenseiPerSkip float64 // the cheap 4-out-of-5 invocations
 }
 
 // RunLESLIEReal executes the TML proxy with the 3-isosurface + 3-slice
@@ -176,7 +175,6 @@ func RunLESLIEReal(opt Options, ranks int) (*LESLIETimings, []metrics.Event, err
 		SolverPerStep: maxOver(rs, "sim::step") / steps,
 		// Attribute the in situ total to the firing steps.
 		InsituPerCall: slices.Max(insitu) / float64((opt.RealSteps+4)/5),
-		SenseiPerSkip: slices.Min(insitu) / steps,
 	}
 	events := rs[0].Registry.EventsNamed("sensei::execute-step")
 	for i := range events {

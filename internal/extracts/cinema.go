@@ -29,12 +29,12 @@ import (
 )
 
 func init() {
-	core.RegisterFactory("cinema", func(attrs *core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
+	core.RegisterFactory("cinema", func(attrs *core.Attrs, b *core.Bridge) (core.AnalysisAdaptor, error) {
 		cm, err := colormap.ByName(attrs.String("colormap", "viridis"))
 		if err != nil {
 			return nil, err
 		}
-		a := New(env.Comm, Spec{
+		a := New(b.Comm, Spec{
 			ArrayName: attrs.String("array", "data"),
 			IsoValues: []float64{attrs.Float("iso", 0.5)},
 			Phi:       orbit(attrs.Int("phi-count", 4, 1), 0, 360),
@@ -44,7 +44,7 @@ func init() {
 			OutputDir: attrs.String("output-dir", "cinema-store"),
 			Map:       cm,
 		})
-		a.Registry = env.Registry
+		a.Registry = b.Registry
 		return a, nil
 	})
 }

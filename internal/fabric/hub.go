@@ -64,7 +64,6 @@ type HubOptions struct {
 // re-delivered), and lastDelivered suppresses duplicates still in flight
 // to the analysis.
 type hubWriter struct {
-	rank int
 	bufs *BufPool // the hub's
 
 	mu            sync.Mutex
@@ -179,7 +178,7 @@ func (h *Hub) writer(rank int) *hubWriter {
 	defer h.mu.Unlock()
 	st := h.writers[rank]
 	if st == nil {
-		st = &hubWriter{rank: rank, bufs: h.bufs}
+		st = &hubWriter{bufs: h.bufs}
 		h.writers[rank] = st
 	}
 	return st

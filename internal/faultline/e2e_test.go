@@ -10,9 +10,9 @@
 //
 // GOSENSEI_FAULT_N overrides the number of generated schedules per test.
 //
-// This is an external test package: faultline imports mpi/fabric/iosim, and
-// the pipeline here additionally pulls in adios and oscillator, which import
-// mpi themselves.
+// This is an external test package: iosim imports faultline, and the
+// pipeline here additionally pulls in adios and oscillator, which import mpi
+// and fabric themselves.
 package faultline_test
 
 import (
@@ -190,11 +190,6 @@ func stagingRun(sched *faultline.Schedule, fabOpts ...adios.FabricOption) (strin
 // write that corrupted or dropped a block cannot go unnoticed.
 func posthocRun(dir string, sched *faultline.Schedule) (string, []string, error) {
 	run := sched.Start()
-	prev := iosim.SetFaults(nil)
-	if p := run.IOPlan(); p != nil {
-		iosim.SetFaults(p)
-	}
-	defer iosim.SetFaults(prev)
 
 	cfg := e2eConfig()
 	err := mpi.Run(e2eWriters, func(c *mpi.Comm) error {
@@ -215,7 +210,7 @@ func posthocRun(dir string, sched *faultline.Schedule) (string, []string, error)
 			if err := d.AddArray(mesh, grid.CellData, "data"); err != nil {
 				return err
 			}
-			if _, err := iosim.WriteBlockFile(dir, c.Rank(), mesh.(*grid.ImageData), s.StepIndex(), s.Time()); err != nil {
+			if _, err := iosim.WriteBlockFile(dir, c.Rank(), mesh.(*grid.ImageData), s.StepIndex(), s.Time(), run.IOPlan()); err != nil {
 				return err
 			}
 			_ = d.ReleaseData()
@@ -234,7 +229,7 @@ func posthocRun(dir string, sched *faultline.Schedule) (string, []string, error)
 	err = mpi.Run(1, func(c *mpi.Comm) error {
 		h := analysis.NewHistogram(c, "data", grid.CellData, e2eBins)
 		for _, step := range steps {
-			mb, _, err := iosim.ReadStep(dir, step, 0, 1, writers)
+			mb, _, err := iosim.ReadStep(dir, step, 0, 1, writers, run.IOPlan())
 			if err != nil {
 				return err
 			}

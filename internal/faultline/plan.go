@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"gosensei/internal/iosim"
 	"gosensei/internal/mpi"
 )
 
@@ -52,6 +52,8 @@ type Run struct {
 
 	fabric *FabricPlan
 	io     *IOPlan
+	// fabricTaken records a FabricPlan call: a staging writer took the plan.
+	fabricTaken atomic.Bool
 }
 
 // Start instantiates the schedule for one execution.
@@ -105,15 +107,21 @@ func (r *Run) NewWorldPlan() *WorldPlan {
 }
 
 // FabricPlan returns the run's fabric plan (nil when the schedule carries no
-// fabric faults or r is nil). Unlike MPI plans it is a singleton: its
-// counters are per writer rank and cumulative across reconnects, which is
-// exactly the identity a reconnecting connection needs.
+// fabric faults or r is nil) and records that something took it: a staging
+// writer dials its connections through it. Unlike MPI plans it is a
+// singleton: its counters are per writer rank and cumulative across
+// reconnects, which is exactly the identity a reconnecting connection needs.
 func (r *Run) FabricPlan() *FabricPlan {
 	if r == nil {
 		return nil
 	}
+	r.fabricTaken.Store(true)
 	return r.fabric
 }
+
+// FabricTaken reports whether FabricPlan has been called on r: a schedule of
+// fabric faults in a run that dials no staging wire can deliver none of them.
+func (r *Run) FabricTaken() bool { return r != nil && r.fabricTaken.Load() }
 
 // IOPlan returns the run's io plan (nil when the schedule carries no io
 // faults or r is nil).
@@ -223,6 +231,18 @@ func (p *WorldPlan) BeforeSend(rank int) (string, bool) {
 	return "", false
 }
 
+// FaultAction is what an IOPlan decides for one block-file attempt; the zero
+// value is "no fault".
+type FaultAction struct {
+	// ENOSPC fails a write attempt before any byte reaches the filesystem.
+	ENOSPC bool
+	// ShortRead truncates a read attempt mid-stream (the file itself stays
+	// intact — only this attempt sees half of it).
+	ShortRead bool
+	// Delay stalls the attempt first: an fsync latency spike.
+	Delay time.Duration
+}
+
 // IOPlan implements iosim.FaultInjector. Faults are indexed by cumulative
 // per-rank attempt counters — retries count — so "n consecutive failures"
 // composes with the writer's bounded retry loop: a generated schedule keeps
@@ -242,14 +262,14 @@ func newIOPlan(faults []Fault, trace *Trace) *IOPlan {
 
 // BlockWrite implements iosim.FaultInjector: consulted once per block-file
 // write attempt.
-func (p *IOPlan) BlockWrite(rank int) iosim.FaultAction {
+func (p *IOPlan) BlockWrite(rank int) FaultAction {
 	if p == nil {
-		return iosim.FaultAction{}
+		return FaultAction{}
 	}
 	p.mu.Lock()
 	p.writes[rank]++
 	attempt := p.writes[rank]
-	var out iosim.FaultAction
+	var out FaultAction
 	for _, f := range p.faults {
 		if f.arg("rank") != rank {
 			continue
@@ -276,14 +296,14 @@ func (p *IOPlan) BlockWrite(rank int) iosim.FaultAction {
 
 // BlockRead implements iosim.FaultInjector: consulted once per block-file
 // read attempt.
-func (p *IOPlan) BlockRead(rank int) iosim.FaultAction {
+func (p *IOPlan) BlockRead(rank int) FaultAction {
 	if p == nil {
-		return iosim.FaultAction{}
+		return FaultAction{}
 	}
 	p.mu.Lock()
 	p.reads[rank]++
 	attempt := p.reads[rank]
-	var out iosim.FaultAction
+	var out FaultAction
 	for _, f := range p.faults {
 		if f.Kind == "shortread" && f.arg("rank") == rank && uint64(f.arg("op")) == attempt {
 			out.ShortRead = true

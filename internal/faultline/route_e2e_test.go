@@ -117,11 +117,6 @@ func (s seqAnalysis) Finalize() error {
 // computed) and the router's decision log.
 func routedRun(dir string, sched *faultline.Schedule) (string, string, error) {
 	run := sched.Start()
-	prev := iosim.SetFaults(nil)
-	if p := run.IOPlan(); p != nil {
-		iosim.SetFaults(p)
-	}
-	defer iosim.SetFaults(prev)
 
 	cfg := routeConfig()
 	fab, err := adios.ListenFabric("loopback", fmt.Sprintf("faultline/%d", fabricSeq.Add(1)), routeWriters, 1, e2eDepth)
@@ -162,6 +157,7 @@ func routedRun(dir string, sched *faultline.Schedule) (string, string, error) {
 			rt.SetRoute(route.InSitu, seqAnalysis{h, insituRec})
 			rt.SetRoute(route.InTransit, adios.NewWriter(c, &adios.FlexPathTransport{Fabric: fab}))
 			replay := iosim.NewHistogramReplay(c, dir, "data", grid.CellData, routeBins)
+			replay.Faults = run.IOPlan()
 			rt.SetRoute(route.PostHoc, replay)
 
 			b := core.NewBridge(c, nil, nil)

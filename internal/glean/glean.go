@@ -12,6 +12,7 @@ package glean
 
 import (
 	"fmt"
+	"io"
 
 	"gosensei/internal/adios"
 	"gosensei/internal/analysis"
@@ -23,12 +24,12 @@ import (
 )
 
 func init() {
-	core.RegisterFactory("glean", func(attrs *core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
+	core.RegisterFactory("glean", func(attrs *core.Attrs, b *core.Bridge) (core.AnalysisAdaptor, error) {
 		mode := IOAcceleration
 		if attrs.Choice("mode", "io", "io", "analysis") == 1 {
 			mode = NodeAnalysis
 		}
-		a, err := New(env.Comm, Options{
+		a, err := New(b.Comm, Options{
 			RanksPerNode: attrs.Int("ranks-per-node", 4, 1),
 			Mode:         mode,
 			OutputDir:    attrs.String("output-dir", ""),
@@ -38,8 +39,8 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		a.Registry = env.Registry
-		a.Memory = env.Memory
+		a.Registry = b.Registry
+		a.Memory = b.Memory
 		return a, nil
 	})
 }
@@ -241,3 +242,11 @@ func wrapScalars(name string, vals []float64) array.Array {
 
 // Finalize implements core.AnalysisAdaptor.
 func (s *Staging) Finalize() error { return nil }
+
+// Report implements core.Reporter: in NodeAnalysis mode, the last step's
+// histogram over every node's blocks, in the histogram analysis's format.
+func (s *Staging) Report(w io.Writer) {
+	if s.LastHistogram != nil {
+		fmt.Fprintf(w, "glean %s: %s\n", s.Opts.ArrayName, s.LastHistogram)
+	}
+}

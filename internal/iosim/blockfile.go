@@ -9,6 +9,7 @@ import (
 	"slices"
 
 	"gosensei/internal/array"
+	"gosensei/internal/faultline"
 	"gosensei/internal/grid"
 )
 
@@ -100,19 +101,20 @@ func ReadBlock(r io.Reader) (*grid.ImageData, int, float64, error) {
 	return img, bf.Header.Step, bf.Header.Time, nil
 }
 
-// WriteBlockFile writes a block to its canonical path, creating dir.
-// Injected failures (ENOSPC, fsync spikes — see SetFaults) are retried up to
-// maxBlockAttempts times before the error is surfaced; real filesystem
-// errors surface immediately.
-func WriteBlockFile(dir string, rank int, img *grid.ImageData, step int, time float64) (int64, error) {
+// WriteBlockFile writes a block to its canonical path, creating dir. Each
+// attempt first asks faults (nil injects nothing): an injected ENOSPC is
+// retried up to maxBlockAttempts times before the error is surfaced, an
+// fsync spike stalls the attempt; real filesystem errors surface
+// immediately.
+func WriteBlockFile(dir string, rank int, img *grid.ImageData, step int, time float64, faults FaultInjector) (int64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, fmt.Errorf("iosim: %w", err)
 	}
 	path := BlockPath(dir, step, rank)
 	var lastErr error
 	for attempt := 0; attempt < maxBlockAttempts; attempt++ {
-		if fi := currentFaults(); fi != nil {
-			act := fi.BlockWrite(rank)
+		if faults != nil {
+			act := faults.BlockWrite(rank)
 			if act.Delay > 0 {
 				sleepFor(act.Delay)
 			}
@@ -149,16 +151,17 @@ func writeBlockFileOnce(path string, img *grid.ImageData, step int, time float64
 	return st.Size(), nil
 }
 
-// ReadBlockFile reads the block for one (step, rank) pair. An injected
-// short read (the attempt sees a truncated stream) is retried up to
-// maxBlockAttempts times; real errors surface immediately.
-func ReadBlockFile(dir string, step, rank int) (*grid.ImageData, int, float64, error) {
+// ReadBlockFile reads the block for one (step, rank) pair. Each attempt
+// first asks faults (nil injects nothing): an injected short read (the
+// attempt sees a truncated stream) is retried up to maxBlockAttempts times;
+// real errors surface immediately.
+func ReadBlockFile(dir string, step, rank int, faults FaultInjector) (*grid.ImageData, int, float64, error) {
 	path := BlockPath(dir, step, rank)
 	var lastErr error
 	for attempt := 0; attempt < maxBlockAttempts; attempt++ {
-		var act FaultAction
-		if fi := currentFaults(); fi != nil {
-			act = fi.BlockRead(rank)
+		var act faultline.FaultAction
+		if faults != nil {
+			act = faults.BlockRead(rank)
 		}
 		f, err := os.Open(path)
 		if err != nil {
@@ -223,11 +226,11 @@ func ListSteps(dir string) ([]int, int, error) {
 // ReadStep is the one way a stored step is read back: the blocks of writers
 // first, first+stride, … below writers, as one MultiBlock, and the step's
 // time. A reader rank r of P passes (r, P); a serial read-back (0, 1).
-func ReadStep(dir string, step, first, stride, writers int) (*grid.MultiBlock, float64, error) {
+func ReadStep(dir string, step, first, stride, writers int, faults FaultInjector) (*grid.MultiBlock, float64, error) {
 	mb := &grid.MultiBlock{}
 	var tm float64
 	for rank := first; rank < writers; rank += stride {
-		img, _, t, err := ReadBlockFile(dir, step, rank)
+		img, _, t, err := ReadBlockFile(dir, step, rank, faults)
 		if err != nil {
 			return nil, 0, fmt.Errorf("iosim: replay step %d rank %d: %w", step, rank, err)
 		}

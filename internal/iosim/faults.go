@@ -2,58 +2,23 @@ package iosim
 
 import (
 	"errors"
-	"sync"
 	"time"
+
+	"gosensei/internal/faultline"
 )
 
 // ErrNoSpace is the error injected write attempts fail with — the ENOSPC a
 // full OST returns on a real parallel filesystem.
 var ErrNoSpace = errors.New("iosim: injected ENOSPC (no space left on device)")
 
-// FaultAction is what the injector decides for one block-file attempt; the
-// zero value is "no fault".
-type FaultAction struct {
-	// ENOSPC fails a write attempt before any byte reaches the filesystem.
-	ENOSPC bool
-	// ShortRead truncates a read attempt mid-stream (the file itself stays
-	// intact — only this attempt sees half of it).
-	ShortRead bool
-	// Delay stalls the attempt first: an fsync latency spike.
-	Delay time.Duration
-}
-
 // FaultInjector is consulted once per block-file attempt, keyed by the block
-// rank. Implementations must be safe for concurrent use (ranks write in
-// parallel); see internal/faultline.
+// rank; the block-file functions take one as their last argument, and nil
+// injects nothing. Implementations must be safe for concurrent use (ranks
+// write in parallel). A run's *faultline.IOPlan is one, and a nil plan — a
+// run that schedules no io faults — answers every attempt with no fault.
 type FaultInjector interface {
-	BlockWrite(rank int) FaultAction
-	BlockRead(rank int) FaultAction
-}
-
-// faultsMu guards the process-wide injector. Block-file traffic is a few
-// calls per rank per step, so a mutex-guarded pointer read is free at this
-// granularity and keeps the disabled path allocation-free.
-var (
-	faultsMu sync.Mutex
-	faults   FaultInjector
-)
-
-// SetFaults installs (or, with nil, clears) the process-wide block-file
-// fault injector and returns the previous one; callers restore it when their
-// run ends.
-func SetFaults(fi FaultInjector) FaultInjector {
-	faultsMu.Lock()
-	prev := faults
-	faults = fi
-	faultsMu.Unlock()
-	return prev
-}
-
-func currentFaults() FaultInjector {
-	faultsMu.Lock()
-	fi := faults
-	faultsMu.Unlock()
-	return fi
+	BlockWrite(rank int) faultline.FaultAction
+	BlockRead(rank int) faultline.FaultAction
 }
 
 // sleepFor stalls an attempt; a named helper because the block-file

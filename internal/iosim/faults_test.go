@@ -6,60 +6,56 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gosensei/internal/faultline"
 )
 
 // scriptedIO fails scripted write/read attempts, keyed by cumulative
 // per-rank attempt counters — a miniature of internal/faultline's IOPlan,
 // local to this package so the injection seam is tested where it lives.
 type scriptedIO struct {
-	mu          sync.Mutex
-	writes      map[int]int
-	reads       map[int]int
-	failWrites  func(rank, attempt int) FaultAction
-	failReads   func(rank, attempt int) FaultAction
-	writeEvents int
-	readEvents  int
+	mu         sync.Mutex
+	writes     map[int]int
+	reads      map[int]int
+	failWrites func(rank, attempt int) faultline.FaultAction
+	failReads  func(rank, attempt int) faultline.FaultAction
 }
 
-func (s *scriptedIO) BlockWrite(rank int) FaultAction {
+func (s *scriptedIO) BlockWrite(rank int) faultline.FaultAction {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.writes == nil {
 		s.writes = map[int]int{}
 	}
 	s.writes[rank]++
-	s.writeEvents++
 	if s.failWrites == nil {
-		return FaultAction{}
+		return faultline.FaultAction{}
 	}
 	return s.failWrites(rank, s.writes[rank])
 }
 
-func (s *scriptedIO) BlockRead(rank int) FaultAction {
+func (s *scriptedIO) BlockRead(rank int) faultline.FaultAction {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.reads == nil {
 		s.reads = map[int]int{}
 	}
 	s.reads[rank]++
-	s.readEvents++
 	if s.failReads == nil {
-		return FaultAction{}
+		return faultline.FaultAction{}
 	}
 	return s.failReads(rank, s.reads[rank])
 }
 
 func TestWriteBlockFileRetriesInjectedENOSPC(t *testing.T) {
 	dir := t.TempDir()
-	inj := &scriptedIO{failWrites: func(rank, attempt int) FaultAction {
+	inj := &scriptedIO{failWrites: func(rank, attempt int) faultline.FaultAction {
 		// Attempts 1 and 2 hit a full OST; attempt 3 lands.
-		return FaultAction{ENOSPC: attempt <= 2}
+		return faultline.FaultAction{ENOSPC: attempt <= 2}
 	}}
-	prev := SetFaults(inj)
-	defer SetFaults(prev)
 
 	img := buildBlock()
-	size, err := WriteBlockFile(dir, 0, img, 3, 0.5)
+	size, err := WriteBlockFile(dir, 0, img, 3, 0.5, inj)
 	if err != nil {
 		t.Fatalf("write with 2 injected failures must succeed: %v", err)
 	}
@@ -70,7 +66,7 @@ func TestWriteBlockFileRetriesInjectedENOSPC(t *testing.T) {
 		t.Fatalf("attempts = %d, want 3", inj.writes[0])
 	}
 	// The landed block must be byte-for-byte readable.
-	got, step, tm, err := ReadBlockFile(dir, 3, 0)
+	got, step, tm, err := ReadBlockFile(dir, 3, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,13 +77,11 @@ func TestWriteBlockFileRetriesInjectedENOSPC(t *testing.T) {
 
 func TestWriteBlockFileGivesUpAfterBudget(t *testing.T) {
 	dir := t.TempDir()
-	inj := &scriptedIO{failWrites: func(rank, attempt int) FaultAction {
-		return FaultAction{ENOSPC: true}
+	inj := &scriptedIO{failWrites: func(rank, attempt int) faultline.FaultAction {
+		return faultline.FaultAction{ENOSPC: true}
 	}}
-	prev := SetFaults(inj)
-	defer SetFaults(prev)
 
-	_, err := WriteBlockFile(dir, 1, buildBlock(), 0, 0)
+	_, err := WriteBlockFile(dir, 1, buildBlock(), 0, 0, inj)
 	if err == nil || !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("want ErrNoSpace after exhausted budget, got %v", err)
 	}
@@ -102,16 +96,14 @@ func TestWriteBlockFileGivesUpAfterBudget(t *testing.T) {
 func TestReadBlockFileRetriesInjectedShortRead(t *testing.T) {
 	dir := t.TempDir()
 	img := buildBlock()
-	if _, err := WriteBlockFile(dir, 2, img, 1, 0.25); err != nil {
+	if _, err := WriteBlockFile(dir, 2, img, 1, 0.25, nil); err != nil {
 		t.Fatal(err)
 	}
-	inj := &scriptedIO{failReads: func(rank, attempt int) FaultAction {
-		return FaultAction{ShortRead: attempt == 1}
+	inj := &scriptedIO{failReads: func(rank, attempt int) faultline.FaultAction {
+		return faultline.FaultAction{ShortRead: attempt == 1}
 	}}
-	prev := SetFaults(inj)
-	defer SetFaults(prev)
 
-	got, step, tm, err := ReadBlockFile(dir, 1, 2)
+	got, step, tm, err := ReadBlockFile(dir, 1, 2, inj)
 	if err != nil {
 		t.Fatalf("read with 1 injected short read must succeed: %v", err)
 	}
@@ -125,14 +117,12 @@ func TestReadBlockFileRetriesInjectedShortRead(t *testing.T) {
 
 func TestWriteBlockFileFsyncDelay(t *testing.T) {
 	dir := t.TempDir()
-	inj := &scriptedIO{failWrites: func(rank, attempt int) FaultAction {
-		return FaultAction{Delay: 20 * time.Millisecond}
+	inj := &scriptedIO{failWrites: func(rank, attempt int) faultline.FaultAction {
+		return faultline.FaultAction{Delay: 20 * time.Millisecond}
 	}}
-	prev := SetFaults(inj)
-	defer SetFaults(prev)
 
 	start := time.Now()
-	if _, err := WriteBlockFile(dir, 0, buildBlock(), 0, 0); err != nil {
+	if _, err := WriteBlockFile(dir, 0, buildBlock(), 0, 0, inj); err != nil {
 		t.Fatal(err)
 	}
 	if el := time.Since(start); el < 20*time.Millisecond {
@@ -140,14 +130,16 @@ func TestWriteBlockFileFsyncDelay(t *testing.T) {
 	}
 }
 
+// TestNoInjectorMeansNoFaultCalls: no injector, and the io plan of a run
+// that schedules no io faults (a nil *faultline.IOPlan), inject nothing.
 func TestNoInjectorMeansNoFaultCalls(t *testing.T) {
-	prev := SetFaults(nil)
-	defer SetFaults(prev)
-	dir := t.TempDir()
-	if _, err := WriteBlockFile(dir, 0, buildBlock(), 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := ReadBlockFile(dir, 0, 0); err != nil {
-		t.Fatal(err)
+	for _, faults := range []FaultInjector{nil, (*faultline.IOPlan)(nil)} {
+		dir := t.TempDir()
+		if _, err := WriteBlockFile(dir, 0, buildBlock(), 0, 0, faults); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := ReadBlockFile(dir, 0, 0, faults); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -159,20 +159,20 @@ func TestReadBlockRejectsGarbage(t *testing.T) {
 func TestBlockFilesOnDisk(t *testing.T) {
 	dir := t.TempDir()
 	img := buildBlock()
-	n, err := WriteBlockFile(dir, 3, img, 12, 1.2)
+	n, err := WriteBlockFile(dir, 3, img, 12, 1.2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n <= 0 {
 		t.Fatal("zero-size file")
 	}
-	if _, err := WriteBlockFile(dir, 4, img, 12, 1.2); err != nil {
+	if _, err := WriteBlockFile(dir, 4, img, 12, 1.2, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := WriteBlockFile(dir, 3, img, 13, 1.3); err != nil {
+	if _, err := WriteBlockFile(dir, 3, img, 13, 1.3, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, step, _, err := ReadBlockFile(dir, 12, 3)
+	got, step, _, err := ReadBlockFile(dir, 12, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,12 +180,12 @@ func TestBlockFilesOnDisk(t *testing.T) {
 		t.Fatal("round trip via disk failed")
 	}
 	for rank := 0; rank < 6; rank++ {
-		_, _, _, err := ReadBlockFile(dir, 12, rank)
+		_, _, _, err := ReadBlockFile(dir, 12, rank, nil)
 		if want := rank == 3 || rank == 4; (err == nil) != want {
 			t.Fatalf("step 12 rank %d: read error %v, want a file only for ranks 3 and 4", rank, err)
 		}
 	}
-	if _, _, _, err := ReadBlockFile(dir, 99, 0); err == nil {
+	if _, _, _, err := ReadBlockFile(dir, 99, 0, nil); err == nil {
 		t.Fatal("missing file read succeeded")
 	}
 	// A replay reads whole steps only: step 12 has no block of ranks 0-2.
@@ -194,7 +194,7 @@ func TestBlockFilesOnDisk(t *testing.T) {
 	}
 	for _, step := range []int{12, 13} {
 		for rank := 0; rank < 5; rank++ {
-			if _, err := WriteBlockFile(dir, rank, img, step, 0); err != nil {
+			if _, err := WriteBlockFile(dir, rank, img, step, 0, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -253,11 +253,11 @@ func TestBlockWriterAdaptor(t *testing.T) {
 	if len(steps) != 2 {
 		t.Fatalf("steps=%v", steps)
 	}
-	if _, _, _, err := ReadBlockFile(dir, steps[0], 1); err != nil {
+	if _, _, _, err := ReadBlockFile(dir, steps[0], 1, nil); err != nil {
 		t.Fatalf("rank 1's block: %v", err)
 	}
 	// Files round-trip through the post hoc reader.
-	img, _, _, err := ReadBlockFile(dir, steps[0], 0)
+	img, _, _, err := ReadBlockFile(dir, steps[0], 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

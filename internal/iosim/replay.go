@@ -12,12 +12,14 @@ import (
 )
 
 func init() {
-	core.RegisterFactory("histogram-replay", func(attrs *core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
+	core.RegisterFactory("histogram-replay", func(attrs *core.Attrs, b *core.Bridge) (core.AnalysisAdaptor, error) {
 		dir := attrs.String("dir", "")
 		if dir == "" {
 			return nil, fmt.Errorf("iosim: histogram-replay needs a dir attribute")
 		}
-		return NewHistogramReplay(env.Comm, dir, attrs.String("array", "data"), attrs.Association(), attrs.Int("bins", 10, 1)), nil
+		r := NewHistogramReplay(b.Comm, dir, attrs.String("array", "data"), attrs.Association(), attrs.Int("bins", 10, 1))
+		r.Faults = b.Faults.IOPlan()
+		return r, nil
 	})
 }
 
@@ -42,12 +44,14 @@ type HistogramReplay struct {
 	Results []*analysis.HistogramResult
 	// Last is the most recent replayed result (rank 0 only).
 	Last *analysis.HistogramResult
+	// Faults is consulted on every block-file attempt, the write and the
+	// read-back; nil injects nothing.
+	Faults FaultInjector
+
 	// BytesWritten is the cumulative storage odometer: the total bytes all
 	// ranks wrote, identical on every rank (it is agreed collectively), so
 	// a StepMeter can difference it for per-step storage cost.
 	BytesWritten int64
-	// StepsWritten counts replayed steps.
-	StepsWritten int
 }
 
 // NewHistogramReplay builds the post hoc route writing into dir.
@@ -71,7 +75,7 @@ func (r *HistogramReplay) Execute(d core.DataAdaptor) (bool, error) {
 	if r.Comm != nil {
 		rank, size = r.Comm.Rank(), r.Comm.Size()
 	}
-	n, err := WriteBlockFile(r.Dir, rank, img, d.TimeStep(), d.Time())
+	n, err := WriteBlockFile(r.Dir, rank, img, d.TimeStep(), d.Time(), r.Faults)
 	if err != nil {
 		return false, err
 	}
@@ -86,10 +90,9 @@ func (r *HistogramReplay) Execute(d core.DataAdaptor) (bool, error) {
 		total = recv[0]
 	}
 	r.BytesWritten += total
-	r.StepsWritten++
 
 	if rank == 0 {
-		mb, _, err := ReadStep(r.Dir, d.TimeStep(), 0, 1, size)
+		mb, _, err := ReadStep(r.Dir, d.TimeStep(), 0, 1, size, r.Faults)
 		if err != nil {
 			return false, err
 		}
@@ -129,13 +132,15 @@ type Replay struct {
 	dir     string
 	steps   []int
 	writers int
+	faults  FaultInjector
 	next    int
 	staged  core.StagedDataAdaptor
 }
 
-// NewReplay opens the source of one reader rank.
-func NewReplay(c *mpi.Comm, reg *metrics.Registry, dir string, steps []int, writers int) *Replay {
-	return &Replay{comm: c, reg: reg, dir: dir, steps: steps, writers: writers}
+// NewReplay opens the source of one reader rank; faults is consulted on
+// every block read, and nil injects nothing.
+func NewReplay(c *mpi.Comm, reg *metrics.Registry, dir string, steps []int, writers int, faults FaultInjector) *Replay {
+	return &Replay{comm: c, reg: reg, dir: dir, steps: steps, writers: writers, faults: faults}
 }
 
 // Next implements core.Source.
@@ -151,7 +156,7 @@ func (r *Replay) Next() (core.DataAdaptor, error) {
 		err error
 	)
 	r.reg.Time("replay::read", step, func() {
-		mb, tm, err = ReadStep(r.dir, step, r.comm.Rank(), r.comm.Size(), r.writers)
+		mb, tm, err = ReadStep(r.dir, step, r.comm.Rank(), r.comm.Size(), r.writers, r.faults)
 	})
 	if err != nil {
 		return nil, err

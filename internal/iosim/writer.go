@@ -10,14 +10,15 @@ import (
 )
 
 func init() {
-	core.RegisterFactory("vtk-writer", func(attrs *core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
+	core.RegisterFactory("vtk-writer", func(attrs *core.Attrs, b *core.Bridge) (core.AnalysisAdaptor, error) {
 		dir := attrs.String("dir", "")
 		if dir == "" {
 			return nil, fmt.Errorf("iosim: vtk-writer needs a dir attribute")
 		}
-		w := NewBlockWriter(env.Comm, dir)
+		w := NewBlockWriter(b.Comm, dir)
 		w.Stride = attrs.Int("stride", 1, 1)
-		w.Registry = env.Registry
+		w.Registry = b.Registry
+		w.Faults = b.Faults.IOPlan()
 		return w, nil
 	})
 }
@@ -32,10 +33,10 @@ type BlockWriter struct {
 	// Stride writes every Stride-th step.
 	Stride   int
 	Registry *metrics.Registry
+	// Faults is consulted on every block-file attempt; nil injects nothing.
+	Faults FaultInjector
 
-	execIndex    int
-	BytesWritten int64
-	StepsWritten int
+	execIndex int
 }
 
 // NewBlockWriter builds a writer into dir.
@@ -61,15 +62,12 @@ func (w *BlockWriter) Execute(d core.DataAdaptor) (bool, error) {
 	}
 	rank := w.Comm.Rank()
 	w.Registry = metrics.OrNew(w.Registry, rank)
-	var n int64
 	w.Registry.Time("vtkio::write", d.TimeStep(), func() {
-		n, err = WriteBlockFile(w.Dir, rank, img, d.TimeStep(), d.Time())
+		_, err = WriteBlockFile(w.Dir, rank, img, d.TimeStep(), d.Time(), w.Faults)
 	})
 	if err != nil {
 		return false, err
 	}
-	w.BytesWritten += n
-	w.StepsWritten++
 	return true, nil
 }
 

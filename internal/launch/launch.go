@@ -440,7 +440,7 @@ func (p *Plan) loadSim(req Request) error {
 		}
 		p.steps, p.size = 0, fmt.Sprintf("%d writers", writers)
 		p.newSource = func(c *mpi.Comm, reg *metrics.Registry, _ *metrics.Tracker) (core.Source, error) {
-			return iosim.NewReplay(c, reg, dir, steps, writers), nil
+			return iosim.NewReplay(c, reg, dir, steps, writers, p.frun.IOPlan()), nil
 		}
 	default:
 		return fmt.Errorf("deck line %d: unknown simulation %q (want oscillator, phasta, leslie, nyx, endpoint or replay)", simLine, p.sim)
@@ -485,12 +485,15 @@ var undeliverable = map[string]string{
 // with no worker spawned — refuses an endpoint on a transport that spreads
 // its reader group over processes, and holds the fault schedule to one
 // rule: every domain in it was taken by something that can fire it (mpi by
-// the world and io by iosim.SetFaults, always; world by a wire transport;
-// fabric by a configured flexpath writer, after adios.SetWireFaults).
+// the world and io by the block files, always; world by a wire transport;
+// fabric by a configured flexpath writer, which took the schedule's fabric
+// plan while Check built it).
 func (p *Plan) Check() error {
 	if p.cfg != nil {
 		err := mpi.Run(p.np, func(c *mpi.Comm) error {
-			return p.cfg.Configure(core.NewBridge(c, nil, nil))
+			b := core.NewBridge(c, nil, nil)
+			b.Faults = p.frun
+			return p.cfg.Configure(b)
 		})
 		if err != nil {
 			return err
@@ -502,7 +505,7 @@ func (p *Plan) Check() error {
 	if p.frun == nil {
 		return nil
 	}
-	taken := map[string]bool{"mpi": true, "io": true, "world": p.transport != "proc", "fabric": adios.WireFaultsTaken()}
+	taken := map[string]bool{"mpi": true, "io": true, "world": p.transport != "proc", "fabric": p.frun.FabricTaken()}
 	for _, f := range p.frun.Schedule.Faults {
 		if !taken[f.Domain] {
 			return fmt.Errorf("-faults: this run cannot deliver %s faults: %s", f.Domain, undeliverable[f.Domain])
@@ -511,8 +514,8 @@ func (p *Plan) Check() error {
 	return nil
 }
 
-// Faults is the plan's started fault schedule, nil without one: its plans
-// for the process-wide seams, and what fired.
+// Faults is the plan's started fault schedule, nil without one: what every
+// rank's bridge and source inject, and what fired.
 func (p *Plan) Faults() *faultline.Run { return p.frun }
 
 // Open binds what the deck serves beyond its ranks, in the process that
@@ -631,6 +634,7 @@ func (p *Plan) Worker(rank int, id uint64, registry string) error {
 func (p *Plan) Drive(r *Rank) error {
 	c, reg := r.Comm, r.Registry
 	bridge := core.NewBridge(c, reg, r.Memory)
+	bridge.Faults = p.frun
 	if hub := p.hub; hub != nil {
 		bridge.Publish = func(step, w, h int, png []byte) {
 			hub.Publish(live.Frame{Step: step, Width: w, Height: h, PNG: png})

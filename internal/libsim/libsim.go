@@ -25,7 +25,7 @@ import (
 )
 
 func init() {
-	core.RegisterFactory("libsim", func(attrs *core.Attrs, env *core.Env) (core.AnalysisAdaptor, error) {
+	core.RegisterFactory("libsim", func(attrs *core.Attrs, b *core.Bridge) (core.AnalysisAdaptor, error) {
 		path := attrs.String("session", "")
 		// Without a session file: one z slice of the named array.
 		session := DefaultSliceSession(attrs.String("array", "data"), 0)
@@ -37,16 +37,15 @@ func init() {
 		}
 		session.Image.Width = attrs.Int("image-width", session.Image.Width, 1)
 		session.Image.Height = attrs.Int("image-height", session.Image.Height, 1)
-		a := NewAdaptor(env.Comm, session, Options{
+		a := NewAdaptor(b.Comm, session, Options{
 			OutputDir:   attrs.String("output-dir", ""),
 			Stride:      attrs.Int("stride", 1, 1),
 			SessionPath: path,
 			ParallelPNG: attrs.Bool("parallel-png", false),
-			Workers:     attrs.Int("threads", 0, 0),
-			Publish:     env.Publish,
+			Publish:     b.Publish,
 		})
-		a.Registry = env.Registry
-		a.Memory = env.Memory
+		a.Registry = b.Registry
+		a.Memory = b.Memory
 		return a, nil
 	})
 }
@@ -170,10 +169,6 @@ type Options struct {
 	// Publish, when set, receives every composited frame's PNG for live
 	// viewers (the VisIt live-connection capability).
 	Publish func(step, w, h int, png []byte)
-	// Workers requests intra-rank parallelism for the render and encode
-	// stages; 0 derives it from the process thread budget divided by the
-	// communicator size. Output is bit-identical at any worker count.
-	Workers int
 	// ParallelPNG selects the stripe-parallel PNG encoder on rank 0; off
 	// reproduces the paper's serial rank-0 encode.
 	ParallelPNG bool
@@ -200,9 +195,11 @@ func NewAdaptor(c *mpi.Comm, session *Session, opts Options) *Adaptor {
 	return &Adaptor{Comm: c, Session: session, Opts: opts}
 }
 
-// workers resolves the intra-rank worker count against the process thread
-// budget, so goroutine-ranks times workers stays bounded under mpi.Run.
-func (a *Adaptor) workers() int { return parallel.Workers(a.Opts.Workers, a.Comm.Size()) }
+// workers is the intra-rank parallelism of the render and encode stages: the
+// process thread budget divided by the communicator size, so goroutine-ranks
+// times workers stays bounded under mpi.Run. Output is bit-identical at any
+// worker count.
+func (a *Adaptor) workers() int { return parallel.Budget(a.Comm.Size()) }
 
 // Initialize performs the per-rank startup work: the configuration-file
 // check (a real stat per rank) and framebuffer accounting.

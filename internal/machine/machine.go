@@ -12,8 +12,6 @@ package machine
 
 // IOSystem models a parallel filesystem attached to a machine.
 type IOSystem struct {
-	// OSTs is the number of object storage targets.
-	OSTs int
 	// OSTBandwidth is the sustained bandwidth of one OST, bytes/s.
 	OSTBandwidth float64
 	// MetadataOpSeconds is the effective serialized cost of one file-create
@@ -78,7 +76,6 @@ func Cori() Machine {
 		NetLatencySeconds: 1.3e-6,
 		NetBandwidth:      8e9,
 		IO: IOSystem{
-			OSTs:                    248,
 			OSTBandwidth:            3e9,
 			MetadataOpSeconds:       45e-6,
 			CollectiveBandwidth:     5.4e9,
@@ -103,7 +100,6 @@ func Mira() Machine {
 		NetLatencySeconds: 2.2e-6,
 		NetBandwidth:      2e9,
 		IO: IOSystem{
-			OSTs:                    384,
 			OSTBandwidth:            0.6e9,
 			MetadataOpSeconds:       80e-6,
 			CollectiveBandwidth:     60e9,
@@ -128,7 +124,6 @@ func Titan() Machine {
 		NetLatencySeconds: 1.5e-6,
 		NetBandwidth:      5e9,
 		IO: IOSystem{
-			OSTs:                    1008,
 			OSTBandwidth:            1e9,
 			MetadataOpSeconds:       60e-6,
 			CollectiveBandwidth:     100e9,

@@ -73,8 +73,6 @@ func (c *Config) globalCells() grid.Extent {
 type Sim struct {
 	Comm *mpi.Comm
 	Cfg  Config
-	// GlobalCellExtent covers all cells: [0, nx-1] x ...
-	GlobalCellExtent grid.Extent
 	// LocalCellExtent is this rank's owned cell block.
 	LocalCellExtent grid.Extent
 	// Data holds the local cell values, k-major (i fastest).
@@ -119,18 +117,17 @@ func NewSim(c *mpi.Comm, cfg Config, mem *metrics.Tracker) (*Sim, error) {
 	n := nx * ny * nz
 	m := len(cfg.Oscillators)
 	s := &Sim{
-		Comm:             c,
-		Cfg:              cfg,
-		GlobalCellExtent: global,
-		LocalCellExtent:  local,
-		Data:             make([]float64, n),
-		workers:          parallel.Workers(cfg.Threads, c.Size()),
-		amps:             make([]float64, m),
-		twoR2:            make([]float64, m),
-		ex:               make([]float64, m*nx),
-		ey:               make([]float64, m*ny),
-		ez:               make([]float64, m*nz),
-		corr:             make([]int16, m*n),
+		Comm:            c,
+		Cfg:             cfg,
+		LocalCellExtent: local,
+		Data:            make([]float64, n),
+		workers:         parallel.Workers(cfg.Threads, c.Size()),
+		amps:            make([]float64, m),
+		twoR2:           make([]float64, m),
+		ex:              make([]float64, m*nx),
+		ey:              make([]float64, m*ny),
+		ez:              make([]float64, m*nz),
+		corr:            make([]int16, m*n),
 	}
 	for i, o := range cfg.Oscillators {
 		// Same association as the seed's Evaluate ((2*R)*R) so the division
